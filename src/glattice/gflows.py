@@ -29,8 +29,9 @@ from .intlinalg import (
     BasisSolver,
     IntMatrix,
     bezout_coefficients,
+    column_span_canonical,
+    drop_zero_columns,
     kernel_basis,
-    same_column_span,
 )
 
 EDGE_ACTION_CHECK_BUDGET = 5_000_000
@@ -226,12 +227,12 @@ class FlowLattice:
     """The kernel of the boundary map, with an explicit basis and G-action."""
 
     def __init__(self, graph: GGraph, basis: IntMatrix, glattice: GLattice,
-                 inclusion: EquivariantMap):
+                 inclusion: EquivariantMap, solver: BasisSolver):
         self.graph = graph
         self.basis = basis
         self.glattice = glattice
         self.inclusion = inclusion  # glattice -> ZE
-        self.solver = BasisSolver(basis)
+        self.solver = solver  # BasisSolver of basis
 
     @property
     def rank(self) -> int:
@@ -252,13 +253,13 @@ class FlowLattice:
                 raise InvalidParameterError(
                     f"rank {self.rank} != |E|-|V|+1 = {expected}"
                 )
-        if not same_column_span(self.basis, kernel_basis(bd)):
+        if not _spans_flows(self.solver, bd):
             raise InvalidParameterError("basis does not span the saturated kernel")
-        for g in range(X.group.order):
-            perm = IntMatrix.zeros(X.n_edges, X.n_edges)
-            for e in range(X.n_edges):
-                perm.a[X.edge_action[g][e], e] = 1
-            if perm @ self.basis != self.basis @ self.glattice.action[g]:
+        for g, perm in enumerate(X.edge_action):
+            # g moves edge e to perm[e], so row perm[e] of g * basis is row e
+            # of basis; sorting the edges by perm inverts it
+            moved = self.basis.take_rows(sorted(range(X.n_edges), key=perm.__getitem__))
+            if moved != self.basis @ self.glattice.action[g]:
                 raise InvalidParameterError(f"action invariant fails at element {g}")
 
     def __repr__(self) -> str:
@@ -272,9 +273,9 @@ def flow_lattice(X: GGraph) -> FlowLattice:
             f"graph is disconnected; components: {X.components()}"
         )
     basis = kernel_basis(boundary_matrix(X).matrix)
-    edge_lat = X.edge_lattice()
-    glat, incl = sublattice_with_action(edge_lat, basis, name="Fl")
-    fl = FlowLattice(X, basis, glat, incl)
+    solver = BasisSolver(basis)
+    glat, incl = sublattice_with_action(X.edge_lattice(), basis, name="Fl", solver=solver)
+    fl = FlowLattice(X, basis, glat, incl, solver)
     expected = X.n_edges - X.n_vertices + 1
     if fl.rank != expected:
         raise AssertionError(f"rank formula violated: {fl.rank} != {expected}")
@@ -286,10 +287,16 @@ def flow_lattice_with_basis(X: GGraph, basis: IntMatrix) -> FlowLattice:
     bd = boundary_matrix(X).matrix
     if not (bd @ basis).is_zero():
         raise InvalidParameterError("supplied columns are not flows")
-    if not same_column_span(basis, kernel_basis(bd)):
+    solver = BasisSolver(basis)
+    if not _spans_flows(solver, bd):
         raise InvalidParameterError("supplied columns do not span the flow lattice")
-    glat, incl = sublattice_with_action(X.edge_lattice(), basis, name="Fl")
-    return FlowLattice(X, basis, glat, incl)
+    glat, incl = sublattice_with_action(X.edge_lattice(), basis, name="Fl", solver=solver)
+    return FlowLattice(X, basis, glat, incl, solver)
+
+
+def _spans_flows(solver: BasisSolver, bd: IntMatrix) -> bool:
+    """Whether the solver's basis spans the kernel of the boundary matrix."""
+    return drop_zero_columns(solver.H) == column_span_canonical(kernel_basis(bd))
 
 
 # -- walks ---------------------------------------------------------------------

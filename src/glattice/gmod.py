@@ -348,14 +348,15 @@ def norm_matrix(M: GLattice, H: Subgroup) -> IntMatrix:
 
 
 def sublattice_with_action(
-    M: GLattice, basis: IntMatrix, name: str = ""
+    M: GLattice, basis: IntMatrix, name: str = "", solver: Optional[BasisSolver] = None
 ) -> Tuple[GLattice, EquivariantMap]:
     """Induced lattice structure on an invariant saturated column span.
 
     Returns the abstract lattice in the given basis together with the
     inclusion map into M.  Raises when the span is not G-invariant.
+    A caller that already holds a BasisSolver of the basis may pass it.
     """
-    solver = BasisSolver(basis)
+    solver = solver or BasisSolver(basis)
     action = []
     for g in range(M.group.order):
         moved = M.action[g] @ basis

@@ -1,9 +1,14 @@
 """Exact integer matrix algebra: normal forms, kernels, solving, quotients.
 
 All matrices carry arbitrary-precision Python integers (numpy ``object``
-dtype), so nothing here can silently overflow.  Every routine is a pure
-function of its inputs and is deterministic: normal forms use a fixed
-pivot rule (smallest nonzero absolute value, ties broken row-major).
+dtype), so nothing here can silently overflow.  The product computes in
+int64 when its shared dimension k and the entry bounds satisfy
+k * max|A| * max|B| < 2**62, so no partial sum can overflow; otherwise,
+and for products too small to gain from it, it multiplies the Python
+integers.  Either way the result holds Python integers.  Every routine
+is a pure function of its inputs and is deterministic: normal forms use
+a fixed pivot rule (smallest nonzero absolute value, ties broken
+row-major).
 """
 
 from __future__ import annotations
@@ -12,6 +17,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+# Bound on k * max|A| * max|B| below which a product runs in int64.
+_INT64_PRODUCT_BOUND = 1 << 62
+# A product runs in int64 only when its multiply-adds exceed this plus
+# twice its operand entries: converting an entry costs about as much as
+# one multiply-add of Python integers, and the guard has a fixed cost.
+_SMALL_PRODUCT = 512
 
 
 def _as_object_array(rows: int, cols: int, data) -> np.ndarray:
@@ -60,7 +72,7 @@ class IntMatrix:
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
         if len(columns) == 0:
             return cls(np.empty((rows or 0, 0), dtype=object))
-        return cls.from_rows(list(map(list, zip(*columns)))) if columns else cls.zeros(rows or 0, 0)
+        return cls.from_rows(list(map(list, zip(*columns))))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -122,6 +134,16 @@ class IntMatrix:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
         if self.cols == 0:
             return IntMatrix.zeros(self.rows, other.cols)
+        m, k, n = self.rows, self.cols, other.cols
+        if m * k * n >= _SMALL_PRODUCT + 2 * (m * k + k * n):
+            try:
+                a, b = self.a.astype(np.int64), other.a.astype(np.int64)
+            except OverflowError:
+                pass
+            else:
+                bound = max(int(a.max()), -int(a.min())) * max(int(b.max()), -int(b.min()))
+                if k * bound < _INT64_PRODUCT_BOUND:
+                    return IntMatrix((a @ b).astype(object))
         return IntMatrix(np.dot(self.a, other.a))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -542,38 +564,28 @@ class BasisSolver:
     def __init__(self, basis: IntMatrix):
         self.basis = basis
         self.H, self.V = col_hermite(basis, transform=True)
-        # pivot row of each nonzero column of H
-        self.pivots = []
-        for j in range(self.H.cols):
-            piv = None
-            for i in range(self.H.rows):
-                if self.H[i, j] != 0:
-                    piv = i
-                    break
-            self.pivots.append(piv)
+        # (index, pivot row, pivot, nonzero (row, entry) pairs) of each
+        # nonzero column of H
+        self._columns = []
+        for j, col in enumerate(self.H.a.T.tolist()):
+            nonzero = [(i, int(x)) for i, x in enumerate(col) if x != 0]
+            if nonzero:
+                self._columns.append((j, nonzero[0][0], nonzero[0][1], nonzero))
 
     def _express_h(self, vec: Sequence[int]) -> Optional[list]:
         """Back-substitution against the Hermite form (coordinates before V)."""
         r = list(map(int, vec))
-        n = self.H.rows
-        if len(r) != n:
+        if len(r) != self.H.rows:
             raise ValueError("vector length mismatch")
         y = [0] * self.H.cols
-        for j in range(self.H.cols):
-            piv = self.pivots[j]
-            if piv is None:
-                continue
-            c = r[piv]
-            d = int(self.H[piv, j])
-            if c % d != 0:
+        for j, piv, d, nonzero in self._columns:
+            q, rem = divmod(r[piv], d)
+            if rem != 0:
                 return None
-            q = c // d
-            y[j] = q
             if q != 0:
-                for i in range(n):
-                    hij = self.H[i, j]
-                    if hij != 0:
-                        r[i] -= q * int(hij)
+                y[j] = q
+                for i, h in nonzero:
+                    r[i] -= q * h
         if any(x != 0 for x in r):
             return None
         return y
@@ -587,8 +599,8 @@ class BasisSolver:
 
     def express_matrix(self, M: IntMatrix) -> Optional[IntMatrix]:
         ys = []
-        for j in range(M.cols):
-            y = self._express_h(M.col_list(j))
+        for col in M.a.T.tolist():
+            y = self._express_h(col)
             if y is None:
                 return None
             ys.append(y)

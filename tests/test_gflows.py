@@ -9,6 +9,7 @@ from glattice.gflows import (
     cayley_graph,
     complete_edges,
     flow_lattice,
+    flow_lattice_with_basis,
     gcd_splitting,
     loop_split,
     path_flow,
@@ -31,7 +32,7 @@ from glattice.groups import (
     trivial_gset,
     whole_group,
 )
-from glattice.intlinalg import kernel_basis, same_column_span
+from glattice.intlinalg import IntMatrix, kernel_basis, same_column_span
 
 
 def s3():
@@ -132,6 +133,41 @@ class TestFlowLattice:
         sq = G.power(G.generator_indices["s"], 2)
         with pytest.raises(InvalidParameterError, match="components"):
             flow_lattice(cayley_graph(G, [sq]))
+
+
+class TestSuppliedBasis:
+    """flow_lattice_with_basis checks the span with the solver it shares."""
+
+    def setup_method(self):
+        G = s3()
+        self.X = cayley_graph(G, [G.generator_indices["s"], G.generator_indices["t"]])
+        self.fl = flow_lattice(self.X)
+
+    def test_accepts_flow_basis(self):
+        fl = flow_lattice_with_basis(self.X, self.fl.basis)
+        assert fl.glattice.action == self.fl.glattice.action
+        assert fl.flow_coordinates(self.fl.basis.col_list(3)) == [0, 0, 0, 1, 0, 0, 0]
+        fl.validate()
+
+    def test_index_two_sublattice_rejected(self):
+        cols = self.fl.basis.column_tuples()
+        doubled = [[2 * x for x in cols[0]]] + [list(c) for c in cols[1:]]
+        basis = IntMatrix.from_columns(doubled, rows=self.X.n_edges)
+        with pytest.raises(InvalidParameterError, match="do not span"):
+            flow_lattice_with_basis(self.X, basis)
+
+    def test_non_flows_rejected(self):
+        cols = [list(c) for c in self.fl.basis.column_tuples()]
+        cols[0] = [1] + [0] * (self.X.n_edges - 1)
+        basis = IntMatrix.from_columns(cols, rows=self.X.n_edges)
+        with pytest.raises(InvalidParameterError, match="not flows"):
+            flow_lattice_with_basis(self.X, basis)
+
+    def test_validate_rejects_wrong_action(self):
+        g = self.X.group.generator_indices["s"]
+        self.fl.glattice.action[g] = IntMatrix.identity(self.fl.rank)
+        with pytest.raises(InvalidParameterError, match=f"fails at element {g}"):
+            self.fl.validate()
 
 
 class TestWalks:

@@ -1,6 +1,7 @@
 """Exact linear algebra unit tests, including brute-force oracles."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -299,6 +300,109 @@ class TestSaturationAndSolver:
         bs = BasisSolver(basis)
         m = basis @ IntMatrix.from_rows([[1, -2], [4, 0]])
         assert bs.express_matrix(m) == IntMatrix.from_rows([[1, -2], [4, 0]])
+
+
+def triple_loop_product(a: IntMatrix, b: IntMatrix) -> list:
+    """Independent oracle for the matrix product, in Python integers."""
+    A, B = a.to_lists(), b.to_lists()
+    return [[sum(A[i][t] * B[t][j] for t in range(a.cols)) for j in range(b.cols)]
+            for i in range(a.rows)]
+
+
+@st.composite
+def product_operands(draw):
+    """Operands whose bound k * max|A| * max|B| straddles 2**62.
+
+    Sides are either tiny or large enough for the int64 path; entries
+    are either near the int64 guard or above 2**63.
+    """
+    def dim():
+        return draw(st.one_of(st.integers(0, 3), st.integers(10, 16)))
+
+    m, k, n = dim(), dim(), dim()
+    if draw(st.booleans()):
+        ma = draw(st.integers(1, 2**31))
+        mb = max(1, 2**62 // (max(k, 1) * ma) + draw(st.integers(-1, 1)))
+    else:
+        ma = 2**63 + draw(st.integers(0, 2**10))
+        mb = draw(st.integers(1, 2**64))
+
+    def operand(r, c, bound):
+        flat = draw(st.lists(st.integers(-bound, bound), min_size=r * c, max_size=r * c))
+        if flat:  # make max|entry| exactly the bound
+            flat[draw(st.integers(0, len(flat) - 1))] = draw(st.sampled_from([bound, -bound]))
+        return IntMatrix.from_rows([flat[i * c:(i + 1) * c] for i in range(r)], cols=c)
+
+    return operand(m, k, ma), operand(k, n, mb)
+
+
+class TestProduct:
+    @given(product_operands())
+    @settings(max_examples=150, deadline=None)
+    def test_against_triple_loop(self, ops):
+        a, b = ops
+        c = a @ b
+        assert c.shape == (a.rows, b.cols)
+        assert c.to_lists() == triple_loop_product(a, b)
+        assert all(type(x) is int for x in c.a.reshape(-1))
+
+    @pytest.mark.parametrize("mb", [2**28 - 1, 2**28, 2**30])
+    def test_guard_boundary(self, mb):
+        # every entry sits at its bound, so each result entry equals
+        # k * max|A| * max|B|: just below 2**62, at it, and above 2**63
+        k = 16
+        a = IntMatrix.from_rows([[2**30] * k] * k)
+        b = IntMatrix.from_rows([[mb] * k] * k)
+        c = a @ b
+        assert all(x == k * 2**30 * mb and type(x) is int for x in c.a.reshape(-1))
+
+    def test_mixed_signs_wide_range(self):
+        k = 12
+        a = IntMatrix.from_rows([[(-1) ** (i + j) * (2**63 - 1) for j in range(k)] for i in range(k)])
+        b = IntMatrix.from_rows([[-(2**63) if i == j else 0 for j in range(k)] for i in range(k)])
+        assert (a @ b).to_lists() == triple_loop_product(a, b)
+
+
+def lattice_index_oracle(basis: IntMatrix):
+    """(rank, product of nonzero invariant factors) of the column span, via sympy."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    snf = smith_normal_form(sympy.Matrix(basis.to_lists()), domain=sympy.ZZ)
+    diag = [abs(int(snf[i, i])) for i in range(min(basis.shape)) if snf[i, i] != 0]
+    return len(diag), math.prod(diag)
+
+
+class TestSympyOracles:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_smith_diagonal(self, data):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+
+        r, c = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        entries = st.one_of(small_entries, st.integers(-(2**66), 2**66))
+        a = IntMatrix.from_rows(
+            data.draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+        )
+        snf = smith_normal_form(sympy.Matrix(a.to_lists()), domain=sympy.ZZ)
+        assert smith(a).diagonal() == [abs(int(snf[i, i])) for i in range(min(r, c))]
+
+    @given(matrices(max_dim=5), st.lists(small_entries, min_size=5, max_size=5), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_solver_membership(self, basis, x, in_span):
+        """v lies in the span of B exactly when [B | v] has B's rank and index."""
+        if in_span:
+            v = basis.mul_vector(x[: basis.cols])
+        else:
+            v = [x[i % len(x)] for i in range(basis.rows)]
+        coords = BasisSolver(basis).express(v)
+        expected = lattice_index_oracle(basis) == lattice_index_oracle(
+            basis.hstack(IntMatrix.column(v))
+        )
+        assert (coords is not None) == expected
+        if coords is not None:
+            assert basis.mul_vector(coords) == v
 
 
 def test_module_doctests():
