@@ -72,7 +72,7 @@ class CheckReport:
     check_id: str
     group_spec: str
     parameters: Dict[str, object]
-    status: str  # "pass" | "fail" | "skipped"
+    status: str  # "pass" | "fail"
     details: List[Dict[str, str]]
     elapsed_ms: float
 
@@ -114,11 +114,8 @@ class _Checker:
             return self.record(name, False, f"{type(exc).__name__}: {exc}")
         return self.record(name, ok, detail)
 
-    def finish(self, skipped_reason: Optional[str] = None) -> CheckReport:
-        if skipped_reason is not None:
-            status = f"skipped({skipped_reason})"
-        else:
-            status = "pass" if all(d["status"] == "pass" for d in self.details) else "fail"
+    def finish(self) -> CheckReport:
+        status = "pass" if all(d["status"] == "pass" for d in self.details) else "fail"
         return CheckReport(
             check_id=self.check_id,
             group_spec=self.group_spec,
@@ -790,13 +787,6 @@ def check_rank_formula(graphs: Sequence[Tuple[str, GGraph]]) -> CheckReport:
         expected = X.n_edges - X.n_vertices + 1
         ck.record(label, fl.rank == expected, f"rank {fl.rank} = {expected}")
     return ck.finish()
-
-
-def skipped_report(
-    check_id: str, group_spec: str, parameters: Dict[str, object], reason: str
-) -> CheckReport:
-    """A report marking a gated check that was not run."""
-    return _Checker(check_id, group_spec, parameters).finish(skipped_reason=reason)
 
 
 def quick_suite_graphs() -> List[Tuple[str, GGraph]]:

@@ -284,8 +284,8 @@ CHECK_IDS = [
 ]
 
 
-def suite_definition(name: str, with_s5: bool = False) -> List[Tuple[str, Dict[str, object]]]:
-    """Declarative check lists: quick covers order <= 12, full order <= 24."""
+def suite_definition(name: str) -> List[Tuple[str, Dict[str, object]]]:
+    """Declarative check lists: quick covers order <= 12, full order <= 24 and S5."""
     if name not in ("quick", "full"):
         raise SpecParseError(f"unknown suite {name!r}", name, 0)
     checks: List[Tuple[str, Dict[str, object]]] = [("rank-formula", {})]
@@ -327,27 +327,12 @@ def suite_definition(name: str, with_s5: bool = False) -> List[Tuple[str, Dict[s
         ):
             checks.append(("flow-coflasque", {"group": group, "gens": gens}))
         checks.append(("sn-restrictions", {"n": 4}))
-        checks.append(("sn-restrictions", {"n": 5, "gated": True}))
-    out = []
-    for cid, params in checks:
-        if params.pop("gated", False) and not with_s5:
-            out.append((cid, {**params, "skipped": "pass --with-s5 to enable"}))
-        else:
-            out.append((cid, params))
-    return out
+        checks.append(("sn-restrictions", {"n": 5}))
+    return checks
 
 
-def run_suite(name: str, with_s5: bool = False) -> List[checks.CheckReport]:
-    reports = []
-    for cid, params in suite_definition(name, with_s5):
-        skip = params.pop("skipped", None)
-        if skip is not None:
-            label = str(params.get("group") or "")
-            if cid == "sn-restrictions":
-                label = f"S:{params['n']}"
-            reports.append(checks.skipped_report(cid, label, params, skip))
-        else:
-            reports.append(run_check(cid, params))
+def run_suite(name: str) -> List[checks.CheckReport]:
+    reports = [run_check(cid, params) for cid, params in suite_definition(name)]
     reports.sort(key=lambda r: (r.check_id, r.group_spec, json.dumps(r.parameters, sort_keys=True)))
     return reports
 
@@ -383,7 +368,7 @@ def _suite_payload(name: str, reports: List[checks.CheckReport]) -> Dict[str, ob
 
 def _cmd_group_info(cfg: RunConfig, out) -> int:
     G = parse_group_spec(str(cfg.options["group"]))
-    from .groups import all_subgroups, is_z_group, _prime_factors
+    from .groups import all_subgroups, is_z_group, prime_factorization
 
     info: Dict[str, object] = {
         "spec": G.spec,
@@ -398,7 +383,7 @@ def _cmd_group_info(cfg: RunConfig, out) -> int:
         info["subgroup_orders"] = sorted(s.order for s in subs)
         info["z_group"] = is_z_group(G)
         info["sylow_orders"] = {
-            str(p): sylow(G, p).order for p in _prime_factors(G.order)
+            str(p): sylow(G, p).order for p, _ in prime_factorization(G.order)
         }
     if cfg.output == "json":
         print(json.dumps(info, indent=2), file=out)
@@ -527,12 +512,12 @@ def _cmd_check(cfg: RunConfig, out) -> int:
     }
     report = run_check(check_id, params)
     _print_report(report, cfg.output, out)
-    return 0 if report.status.startswith(("pass", "skipped")) else 1
+    return 0 if report.ok else 1
 
 
 def _cmd_suite(cfg: RunConfig, out) -> int:
     name = str(cfg.options["name"])
-    reports = run_suite(name, bool(cfg.options.get("with_s5")))
+    reports = run_suite(name)
     if cfg.output == "json":
         print(json.dumps(_suite_payload(name, reports), indent=2), file=out)
     else:
@@ -596,7 +581,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_suite = sub.add_parser("suite", help="run the quick or full check suite")
     p_suite.add_argument("name", choices=("quick", "full"))
-    p_suite.add_argument("--with-s5", dest="with_s5", action="store_true")
     p_suite.add_argument("--output", choices=("text", "json"), default="text")
     return parser
 

@@ -32,7 +32,15 @@ from .gmod import (
     sublattice_with_action,
     tensor,
 )
-from .groups import FiniteGroup, GSet, Subgroup, subgroup_conjugacy_reps, sylow, whole_group
+from .groups import (
+    FiniteGroup,
+    GSet,
+    Subgroup,
+    prime_factorization,
+    subgroup_conjugacy_reps,
+    sylow,
+    whole_group,
+)
 from .intlinalg import (
     BasisSolver,
     IntMatrix,
@@ -42,6 +50,7 @@ from .intlinalg import (
     smith,
     solve,
     solve_matrix,
+    xgcd,
 )
 
 
@@ -365,7 +374,7 @@ def hom_basis_into_permutation(C: GLattice, B: GLattice) -> List[IntMatrix]:
 
 def _hom_basis_generic(C: GLattice, A: GLattice) -> List[IntMatrix]:
     # kernel of T -> (rho_A(g) T - T rho_C(g)) over generators, vectorized
-    gens = whole_group(C.group).generators()
+    gens = C.group.generators
     a, c = A.rank, C.rank
     if a == 0 or c == 0:
         return []
@@ -463,21 +472,8 @@ def _solve_mod(H: List[List[int]], b: List[int], n: int) -> Optional[List[int]]:
     cols = len(H[0]) if H else 0
     if n == 1:
         return [0] * cols
-    parts = []
-    rest = n
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            parts.append((p, e))
-        p += 1
-    if rest > 1:
-        parts.append((rest, 1))
     solutions = []
-    for p, e in parts:
+    for p, e in prime_factorization(n):
         sol = _solve_mod_prime_power(H, b, p, e)
         if sol is None:
             return None
@@ -487,22 +483,11 @@ def _solve_mod(H: List[List[int]], b: List[int], n: int) -> Optional[List[int]]:
         residue, modulus = 0, 1
         for q, sol in solutions:
             # CRT combine residue (mod modulus) with sol[j] (mod q)
-            g, u, v = _xgcd(modulus, q)
+            g, u, v = xgcd(modulus, q)
             residue = (residue * v * q + sol[j] * u * modulus) % (modulus * q)
             modulus *= q
         x[j] = residue
     return x
-
-
-def _xgcd(a: int, b: int):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    g, r = a, b
-    while r:
-        qq = g // r
-        g, r = r, g - qq * r
-        x0, x1 = x1, x0 - qq * x1
-        y0, y1 = y1, y0 - qq * y1
-    return g, x0, y0
 
 
 def _find_section_orbitwise(seq: ShortExactSequence) -> Optional[EquivariantMap]:
@@ -537,7 +522,7 @@ def _find_section_orbitwise(seq: ShortExactSequence) -> Optional[EquivariantMap]
             cols[p] = B.action[g].mul_vector(b)
     matrix = IntMatrix.from_columns([cols[p] for p in range(C.rank)], rows=B.rank)
     section = EquivariantMap(C, B, matrix)
-    section.validate(elements=whole_group(B.group).generators())
+    section.validate()
     assert (pi @ matrix).is_identity()
     return section
 
@@ -632,7 +617,7 @@ def split_iso_from_section(
     back = back_top.vstack(seq.right.matrix)
     assert (fwd_matrix @ back).is_identity()
     assert (back @ fwd_matrix).is_identity()
-    fwd.validate(elements=whole_group(B.group).generators())
+    fwd.validate()
     return fwd
 
 
@@ -662,7 +647,7 @@ def _coinvariant_projection(M: GLattice) -> IntMatrix:
     Every member of a G-orbit has the same image, and the images of the
     orbits of any G-stable basis form a basis of the free quotient.
     """
-    gens = whole_group(M.group).generators()
+    gens = M.group.generators
     eye = IntMatrix.identity(M.rank)
     stacked = None
     for g in gens:
@@ -997,17 +982,7 @@ def invertibility_certificate(
 
     G = M.group
     if subgroups is None:
-        primes = []
-        x = G.order
-        p = 2
-        while p * p <= x:
-            if x % p == 0:
-                primes.append(p)
-                while x % p == 0:
-                    x //= p
-            p += 1
-        if x > 1:
-            primes.append(x)
+        primes = [p for p, _ in prime_factorization(G.order)]
         subgroups = [sylow(G, p) for p in primes] if primes else [whole_group(G)]
     indices = [H.index() for H in subgroups]
     acc = 0

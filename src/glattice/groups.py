@@ -1,14 +1,18 @@
 """Finite groups as multiplication tables, plus subgroup machinery and G-sets.
 
 Elements are indices 0..n-1 with index 0 reserved for the identity where a
-constructor controls the labeling.  All constructors validate the group
-axioms exhaustively at build time; the order cap keeps that cheap.
+constructor controls the labeling.  Objects are validated on generators.
+Every group computes one greedy generating set at construction and checks
+associativity with Light's test on it.  A subgroup checks closure on its
+own greedy generators.  A G-set checks rho(g s) = rho(g) rho(s) for every
+element g and every generator s, which by induction on word length makes
+rho a homomorphism.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,6 +48,7 @@ class FiniteGroup:
                 raise InvalidParameterError("multiplication table is not closed")
         self.identity = self._find_identity()
         self.inverses = self._find_inverses()
+        self.generators = self._greedy_generators(range(n))
         self._check_associativity()
         self.element_names = list(element_names) if element_names else [f"g{i}" for i in range(n)]
         if len(self.element_names) != n:
@@ -64,24 +69,45 @@ class FiniteGroup:
         raise InvalidParameterError("no identity element in table")
 
     def _find_inverses(self) -> List[int]:
-        inv = [-1] * self.order
         e = self.identity
-        for x in range(self.order):
-            for y in range(self.order):
-                if self.table[x][y] == e and self.table[y][x] == e:
-                    inv[x] = y
-                    break
-            if inv[x] < 0:
+        inv = []
+        for x, row in enumerate(self.table):
+            y = row.index(e) if e in row else -1
+            if y < 0 or self.table[y][x] != e:
                 raise InvalidParameterError(f"element {x} has no inverse")
+            inv.append(y)
         return inv
 
+    def _greedy_generators(self, elements: Sequence[int]) -> Tuple[int, ...]:
+        """Greedy generators of the subgroup on `elements`.
+
+        Adds the smallest element not yet reached until the closure covers
+        `elements`.  Raises when a closure leaves them, i.e. when they are
+        not closed under multiplication.
+        """
+        target = set(elements)
+        gens: List[int] = []
+        have = {self.identity}
+        while len(have) < len(target):
+            gens.append(min(target - have))
+            have = set(self.closure(gens))
+            if not have <= target:
+                raise InvalidParameterError("subgroup not closed under multiplication")
+        return tuple(gens)
+
     def _check_associativity(self) -> None:
+        """Light's test: (a s) b == a (s b) for every generator s and all a, b.
+
+        The elements s that pass are closed under products, and every
+        element is a product of generators, so the whole table is associative.
+        """
         t = self.table
-        for a in range(self.order):
-            ta = t[a]
-            for b in range(self.order):
-                if t[ta[b]] != [ta[x] for x in t[b]]:
-                    raise InvalidParameterError(f"associativity fails at elements ({a}, {b})")
+        for s in self.generators:
+            ts = t[s]
+            for a in range(self.order):
+                ta = t[a]
+                if t[ta[s]] != [ta[x] for x in ts]:
+                    raise InvalidParameterError(f"associativity fails at elements ({a}, {s})")
 
     # -- basic operations ----------------------------------------------------
 
@@ -131,19 +157,22 @@ class FiniteGroup:
         )
 
     def closure(self, seed: Sequence[int]) -> Tuple[int, ...]:
-        """Sorted subgroup generated by the seed elements."""
-        els = {self.identity} | {int(x) for x in seed}
-        changed = True
-        while changed:
-            changed = False
-            cur = sorted(els)
-            for a in cur:
-                row = self.table[a]
-                for b in cur:
-                    c = row[b]
-                    if c not in els:
-                        els.add(c)
-                        changed = True
+        """Sorted subgroup generated by the seed elements.
+
+        Breadth-first search from the identity under right multiplication by
+        the seeds; in a finite group these products already contain every
+        inverse.
+        """
+        seeds = sorted({int(x) for x in seed})
+        els = {self.identity}
+        queue = [self.identity]
+        for a in queue:
+            row = self.table[a]
+            for s in seeds:
+                c = row[s]
+                if c not in els:
+                    els.add(c)
+                    queue.append(c)
         return tuple(sorted(els))
 
     def __repr__(self) -> str:
@@ -156,18 +185,17 @@ class Subgroup:
 
     parent: FiniteGroup
     elements: Tuple[int, ...]
+    _generators: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        els = set(self.elements)
         G = self.parent
-        if G.identity not in els:
+        if G.identity not in self.elements:
             raise InvalidParameterError("subgroup misses the identity")
-        for a in self.elements:
-            if G.inverses[a] not in els:
-                raise InvalidParameterError("subgroup not closed under inverses")
-            for b in self.elements:
-                if G.table[a][b] not in els:
-                    raise InvalidParameterError("subgroup not closed under multiplication")
+        if len(set(self.elements)) != len(self.elements):
+            raise InvalidParameterError("subgroup lists an element twice")
+        # a finite set with the identity that is closed under products is a
+        # subgroup; the greedy generators check the closure
+        object.__setattr__(self, "_generators", G._greedy_generators(self.elements))
         if G.order % len(self.elements) != 0:
             raise InvalidParameterError("subgroup size does not divide group order")
 
@@ -183,15 +211,7 @@ class Subgroup:
 
     def generators(self) -> Tuple[int, ...]:
         """Deterministic generating set: greedily add smallest missing element."""
-        G = self.parent
-        gens: List[int] = []
-        have = (G.identity,)
-        target = set(self.elements)
-        while set(have) != target:
-            nxt = min(x for x in self.elements if x not in set(have))
-            gens.append(nxt)
-            have = G.closure(gens)
-        return tuple(gens)
+        return self._generators
 
     def is_cyclic(self) -> bool:
         return self.cyclic_generator() is not None
@@ -412,23 +432,26 @@ def subgroup_conjugacy_reps(G: FiniteGroup) -> List[Subgroup]:
     return list(reps)
 
 
-def _prime_factors(n: int) -> List[int]:
+def prime_factorization(n: int) -> List[Tuple[int, int]]:
+    """Pairs (p, e) with n == prod p**e, primes increasing; [] for n < 2."""
     out = []
     p = 2
     while p * p <= n:
         if n % p == 0:
-            out.append(p)
+            e = 0
             while n % p == 0:
                 n //= p
+                e += 1
+            out.append((p, e))
         p += 1
     if n > 1:
-        out.append(n)
+        out.append((n, 1))
     return out
 
 
 def sylow(G: FiniteGroup, p: int) -> Subgroup:
     """One p-Sylow subgroup (the first in canonical subgroup order)."""
-    if p < 2 or any(p % q == 0 for q in range(2, p) if q * q <= p):
+    if prime_factorization(p) != [(p, 1)]:
         raise InvalidParameterError(f"{p} is not prime")
     if G.order % p != 0:
         raise InvalidParameterError(f"{p} does not divide the group order {G.order}")
@@ -443,7 +466,7 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
 
 def is_z_group(G: FiniteGroup) -> bool:
     """True when every Sylow subgroup (all primes) is cyclic."""
-    return all(sylow(G, p).is_cyclic() for p in _prime_factors(G.order))
+    return all(sylow(G, p).is_cyclic() for p, _ in prime_factorization(G.order))
 
 
 # -- G-sets -------------------------------------------------------------------
@@ -469,14 +492,13 @@ class GSet:
         e = group.identity
         if self.action[e] != tuple(range(self.size)):
             raise InvalidParameterError("invalid-gset: identity does not act trivially")
-        for g in range(group.order):
-            pg = self.action[g]
-            for h in range(group.order):
-                ph = self.action[h]
-                gh = group.table[g][h]
-                if self.action[gh] != tuple(pg[ph[x]] for x in range(self.size)):
+        for s in group.generators:
+            ps = self.action[s]
+            for g in range(group.order):
+                pg = self.action[g]
+                if self.action[group.table[g][s]] != tuple(pg[x] for x in ps):
                     raise InvalidParameterError(
-                        f"invalid-gset: action incompatible at elements ({g}, {h})"
+                        f"invalid-gset: action incompatible at elements ({g}, {s})"
                     )
         self.point_names = (
             list(point_names) if point_names else [f"p{i}" for i in range(self.size)]

@@ -571,6 +571,7 @@ class BasisSolver:
             nonzero = [(i, int(x)) for i, x in enumerate(col) if x != 0]
             if nonzero:
                 self._columns.append((j, nonzero[0][0], nonzero[0][1], nonzero))
+        self.rank = len(self._columns)
 
     def _express_h(self, vec: Sequence[int]) -> Optional[list]:
         """Back-substitution against the Hermite form (coordinates before V)."""

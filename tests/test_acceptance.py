@@ -58,7 +58,7 @@ def test_criterion_02_coflasqueness():
     def body():
         entries = [
             params
-            for cid, params in suite_definition("full", with_s5=False)
+            for cid, params in suite_definition("full")
             if cid == "flow-coflasque"
         ]
         assert len(entries) >= 10
@@ -200,19 +200,14 @@ def test_criterion_09_schanuel_and_transfer():
     _criterion(9, "Schanuel uniqueness and flasque-class transfer", 120, body)
 
 
-def test_criterion_10_sn_restrictions(request):
-    run_s5 = request.config.getoption("--run-s5")
-
+def test_criterion_10_sn_restrictions():
     def body():
-        report = run_check("sn-restrictions", {"n": 4})
-        assert report.ok
-        if run_s5:
-            report5 = run_check("sn-restrictions", {"n": 5})
-            assert report5.ok
-            return "n=4 and n=5"
-        return "n=4 (pass --run-s5 for n=5)"
+        for n in (4, 5):
+            report = run_check("sn-restrictions", {"n": n})
+            assert report.ok, n
+        return "n=4 and n=5"
 
-    _criterion(10, "symmetric-group restrictions", 600 if run_s5 else 60, body)
+    _criterion(10, "symmetric-group restrictions", 60, body)
 
 
 def test_criterion_11_determinism():

@@ -17,7 +17,6 @@ from glattice.checks import (
     check_schanuel,
     check_sn_restrictions,
     quick_suite_graphs,
-    skipped_report,
 )
 
 
@@ -171,11 +170,6 @@ class TestRankFormula:
 
 
 class TestReportShape:
-    def test_skipped_report(self):
-        rep = skipped_report("sn-restrictions", "S:5", {"n": 5}, "gated")
-        assert rep.status == "skipped(gated)"
-        assert not rep.ok
-
     def test_json_schema(self):
         rep = check_cyclic_flows(4, [1])
         data = rep.to_json_dict()
