@@ -46,9 +46,9 @@ from .intlinalg import (
     IntMatrix,
     bezout_coefficients,
     cokernel_invariants,
+    is_saturated_basis,
     kernel_basis,
     smith,
-    solve,
     solve_matrix,
     xgcd,
 )
@@ -178,8 +178,9 @@ def is_flasque(M: GLattice) -> VanishingReport:
 
 
 def is_coflasque(M: GLattice) -> VanishingReport:
-    """Vanishing of degree +1 Tate cohomology for every subgroup."""
-    return _vanishes_for_all_subgroups(M, 1)
+    """Vanishing of degree +1 Tate cohomology for every subgroup: degree -1 of the dual."""
+    report = _vanishes_for_all_subgroups(dual(M), -1)
+    return VanishingReport(report.ok, 1, report.failing_subgroup, report.failing_group)
 
 
 # -- resolutions ---------------------------------------------------------------
@@ -500,24 +501,21 @@ def _find_section_orbitwise(seq: ShortExactSequence) -> Optional[EquivariantMap]
     B, C = seq.B, seq.C
     pi = seq.right.matrix
     cols: Dict[int, List[int]] = {}
-    fixed_cache: Dict[Tuple[int, ...], IntMatrix] = {}
+    # stabilizer -> (basis F of its fixed points, None if trivial; solver of pi @ F)
+    solvers: Dict[Tuple[int, ...], Tuple[Optional[IntMatrix], BasisSolver]] = {}
     for base, transversal in _orbit_transversal(C.gset):
         stab = C.gset.stabilizer(base)
         target = [0] * C.rank
         target[base] = 1
-        if stab.order == 1:
-            b = solve(pi, target)
-            if b is None:
-                return None
-        else:
-            F = fixed_cache.get(stab.elements)
-            if F is None:
-                F = fixed_sublattice(B, stab)
-                fixed_cache[stab.elements] = F
-            y = solve(pi @ F, target)
-            if y is None:
-                return None
-            b = F.mul_vector(y)
+        if stab.elements not in solvers:
+            F = None if stab.order == 1 else fixed_sublattice(B, stab)
+            solvers[stab.elements] = (F, BasisSolver(pi if F is None else pi @ F))
+        F, solver = solvers[stab.elements]
+        b = solver.express(target)
+        if b is None:
+            return None
+        if F is not None:
+            b = F.mul_vector(b)
         for p, g in transversal:
             cols[p] = B.action[g].mul_vector(b)
     matrix = IntMatrix.from_columns([cols[p] for p in range(C.rank)], rows=B.rank)
@@ -810,10 +808,7 @@ def is_permutation_bounded(M: GLattice, bound: int = 2) -> PermutationSearchOutc
             pool_set.add(tup)
 
     def saturated_cols(cols: List[Sequence[int]]) -> bool:
-        m = IntMatrix.from_columns([list(c) for c in cols], rows=len(cols[0]))
-        dec = smith(m)
-        diag = dec.diagonal()
-        return dec.rank() == m.cols and all(d == 1 for d in diag[: m.cols])
+        return is_saturated_basis(IntMatrix.from_columns(cols, rows=len(cols[0])))
 
     # orbits, bucketed by stabilizer conjugacy class
     relevant = (
@@ -934,7 +929,7 @@ def is_permutation_bounded(M: GLattice, bound: int = 2) -> PermutationSearchOutc
         cols.extend(list(v) for v in item["orbit"])
         orbits_out.append(list(range(first, len(cols))))
     witness = IntMatrix.from_columns(cols, rows=r)
-    if not saturated_cols([list(c) for c in zip(*witness.to_lists())]):
+    if not is_saturated_basis(witness):
         raise AssertionError("witness must be unimodular")
     return PermutationSearchOutcome(witness, orbits_out, bound)
 

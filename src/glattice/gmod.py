@@ -16,6 +16,7 @@ from .intlinalg import (
     BasisSolver,
     IntMatrix,
     cokernel_invariants,
+    col_hermite,
     column_span_canonical,
     kernel_basis,
     solve_matrix,
@@ -138,7 +139,8 @@ class EquivariantMap:
         return EquivariantMap(inner.source, self.target, self.matrix @ inner.matrix)
 
     def is_unimodular(self) -> bool:
-        return self.matrix.rows == self.matrix.cols and abs(self.matrix.det()) == 1
+        # a square integer matrix is invertible over Z iff its Hermite form is I
+        return self.matrix.rows == self.matrix.cols and col_hermite(self.matrix).is_identity()
 
     def inverse(self) -> "EquivariantMap":
         if self.matrix.rows != self.matrix.cols:

@@ -399,16 +399,17 @@ def all_subgroups(G: FiniteGroup) -> List[Subgroup]:
         )
     triv = (G.identity,)
     known = {triv}
-    frontier = [triv]
+    # each subgroup with the generators it was first closed from
+    frontier = [(triv, ())]
     while frontier:
-        base = frontier.pop()
+        base, gens = frontier.pop()
         base_set = set(base)
         for g in range(G.order):
             if g not in base_set:
-                new = G.closure(base + (g,))
+                new = G.closure(gens + (g,))
                 if new not in known:
                     known.add(new)
-                    frontier.append(new)
+                    frontier.append((new, gens + (g,)))
     ordered = sorted(known, key=lambda els: (len(els), els))
     subs = [Subgroup(G, els) for els in ordered]
     G._subgroups_cache = subs

@@ -9,6 +9,13 @@ integers.  Either way the result holds Python integers.  Every routine
 is a pure function of its inputs and is deterministic: normal forms use
 a fixed pivot rule (smallest nonzero absolute value, ties broken
 row-major).
+
+Each question gets the cheapest normal form that decides it.  Invariant
+factors (``cokernel_invariants``, ``is_saturated_basis``) read the Smith
+diagonal, computed without transforms.  Kernels and solves
+(``kernel_basis``, ``solve_matrix``, ``BasisSolver``) use the column
+Hermite form and its transform.  ``smith`` builds both transforms, for
+callers that read them.
 """
 
 from __future__ import annotations
@@ -27,12 +34,9 @@ _SMALL_PRODUCT = 512
 
 
 def _as_object_array(rows: int, cols: int, data) -> np.ndarray:
-    a = np.empty((rows, cols), dtype=object)
-    for i in range(rows):
-        row = data[i]
-        for j in range(cols):
-            a[i, j] = int(row[j])
-    return a
+    a = np.empty(rows * cols, dtype=object)
+    a[:] = [int(x) for row in data for x in row]
+    return a.reshape(rows, cols)
 
 
 class IntMatrix:
@@ -275,10 +279,6 @@ class SmithDecomposition:
         n = min(self.S.rows, self.S.cols)
         return [int(self.S[i, i]) for i in range(n)]
 
-    def invariant_factors(self) -> list:
-        """Diagonal entries > 1 (the finite cokernel data)."""
-        return [d for d in self.diagonal() if d > 1]
-
     def rank(self) -> int:
         return sum(1 for d in self.diagonal() if d != 0)
 
@@ -298,45 +298,43 @@ def _find_pivot(a, t: int, rows: int, cols: int):
     return best
 
 
-def smith(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms.
-
-    >>> d = smith(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    >>> d.diagonal()
-    [2, 4]
-    >>> d.U @ IntMatrix.from_rows([[2, 4], [6, 8]]) @ d.V == d.S
-    True
-    """
+def _smith_reduce(A: IntMatrix, transforms: bool):
+    """The Smith elimination on lists of rows: (S, U, V), with U and V
+    None when ``transforms`` is false.  Diagonal signs are left as found."""
     rows, cols = A.rows, A.cols
     s = [A.row_list(i) for i in range(rows)]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if transforms else None
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if transforms else None
 
     def row_op(i, k, q):  # row_i -= q * row_k
         si, sk = s[i], s[k]
         for j in range(cols):
             si[j] -= q * sk[j]
-        ui, uk = u[i], u[k]
-        for j in range(rows):
-            ui[j] -= q * uk[j]
+        if u is not None:
+            ui, uk = u[i], u[k]
+            for j in range(rows):
+                ui[j] -= q * uk[j]
 
     def col_op(j, k, q):  # col_j -= q * col_k
         for i in range(rows):
             s[i][j] -= q * s[i][k]
-        for i in range(cols):
-            v[i][j] -= q * v[i][k]
+        if v is not None:
+            for i in range(cols):
+                v[i][j] -= q * v[i][k]
 
     def swap_rows(i, k):
         if i != k:
             s[i], s[k] = s[k], s[i]
-            u[i], u[k] = u[k], u[i]
+            if u is not None:
+                u[i], u[k] = u[k], u[i]
 
     def swap_cols(j, k):
         if j != k:
             for row in s:
                 row[j], row[k] = row[k], row[j]
-            for row in v:
-                row[j], row[k] = row[k], row[j]
+            if v is not None:
+                for row in v:
+                    row[j], row[k] = row[k], row[j]
 
     t = 0
     limit = min(rows, cols)
@@ -387,18 +385,36 @@ def smith(A: IntMatrix) -> SmithDecomposition:
         if not fixed:
             continue
         t += 1
+    return s, u, v
 
+
+def _smith_diagonal(A: IntMatrix) -> list:
+    """The Smith diagonal (min(rows, cols) entries), without transforms, taken
+    from the nonzero columns of the column Hermite form of A (same diagonal)."""
+    B = column_span_canonical(A)
+    s, _, _ = _smith_reduce(B, transforms=False)
+    return [abs(s[i][i]) for i in range(B.cols)] + [0] * (min(A.shape) - B.cols)
+
+
+def smith(A: IntMatrix) -> SmithDecomposition:
+    """Smith normal form with both transforms.
+
+    >>> d = smith(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    >>> d.diagonal()
+    [2, 4]
+    >>> d.U @ IntMatrix.from_rows([[2, 4], [6, 8]]) @ d.V == d.S
+    True
+    """
+    s, u, v = _smith_reduce(A, transforms=True)
     # normalize signs on the diagonal
-    for i in range(limit):
+    for i in range(min(A.rows, A.cols)):
         if s[i][i] < 0:
-            for j in range(cols):
-                s[i][j] = -s[i][j]
-            for j in range(rows):
-                u[i][j] = -u[i][j]
+            s[i] = [-x for x in s[i]]
+            u[i] = [-x for x in u[i]]
     return SmithDecomposition(
-        U=IntMatrix.from_rows(u, cols=rows),
-        S=IntMatrix.from_rows(s, cols=cols),
-        V=IntMatrix.from_rows(v, cols=cols),
+        U=IntMatrix.from_rows(u, cols=A.rows),
+        S=IntMatrix.from_rows(s, cols=A.cols),
+        V=IntMatrix.from_rows(v, cols=A.cols),
     )
 
 
@@ -411,14 +427,14 @@ def row_hermite(A: IntMatrix, transform: bool = False):
     h = [A.row_list(i) for i in range(rows)]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if transform else None
 
-    def row_sub(i, k, q):
-        hi, hk = h[i], h[k]
-        for j in range(cols):
-            hi[j] -= q * hk[j]
-        if u is not None:
-            ui, uk = u[i], u[k]
-            for j in range(rows):
-                ui[j] -= q * uk[j]
+    def pivot_support(k):  # nonzero (index, entry) pairs of row k of H and of U
+        return [[(j, x) for j, x in enumerate(m[k]) if x] for m in (h, u) if m is not None]
+
+    def row_sub(i, support, q):  # row_i -= q * the row whose support is given
+        for m, pairs in zip((h, u), support):
+            mi = m[i]
+            for j, x in pairs:
+                mi[j] -= q * x
 
     def swap(i, k):
         if i != k:
@@ -439,11 +455,12 @@ def row_hermite(A: IntMatrix, transform: bool = False):
                 break
             i0 = min(nz, key=lambda i: (abs(h[i][col]), i))
             swap(p, i0)
+            support = pivot_support(p)
             done = True
             for i in range(p + 1, rows):
                 if h[i][col] != 0:
                     q = h[i][col] // h[p][col]
-                    row_sub(i, p, q)
+                    row_sub(i, support, q)
                     if h[i][col] != 0:
                         done = False
             if done:
@@ -451,10 +468,11 @@ def row_hermite(A: IntMatrix, transform: bool = False):
         if p < rows and h[p][col] != 0:
             if h[p][col] < 0:
                 negate(p)
+            support = pivot_support(p)
             for i in range(p):
                 q = h[i][col] // h[p][col]
                 if q != 0:
-                    row_sub(i, p, q)
+                    row_sub(i, support, q)
             p += 1
             if p == rows:
                 break
@@ -492,32 +510,28 @@ def same_column_span(A: IntMatrix, B: IntMatrix) -> bool:
 def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Saturated basis of {x : A @ x == 0}, in column Hermite form.
 
+    From the column Hermite form A @ V == H: the columns of the unimodular
+    V under the zero columns of H span the kernel and are saturated; their
+    own column Hermite form is the canonical basis.
+
     >>> kernel_basis(IntMatrix.from_rows([[1, 1, 1]])).cols
     2
     """
-    if A.cols == 0:
-        return IntMatrix.zeros(0, 0)
-    if A.rows == 0:
-        return IntMatrix.identity(A.cols)
-    dec = smith(A)
-    diag = dec.diagonal()
-    ker_cols = [j for j in range(A.cols) if j >= len(diag) or diag[j] == 0]
-    basis = dec.V.take_columns(ker_cols)
-    return col_hermite(basis)
+    H, V = col_hermite(A, transform=True)
+    rank = sum(1 for col in H.a.T.tolist() if any(col))
+    return col_hermite(V.take_columns(range(rank, A.cols)))
 
 
 def cokernel_invariants(A: IntMatrix):
     """Invariant factors (> 1) and free rank of Z^rows / colspan(A).
 
+    Reads the Smith diagonal, computed without transforms.
+
     >>> cokernel_invariants(IntMatrix.diagonal([2, 3]))
     ([6], 0)
     """
-    if A.rows == 0:
-        return [], 0
-    if A.cols == 0:
-        return [], A.rows
-    dec = smith(A)
-    return dec.invariant_factors(), A.rows - dec.rank()
+    diag = _smith_diagonal(A)
+    return [d for d in diag if d > 1], A.rows - sum(1 for d in diag if d)
 
 
 def solve(A: IntMatrix, b: Sequence[int]) -> Optional[list]:
@@ -529,25 +543,14 @@ def solve(A: IntMatrix, b: Sequence[int]) -> Optional[list]:
 
 
 def solve_matrix(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
-    """Integer X with A @ X == B (columnwise solve), or None."""
+    """Integer X with A @ X == B (columnwise solve), or None.
+
+    Back-substitutes each column of B against the column Hermite form of
+    A (see ``BasisSolver``); A may have dependent columns.
+    """
     if B.rows != A.rows:
         raise ValueError("rhs row mismatch")
-    dec = smith(A)
-    diag = dec.diagonal()
-    C = dec.U @ B
-    Y = IntMatrix.zeros(A.cols, B.cols)
-    for k in range(B.cols):
-        for i in range(A.rows):
-            c = int(C[i, k])
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if c != 0:
-                    return None
-            else:
-                if c % d != 0:
-                    return None
-                Y.a[i, k] = c // d
-    return dec.V @ Y
+    return BasisSolver(A).express_matrix(B)
 
 
 def solvable(A: IntMatrix, b: Sequence[int]) -> bool:
@@ -587,7 +590,7 @@ class BasisSolver:
                 y[j] = q
                 for i, h in nonzero:
                     r[i] -= q * h
-        if any(x != 0 for x in r):
+        if any(r):
             return None
         return y
 
@@ -618,12 +621,10 @@ def saturation(A: IntMatrix) -> IntMatrix:
 
 
 def is_saturated_basis(A: IntMatrix) -> bool:
-    """True when the columns span a saturated sublattice (all factors 1)."""
-    if A.cols == 0:
-        return True
-    dec = smith(A)
-    diag = dec.diagonal()
-    return dec.rank() == A.cols and all(d == 1 for d in diag[: A.cols])
+    """True when the columns are independent and span a saturated
+    sublattice: the Smith diagonal, computed without transforms, is all 1."""
+    diag = _smith_diagonal(A)
+    return len(diag) == A.cols and all(d == 1 for d in diag)
 
 
 def xgcd(a: int, b: int):

@@ -37,6 +37,7 @@ from glattice.groups import (
     cyclic,
     direct_product,
     semidirect,
+    subgroup_conjugacy_reps,
     subgroup_from_generators,
     trivial_subgroup,
     whole_group,
@@ -171,6 +172,20 @@ class TestFlasquePredicates:
         assert not flasque and not coflasque
         assert flasque.failing_group == TateGroup((2,))
         assert flasque.failing_subgroup.order == 2
+        assert coflasque.degree == 1
+        assert coflasque.failing_group == tate(M, coflasque.failing_subgroup, 1)
+
+    def test_coflasque_report_names_first_failing_class(self):
+        # H^1(H, I_G) = Z/|H| for the augmentation ideal I_G, so the scan
+        # over S3 must stop at the first nontrivial class, of order 2
+        G = semidirect(3, 2, 2)
+        M = direct_sum(regular(G), augmentation_kernel(regular(G))[0])
+        report = is_coflasque(M)
+        failing = [H for H in subgroup_conjugacy_reps(G) if not tate(M, H, 1).is_trivial]
+        assert not report and report.degree == 1
+        assert failing[0].order == 2
+        assert report.failing_subgroup.elements == failing[0].elements
+        assert report.failing_group == tate(M, failing[0], 1) == TateGroup((2,))
 
 
 class TestResolutions:

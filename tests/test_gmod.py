@@ -1,6 +1,7 @@
 """G-lattice calculus tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glattice.errors import InvalidParameterError
 from glattice.gmod import (
@@ -139,6 +140,23 @@ class TestSumsAndTensors:
         phi = EquivariantMap(direct_sum(regular(G), regular(G)), T, m)
         phi.validate()
         assert phi.is_unimodular()
+
+
+    @given(st.lists(st.integers(-3, 3), min_size=9, max_size=9), st.integers(0, 2))
+    @settings(max_examples=80, deadline=None)
+    def test_unimodular_against_determinant(self, flat, shear):
+        # over the trivial group every matrix is equivariant; shearing the
+        # identity by flat gives determinant 1, the raw entries anything
+        G = cyclic(1)
+        M = direct_sum(direct_sum(trivial(G), trivial(G)), trivial(G))
+        m = IntMatrix.from_rows([flat[0:3], flat[3:6], flat[6:9]])
+        if shear:
+            m = IntMatrix.from_rows(
+                [[1 if i == j else (flat[3 * i + j] if j > i else 0) for j in range(3)]
+                 for i in range(3)]) @ IntMatrix.from_rows(
+                [[1 if i == j else (flat[3 * j + i] if i > j else 0) for j in range(3)]
+                 for i in range(3)])
+        assert EquivariantMap(M, M, m).is_unimodular() == (abs(m.det()) == 1)
 
 
 class TestRestrictInduceFixedNorm:

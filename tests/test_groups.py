@@ -110,6 +110,25 @@ class TestSubgroups:
         assert len(all_subgroups(G)) == 30
         assert len(subgroup_conjugacy_reps(G)) == 11
 
+    @pytest.mark.parametrize(
+        "G", [cyclic(12), dihedral(6), symmetric(4), semidirect(5, 4, 2),
+              direct_product(cyclic(2), direct_product(cyclic(2), cyclic(2)))], ids=str)
+    def test_matches_closing_whole_subgroups(self, G):
+        """Oracle: close every found subgroup's full element set with each
+        new element; the list and its order must be the same."""
+        known = {(G.identity,)}
+        frontier = [(G.identity,)]
+        while frontier:
+            base = frontier.pop()
+            for g in range(G.order):
+                if g not in base:
+                    new = G.closure(base + (g,))
+                    if new not in known:
+                        known.add(new)
+                        frontier.append(new)
+        expected = sorted(known, key=lambda els: (len(els), els))
+        assert [s.elements for s in all_subgroups(G)] == expected
+
     def test_generators_regenerate(self):
         G = dihedral(6)
         for sub in all_subgroups(G):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from glattice.intlinalg import (
     BasisSolver,
     IntMatrix,
+    _smith_diagonal,
     bezout_coefficients,
     cokernel_invariants,
     col_hermite,
@@ -20,6 +21,7 @@ from glattice.intlinalg import (
     saturation,
     smith,
     solve,
+    solve_matrix,
     xgcd,
 )
 
@@ -49,6 +51,7 @@ def rational_rank(m: IntMatrix) -> int:
 
 
 small_entries = st.integers(min_value=-9, max_value=9)
+wide_entries = st.one_of(small_entries, st.integers(-(2**66), 2**66))
 
 
 @st.composite
@@ -381,12 +384,15 @@ class TestSympyOracles:
         from sympy.matrices.normalforms import smith_normal_form
 
         r, c = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-        entries = st.one_of(small_entries, st.integers(-(2**66), 2**66))
         a = IntMatrix.from_rows(
-            data.draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+            data.draw(st.lists(st.lists(wide_entries, min_size=c, max_size=c), min_size=r, max_size=r))
         )
         snf = smith_normal_form(sympy.Matrix(a.to_lists()), domain=sympy.ZZ)
-        assert smith(a).diagonal() == [abs(int(snf[i, i])) for i in range(min(r, c))]
+        diag = [abs(int(snf[i, i])) for i in range(min(r, c))]
+        rank = sum(1 for d in diag if d)
+        assert smith(a).diagonal() == diag == _smith_diagonal(a)
+        assert cokernel_invariants(a) == ([d for d in diag if d > 1], r - rank)
+        assert is_saturated_basis(a) == (rank == c and all(d == 1 for d in diag))
 
     @given(matrices(max_dim=5), st.lists(small_entries, min_size=5, max_size=5), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -403,6 +409,91 @@ class TestSympyOracles:
         assert (coords is not None) == expected
         if coords is not None:
             assert basis.mul_vector(coords) == v
+
+
+def smith_kernel_basis(A: IntMatrix) -> IntMatrix:
+    """Reference kernel from the full Smith form: the columns of V under
+    the zero diagonal, in column Hermite form."""
+    if A.cols == 0:
+        return IntMatrix.zeros(0, 0)
+    if A.rows == 0:
+        return IntMatrix.identity(A.cols)
+    dec = smith(A)
+    diag = dec.diagonal()
+    ker_cols = [j for j in range(A.cols) if j >= len(diag) or diag[j] == 0]
+    return col_hermite(dec.V.take_columns(ker_cols))
+
+
+def smith_solve_matrix(A: IntMatrix, B: IntMatrix):
+    """Reference solve from the full Smith form: U A V = S, so A X = B has
+    an integer solution iff S Y = U B does, and then X = V Y."""
+    dec = smith(A)
+    diag = dec.diagonal()
+    C = dec.U @ B
+    Y = IntMatrix.zeros(A.cols, B.cols)
+    for k in range(B.cols):
+        for i in range(A.rows):
+            c = int(C[i, k])
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if c != 0:
+                    return None
+            else:
+                if c % d != 0:
+                    return None
+                Y.a[i, k] = c // d
+    return dec.V @ Y
+
+
+@st.composite
+def wide_matrices(draw, max_dim=4):
+    """Small matrices, possibly with no rows or columns, whose entries may
+    exceed 2**63."""
+    r = draw(st.integers(0, max_dim))
+    c = draw(st.integers(0, max_dim))
+    flat = draw(st.lists(wide_entries, min_size=r * c, max_size=r * c))
+    return IntMatrix.from_rows([flat[i * c:(i + 1) * c] for i in range(r)], cols=c)
+
+
+@st.composite
+def dependent_matrices(draw):
+    """A matrix with one extra column, an integer combination of the others."""
+    a = draw(matrices(max_dim=4))
+    coeffs = draw(st.lists(small_entries, min_size=a.cols, max_size=a.cols))
+    return a.hstack(IntMatrix.column(a.mul_vector(coeffs)))
+
+
+class TestNormalFormOracles:
+    """The Hermite-based kernel and solve against the full Smith form."""
+
+    @given(st.one_of(wide_matrices(), matrices()))
+    @settings(max_examples=120, deadline=None)
+    def test_kernel_equals_smith_kernel(self, a):
+        assert kernel_basis(a) == smith_kernel_basis(a)
+
+    @given(st.one_of(matrices(), dependent_matrices()), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_solve_matrix_against_smith_solve(self, a, data):
+        k = data.draw(st.integers(1, 3))
+        if data.draw(st.booleans()):  # solvable by construction
+            x = data.draw(st.lists(st.lists(small_entries, min_size=k, max_size=k),
+                                   min_size=a.cols, max_size=a.cols))
+            b = a @ IntMatrix.from_rows(x, cols=k)
+        else:
+            b = IntMatrix.from_rows(
+                data.draw(st.lists(st.lists(small_entries, min_size=k, max_size=k),
+                                   min_size=a.rows, max_size=a.rows)), cols=k)
+        got, ref = solve_matrix(a, b), smith_solve_matrix(a, b)
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert a @ got == b
+
+    def test_saturation_edge_shapes(self):
+        assert is_saturated_basis(IntMatrix.zeros(3, 0))
+        assert not is_saturated_basis(IntMatrix.zeros(0, 2))
+        assert not is_saturated_basis(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+        assert cokernel_invariants(IntMatrix.zeros(0, 3)) == ([], 0)
+        assert cokernel_invariants(IntMatrix.zeros(2, 0)) == ([], 2)
 
 
 def test_module_doctests():
