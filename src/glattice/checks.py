@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, certify
 from .gflows import (
     GGraph,
     boundary_matrix,
@@ -477,15 +477,15 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
     for _ in range(r):
         steps.append((v, G.table[v][s], -1))
         v = G.table[v][s]
-    assert v == G.mul(s, t), "the two paths must end at s t"
+    certify(v == G.mul(s, t), "the two paths must end at s t")
     a_flow = fl.flow_coordinates(_edge_vector(X, steps))
-    assert s_flow is not None and t_flow is not None and a_flow is not None
+    certify(None not in (s_flow, t_flow, a_flow), "the cycles and the twist path are flows")
 
     rho = fl.glattice.action
     s_vec = IntMatrix.column(s_flow)
     t_vec = IntMatrix.column(t_flow)
-    assert rho[s] @ s_vec == s_vec, "cycle flow must be s-invariant"
-    assert rho[t] @ t_vec == t_vec, "cycle flow must be t-invariant"
+    certify(rho[s] @ s_vec == s_vec, "cycle flow must be s-invariant")
+    certify(rho[t] @ t_vec == t_vec, "cycle flow must be t-invariant")
 
     cols: List[List[int]] = []
     for H, base in ((Hs, s_flow), (Ht, t_flow)):
@@ -523,7 +523,7 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
     u_cols = [act_B(G.power(t, j), u_e) for j in range(m)]
 
     coeff, rem = divmod(r ** m - 1, n)
-    assert rem == 0, "the twist congruence forces an integer coefficient"
+    certify(rem == 0, "the twist congruence forces an integer coefficient")
     v_sum = [0] * B.rank
     for j in range(m):
         inner = [0] * B.rank
@@ -629,7 +629,7 @@ def check_faithful_transfer(n: int, m: int, r: int) -> CheckReport:
     off_t = m
     block = data.kernel_matrix.take_rows(range(off_t, off_t + n))
     phi_cols = BasisSolver(I_incl.matrix).express_matrix(block)
-    assert phi_cols is not None
+    certify(phi_cols is not None, "the kernel block lies in the augmentation sublattice")
     phi = EquivariantMap(data.K, I_lat, phi_cols)
 
     # psi: the boundary of the complete graph on the t-cosets
@@ -637,7 +637,7 @@ def check_faithful_transfer(n: int, m: int, r: int) -> CheckReport:
     Xt = complete_edges(Vt, loops=False)
     bd = boundary_matrix(Xt)
     psi_cols = BasisSolver(I_incl.matrix).express_matrix(bd.matrix)
-    assert psi_cols is not None
+    certify(psi_cols is not None, "the coset boundary lies in the augmentation sublattice")
     P = bd.source
     psi = EquivariantMap(P, I_lat, psi_cols)
     f0, free0 = cokernel_invariants(psi.matrix)
@@ -651,7 +651,7 @@ def check_faithful_transfer(n: int, m: int, r: int) -> CheckReport:
 
     # middle row 0 -> Z[G/s] -> Q -> P -> 0 splits
     u_in_K = BasisSolver(data.kernel_matrix).express_matrix(data.u_vectors)
-    assert u_in_K is not None
+    certify(u_in_K is not None, "the u vectors lie in the kernel")
     Ls = coset_lattice(G, data.Hs)
     amb = IntMatrix.zeros(data.K.rank + P.rank, m)
     amb.a[: data.K.rank, :] = u_in_K.a
@@ -753,7 +753,7 @@ def check_schanuel(M: GLattice, group_spec: str, lattice_spec: str) -> CheckRepo
         else:
             amb.a[b1:, :] = incl.a
         coords = q_solver.express_matrix(amb)
-        assert coords is not None
+        certify(coords is not None, "the coflasque kernel lies in the pullback")
         return EquivariantMap(C, Q, coords)
 
     seq1 = ShortExactSequence(embed(r2, into_first=False), p1)

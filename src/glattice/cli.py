@@ -21,8 +21,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParameterError, SpecParseError
 from .gflows import GGraph, cayley_graph, complete_edges, flow_lattice
@@ -53,15 +52,6 @@ from .cohom import (
     is_permutation_bounded,
     tate,
 )
-
-
-@dataclass
-class RunConfig:
-    """One parsed invocation: a command plus its spec strings."""
-
-    command: str
-    output: str = "text"
-    options: Dict[str, object] = field(default_factory=dict)
 
 
 # -- spec parsing ------------------------------------------------------------------
@@ -234,54 +224,53 @@ def parse_subgroup_spec(G: FiniteGroup, spec: str) -> Subgroup:
 # -- check dispatch ------------------------------------------------------------------
 
 
+def _cyclic_flows(params: Dict[str, object]) -> checks.CheckReport:
+    n = int(params["n"])
+    return checks.check_cyclic_flows(n, parse_generators(cyclic(n), str(params["gens"])))
+
+
+def _flow_coflasque(params: Dict[str, object]) -> checks.CheckReport:
+    G = parse_group_spec(str(params["group"]))
+    return checks.check_flow_coflasque(G, parse_generators(G, str(params["gens"])))
+
+
+def _center_walks(params: Dict[str, object]) -> checks.CheckReport:
+    G = parse_group_spec(str(params["group"]))
+    max_len = params.get("max_len")
+    return checks.check_center_walks(G, int(max_len) if max_len is not None else None)
+
+
+def _schanuel(params: Dict[str, object]) -> checks.CheckReport:
+    G = parse_group_spec(str(params["group"]))
+    M = parse_lattice_spec(G, str(params["lattice"]))
+    return checks.check_schanuel(M, G.spec, str(params["lattice"]))
+
+
+def _metacyclic_nmr(params: Dict[str, object]) -> Tuple[int, int, int]:
+    return int(params["n"]), int(params["m"]), int(params["r"])
+
+
+# Each check id, in the order the CLI lists them, with the runner that
+# takes its CLI-level parameters.
+CHECKS: Dict[str, Callable[[Dict[str, object]], checks.CheckReport]] = {
+    "rank-formula": lambda p: checks.check_rank_formula(checks.quick_suite_graphs()),
+    "cyclic-flows": _cyclic_flows,
+    "flow-coflasque": _flow_coflasque,
+    "kernel-generators": lambda p: checks.check_kernel_generators(*_metacyclic_nmr(p)),
+    "faithful-transfer": lambda p: checks.check_faithful_transfer(*_metacyclic_nmr(p)),
+    "bar-cocycle": lambda p: checks.check_bar_cocycle(parse_group_spec(str(p["group"]))),
+    "center-walks": _center_walks,
+    "sn-restrictions": lambda p: checks.check_sn_restrictions(int(p["n"])),
+    "schanuel": _schanuel,
+}
+
+
 def run_check(check_id: str, params: Dict[str, object]) -> checks.CheckReport:
     """Run one named check from CLI-level parameters."""
-    if check_id == "cyclic-flows":
-        G = cyclic(int(params["n"]))
-        gens = parse_generators(G, str(params["gens"]))
-        return checks.check_cyclic_flows(int(params["n"]), gens)
-    if check_id == "kernel-generators":
-        return checks.check_kernel_generators(
-            int(params["n"]), int(params["m"]), int(params["r"])
-        )
-    if check_id == "faithful-transfer":
-        return checks.check_faithful_transfer(
-            int(params["n"]), int(params["m"]), int(params["r"])
-        )
-    if check_id == "flow-coflasque":
-        G = parse_group_spec(str(params["group"]))
-        gens = parse_generators(G, str(params["gens"]))
-        return checks.check_flow_coflasque(G, gens)
-    if check_id == "bar-cocycle":
-        return checks.check_bar_cocycle(parse_group_spec(str(params["group"])))
-    if check_id == "center-walks":
-        G = parse_group_spec(str(params["group"]))
-        max_len = params.get("max_len")
-        return checks.check_center_walks(
-            G, int(max_len) if max_len is not None else None
-        )
-    if check_id == "sn-restrictions":
-        return checks.check_sn_restrictions(int(params["n"]))
-    if check_id == "schanuel":
-        G = parse_group_spec(str(params["group"]))
-        M = parse_lattice_spec(G, str(params["lattice"]))
-        return checks.check_schanuel(M, G.spec, str(params["lattice"]))
-    if check_id == "rank-formula":
-        return checks.check_rank_formula(checks.quick_suite_graphs())
-    raise SpecParseError(f"unknown check id {check_id!r}", check_id, 0)
-
-
-CHECK_IDS = [
-    "rank-formula",
-    "cyclic-flows",
-    "flow-coflasque",
-    "kernel-generators",
-    "faithful-transfer",
-    "bar-cocycle",
-    "center-walks",
-    "sn-restrictions",
-    "schanuel",
-]
+    runner = CHECKS.get(check_id)
+    if runner is None:
+        raise SpecParseError(f"unknown check id {check_id!r}", check_id, 0)
+    return runner(params)
 
 
 def suite_definition(name: str) -> List[Tuple[str, Dict[str, object]]]:
@@ -340,9 +329,18 @@ def run_suite(name: str) -> List[checks.CheckReport]:
 # -- output helpers -------------------------------------------------------------------
 
 
+def _emit(payload: Dict[str, object], output: str, out) -> None:
+    """Print a payload as indented JSON, or as one `key: value` line per key."""
+    if output == "json":
+        print(json.dumps(payload, indent=2), file=out)
+    else:
+        for k, v in payload.items():
+            print(f"{k}: {v}", file=out)
+
+
 def _print_report(report: checks.CheckReport, output: str, out) -> None:
     if output == "json":
-        print(json.dumps(report.to_json_dict(), indent=2), file=out)
+        _emit(report.to_json_dict(), output, out)
         return
     print(f"[{report.status.upper():6s}] {report.check_id} {report.group_spec} "
           f"{json.dumps(report.parameters, sort_keys=True)}", file=out)
@@ -366,8 +364,8 @@ def _suite_payload(name: str, reports: List[checks.CheckReport]) -> Dict[str, ob
 # -- command implementations --------------------------------------------------------------
 
 
-def _cmd_group_info(cfg: RunConfig, out) -> int:
-    G = parse_group_spec(str(cfg.options["group"]))
+def _cmd_group_info(opts: Dict[str, object], output: str, out) -> int:
+    G = parse_group_spec(str(opts["group"]))
     from .groups import all_subgroups, is_z_group, prime_factorization
 
     info: Dict[str, object] = {
@@ -385,18 +383,14 @@ def _cmd_group_info(cfg: RunConfig, out) -> int:
         info["sylow_orders"] = {
             str(p): sylow(G, p).order for p, _ in prime_factorization(G.order)
         }
-    if cfg.output == "json":
-        print(json.dumps(info, indent=2), file=out)
-    else:
-        for k, v in info.items():
-            print(f"{k}: {v}", file=out)
+    _emit(info, output, out)
     return 0
 
 
-def _cmd_flows(cfg: RunConfig, out) -> int:
-    X = parse_graph_spec(str(cfg.options["graph"]))
+def _cmd_flows(opts: Dict[str, object], output: str, out) -> int:
+    X = parse_graph_spec(str(opts["graph"]))
     payload: Dict[str, object] = {
-        "graph": str(cfg.options["graph"]),
+        "graph": str(opts["graph"]),
         "group": X.group.spec,
         "vertices": X.n_vertices,
         "edges": X.n_edges,
@@ -408,43 +402,39 @@ def _cmd_flows(cfg: RunConfig, out) -> int:
         payload["edge_orbits"] = [len(o) for o in X.edge_orbits()]
     else:
         payload["components"] = [list(c) for c in X.components()]
-    if cfg.output == "json":
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        for k, v in payload.items():
-            print(f"{k}: {v}", file=out)
+    _emit(payload, output, out)
     return 0
 
 
-def _cmd_tate(cfg: RunConfig, out) -> int:
-    G = parse_group_spec(str(cfg.options["group"]))
-    M = parse_lattice_spec(G, str(cfg.options["lattice"]))
-    H = parse_subgroup_spec(G, str(cfg.options["subgroup"]))
-    degree = int(cfg.options["degree"])
+def _cmd_tate(opts: Dict[str, object], output: str, out) -> int:
+    G = parse_group_spec(str(opts["group"]))
+    M = parse_lattice_spec(G, str(opts["lattice"]))
+    H = parse_subgroup_spec(G, str(opts["subgroup"]))
+    degree = int(opts["degree"])
     result = tate(M, H, degree)
     payload = {
         "group": G.spec,
-        "lattice": str(cfg.options["lattice"]),
-        "subgroup": str(cfg.options["subgroup"]),
+        "lattice": str(opts["lattice"]),
+        "subgroup": str(opts["subgroup"]),
         "degree": degree,
         "invariant_factors": list(result.invariant_factors),
         "tate_group": str(result),
     }
-    if cfg.output == "json":
-        print(json.dumps(payload, indent=2), file=out)
+    if output == "json":
+        _emit(payload, output, out)
     else:
-        print(str(result), file=out)
+        print(result, file=out)
     return 0
 
 
-def _cmd_resolve(cfg: RunConfig, out) -> int:
-    G = parse_group_spec(str(cfg.options["group"]))
-    M = parse_lattice_spec(G, str(cfg.options["lattice"]))
-    kind = str(cfg.options["kind"])
+def _cmd_resolve(opts: Dict[str, object], output: str, out) -> int:
+    G = parse_group_spec(str(opts["group"]))
+    M = parse_lattice_spec(G, str(opts["lattice"]))
+    kind = str(opts["kind"])
     cert = coflasque_resolution(M) if kind == "coflasque" else flasque_resolution(M)
     payload = {
         "group": G.spec,
-        "lattice": str(cfg.options["lattice"]),
+        "lattice": str(opts["lattice"]),
         "kind": cert.kind,
         "ranks": {
             "left": cert.sequence.A.rank,
@@ -456,23 +446,19 @@ def _cmd_resolve(cfg: RunConfig, out) -> int:
         else None,
         "certified": True,
     }
-    if cfg.output == "json":
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        for k, v in payload.items():
-            print(f"{k}: {v}", file=out)
+    _emit(payload, output, out)
     return 0
 
 
-def _cmd_certify(cfg: RunConfig, out) -> int:
-    G = parse_group_spec(str(cfg.options["group"]))
-    M = parse_lattice_spec(G, str(cfg.options["lattice"]))
-    kind = str(cfg.options["kind"])
+def _cmd_certify(opts: Dict[str, object], output: str, out) -> int:
+    G = parse_group_spec(str(opts["group"]))
+    M = parse_lattice_spec(G, str(opts["lattice"]))
+    kind = str(opts["kind"])
     if kind == "permutation":
-        outcome = is_permutation_bounded(M, int(cfg.options.get("bound") or 2))
+        outcome = is_permutation_bounded(M, int(opts.get("bound") or 2))
         payload = {
             "group": G.spec,
-            "lattice": str(cfg.options["lattice"]),
+            "lattice": str(opts["lattice"]),
             "kind": "permutation",
             "witness_found": bool(outcome),
             "bound": outcome.bound,
@@ -483,7 +469,7 @@ def _cmd_certify(cfg: RunConfig, out) -> int:
         cert = invertibility_certificate(M)
         payload = {
             "group": G.spec,
-            "lattice": str(cfg.options["lattice"]),
+            "lattice": str(opts["lattice"]),
             "kind": "invertible",
             "certified": cert is not None,
         }
@@ -495,37 +481,39 @@ def _cmd_certify(cfg: RunConfig, out) -> int:
             ]
         else:
             payload["status"] = "unknown"
-    if cfg.output == "json":
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        for k, v in payload.items():
-            print(f"{k}: {v}", file=out)
+    _emit(payload, output, out)
     return 0
 
 
-def _cmd_check(cfg: RunConfig, out) -> int:
-    check_id = str(cfg.options["check_id"])
-    params = {
-        k: v
-        for k, v in cfg.options.items()
-        if k not in ("check_id",) and v is not None
-    }
-    report = run_check(check_id, params)
-    _print_report(report, cfg.output, out)
+def _cmd_check(opts: Dict[str, object], output: str, out) -> int:
+    params = {k: v for k, v in opts.items() if k != "check_id" and v is not None}
+    report = run_check(str(opts["check_id"]), params)
+    _print_report(report, output, out)
     return 0 if report.ok else 1
 
 
-def _cmd_suite(cfg: RunConfig, out) -> int:
-    name = str(cfg.options["name"])
+def _cmd_suite(opts: Dict[str, object], output: str, out) -> int:
+    name = str(opts["name"])
     reports = run_suite(name)
-    if cfg.output == "json":
-        print(json.dumps(_suite_payload(name, reports), indent=2), file=out)
+    if output == "json":
+        _emit(_suite_payload(name, reports), output, out)
     else:
         for r in reports:
             _print_report(r, "text", out)
         passed = sum(1 for r in reports if r.status == "pass")
         print(f"suite {name}: {passed}/{len(reports)} passed", file=out)
     return 0 if all(r.status != "fail" for r in reports) else 1
+
+
+_COMMANDS = {
+    "group-info": _cmd_group_info,
+    "flows": _cmd_flows,
+    "tate": _cmd_tate,
+    "resolve": _cmd_resolve,
+    "certify": _cmd_certify,
+    "check": _cmd_check,
+    "suite": _cmd_suite,
+}
 
 
 # -- argument parsing -----------------------------------------------------------------------
@@ -569,7 +557,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--output", choices=("text", "json"), default="text")
 
     p_check = sub.add_parser("check", help="run one named check")
-    p_check.add_argument("check_id", choices=CHECK_IDS)
+    p_check.add_argument("check_id", choices=list(CHECKS))
     p_check.add_argument("--n", type=int)
     p_check.add_argument("--m", type=int)
     p_check.add_argument("--r", type=int)
@@ -585,32 +573,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[int]] = None, out=None) -> int:
+def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    ns = vars(args)
-    command = ns.pop("command")
+    opts = vars(args)
+    command = opts.pop("command")
     if command == "group":
-        command = f"group-{ns.pop('group_command')}"
-    output = ns.pop("output", "text")
-    cfg = RunConfig(command=command, output=output, options=ns)
-    handlers = {
-        "group-info": _cmd_group_info,
-        "flows": _cmd_flows,
-        "tate": _cmd_tate,
-        "resolve": _cmd_resolve,
-        "certify": _cmd_certify,
-        "check": _cmd_check,
-        "suite": _cmd_suite,
-    }
-    if command == "check":
-        ns["check_id"] = ns.get("check_id")
+        command = f"group-{opts.pop('group_command')}"
+    output = opts.pop("output", "text")
     try:
-        return handlers[command](cfg, out)
+        return _COMMANDS[command](opts, output, out)
     except SpecParseError as exc:
         print(
             f"spec error: {exc} (token {exc.token!r}, position {exc.position})",

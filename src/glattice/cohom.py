@@ -3,8 +3,8 @@ resolution constructors; split finding; permutation and invertibility
 certificates.
 
 Degree 1 is computed through duality (reducing it to norm and
-augmentation kernels); the cyclic-subgroup direct formula is kept as an
-independent cross-check oracle.
+augmentation kernels); the tests check it against the direct formula for
+cyclic subgroups.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, certify
 from .gmod import (
     EquivariantMap,
     GLattice,
@@ -48,7 +48,6 @@ from .intlinalg import (
     cokernel_invariants,
     is_saturated_basis,
     kernel_basis,
-    smith,
     solve_matrix,
     xgcd,
 )
@@ -106,7 +105,7 @@ def _quotient_in_lattice(span_basis: IntMatrix, generators: IntMatrix) -> TateGr
         cols.append(coords)
     coord_matrix = IntMatrix.from_columns(cols, rows=span_basis.cols)
     factors, free = cokernel_invariants(coord_matrix)
-    assert free == 0, "Tate quotients of lattices are finite"
+    certify(free == 0, "Tate quotients of lattices are finite")
     return TateGroup(tuple(factors))
 
 
@@ -132,22 +131,6 @@ def tate(M: GLattice, H: Subgroup, degree: int) -> TateGroup:
     for b in blocks[1:]:
         gens = gens.hstack(b)
     return _quotient_in_lattice(norm_ker, gens)
-
-
-def tate1_cyclic_direct(M: GLattice, H: Subgroup) -> TateGroup:
-    """Independent oracle for degree 1 over a cyclic subgroup.
-
-    Uses the periodicity of cyclic cohomology: ker(norm) / image(h - 1)
-    for a generator h.
-    """
-    if H.parent is not M.group:
-        raise InvalidParameterError("subgroup belongs to a different group")
-    gen = H.cyclic_generator()
-    if gen is None:
-        raise InvalidParameterError("subgroup is not cyclic")
-    norm_ker = kernel_basis(norm_matrix(M, H))
-    image = M.action[gen] - IntMatrix.identity(M.rank)
-    return _quotient_in_lattice(norm_ker, image)
 
 
 @dataclass
@@ -325,30 +308,6 @@ def _orbit_transversal(points: GSet) -> List[Tuple[int, List[int]]]:
     return out
 
 
-def hom_basis(C: GLattice, A: GLattice) -> List[IntMatrix]:
-    """Z-basis of the saturated lattice of equivariant maps C -> A."""
-    if C.gset is not None and C.is_permutation_action():
-        return _hom_basis_from_permutation_source(C, A)
-    return _hom_basis_generic(C, A)
-
-
-def _hom_basis_from_permutation_source(C: GLattice, A: GLattice) -> List[IntMatrix]:
-    # Hom_G(Z[G/H], A) = A^H: send the basepoint to a fixed vector.
-    out = []
-    for base, transversal in _orbit_transversal(C.gset):
-        stab = C.gset.stabilizer(base)
-        fixed = fixed_sublattice(A, stab)
-        for j in range(fixed.cols):
-            v = fixed.col_list(j)
-            m = IntMatrix.zeros(A.rank, C.rank)
-            for p, g in transversal:
-                col = A.action[g].mul_vector(v)
-                for i in range(A.rank):
-                    m.a[i, p] = col[i]
-            out.append(m)
-    return out
-
-
 def hom_basis_into_permutation(C: GLattice, B: GLattice) -> List[IntMatrix]:
     """Z-basis of Hom_G(C, B) for a permutation target with point structure.
 
@@ -373,8 +332,12 @@ def hom_basis_into_permutation(C: GLattice, B: GLattice) -> List[IntMatrix]:
     return out
 
 
-def _hom_basis_generic(C: GLattice, A: GLattice) -> List[IntMatrix]:
-    # kernel of T -> (rho_A(g) T - T rho_C(g)) over generators, vectorized
+def hom_basis(C: GLattice, A: GLattice) -> List[IntMatrix]:
+    """Z-basis of the saturated lattice of equivariant maps C -> A.
+
+    The kernel of T -> rho_A(g) T - T rho_C(g) over the generators g,
+    with T flattened column-major.
+    """
     gens = C.group.generators
     a, c = A.rank, C.rank
     if a == 0 or c == 0:
@@ -521,7 +484,7 @@ def _find_section_orbitwise(seq: ShortExactSequence) -> Optional[EquivariantMap]
     matrix = IntMatrix.from_columns([cols[p] for p in range(C.rank)], rows=B.rank)
     section = EquivariantMap(C, B, matrix)
     section.validate()
-    assert (pi @ matrix).is_identity()
+    certify((pi @ matrix).is_identity(), "the section is a right inverse of the quotient map")
     return section
 
 
@@ -544,7 +507,7 @@ def find_section(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     if C.gset is not None and C.is_permutation_action():
         return _find_section_orbitwise(seq)
     s0 = solve_matrix(pi, IntMatrix.identity(C.rank))
-    assert s0 is not None, "surjective maps admit integer right inverses"
+    certify(s0 is not None, "surjective maps admit integer right inverses")
     # averaged section: integral matrix t with t/n equivariant
     t = IntMatrix.zeros(B.rank, C.rank)
     for g in range(n):
@@ -590,11 +553,11 @@ def find_section(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     for i in range(B.rank):
         for j in range(C.rank):
             num = int(total[i, j])
-            assert num % n == 0
+            certify(num % n == 0, "the corrected average is divisible by the group order")
             s_matrix.a[i, j] = num // n
     section = EquivariantMap(C, B, s_matrix)
     section.validate()
-    assert (pi @ s_matrix).is_identity()
+    certify((pi @ s_matrix).is_identity(), "the section is a right inverse of the quotient map")
     return section
 
 
@@ -611,10 +574,10 @@ def split_iso_from_section(
     back_top = BasisSolver(seq.left.matrix).express_matrix(
         IntMatrix.identity(B.rank) - section.matrix @ seq.right.matrix
     )
-    assert back_top is not None
+    certify(back_top is not None, "the section's complement lies in the inclusion's image")
     back = back_top.vstack(seq.right.matrix)
-    assert (fwd_matrix @ back).is_identity()
-    assert (back @ fwd_matrix).is_identity()
+    certify((fwd_matrix @ back).is_identity(), "the split map has the constructed inverse")
+    certify((back @ fwd_matrix).is_identity(), "the split map has the constructed inverse")
     fwd.validate()
     return fwd
 
@@ -653,9 +616,8 @@ def _coinvariant_projection(M: GLattice) -> IntMatrix:
         stacked = block if stacked is None else stacked.hstack(block)
     if stacked is None:
         return eye
-    dec = smith(stacked)
-    nonzero = dec.rank()
-    return dec.U.take_rows(range(nonzero, M.rank))
+    # rows spanning the saturated left kernel of the stacked g - 1
+    return kernel_basis(stacked.T).T
 
 
 def _subgroup_class_lookup(G: FiniteGroup) -> Dict[Tuple[int, ...], int]:
@@ -929,8 +891,7 @@ def is_permutation_bounded(M: GLattice, bound: int = 2) -> PermutationSearchOutc
         cols.extend(list(v) for v in item["orbit"])
         orbits_out.append(list(range(first, len(cols))))
     witness = IntMatrix.from_columns(cols, rows=r)
-    if not is_saturated_basis(witness):
-        raise AssertionError("witness must be unimodular")
+    certify(is_saturated_basis(witness), "witness must be unimodular")
     return PermutationSearchOutcome(witness, orbits_out, bound)
 
 
@@ -1019,7 +980,7 @@ def invertibility_certificate(
         offset += blk.rank
     embedding = EquivariantMap(M, target, emb).validate()
     retraction = EquivariantMap(target, M, retr).validate()
-    assert (retr @ emb).is_identity()
+    certify((retr @ emb).is_identity(), "the retraction inverts the embedding")
     return InvertibilityCertificate(
         subgroups=list(subgroups),
         restriction_witnesses=witnesses,

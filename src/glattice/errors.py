@@ -19,3 +19,16 @@ class SpecParseError(GlatticeError, ValueError):
         super().__init__(message)
         self.token = token
         self.position = position
+
+
+class CertificateError(GlatticeError):
+    """A certificate condition failed: a computed object is not what it claims."""
+
+
+def certify(cond: bool, what: str) -> None:
+    """Raise CertificateError naming ``what`` unless ``cond`` holds.
+
+    Unlike ``assert``, this check also runs under ``python -O``.
+    """
+    if not cond:
+        raise CertificateError(what)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .errors import GlatticeError, InvalidParameterError
+from .errors import GlatticeError, InvalidParameterError, certify
 from .gmod import (
     EquivariantMap,
     GLattice,
@@ -265,8 +265,7 @@ def flow_lattice(X: GGraph) -> FlowLattice:
     glat, incl = sublattice_with_action(X.edge_lattice(), basis, name="Fl", solver=solver)
     fl = FlowLattice(X, basis, glat, incl, solver)
     expected = X.n_edges - X.n_vertices + 1
-    if fl.rank != expected:
-        raise AssertionError(f"rank formula violated: {fl.rank} != {expected}")
+    certify(fl.rank == expected, f"rank formula violated: {fl.rank} != {expected}")
     return fl
 
 
@@ -480,7 +479,7 @@ def loop_split(X_plus: GGraph) -> Tuple[EquivariantMap, EquivariantMap]:
         f = fl_plus.basis.col_list(j)
         minus_part = [f[e] for e in minus_in_plus]
         coords = fl_minus.flow_coordinates(minus_part)
-        assert coords is not None
+        certify(coords is not None, "the loopless part of a flow is a flow")
         fwd_cols.append(coords + [f[loop_at[v]] for v in range(n)])
     fwd = EquivariantMap(fl_plus.glattice, target, IntMatrix.from_columns(fwd_cols))
 
@@ -497,8 +496,8 @@ def loop_split(X_plus: GGraph) -> Tuple[EquivariantMap, EquivariantMap]:
         bwd_cols.append(fl_plus.flow_coordinates(vec))
     bwd = EquivariantMap(target, fl_plus.glattice, IntMatrix.from_columns(bwd_cols))
 
-    assert (fwd.matrix @ bwd.matrix).is_identity()
-    assert (bwd.matrix @ fwd.matrix).is_identity()
+    certify((fwd.matrix @ bwd.matrix).is_identity(), "loop splitting maps are mutually inverse")
+    certify((bwd.matrix @ fwd.matrix).is_identity(), "loop splitting maps are mutually inverse")
     fwd.validate()
     bwd.validate()
     return fwd, bwd
@@ -554,7 +553,7 @@ def remove_edges_decomposition(X: GGraph, X_sub: GGraph) -> EquivariantMap:
         if len(orbit) != G.order:
             raise InvalidParameterError("free action forces free edge orbits")
     m = len(removed_orbits)
-    assert m * G.order == X.n_edges - X_sub.n_edges
+    certify(m * G.order == X.n_edges - X_sub.n_edges, "the removed edges form free orbits")
 
     cols = []
     # natural embedding of the subgraph flows
@@ -584,8 +583,7 @@ def remove_edges_decomposition(X: GGraph, X_sub: GGraph) -> EquivariantMap:
     matrix = IntMatrix.from_columns(cols, rows=fl.rank)
     iso = EquivariantMap(source, fl.glattice, matrix)
     iso.validate()
-    if not iso.is_unimodular():
-        raise AssertionError("edge-removal decomposition must be unimodular")
+    certify(iso.is_unimodular(), "edge-removal decomposition must be unimodular")
     # restriction block identity: the first columns are the embedded basis
     emb = fl.inclusion.matrix @ matrix.take_columns(range(fl_sub.rank))
     for j in range(fl_sub.rank):
@@ -594,7 +592,7 @@ def remove_edges_decomposition(X: GGraph, X_sub: GGraph) -> EquivariantMap:
         expect = [0] * X.n_edges
         for e_sub, e_full in enumerate(sub_in_X):
             expect[e_full] = src[e_sub]
-        assert col == expect
+        certify(col == expect, "the embedding extends subgraph flows by zero")
     return iso
 
 
@@ -666,8 +664,8 @@ def restrict_to_subgroup_decomposition(
     matching_positions = [keep_pos[e] for e in keep if e not in set(inner)]
     for j in range(fl_small.rank):
         col = fl_small.basis.col_list(j)
-        if any(col[p] != 0 for p in matching_positions):
-            raise AssertionError("flow leaks onto a coset-matching edge")
+        leaks = any(col[p] for p in matching_positions)
+        certify(not leaks, "flow leaks onto a coset-matching edge")
 
     iso_big = remove_edges_decomposition(XH, X_small)
 
@@ -693,7 +691,7 @@ def restrict_to_subgroup_decomposition(
     reindex = EquivariantMap(
         fl0.glattice, fl_small.glattice, IntMatrix.from_columns(cols, rows=fl_small.rank)
     ).validate()
-    assert reindex.is_unimodular()
+    certify(reindex.is_unimodular(), "the reindexing map is unimodular")
 
     m = (XH.n_edges - X_small.n_edges) // Hgrp.order
     blocks = [reindex] + [
@@ -758,8 +756,7 @@ def remove_orbit_with_map(
     n_rest_edges = X_rest.n_edges
     for j in range(fl_full.rank):
         col = fl_full.basis.col_list(j)
-        if any(col[e] != 0 for e in range(n_rest_edges, X_full.n_edges)):
-            raise AssertionError("a flow crosses a pendant edge")
+        certify(not any(col[n_rest_edges:]), "a flow crosses a pendant edge")
 
     cols = []
     for j in range(fl_full.rank):
@@ -769,8 +766,7 @@ def remove_orbit_with_map(
         fl_full.glattice, fl_rest.glattice, IntMatrix.from_columns(cols, rows=fl_rest.rank)
     )
     iso.validate()
-    if not iso.is_unimodular():
-        raise AssertionError("orbit-removal map must be unimodular")
+    certify(iso.is_unimodular(), "orbit-removal map must be unimodular")
     return iso
 
 
@@ -795,7 +791,7 @@ def gcd_splitting(vertices: GSet) -> EquivariantMap:
         trivial(G), permutation_lattice(G, vertices), IntMatrix.from_columns([col])
     )
     phi.validate()
-    assert sum(col) == 1  # section property against the vertex-sum map
+    certify(sum(col) == 1, "section property against the vertex-sum map")
     return phi
 
 
@@ -810,6 +806,5 @@ def quasi_permutation_certificate(X: GGraph) -> ShortExactSequence:
     left = EquivariantMap(fl.glattice, middle, left_matrix)
     seq = ShortExactSequence(left, right)
     report = check_exact(seq)
-    if not report.ok:
-        raise AssertionError(f"quasi-permutation certificate failed: {report.failures}")
+    certify(report.ok, f"quasi-permutation certificate failed: {report.failures}")
     return seq

@@ -54,9 +54,6 @@ class GLattice:
         if not _derived:
             self.validate()
 
-    def act(self, g: int) -> IntMatrix:
-        return self.action[g]
-
     def validate(self) -> None:
         """Check that the action is a homomorphism on the group's generators.
 
@@ -76,7 +73,12 @@ class GLattice:
                     )
 
     def is_permutation_action(self) -> bool:
-        for m in self.action:
+        """Whether every generator acts by a permutation matrix.
+
+        The action is a homomorphism, so then every element does too.
+        """
+        for s in self.group.generators:
+            m = self.action[s]
             for i in range(self.rank):
                 col = m.col_list(i)
                 if sorted(col) != [0] * (self.rank - 1) + [1]:
@@ -152,10 +154,6 @@ class EquivariantMap:
 
     def apply(self, vec: Sequence[int]) -> list:
         return self.matrix.mul_vector(vec)
-
-
-def identity_map(M: GLattice) -> EquivariantMap:
-    return EquivariantMap(M, M, IntMatrix.identity(M.rank))
 
 
 def direct_sum_maps(f: EquivariantMap, g: EquivariantMap) -> EquivariantMap:

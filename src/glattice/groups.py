@@ -139,9 +139,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def name_of(self, a: int) -> str:
-        return self.element_names[a]
-
     def is_abelian(self) -> bool:
         return all(
             self.table[a][b] == self.table[b][a]

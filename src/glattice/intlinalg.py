@@ -14,13 +14,11 @@ Each question gets the cheapest normal form that decides it.  Invariant
 factors (``cokernel_invariants``, ``is_saturated_basis``) read the Smith
 diagonal, computed without transforms.  Kernels and solves
 (``kernel_basis``, ``solve_matrix``, ``BasisSolver``) use the column
-Hermite form and its transform.  ``smith`` builds both transforms, for
-callers that read them.
+Hermite form and its transform.  No routine builds the Smith transforms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -234,54 +232,6 @@ class IntMatrix:
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols})"
 
-    def det(self) -> int:
-        """Exact determinant via fraction-free (Bareiss) elimination."""
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        if n == 0:
-            return 1
-        m = [self.row_list(i) for i in range(n)]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            pk = m[k][k]
-            for i in range(k + 1, n):
-                mik = m[i][k]
-                for j in range(k + 1, n):
-                    m[i][j] = (pk * m[i][j] - mik * m[k][j]) // prev
-                m[i][k] = 0
-            prev = pk
-        return sign * m[n - 1][n - 1]
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """Invertible U, V and diagonal S with U @ A @ V == S.
-
-    Diagonal entries are nonnegative and divisibility-chained
-    (d_i | d_{i+1}); U and V have determinant +-1.
-    """
-
-    U: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
-
-    def diagonal(self) -> list:
-        n = min(self.S.rows, self.S.cols)
-        return [int(self.S[i, i]) for i in range(n)]
-
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
-
 
 def _find_pivot(a, t: int, rows: int, cols: int):
     """Smallest |nonzero| entry of the trailing block, ties row-major."""
@@ -298,43 +248,27 @@ def _find_pivot(a, t: int, rows: int, cols: int):
     return best
 
 
-def _smith_reduce(A: IntMatrix, transforms: bool):
-    """The Smith elimination on lists of rows: (S, U, V), with U and V
-    None when ``transforms`` is false.  Diagonal signs are left as found."""
+def _smith_reduce(A: IntMatrix) -> list:
+    """The Smith elimination on lists of rows, without transforms: the
+    reduced rows, diagonal signs left as found."""
     rows, cols = A.rows, A.cols
     s = [A.row_list(i) for i in range(rows)]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if transforms else None
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if transforms else None
 
     def row_op(i, k, q):  # row_i -= q * row_k
         si, sk = s[i], s[k]
         for j in range(cols):
             si[j] -= q * sk[j]
-        if u is not None:
-            ui, uk = u[i], u[k]
-            for j in range(rows):
-                ui[j] -= q * uk[j]
 
     def col_op(j, k, q):  # col_j -= q * col_k
         for i in range(rows):
             s[i][j] -= q * s[i][k]
-        if v is not None:
-            for i in range(cols):
-                v[i][j] -= q * v[i][k]
 
     def swap_rows(i, k):
-        if i != k:
-            s[i], s[k] = s[k], s[i]
-            if u is not None:
-                u[i], u[k] = u[k], u[i]
+        s[i], s[k] = s[k], s[i]
 
     def swap_cols(j, k):
-        if j != k:
-            for row in s:
-                row[j], row[k] = row[k], row[j]
-            if v is not None:
-                for row in v:
-                    row[j], row[k] = row[k], row[j]
+        for row in s:
+            row[j], row[k] = row[k], row[j]
 
     t = 0
     limit = min(rows, cols)
@@ -385,37 +319,15 @@ def _smith_reduce(A: IntMatrix, transforms: bool):
         if not fixed:
             continue
         t += 1
-    return s, u, v
+    return s
 
 
 def _smith_diagonal(A: IntMatrix) -> list:
     """The Smith diagonal (min(rows, cols) entries), without transforms, taken
     from the nonzero columns of the column Hermite form of A (same diagonal)."""
     B = column_span_canonical(A)
-    s, _, _ = _smith_reduce(B, transforms=False)
+    s = _smith_reduce(B)
     return [abs(s[i][i]) for i in range(B.cols)] + [0] * (min(A.shape) - B.cols)
-
-
-def smith(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with both transforms.
-
-    >>> d = smith(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    >>> d.diagonal()
-    [2, 4]
-    >>> d.U @ IntMatrix.from_rows([[2, 4], [6, 8]]) @ d.V == d.S
-    True
-    """
-    s, u, v = _smith_reduce(A, transforms=True)
-    # normalize signs on the diagonal
-    for i in range(min(A.rows, A.cols)):
-        if s[i][i] < 0:
-            s[i] = [-x for x in s[i]]
-            u[i] = [-x for x in u[i]]
-    return SmithDecomposition(
-        U=IntMatrix.from_rows(u, cols=A.rows),
-        S=IntMatrix.from_rows(s, cols=A.cols),
-        V=IntMatrix.from_rows(v, cols=A.cols),
-    )
 
 
 def row_hermite(A: IntMatrix, transform: bool = False):
@@ -551,10 +463,6 @@ def solve_matrix(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     if B.rows != A.rows:
         raise ValueError("rhs row mismatch")
     return BasisSolver(A).express_matrix(B)
-
-
-def solvable(A: IntMatrix, b: Sequence[int]) -> bool:
-    return solve(A, b) is not None
 
 
 class BasisSolver:

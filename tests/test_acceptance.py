@@ -9,7 +9,7 @@ import io
 import time
 
 from glattice.cli import main, run_check, suite_definition
-from glattice.cohom import tate, tate1_cyclic_direct
+from glattice.cohom import tate
 from glattice.gflows import cayley_graph, flow_lattice
 from glattice.gmod import (
     GLattice,
@@ -26,6 +26,7 @@ from glattice.groups import (
 )
 from glattice.intlinalg import IntMatrix
 from glattice.checks import check_rank_formula, quick_suite_graphs
+from reference import tate1_cyclic_direct
 
 
 def _criterion(number, name, budget_s, fn):

@@ -2,16 +2,20 @@
 
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from glattice.cli import (
+    CHECKS,
     main,
     parse_generators,
     parse_graph_spec,
     parse_group_spec,
     parse_lattice_spec,
     parse_subgroup_spec,
+    run_check,
 )
 from glattice.errors import SpecParseError
 
@@ -192,3 +196,13 @@ class TestCommands:
         code, text = run_cli(argv)
         assert code == 0
         assert json.loads(text)["status"] == "pass"
+
+    def test_unknown_check_id_is_a_spec_error(self):
+        with pytest.raises(SpecParseError, match="unknown check id"):
+            run_check("no-such-check", {})
+
+
+def test_readme_lists_every_check_id():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Check ids", 1)[1].split("Reports follow", 1)[0]
+    assert re.findall(r"`([a-z-]+)`", section) == list(CHECKS)

@@ -16,7 +16,6 @@ from glattice.cohom import (
     pullback,
     split_iso_from_section,
     tate,
-    tate1_cyclic_direct,
 )
 from glattice.errors import InvalidParameterError
 from glattice.gflows import boundary_matrix, cayley_graph, flow_lattice
@@ -35,6 +34,7 @@ from glattice.gmod import (
 )
 from glattice.groups import (
     cyclic,
+    dihedral,
     direct_product,
     semidirect,
     subgroup_conjugacy_reps,
@@ -43,6 +43,7 @@ from glattice.groups import (
     whole_group,
 )
 from glattice.intlinalg import IntMatrix, column_span_canonical
+from reference import shapiro_hom_basis, tate1_cyclic_direct
 
 
 def sign_lattice(C2):
@@ -371,25 +372,27 @@ class TestModularSolver:
 
 
 class TestHomBasis:
-    def test_permutation_source_matches_generic(self):
-        G = semidirect(3, 2, 2)
-        H = subgroup_from_generators(G, [G.generator_indices["t"]])
-        C = coset_lattice(G, H)
-        A = regular(G)
-        fast = hom_basis(C, A)
-        # strip the point structure to force the generic kernel route
-        C_bare = GLattice(G, list(C.action))
-        generic = hom_basis(C_bare, A)
-        assert len(fast) == len(generic)
-        flat_fast = IntMatrix.from_columns(
-            [[int(m[i, j]) for i in range(A.rank) for j in range(C.rank)] for m in fast],
-            rows=A.rank * C.rank,
-        )
-        flat_generic = IntMatrix.from_columns(
-            [[int(m[i, j]) for i in range(A.rank) for j in range(C.rank)] for m in generic],
-            rows=A.rank * C.rank,
-        )
-        assert column_span_canonical(flat_fast) == column_span_canonical(flat_generic)
+    """The generic kernel against the Shapiro construction on coset lattices."""
+
+    @staticmethod
+    def flat_span(maps, A, C):
+        flat = [[int(m[i, j]) for i in range(A.rank) for j in range(C.rank)] for m in maps]
+        return column_span_canonical(IntMatrix.from_columns(flat, rows=A.rank * C.rank))
+
+    @pytest.mark.parametrize("G", [semidirect(3, 2, 2), dihedral(4)], ids=["SD:3,2,2", "D:4"])
+    def test_coset_sources_match_shapiro(self, G):
+        targets = [regular(G), flow_lattice(cayley_graph(G, G.generators)).glattice]
+        reps = subgroup_conjugacy_reps(G)
+        assert len(reps) >= 3
+        for H in reps:
+            C = coset_lattice(G, H)
+            for A in targets:
+                got = hom_basis(C, A)
+                want = shapiro_hom_basis(C, A)
+                assert len(got) == len(want) > 0
+                assert self.flat_span(got, A, C) == self.flat_span(want, A, C)
+                for m in got:
+                    assert EquivariantMap(C, A, m).equivariance_failure(G.elements()) is None
 
 
 class TestPermutationSearch:

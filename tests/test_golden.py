@@ -1,19 +1,21 @@
-"""Golden output: `suite quick --output json` must not change.
+"""Golden output: the output of every command must not change.
 
-The suite's JSON output, with every `elapsed_ms` value replaced by 0,
-is pinned by its SHA-256.  A change that alters any report (a status,
-a detail string, a certificate summary, the key order or the layout)
-fails here.  After an intended change of output, print the new digest
-with
+Each pinned invocation's output, with every `elapsed_ms` value replaced
+by 0, is pinned by its SHA-256.  A change that alters any report (a
+status, a detail string, a certificate summary, the key order or the
+layout) fails here.  After an intended change of output, print the new
+digests with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and replace SUITE_QUICK_SHA256.
+and replace the pinned values.
 """
 
 import hashlib
 import io
 import re
+
+import pytest
 
 from glattice.cli import main
 
@@ -21,17 +23,89 @@ SUITE_QUICK_SHA256 = "b17e9940bda0a75c821add4d9e4af107c35fbf736f50893b7ea7240825
 
 _ELAPSED = re.compile(r'"elapsed_ms": [-+0-9.eE]+')
 
+_SD3 = ["--group", "SD:3,2,2", "--lattice", "flows:cayley"]
 
-def suite_quick_digest() -> str:
+# (argv without --output, {output: digest}); both outputs of each command.
+COMMANDS = [
+    (["group", "info", "--group", "SD:3,2,2"], {
+        "text": "7ca3a900fceb3983eb88d3bb609944928494cbda36ca3e54f82fccf70fb7c1b8",
+        "json": "e00e2dc6caba24debc9b0188959397fce687119f38ed0ade22a0bb28255da8c5",
+    }),
+    (["flows", "--graph", "cayley(SD:3,2,2;s,t)"], {
+        "text": "d0d7e121e1aaddc7c6a77a972f8f8ca836def8046e352906d25f8b3f97a69448",
+        "json": "1efe3b342a9b4e81649bdfd1e6a2810bcce5560d0f485fb7a0d90a1a41848641",
+    }),
+    (["tate", *_SD3, "--subgroup", "sylow2", "--degree", "1"], {
+        "text": "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+        "json": "aeca047ed84ab8c7081a9d2ab4cc7643e1b6cdc5ee01b09be274f91baba9425c",
+    }),
+    (["resolve", "--group", "C:2", "--lattice", "sign", "--kind", "coflasque"], {
+        "text": "b4167038e635789b177c32cb6f94250e3fffbabdd6f7a50dd3db57708dbdb126",
+        "json": "de741e99fb0c5f98ea0996bab8c809beff40b50742c7dfb4b5d679f1d4c4a38f",
+    }),
+    (["resolve", *_SD3, "--kind", "flasque"], {
+        "text": "bb5ebe6a1ea4f7a57d3194a79f43c8de9f480a840098efac8b8a5261c282aef6",
+        "json": "8a60c944be04b8195b3106f2416350cca576acdcb5b3b1b2e2f33f66b0165505",
+    }),
+    (["certify", "--group", "C:6", "--lattice", "flows:cayley", "--kind", "invertible"], {
+        "text": "f62757cfafc8519ec9102d92041ff748c131c940ed964acaddabe74c419f2033",
+        "json": "3906e43f76248e8a7b0458ef382a003cde1b001dd5388048280e3a3a4caf2dc4",
+    }),
+    (["certify", "--group", "D:4", "--lattice", "flows:cayley", "--kind", "invertible"], {
+        "text": "fb1001ed3dbf6e7c11e23595c69ec27961fc53b65367288a02f5c4b737675c98",
+        "json": "2d939c4a3b3838e6844d617287fd0da639089ffc9acfd7bda0b3966fde6073c8",
+    }),
+    (["certify", "--group", "C:2", "--lattice", "sign", "--kind", "permutation"], {
+        "text": "de6040d121a4ecc0b4a9c9bee7d3231f8020eda8eff4002cc9ae13c28abed445",
+        "json": "79b29464b8ba6c78cccbd71eb87db33c636d96dba932e4b86b916469c449cf69",
+    }),
+    (["certify", *_SD3, "--kind", "permutation"], {
+        "text": "a531eaad339d579785301defe6b1d46ef25f3a768cab658d152d78a34eece6f4",
+        "json": "adeb9e880f28a35eecc20d8fe743f7d4ddf5aff8f7fecce04420c575e5274f99",
+    }),
+    (["certify", "--group", "D:4", "--lattice", "flows:cayley", "--kind", "permutation",
+      "--bound", "1"], {
+        "text": "772c8f78f252b23aa4c314b67dc66695cb08f3d68fa1c74fa8208fefe268684e",
+        "json": "77370f0d33d066c253062b4dbc8e8d5bb22c9a7c88195d1ba2ad586740bb6e60",
+    }),
+    (["suite", "full"], {
+        "json": "8f36cf92e4bf23d66618066bb501d13210f9c02c49db2b1f60e3d78c4e2a4587",
+    }),
+]
+
+
+def output_digest(argv) -> str:
     buf = io.StringIO()
-    assert main(["suite", "quick", "--output", "json"], out=buf) == 0
+    code = main(argv, out=buf)  # not an assert: this also runs under python -O
+    if code != 0:
+        raise RuntimeError(f"{argv} exited with {code}")
     text = _ELAPSED.sub('"elapsed_ms": 0', buf.getvalue())
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def suite_quick_digest() -> str:
+    return output_digest(["suite", "quick", "--output", "json"])
 
 
 def test_suite_quick_output_unchanged():
     assert suite_quick_digest() == SUITE_QUICK_SHA256
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (argv + ["--output", output], digest)
+        for argv, digests in COMMANDS
+        for output, digest in digests.items()
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+)
+def test_command_output_unchanged(argv, digest):
+    assert output_digest(argv) == digest
+
+
 if __name__ == "__main__":
-    print(suite_quick_digest())
+    print("suite quick json", suite_quick_digest())
+    for argv, digests in COMMANDS:
+        for output in digests:
+            print(" ".join(argv), output, output_digest(argv + ["--output", output]))

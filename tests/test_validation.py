@@ -37,6 +37,7 @@ from glattice.groups import (
     symmetric,
 )
 from glattice.intlinalg import IntMatrix
+from reference import det
 
 GROUPS = {
     "C:6": lambda: cyclic(6),
@@ -100,7 +101,14 @@ def oracle_is_lattice(G, action) -> bool:
         for h in G.elements():
             if action[G.mul(g, h)] != action[g] @ action[h]:
                 return False
-    return all(abs(m.det()) == 1 for m in action)
+    return all(abs(det(m)) == 1 for m in action)
+
+
+def oracle_is_permutation_action(action) -> bool:
+    """Every matrix, not only the generators', is a permutation matrix."""
+    return all(
+        sorted(m.col_list(i)) == [0] * (m.rows - 1) + [1] for m in action for i in range(m.cols)
+    )
 
 
 # -- corruptions: both validators reject -----------------------------------------
@@ -249,6 +257,22 @@ def test_derived_lattices_pass_oracle(name):
     G = GROUPS[name]()
     for label, M in _derived_lattices(G).items():
         assert oracle_is_lattice(M.group, M.action), label
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_permutation_action_agrees_with_oracle(name):
+    G = GROUPS[name]()
+    lattices = _derived_lattices(G)
+    # the first generator acts trivially, so checking it alone cannot tell
+    first = Subgroup(G, G.closure(G.generators[:1]))
+    lattices["twisted"] = augmentation_kernel(coset_lattice(G, first))[0]
+    C2 = cyclic(2)
+    lattices["sign"] = GLattice(C2, [IntMatrix.identity(1), IntMatrix.from_rows([[-1]])])
+    verdicts = {}
+    for label, M in lattices.items():
+        verdicts[label] = oracle_is_permutation_action(M.action)
+        assert M.is_permutation_action() == verdicts[label], label
+    assert set(verdicts.values()) == {True, False}
 
 
 def test_rank_deficient_basis_rejected():
