@@ -489,9 +489,8 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
 
     cols: List[List[int]] = []
     for H, base in ((Hs, s_flow), (Ht, t_flow)):
-        points = coset_gset(G, H)
-        for p in range(points.size):
-            g_p = min(g for g in G.elements() if points.apply(g, 0) == p)
+        [(_, transversal)] = coset_gset(G, H).orbit_transversal()
+        for _, g_p in transversal:
             cols.append(rho[g_p].mul_vector(base))
     for g in G.elements():
         cols.append(rho[g].mul_vector(a_flow))

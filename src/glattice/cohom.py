@@ -2,9 +2,10 @@
 resolution constructors; split finding; permutation and invertibility
 certificates.
 
-Degree 1 is computed through duality (reducing it to norm and
-augmentation kernels); the tests check it against the direct formula for
-cyclic subgroups.
+Each Tate group is the torsion of one cokernel: of the norm in degree 0,
+and of the s - 1 over the generators s of the subgroup in degree -1.
+Degree 1 is degree -1 of the dual; the tests check it against the direct
+formula for cyclic subgroups.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ from .intlinalg import (
     cokernel_invariants,
     is_saturated_basis,
     kernel_basis,
-    solve_matrix,
-    xgcd,
 )
 
 
@@ -82,38 +81,14 @@ class TateGroup:
         return " x ".join(f"Z/{d}" for d in self.invariant_factors)
 
 
-def _quotient_in_lattice(span_basis: IntMatrix, generators: IntMatrix) -> TateGroup:
-    """Invariant factors of span(span_basis) / span(generators).
-
-    The generators must lie inside the (saturated) span; the quotient must
-    be finite, which is asserted.
-    """
-    if span_basis.cols == 0:
-        return TateGroup(())
-    solver = BasisSolver(span_basis)
-    cols = []
-    seen = set()
-    for j in range(generators.cols):
-        col = generators.col_list(j)
-        key = tuple(col)
-        if key in seen or all(x == 0 for x in col):
-            continue
-        seen.add(key)
-        coords = solver.express(col)
-        if coords is None:
-            raise InvalidParameterError("generator escapes the ambient sublattice")
-        cols.append(coords)
-    coord_matrix = IntMatrix.from_columns(cols, rows=span_basis.cols)
-    factors, free = cokernel_invariants(coord_matrix)
-    certify(free == 0, "Tate quotients of lattices are finite")
-    return TateGroup(tuple(factors))
-
-
 def tate(M: GLattice, H: Subgroup, degree: int) -> TateGroup:
     """Tate cohomology of the subgroup H with coefficients in M.
 
-    Degree 0 is fixed points modulo norms, degree -1 is the norm kernel
-    modulo the augmentation submodule, and degree +1 dualizes to -1.
+    Degree 0 is M^H / N M and degree -1 is ker N / I_H M, where N is the
+    norm and I_H M is spanned by (s - 1) M over the generators s of H.
+    M^H and ker N are saturated and contain N M and I_H M with finite
+    index, so each group is the torsion of Z^rank modulo the smaller
+    lattice: one Smith diagonal.  Degree +1 dualizes to -1.
     """
     if H.parent is not M.group:
         raise InvalidParameterError("subgroup belongs to a different group")
@@ -122,15 +97,14 @@ def tate(M: GLattice, H: Subgroup, degree: int) -> TateGroup:
     if degree == 1:
         return tate(dual(M), H, -1)
     if degree == 0:
-        fixed = fixed_sublattice(M, H)
-        return _quotient_in_lattice(fixed, norm_matrix(M, H))
-    norm_ker = kernel_basis(norm_matrix(M, H))
-    eye = IntMatrix.identity(M.rank)
-    blocks = [M.action[h] - eye for h in H.elements if h != M.group.identity]
-    gens = blocks[0] if blocks else IntMatrix.zeros(M.rank, 0)
-    for b in blocks[1:]:
-        gens = gens.hstack(b)
-    return _quotient_in_lattice(norm_ker, gens)
+        spanning = norm_matrix(M, H)
+    else:
+        eye = IntMatrix.identity(M.rank)
+        spanning = IntMatrix.zeros(M.rank, 0)
+        for s in H.generators():
+            spanning = spanning.hstack(M.action[s] - eye)
+    factors, _ = cokernel_invariants(spanning)
+    return TateGroup(tuple(factors))
 
 
 @dataclass
@@ -223,17 +197,12 @@ def coflasque_resolution(
         if fixed.cols == 0:
             continue
         lat = coset_lattice(G, H)
-        points = lat.gset
-        # g_p with g_p(basepoint) = p, for the orbit of the identity coset
-        g_for_point = []
-        for p in range(points.size):
-            g_for_point.append(min(g for g in G.elements() if points.apply(g, 0) == p))
+        # G/H is one orbit; g_p moves the identity coset to the point p
+        [(_, transversal)] = lat.gset.orbit_transversal()
         for j in range(fixed.cols):
             v = fixed.col_list(j)
             summands.append(lat)
-            col_blocks.append(
-                [M.action[g_for_point[p]].mul_vector(v) for p in range(points.size)]
-            )
+            col_blocks.append([M.action[g].mul_vector(v) for _, g in transversal])
     if not summands:
         raise InvalidParameterError("lattice admits no fixed vectors; rank 0 unsupported")
     P = direct_sum_many(summands)
@@ -294,20 +263,6 @@ def pullback(
 # -- equivariant hom spaces -----------------------------------------------------
 
 
-def _orbit_transversal(points: GSet) -> List[Tuple[int, List[int]]]:
-    """Per orbit: (basepoint, g_p for each point with g_p(basepoint) = point)."""
-    out = []
-    for orbit in points.orbits():
-        base = orbit[0]
-        reach: Dict[int, int] = {}
-        for g in range(points.group.order):
-            p = points.apply(g, base)
-            if p not in reach:
-                reach[p] = g
-        out.append((base, [(p, reach[p]) for p in orbit]))
-    return out
-
-
 def hom_basis_into_permutation(C: GLattice, B: GLattice) -> List[IntMatrix]:
     """Z-basis of Hom_G(C, B) for a permutation target with point structure.
 
@@ -318,7 +273,7 @@ def hom_basis_into_permutation(C: GLattice, B: GLattice) -> List[IntMatrix]:
         raise InvalidParameterError("target needs permutation point structure")
     Cd = dual(C)
     out = []
-    for base, transversal in _orbit_transversal(B.gset):
+    for base, transversal in B.gset.orbit_transversal():
         stab = B.gset.stabilizer(base)
         fixed = fixed_sublattice(Cd, stab)
         for j in range(fixed.cols):
@@ -364,96 +319,6 @@ def hom_basis(C: GLattice, A: GLattice) -> List[IntMatrix]:
 # -- section finding -------------------------------------------------------------
 
 
-def _solve_mod_prime_power(
-    H: List[List[int]], b: List[int], p: int, e: int
-) -> Optional[List[int]]:
-    """One solution of H x = b over Z/p^e (free variables pinned to 0).
-
-    Pivots are chosen by minimal p-valuation, so when a pivot of
-    valuation v is selected every remaining entry is divisible by p^v;
-    elimination touches only unreduced rows, and pivots are solved by
-    back-substitution in reverse selection order.  Solvability then
-    reduces to per-pivot divisibility, independent of the free variables.
-    """
-    q = p ** e
-    rows = len(H)
-    cols = len(H[0]) if rows else 0
-    m = [[H[i][j] % q for j in range(cols)] + [b[i] % q] for i in range(rows)]
-
-    def valuation(x: int) -> int:
-        if x == 0:
-            return e
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
-
-    order: List[Tuple[int, int, int]] = []  # (row, col, valuation)
-    used: set = set()
-    free_cols = list(range(cols))
-    while True:
-        best = None
-        for i in range(rows):
-            if i in used:
-                continue
-            for j in free_cols:
-                x = m[i][j]
-                if x % q == 0:
-                    continue
-                v = valuation(x)
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-            if best and best[0] == 0:
-                break
-        if best is None:
-            break
-        v, pi, pj = best
-        unit = m[pi][pj] // (p ** v)
-        m[pi] = [(x * pow(unit, -1, q)) % q for x in m[pi]]
-        for i in range(rows):
-            if i not in used and i != pi and m[i][pj] % q:
-                factor = m[i][pj] // (p ** v)  # exact: valuation >= v
-                m[i] = [(x - factor * y) % q for x, y in zip(m[i], m[pi])]
-        used.add(pi)
-        order.append((pi, pj, v))
-        free_cols.remove(pj)
-    for i in range(rows):
-        if i not in used and m[i][cols] % q:
-            return None
-    x = [0] * cols
-    for pi, pj, v in reversed(order):
-        rhs = m[pi][cols] - sum(m[pi][j] * x[j] for j in range(cols) if j != pj)
-        rhs %= q
-        if rhs % (p ** v):
-            return None
-        x[pj] = rhs // (p ** v)
-    return x
-
-
-def _solve_mod(H: List[List[int]], b: List[int], n: int) -> Optional[List[int]]:
-    """Integer x with H x = b (mod n), via prime powers and CRT."""
-    cols = len(H[0]) if H else 0
-    if n == 1:
-        return [0] * cols
-    solutions = []
-    for p, e in prime_factorization(n):
-        sol = _solve_mod_prime_power(H, b, p, e)
-        if sol is None:
-            return None
-        solutions.append((p ** e, sol))
-    x = [0] * cols
-    for j in range(cols):
-        residue, modulus = 0, 1
-        for q, sol in solutions:
-            # CRT combine residue (mod modulus) with sol[j] (mod q)
-            g, u, v = xgcd(modulus, q)
-            residue = (residue * v * q + sol[j] * u * modulus) % (modulus * q)
-            modulus *= q
-        x[j] = residue
-    return x
-
-
 def _find_section_orbitwise(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     """Section search when the quotient is a permutation lattice.
 
@@ -466,7 +331,7 @@ def _find_section_orbitwise(seq: ShortExactSequence) -> Optional[EquivariantMap]
     cols: Dict[int, List[int]] = {}
     # stabilizer -> (basis F of its fixed points, None if trivial; solver of pi @ F)
     solvers: Dict[Tuple[int, ...], Tuple[Optional[IntMatrix], BasisSolver]] = {}
-    for base, transversal in _orbit_transversal(C.gset):
+    for base, transversal in C.gset.orbit_transversal():
         stab = C.gset.stabilizer(base)
         target = [0] * C.rank
         target[base] = 1
@@ -491,70 +356,30 @@ def _find_section_orbitwise(seq: ShortExactSequence) -> Optional[EquivariantMap]
 def find_section(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     """An equivariant s: C -> B with right . s = id, or None when none exists.
 
-    Permutation quotients split orbit by orbit.  Otherwise a rational
-    equivariant section always exists (group averaging); an integral one
-    exists exactly when the averaged section can be corrected by an
-    equivariant map into the kernel, which is a solvable-or-not congruence
-    modulo |G|.  The answer is therefore decisive both ways.
+    Permutation quotients split orbit by orbit.  Otherwise the sections
+    are the equivariant maps that the quotient map sends to the identity:
+    with h_k a Z-basis of Hom_G(C, B), a section exists exactly when
+    vec(id) is an integer combination of the vec(right . h_k), which is
+    one integer solve, decisive both ways.
     """
     report = check_exact(seq)
     if not report.ok:
         raise InvalidParameterError(f"sequence is not exact: {report.failures}")
     B, C = seq.B, seq.C
-    G = B.group
-    n = G.order
     pi = seq.right.matrix
     if C.gset is not None and C.is_permutation_action():
         return _find_section_orbitwise(seq)
-    s0 = solve_matrix(pi, IntMatrix.identity(C.rank))
-    certify(s0 is not None, "surjective maps admit integer right inverses")
-    # averaged section: integral matrix t with t/n equivariant
-    t = IntMatrix.zeros(B.rank, C.rank)
-    for g in range(n):
-        t = t + (B.action[g] @ s0 @ C.action[G.inverses[g]])
-    # equivariant corrections: maps C -> ker(pi)
     if B.gset is not None and B.is_permutation_action():
-        candidates = hom_basis_into_permutation(C, B)
-        pi_comp = [pi @ m for m in candidates]
-        flat_pi = IntMatrix.from_rows(
-            [
-                [int(m[i, j]) for m in pi_comp]
-                for i in range(C.rank)
-                for j in range(C.rank)
-            ],
-            cols=len(candidates),
-        )
-        coeff_kernel = kernel_basis(flat_pi)
-        corrections = []
-        for k in range(coeff_kernel.cols):
-            coeffs = coeff_kernel.col_list(k)
-            m = IntMatrix.zeros(B.rank, C.rank)
-            for cf, cand in zip(coeffs, candidates):
-                if cf:
-                    m = m + cand.scale(cf)
-            corrections.append(m)
+        homs = hom_basis_into_permutation(C, B)
     else:
-        corrections = [seq.left.matrix @ h for h in hom_basis(C, seq.A)]
-    # solve sum x_k corrections_k = -t (mod n)
-    flat_h = [
-        [int(m[i, j]) for m in corrections]
-        for i in range(B.rank)
-        for j in range(C.rank)
-    ]
-    flat_b = [-int(t[i, j]) for i in range(B.rank) for j in range(C.rank)]
-    x = _solve_mod(flat_h, flat_b, n)
+        homs = hom_basis(C, B)
+    images = IntMatrix.from_columns([(pi @ h).entries for h in homs], rows=C.rank ** 2)
+    x = BasisSolver(images).express(IntMatrix.identity(C.rank).entries)
     if x is None:
         return None
-    total = t
-    for xi, m in zip(x, corrections):
-        if xi:
-            total = total + m.scale(xi)
-    s_matrix = IntMatrix.zeros(B.rank, C.rank)
-    for i in range(B.rank):
-        for j in range(C.rank):
-            num = int(total[i, j])
-            certify(num % n == 0, "the corrected average is divisible by the group order")
-            s_matrix.a[i, j] = num // n
+    c = C.rank
+    flat = IntMatrix.from_columns([h.entries for h in homs], rows=B.rank * c).mul_vector(x)
+    s_matrix = IntMatrix.from_rows([flat[i : i + c] for i in range(0, len(flat), c)], cols=c)
     section = EquivariantMap(C, B, s_matrix)
     section.validate()
     certify((pi @ s_matrix).is_identity(), "the section is a right inverse of the quotient map")

@@ -205,14 +205,14 @@ def check_exact(seq: ShortExactSequence) -> ExactnessReport:
         failures.append(
             f"rank mismatch: {seq.A.rank} + {seq.C.rank} != {seq.B.rank}"
         )
-    if kernel_basis(seq.left.matrix).cols != 0:
+    image = column_span_canonical(seq.left.matrix)
+    if image.cols != seq.left.matrix.cols:
         failures.append("left map is not injective")
     factors, free = cokernel_invariants(seq.right.matrix)
     if factors or free:
         failures.append(
             f"right map is not surjective (cokernel factors={factors}, free rank={free})"
         )
-    image = column_span_canonical(seq.left.matrix)
     kernel = kernel_basis(seq.right.matrix)
     if image != kernel:
         failures.append("image of left map differs from kernel of right map")

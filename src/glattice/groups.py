@@ -517,6 +517,18 @@ class GSet:
             out.append(tuple(orbit))
         return out
 
+    def orbit_transversal(self) -> List[Tuple[int, List[Tuple[int, int]]]]:
+        """Per orbit: its basepoint (the smallest point) and (p, g_p) for each
+        of its points p, with g_p the smallest element moving the basepoint to p."""
+        out = []
+        for orbit in self.orbits():
+            base = orbit[0]
+            reach: Dict[int, int] = {}
+            for g in range(self.group.order):
+                reach.setdefault(self.action[g][base], g)
+            out.append((base, [(p, reach[p]) for p in orbit]))
+        return out
+
     def stabilizer(self, x: int) -> Subgroup:
         els = tuple(sorted(g for g in range(self.group.order) if self.action[g][x] == x))
         return Subgroup(self.group, els)

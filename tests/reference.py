@@ -2,19 +2,36 @@
 
 Each is independent of the code path it checks, and none is used by the
 library itself: the determinant, the Smith form with both transforms,
-the cyclic formula for degree 1 Tate cohomology, the identity map, and
-the Shapiro construction of equivariant maps out of a permutation
+Tate groups from coordinates in the saturated fixed or norm-kernel
+lattice, the cyclic formula for degree 1 Tate cohomology, sections by
+group averaging with a congruence solve modulo |G|, the identity map,
+and the Shapiro construction of equivariant maps out of a permutation
 lattice.
 """
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional, Tuple
 
-from glattice.cohom import TateGroup, _quotient_in_lattice
+from glattice.cohom import TateGroup, hom_basis, hom_basis_into_permutation
 from glattice.errors import InvalidParameterError
-from glattice.gmod import EquivariantMap, GLattice, fixed_sublattice, norm_matrix
-from glattice.groups import Subgroup
-from glattice.intlinalg import IntMatrix, _find_pivot, kernel_basis
+from glattice.gmod import (
+    EquivariantMap,
+    GLattice,
+    ShortExactSequence,
+    dual,
+    fixed_sublattice,
+    norm_matrix,
+)
+from glattice.groups import Subgroup, prime_factorization
+from glattice.intlinalg import (
+    BasisSolver,
+    IntMatrix,
+    _find_pivot,
+    cokernel_invariants,
+    kernel_basis,
+    solve_matrix,
+    xgcd,
+)
 
 
 def det(m: IntMatrix) -> int:
@@ -144,6 +161,41 @@ def smith(A: IntMatrix) -> SmithDecomposition:
     )
 
 
+def quotient_in_lattice(span_basis: IntMatrix, generators: IntMatrix) -> TateGroup:
+    """Invariant factors of span(span_basis) / span(generators), from the
+    coordinates of the generators in the (saturated) span, which must
+    contain them with finite index."""
+    if span_basis.cols == 0:
+        return TateGroup(())
+    solver = BasisSolver(span_basis)
+    cols = []
+    for j in range(generators.cols):
+        coords = solver.express(generators.col_list(j))
+        if coords is None:
+            raise InvalidParameterError("generator escapes the ambient sublattice")
+        cols.append(coords)
+    factors, free = cokernel_invariants(IntMatrix.from_columns(cols, rows=span_basis.cols))
+    if free:
+        raise InvalidParameterError("the quotient is not finite")
+    return TateGroup(tuple(factors))
+
+
+def tate_in_lattice(M: GLattice, H: Subgroup, degree: int) -> TateGroup:
+    """Tate cohomology by its definition: M^H / N M in degree 0 and
+    ker N / (h - 1 for every h in H) M in degree -1, each in coordinates
+    of the saturated ambient lattice; degree 1 dualizes to -1."""
+    if degree == 1:
+        return tate_in_lattice(dual(M), H, -1)
+    if degree == 0:
+        return quotient_in_lattice(fixed_sublattice(M, H), norm_matrix(M, H))
+    eye = IntMatrix.identity(M.rank)
+    gens = IntMatrix.zeros(M.rank, 0)
+    for h in H.elements:
+        if h != M.group.identity:
+            gens = gens.hstack(M.action[h] - eye)
+    return quotient_in_lattice(kernel_basis(norm_matrix(M, H)), gens)
+
+
 def tate1_cyclic_direct(M: GLattice, H: Subgroup) -> TateGroup:
     """Degree 1 over a cyclic subgroup, from the periodicity of cyclic
     cohomology: ker(norm) / image(h - 1) for a generator h."""
@@ -154,7 +206,152 @@ def tate1_cyclic_direct(M: GLattice, H: Subgroup) -> TateGroup:
         raise InvalidParameterError("subgroup is not cyclic")
     norm_ker = kernel_basis(norm_matrix(M, H))
     image = M.action[gen] - IntMatrix.identity(M.rank)
-    return _quotient_in_lattice(norm_ker, image)
+    return quotient_in_lattice(norm_ker, image)
+
+
+def solve_mod_prime_power(
+    H: List[List[int]], b: List[int], p: int, e: int
+) -> Optional[List[int]]:
+    """One solution of H x = b over Z/p^e (free variables pinned to 0).
+
+    Pivots are chosen by minimal p-valuation, so when a pivot of
+    valuation v is selected every remaining entry is divisible by p^v;
+    elimination touches only unreduced rows, and pivots are solved by
+    back-substitution in reverse selection order.  Solvability then
+    reduces to per-pivot divisibility, independent of the free variables.
+    """
+    q = p ** e
+    rows = len(H)
+    cols = len(H[0]) if rows else 0
+    m = [[H[i][j] % q for j in range(cols)] + [b[i] % q] for i in range(rows)]
+
+    def valuation(x: int) -> int:
+        if x == 0:
+            return e
+        v = 0
+        while x % p == 0:
+            x //= p
+            v += 1
+        return v
+
+    order: List[Tuple[int, int, int]] = []  # (row, col, valuation)
+    used: set = set()
+    free_cols = list(range(cols))
+    while True:
+        best = None
+        for i in range(rows):
+            if i in used:
+                continue
+            for j in free_cols:
+                x = m[i][j]
+                if x % q == 0:
+                    continue
+                v = valuation(x)
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+            if best and best[0] == 0:
+                break
+        if best is None:
+            break
+        v, pi, pj = best
+        unit = m[pi][pj] // (p ** v)
+        m[pi] = [(x * pow(unit, -1, q)) % q for x in m[pi]]
+        for i in range(rows):
+            if i not in used and i != pi and m[i][pj] % q:
+                factor = m[i][pj] // (p ** v)  # exact: valuation >= v
+                m[i] = [(x - factor * y) % q for x, y in zip(m[i], m[pi])]
+        used.add(pi)
+        order.append((pi, pj, v))
+        free_cols.remove(pj)
+    for i in range(rows):
+        if i not in used and m[i][cols] % q:
+            return None
+    x = [0] * cols
+    for pi, pj, v in reversed(order):
+        rhs = m[pi][cols] - sum(m[pi][j] * x[j] for j in range(cols) if j != pj)
+        rhs %= q
+        if rhs % (p ** v):
+            return None
+        x[pj] = rhs // (p ** v)
+    return x
+
+
+def solve_mod(H: List[List[int]], b: List[int], n: int) -> Optional[List[int]]:
+    """Integer x with H x = b (mod n), via prime powers and CRT."""
+    cols = len(H[0]) if H else 0
+    if n == 1:
+        return [0] * cols
+    solutions = []
+    for p, e in prime_factorization(n):
+        sol = solve_mod_prime_power(H, b, p, e)
+        if sol is None:
+            return None
+        solutions.append((p ** e, sol))
+    x = [0] * cols
+    for j in range(cols):
+        residue, modulus = 0, 1
+        for q, sol in solutions:
+            # CRT combine residue (mod modulus) with sol[j] (mod q)
+            g, u, v = xgcd(modulus, q)
+            residue = (residue * v * q + sol[j] * u * modulus) % (modulus * q)
+            modulus *= q
+        x[j] = residue
+    return x
+
+
+def section_by_averaging(seq: ShortExactSequence) -> Optional[EquivariantMap]:
+    """An equivariant section of seq.right, or None, by group averaging.
+
+    A rational equivariant section always exists: the average of an
+    integer right inverse.  An integral one exists exactly when |G| times
+    it can be corrected, by an equivariant map C -> B that the quotient
+    map kills, to a multiple of |G|: a congruence modulo |G|.  Works for
+    every quotient, permutation or not.
+    """
+    B, C = seq.B, seq.C
+    G = B.group
+    n = G.order
+    pi = seq.right.matrix
+    s0 = solve_matrix(pi, IntMatrix.identity(C.rank))
+    if s0 is None:
+        raise InvalidParameterError("the quotient map is not surjective")
+    t = IntMatrix.zeros(B.rank, C.rank)
+    for g in range(n):
+        t = t + (B.action[g] @ s0 @ C.action[G.inverses[g]])
+    if B.gset is not None and B.is_permutation_action():
+        candidates = hom_basis_into_permutation(C, B)
+        flat_pi = IntMatrix.from_columns(
+            [(pi @ m).entries for m in candidates], rows=C.rank * C.rank
+        )
+        coeff_kernel = kernel_basis(flat_pi)
+        corrections = []
+        for k in range(coeff_kernel.cols):
+            m = IntMatrix.zeros(B.rank, C.rank)
+            for cf, cand in zip(coeff_kernel.col_list(k), candidates):
+                if cf:
+                    m = m + cand.scale(cf)
+            corrections.append(m)
+    else:
+        corrections = [seq.left.matrix @ h for h in hom_basis(C, seq.A)]
+    flats = [m.entries for m in corrections]
+    flat_h = [[f[k] for f in flats] for k in range(B.rank * C.rank)]
+    x = solve_mod(flat_h, [-v for v in t.entries], n)
+    if x is None:
+        return None
+    total = t
+    for xi, m in zip(x, corrections):
+        if xi:
+            total = total + m.scale(xi)
+    rows = []
+    for i in range(B.rank):
+        row = []
+        for j in range(C.rank):
+            q, r = divmod(int(total[i, j]), n)
+            if r:
+                raise InvalidParameterError("the corrected average is not divisible by |G|")
+            row.append(q)
+        rows.append(row)
+    return EquivariantMap(C, B, IntMatrix.from_rows(rows, cols=C.rank)).validate()
 
 
 def identity_map(M: GLattice) -> EquivariantMap:
@@ -169,17 +366,13 @@ def shapiro_hom_basis(C: GLattice, A: GLattice) -> List[IntMatrix]:
     """
     points = C.gset
     out = []
-    for orbit in points.orbits():
-        base = orbit[0]
-        reach = {}
-        for g in range(points.group.order):
-            reach.setdefault(points.apply(g, base), g)
+    for base, transversal in points.orbit_transversal():
         fixed = fixed_sublattice(A, points.stabilizer(base))
         for j in range(fixed.cols):
             v = fixed.col_list(j)
             m = IntMatrix.zeros(A.rank, C.rank)
-            for p in orbit:
-                col = A.action[reach[p]].mul_vector(v)
+            for p, g in transversal:
+                col = A.action[g].mul_vector(v)
                 for i in range(A.rank):
                     m.a[i, p] = col[i]
             out.append(m)

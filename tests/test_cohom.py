@@ -32,7 +32,9 @@ from glattice.gmod import (
     restrict,
     trivial,
 )
+from glattice.cli import parse_group_spec
 from glattice.groups import (
+    all_subgroups,
     cyclic,
     dihedral,
     direct_product,
@@ -42,8 +44,13 @@ from glattice.groups import (
     trivial_subgroup,
     whole_group,
 )
-from glattice.intlinalg import IntMatrix, column_span_canonical
-from reference import shapiro_hom_basis, tate1_cyclic_direct
+from glattice.intlinalg import IntMatrix, column_span_canonical, solve_matrix
+from reference import (
+    section_by_averaging,
+    shapiro_hom_basis,
+    tate1_cyclic_direct,
+    tate_in_lattice,
+)
 
 
 def sign_lattice(C2):
@@ -54,6 +61,35 @@ def s3_flow_lattice():
     G = semidirect(3, 2, 2)
     X = cayley_graph(G, [G.generator_indices["s"], G.generator_indices["t"]])
     return G, flow_lattice(X)
+
+
+ORACLE_GROUPS = ["C:2", "C:4", "C:6", "S:3", "D:4", "X(C:2,C:2)", "SD:3,2,2"]
+
+
+def oracle_lattices(G):
+    """Lattices of every kind the library builds, by name: permutation,
+    flow, dual, kernel, direct sum and a unimodular conjugate."""
+    flows = flow_lattice(cayley_graph(G, G.generators)).glattice
+    aug = augmentation_kernel(regular(G))[0]
+    total = direct_sum(aug, trivial(G))
+    base = flows if flows.rank > 1 else total  # cyclic groups: the flows are Z
+    T = IntMatrix.identity(base.rank)
+    for i in range(base.rank - 1):
+        T.a[i, i + 1] = 1
+    T_inv = solve_matrix(T, IntMatrix.identity(base.rank))
+    out = {
+        "trivial": trivial(G),
+        "regular": regular(G),
+        "flows": flows,
+        "dual": dual(flows),
+        "augmentation": aug,
+        "coset": coset_lattice(G, subgroup_conjugacy_reps(G)[1]),
+        "sum": total,
+        "conjugate": GLattice(G, [T @ m @ T_inv for m in base.action]),
+    }
+    if G.order == 2:
+        out["sign"] = sign_lattice(G)
+    return out
 
 
 class TestTateGroup:
@@ -109,6 +145,22 @@ class TestTate:
         assert tate(I, H, 1) == TateGroup((p,))
         assert tate(I, H, -1) == TateGroup((p,))
         assert tate1_cyclic_direct(I, H) == TateGroup((p,))
+
+
+class TestTateOracle:
+    """One cokernel per degree against coordinates in the saturated lattice."""
+
+    @pytest.mark.parametrize("spec", ORACLE_GROUPS)
+    def test_matches_saturated_coordinates(self, spec):
+        G = parse_group_spec(spec)
+        nontrivial = 0
+        for name, M in oracle_lattices(G).items():
+            for H in all_subgroups(G):
+                for degree in (-1, 0, 1):
+                    got = tate(M, H, degree)
+                    assert got == tate_in_lattice(M, H, degree), (name, H, degree)
+                    nontrivial += not got.is_trivial
+        assert nontrivial > 0
 
 
 class TestCyclicOracle:
@@ -327,22 +379,49 @@ class TestFindSection:
         assert iso.is_unimodular()
 
 
+class TestSectionOracle:
+    """One solve in Hom_G(C, B) against group averaging and a congruence
+    solve modulo |G|, on the coflasque resolution of each oracle lattice."""
+
+    @pytest.mark.parametrize("spec", ORACLE_GROUPS)
+    def test_split_verdicts_match_averaging(self, spec):
+        G = parse_group_spec(spec)
+        lattices = oracle_lattices(G)
+        if G.order == 8:  # the averaging oracle is slow here
+            lattices = {"flows": lattices["flows"]}
+        verdicts = []
+        for name, M in lattices.items():
+            seq = coflasque_resolution(M).sequence
+            split = find_section(seq) is not None
+            assert split == (section_by_averaging(seq) is not None), name
+            if not seq.C.is_permutation_action() and G.order <= 6:
+                # without its point structure B goes through hom_basis(C, B)
+                bare = GLattice(G, list(seq.B.action))
+                stripped = ShortExactSequence(
+                    EquivariantMap(seq.A, bare, seq.left.matrix),
+                    EquivariantMap(bare, seq.C, seq.right.matrix),
+                )
+                assert (find_section(stripped) is not None) == split, name
+            verdicts.append(split)
+        assert False in verdicts
+
+
 class TestModularSolver:
     def test_unsolvable_congruence(self):
-        from glattice.cohom import _solve_mod
+        from reference import solve_mod
 
-        assert _solve_mod([[2], [0]], [1, 0], 4) is None
+        assert solve_mod([[2], [0]], [1, 0], 4) is None
 
     def test_solvable_congruence(self):
-        from glattice.cohom import _solve_mod
+        from reference import solve_mod
 
-        x = _solve_mod([[2], [0]], [2, 0], 4)
+        x = solve_mod([[2], [0]], [2, 0], 4)
         assert x is not None and (2 * x[0] - 2) % 4 == 0
 
     @pytest.mark.parametrize("n", [8, 9, 12, 20])
     def test_against_brute_force(self, n):
         # higher prime powers exercise the nonzero-valuation pivots
-        from glattice.cohom import _solve_mod
+        from reference import solve_mod
         import itertools
 
         seed = 7 + n
@@ -357,7 +436,7 @@ class TestModularSolver:
                 H.append(row)
                 seed = (1103515245 * seed + 12345) % (1 << 31)
                 b.append(seed % n)
-            got = _solve_mod(H, b, n)
+            got = solve_mod(H, b, n)
             brute = any(
                 all(
                     sum(H[i][j] * x[j] for j in range(cols)) % n == b[i] % n

@@ -74,12 +74,40 @@ COMMANDS = [
 ]
 
 
-def output_digest(argv) -> str:
+# `tate` over a grid of lattices, subgroups and degrees, one digest of the
+# concatenated outputs per format.
+TATE_GRID = [
+    ["tate", "--group", group, "--lattice", lattice, "--subgroup", subgroup,
+     "--degree", degree]
+    for group, subgroups in (
+        ("SD:3,2,2", ("trivial", "whole", "sylow2", "sylow3")),
+        ("D:4", ("trivial", "whole", "sylow2")),
+        ("C:6", ("trivial", "whole", "sylow2", "sylow3")),
+    )
+    for lattice in ("trivial", "regular", "flows:cayley")
+    for subgroup in subgroups
+    for degree in ("-1", "0", "1")
+]
+TATE_GRID_SHA256 = {
+    "text": "75722017ea3d307afac49b930346b9ecaaf3abc43d2fe0fa9e91d16dc6217a15",
+    "json": "6f71e93dc911bcb555833abebed54446ade3f49a43a805f8b27aba2eca876eb3",
+}
+
+
+def _output(argv) -> str:
     buf = io.StringIO()
     code = main(argv, out=buf)  # not an assert: this also runs under python -O
     if code != 0:
         raise RuntimeError(f"{argv} exited with {code}")
-    text = _ELAPSED.sub('"elapsed_ms": 0', buf.getvalue())
+    return _ELAPSED.sub('"elapsed_ms": 0', buf.getvalue())
+
+
+def output_digest(argv) -> str:
+    return hashlib.sha256(_output(argv).encode()).hexdigest()
+
+
+def tate_grid_digest(output: str) -> str:
+    text = "".join(_output(argv + ["--output", output]) for argv in TATE_GRID)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -104,8 +132,15 @@ def test_command_output_unchanged(argv, digest):
     assert output_digest(argv) == digest
 
 
+@pytest.mark.parametrize("output", sorted(TATE_GRID_SHA256))
+def test_tate_grid_output_unchanged(output):
+    assert tate_grid_digest(output) == TATE_GRID_SHA256[output]
+
+
 if __name__ == "__main__":
     print("suite quick json", suite_quick_digest())
     for argv, digests in COMMANDS:
         for output in digests:
             print(" ".join(argv), output, output_digest(argv + ["--output", output]))
+    for output in TATE_GRID_SHA256:
+        print("tate grid", output, tate_grid_digest(output))

@@ -223,6 +223,17 @@ class TestGSets:
         U = X.disjoint_union(Y)
         assert [len(o) for o in U.orbits()] == [2, 3]
 
+    def test_orbit_transversal_takes_smallest_element(self):
+        G = dihedral(4)
+        X = coset_gset(G, subgroup_conjugacy_reps(G)[1])
+        U = X.disjoint_union(regular_gset(G))
+        transversal = U.orbit_transversal()
+        assert [base for base, _ in transversal] == [o[0] for o in U.orbits()]
+        for (base, pairs), orbit in zip(transversal, U.orbits()):
+            assert [p for p, _ in pairs] == list(orbit)
+            for p, g in pairs:
+                assert g == min(h for h in G.elements() if U.apply(h, base) == p)
+
     def test_whole_and_trivial(self):
         G = dihedral(3)
         assert whole_group(G).order == 6
