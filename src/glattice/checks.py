@@ -262,16 +262,7 @@ def check_bar_cocycle(G: FiniteGroup) -> CheckReport:
     for g in G.elements():
         for h in G.elements():
             d[(g, h)] = _bar_flow(X, G, g, h)
-    moved: Dict[Tuple[int, Tuple[int, int]], Tuple[int, ...]] = {}
-
-    def act(g: int, vec: Tuple[int, ...]) -> Tuple[int, ...]:
-        perm = X.edge_action[g]
-        out = [0] * len(vec)
-        for k, c in enumerate(vec):
-            if c:
-                out[perm[k]] = c
-        return tuple(out)
-
+    move = X.edge_gset.move
     triples = 0
     failures = 0
     for g1 in G.elements():
@@ -280,11 +271,8 @@ def check_bar_cocycle(G: FiniteGroup) -> CheckReport:
                 lhs = tuple(
                     a + b for a, b in zip(d[(g1, g2)], d[(G.mul(g1, g2), g3)])
                 )
-                key = (g1, (g2, g3))
-                if key not in moved:
-                    moved[key] = act(g1, d[(g2, g3)])
                 rhs = tuple(
-                    a + b for a, b in zip(d[(g1, G.mul(g2, g3))], moved[key])
+                    a + b for a, b in zip(d[(g1, G.mul(g2, g3))], move(g1, d[(g2, g3)]))
                 )
                 triples += 1
                 if lhs != rhs:
@@ -303,7 +291,7 @@ def check_bar_cocycle(G: FiniteGroup) -> CheckReport:
             lhs = d[(h, g)]
             rhs = tuple(
                 a + b - c
-                for a, b, c in zip(edge_unit(h), act(h, edge_unit(g)), edge_unit(G.mul(h, g)))
+                for a, b, c in zip(edge_unit(h), move(h, edge_unit(g)), edge_unit(G.mul(h, g)))
             )
             if lhs != rhs:
                 bad += 1
@@ -403,20 +391,10 @@ def check_sn_restrictions(n: int) -> CheckReport:
         candidates.append(_edge_vector(X, steps))
     fl2 = spanning_tree_basis(X, star, candidates)
     ck.record("star-tree flows form a basis", True, f"rank {fl2.rank}")
-    stable = True
     cand_set = {tuple(c) for c in candidates}
-    for h in H2.elements:
-        perm = X.edge_action[h]
-        for c in candidates:
-            moved = [0] * X.n_edges
-            for k, val in enumerate(c):
-                if val:
-                    moved[perm[k]] = val
-            if tuple(moved) not in cand_set:
-                stable = False
-                break
-        if not stable:
-            break
+    stable = all(
+        tuple(X.edge_gset.move(h, c)) in cand_set for h in H2.elements for c in candidates
+    )
     ck.record("star-tree basis is stabilizer-stable", stable)
     return ck.finish()
 

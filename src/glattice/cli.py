@@ -12,7 +12,8 @@ Spec grammars
     subgroup  whole | trivial | sylow<p> | gen:<gens>
 
 Exit codes: 0 success / all checks pass, 1 a check failed (reports are
-still emitted), 2 usage or spec error (with the failing token).
+still emitted), 2 usage or spec error (with the failing token), 3 an
+internal error (one `internal error: <Type>: <message>` line on stderr).
 """
 
 from __future__ import annotations
@@ -172,11 +173,8 @@ def parse_graph_spec(spec: str) -> GGraph:
     m = re.fullmatch(r"complete\((.*);loops=([01])\)", spec)
     if m:
         return complete_edges(parse_gset_spec(m.group(1)), loops=m.group(2) == "1")
-    m = re.fullmatch(r"cosets\((.*);(.*)\)", spec)
-    if m:
-        G = parse_group_spec(m.group(1))
-        H = subgroup_from_generators(G, parse_generators(G, m.group(2)))
-        return complete_edges(coset_gset(G, H), loops=False)
+    if re.fullmatch(r"cosets\((.*);(.*)\)", spec):
+        return complete_edges(parse_gset_spec(spec), loops=False)
     raise SpecParseError(f"unrecognized graph spec {spec!r}", spec[:12], 0)
 
 
@@ -596,6 +594,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except (InvalidParameterError, KeyError, TypeError, ValueError) as exc:
         print(f"invalid invocation: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, never a failed check
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main_entry() -> None:

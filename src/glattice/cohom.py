@@ -37,6 +37,7 @@ from .groups import (
     FiniteGroup,
     GSet,
     Subgroup,
+    coset_gset,
     prime_factorization,
     subgroup_conjugacy_reps,
     sylow,
@@ -280,7 +281,7 @@ def hom_basis_into_permutation(C: GLattice, B: GLattice) -> List[IntMatrix]:
             f = fixed.col_list(j)
             m = IntMatrix.zeros(B.rank, C.rank)
             for p, g in transversal:
-                row = C.action[C.group.inverses[g]].T.mul_vector(f)
+                row = Cd.action[g].mul_vector(f)
                 for i in range(C.rank):
                     m.a[p, i] = row[i]
             out.append(m)
@@ -430,19 +431,11 @@ SEARCH_NODE_BUDGET = 20_000
 def _coinvariant_projection(M: GLattice) -> IntMatrix:
     """Projection onto the free part of M / span{(g-1)M} (orbit images).
 
-    Every member of a G-orbit has the same image, and the images of the
-    orbits of any G-stable basis form a basis of the free quotient.
+    Its rows are the canonical basis of the G-fixed functionals.  Every
+    member of a G-orbit has the same image, and the images of the orbits
+    of any G-stable basis form a basis of the free quotient.
     """
-    gens = M.group.generators
-    eye = IntMatrix.identity(M.rank)
-    stacked = None
-    for g in gens:
-        block = M.action[g] - eye
-        stacked = block if stacked is None else stacked.hstack(block)
-    if stacked is None:
-        return eye
-    # rows spanning the saturated left kernel of the stacked g - 1
-    return kernel_basis(stacked.T).T
+    return fixed_sublattice(dual(M), whole_group(M.group)).T
 
 
 def _subgroup_class_lookup(G: FiniteGroup) -> Dict[Tuple[int, ...], int]:
@@ -465,25 +458,12 @@ def _orbit_count_solutions(M: GLattice) -> Optional[List[Tuple[int, ...]]]:
     deterministic order.
     """
     from fractions import Fraction
-    from .groups import coset_gset
 
     G = M.group
     reps = subgroup_conjugacy_reps(G)
     k = len(reps)
-    table = []
-    for K in reps:
-        row = []
-        for H in reps:
-            pts = coset_gset(G, H)
-            seen = set()
-            orbits = 0
-            for x in range(pts.size):
-                if x in seen:
-                    continue
-                orbits += 1
-                seen.update(pts.apply(g, x) for g in K.elements)
-            row.append(orbits)
-        table.append(row)
+    cosets = [coset_gset(G, H) for H in reps]
+    table = [[len(pts.restrict_group(K).orbits()) for pts in cosets] for K in reps]
     rhs = [fixed_sublattice(M, K).cols for K in reps]
     a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(table)]
     pivots: List[Tuple[int, int]] = []  # (row, col)
@@ -728,7 +708,7 @@ def _orbits_of_columns(M: GLattice, basis: IntMatrix) -> List[List[int]]:
         if j in seen:
             continue
         orbit = sorted(
-            cols[tuple(M.action[g].mul_vector(list(tup)))] for g in M.group.elements()
+            {cols[tuple(M.action[g].mul_vector(list(tup)))] for g in M.group.elements()}
         )
         seen.update(orbit)
         orbits.append(orbit)

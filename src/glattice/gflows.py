@@ -111,30 +111,16 @@ class GGraph:
 
     def components(self) -> List[Tuple[int, ...]]:
         """Connected components of the underlying undirected graph."""
-        if self._components is not None:
-            return self._components
-        adj: List[List[int]] = [[] for _ in range(self.n_vertices)]
-        for s, t in self.edges:
-            adj[s].append(t)
-            adj[t].append(s)
-        seen = [False] * self.n_vertices
-        comps = []
-        for v0 in range(self.n_vertices):
-            if seen[v0]:
-                continue
-            comp = []
-            queue = deque([v0])
-            seen[v0] = True
-            while queue:
-                v = queue.popleft()
-                comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
-            comps.append(tuple(sorted(comp)))
-        self._components = comps
-        return comps
+        if self._components is None:
+            comps: List[Tuple[int, ...]] = []
+            seen: set = set()
+            for v0 in range(self.n_vertices):
+                if v0 not in seen:
+                    prev = _bfs(self, v0)
+                    comps.append(tuple(v for v, p in enumerate(prev) if p or v == v0))
+                    seen.update(comps[-1])
+            self._components = comps
+        return self._components
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
@@ -149,16 +135,7 @@ class GGraph:
         return permutation_lattice(self.group, self.vertices)
 
     def edge_orbits(self) -> List[Tuple[int, ...]]:
-        seen = [False] * self.n_edges
-        out = []
-        for e in range(self.n_edges):
-            if seen[e]:
-                continue
-            orbit = sorted({self.edge_action[g][e] for g in range(self.group.order)})
-            for x in orbit:
-                seen[x] = True
-            out.append(tuple(orbit))
-        return out
+        return self.edge_gset.orbits()
 
     def __repr__(self) -> str:
         return (
@@ -326,40 +303,17 @@ def walk_to_flow(X: GGraph, walk: Sequence[WalkStep]) -> List[int]:
 # -- canonical trees and path flows ---------------------------------------------
 
 
-def spanning_tree(X: GGraph, allowed_edges: Optional[Sequence[int]] = None) -> List[int]:
-    """BFS spanning tree from vertex 0, scanning edges in listed order."""
-    allowed = list(range(X.n_edges)) if allowed_edges is None else list(allowed_edges)
-    incident: List[List[int]] = [[] for _ in range(X.n_vertices)]
-    for e in allowed:
-        s, t = X.edges[e]
-        incident[s].append(e)
-        if t != s:
-            incident[t].append(e)
-    seen = [False] * X.n_vertices
-    seen[0] = True
-    tree = []
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for e in incident[v]:
-            s, t = X.edges[e]
-            w = t if s == v else s
-            if not seen[w]:
-                seen[w] = True
-                tree.append(e)
-                queue.append(w)
-    if not all(seen):
-        raise InvalidParameterError("graph is disconnected; no spanning tree")
-    return sorted(tree)
+def _bfs(
+    X: GGraph, src: int, allowed_edges: Optional[Sequence[int]] = None
+) -> List[Optional[Tuple[int, int]]]:
+    """Undirected BFS from src over the allowed edges, scanning edges in listed order.
 
-
-def path_flow(
-    X: GGraph, src: int, dst: int, allowed_edges: Optional[Sequence[int]] = None
-) -> List[int]:
-    """Unit flow along the canonical BFS path src -> dst (boundary dst - src)."""
-    allowed = list(range(X.n_edges)) if allowed_edges is None else list(allowed_edges)
+    Returns, per vertex, the (edge, sign) it was first reached by, with
+    sign +1 when the edge was traversed forward; None for src and for the
+    vertices not reached.
+    """
     incident: List[List[int]] = [[] for _ in range(X.n_vertices)]
-    for e in allowed:
+    for e in range(X.n_edges) if allowed_edges is None else allowed_edges:
         s, t = X.edges[e]
         incident[s].append(e)
         if t != s:
@@ -368,7 +322,7 @@ def path_flow(
     seen = [False] * X.n_vertices
     seen[src] = True
     queue = deque([src])
-    while queue and not seen[dst]:
+    while queue:
         v = queue.popleft()
         for e in incident[v]:
             s, t = X.edges[e]
@@ -377,7 +331,23 @@ def path_flow(
                 seen[w] = True
                 prev[w] = (e, 1 if s == v else -1)
                 queue.append(w)
-    if not seen[dst]:
+    return prev
+
+
+def spanning_tree(X: GGraph, allowed_edges: Optional[Sequence[int]] = None) -> List[int]:
+    """BFS spanning tree from vertex 0, scanning edges in listed order."""
+    prev = _bfs(X, 0, allowed_edges)
+    if None in prev[1:]:
+        raise InvalidParameterError("graph is disconnected; no spanning tree")
+    return sorted(e for e, _ in prev[1:])
+
+
+def path_flow(
+    X: GGraph, src: int, dst: int, allowed_edges: Optional[Sequence[int]] = None
+) -> List[int]:
+    """Unit flow along the canonical BFS path src -> dst (boundary dst - src)."""
+    prev = _bfs(X, src, allowed_edges)
+    if dst != src and prev[dst] is None:
         raise InvalidParameterError(f"no path from {src} to {dst} in allowed edges")
     vec = [0] * X.n_edges
     v = dst
@@ -506,17 +476,7 @@ def loop_split(X_plus: GGraph) -> Tuple[EquivariantMap, EquivariantMap]:
 def subgraph(X: GGraph, edge_indices: Sequence[int]) -> GGraph:
     """The G-subgraph on a stable subset of edges (same vertices)."""
     keep = sorted(set(int(e) for e in edge_indices))
-    pos = {e: i for i, e in enumerate(keep)}
-    action = []
-    for g in range(X.group.order):
-        perm = []
-        for e in keep:
-            moved = X.edge_action[g][e]
-            if moved not in pos:
-                raise InvalidParameterError(f"edge subset not stable under element {g}")
-            perm.append(pos[moved])
-        action.append(tuple(perm))
-    return GGraph(X.vertices, [X.edges[e] for e in keep], action)
+    return GGraph(X.vertices, [X.edges[e] for e in keep], X.edge_gset.restrict(keep).action)
 
 
 def remove_edges_decomposition(X: GGraph, X_sub: GGraph) -> EquivariantMap:
@@ -573,12 +533,7 @@ def remove_edges_decomposition(X: GGraph, X_sub: GGraph) -> EquivariantMap:
             circ[e_full] = path[e_sub]
         circ[rep] += 1
         for g in range(G.order):
-            moved = [0] * X.n_edges
-            pg = X.edge_action[g]
-            for e in range(X.n_edges):
-                if circ[e]:
-                    moved[pg[e]] += circ[e]
-            cols.append(fl.flow_coordinates(moved))
+            cols.append(fl.flow_coordinates(X.edge_gset.move(g, circ)))
     source = direct_sum_many([fl_sub.glattice] + [regular(G) for _ in range(m)])
     matrix = IntMatrix.from_columns(cols, rows=fl.rank)
     iso = EquivariantMap(source, fl.glattice, matrix)
@@ -598,11 +553,7 @@ def remove_edges_decomposition(X: GGraph, X_sub: GGraph) -> EquivariantMap:
 
 def restrict_graph_group(X: GGraph, H: Subgroup) -> GGraph:
     """The same graph seen as an H-graph for a subgroup H."""
-    if H.parent is not X.group:
-        raise InvalidParameterError("subgroup belongs to a different group")
-    Hgrp, embed = H.as_group()
-    vset = GSet(Hgrp, [X.vertices.action[g] for g in embed], X.vertices.point_names)
-    return GGraph(vset, X.edges, [X.edge_action[g] for g in embed])
+    return GGraph(X.vertices.restrict_group(H), X.edges, X.edge_gset.restrict_group(H).action)
 
 
 def restrict_to_subgroup_decomposition(
@@ -632,15 +583,13 @@ def restrict_to_subgroup_decomposition(
     inner = [idx[(h, G.table[h][s0])] for s0 in dict.fromkeys(S0) for h in H.elements]
 
     # connect the H-orbits (right cosets) by a BFS tree of matching orbits
-    orbit_of = {}
-    for o_i, orbit in enumerate(XH.vertices.orbits()):
-        for v in orbit:
-            orbit_of[v] = o_i
-    root = orbit_of[G.identity]
-    seen = {root}
+    vertex_orbits = XH.vertices.orbits()
+    orbit_of = {v: o_i for o_i, orbit in enumerate(vertex_orbits) for v in orbit}
+    edge_orbit = {e: orbit for orbit in XH.edge_orbits() for e in orbit}
+    seen = {orbit_of[G.identity]}
     tree_edges: List[int] = []
     # grow a tree over the coset orbits, scanning edges in listed order
-    while len(seen) < len(XH.vertices.orbits()):
+    while len(seen) < len(vertex_orbits):
         progressed = False
         for e, (s, t) in enumerate(X.edges):
             os, ot = orbit_of[s], orbit_of[t]
@@ -648,7 +597,7 @@ def restrict_to_subgroup_decomposition(
                 new = ot if os in seen else os
                 seen.add(new)
                 # the whole H-orbit of e is a matching between the two cosets
-                tree_edges.extend(sorted({XH.edge_action[h][e] for h in range(Hgrp.order)}))
+                tree_edges.extend(edge_orbit[e])
                 progressed = True
         if not progressed:
             raise InvalidParameterError("cosets cannot be connected inside the graph")
@@ -737,14 +686,7 @@ def remove_orbit_with_map(
                 )
 
     rest = sorted(v for v in range(vertices.size) if v not in vi_set)
-    rest_pos = {v: i for i, v in enumerate(rest)}
-    sub_action = []
-    for g in range(vertices.group.order):
-        sub_action.append(tuple(rest_pos[vertices.apply(g, v)] for v in rest))
-    vset_rest = GSet(
-        vertices.group, sub_action, [vertices.point_names[v] for v in rest]
-    )
-    X_rest = complete_edges(vset_rest, loops=loops)
+    X_rest = complete_edges(vertices.restrict(rest), loops=loops)
 
     edges = [
         (rest[s], rest[t]) for (s, t) in X_rest.edges

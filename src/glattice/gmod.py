@@ -116,20 +116,19 @@ class EquivariantMap:
                 f"({self.target.rank}, {self.source.rank})"
             )
 
-    def equivariance_failure(self, elements: Optional[Sequence[int]] = None) -> Optional[int]:
-        """First element where target_action @ F != F @ source_action.
+    def equivariance_failure(self) -> Optional[int]:
+        """First generator where target_action @ F != F @ source_action.
 
-        The default checks the group's generators, which suffices because
-        both actions are homomorphisms: commutation propagates along products.
+        Generators suffice because both actions are homomorphisms:
+        commutation propagates along products.
         """
-        todo = self.source.group.generators if elements is None else elements
-        for g in todo:
+        for g in self.source.group.generators:
             if self.target.action[g] @ self.matrix != self.matrix @ self.source.action[g]:
                 return g
         return None
 
-    def validate(self, elements: Optional[Sequence[int]] = None) -> "EquivariantMap":
-        g = self.equivariance_failure(elements)
+    def validate(self) -> "EquivariantMap":
+        g = self.equivariance_failure()
         if g is not None:
             raise InvalidParameterError(f"map is not equivariant at element {g}")
         return self

@@ -505,6 +505,36 @@ class GSet:
     def apply(self, g: int, x: int) -> int:
         return self.action[g][x]
 
+    def move(self, g: int, vec: Sequence[int]) -> List[int]:
+        """The point-indexed vector g . vec: the entry at x moves to g x."""
+        perm = self.action[g]
+        out = [0] * self.size
+        for x, c in enumerate(vec):
+            if c:
+                out[perm[x]] = c
+        return out
+
+    def restrict(self, points: Sequence[int]) -> "GSet":
+        """The G-set on a stable subset of points, renumbered in increasing order."""
+        keep = sorted(set(int(x) for x in points))
+        if any(not 0 <= x < self.size for x in keep):
+            raise InvalidParameterError("point out of range")
+        pos = {x: i for i, x in enumerate(keep)}
+        action = []
+        for g, perm in enumerate(self.action):
+            moved = tuple(pos.get(perm[x]) for x in keep)
+            if None in moved:
+                raise InvalidParameterError(f"point subset not stable under element {g}")
+            action.append(moved)
+        return GSet(self.group, action, [self.point_names[x] for x in keep])
+
+    def restrict_group(self, H: Subgroup) -> "GSet":
+        """The same points as a G-set over the subgroup H (see Subgroup.as_group)."""
+        if H.parent is not self.group:
+            raise InvalidParameterError("subgroup belongs to a different group")
+        Hgrp, embed = H.as_group()
+        return GSet(Hgrp, [self.action[g] for g in embed], self.point_names)
+
     def orbits(self) -> List[Tuple[int, ...]]:
         seen = [False] * self.size
         out = []
@@ -564,19 +594,9 @@ def coset_gset(G: FiniteGroup, H: Subgroup) -> GSet:
     """Left cosets gH under left translation; points sorted by minimal element."""
     if H.parent is not G:
         raise InvalidParameterError("subgroup belongs to a different group")
-    hset = set(H.elements)
-    coset_of = {}
-    reps = []
-    for g in range(G.order):
-        if g in coset_of:
-            continue
-        members = sorted(G.table[g][h] for h in hset)
-        for x in members:
-            coset_of[x] = len(reps)
-        reps.append(members[0])
-    action = []
-    for g in range(G.order):
-        action.append(tuple(coset_of[G.table[g][rep]] for rep in reps))
+    reps = left_coset_reps(G, H)
+    coset_of = {G.table[rep][h]: i for i, rep in enumerate(reps) for h in H.elements}
+    action = [tuple(coset_of[G.table[g][rep]] for rep in reps) for g in range(G.order)]
     names = [f"{G.element_names[rep]}H" for rep in reps]
     return GSet(G, action, names)
 

@@ -5,12 +5,18 @@ library itself: the determinant, the Smith form with both transforms,
 Tate groups from coordinates in the saturated fixed or norm-kernel
 lattice, the cyclic formula for degree 1 Tate cohomology, sections by
 group averaging with a congruence solve modulo |G|, the identity map,
-and the Shapiro construction of equivariant maps out of a permutation
-lattice.
+the Shapiro construction of equivariant maps out of a permutation
+lattice, and the G-set operations as they were once written out where
+they were used: edge orbits by scanning every element, cosets by their
+own enumeration, a vector moved by a loop, the action on a stable edge
+subset, the two breadth-first searches of spanning trees and path
+flows, orbit counts point by point, and the coinvariant projection as a
+left kernel.
 """
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from glattice.cohom import TateGroup, hom_basis, hom_basis_into_permutation
 from glattice.errors import InvalidParameterError
@@ -22,7 +28,7 @@ from glattice.gmod import (
     fixed_sublattice,
     norm_matrix,
 )
-from glattice.groups import Subgroup, prime_factorization
+from glattice.groups import FiniteGroup, GSet, Subgroup, prime_factorization
 from glattice.intlinalg import (
     BasisSolver,
     IntMatrix,
@@ -377,3 +383,142 @@ def shapiro_hom_basis(C: GLattice, A: GLattice) -> List[IntMatrix]:
                     m.a[i, p] = col[i]
             out.append(m)
     return out
+
+
+def edge_orbits_by_scan(X) -> List[Tuple[int, ...]]:
+    """Edge orbits of a G-graph, each from the images of its smallest edge."""
+    seen = [False] * X.n_edges
+    out = []
+    for e in range(X.n_edges):
+        if seen[e]:
+            continue
+        orbit = sorted({X.edge_action[g][e] for g in range(X.group.order)})
+        for x in orbit:
+            seen[x] = True
+        out.append(tuple(orbit))
+    return out
+
+
+def coset_gset_by_scan(G: FiniteGroup, H: Subgroup) -> GSet:
+    """Left cosets gH, enumerated in order of their smallest element."""
+    coset_of = {}
+    reps = []
+    for g in range(G.order):
+        if g in coset_of:
+            continue
+        members = sorted(G.table[g][h] for h in H.elements)
+        for x in members:
+            coset_of[x] = len(reps)
+        reps.append(members[0])
+    action = [tuple(coset_of[G.table[g][rep]] for rep in reps) for g in range(G.order)]
+    return GSet(G, action, [f"{G.element_names[rep]}H" for rep in reps])
+
+
+def move_by_loop(perm: Sequence[int], vec: Sequence[int]) -> List[int]:
+    """The vector whose entry at perm[k] is vec[k]."""
+    out = [0] * len(vec)
+    for k, c in enumerate(vec):
+        out[perm[k]] += c
+    return out
+
+
+def stable_subset_action(points: GSet, subset: Sequence[int]) -> List[Tuple[int, ...]]:
+    """The action on a stable subset of points, renumbered in increasing order."""
+    keep = sorted(set(int(x) for x in subset))
+    pos = {x: i for i, x in enumerate(keep)}
+    action = []
+    for g in range(points.group.order):
+        perm = []
+        for x in keep:
+            moved = points.action[g][x]
+            if moved not in pos:
+                raise InvalidParameterError(f"subset not stable under element {g}")
+            perm.append(pos[moved])
+        action.append(tuple(perm))
+    return action
+
+
+def _incident(X, allowed: Sequence[int]) -> List[List[int]]:
+    incident: List[List[int]] = [[] for _ in range(X.n_vertices)]
+    for e in allowed:
+        s, t = X.edges[e]
+        incident[s].append(e)
+        if t != s:
+            incident[t].append(e)
+    return incident
+
+
+def spanning_tree_by_bfs(X, allowed_edges=None) -> List[int]:
+    """BFS spanning tree from vertex 0, scanning edges in listed order."""
+    allowed = list(range(X.n_edges)) if allowed_edges is None else list(allowed_edges)
+    incident = _incident(X, allowed)
+    seen = [False] * X.n_vertices
+    seen[0] = True
+    tree = []
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for e in incident[v]:
+            s, t = X.edges[e]
+            w = t if s == v else s
+            if not seen[w]:
+                seen[w] = True
+                tree.append(e)
+                queue.append(w)
+    if not all(seen):
+        raise InvalidParameterError("graph is disconnected; no spanning tree")
+    return sorted(tree)
+
+
+def path_flow_by_bfs(X, src: int, dst: int, allowed_edges=None) -> List[int]:
+    """Unit flow along the BFS path src -> dst, the search stopping at dst."""
+    allowed = list(range(X.n_edges)) if allowed_edges is None else list(allowed_edges)
+    incident = _incident(X, allowed)
+    prev: List[Optional[Tuple[int, int]]] = [None] * X.n_vertices
+    seen = [False] * X.n_vertices
+    seen[src] = True
+    queue = deque([src])
+    while queue and not seen[dst]:
+        v = queue.popleft()
+        for e in incident[v]:
+            s, t = X.edges[e]
+            w = t if s == v else s
+            if not seen[w]:
+                seen[w] = True
+                prev[w] = (e, 1 if s == v else -1)
+                queue.append(w)
+    if not seen[dst]:
+        raise InvalidParameterError(f"no path from {src} to {dst} in allowed edges")
+    vec = [0] * X.n_edges
+    v = dst
+    while v != src:
+        e, sign = prev[v]
+        vec[e] += sign
+        s, t = X.edges[e]
+        v = s if sign == 1 else t
+    return vec
+
+
+def orbit_count(points: GSet, K: Subgroup) -> int:
+    """Number of K-orbits on a G-set, counted point by point."""
+    seen = set()
+    orbits = 0
+    for x in range(points.size):
+        if x in seen:
+            continue
+        orbits += 1
+        seen.update(points.apply(g, x) for g in K.elements)
+    return orbits
+
+
+def coinvariant_projection_left_kernel(M: GLattice) -> IntMatrix:
+    """Rows spanning the saturated left kernel of the s - 1, side by side
+    over the generators s of G (the identity for the trivial group)."""
+    eye = IntMatrix.identity(M.rank)
+    stacked = None
+    for g in M.group.generators:
+        block = M.action[g] - eye
+        stacked = block if stacked is None else stacked.hstack(block)
+    if stacked is None:
+        return eye
+    return kernel_basis(stacked.T).T

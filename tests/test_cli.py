@@ -17,7 +17,7 @@ from glattice.cli import (
     parse_subgroup_spec,
     run_check,
 )
-from glattice.errors import SpecParseError
+from glattice.errors import CertificateError, SpecParseError
 
 
 def run_cli(argv):
@@ -108,6 +108,23 @@ class TestExitCodes:
     def test_missing_check_params(self):
         code, _ = run_cli(["check", "kernel-generators"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "exc",
+        [CertificateError("the section is a right inverse"), AttributeError("no attribute x")],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_internal_error_exits_three_without_traceback(self, monkeypatch, capsys, exc):
+        def runner(params):
+            raise exc
+
+        monkeypatch.setitem(CHECKS, "rank-formula", runner)
+        code, out = run_cli(["check", "rank-formula"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert out == ""
+        assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+        assert "Traceback" not in err
 
 
 class TestCommands:

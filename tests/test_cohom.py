@@ -471,7 +471,8 @@ class TestHomBasis:
                 assert len(got) == len(want) > 0
                 assert self.flat_span(got, A, C) == self.flat_span(want, A, C)
                 for m in got:
-                    assert EquivariantMap(C, A, m).equivariance_failure(G.elements()) is None
+                    for g in G.elements():
+                        assert A.action[g] @ m == m @ C.action[g]
 
 
 class TestPermutationSearch:
@@ -479,6 +480,22 @@ class TestPermutationSearch:
         out = is_permutation_bounded(trivial(cyclic(3)), 1)
         assert out
         assert out.witness == IntMatrix.identity(1)
+
+    @pytest.mark.parametrize(
+        "G", [cyclic(3), semidirect(3, 2, 2), dihedral(4)], ids=["C:3", "SD:3,2,2", "D:4"]
+    )
+    def test_permutation_lattice_orbits_partition_the_basis(self, G):
+        reps = subgroup_conjugacy_reps(G)
+        lattices = [trivial(G), regular(G)] + [coset_lattice(G, H) for H in reps]
+        # the same matrices, built by a caller and carrying no G-set
+        lattices.append(GLattice(G, coset_lattice(G, reps[1]).action))
+        for M in lattices:
+            out = is_permutation_bounded(M)
+            assert sorted(x for orbit in out.orbits for x in orbit) == list(range(M.rank))
+            if M.gset is not None:
+                assert out.orbits == [list(orbit) for orbit in M.gset.orbits()]
+        assert is_permutation_bounded(trivial(G)).orbits == [[0]]
+        assert [len(o) for o in is_permutation_bounded(lattices[-1]).orbits] == [reps[1].index()]
 
     def test_conjugated_regular_recovered(self):
         C3 = cyclic(3)

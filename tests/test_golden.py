@@ -11,6 +11,7 @@ digests with
 and replace the pinned values.
 """
 
+import contextlib
 import hashlib
 import io
 import re
@@ -48,12 +49,29 @@ COMMANDS = [
         "json": "8a60c944be04b8195b3106f2416350cca576acdcb5b3b1b2e2f33f66b0165505",
     }),
     (["certify", "--group", "C:6", "--lattice", "flows:cayley", "--kind", "invertible"], {
-        "text": "f62757cfafc8519ec9102d92041ff748c131c940ed964acaddabe74c419f2033",
-        "json": "3906e43f76248e8a7b0458ef382a003cde1b001dd5388048280e3a3a4caf2dc4",
+        "text": "20823e30aa930be19b7a3b33bcd8ce41d94de6debe74389d727b9026d5b7f76c",
+        "json": "88aafe3ee68132e1917e5e4d8b99979ec1646a3334ef03e1bf943cbc12a9af5d",
     }),
     (["certify", "--group", "D:4", "--lattice", "flows:cayley", "--kind", "invertible"], {
         "text": "fb1001ed3dbf6e7c11e23595c69ec27961fc53b65367288a02f5c4b737675c98",
         "json": "2d939c4a3b3838e6844d617287fd0da639089ffc9acfd7bda0b3966fde6073c8",
+    }),
+    (["flows", "--graph", "cosets(S:4;(12))"], {
+        "text": "58e3500b9fbc352e92a091e7b5550fbc1f1a3a43b3ef1f50d910a1bf14c71d12",
+        "json": "fb436bfafea53c5899b12ea7fa46d134ec845ff009e805e5a30a9cb8ed224a94",
+    }),
+    (["flows", "--graph", "complete(cosets(D:4;t);loops=0)"], {
+        "text": "bdc9964d5fe5658c0379f152dc1b4f327df1d32d446f35669623b1661baed014",
+        "json": "bdc5f7da63231176e09221aed2c692391fa551eb4fd8ab107dbe98bfc3fe1183",
+    }),
+    (["certify", "--group", "D:2", "--lattice", "flows:cayley", "--kind", "permutation"], {
+        "text": "dd91d33bbf4e25db6e0248cc1c6fdc1c252bcc2678c42249a4991446a8e76234",
+        "json": "cfbed92aa6d72252f9c55377aac436fe591d5a044fc805089e88736204a9390a",
+    }),
+    (["certify", "--group", "C:3", "--lattice", "flows:complete(regular(C:3);loops=0)",
+      "--kind", "permutation"], {
+        "text": "ed8722eb1ecc0ef1e96fb4eaf695175e1d2abc44df81f98da1391cdca05c6bf7",
+        "json": "f6ca19ffb3a86537ba43489067053ddf06d40a851cbd34bb3e734b10db30855a",
     }),
     (["certify", "--group", "C:2", "--lattice", "sign", "--kind", "permutation"], {
         "text": "de6040d121a4ecc0b4a9c9bee7d3231f8020eda8eff4002cc9ae13c28abed445",
@@ -130,6 +148,22 @@ def test_suite_quick_output_unchanged():
 )
 def test_command_output_unchanged(argv, digest):
     assert output_digest(argv) == digest
+
+
+# A malformed spec: (argv, exit code, digest of stderr), stdout empty.
+USAGE_ERRORS = [
+    (["flows", "--graph", "cosets(S:4"], 2,
+     "03601d0b7942b6b9fdd0cdf1e74ca7e40de507b57b86a1940d2fedad9bae8c8c"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", USAGE_ERRORS, ids=lambda v: str(v))
+def test_usage_error_unchanged(argv, code, digest):
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(argv, out=out) == code
+    assert out.getvalue() == ""
+    assert hashlib.sha256(err.getvalue().encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("output", sorted(TATE_GRID_SHA256))

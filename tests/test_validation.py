@@ -288,7 +288,6 @@ def test_equivariance_checked_on_every_generator():
     s, t = G.generators
     # a polynomial in rho(s) commutes with e and s, but not with t
     phi = EquivariantMap(M, M, IntMatrix.identity(M.rank) + M.action[s])
-    assert phi.equivariance_failure([G.identity, s]) is None
     assert phi.equivariance_failure() == t
     with pytest.raises(InvalidParameterError, match="not equivariant"):
         phi.validate()
