@@ -199,7 +199,7 @@ def check_flow_coflasque(G: FiniteGroup, gens: Sequence[int]) -> CheckReport:
     )
     bd = boundary_matrix(X)
     I_lat, I_incl = augmentation_kernel(bd.target)
-    coords = BasisSolver(I_incl.matrix).express_matrix(bd.matrix)
+    coords = BasisSolver.of_hermite(I_incl.matrix).express_matrix(bd.matrix)
     ck.record("boundary lands in the augmentation sublattice", coords is not None)
     if coords is not None:
         seq = ShortExactSequence(
@@ -220,20 +220,69 @@ def check_flow_coflasque(G: FiniteGroup, gens: Sequence[int]) -> CheckReport:
 # -- bar basis and the cocycle identity ----------------------------------------------
 
 
-def _bar_flow(X: GGraph, G: FiniteGroup, g: int, h: int) -> Tuple[int, ...]:
-    """d(g, h) = (e -> g -> gh) - (e -> gh) with loops dropped as zero."""
+Flow = Dict[int, int]  # a sparse edge vector: {edge: nonzero coefficient}
+
+
+def _sum_flows(*flows: Flow) -> Flow:
+    out: Flow = {}
+    for f in flows:
+        for k, c in f.items():
+            out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _bar_flows(X: GGraph, G: FiniteGroup) -> Dict[Tuple[int, int], Flow]:
+    """d(g, h) = (e -> g -> gh) - (e -> gh), loops dropped as zero, for all g, h.
+
+    X is the Cayley graph on the non-identity elements, so each d(g, h)
+    has at most three edges.
+    """
     e = G.identity
-    if g == e or h == e:
-        return tuple([0] * X.n_edges)
-    gh = G.mul(g, h)
-    steps = []
-    if g != e:
-        steps.append((e, g, 1))
-    if g != gh:
-        steps.append((g, gh, 1))
-    if gh != e:
-        steps.append((e, gh, -1))
-    return tuple(_edge_vector(X, steps))
+    idx = X.edge_index()
+    d: Dict[Tuple[int, int], Flow] = {}
+    for g in G.elements():
+        for h in G.elements():
+            gh = G.mul(g, h)
+            # three distinct edges when g, h != e; (e, gh) is a loop when gh = e
+            steps = [] if e in (g, h) else [(e, g, 1), (g, gh, 1), (e, gh, -1)]
+            d[(g, h)] = {idx[(s, t)]: c for s, t, c in steps if s != t}
+    return d
+
+
+def _cocycle_failures(X: GGraph, G: FiniteGroup, d: Dict[Tuple[int, int], Flow]) -> int:
+    """Triples with d(g1, g2) + d(g1 g2, g3) != d(g1, g2 g3) + g1 . d(g2, g3)."""
+    failures = 0
+    for g1 in G.elements():
+        perm = X.edge_action[g1]
+        for g2 in G.elements():
+            g12 = G.mul(g1, g2)
+            for g3 in G.elements():
+                moved = {perm[k]: c for k, c in d[(g2, g3)].items()}
+                if _sum_flows(d[(g1, g2)], d[(g12, g3)]) != _sum_flows(
+                    d[(g1, G.mul(g2, g3))], moved
+                ):
+                    failures += 1
+    return failures
+
+
+def _tree_recursion_failures(
+    X: GGraph, G: FiniteGroup, d: Dict[Tuple[int, int], Flow]
+) -> int:
+    """Pairs with d(h, g) != [e -> h] + h . [e -> g] - [e -> hg] on the star-tree edges."""
+    e = G.identity
+    idx = X.edge_index()
+
+    def edge_unit(g: int, c: int = 1) -> Flow:
+        return {idx[(e, g)]: c} if g != e else {}
+
+    bad = 0
+    for h in G.elements():
+        perm = X.edge_action[h]
+        for g in G.elements():
+            moved = {perm[k]: c for k, c in edge_unit(g).items()}
+            if d[(h, g)] != _sum_flows(edge_unit(h), moved, edge_unit(G.mul(h, g), -1)):
+                bad += 1
+    return bad
 
 
 def check_bar_cocycle(G: FiniteGroup) -> CheckReport:
@@ -246,11 +295,16 @@ def check_bar_cocycle(G: FiniteGroup) -> CheckReport:
     X = cayley_graph(G, nonid)
     idx = X.edge_index()
     star_tree = [idx[(e, g)] for g in nonid]
-    non_tree = [k for k in range(X.n_edges) if k not in set(star_tree)]
+    star_set = set(star_tree)
+    d = _bar_flows(X, G)
     candidates = []
-    for k in non_tree:
-        u, v = X.edges[k]
-        candidates.append(list(_bar_flow(X, G, u, G.mul(G.inverses[u], v))))
+    for k in range(X.n_edges):
+        if k not in star_set:
+            u, v = X.edges[k]
+            vec = [0] * X.n_edges
+            for edge, c in d[(u, G.mul(G.inverses[u], v))].items():
+                vec[edge] = c
+            candidates.append(vec)
     try:
         fl = spanning_tree_basis(X, star_tree, candidates)
         ck.record("basis certified by the star tree", True, f"rank {fl.rank}")
@@ -258,43 +312,9 @@ def check_bar_cocycle(G: FiniteGroup) -> CheckReport:
         ck.record("basis certified by the star tree", False, str(exc))
         return ck.finish()
 
-    d: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-    for g in G.elements():
-        for h in G.elements():
-            d[(g, h)] = _bar_flow(X, G, g, h)
-    move = X.edge_gset.move
-    triples = 0
-    failures = 0
-    for g1 in G.elements():
-        for g2 in G.elements():
-            for g3 in G.elements():
-                lhs = tuple(
-                    a + b for a, b in zip(d[(g1, g2)], d[(G.mul(g1, g2), g3)])
-                )
-                rhs = tuple(
-                    a + b for a, b in zip(d[(g1, G.mul(g2, g3))], move(g1, d[(g2, g3)]))
-                )
-                triples += 1
-                if lhs != rhs:
-                    failures += 1
-    ck.record("two cocycle condition", failures == 0, f"{triples} triples")
-
-    def edge_unit(g: int) -> Tuple[int, ...]:
-        vec = [0] * X.n_edges
-        if g != e:
-            vec[idx[(e, g)]] = 1
-        return tuple(vec)
-
-    bad = 0
-    for h in G.elements():
-        for g in G.elements():
-            lhs = d[(h, g)]
-            rhs = tuple(
-                a + b - c
-                for a, b, c in zip(edge_unit(h), move(h, edge_unit(g)), edge_unit(G.mul(h, g)))
-            )
-            if lhs != rhs:
-                bad += 1
+    failures = _cocycle_failures(X, G, d)
+    ck.record("two cocycle condition", failures == 0, f"{G.order ** 3} triples")
+    bad = _tree_recursion_failures(X, G, d)
     ck.record("tree-edge recursion at the edge level", bad == 0, f"{G.order ** 2} pairs")
     return ck.finish()
 
@@ -476,7 +496,9 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
     pi.validate()
 
     kernel = kernel_basis(pi.matrix)
-    K, K_incl = sublattice_with_action(B, kernel, name="ker(pi)")
+    K, K_incl = sublattice_with_action(
+        B, kernel, name="ker(pi)", solver=BasisSolver.of_hermite(kernel)
+    )
 
     # the listed kernel elements, in the coordinates of B
     off_s, off_t, off_g = 0, m, m + n
@@ -541,7 +563,7 @@ def check_kernel_generators(n: int, m: int, r: int) -> CheckReport:
         f"rank {data.kernel_matrix.cols}",
     )
 
-    solver = BasisSolver(data.kernel_matrix)
+    solver = BasisSolver.of_hermite(data.kernel_matrix)
     u_in_K = solver.express_matrix(data.u_vectors)
     ck.record("norm-type elements generate a submodule", u_in_K is not None)
     M0, M0_incl = sublattice_with_action(data.K, u_in_K, name="M0")
@@ -557,7 +579,7 @@ def check_kernel_generators(n: int, m: int, r: int) -> CheckReport:
     Lt = coset_lattice(G, data.Ht)
     I_lat, I_incl = augmentation_kernel(Lt)
     block = data.kernel_matrix.take_rows(range(off_t, off_t + n))
-    phi_cols = BasisSolver(I_incl.matrix).express_matrix(block)
+    phi_cols = BasisSolver.of_hermite(I_incl.matrix).express_matrix(block)
     ck.record("kernel projects into the augmentation sublattice", phi_cols is not None)
     if phi_cols is not None:
         phi = EquivariantMap(data.K, I_lat, phi_cols)
@@ -605,7 +627,7 @@ def check_faithful_transfer(n: int, m: int, r: int) -> CheckReport:
     I_lat, I_incl = augmentation_kernel(Lt)
     off_t = m
     block = data.kernel_matrix.take_rows(range(off_t, off_t + n))
-    phi_cols = BasisSolver(I_incl.matrix).express_matrix(block)
+    phi_cols = BasisSolver.of_hermite(I_incl.matrix).express_matrix(block)
     certify(phi_cols is not None, "the kernel block lies in the augmentation sublattice")
     phi = EquivariantMap(data.K, I_lat, phi_cols)
 
@@ -613,7 +635,7 @@ def check_faithful_transfer(n: int, m: int, r: int) -> CheckReport:
     Vt = coset_gset(G, data.Ht)
     Xt = complete_edges(Vt, loops=False)
     bd = boundary_matrix(Xt)
-    psi_cols = BasisSolver(I_incl.matrix).express_matrix(bd.matrix)
+    psi_cols = BasisSolver.of_hermite(I_incl.matrix).express_matrix(bd.matrix)
     certify(psi_cols is not None, "the coset boundary lies in the augmentation sublattice")
     P = bd.source
     psi = EquivariantMap(P, I_lat, psi_cols)
@@ -624,10 +646,10 @@ def check_faithful_transfer(n: int, m: int, r: int) -> CheckReport:
     Q, p_ker, p_P, q_incl = pullback(phi, psi)
     ck.record("pullback rank", Q.rank == data.K.rank + P.rank - I_lat.rank,
               f"rank {Q.rank}")
-    q_solver = BasisSolver(q_incl.matrix)
+    q_solver = BasisSolver.of_hermite(q_incl.matrix)
 
     # middle row 0 -> Z[G/s] -> Q -> P -> 0 splits
-    u_in_K = BasisSolver(data.kernel_matrix).express_matrix(data.u_vectors)
+    u_in_K = BasisSolver.of_hermite(data.kernel_matrix).express_matrix(data.u_vectors)
     certify(u_in_K is not None, "the u vectors lie in the kernel")
     Ls = coset_lattice(G, data.Hs)
     amb = IntMatrix.zeros(data.K.rank + P.rank, m)
@@ -718,7 +740,7 @@ def check_schanuel(M: GLattice, group_spec: str, lattice_spec: str) -> CheckRepo
     ck.record("two resolutions built", True,
               f"middles of rank {r1.sequence.B.rank} and {r2.sequence.B.rank}")
     Q, p1, p2, q_incl = pullback(r1.sequence.right, r2.sequence.right)
-    q_solver = BasisSolver(q_incl.matrix)
+    q_solver = BasisSolver.of_hermite(q_incl.matrix)
     b1 = r1.sequence.B.rank
 
     def embed(cert: ResolutionCertificate, into_first: bool) -> EquivariantMap:

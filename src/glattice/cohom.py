@@ -48,6 +48,7 @@ from .intlinalg import (
     IntMatrix,
     bezout_coefficients,
     cokernel_invariants,
+    independent_columns_mod_prime,
     is_saturated_basis,
     kernel_basis,
 )
@@ -212,7 +213,9 @@ def coflasque_resolution(
         pi_cols.extend(block)
     pi = EquivariantMap(P, M, IntMatrix.from_columns(pi_cols, rows=M.rank))
     kernel = kernel_basis(pi.matrix)
-    C, incl = sublattice_with_action(P, kernel, name="coflasque kernel")
+    C, incl = sublattice_with_action(
+        P, kernel, name="coflasque kernel", solver=BasisSolver.of_hermite(kernel)
+    )
     cert = ResolutionCertificate(
         sequence=ShortExactSequence(incl, pi),
         kind="coflasque",
@@ -247,14 +250,17 @@ def pullback(
     """Fibre product {(x, y): f(x) = g(y)}.
 
     Returns the pullback lattice, its two projections, and the inclusion
-    into the ambient direct sum of the sources.
+    into the ambient direct sum of the sources, whose matrix is the
+    canonical (column Hermite) basis of the kernel of [f | -g].
     """
     if not lattices_equal(f.target, g.target):
         raise InvalidParameterError("pullback legs must share the target")
     big = f.matrix.hstack(-g.matrix)
     K = kernel_basis(big)
     ambient = direct_sum(f.source, g.source)
-    Q, incl = sublattice_with_action(ambient, K, name="pullback")
+    Q, incl = sublattice_with_action(
+        ambient, K, name="pullback", solver=BasisSolver.of_hermite(K)
+    )
     b1 = f.source.rank
     p1 = EquivariantMap(Q, f.source, K.take_rows(range(b1)))
     p2 = EquivariantMap(Q, g.source, K.take_rows(range(b1, ambient.rank)))
@@ -275,16 +281,12 @@ def hom_basis_into_permutation(C: GLattice, B: GLattice) -> List[IntMatrix]:
     Cd = dual(C)
     out = []
     for base, transversal in B.gset.orbit_transversal():
-        stab = B.gset.stabilizer(base)
-        fixed = fixed_sublattice(Cd, stab)
-        for j in range(fixed.cols):
-            f = fixed.col_list(j)
-            m = IntMatrix.zeros(B.rank, C.rank)
-            for p, g in transversal:
-                row = Cd.action[g].mul_vector(f)
-                for i in range(C.rank):
-                    m.a[p, i] = row[i]
-            out.append(m)
+        fixed = fixed_sublattice(Cd, B.gset.stabilizer(base))
+        homs = np.zeros((fixed.cols, B.rank, C.rank), dtype=object)
+        for p, g in transversal:
+            # column j is the row of point p in the j-th map
+            homs[:, p, :] = (Cd.action[g] @ fixed).a.T
+        out.extend(IntMatrix(m) for m in homs)
     return out
 
 
@@ -354,6 +356,18 @@ def _find_section_orbitwise(seq: ShortExactSequence) -> Optional[EquivariantMap]
     return section
 
 
+def _orbit_spanning_basis(C: GLattice) -> List[int]:
+    """Indices l whose basis vectors e_l have G-orbits spanning C over Q.
+
+    An equivariant map out of C that vanishes on these orbits vanishes on
+    a sublattice of full rank, hence on all of C.
+    """
+    n = C.group.order
+    # column l * n + g is g e_l
+    orbits = np.stack([m.a for m in C.action], axis=2).reshape(C.rank, C.rank * n)
+    return sorted({j // n for j in independent_columns_mod_prime(IntMatrix(orbits))})
+
+
 def find_section(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     """An equivariant s: C -> B with right . s = id, or None when none exists.
 
@@ -361,7 +375,10 @@ def find_section(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     are the equivariant maps that the quotient map sends to the identity:
     with h_k a Z-basis of Hom_G(C, B), a section exists exactly when
     vec(id) is an integer combination of the vec(right . h_k), which is
-    one integer solve, decisive both ways.
+    one integer solve, decisive both ways.  Since right . s - id is
+    equivariant, the equations on the columns of a few basis vectors whose
+    orbits span C over Q decide it (see _orbit_spanning_basis).  The
+    exactness report is the one the sequence already carries, if any.
     """
     report = check_exact(seq)
     if not report.ok:
@@ -374,13 +391,21 @@ def find_section(seq: ShortExactSequence) -> Optional[EquivariantMap]:
         homs = hom_basis_into_permutation(C, B)
     else:
         homs = hom_basis(C, B)
-    images = IntMatrix.from_columns([(pi @ h).entries for h in homs], rows=C.rank ** 2)
-    x = BasisSolver(images).express(IntMatrix.identity(C.rank).entries)
+    c, k = C.rank, len(homs)
+    stacked = np.zeros((B.rank, k, c), dtype=object)  # stacked[:, j, :] is h_j
+    for j, h in enumerate(homs):
+        stacked[:, j, :] = h.a
+    J = _orbit_spanning_basis(C)
+    images = (pi @ IntMatrix(stacked[:, :, J].reshape(B.rank, k * len(J)))).a
+    # one equation per entry (i, l), l in J: sum_j x_j (right . h_j)[i, l] = id[i, l]
+    equations = np.concatenate(
+        [images.reshape(c, k, len(J)).transpose(0, 2, 1), IntMatrix.identity(c).a[:, J, None]],
+        axis=2,
+    ).reshape(c * len(J), k + 1)
+    x = BasisSolver(IntMatrix(equations[:, :k])).express(equations[:, k].tolist())
     if x is None:
         return None
-    c = C.rank
-    flat = IntMatrix.from_columns([h.entries for h in homs], rows=B.rank * c).mul_vector(x)
-    s_matrix = IntMatrix.from_rows([flat[i : i + c] for i in range(0, len(flat), c)], cols=c)
+    s_matrix = IntMatrix((stacked * np.array(x, dtype=object)[None, :, None]).sum(axis=1))
     section = EquivariantMap(C, B, s_matrix)
     section.validate()
     certify((pi @ s_matrix).is_identity(), "the section is a right inverse of the quotient map")
@@ -392,7 +417,8 @@ def split_iso_from_section(
 ) -> EquivariantMap:
     """The unimodular iso A + C -> B assembled from inclusion and section.
 
-    Its inverse is constructed explicitly, which certifies unimodularity.
+    Its inverse is constructed explicitly, which certifies unimodularity;
+    the iso keeps it, so ``inverse`` and ``is_unimodular`` read it back.
     """
     A, B, C = seq.A, seq.B, seq.C
     fwd_matrix = seq.left.matrix.hstack(section.matrix)
@@ -405,6 +431,7 @@ def split_iso_from_section(
     certify((fwd_matrix @ back).is_identity(), "the split map has the constructed inverse")
     certify((back @ fwd_matrix).is_identity(), "the split map has the constructed inverse")
     fwd.validate()
+    fwd._inverse = back
     return fwd
 
 

@@ -29,6 +29,7 @@ from .intlinalg import (
     BasisSolver,
     IntMatrix,
     bezout_coefficients,
+    col_hermite,
     column_span_canonical,
     drop_zero_columns,
     kernel_basis,
@@ -232,15 +233,39 @@ class FlowLattice:
 
 
 def flow_lattice(X: GGraph) -> FlowLattice:
-    """Flow lattice of a connected G-graph (disconnected graphs rejected)."""
+    """Flow lattice of a connected G-graph (disconnected graphs rejected).
+
+    The fundamental cycles of the BFS tree from vertex 0 (see _bfs) are a
+    Z-basis of the flows: each non-tree edge, forward, closed by the tree
+    path back to its source.  Their column Hermite form is therefore the
+    canonical basis of the kernel of the boundary map, and it is its own
+    Hermite form for the solver.
+    """
     if not X.is_connected():
         raise InvalidParameterError(
             f"graph is disconnected; components: {X.components()}"
         )
-    basis = kernel_basis(boundary_matrix(X).matrix)
-    solver = BasisSolver(basis)
-    glat, incl = sublattice_with_action(X.edge_lattice(), basis, name="Fl", solver=solver)
-    fl = FlowLattice(X, basis, glat, incl, solver)
+    prev = _bfs(X, 0)
+    tree = {p[0] for p in prev if p is not None}
+
+    def add_root_path(vec: List[int], v: int, c: int) -> None:
+        # add c times the unit flow along the tree path from vertex 0 to v
+        while v != 0:
+            e, sign = prev[v]
+            vec[e] += c * sign
+            s, t = X.edges[e]
+            v = s if sign == 1 else t
+
+    cycles = []
+    for e, (s, t) in enumerate(X.edges):
+        if e not in tree:
+            vec = [0] * X.n_edges
+            vec[e] = 1
+            add_root_path(vec, s, 1)
+            add_root_path(vec, t, -1)
+            cycles.append(vec)
+    basis = col_hermite(IntMatrix.from_columns(cycles, rows=X.n_edges))
+    fl = _flow_lattice_on(X, basis, BasisSolver.of_hermite(basis))
     expected = X.n_edges - X.n_vertices + 1
     certify(fl.rank == expected, f"rank formula violated: {fl.rank} != {expected}")
     return fl
@@ -254,6 +279,11 @@ def flow_lattice_with_basis(X: GGraph, basis: IntMatrix) -> FlowLattice:
     solver = BasisSolver(basis)
     if not _spans_flows(solver, bd):
         raise InvalidParameterError("supplied columns do not span the flow lattice")
+    return _flow_lattice_on(X, basis, solver)
+
+
+def _flow_lattice_on(X: GGraph, basis: IntMatrix, solver: BasisSolver) -> FlowLattice:
+    """The flow lattice on a basis already known to span the flows."""
     glat, incl = sublattice_with_action(X.edge_lattice(), basis, name="Fl", solver=solver)
     return FlowLattice(X, basis, glat, incl, solver)
 
@@ -366,7 +396,10 @@ def spanning_tree_basis(
 
     The matrix of candidate values on the non-tree edges (in listed edge
     order) must be upper triangular with +-1 on the diagonal.  Raises
-    SpanningTreeBasisError with a diagnostic otherwise.
+    SpanningTreeBasisError with a diagnostic otherwise.  The criterion
+    proves a Z-basis of the flows: a flow is determined by its values on
+    the non-tree edges, and that minor is unimodular.  So the lattice is
+    built without a second span check.
     """
     tree = sorted(set(int(e) for e in tree_edges))
     # validate the tree: spanning and acyclic in the undirected sense
@@ -391,19 +424,25 @@ def spanning_tree_basis(
     if len({find(v) for v in range(X.n_vertices)}) != 1:
         raise InvalidParameterError("tree edges do not span the graph")
 
-    non_tree = [e for e in range(X.n_edges) if e not in set(tree)]
+    tree_set = set(tree)
+    non_tree = [e for e in range(X.n_edges) if e not in tree_set]
     r = len(non_tree)
     if len(candidates) != r:
         raise SpanningTreeBasisError(
             f"need {r} candidate flows (one per non-tree edge), got {len(candidates)}"
         )
-    bd = boundary_matrix(X).matrix
     cols = []
     for i, cand in enumerate(candidates):
         vec = list(map(int, cand))
         if len(vec) != X.n_edges:
             raise InvalidParameterError(f"candidate {i} has wrong length")
-        if any(x != 0 for x in bd.mul_vector(vec)):
+        net = [0] * X.n_vertices  # the boundary of vec
+        for e, c in enumerate(vec):
+            if c:
+                s, t = X.edges[e]
+                net[t] += c
+                net[s] -= c
+        if any(net):
             raise InvalidParameterError(f"candidate {i} violates the flow condition")
         cols.append(vec)
     for i in range(r):
@@ -418,7 +457,7 @@ def spanning_tree_basis(
                     f"matrix not upper triangular: f_{i}(e_{non_tree[j]}) != 0"
                 )
     basis = IntMatrix.from_columns(cols, rows=X.n_edges)
-    return flow_lattice_with_basis(X, basis)
+    return _flow_lattice_on(X, basis, BasisSolver(basis))
 
 
 # -- decomposition isomorphisms --------------------------------------------------

@@ -7,8 +7,8 @@ identification is carried by an explicit unimodular equivariant map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParameterError
 from .groups import FiniteGroup, GSet, Subgroup, coset_gset, left_coset_reps, regular_gset
@@ -18,6 +18,7 @@ from .intlinalg import (
     cokernel_invariants,
     col_hermite,
     column_span_canonical,
+    is_saturated_hermite,
     kernel_basis,
     solve_matrix,
 )
@@ -51,6 +52,8 @@ class GLattice:
                 raise InvalidParameterError("action matrices must be square of equal rank")
         self.gset = gset
         self.name = name
+        # fixed_sublattice results, keyed by the subgroup's elements
+        self._fixed: Dict[Tuple[int, ...], IntMatrix] = {}
         if not _derived:
             self.validate()
 
@@ -73,16 +76,15 @@ class GLattice:
                     )
 
     def is_permutation_action(self) -> bool:
-        """Whether every generator acts by a permutation matrix.
+        """Whether every generator acts by a permutation matrix: entries 0
+        and 1, a single 1 per column (an invertible such matrix permutes).
 
         The action is a homomorphism, so then every element does too.
         """
         for s in self.group.generators:
-            m = self.action[s]
-            for i in range(self.rank):
-                col = m.col_list(i)
-                if sorted(col) != [0] * (self.rank - 1) + [1]:
-                    return False
+            a = self.action[s].a
+            if not (((a == 0) | (a == 1)).all() and ((a == 1).sum(axis=0) == 1).all()):
+                return False
         return True
 
     def __repr__(self) -> str:
@@ -106,6 +108,8 @@ class EquivariantMap:
     source: GLattice
     target: GLattice
     matrix: IntMatrix
+    # the inverse matrix, once some construction has certified one
+    _inverse: Optional[IntMatrix] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source.group is not self.target.group:
@@ -137,19 +141,28 @@ class EquivariantMap:
         """self after inner (source of self must equal target of inner)."""
         if not lattices_equal(self.source, inner.target):
             raise InvalidParameterError("composition mismatch")
-        return EquivariantMap(inner.source, self.target, self.matrix @ inner.matrix)
+        out = EquivariantMap(inner.source, self.target, self.matrix @ inner.matrix)
+        if self._inverse is not None and inner._inverse is not None:
+            out._inverse = inner._inverse @ self._inverse
+        return out
 
     def is_unimodular(self) -> bool:
+        if self._inverse is not None:
+            return True
         # a square integer matrix is invertible over Z iff its Hermite form is I
         return self.matrix.rows == self.matrix.cols and col_hermite(self.matrix).is_identity()
 
     def inverse(self) -> "EquivariantMap":
-        if self.matrix.rows != self.matrix.cols:
-            raise InvalidParameterError("only square maps can be inverted")
-        inv = solve_matrix(self.matrix, IntMatrix.identity(self.matrix.rows))
+        inv = self._inverse
         if inv is None:
-            raise InvalidParameterError("map is not invertible over the integers")
-        return EquivariantMap(self.target, self.source, inv)
+            if self.matrix.rows != self.matrix.cols:
+                raise InvalidParameterError("only square maps can be inverted")
+            inv = solve_matrix(self.matrix, IntMatrix.identity(self.matrix.rows))
+            if inv is None:
+                raise InvalidParameterError("map is not invertible over the integers")
+        out = EquivariantMap(self.target, self.source, inv)
+        out._inverse = self.matrix
+        return out
 
     def apply(self, vec: Sequence[int]) -> list:
         return self.matrix.mul_vector(vec)
@@ -170,6 +183,9 @@ class ShortExactSequence:
 
     left: EquivariantMap   # A -> B
     right: EquivariantMap  # B -> C
+    _report: Optional["ExactnessReport"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not lattices_equal(self.left.target, self.right.source):
@@ -198,7 +214,18 @@ class ExactnessReport:
 
 
 def check_exact(seq: ShortExactSequence) -> ExactnessReport:
-    """Verify all short-exact-sequence invariants; name the first failures."""
+    """Verify all short-exact-sequence invariants; name the first failures.
+
+    The image of the left map equals the kernel of the right map exactly
+    when right . image = 0, the image has the kernel's rank
+    B.rank - rank(right), and the image is saturated: a saturated lattice
+    inside the kernel with its rank is the whole kernel.  The rank of the
+    right map is read off its cokernel, and saturation off the canonical
+    basis of the image, so no kernel is computed.  The report is computed
+    once per sequence and then read back.
+    """
+    if seq._report is not None:
+        return seq._report
     failures = []
     if seq.A.rank + seq.C.rank != seq.B.rank:
         failures.append(
@@ -212,14 +239,19 @@ def check_exact(seq: ShortExactSequence) -> ExactnessReport:
         failures.append(
             f"right map is not surjective (cokernel factors={factors}, free rank={free})"
         )
-    kernel = kernel_basis(seq.right.matrix)
-    if image != kernel:
+    kernel_rank = seq.B.rank - (seq.C.rank - free)
+    if not (
+        image.cols == kernel_rank
+        and (seq.right.matrix @ image).is_zero()
+        and is_saturated_hermite(image)
+    ):
         failures.append("image of left map differs from kernel of right map")
     for label, m in (("left", seq.left), ("right", seq.right)):
         g = m.equivariance_failure()
         if g is not None:
             failures.append(f"{label} map not equivariant at element {g}")
-    return ExactnessReport(not failures, failures)
+    seq._report = ExactnessReport(not failures, failures)
+    return seq._report
 
 
 # -- permutation-type constructors -------------------------------------------
@@ -329,18 +361,26 @@ def induce(G: FiniteGroup, H: Subgroup, N: GLattice) -> GLattice:
 
 
 def fixed_sublattice(M: GLattice, H: Subgroup) -> IntMatrix:
-    """Saturated column basis of the H-fixed vectors of M."""
+    """Saturated column basis of the H-fixed vectors of M, in column Hermite form.
+
+    The kernel of the h - 1 over the generators h of H, computed once per
+    lattice and subgroup; later calls return the same matrix.
+    """
     if H.parent is not M.group:
         raise InvalidParameterError("subgroup belongs to a different group")
-    gens = H.generators()
-    if not gens:
-        return IntMatrix.identity(M.rank)
-    stacked = None
-    eye = IntMatrix.identity(M.rank)
-    for h in gens:
-        block = M.action[h] - eye
-        stacked = block if stacked is None else stacked.vstack(block)
-    return kernel_basis(stacked)
+    fixed = M._fixed.get(H.elements)
+    if fixed is None:
+        gens = H.generators()
+        if not gens:
+            fixed = IntMatrix.identity(M.rank)
+        else:
+            eye = IntMatrix.identity(M.rank)
+            stacked = M.action[gens[0]] - eye
+            for h in gens[1:]:
+                stacked = stacked.vstack(M.action[h] - eye)
+            fixed = kernel_basis(stacked)
+        M._fixed[H.elements] = fixed
+    return fixed
 
 
 def norm_matrix(M: GLattice, H: Subgroup) -> IntMatrix:
@@ -359,26 +399,38 @@ def sublattice_with_action(
     """Induced lattice structure on an invariant saturated column span.
 
     Returns the abstract lattice in the given basis together with the
-    inclusion map into M.  Raises when the span is not G-invariant.
-    A caller that already holds a BasisSolver of the basis may pass it.
+    inclusion map into M.  Raises, naming the first failing generator,
+    when the span is not G-invariant; invariance under the generators is
+    invariance under every element.  A caller that already holds a
+    BasisSolver of the basis may pass it.
 
-    The result is trusted without re-checking: M is a homomorphism, the
-    basis B is injective and M(g) B = B rho(g) exactly, so rho is one too.
-    That is why a basis without full column rank is refused.
+    Only the generators are solved for: M(s) B = B rho(s).  Every other
+    element gets rho(a s) = rho(a) rho(s), one product each, along the
+    breadth-first search of FiniteGroup.closure.  This is exact and rho
+    is a homomorphism, because M is one and the basis B is injective;
+    that is why a basis without full column rank is refused.
     """
     solver = solver or BasisSolver(basis)
     if solver.rank != basis.cols:
         raise InvalidParameterError("basis columns are not linearly independent")
-    action = []
-    for g in range(M.group.order):
-        moved = M.action[g] @ basis
-        coords = solver.express_matrix(moved)
+    G = M.group
+    rho = {}
+    for s in G.generators:
+        coords = solver.express_matrix(M.action[s] @ basis)
         if coords is None:
             raise InvalidParameterError(
-                f"column span is not invariant under element {g}"
+                f"column span is not invariant under element {s}"
             )
-        action.append(coords)
-    sub = GLattice(M.group, action, name=name, _derived=True)
+        rho[s] = coords
+    action = {G.identity: IntMatrix.identity(basis.cols)}
+    queue = [G.identity]
+    for a in queue:
+        for s in G.generators:
+            c = G.table[a][s]
+            if c not in action:
+                action[c] = rho[s] if a == G.identity else action[a] @ rho[s]
+                queue.append(c)
+    sub = GLattice(G, [action[g] for g in range(G.order)], name=name, _derived=True)
     return sub, EquivariantMap(sub, M, basis)
 
 
@@ -391,10 +443,11 @@ def augmentation_map(P: GLattice) -> EquivariantMap:
 
 
 def augmentation_kernel(P: GLattice) -> Tuple[GLattice, EquivariantMap]:
-    """The augmentation-zero sublattice with its inclusion map."""
+    """The augmentation-zero sublattice with its inclusion map, whose
+    matrix is the canonical (column Hermite) basis of the kernel."""
     eps = augmentation_map(P)
     basis = kernel_basis(eps.matrix)
-    return sublattice_with_action(P, basis, name="I")
+    return sublattice_with_action(P, basis, name="I", solver=BasisSolver.of_hermite(basis))
 
 
 def augmentation_sequence(P: GLattice) -> ShortExactSequence:

@@ -12,9 +12,13 @@ row-major).
 
 Each question gets the cheapest normal form that decides it.  Invariant
 factors (``cokernel_invariants``, ``is_saturated_basis``) read the Smith
-diagonal, computed without transforms.  Kernels and solves
-(``kernel_basis``, ``solve_matrix``, ``BasisSolver``) use the column
-Hermite form and its transform.  No routine builds the Smith transforms.
+diagonal, computed without transforms, and skip it when every pivot of
+the column Hermite form is 1.  Kernels and solves (``kernel_basis``,
+``solve_matrix``, ``BasisSolver``) use the column Hermite form and its
+transform; a basis already in that form, such as a kernel basis, is its
+own (``BasisSolver.of_hermite``).  No routine builds the Smith
+transforms.  Independence over Q is read modulo a prime
+(``independent_columns_mod_prime``).
 """
 
 from __future__ import annotations
@@ -326,8 +330,20 @@ def _smith_diagonal(A: IntMatrix) -> list:
     """The Smith diagonal (min(rows, cols) entries), without transforms, taken
     from the nonzero columns of the column Hermite form of A (same diagonal)."""
     B = column_span_canonical(A)
-    s = _smith_reduce(B)
-    return [abs(s[i][i]) for i in range(B.cols)] + [0] * (min(A.shape) - B.cols)
+    return _hermite_smith_diagonal(B) + [0] * (min(A.shape) - B.cols)
+
+
+def _hermite_smith_diagonal(H: IntMatrix) -> list:
+    """The Smith diagonal of a column Hermite form without zero columns.
+
+    When every pivot (the first nonzero entry of a column) is 1, the pivot
+    rows form a unit lower-triangular minor, so the diagonal is all 1 and
+    no Smith form is needed.
+    """
+    if H.cols == 0 or all(H.a[(H.a != 0).argmax(axis=0), np.arange(H.cols)] == 1):
+        return [1] * H.cols
+    s = _smith_reduce(H)
+    return [abs(s[i][i]) for i in range(H.cols)]
 
 
 def row_hermite(A: IntMatrix, transform: bool = False):
@@ -403,8 +419,7 @@ def col_hermite(A: IntMatrix, transform: bool = False):
 
 
 def drop_zero_columns(A: IntMatrix) -> IntMatrix:
-    keep = [j for j in range(A.cols) if any(A[i, j] != 0 for i in range(A.rows))]
-    return A.take_columns(keep)
+    return A.take_columns(np.flatnonzero((A.a != 0).any(axis=0)))
 
 
 def column_span_canonical(A: IntMatrix) -> IntMatrix:
@@ -473,8 +488,19 @@ class BasisSolver:
     """
 
     def __init__(self, basis: IntMatrix):
-        self.basis = basis
-        self.H, self.V = col_hermite(basis, transform=True)
+        self._setup(basis, *col_hermite(basis, transform=True))
+
+    @classmethod
+    def of_hermite(cls, H: IntMatrix) -> "BasisSolver":
+        """The solver of a basis already in column Hermite form (such as a
+        ``kernel_basis``), which is its own Hermite form with the identity
+        transform."""
+        solver = cls.__new__(cls)
+        solver._setup(H, H, IntMatrix.identity(H.cols))
+        return solver
+
+    def _setup(self, basis: IntMatrix, H: IntMatrix, V: IntMatrix) -> None:
+        self.basis, self.H, self.V = basis, H, V
         # (index, pivot row, pivot, nonzero (row, entry) pairs) of each
         # nonzero column of H
         self._columns = []
@@ -529,10 +555,48 @@ def saturation(A: IntMatrix) -> IntMatrix:
 
 
 def is_saturated_basis(A: IntMatrix) -> bool:
-    """True when the columns are independent and span a saturated
-    sublattice: the Smith diagonal, computed without transforms, is all 1."""
-    diag = _smith_diagonal(A)
-    return len(diag) == A.cols and all(d == 1 for d in diag)
+    """True when the columns are independent and span a saturated sublattice."""
+    H = column_span_canonical(A)
+    return H.cols == A.cols and is_saturated_hermite(H)
+
+
+def is_saturated_hermite(H: IntMatrix) -> bool:
+    """Whether a column Hermite form without zero columns spans a saturated
+    sublattice: its Smith diagonal is all 1."""
+    return all(d == 1 for d in _hermite_smith_diagonal(H))
+
+
+# A prime below 2**31: residues multiply without overflowing int64.
+_RANK_PRIME = 2**31 - 1
+
+
+def independent_columns_mod_prime(A: IntMatrix) -> list:
+    """The greedy (leftmost) maximal set of columns of A that stay
+    independent modulo the prime 2**31 - 1, in order.
+
+    Columns independent modulo a prime are independent over Q, so the
+    columns it returns are independent over Q as well; when there are
+    A.rows of them they span Q^rows.
+    """
+    p = _RANK_PRIME
+    a = (A.a % p).astype(np.int64)
+    pivots: list = []
+    j = 0
+    while len(pivots) < A.rows:
+        r = len(pivots)
+        live = np.flatnonzero(a[r:, j:].any(axis=0))  # columns not yet in the span
+        if live.size == 0:
+            break
+        j += int(live[0])
+        i = r + int(np.flatnonzero(a[r:, j])[0])
+        a[[r, i]] = a[[i, r]]
+        a[r] = a[r] * pow(int(a[r, j]), -1, p) % p
+        # clear column j below the pivot; columns left of j are done
+        rows = r + 1 + np.flatnonzero(a[r + 1 :, j])
+        a[rows, j:] = (a[rows, j:] - np.outer(a[rows, j], a[r, j:]) % p) % p
+        pivots.append(j)
+        j += 1
+    return pivots
 
 
 def xgcd(a: int, b: int):

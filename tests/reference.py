@@ -11,7 +11,11 @@ they were used: edge orbits by scanning every element, cosets by their
 own enumeration, a vector moved by a loop, the action on a stable edge
 subset, the two breadth-first searches of spanning trees and path
 flows, orbit counts point by point, and the coinvariant projection as a
-left kernel.
+left kernel.  The routes that solving on generators replaced: a
+sublattice's action solved element by element, exactness decided by
+comparing the image with ``kernel_basis`` of the right map, the flow
+basis as ``kernel_basis`` of the boundary, and the bar-cocycle loops
+over dense edge vectors.
 """
 
 from collections import deque
@@ -22,6 +26,7 @@ from glattice.cohom import TateGroup, hom_basis, hom_basis_into_permutation
 from glattice.errors import InvalidParameterError
 from glattice.gmod import (
     EquivariantMap,
+    ExactnessReport,
     GLattice,
     ShortExactSequence,
     dual,
@@ -34,6 +39,7 @@ from glattice.intlinalg import (
     IntMatrix,
     _find_pivot,
     cokernel_invariants,
+    column_span_canonical,
     kernel_basis,
     solve_matrix,
     xgcd,
@@ -522,3 +528,101 @@ def coinvariant_projection_left_kernel(M: GLattice) -> IntMatrix:
     if stacked is None:
         return eye
     return kernel_basis(stacked.T).T
+
+
+def sublattice_action_per_element(M: GLattice, basis: IntMatrix) -> List[IntMatrix]:
+    """The action on an invariant span, one solve per group element."""
+    solver = BasisSolver(basis)
+    if solver.rank != basis.cols:
+        raise InvalidParameterError("basis columns are not linearly independent")
+    action = []
+    for g in range(M.group.order):
+        coords = solver.express_matrix(M.action[g] @ basis)
+        if coords is None:
+            raise InvalidParameterError(f"column span is not invariant under element {g}")
+        action.append(coords)
+    return action
+
+
+def check_exact_by_kernel(seq: ShortExactSequence) -> ExactnessReport:
+    """Exactness with the image compared against kernel_basis(right)."""
+    failures = []
+    if seq.A.rank + seq.C.rank != seq.B.rank:
+        failures.append(f"rank mismatch: {seq.A.rank} + {seq.C.rank} != {seq.B.rank}")
+    image = column_span_canonical(seq.left.matrix)
+    if image.cols != seq.left.matrix.cols:
+        failures.append("left map is not injective")
+    factors, free = cokernel_invariants(seq.right.matrix)
+    if factors or free:
+        failures.append(
+            f"right map is not surjective (cokernel factors={factors}, free rank={free})"
+        )
+    if image != kernel_basis(seq.right.matrix):
+        failures.append("image of left map differs from kernel of right map")
+    for label, m in (("left", seq.left), ("right", seq.right)):
+        g = m.equivariance_failure()
+        if g is not None:
+            failures.append(f"{label} map not equivariant at element {g}")
+    return ExactnessReport(not failures, failures)
+
+
+def flow_basis_by_kernel(X) -> IntMatrix:
+    """The flow basis as the kernel of the boundary map."""
+    m = IntMatrix.zeros(X.n_vertices, X.n_edges)
+    for e, (s, t) in enumerate(X.edges):
+        if s != t:
+            m.a[t, e] += 1
+            m.a[s, e] -= 1
+    return kernel_basis(m)
+
+
+def bar_flow_dense(X, G: FiniteGroup, g: int, h: int) -> Tuple[int, ...]:
+    """d(g, h) = (e -> g -> gh) - (e -> gh) as a dense edge vector, loops as zero."""
+    e = G.identity
+    vec = [0] * X.n_edges
+    if g == e or h == e:
+        return tuple(vec)
+    idx = X.edge_index()
+    gh = G.mul(g, h)
+    for s, t, c in ((e, g, 1), (g, gh, 1), (e, gh, -1)):
+        if s != t:
+            vec[idx[(s, t)]] += c
+    return tuple(vec)
+
+
+def cocycle_failures_dense(X, G: FiniteGroup, d) -> int:
+    """Triples failing d(g1, g2) + d(g1 g2, g3) = d(g1, g2 g3) + g1 . d(g2, g3)."""
+    move = X.edge_gset.move
+    failures = 0
+    for g1 in G.elements():
+        for g2 in G.elements():
+            for g3 in G.elements():
+                lhs = tuple(a + b for a, b in zip(d[(g1, g2)], d[(G.mul(g1, g2), g3)]))
+                rhs = tuple(
+                    a + b for a, b in zip(d[(g1, G.mul(g2, g3))], move(g1, d[(g2, g3)]))
+                )
+                failures += lhs != rhs
+    return failures
+
+
+def tree_recursion_failures_dense(X, G: FiniteGroup, d) -> int:
+    """Pairs failing d(h, g) = [e -> h] + h . [e -> g] - [e -> hg] on dense vectors."""
+    e = G.identity
+    idx = X.edge_index()
+    move = X.edge_gset.move
+
+    def edge_unit(g: int) -> Tuple[int, ...]:
+        vec = [0] * X.n_edges
+        if g != e:
+            vec[idx[(e, g)]] = 1
+        return tuple(vec)
+
+    bad = 0
+    for h in G.elements():
+        for g in G.elements():
+            rhs = tuple(
+                a + b - c
+                for a, b, c in zip(edge_unit(h), move(h, edge_unit(g)), edge_unit(G.mul(h, g)))
+            )
+            bad += d[(h, g)] != rhs
+    return bad

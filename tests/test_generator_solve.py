@@ -1,0 +1,330 @@
+"""Derived lattices solved on generators, flow bases from fundamental
+cycles, exactness without a kernel and sparse bar flows, each against the
+route it replaced (tests/reference.py)."""
+
+import pytest
+
+import glattice.checks as checks_mod
+import glattice.cohom as cohom_mod
+import glattice.gflows as gflows_mod
+import glattice.gmod as gmod_mod
+import glattice.intlinalg as intlinalg_mod
+from glattice.checks import _bar_flows, _cocycle_failures, _tree_recursion_failures
+from glattice.cli import parse_group_spec
+from glattice.cohom import coflasque_resolution, flasque_resolution, pullback
+from glattice.errors import InvalidParameterError
+from glattice.gflows import (
+    GGraph,
+    cayley_graph,
+    complete_edges,
+    flow_lattice,
+    spanning_tree,
+    spanning_tree_basis,
+)
+from glattice.gmod import (
+    EquivariantMap,
+    ShortExactSequence,
+    augmentation_kernel,
+    check_exact,
+    coset_lattice,
+    direct_sum_many,
+    dual,
+    regular,
+    sublattice_with_action,
+    trivial,
+)
+from glattice.groups import cyclic, natural_gset, regular_gset, subgroup_conjugacy_reps, symmetric
+from glattice.intlinalg import BasisSolver, IntMatrix, independent_columns_mod_prime
+from reference import (
+    bar_flow_dense,
+    check_exact_by_kernel,
+    cocycle_failures_dense,
+    flow_basis_by_kernel,
+    path_flow_by_bfs,
+    sublattice_action_per_element,
+    tree_recursion_failures_dense,
+)
+
+GROUPS = ["C:6", "S:3", "D:4", "X(C:2,C:2)", "SD:3,2,2"]
+
+
+def _lattices(G):
+    flows = flow_lattice(cayley_graph(G, G.generators)).glattice
+    return {
+        "trivial": trivial(G),
+        "regular": regular(G),
+        "flows": flows,
+        "dual flows": dual(flows),
+        "augmentation": augmentation_kernel(regular(G))[0],
+        "coset": coset_lattice(G, subgroup_conjugacy_reps(G)[1]),
+    }
+
+
+def _record_sublattices(monkeypatch):
+    """Route every module's sublattice_with_action through a recorder."""
+    calls = []
+
+    def recording(M, basis, name="", solver=None):
+        sub, incl = sublattice_with_action(M, basis, name=name, solver=solver)
+        calls.append((M, basis, sub))
+        return sub, incl
+
+    for mod in (gmod_mod, gflows_mod, cohom_mod, checks_mod):
+        monkeypatch.setattr(mod, "sublattice_with_action", recording)
+    return calls
+
+
+class TestDerivedLatticesAgainstPerElementSolve:
+    @pytest.mark.parametrize("spec", GROUPS)
+    def test_every_derived_lattice_and_resolution(self, spec, monkeypatch):
+        G = parse_group_spec(spec)
+        calls = _record_sublattices(monkeypatch)
+        sequences = []
+        for M in _lattices(G).values():
+            co, fl = coflasque_resolution(M), flasque_resolution(M)
+            sequences += [co.sequence, fl.sequence]
+        pullback(sequences[0].right, sequences[0].right)
+        assert len(calls) > len(GROUPS)
+        for M, basis, sub in calls:
+            assert sub.action == sublattice_action_per_element(M, basis)
+        for seq in sequences:
+            assert check_exact(seq).failures == check_exact_by_kernel(seq).failures == []
+
+    @pytest.mark.parametrize("check", [
+        lambda: checks_mod.check_schanuel(
+            flow_lattice(cayley_graph(parse_group_spec("SD:3,2,2"), (1, 2))).glattice,
+            "SD:3,2,2", "flows:cayley"),
+        lambda: checks_mod.check_faithful_transfer(3, 2, 2),
+        lambda: checks_mod.check_kernel_generators(5, 2, 4),
+        lambda: checks_mod.check_flow_coflasque(parse_group_spec("D:4"), (1, 2)),
+    ])
+    def test_lattices_built_by_checks(self, check, monkeypatch):
+        calls = _record_sublattices(monkeypatch)
+        assert check().ok
+        assert calls
+        for M, basis, sub in calls:
+            assert sub.action == sublattice_action_per_element(M, basis)
+
+    def test_invariance_failure_names_first_failing_generator(self):
+        G = symmetric(3)
+        s = G.generators[0]
+        M = regular(G)
+        # indicator vectors of the cosets {g, s g}: stable under s only
+        cosets = sorted({tuple(sorted((g, G.mul(s, g)))) for g in G.elements()})
+        basis = IntMatrix.from_columns(
+            [[1 if x in c else 0 for x in range(G.order)] for c in cosets]
+        )
+        failing = [
+            t for t in G.generators
+            if BasisSolver(basis).express_matrix(M.action[t] @ basis) is None
+        ]
+        assert failing and failing[0] != s
+        with pytest.raises(InvalidParameterError, match=f"under element {failing[0]}$"):
+            sublattice_with_action(M, basis)
+
+    @pytest.mark.parametrize("spec", GROUPS)
+    def test_express_matrix_called_once_per_generator(self, spec, monkeypatch):
+        G = parse_group_spec(spec)
+        P = regular(G)
+        basis = intlinalg_mod.kernel_basis(IntMatrix.from_rows([[1] * G.order]))
+        calls = []
+        original = BasisSolver.express_matrix
+
+        def counting(self, M):
+            calls.append(M.shape)
+            return original(self, M)
+
+        monkeypatch.setattr(BasisSolver, "express_matrix", counting)
+        sublattice_with_action(P, basis)
+        assert len(calls) == len(G.generators)
+
+
+def _graphs():
+    S3 = symmetric(3)
+    C2 = cyclic(2)
+    V = regular_gset(C2)
+    # parallel edges and loops need an explicit edge action
+    edges = [(0, 1), (1, 0), (0, 1), (1, 0), (0, 0), (1, 1)]
+    swap = (1, 0, 3, 2, 5, 4)
+    action = [tuple(range(6)) if g == C2.identity else swap for g in C2.elements()]
+    out = {"parallel edges and loops": GGraph(V, edges, action)}
+    for spec in GROUPS:
+        G = parse_group_spec(spec)
+        out[f"cayley {spec}"] = cayley_graph(G, G.generators)
+        out[f"cayley {spec} with loops"] = cayley_graph(G, range(G.order))
+    out["complete S:3 with loops"] = complete_edges(regular_gset(S3), loops=True)
+    out["complete natural S:4"] = complete_edges(natural_gset(symmetric(4)))
+    return out
+
+
+class TestFlowBasisAgainstKernel:
+    @pytest.mark.parametrize("label", list(_graphs()))
+    def test_fundamental_cycles_give_the_kernel_basis(self, label):
+        X = _graphs()[label]
+        fl = flow_lattice(X)
+        assert fl.basis == flow_basis_by_kernel(X)
+        assert fl.glattice.action == sublattice_action_per_element(X.edge_lattice(), fl.basis)
+        fl.validate()
+
+    def test_flow_lattice_computes_no_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kernel_basis called")
+
+        monkeypatch.setattr(gflows_mod, "kernel_basis", refuse)
+        monkeypatch.setattr(intlinalg_mod, "kernel_basis", refuse)
+        for X in _graphs().values():
+            flow_lattice(X)
+
+    @pytest.mark.parametrize("label", list(_graphs()))
+    def test_spanning_tree_bases_validate(self, label):
+        X = _graphs()[label]
+        tree = spanning_tree(X)
+        candidates = []
+        for e in range(X.n_edges):
+            if e not in tree:
+                s, t = X.edges[e]
+                cycle = path_flow_by_bfs(X, t, s, tree)
+                cycle[e] += 1
+                candidates.append(cycle)
+        fl = spanning_tree_basis(X, tree, candidates)
+        fl.validate()
+        assert fl.glattice.action == sublattice_action_per_element(X.edge_lattice(), fl.basis)
+
+
+def _seq(left_rows, right_rows, ranks):
+    """A sequence of trivial C:2-lattices of the given ranks."""
+    G = cyclic(2)
+    A, B, C = (direct_sum_many([trivial(G)] * r) for r in ranks)
+    return ShortExactSequence(
+        EquivariantMap(A, B, IntMatrix.from_rows(left_rows)),
+        EquivariantMap(B, C, IntMatrix.from_rows(right_rows)),
+    )
+
+
+def _non_exact_sequences():
+    G = cyclic(2)
+    P = regular(G)
+    out = {
+        "rank mismatch": _seq([[1]], [[1]], (1, 1, 1)),
+        "index-2 image": _seq([[2], [0]], [[0, 1]], (1, 2, 1)),
+        "right after left is not zero": _seq([[1], [1]], [[0, 1]], (1, 2, 1)),
+        "right not surjective": _seq([[1], [0]], [[0, 2]], (1, 2, 1)),
+        "left not injective": _seq([[1, 1], [0, 0]], [[0, 1]], (2, 2, 1)),
+        "image too small": _seq([[1], [0], [0]], [[0, 1, 0]], (1, 3, 1)),
+    }
+    # maps that fail equivariance: the sign-free C:2 permutation lattice
+    out["not equivariant"] = ShortExactSequence(
+        EquivariantMap(trivial(G), P, IntMatrix.from_rows([[1], [0]])),
+        EquivariantMap(P, trivial(G), IntMatrix.from_rows([[0, 1]])),
+    )
+    return out
+
+
+class TestExactnessAgainstKernel:
+    @pytest.mark.parametrize("label", list(_non_exact_sequences()))
+    def test_failure_lists_match(self, label):
+        seq = _non_exact_sequences()[label]
+        report = check_exact(seq)
+        assert not report.ok
+        assert report.failures == check_exact_by_kernel(seq).failures
+
+    def test_index_two_image_names_the_kernel(self):
+        failures = check_exact(_non_exact_sequences()["index-2 image"]).failures
+        assert failures == ["image of left map differs from kernel of right map"]
+
+    def test_second_check_makes_no_hermite_call(self, monkeypatch):
+        seq = coflasque_resolution(_lattices(parse_group_spec("S:3"))["flows"]).sequence
+        seq._report = None
+        first = check_exact(seq)
+        calls = []
+        original = intlinalg_mod.row_hermite
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(intlinalg_mod, "row_hermite", counting)
+        assert check_exact(seq) is first
+        assert calls == []
+
+
+class TestSparseBarFlows:
+    @pytest.mark.parametrize("spec", ["C:4", "S:3", "D:4", "X(C:2,C:2)"])
+    def test_against_dense_loops(self, spec):
+        G = parse_group_spec(spec)
+        X = cayley_graph(G, [g for g in G.elements() if g != G.identity])
+        sparse = _bar_flows(X, G)
+        dense = {key: bar_flow_dense(X, G, *key) for key in sparse}
+        for key, flow in sparse.items():
+            assert all(c != 0 for c in flow.values())
+            assert tuple(flow.get(e, 0) for e in range(X.n_edges)) == dense[key]
+        assert _cocycle_failures(X, G, sparse) == cocycle_failures_dense(X, G, dense) == 0
+        assert _tree_recursion_failures(X, G, sparse) == 0
+        assert tree_recursion_failures_dense(X, G, dense) == 0
+        # a corrupted flow breaks both routes alike
+        g, h = G.generators[0], G.generators[-1]
+        sparse[(g, h)] = {e: -c for e, c in sparse[(g, h)].items()}
+        dense[(g, h)] = tuple(-c for c in dense[(g, h)])
+        bad = _cocycle_failures(X, G, sparse)
+        assert bad > 0 and bad == cocycle_failures_dense(X, G, dense)
+        assert _tree_recursion_failures(X, G, sparse) == tree_recursion_failures_dense(X, G, dense) > 0
+
+
+class TestIndependentColumnsModPrime:
+    def test_greedy_columns(self):
+        A = IntMatrix.from_rows([[1, 2, 0, 1], [0, 0, 1, 1], [0, 0, 0, 0]])
+        assert independent_columns_mod_prime(A) == [0, 2]
+
+    def test_matches_rational_rank(self):
+        sympy = pytest.importorskip("sympy")
+        seed = 7
+        for trial in range(20):
+            rows = []
+            for _ in range(4):
+                row = []
+                for _ in range(7):
+                    seed = (1103515245 * seed + 12345) % (1 << 31)
+                    row.append(seed % 5 - 2 if seed % 3 else 0)
+                rows.append(row)
+            A = IntMatrix.from_rows(rows)
+            cols = independent_columns_mod_prime(A)
+            assert len(cols) == sympy.Matrix(rows).rank()
+            assert sympy.Matrix([[r[j] for j in cols] for r in rows]).rank() == len(cols)
+
+
+class TestKnownFormsAreReused:
+    def test_split_iso_keeps_its_inverse(self):
+        from glattice.cohom import find_section, split_iso_from_section
+        from glattice.intlinalg import solve_matrix
+
+        G = parse_group_spec("S:3")
+        seq = coflasque_resolution(_lattices(G)["flows"]).sequence
+        iso = split_iso_from_section(seq, find_section(seq))
+        n = iso.matrix.rows
+        assert iso.inverse().matrix == solve_matrix(iso.matrix, IntMatrix.identity(n))
+        assert iso.inverse().inverse().matrix == iso.matrix
+        both = iso.compose(iso.inverse())
+        assert both.matrix.is_identity() and both.inverse().matrix.is_identity()
+        assert iso.is_unimodular() and both.is_unimodular()
+
+    def test_fixed_sublattice_computed_once(self, monkeypatch):
+        from glattice.gmod import fixed_sublattice
+
+        G = parse_group_spec("D:4")
+        M = _lattices(G)["flows"]
+        H = subgroup_conjugacy_reps(G)[1]
+        first = fixed_sublattice(M, H)
+        monkeypatch.setattr(gmod_mod, "kernel_basis", None)
+        assert fixed_sublattice(M, H) is first
+
+    @pytest.mark.parametrize("spec", GROUPS)
+    def test_solver_of_a_kernel_basis(self, spec):
+        G = parse_group_spec(spec)
+        K = intlinalg_mod.kernel_basis(regular(G).action[G.generators[0]] - IntMatrix.identity(G.order))
+        known, fresh = BasisSolver.of_hermite(K), BasisSolver(K)
+        assert (known.H, known.V, known.rank) == (fresh.H, fresh.V, fresh.rank)
+        probe = IntMatrix.from_columns([[1] * G.order, list(range(G.order))])
+        assert known.express_matrix(K @ probe.take_rows(range(K.cols))) == fresh.express_matrix(
+            K @ probe.take_rows(range(K.cols))
+        )
+        assert known.express_matrix(probe) == fresh.express_matrix(probe)
