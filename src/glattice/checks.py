@@ -41,8 +41,12 @@ from .groups import (
     Subgroup,
     coset_gset,
     cyclic,
+    dihedral,
+    direct_product,
     natural_gset,
+    regular_gset,
     semidirect,
+    subgroup_conjugacy_reps,
     subgroup_from_generators,
     symmetric,
 )
@@ -731,8 +735,6 @@ def check_faithful_transfer(n: int, m: int, r: int) -> CheckReport:
 
 def check_schanuel(M: GLattice, group_spec: str, lattice_spec: str) -> CheckReport:
     """Two independent coflasque resolutions have matching complements."""
-    from .groups import subgroup_conjugacy_reps
-
     ck = _Checker("schanuel", group_spec, {"lattice": lattice_spec})
     k = len(subgroup_conjugacy_reps(M.group))
     r1 = coflasque_resolution(M)
@@ -790,8 +792,6 @@ def check_rank_formula(graphs: Sequence[Tuple[str, GGraph]]) -> CheckReport:
 
 def quick_suite_graphs() -> List[Tuple[str, GGraph]]:
     """The pinned collection of connected G-graphs for the rank criterion."""
-    from .groups import dihedral, direct_product, regular_gset
-
     out: List[Tuple[str, GGraph]] = []
     for n in (2, 3, 4, 5, 6):
         G = cyclic(n)

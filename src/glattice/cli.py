@@ -31,11 +31,14 @@ from .groups import (
     FiniteGroup,
     GSet,
     Subgroup,
+    all_subgroups,
     coset_gset,
     cyclic,
     dihedral,
     direct_product,
+    is_z_group,
     natural_gset,
+    prime_factorization,
     regular_gset,
     semidirect,
     subgroup_from_generators,
@@ -99,7 +102,12 @@ def parse_generator_token(G: FiniteGroup, token: str) -> int:
     if token == "e":
         return G.identity
     if token.startswith("#"):
-        idx = int(token[1:])
+        try:
+            idx = int(token[1:])
+        except ValueError:
+            raise SpecParseError(
+                f"element index {token[1:]!r} is not an integer", token, 0
+            ) from None
         if not 0 <= idx < G.order:
             raise SpecParseError(f"element index {idx} out of range", token, 0)
         return idx
@@ -222,6 +230,13 @@ def parse_subgroup_spec(G: FiniteGroup, spec: str) -> Subgroup:
 # -- check dispatch ------------------------------------------------------------------
 
 
+class _CheckParams(dict):
+    """CLI-level check parameters; a missing one is refused by its flag."""
+
+    def __missing__(self, key: str):
+        raise InvalidParameterError(f"missing check parameter --{key}")
+
+
 def _cyclic_flows(params: Dict[str, object]) -> checks.CheckReport:
     n = int(params["n"])
     return checks.check_cyclic_flows(n, parse_generators(cyclic(n), str(params["gens"])))
@@ -268,7 +283,7 @@ def run_check(check_id: str, params: Dict[str, object]) -> checks.CheckReport:
     runner = CHECKS.get(check_id)
     if runner is None:
         raise SpecParseError(f"unknown check id {check_id!r}", check_id, 0)
-    return runner(params)
+    return runner(_CheckParams(params))
 
 
 def suite_definition(name: str) -> List[Tuple[str, Dict[str, object]]]:
@@ -364,8 +379,6 @@ def _suite_payload(name: str, reports: List[checks.CheckReport]) -> Dict[str, ob
 
 def _cmd_group_info(opts: Dict[str, object], output: str, out) -> int:
     G = parse_group_spec(str(opts["group"]))
-    from .groups import all_subgroups, is_z_group, prime_factorization
-
     info: Dict[str, object] = {
         "spec": G.spec,
         "order": G.order,
@@ -453,7 +466,8 @@ def _cmd_certify(opts: Dict[str, object], output: str, out) -> int:
     M = parse_lattice_spec(G, str(opts["lattice"]))
     kind = str(opts["kind"])
     if kind == "permutation":
-        outcome = is_permutation_bounded(M, int(opts.get("bound") or 2))
+        bound = opts.get("bound")
+        outcome = is_permutation_bounded(M, 2 if bound is None else int(bound))
         payload = {
             "group": G.spec,
             "lattice": str(opts["lattice"]),

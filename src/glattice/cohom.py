@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,6 +31,7 @@ from .gmod import (
     fixed_sublattice,
     lattices_equal,
     norm_matrix,
+    restrict,
     sublattice_with_action,
     tensor,
 )
@@ -70,12 +72,6 @@ class TateGroup:
     @property
     def is_trivial(self) -> bool:
         return not self.invariant_factors
-
-    def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
 
     def __str__(self) -> str:
         if not self.invariant_factors:
@@ -484,8 +480,6 @@ def _orbit_count_solutions(M: GLattice) -> Optional[List[Tuple[int, ...]]]:
     too large to enumerate, and otherwise the finite candidate list in a
     deterministic order.
     """
-    from fractions import Fraction
-
     G = M.group
     reps = subgroup_conjugacy_reps(G)
     k = len(reps)
@@ -590,14 +584,12 @@ def is_permutation_bounded(M: GLattice, bound: int = 2) -> PermutationSearchOutc
     keep = ~(vectors == 0).all(axis=1)
     for mat in actions:
         keep &= (np.abs(vectors @ mat.T) <= bound).all(axis=1)
-    from math import gcd as _gcd
-
     pool_set = set()
     for v in vectors[keep]:
         tup = tuple(int(x) for x in v)
         g = 0
         for x in tup:
-            g = _gcd(g, abs(x))
+            g = gcd(g, abs(x))
         if g == 1:
             pool_set.add(tup)
 
@@ -629,7 +621,7 @@ def is_permutation_bounded(M: GLattice, bound: int = 2) -> PermutationSearchOutc
         image = coinv.mul_vector(list(tup))
         g = 0
         for x in image:
-            g = _gcd(g, abs(x))
+            g = gcd(g, abs(x))
         if g != 1:
             continue
         per_class[cls].append({"orbit": orbit, "image": image})
@@ -766,8 +758,6 @@ def invertibility_certificate(
     embedding into the sum of coset-lattice tensors is emitted with its
     retraction.  Absence of a certificate is never a disproof.
     """
-    from .gmod import restrict
-
     G = M.group
     if subgroups is None:
         primes = [p for p, _ in prime_factorization(G.order)]

@@ -1,5 +1,5 @@
-"""G-lattices: duals, sums, tensors, restriction/induction, fixed points,
-norm maps, equivariant homomorphisms and short exact sequences.
+"""G-lattices: duals, sums, tensors, restriction, fixed points, norm maps,
+equivariant homomorphisms and short exact sequences.
 
 A lattice never claims an isomorphism from numerical coincidences: every
 identification is carried by an explicit unimodular equivariant map.
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParameterError
-from .groups import FiniteGroup, GSet, Subgroup, coset_gset, left_coset_reps, regular_gset
+from .groups import FiniteGroup, GSet, Subgroup, coset_gset, regular_gset
 from .intlinalg import (
     BasisSolver,
     IntMatrix,
@@ -163,18 +163,6 @@ class EquivariantMap:
         out = EquivariantMap(self.target, self.source, inv)
         out._inverse = self.matrix
         return out
-
-    def apply(self, vec: Sequence[int]) -> list:
-        return self.matrix.mul_vector(vec)
-
-
-def direct_sum_maps(f: EquivariantMap, g: EquivariantMap) -> EquivariantMap:
-    src = direct_sum(f.source, g.source)
-    tgt = direct_sum(f.target, g.target)
-    m = IntMatrix.zeros(tgt.rank, src.rank)
-    m.a[: f.target.rank, : f.source.rank] = f.matrix.a
-    m.a[f.target.rank :, f.source.rank :] = g.matrix.a
-    return EquivariantMap(src, tgt, m)
 
 
 @dataclass
@@ -333,33 +321,6 @@ def restrict(M: GLattice, H: Subgroup) -> GLattice:
     return GLattice(Hgrp, [M.action[g] for g in embed], name=name, _derived=True)
 
 
-def induce(G: FiniteGroup, H: Subgroup, N: GLattice) -> GLattice:
-    """Induced lattice ZG tensor_H N with basis (coset rep r_i) x (N basis)."""
-    if H.parent is not G:
-        raise InvalidParameterError("subgroup belongs to a different group")
-    Hgrp, embed = H.as_group()
-    if N.group is not Hgrp:
-        raise InvalidParameterError("lattice to induce must live over the subgroup")
-    reps = left_coset_reps(G, H)
-    pos_in_H = {g: i for i, g in enumerate(embed)}
-    coset_index = {}
-    for i, r in enumerate(reps):
-        for h in embed:
-            coset_index[G.table[r][h]] = i
-    k, r_n = len(reps), N.rank
-    action = []
-    for g in range(G.order):
-        m = IntMatrix.zeros(k * r_n, k * r_n)
-        for i, r in enumerate(reps):
-            gr = G.table[g][r]
-            k_i = coset_index[gr]
-            h = G.table[G.inverses[reps[k_i]]][gr]
-            block = N.action[pos_in_H[h]]
-            m.a[k_i * r_n : (k_i + 1) * r_n, i * r_n : (i + 1) * r_n] = block.a
-        action.append(m)
-    return GLattice(G, action, _derived=True)
-
-
 def fixed_sublattice(M: GLattice, H: Subgroup) -> IntMatrix:
     """Saturated column basis of the H-fixed vectors of M, in column Hermite form.
 
@@ -448,28 +409,3 @@ def augmentation_kernel(P: GLattice) -> Tuple[GLattice, EquivariantMap]:
     eps = augmentation_map(P)
     basis = kernel_basis(eps.matrix)
     return sublattice_with_action(P, basis, name="I", solver=BasisSolver.of_hermite(basis))
-
-
-def augmentation_sequence(P: GLattice) -> ShortExactSequence:
-    """0 -> I -> ZX -> Z -> 0 for a permutation lattice ZX."""
-    I, incl = augmentation_kernel(P)
-    return ShortExactSequence(left=incl, right=augmentation_map(P))
-
-
-def move_to_subgroup_iso(G: FiniteGroup, H: Subgroup, M: GLattice) -> EquivariantMap:
-    """The unimodular map Z[G/H] tensor M -> ZG tensor_H M_H, gH tensor a -> g tensor g^-1 a.
-
-    In the aligned coset-rep bases this is block-diagonal with blocks
-    given by the action of the rep inverses.
-    """
-    if M.group is not G:
-        raise InvalidParameterError("lattice must live over G")
-    src = tensor(coset_lattice(G, H), M)
-    tgt = induce(G, H, restrict(M, H))
-    reps = left_coset_reps(G, H)
-    r = M.rank
-    m = IntMatrix.zeros(len(reps) * r, len(reps) * r)
-    for i, rep in enumerate(reps):
-        block = M.action[G.inverses[rep]]
-        m.a[i * r : (i + 1) * r, i * r : (i + 1) * r] = block.a
-    return EquivariantMap(src, tgt, m)

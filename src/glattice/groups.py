@@ -114,9 +114,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
-
     def conjugate(self, g: int, h: int) -> int:
         """g h g^{-1}."""
         return self.table[self.table[g][h]][self.inverses[g]]
@@ -203,9 +200,6 @@ class Subgroup:
     def index(self) -> int:
         return self.parent.order // self.order
 
-    def contains(self, g: int) -> bool:
-        return g in set(self.elements)
-
     def generators(self) -> Tuple[int, ...]:
         """Deterministic generating set: greedily add smallest missing element."""
         return self._generators
@@ -218,10 +212,6 @@ class Subgroup:
             if self.parent.element_order(g) == self.order:
                 return g
         return None
-
-    def conjugate_by(self, g: int) -> "Subgroup":
-        G = self.parent
-        return Subgroup(G, tuple(sorted(G.conjugate(g, h) for h in self.elements)))
 
     def as_group(self) -> Tuple[FiniteGroup, List[int]]:
         """The subgroup as a standalone group plus the element embedding.
@@ -599,10 +589,6 @@ def coset_gset(G: FiniteGroup, H: Subgroup) -> GSet:
     action = [tuple(coset_of[G.table[g][rep]] for rep in reps) for g in range(G.order)]
     names = [f"{G.element_names[rep]}H" for rep in reps]
     return GSet(G, action, names)
-
-
-def trivial_gset(G: FiniteGroup, points: int = 1) -> GSet:
-    return GSet(G, [tuple(range(points))] * G.order, [f"p{i}" for i in range(points)])
 
 
 def natural_gset(G: FiniteGroup) -> GSet:

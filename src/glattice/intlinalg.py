@@ -95,14 +95,6 @@ class IntMatrix:
     def column(cls, entries: Sequence[int]) -> "IntMatrix":
         return cls.from_rows([[int(x)] for x in entries], cols=1)
 
-    @classmethod
-    def diagonal(cls, entries: Sequence[int]) -> "IntMatrix":
-        n = len(entries)
-        a = np.zeros((n, n), dtype=object)
-        for i, d in enumerate(entries):
-            a[i, i] = int(d)
-        return cls(a)
-
     # -- shape & access ----------------------------------------------------
 
     @property
@@ -129,9 +121,6 @@ class IntMatrix:
 
     def to_lists(self) -> list:
         return [[int(x) for x in row] for row in self.a]
-
-    def column_tuples(self) -> list:
-        return [tuple(int(x) for x in self.a[:, j]) for j in range(self.cols)]
 
     # -- algebra -----------------------------------------------------------
 
@@ -161,9 +150,6 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(-self.a)
 
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.a * int(k))
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.a.T.copy())
 
@@ -188,9 +174,6 @@ class IntMatrix:
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == IntMatrix.identity(self.rows)
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.a.copy())
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
@@ -454,19 +437,11 @@ def cokernel_invariants(A: IntMatrix):
 
     Reads the Smith diagonal, computed without transforms.
 
-    >>> cokernel_invariants(IntMatrix.diagonal([2, 3]))
+    >>> cokernel_invariants(IntMatrix.from_rows([[2, 0], [0, 3]]))
     ([6], 0)
     """
     diag = _smith_diagonal(A)
     return [d for d in diag if d > 1], A.rows - sum(1 for d in diag if d)
-
-
-def solve(A: IntMatrix, b: Sequence[int]) -> Optional[list]:
-    """Some integer x with A @ x == b, or None when unsolvable."""
-    if len(b) != A.rows:
-        raise ValueError(f"rhs length {len(b)} != rows {A.rows}")
-    X = solve_matrix(A, IntMatrix.column(b))
-    return X.col_list(0) if X is not None else None
 
 
 def solve_matrix(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
@@ -543,9 +518,6 @@ class BasisSolver:
                 return None
             ys.append(y)
         return self.V @ IntMatrix.from_columns(ys, rows=self.basis.cols)
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        return self.express(vec) is not None
 
 
 def saturation(A: IntMatrix) -> IntMatrix:

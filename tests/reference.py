@@ -15,7 +15,8 @@ left kernel.  The routes that solving on generators replaced: a
 sublattice's action solved element by element, exactness decided by
 comparing the image with ``kernel_basis`` of the right map, the flow
 basis as ``kernel_basis`` of the boundary, and the bar-cocycle loops
-over dense edge vectors.
+over dense edge vectors.  A flow lattice is validated from scratch
+against the boundary map and the edge action.
 """
 
 from collections import deque
@@ -341,7 +342,7 @@ def section_by_averaging(seq: ShortExactSequence) -> Optional[EquivariantMap]:
             m = IntMatrix.zeros(B.rank, C.rank)
             for cf, cand in zip(coeff_kernel.col_list(k), candidates):
                 if cf:
-                    m = m + cand.scale(cf)
+                    m = m + IntMatrix(cand.a * cf)
             corrections.append(m)
     else:
         corrections = [seq.left.matrix @ h for h in hom_basis(C, seq.A)]
@@ -353,7 +354,7 @@ def section_by_averaging(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     total = t
     for xi, m in zip(x, corrections):
         if xi:
-            total = total + m.scale(xi)
+            total = total + IntMatrix(m.a * xi)
     rows = []
     for i in range(B.rank):
         row = []
@@ -566,14 +567,41 @@ def check_exact_by_kernel(seq: ShortExactSequence) -> ExactnessReport:
     return ExactnessReport(not failures, failures)
 
 
-def flow_basis_by_kernel(X) -> IntMatrix:
-    """The flow basis as the kernel of the boundary map."""
+def _boundary(X) -> IntMatrix:
     m = IntMatrix.zeros(X.n_vertices, X.n_edges)
     for e, (s, t) in enumerate(X.edges):
         if s != t:
             m.a[t, e] += 1
             m.a[s, e] -= 1
-    return kernel_basis(m)
+    return m
+
+
+def flow_basis_by_kernel(X) -> IntMatrix:
+    """The flow basis as the kernel of the boundary map."""
+    return kernel_basis(_boundary(X))
+
+
+def validate_flow_lattice(fl) -> None:
+    """Check a flow lattice from scratch: its basis columns are flows, the
+    rank formula holds on a connected graph, they span the kernel of the
+    boundary map, and the lattice action is the edge action on them."""
+    X = fl.graph
+    bd = _boundary(X)
+    if not (bd @ fl.basis).is_zero():
+        raise InvalidParameterError("basis columns violate the flow condition")
+    if X.is_connected():
+        expected = X.n_edges - X.n_vertices + 1
+        if fl.rank != expected:
+            raise InvalidParameterError(f"rank {fl.rank} != |E|-|V|+1 = {expected}")
+    if column_span_canonical(fl.basis) != column_span_canonical(kernel_basis(bd)):
+        raise InvalidParameterError("basis does not span the saturated kernel")
+    for g in X.group.generators:
+        # g moves edge e to perm[e], so row perm[e] of g * basis is row e
+        # of basis; sorting the edges by perm inverts it
+        perm = X.edge_action[g]
+        moved = fl.basis.take_rows(sorted(range(X.n_edges), key=perm.__getitem__))
+        if moved != fl.basis @ fl.glattice.action[g]:
+            raise InvalidParameterError(f"action invariant fails at element {g}")
 
 
 def bar_flow_dense(X, G: FiniteGroup, g: int, h: int) -> Tuple[int, ...]:

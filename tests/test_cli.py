@@ -109,6 +109,26 @@ class TestExitCodes:
         code, _ = run_cli(["check", "kernel-generators"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["check", "kernel-generators", "--n", "3"], "--m"),
+        (["check", "schanuel", "--group", "C:2"], "--lattice"),
+    ])
+    def test_missing_check_parameter_names_its_flag(self, capsys, argv, flag):
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err == f"invalid invocation: missing check parameter {flag}\n"
+
+    def test_non_integer_element_index_names_its_token(self, capsys):
+        assert run_cli(["flows", "--graph", "cayley(C:3;#x)"]) == (2, "")
+        assert capsys.readouterr().err == (
+            "spec error: element index 'x' is not an integer (token '#x', position 0)\n"
+        )
+
+    def test_permutation_bound_zero_is_refused(self, capsys):
+        argv = ["certify", "--group", "C:2", "--lattice", "sign",
+                "--kind", "permutation", "--bound", "0"]
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err == "invalid invocation: bound must be >= 1\n"
+
     @pytest.mark.parametrize(
         "exc",
         [CertificateError("the section is a right inverse"), AttributeError("no attribute x")],

@@ -24,7 +24,7 @@ from glattice.gmod import (
     GLattice,
     ShortExactSequence,
     augmentation_kernel,
-    augmentation_sequence,
+    augmentation_map,
     coset_lattice,
     direct_sum,
     dual,
@@ -51,6 +51,12 @@ from reference import (
     tate1_cyclic_direct,
     tate_in_lattice,
 )
+
+
+def augmentation_sequence_of(P):
+    """0 -> I -> ZX -> Z -> 0 for a permutation lattice ZX."""
+    _, incl = augmentation_kernel(P)
+    return ShortExactSequence(incl, augmentation_map(P))
 
 
 def sign_lattice(C2):
@@ -316,7 +322,7 @@ class TestFindSection:
     def test_augmentation_sequence_of_c2_has_no_section(self):
         # a section would need a fixed vector of coordinate sum one
         C2 = cyclic(2)
-        seq = augmentation_sequence(regular(C2))
+        seq = augmentation_sequence_of(regular(C2))
         assert find_section(seq) is None
 
     def test_no_section_stable_under_relabeling(self):
@@ -334,7 +340,7 @@ class TestFindSection:
             [tuple(rho[plain.action[g][inv[x]]] for x in range(4)) for g in C4.elements()],
         )
         for gset in (plain, relabeled):
-            seq = augmentation_sequence(permutation_lattice(C4, gset))
+            seq = augmentation_sequence_of(permutation_lattice(C4, gset))
             assert find_section(seq) is None
 
     def test_generic_path_without_point_structure(self):

@@ -18,7 +18,6 @@ from glattice.gflows import (
     cayley_graph,
     complete_edges,
     flow_lattice,
-    spanning_tree,
     spanning_tree_basis,
 )
 from glattice.gmod import (
@@ -41,8 +40,10 @@ from reference import (
     cocycle_failures_dense,
     flow_basis_by_kernel,
     path_flow_by_bfs,
+    spanning_tree_by_bfs,
     sublattice_action_per_element,
     tree_recursion_failures_dense,
+    validate_flow_lattice,
 )
 
 GROUPS = ["C:6", "S:3", "D:4", "X(C:2,C:2)", "SD:3,2,2"]
@@ -164,13 +165,13 @@ class TestFlowBasisAgainstKernel:
         fl = flow_lattice(X)
         assert fl.basis == flow_basis_by_kernel(X)
         assert fl.glattice.action == sublattice_action_per_element(X.edge_lattice(), fl.basis)
-        fl.validate()
+        validate_flow_lattice(fl)
 
     def test_flow_lattice_computes_no_kernel(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("kernel_basis called")
 
-        monkeypatch.setattr(gflows_mod, "kernel_basis", refuse)
+        monkeypatch.setattr(gmod_mod, "kernel_basis", refuse)
         monkeypatch.setattr(intlinalg_mod, "kernel_basis", refuse)
         for X in _graphs().values():
             flow_lattice(X)
@@ -178,7 +179,7 @@ class TestFlowBasisAgainstKernel:
     @pytest.mark.parametrize("label", list(_graphs()))
     def test_spanning_tree_bases_validate(self, label):
         X = _graphs()[label]
-        tree = spanning_tree(X)
+        tree = spanning_tree_by_bfs(X)
         candidates = []
         for e in range(X.n_edges):
             if e not in tree:
@@ -187,7 +188,7 @@ class TestFlowBasisAgainstKernel:
                 cycle[e] += 1
                 candidates.append(cycle)
         fl = spanning_tree_basis(X, tree, candidates)
-        fl.validate()
+        validate_flow_lattice(fl)
         assert fl.glattice.action == sublattice_action_per_element(X.edge_lattice(), fl.basis)
 
 

@@ -37,7 +37,7 @@ class TestConstructors:
         assert not G.is_abelian()
         s, t = G.generator_indices["s"], G.generator_indices["t"]
         # t^-1 s t = s^2
-        lhs = G.mul(G.mul(G.inv(t), s), t)
+        lhs = G.mul(G.mul(G.inverses[t], s), t)
         assert lhs == G.power(s, 2)
 
     def test_direct_product_c2_c3_is_c6(self):
@@ -56,7 +56,7 @@ class TestConstructors:
         s, t = G.generator_indices["s"], G.generator_indices["t"]
         assert G.element_order(s) == 4
         assert G.element_order(t) == 2
-        assert G.mul(G.mul(t, s), G.inv(t)) == G.inv(s)
+        assert G.mul(G.mul(t, s), G.inverses[t]) == G.inverses[s]
 
     def test_symmetric_orders(self):
         assert symmetric(3).order == 6
@@ -70,7 +70,7 @@ class TestConstructors:
     def test_axioms_spotcheck(self, G):
         e = G.identity
         for a in G.elements():
-            assert G.mul(a, G.inv(a)) == e
+            assert G.mul(a, G.inverses[a]) == e
             for b in G.elements():
                 ab = G.mul(a, b)
                 assert 0 <= ab < G.order
@@ -103,7 +103,8 @@ class TestSubgroups:
         everything = {s.elements for s in all_subgroups(G)}
         for rep in subgroup_conjugacy_reps(G):
             for g in G.elements():
-                assert rep.conjugate_by(g).elements in everything
+                conjugate = tuple(sorted(G.conjugate(g, h) for h in rep.elements))
+                assert conjugate in everything
 
     def test_s4_conjugacy_classes(self):
         G = symmetric(4)
