@@ -257,15 +257,18 @@ def _cocycle_failures(X: GGraph, G: FiniteGroup, d: Dict[Tuple[int, int], Flow])
     """Triples with d(g1, g2) + d(g1 g2, g3) != d(g1, g2 g3) + g1 . d(g2, g3)."""
     failures = 0
     for g1 in G.elements():
-        perm = X.edge_action[g1]
+        perm, row1 = X.edge_action[g1], G.table[g1]
         for g2 in G.elements():
-            g12 = G.mul(g1, g2)
+            row2, g12, d12 = G.table[g2], row1[g2], d[(g1, g2)]
             for g3 in G.elements():
-                moved = {perm[k]: c for k, c in d[(g2, g3)].items()}
-                if _sum_flows(d[(g1, g2)], d[(g12, g3)]) != _sum_flows(
-                    d[(g1, G.mul(g2, g3))], moved
-                ):
-                    failures += 1
+                acc = dict(d12)  # the left side minus the right side
+                for k, c in d[(g12, g3)].items():
+                    acc[k] = acc.get(k, 0) + c
+                for k, c in d[(g1, row2[g3])].items():
+                    acc[k] = acc.get(k, 0) - c
+                for k, c in d[(g2, g3)].items():
+                    acc[perm[k]] = acc.get(perm[k], 0) - c
+                failures += any(acc.values())
     return failures
 
 

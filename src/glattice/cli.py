@@ -605,7 +605,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except (InvalidParameterError, KeyError, TypeError, ValueError) as exc:
+    except InvalidParameterError as exc:
         print(f"invalid invocation: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of the program, never a failed check

@@ -272,7 +272,7 @@ def hom_basis_into_permutation(C: GLattice, B: GLattice) -> List[IntMatrix]:
     Hom_G(C, Z[G/H]) corresponds to H-fixed functionals on C: the
     coordinate of the point g(basepoint) is the functional twisted by g.
     """
-    if B.gset is None or not B.is_permutation_action():
+    if B.gset is None:
         raise InvalidParameterError("target needs permutation point structure")
     Cd = dual(C)
     out = []
@@ -381,9 +381,9 @@ def find_section(seq: ShortExactSequence) -> Optional[EquivariantMap]:
         raise InvalidParameterError(f"sequence is not exact: {report.failures}")
     B, C = seq.B, seq.C
     pi = seq.right.matrix
-    if C.gset is not None and C.is_permutation_action():
+    if C.gset is not None:
         return _find_section_orbitwise(seq)
-    if B.gset is not None and B.is_permutation_action():
+    if B.gset is not None:
         homs = hom_basis_into_permutation(C, B)
     else:
         homs = hom_basis(C, B)

@@ -21,7 +21,7 @@ from .gmod import (
     sublattice_with_action,
 )
 from .groups import FiniteGroup, GSet, Subgroup, regular_gset
-from .intlinalg import BasisSolver, IntMatrix, col_hermite
+from .intlinalg import BasisSolver, IntMatrix
 
 
 class SpanningTreeBasisError(GlatticeError):
@@ -210,36 +210,28 @@ class FlowLattice:
 def flow_lattice(X: GGraph) -> FlowLattice:
     """Flow lattice of a connected G-graph (disconnected graphs rejected).
 
-    The fundamental cycles of the BFS tree from vertex 0 (see _bfs) are a
-    Z-basis of the flows: each non-tree edge, forward, closed by the tree
-    path back to its source.  Their column Hermite form is therefore the
-    canonical basis of the kernel of the boundary map, and it is its own
-    Hermite form for the solver.
+    The fundamental cycles of a spanning tree (each non-tree edge, forward,
+    closed by the tree path) are a Z-basis of the flows.  On Kruskal's tree
+    from the last edge backwards, each non-tree edge is the first edge of
+    its cycle and in no other, so in edge order the cycles are already the
+    column Hermite form: the canonical basis of the boundary's kernel.
     """
     if not X.is_connected():
         raise InvalidParameterError(
             f"graph is disconnected; components: {X.components()}"
         )
-    prev = _bfs(X, 0)
-    tree = {p[0] for p in prev if p is not None}
-
-    def add_root_path(vec: List[int], v: int, c: int) -> None:
-        # add c times the unit flow along the tree path from vertex 0 to v
-        while v != 0:
-            e, sign = prev[v]
-            vec[e] += c * sign
-            s, t = X.edges[e]
-            v = s if sign == 1 else t
-
+    root, tree = list(range(X.n_vertices)), set()
+    for e in reversed(range(X.n_edges)):
+        a, b = (_find(root, v) for v in X.edges[e])
+        if a != b:
+            root[a] = b
+            tree.add(e)
     cycles = []
     for e, (s, t) in enumerate(X.edges):
         if e not in tree:
-            vec = [0] * X.n_edges
-            vec[e] = 1
-            add_root_path(vec, s, 1)
-            add_root_path(vec, t, -1)
-            cycles.append(vec)
-    basis = col_hermite(IntMatrix.from_columns(cycles, rows=X.n_edges))
+            cycles.append(path_flow(X, t, s, tree))
+            cycles[-1][e] += 1
+    basis = IntMatrix.from_columns(cycles, rows=X.n_edges)
     fl = FlowLattice(X, BasisSolver.of_hermite(basis))
     expected = X.n_edges - X.n_vertices + 1
     certify(fl.rank == expected, f"rank formula violated: {fl.rank} != {expected}")
@@ -247,6 +239,13 @@ def flow_lattice(X: GGraph) -> FlowLattice:
 
 
 # -- canonical trees and path flows ---------------------------------------------
+
+
+def _find(root: List[int], x: int) -> int:
+    """The representative of x in a union-find forest."""
+    while root[x] != x:
+        x = root[x]
+    return x
 
 
 def _bfs(
@@ -307,7 +306,7 @@ def spanning_tree_basis(
     SpanningTreeBasisError with a diagnostic otherwise.  The criterion
     proves a Z-basis of the flows: a flow is determined by its values on
     the non-tree edges, and that minor is unimodular.  So the lattice is
-    built without a second span check.
+    built without a second span check, and it is its own solver.
     """
     tree = sorted(set(int(e) for e in tree_edges))
     # validate the tree: spanning and acyclic in the undirected sense
@@ -316,20 +315,12 @@ def spanning_tree_basis(
             f"tree has {len(tree)} edges, expected |V|-1 = {X.n_vertices - 1}"
         )
     parent = list(range(X.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for e in tree:
-        s, t = X.edges[e]
-        rs, rt = find(s), find(t)
+        rs, rt = (_find(parent, v) for v in X.edges[e])
         if rs == rt:
             raise InvalidParameterError("tree edges contain a cycle")
         parent[rs] = rt
-    if len({find(v) for v in range(X.n_vertices)}) != 1:
+    if len({_find(parent, v) for v in range(X.n_vertices)}) != 1:
         raise InvalidParameterError("tree edges do not span the graph")
 
     tree_set = set(tree)
@@ -365,7 +356,7 @@ def spanning_tree_basis(
                     f"matrix not upper triangular: f_{i}(e_{non_tree[j]}) != 0"
                 )
     basis = IntMatrix.from_columns(cols, rows=X.n_edges)
-    return FlowLattice(X, BasisSolver(basis))
+    return FlowLattice(X, BasisSolver._of_triangular(basis, non_tree))
 
 
 # -- subgraphs and edge removal --------------------------------------------------

@@ -3,6 +3,10 @@ equivariant homomorphisms and short exact sequences.
 
 A lattice never claims an isomorphism from numerical coincidences: every
 identification is carried by an explicit unimodular equivariant map.
+
+A derived lattice is its generator matrices; any other element's matrix
+is made when first read, and kept.  Permutation lattices fill it from
+their G-set, and move a sublattice basis by reindexing its rows.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from .intlinalg import (
     BasisSolver,
     IntMatrix,
     cokernel_invariants,
-    col_hermite,
     column_span_canonical,
     is_saturated_hermite,
     kernel_basis,
@@ -24,13 +27,35 @@ from .intlinalg import (
 )
 
 
+class _Action:
+    """rho(g) is ``made[g]``, made by ``make(self, g)`` on first read (iterated
+    through ``__getitem__``); ``make`` never refers to the lattice owning it."""
+
+    __slots__ = ("rank", "_made", "_make")
+
+    def __init__(self, rank: int, made: List[Optional[IntMatrix]], make=None):
+        self.rank, self._made, self._make = rank, made, make
+
+    def __getitem__(self, g: int) -> IntMatrix:
+        m = self._made[g]
+        if m is None:
+            m = self._made[g] = self._make(self, g)
+        return m
+
+    def __setitem__(self, g: int, m: IntMatrix) -> None:
+        self._made[g] = m
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
+
+
 class GLattice:
     """A free Z-module of finite rank with a G-action by integer matrices.
 
-    A lattice built from caller-supplied matrices is validated at
-    construction.  The constructors of this module derive their lattices
-    from already-checked inputs, so those are correct by construction and
-    pass the private ``_derived`` flag to skip the check.
+    ``action[g]`` is rho(g).  A lattice built from caller-supplied matrices
+    is validated at construction.  The constructors of this module derive
+    their lattices from already-checked inputs, so those are correct by
+    construction, skip the check (``_derived``) and make matrices on use.
     """
 
     def __init__(
@@ -42,14 +67,16 @@ class GLattice:
         *,
         _derived: bool = False,
     ):
-        if len(action) != group.order:
-            raise InvalidParameterError("need one action matrix per group element")
         self.group = group
-        self.action = list(action)
-        self.rank = action[0].rows if action else 0
-        for m in self.action:
-            if m.rows != self.rank or m.cols != self.rank:
+        if not (_derived and isinstance(action, _Action)):
+            action = list(action)
+            if len(action) != group.order:
+                raise InvalidParameterError("need one action matrix per group element")
+            rank = action[0].rows
+            if any(m.shape != (rank, rank) for m in action):
                 raise InvalidParameterError("action matrices must be square of equal rank")
+            action = _Action(rank, action)
+        self.action, self.rank = action, action.rank
         self.gset = gset
         self.name = name
         # fixed_sublattice results, keyed by the subgroup's elements
@@ -63,7 +90,7 @@ class GLattice:
         With rho(e) = I and rho(g s) = rho(g) rho(s) for every element g and
         every generator s, induction on the word length of h gives
         rho(g h) = rho(g) rho(h); then rho(g) rho(g^-1) = I makes every
-        matrix unimodular.
+        matrix unimodular.  A G-set must match on the generators too.
         """
         G = self.group
         if not self.action[G.identity].is_identity():
@@ -74,6 +101,10 @@ class GLattice:
                     raise InvalidParameterError(
                         f"action is not a homomorphism at elements ({g}, {s})"
                     )
+        X = self.gset
+        if X is not None and (X.group is not G or X.size != self.rank or any(
+                self.action[s] != _permutation_matrix(X, s) for s in G.generators)):
+            raise InvalidParameterError("G-set does not match the action on the generators")
 
     def is_permutation_action(self) -> bool:
         """Whether every generator acts by a permutation matrix: entries 0
@@ -94,7 +125,7 @@ class GLattice:
 
 def lattices_equal(M: GLattice, N: GLattice) -> bool:
     """Exact equality: same group object, same rank, same action matrices."""
-    return (
+    return M is N or (
         M.group is N.group
         and M.rank == N.rank
         and all(M.action[g] == N.action[g] for g in range(M.group.order))
@@ -150,7 +181,8 @@ class EquivariantMap:
         if self._inverse is not None:
             return True
         # a square integer matrix is invertible over Z iff its Hermite form is I
-        return self.matrix.rows == self.matrix.cols and col_hermite(self.matrix).is_identity()
+        m = self.matrix
+        return m.rows == m.cols and column_span_canonical(m).is_identity()
 
     def inverse(self) -> "EquivariantMap":
         inv = self._inverse
@@ -245,16 +277,18 @@ def check_exact(seq: ShortExactSequence) -> ExactnessReport:
 # -- permutation-type constructors -------------------------------------------
 
 
+def _permutation_matrix(X: GSet, g: int) -> IntMatrix:
+    """The matrix sending basis vector x to basis vector g x."""
+    m = IntMatrix.zeros(X.size, X.size)
+    m.a[list(X.action[g]), range(X.size)] = 1
+    return m
+
+
 def permutation_lattice(G: FiniteGroup, gset: GSet) -> GLattice:
     """Z-basis indexed by the G-set points, permuted by the action."""
     if gset.group is not G:
         raise InvalidParameterError("invalid-gset: G-set belongs to a different group")
-    action = []
-    for g in range(G.order):
-        m = IntMatrix.zeros(gset.size, gset.size)
-        for x in range(gset.size):
-            m.a[gset.apply(g, x), x] = 1
-        action.append(m)
+    action = _Action(gset.size, [None] * G.order, lambda _, g: _permutation_matrix(gset, g))
     return GLattice(G, action, gset=gset, name=f"Z[{gset.size} points]", _derived=True)
 
 
@@ -276,22 +310,17 @@ def trivial(G: FiniteGroup) -> GLattice:
 def dual(M: GLattice) -> GLattice:
     """Dual lattice: action of g becomes the transpose of the action of g^-1."""
     G = M.group
-    action = [M.action[G.inverses[g]].T for g in range(G.order)]
+    action = _Action(M.rank, [None] * G.order, lambda _, g: M.action[G.inverses[g]].T)
     return GLattice(G, action, name=f"dual({M.name})" if M.name else "", _derived=True)
 
 
 def direct_sum(M: GLattice, N: GLattice) -> GLattice:
     if M.group is not N.group:
         raise InvalidParameterError("direct sum needs a common group")
-    action = []
-    for g in range(M.group.order):
-        m = IntMatrix.zeros(M.rank + N.rank, M.rank + N.rank)
-        m.a[: M.rank, : M.rank] = M.action[g].a
-        m.a[M.rank :, M.rank :] = N.action[g].a
-        action.append(m)
-    gset = None
-    if M.gset is not None and N.gset is not None and M.is_permutation_action() and N.is_permutation_action():
-        gset = M.gset.disjoint_union(N.gset)
+    zero = IntMatrix.zeros(M.rank, N.rank)
+    gset = M.gset.disjoint_union(N.gset) if None not in (M.gset, N.gset) else None
+    action = _Action(M.rank + N.rank, [None] * M.group.order,
+                     lambda _, g: M.action[g].hstack(zero).vstack(zero.T.hstack(N.action[g])))
     return GLattice(M.group, action, gset=gset, _derived=True)
 
 
@@ -308,7 +337,8 @@ def tensor(M: GLattice, N: GLattice) -> GLattice:
     """Tensor over Z with the diagonal action; row-major index (i, j) -> i*rank(N)+j."""
     if M.group is not N.group:
         raise InvalidParameterError("tensor needs a common group")
-    action = [M.action[g].kron(N.action[g]) for g in range(M.group.order)]
+    action = _Action(M.rank * N.rank, [None] * M.group.order,
+                     lambda _, g: M.action[g].kron(N.action[g]))
     return GLattice(M.group, action, _derived=True)
 
 
@@ -318,7 +348,8 @@ def restrict(M: GLattice, H: Subgroup) -> GLattice:
         raise InvalidParameterError("subgroup belongs to a different group")
     Hgrp, embed = H.as_group()
     name = f"res({M.name})" if M.name else ""
-    return GLattice(Hgrp, [M.action[g] for g in embed], name=name, _derived=True)
+    action = _Action(M.rank, [None] * Hgrp.order, lambda _, h: M.action[embed[h]])
+    return GLattice(Hgrp, action, name=name, _derived=True)
 
 
 def fixed_sublattice(M: GLattice, H: Subgroup) -> IntMatrix:
@@ -365,8 +396,9 @@ def sublattice_with_action(
     invariance under every element.  A caller that already holds a
     BasisSolver of the basis may pass it.
 
-    Only the generators are solved for: M(s) B = B rho(s).  Every other
-    element gets rho(a s) = rho(a) rho(s), one product each, along the
+    Only the generators are solved for, M(s) B = B rho(s), where row x of
+    M(s) B is row s^-1 x of B when M has a G-set.  Every other element gets
+    rho(a s) = rho(a) rho(s) when first read, one product each, along the
     breadth-first search of FiniteGroup.closure.  This is exact and rho
     is a homomorphism, because M is one and the basis B is injective;
     that is why a basis without full column rank is refused.
@@ -375,23 +407,34 @@ def sublattice_with_action(
     if solver.rank != basis.cols:
         raise InvalidParameterError("basis columns are not linearly independent")
     G = M.group
-    rho = {}
+    made: List[Optional[IntMatrix]] = [None] * G.order
     for s in G.generators:
-        coords = solver.express_matrix(M.action[s] @ basis)
-        if coords is None:
+        moved = M.action[s] @ basis if M.gset is None else basis.take_rows(
+            M.gset.action[G.inverses[s]])
+        made[s] = solver.express_matrix(moved)
+        if made[s] is None:
             raise InvalidParameterError(
                 f"column span is not invariant under element {s}"
             )
-        rho[s] = coords
-    action = {G.identity: IntMatrix.identity(basis.cols)}
-    queue = [G.identity]
+    parent, queue = {G.identity: None}, [G.identity]  # c -> (a, s), c = a s
     for a in queue:
         for s in G.generators:
-            c = G.table[a][s]
-            if c not in action:
-                action[c] = rho[s] if a == G.identity else action[a] @ rho[s]
-                queue.append(c)
-    sub = GLattice(G, [action[g] for g in range(G.order)], name=name, _derived=True)
+            if G.table[a][s] not in parent:
+                parent[G.table[a][s]] = (a, s)
+                queue.append(G.table[a][s])
+
+    def make(action, g):  # multiply down from the nearest element made
+        if g == G.identity:
+            return IntMatrix.identity(basis.cols)
+        path = [g]  # ends above a generator at the latest
+        while action._made[parent[path[-1]][0]] is None:
+            path.append(parent[path[-1]][0])
+        for c in reversed(path):
+            action[c] = action[parent[c][0]] @ action[parent[c][1]]
+        return action[g]
+
+    action = _Action(basis.cols, made, make)
+    sub = GLattice(G, action, name=name, _derived=True)
     return sub, EquivariantMap(sub, M, basis)
 
 

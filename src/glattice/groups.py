@@ -492,9 +492,6 @@ class GSet:
             list(point_names) if point_names else [f"p{i}" for i in range(self.size)]
         )
 
-    def apply(self, g: int, x: int) -> int:
-        return self.action[g][x]
-
     def move(self, g: int, vec: Sequence[int]) -> List[int]:
         """The point-indexed vector g . vec: the entry at x moves to g x."""
         perm = self.action[g]

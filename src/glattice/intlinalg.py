@@ -15,9 +15,10 @@ factors (``cokernel_invariants``, ``is_saturated_basis``) read the Smith
 diagonal, computed without transforms, and skip it when every pivot of
 the column Hermite form is 1.  Kernels and solves (``kernel_basis``,
 ``solve_matrix``, ``BasisSolver``) use the column Hermite form and its
-transform; a basis already in that form, such as a kernel basis, is its
-own (``BasisSolver.of_hermite``).  No routine builds the Smith
-transforms.  Independence over Q is read modulo a prime
+transform, skipped for a matrix already in that form; a certified
+triangular basis, such as a spanning-tree flow basis, is its own solver
+too, and no identity transform is multiplied.  No routine builds the
+Smith transforms.  Independence over Q is read modulo a prime
 (``independent_columns_mod_prime``).
 """
 
@@ -401,13 +402,28 @@ def col_hermite(A: IntMatrix, transform: bool = False):
     return row_hermite(A.T).T
 
 
+def _is_column_hermite(A: IntMatrix) -> bool:
+    """Whether ``col_hermite`` returns A with the identity transform: nonzero
+    columns first, their pivots (first nonzero entries) positive in
+    increasing rows, and every entry left of a pivot in [0, pivot)."""
+    if A.rows and A.cols > 1 and A.a[0, 1] != 0:  # row 0 is zero past column 0
+        return False
+    nz = A.a != 0
+    k = int(nz.any(axis=0).sum())
+    piv = nz[:, :k].argmax(axis=0) if k else np.zeros(0, dtype=int)
+    left = np.tril(A.a[piv, :k], -1)  # row j: the entries left of pivot j
+    d = A.a[piv, range(k)]
+    return bool(not nz[:, k:].any() and (np.diff(piv) > 0).all() and (d > 0).all()
+                and ((left >= 0) & (left < d[:, None])).all())
+
+
 def drop_zero_columns(A: IntMatrix) -> IntMatrix:
     return A.take_columns(np.flatnonzero((A.a != 0).any(axis=0)))
 
 
 def column_span_canonical(A: IntMatrix) -> IntMatrix:
     """Canonical basis matrix of the column span (zero columns dropped)."""
-    return drop_zero_columns(col_hermite(A))
+    return drop_zero_columns(A if _is_column_hermite(A) else col_hermite(A))
 
 
 def same_column_span(A: IntMatrix, B: IntMatrix) -> bool:
@@ -429,7 +445,7 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
     """
     H, V = col_hermite(A, transform=True)
     rank = sum(1 for col in H.a.T.tolist() if any(col))
-    return col_hermite(V.take_columns(range(rank, A.cols)))
+    return column_span_canonical(V.take_columns(range(rank, A.cols)))
 
 
 def cokernel_invariants(A: IntMatrix):
@@ -463,26 +479,35 @@ class BasisSolver:
     """
 
     def __init__(self, basis: IntMatrix):
-        self._setup(basis, *col_hermite(basis, transform=True))
+        H, V = (basis, None) if _is_column_hermite(basis) else col_hermite(basis, transform=True)
+        self._setup(basis, H, V)
 
     @classmethod
     def of_hermite(cls, H: IntMatrix) -> "BasisSolver":
         """The solver of a basis already in column Hermite form (such as a
         ``kernel_basis``), which is its own Hermite form with the identity
         transform."""
+        return cls._of_triangular(H)
+
+    @classmethod
+    def _of_triangular(cls, basis: IntMatrix, pivots=None) -> "BasisSolver":
+        """The solver of a basis that is its own echelon form: column j is nonzero
+        in row pivots[j] (default: its first nonzero row), 0 in earlier ones."""
         solver = cls.__new__(cls)
-        solver._setup(H, H, IntMatrix.identity(H.cols))
+        solver._setup(basis, basis, pivots=pivots)
         return solver
 
-    def _setup(self, basis: IntMatrix, H: IntMatrix, V: IntMatrix) -> None:
-        self.basis, self.H, self.V = basis, H, V
+    def _setup(self, basis: IntMatrix, H: IntMatrix, V=None, pivots=None) -> None:
+        self.basis, self.H, self._unit = basis, H, V is None
+        self.V = IntMatrix.identity(H.cols) if V is None else V  # _unit: never multiplied
         # (index, pivot row, pivot, nonzero (row, entry) pairs) of each
         # nonzero column of H
         self._columns = []
         for j, col in enumerate(self.H.a.T.tolist()):
             nonzero = [(i, int(x)) for i, x in enumerate(col) if x != 0]
             if nonzero:
-                self._columns.append((j, nonzero[0][0], nonzero[0][1], nonzero))
+                piv = nonzero[0][0] if pivots is None else pivots[j]
+                self._columns.append((j, piv, int(col[piv]), nonzero))
         self.rank = len(self._columns)
 
     def _express_h(self, vec: Sequence[int]) -> Optional[list]:
@@ -506,8 +531,8 @@ class BasisSolver:
     def express(self, vec: Sequence[int]) -> Optional[list]:
         """Coordinates of vec in the basis columns, or None if outside."""
         y = self._express_h(vec)
-        if y is None:
-            return None
+        if y is None or self._unit:
+            return y
         return self.V.mul_vector(y)
 
     def express_matrix(self, M: IntMatrix) -> Optional[IntMatrix]:
@@ -517,7 +542,8 @@ class BasisSolver:
             if y is None:
                 return None
             ys.append(y)
-        return self.V @ IntMatrix.from_columns(ys, rows=self.basis.cols)
+        Y = IntMatrix.from_columns(ys, rows=self.basis.cols)
+        return Y if self._unit else self.V @ Y
 
 
 def saturation(A: IntMatrix) -> IntMatrix:

@@ -514,7 +514,7 @@ def orbit_count(points: GSet, K: Subgroup) -> int:
         if x in seen:
             continue
         orbits += 1
-        seen.update(points.apply(g, x) for g in K.elements)
+        seen.update(points.action[g][x] for g in K.elements)
     return orbits
 
 

@@ -131,7 +131,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "exc",
-        [CertificateError("the section is a right inverse"), AttributeError("no attribute x")],
+        [
+            CertificateError("the section is a right inverse"),
+            AttributeError("no attribute x"),
+            KeyError("x"),
+            TypeError("unsupported operand"),
+            ValueError("shape mismatch"),
+        ],
         ids=lambda e: type(e).__name__,
     )
     def test_internal_error_exits_three_without_traceback(self, monkeypatch, capsys, exc):

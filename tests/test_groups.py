@@ -233,7 +233,7 @@ class TestGSets:
         for (base, pairs), orbit in zip(transversal, U.orbits()):
             assert [p for p, _ in pairs] == list(orbit)
             for p, g in pairs:
-                assert g == min(h for h in G.elements() if U.apply(h, base) == p)
+                assert g == min(h for h in G.elements() if U.action[h][base] == p)
 
     def test_whole_and_trivial(self):
         G = dihedral(3)

@@ -84,7 +84,7 @@ def test_move_matches_loop(group):
             assert V.move(g, vec) == move_by_loop(V.action[g], vec)
             unit = [0] * V.size
             unit[V.size - 1] = 1
-            assert V.move(g, unit).index(1) == V.apply(g, V.size - 1)
+            assert V.move(g, unit).index(1) == V.action[g][V.size - 1]
 
 
 def test_restrict_group_matches_orbit_count(group):

@@ -86,7 +86,7 @@ def oracle_is_graph(vertices, edges, edge_perms) -> bool:
     if not oracle_is_action(G, edge_perms):
         return False
     return all(
-        edges[edge_perms[g][e]] == (vertices.apply(g, s), vertices.apply(g, t))
+        edges[edge_perms[g][e]] == (vertices.action[g][s], vertices.action[g][t])
         for g in G.elements()
         for e, (s, t) in enumerate(edges)
     )
