@@ -63,9 +63,9 @@ from .intlinalg import (
     BasisSolver,
     IntMatrix,
     cokernel_invariants,
+    column_span_canonical,
     kernel_basis,
     same_column_span,
-    saturation,
 )
 
 
@@ -340,6 +340,7 @@ def check_center_walks(G: FiniteGroup, max_len: Optional[int] = None) -> CheckRe
     X = cayley_graph(G, list(range(n)))  # includes the identity: loops
     fl = flow_lattice(X)
     ck.record("rank formula", fl.rank == X.n_edges - n + 1, f"rank {fl.rank}")
+    boundary = boundary_matrix(X).matrix
     idx = X.edge_index()
     edge_of = [[idx[(v, G.table[v][s])] for s in range(n)] for v in range(n)]
     flows = set()
@@ -361,7 +362,9 @@ def check_center_walks(G: FiniteGroup, max_len: Optional[int] = None) -> CheckRe
         level_reached = length
         walks_used = len(flows)
         W = IntMatrix.from_columns([list(f) for f in sorted(flows)], rows=X.n_edges)
-        if saturation(W) == fl.basis:
+        # the walks lie in the saturated Fl, so their saturated span is Fl
+        # exactly when they are flows of full rank
+        if (boundary @ W).is_zero() and column_span_canonical(W).cols == fl.rank:
             spanned = True
             break
     ck.record(
@@ -432,10 +435,6 @@ def check_sn_restrictions(n: int) -> CheckReport:
 @dataclass
 class _MetacyclicData:
     G: FiniteGroup
-    n: int
-    m: int
-    r: int
-    X: GGraph
     fl: object
     B: GLattice
     pi: EquivariantMap
@@ -446,8 +445,13 @@ class _MetacyclicData:
     Ht: Subgroup
     u_vectors: IntMatrix
     v_vectors: IntMatrix
-    sigma: int
-    tau: int
+    # the augmentation sublattice of the t-coset lattice, and in its
+    # coordinates the t-coset block of the kernel (None when outside)
+    I_lat: GLattice
+    I_incl: EquivariantMap
+    phi_cols: Optional[IntMatrix]
+    # the u vectors in the kernel's coordinates (None when outside)
+    u_in_K: Optional[IntMatrix]
 
 
 def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
@@ -539,12 +543,17 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
     v_e = add(add(add(v_sum, s_hat, coeff), t_hat), act_B(s, t_hat), -1)
     v_cols = [act_B(g, v_e) for g in G.elements()]
 
+    u_vectors = IntMatrix.from_columns(u_cols, rows=B.rank)
+    I_lat, I_incl = augmentation_kernel(Lt)
+    block = kernel.take_rows(range(off_t, off_t + n))
     return _MetacyclicData(
-        G=G, n=n, m=m, r=r, X=X, fl=fl, B=B, pi=pi, K=K, K_incl=K_incl,
+        G=G, fl=fl, B=B, pi=pi, K=K, K_incl=K_incl,
         kernel_matrix=kernel, Hs=Hs, Ht=Ht,
-        u_vectors=IntMatrix.from_columns(u_cols, rows=B.rank),
+        u_vectors=u_vectors,
         v_vectors=IntMatrix.from_columns(v_cols, rows=B.rank),
-        sigma=s, tau=t,
+        I_lat=I_lat, I_incl=I_incl,
+        phi_cols=BasisSolver.of_hermite(I_incl.matrix).express_matrix(block),
+        u_in_K=BasisSolver.of_hermite(kernel).express_matrix(u_vectors),
     )
 
 
@@ -570,8 +579,7 @@ def check_kernel_generators(n: int, m: int, r: int) -> CheckReport:
         f"rank {data.kernel_matrix.cols}",
     )
 
-    solver = BasisSolver.of_hermite(data.kernel_matrix)
-    u_in_K = solver.express_matrix(data.u_vectors)
+    u_in_K = data.u_in_K
     ck.record("norm-type elements generate a submodule", u_in_K is not None)
     M0, M0_incl = sublattice_with_action(data.K, u_in_K, name="M0")
     iso = EquivariantMap(coset_lattice(G, data.Hs), M0, IntMatrix.identity(m))
@@ -582,14 +590,10 @@ def check_kernel_generators(n: int, m: int, r: int) -> CheckReport:
 
     # quotient: project kernel onto the t-coset block and land in its
     # augmentation sublattice
-    off_t = m
-    Lt = coset_lattice(G, data.Ht)
-    I_lat, I_incl = augmentation_kernel(Lt)
-    block = data.kernel_matrix.take_rows(range(off_t, off_t + n))
-    phi_cols = BasisSolver.of_hermite(I_incl.matrix).express_matrix(block)
+    phi_cols = data.phi_cols
     ck.record("kernel projects into the augmentation sublattice", phi_cols is not None)
     if phi_cols is not None:
-        phi = EquivariantMap(data.K, I_lat, phi_cols)
+        phi = EquivariantMap(data.K, data.I_lat, phi_cols)
         ck.run("projection equivariant", lambda: (phi.equivariance_failure() is None, ""))
         f2, free2 = cokernel_invariants(phi.matrix)
         ck.record("projection surjective", f2 == [] and free2 == 0)
@@ -630,13 +634,9 @@ def check_faithful_transfer(n: int, m: int, r: int) -> CheckReport:
     ck = _Checker("faithful-transfer", G.spec, {"n": n, "m": m, "r": r % n})
 
     # phi: ker(pi) ->> I on the t-cosets, kernel M0 (checked elsewhere)
-    Lt = coset_lattice(G, data.Ht)
-    I_lat, I_incl = augmentation_kernel(Lt)
-    off_t = m
-    block = data.kernel_matrix.take_rows(range(off_t, off_t + n))
-    phi_cols = BasisSolver.of_hermite(I_incl.matrix).express_matrix(block)
-    certify(phi_cols is not None, "the kernel block lies in the augmentation sublattice")
-    phi = EquivariantMap(data.K, I_lat, phi_cols)
+    I_lat, I_incl = data.I_lat, data.I_incl
+    certify(data.phi_cols is not None, "the kernel block lies in the augmentation sublattice")
+    phi = EquivariantMap(data.K, I_lat, data.phi_cols)
 
     # psi: the boundary of the complete graph on the t-cosets
     Vt = coset_gset(G, data.Ht)
@@ -656,7 +656,7 @@ def check_faithful_transfer(n: int, m: int, r: int) -> CheckReport:
     q_solver = BasisSolver.of_hermite(q_incl.matrix)
 
     # middle row 0 -> Z[G/s] -> Q -> P -> 0 splits
-    u_in_K = BasisSolver.of_hermite(data.kernel_matrix).express_matrix(data.u_vectors)
+    u_in_K = data.u_in_K
     certify(u_in_K is not None, "the u vectors lie in the kernel")
     Ls = coset_lattice(G, data.Hs)
     amb = IntMatrix.zeros(data.K.rank + P.rank, m)

@@ -420,7 +420,8 @@ def _cmd_flows(opts: Dict[str, object], output: str, out) -> int:
 def _cmd_tate(opts: Dict[str, object], output: str, out) -> int:
     G = parse_group_spec(str(opts["group"]))
     M = parse_lattice_spec(G, str(opts["lattice"]))
-    H = parse_subgroup_spec(G, str(opts["subgroup"]))
+    # a graph lattice is built over its own copy of the group
+    H = parse_subgroup_spec(M.group, str(opts["subgroup"]))
     degree = int(opts["degree"])
     result = tate(M, H, degree)
     payload = {

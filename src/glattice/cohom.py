@@ -747,33 +747,25 @@ class InvertibilityCertificate:
     retraction: EquivariantMap
 
 
-def invertibility_certificate(
-    M: GLattice,
-    subgroups: Optional[List[Subgroup]] = None,
-    bounds: Tuple[int, ...] = (2, 3),
-) -> Optional[InvertibilityCertificate]:
-    """Certify M invertible via subgroups of coprime indices, or None.
+def invertibility_certificate(M: GLattice) -> Optional[InvertibilityCertificate]:
+    """Certify M invertible via its Sylow subgroups, one for each prime
+    dividing |G| (the whole group when G is trivial), or None.
 
-    Each restriction must earn a bounded permutation witness; the split
-    embedding into the sum of coset-lattice tensors is emitted with its
-    retraction.  Absence of a certificate is never a disproof.
+    Their indices are coprime.  Each restriction must earn a permutation
+    witness of bound 2 or 3; the split embedding into the sum of
+    coset-lattice tensors is emitted with its retraction.  Absence of a
+    certificate is never a disproof.
     """
     G = M.group
-    if subgroups is None:
-        primes = [p for p, _ in prime_factorization(G.order)]
-        subgroups = [sylow(G, p) for p in primes] if primes else [whole_group(G)]
+    subgroups = [sylow(G, p) for p, _ in prime_factorization(G.order)] or [whole_group(G)]
     indices = [H.index() for H in subgroups]
-    acc = 0
-    for i in indices:
-        acc = gcd(acc, i)
-    if acc != 1:
-        raise InvalidParameterError(f"subgroup indices {indices} are not coprime")
+    certify(gcd(*indices) == 1, "Sylow subgroups have coprime indices")
 
     witnesses = []
     for H in subgroups:
         R = restrict(M, H)
         outcome = None
-        for b in bounds:
+        for b in (2, 3):
             outcome = is_permutation_bounded(R, b)
             if outcome:
                 break

@@ -6,24 +6,27 @@ int64 when its shared dimension k and the entry bounds satisfy
 k * max|A| * max|B| < 2**62, so no partial sum can overflow; otherwise,
 and for products too small to gain from it, it multiplies the Python
 integers.  Either way the result holds Python integers.  Every routine
-is a pure function of its inputs and is deterministic: normal forms use
-a fixed pivot rule (smallest nonzero absolute value, ties broken
-row-major).
+is a pure function of its inputs and is deterministic.
 
-Each question gets the cheapest normal form that decides it.  Invariant
-factors (``cokernel_invariants``, ``is_saturated_basis``) read the Smith
-diagonal, computed without transforms, and skip it when every pivot of
-the column Hermite form is 1.  Kernels and solves (``kernel_basis``,
-``solve_matrix``, ``BasisSolver``) use the column Hermite form and its
-transform, skipped for a matrix already in that form; a certified
-triangular basis, such as a spanning-tree flow basis, is its own solver
-too, and no identity transform is multiplied.  No routine builds the
-Smith transforms.  Independence over Q is read modulo a prime
-(``independent_columns_mod_prime``).
+One integer elimination routine serves every question: the row Hermite
+form, on rows kept as lists of integers, with a fixed pivot rule
+(smallest nonzero absolute value in the column, ties to the first row)
+and sparse row operations.  Invariant factors (``cokernel_invariants``,
+``is_saturated_basis``) read the Smith diagonal, computed without
+transforms by alternating the row Hermite forms of a matrix and of its
+transpose until it is diagonal, starting from the column Hermite form;
+it is skipped when every pivot of that form is 1.  Kernels and solves
+(``kernel_basis``, ``solve_matrix``, ``BasisSolver``) use the column
+Hermite form and its transform, skipped for a matrix already in that
+form; a certified triangular basis, such as a spanning-tree flow basis,
+is its own solver too, and no identity transform is multiplied.  No
+routine builds the Smith transforms.  Independence over Q is read by
+elimination modulo a prime (``independent_columns_mod_prime``).
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -113,9 +116,6 @@ class IntMatrix:
 
     def __getitem__(self, ij):
         return self.a[ij]
-
-    def row_list(self, i: int) -> list:
-        return [int(x) for x in self.a[i, :]]
 
     def col_list(self, j: int) -> list:
         return [int(x) for x in self.a[:, j]]
@@ -221,95 +221,6 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
-def _find_pivot(a, t: int, rows: int, cols: int):
-    """Smallest |nonzero| entry of the trailing block, ties row-major."""
-    best = None
-    for i in range(t, rows):
-        for j in range(t, cols):
-            x = a[i][j]
-            if x != 0:
-                v = -x if x < 0 else x
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-                    if v == 1:
-                        return best
-    return best
-
-
-def _smith_reduce(A: IntMatrix) -> list:
-    """The Smith elimination on lists of rows, without transforms: the
-    reduced rows, diagonal signs left as found."""
-    rows, cols = A.rows, A.cols
-    s = [A.row_list(i) for i in range(rows)]
-
-    def row_op(i, k, q):  # row_i -= q * row_k
-        si, sk = s[i], s[k]
-        for j in range(cols):
-            si[j] -= q * sk[j]
-
-    def col_op(j, k, q):  # col_j -= q * col_k
-        for i in range(rows):
-            s[i][j] -= q * s[i][k]
-
-    def swap_rows(i, k):
-        s[i], s[k] = s[k], s[i]
-
-    def swap_cols(j, k):
-        for row in s:
-            row[j], row[k] = row[k], row[j]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        piv = _find_pivot(s, t, rows, cols)
-        if piv is None:
-            break
-        _, pi, pj = piv
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        while True:
-            # clear column t
-            restart = False
-            for i in range(rows):
-                if i != t and s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    row_op(i, t, q)
-                    if s[i][t] != 0:
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # clear row t
-            for j in range(cols):
-                if j != t and s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    col_op(j, t, q)
-                    if s[t][j] != 0:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            if all(s[i][t] == 0 for i in range(rows) if i != t):
-                break
-        # enforce that the pivot divides every remaining entry
-        d = s[t][t]
-        fixed = True
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if s[i][j] % d != 0:
-                    row_op(t, i, -1)  # add row i to row t, then re-reduce
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        t += 1
-    return s
-
-
 def _smith_diagonal(A: IntMatrix) -> list:
     """The Smith diagonal (min(rows, cols) entries), without transforms, taken
     from the nonzero columns of the column Hermite form of A (same diagonal)."""
@@ -321,13 +232,88 @@ def _hermite_smith_diagonal(H: IntMatrix) -> list:
     """The Smith diagonal of a column Hermite form without zero columns.
 
     When every pivot (the first nonzero entry of a column) is 1, the pivot
-    rows form a unit lower-triangular minor, so the diagonal is all 1 and
-    no Smith form is needed.
+    rows form a unit lower-triangular minor, so the diagonal is all 1.
+    Otherwise the k = H.cols nonzero rows of the row Hermite form of H are
+    a square upper-triangular matrix with the same Smith form, and a
+    diagonal of 1s there means determinant +-1.  Else the row Hermite forms
+    of the transpose and of the matrix alternate until it is diagonal
+    (Kannan and Bachem, 1979): each round makes the first pivot the gcd of
+    the row before, so it falls until it divides that row, which the next
+    round clears, and so on down the diagonal.  Pairwise gcd and lcm then
+    turn the diagonal into a divisibility chain.
     """
-    if H.cols == 0 or all(H.a[(H.a != 0).argmax(axis=0), np.arange(H.cols)] == 1):
-        return [1] * H.cols
-    s = _smith_reduce(H)
-    return [abs(s[i][i]) for i in range(H.cols)]
+    k = H.cols
+    if k == 0 or all(H.a[(H.a != 0).argmax(axis=0), np.arange(k)] == 1):
+        return [1] * k
+    t = H.to_lists()
+    _row_hermite_rows(t, k)
+    del t[k:]
+    if all(t[i][i] == 1 for i in range(k)):
+        return [1] * k
+    while any(any(row[i + 1 :]) for i, row in enumerate(t)):
+        t = [list(col) for col in zip(*t)]
+        _row_hermite_rows(t, k)
+    d = [t[i][i] for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d
+
+
+def _row_hermite_rows(h: list, cols: int, u: Optional[list] = None) -> None:
+    """Bring the rows h (lists of ``cols`` integers) to the canonical row
+    Hermite form in place, nonzero rows first, doing the same row operations
+    on the rows u when given.
+
+    The pivot of each column is its entry of smallest absolute value among
+    the rows not yet used, ties to the first such row.
+    """
+    rows = len(h)
+    mats = (h,) if u is None else (h, u)
+
+    def pivot_support(k):  # nonzero (index, entry) pairs of row k of each matrix
+        return [[(j, x) for j, x in enumerate(m[k]) if x] for m in mats]
+
+    def row_sub(i, support, q):  # row_i -= q * the row whose support is given
+        for m, pairs in zip(mats, support):
+            mi = m[i]
+            for j, x in pairs:
+                mi[j] -= q * x
+
+    def negate(i):
+        for m in mats:
+            m[i] = [-x for x in m[i]]
+
+    p = 0
+    for col in range(cols):
+        if p == rows:
+            break
+        nz = [i for i in range(p, rows) if h[i][col] != 0]  # ascending
+        while nz:
+            i0 = min(nz, key=lambda i: abs(h[i][col]))  # ties: the first
+            if i0 != p:
+                for m in mats:
+                    m[p], m[i0] = m[i0], m[p]
+            support = pivot_support(p)
+            d = h[p][col]
+            left = []  # rows still nonzero in col; each step reads only row p
+            for i in nz:
+                if i != i0:
+                    i = i0 if i == p else i  # the old row p now sits at i0
+                    row_sub(i, support, h[i][col] // d)
+                    if h[i][col] != 0:
+                        left.append(i)
+            nz = [p] + sorted(left) if left else []
+        if h[p][col] != 0:  # the last round left row p and its support as they are
+            if h[p][col] < 0:
+                negate(p)
+                support = pivot_support(p)
+            for i in range(p):
+                q = h[i][col] // h[p][col]
+                if q != 0:
+                    row_sub(i, support, q)
+            p += 1
 
 
 def row_hermite(A: IntMatrix, transform: bool = False):
@@ -335,62 +321,12 @@ def row_hermite(A: IntMatrix, transform: bool = False):
 
     With ``transform=True`` also returns unimodular U with U @ A == H.
     """
-    rows, cols = A.rows, A.cols
-    h = [A.row_list(i) for i in range(rows)]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if transform else None
-
-    def pivot_support(k):  # nonzero (index, entry) pairs of row k of H and of U
-        return [[(j, x) for j, x in enumerate(m[k]) if x] for m in (h, u) if m is not None]
-
-    def row_sub(i, support, q):  # row_i -= q * the row whose support is given
-        for m, pairs in zip((h, u), support):
-            mi = m[i]
-            for j, x in pairs:
-                mi[j] -= q * x
-
-    def swap(i, k):
-        if i != k:
-            h[i], h[k] = h[k], h[i]
-            if u is not None:
-                u[i], u[k] = u[k], u[i]
-
-    def negate(i):
-        h[i] = [-x for x in h[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-
-    p = 0
-    for col in range(cols):
-        while True:
-            nz = [i for i in range(p, rows) if h[i][col] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(h[i][col]), i))
-            swap(p, i0)
-            support = pivot_support(p)
-            done = True
-            for i in range(p + 1, rows):
-                if h[i][col] != 0:
-                    q = h[i][col] // h[p][col]
-                    row_sub(i, support, q)
-                    if h[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if p < rows and h[p][col] != 0:
-            if h[p][col] < 0:
-                negate(p)
-            support = pivot_support(p)
-            for i in range(p):
-                q = h[i][col] // h[p][col]
-                if q != 0:
-                    row_sub(i, support, q)
-            p += 1
-            if p == rows:
-                break
-    H = IntMatrix.from_rows(h, cols=cols)
+    h = A.to_lists()
+    u = [[1 if i == j else 0 for j in range(A.rows)] for i in range(A.rows)] if transform else None
+    _row_hermite_rows(h, A.cols, u)
+    H = IntMatrix.from_rows(h, cols=A.cols)
     if transform:
-        return H, IntMatrix.from_rows(u, cols=rows)
+        return H, IntMatrix.from_rows(u, cols=A.rows)
     return H
 
 
@@ -544,12 +480,6 @@ class BasisSolver:
             ys.append(y)
         Y = IntMatrix.from_columns(ys, rows=self.basis.cols)
         return Y if self._unit else self.V @ Y
-
-
-def saturation(A: IntMatrix) -> IntMatrix:
-    """Canonical basis of the saturation of the column span of A."""
-    left = kernel_basis(A.T)  # columns span the rational left-kernel
-    return kernel_basis(left.T)
 
 
 def is_saturated_basis(A: IntMatrix) -> bool:

@@ -15,8 +15,10 @@ left kernel.  The routes that solving on generators replaced: a
 sublattice's action solved element by element, exactness decided by
 comparing the image with ``kernel_basis`` of the right map, the flow
 basis as ``kernel_basis`` of the boundary, and the bar-cocycle loops
-over dense edge vectors.  A flow lattice is validated from scratch
-against the boundary map and the edge action.
+over dense edge vectors.  The saturation of a span as a double kernel,
+which the closed-walk check once compared with the flow basis.  A flow
+lattice is validated from scratch against the boundary map and the edge
+action.
 """
 
 from collections import deque
@@ -38,7 +40,6 @@ from glattice.groups import FiniteGroup, GSet, Subgroup, prime_factorization
 from glattice.intlinalg import (
     BasisSolver,
     IntMatrix,
-    _find_pivot,
     cokernel_invariants,
     column_span_canonical,
     kernel_basis,
@@ -93,9 +94,25 @@ class SmithDecomposition:
         return [int(self.S[i, i]) for i in range(n)]
 
 
+def _find_pivot(a, t: int, rows: int, cols: int):
+    """Smallest |nonzero| entry of the trailing block, ties row-major."""
+    best = None
+    for i in range(t, rows):
+        for j in range(t, cols):
+            x = a[i][j]
+            if x != 0:
+                v = -x if x < 0 else x
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+                    if v == 1:
+                        return best
+    return best
+
+
 def smith(A: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with both transforms, by the library's pivot rule
-    (smallest nonzero absolute value, ties row-major).
+    """Smith normal form with both transforms, by dense elimination with the
+    pivot of smallest nonzero absolute value in the trailing block, ties
+    row-major.
 
     >>> d = smith(IntMatrix.from_rows([[2, 4], [6, 8]]))
     >>> d.diagonal()
@@ -543,6 +560,12 @@ def sublattice_action_per_element(M: GLattice, basis: IntMatrix) -> List[IntMatr
             raise InvalidParameterError(f"column span is not invariant under element {g}")
         action.append(coords)
     return action
+
+
+def saturation(A: IntMatrix) -> IntMatrix:
+    """Canonical basis of the saturation of the column span of A."""
+    left = kernel_basis(A.T)  # columns span the rational left-kernel
+    return kernel_basis(left.T)
 
 
 def check_exact_by_kernel(seq: ShortExactSequence) -> ExactnessReport:

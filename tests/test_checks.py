@@ -1,11 +1,15 @@
 """Named checks: every report assertion must carry its own verdict."""
 
+import itertools
+
 import pytest
 
+from glattice.cli import parse_group_spec
 from glattice.errors import InvalidParameterError
+from glattice.gflows import boundary_matrix, cayley_graph, flow_lattice
 from glattice.gmod import GLattice, trivial
 from glattice.groups import cyclic, dihedral, direct_product, semidirect, symmetric
-from glattice.intlinalg import IntMatrix
+from glattice.intlinalg import IntMatrix, column_span_canonical
 from glattice.checks import (
     check_bar_cocycle,
     check_center_walks,
@@ -18,6 +22,7 @@ from glattice.checks import (
     check_sn_restrictions,
     quick_suite_graphs,
 )
+from reference import saturation
 
 
 def detail(report, name):
@@ -127,6 +132,35 @@ class TestCenterWalks:
     def test_max_len_too_small_rejected(self):
         with pytest.raises(InvalidParameterError, match="max_len"):
             check_center_walks(cyclic(3), max_len=2)
+
+    @pytest.mark.parametrize("spec", ["C:2", "C:3", "C:4", "SD:3,2,2", "D:4"])
+    def test_rank_rule_agrees_with_saturation(self, spec):
+        """Closed walks of length up to 4: W's saturated span is Fl exactly
+        when W's columns are flows of full rank, and the check stops at the
+        first length where that holds."""
+        G = parse_group_spec(spec)
+        X = cayley_graph(G, list(range(G.order)))
+        fl = flow_lattice(X)
+        boundary = boundary_matrix(X).matrix
+        idx = X.edge_index()
+        flows, verdicts = set(), []
+        for length in range(1, 5):
+            for steps in itertools.product(range(G.order), repeat=length - 1):
+                vec, v = [0] * X.n_edges, G.identity
+                for s in steps:
+                    vec[idx[(v, G.mul(v, s))]] += 1
+                    v = G.mul(v, s)
+                vec[idx[(v, G.identity)]] += 1  # the step back to the identity
+                flows.add(tuple(vec))
+            W = IntMatrix.from_columns(sorted(flows), rows=X.n_edges)
+            by_rank = (boundary @ W).is_zero() and column_span_canonical(W).cols == fl.rank
+            assert by_rank == (saturation(W) == fl.basis)
+            verdicts.append(by_rank)
+        assert not verdicts[0] and verdicts[-1]
+        rep = check_center_walks(G)
+        assert detail(rep, "saturated walk span equals the flow lattice")["detail"].startswith(
+            f"walk length {verdicts.index(True) + 1},"
+        )
 
 
 class TestSnRestrictions:

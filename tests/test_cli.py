@@ -18,6 +18,7 @@ from glattice.cli import (
     run_check,
 )
 from glattice.errors import CertificateError, SpecParseError
+from test_golden import TATE_GRID
 
 
 def run_cli(argv):
@@ -177,6 +178,20 @@ class TestCommands:
         ])
         assert code == 0
         assert text.strip() == "0"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for argv in TATE_GRID
+         if argv[2] in ("D:4", "SD:3,2,2") and argv[4] == "flows:cayley"],
+        ids=" ".join,
+    )
+    def test_tate_on_a_graph_lattice_spec(self, argv):
+        """A lattice named by its graph is built over its own copy of the
+        group; the subgroup must be read in that copy."""
+        graph_argv = argv[:4] + [f"flows:cayley({argv[2]};s,t)"] + argv[5:]
+        code, text = run_cli(argv)
+        assert code == 0
+        assert run_cli(graph_argv) == (0, text)
 
     def test_flows_disconnected(self):
         code, text = run_cli(["flows", "--graph", "cayley(C:4;s2)", "--output", "json"])

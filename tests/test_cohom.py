@@ -1,5 +1,7 @@
 """Tate cohomology, flasque/coflasque machinery, sections, certificates."""
 
+from math import gcd
+
 import pytest
 
 from glattice.cohom import (
@@ -38,6 +40,7 @@ from glattice.groups import (
     cyclic,
     dihedral,
     direct_product,
+    prime_factorization,
     semidirect,
     subgroup_conjugacy_reps,
     subgroup_from_generators,
@@ -538,10 +541,11 @@ class TestInvertibility:
         assert sorted(H.order for H in cert.subgroups) == [2, 3]
 
     def test_permutation_lattice_certified_by_whole_group(self):
-        G = cyclic(4)
+        G = cyclic(4)  # a 2-group: its Sylow 2-subgroup is the whole group
         M = regular(G)
-        cert = invertibility_certificate(M, subgroups=[whole_group(G)])
+        cert = invertibility_certificate(M)
         assert cert is not None
+        assert [H.elements for H in cert.subgroups] == [whole_group(G).elements]
         assert cert.restriction_witnesses[0].reason == "standard basis is stable"
 
     def test_klein_four_flow_lattice_unknown(self):
@@ -550,8 +554,14 @@ class TestInvertibility:
         fl = flow_lattice(X)
         assert invertibility_certificate(fl.glattice) is None
 
-    def test_noncoprime_indices_rejected(self):
-        G = cyclic(4)
-        H = subgroup_from_generators(G, [2])
-        with pytest.raises(InvalidParameterError, match="coprime"):
-            invertibility_certificate(regular(G), subgroups=[H])
+    @pytest.mark.parametrize("spec", ["C:1", "C:6", "S:3", "D:4", "SD:3,4,2"])
+    def test_sylow_subgroups_have_coprime_indices(self, spec):
+        """The subgroups are the Sylow subgroups, one per prime dividing |G|,
+        so their indices are coprime and the regular lattice is certified."""
+        G = parse_group_spec(spec)
+        cert = invertibility_certificate(regular(G))
+        assert cert is not None
+        orders = [p ** e for p, e in prime_factorization(G.order)] or [1]
+        assert [H.order for H in cert.subgroups] == orders
+        assert gcd(*(H.index() for H in cert.subgroups)) == 1
+        assert (cert.retraction.matrix @ cert.embedding.matrix).is_identity()

@@ -18,11 +18,15 @@ from glattice.intlinalg import (
     is_saturated_basis,
     kernel_basis,
     same_column_span,
-    saturation,
     solve_matrix,
     xgcd,
 )
-from reference import det, smith
+from glattice import intlinalg
+from glattice.cli import parse_group_spec
+from glattice.gflows import cayley_graph, flow_lattice
+from glattice.gmod import dual, norm_matrix
+from glattice.groups import subgroup_conjugacy_reps
+from reference import det, saturation, smith
 
 
 def gcd_int(a: int, b: int) -> int:
@@ -33,7 +37,7 @@ def gcd_int(a: int, b: int) -> int:
 
 def rational_rank(m: IntMatrix) -> int:
     """Independent oracle: Gaussian elimination over the rationals."""
-    a = [[Fraction(int(x)) for x in m.row_list(i)] for i in range(m.rows)]
+    a = [[Fraction(x) for x in row] for row in m.to_lists()]
     rank = 0
     for col in range(m.cols):
         piv = next((i for i in range(rank, m.rows) if a[i][col] != 0), None)
@@ -71,7 +75,7 @@ class TestSmith:
     def test_single_row_gcd_one(self):
         d = smith(IntMatrix.from_rows([[1, 1, 1]]))
         assert d.diagonal() == [1]
-        assert d.S.row_list(0) == [1, 0, 0]
+        assert d.S.to_lists()[0] == [1, 0, 0]
 
     def test_two_by_two(self):
         a = IntMatrix.from_rows([[2, 4], [6, 8]])
@@ -166,7 +170,7 @@ class TestKernel:
         # every rational kernel vector must be a rational combination of the
         # integer kernel basis: check by solving over the fractions
         k = kernel_basis(a)
-        rat = [[Fraction(int(x)) for x in a.row_list(i)] for i in range(a.rows)]
+        rat = [[Fraction(x) for x in row] for row in a.to_lists()]
         # rational kernel via elimination
         cols = a.cols
         pivots = []
@@ -225,6 +229,94 @@ class TestCokernel:
     def test_free_part_split(self):
         a = IntMatrix.column([2, 0])
         assert cokernel_invariants(a) == ([2], 1)
+
+
+def sympy_smith_diagonal(a: IntMatrix) -> list:
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    snf = smith_normal_form(sympy.Matrix(*a.shape, a.entries), domain=sympy.ZZ)
+    return [abs(int(snf[i, i])) for i in range(min(a.shape))]
+
+
+class TestSmithByAlternation:
+    """The Smith diagonal from alternating row Hermite forms, on matrices
+    that reach each of its steps, against sympy and the dense oracle."""
+
+    CASES = {
+        # diagonal already, but not a divisibility chain: only gcd/lcm acts
+        "diag(2,3)": ([[2, 0], [0, 3]], [1, 6]),
+        "diag(4,6)": ([[4, 0], [0, 6]], [2, 12]),
+        "unit pivot after one round": ([[2, 1], [0, 2]], [1, 4]),
+        "four rounds": ([[6, -3, 9], [0, 2, 6], [4, 4, -3]], [1, 1, 324]),
+        "wide": ([[2, 4, 4], [-6, 6, 12]], [2, 6]),
+        "rank deficient": ([[2, 4], [3, 6], [5, 10]], [1, 0]),
+        "beyond 2**64": (
+            [[2**70, 0, 3], [0, 3 * 2**66, 2**65 + 1], [2**64, 5, 0]],
+            None,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_case(self, name):
+        rows, expected = self.CASES[name]
+        a = IntMatrix.from_rows(rows)
+        diag = sympy_smith_diagonal(a)
+        assert _smith_diagonal(a) == diag == smith(a).diagonal()
+        if expected is not None:
+            assert diag == expected
+        rank = sum(1 for d in diag if d)
+        assert cokernel_invariants(a) == ([d for d in diag if d > 1], a.rows - rank)
+
+    def test_repeated_transposes(self, monkeypatch):
+        rounds = []
+        core = intlinalg._row_hermite_rows
+
+        def counted(h, cols, u=None):
+            rounds.append(len(h))
+            return core(h, cols, u)
+
+        monkeypatch.setattr(intlinalg, "_row_hermite_rows", counted)
+        a = IntMatrix.from_rows(self.CASES["four rounds"][0])
+        H = column_span_canonical(a)
+        rounds.clear()
+        assert intlinalg._hermite_smith_diagonal(H) == [1, 1, 324]
+        assert len(rounds) >= 3  # the alternation runs more than once
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_shapes(self, shape):
+        a = IntMatrix.zeros(*shape)
+        assert _smith_diagonal(a) == sympy_smith_diagonal(a) == smith(a).diagonal() == []
+        assert cokernel_invariants(a) == ([], shape[0])
+
+
+def tate_matrices(M, H):
+    """The degree -1 and degree 0 Tate matrices of M over H."""
+    eye = IntMatrix.identity(M.rank)
+    minus_one = IntMatrix.zeros(M.rank, 0)
+    for s in H.generators():
+        minus_one = minus_one.hstack(M.action[s] - eye)
+    return minus_one, norm_matrix(M, H)
+
+
+@pytest.mark.parametrize("spec", ["D:4", "SD:3,2,2"])
+@pytest.mark.parametrize("gens", ["s,t", "all"])
+def test_cokernel_of_tate_matrices_against_dense_smith(spec, gens):
+    """Every degree -1 and 0 Tate matrix of the flow and dual flow lattices,
+    over every subgroup class."""
+    G = parse_group_spec(spec)
+    X = cayley_graph(
+        G,
+        [G.generator_indices[k] for k in "st"] if gens == "s,t"
+        else [g for g in G.elements() if g != G.identity],
+    )
+    fl = flow_lattice(X).glattice
+    for M in (fl, dual(fl)):
+        for H in subgroup_conjugacy_reps(G):
+            for A in tate_matrices(M, H):
+                diag = smith(A).diagonal()
+                rank = sum(1 for d in diag if d)
+                assert cokernel_invariants(A) == ([d for d in diag if d > 1], A.rows - rank)
 
 
 def solve(A, b):
@@ -385,15 +477,11 @@ class TestSympyOracles:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_smith_diagonal(self, data):
-        sympy = pytest.importorskip("sympy")
-        from sympy.matrices.normalforms import smith_normal_form
-
         r, c = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
         a = IntMatrix.from_rows(
             data.draw(st.lists(st.lists(wide_entries, min_size=c, max_size=c), min_size=r, max_size=r))
         )
-        snf = smith_normal_form(sympy.Matrix(a.to_lists()), domain=sympy.ZZ)
-        diag = [abs(int(snf[i, i])) for i in range(min(r, c))]
+        diag = sympy_smith_diagonal(a)
         rank = sum(1 for d in diag if d)
         assert smith(a).diagonal() == diag == _smith_diagonal(a)
         assert cokernel_invariants(a) == ([d for d in diag if d > 1], r - rank)
