@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,9 +49,10 @@ from .intlinalg import (
     IntMatrix,
     bezout_coefficients,
     cokernel_invariants,
-    independent_columns_mod_prime,
     is_saturated_basis,
     kernel_basis,
+    pivot_columns,
+    solve_matrix,
 )
 
 
@@ -353,7 +353,9 @@ def _find_section_orbitwise(seq: ShortExactSequence) -> Optional[EquivariantMap]
 
 
 def _orbit_spanning_basis(C: GLattice) -> List[int]:
-    """Indices l whose basis vectors e_l have G-orbits spanning C over Q.
+    """Indices l whose basis vectors e_l have G-orbits spanning C over Q:
+    the l of the pivot columns of the orbit vectors g e_l, which are the
+    leftmost ones independent over Q.
 
     An equivariant map out of C that vanishes on these orbits vanishes on
     a sublattice of full rank, hence on all of C.
@@ -361,7 +363,7 @@ def _orbit_spanning_basis(C: GLattice) -> List[int]:
     n = C.group.order
     # column l * n + g is g e_l
     orbits = np.stack([m.a for m in C.action], axis=2).reshape(C.rank, C.rank * n)
-    return sorted({j // n for j in independent_columns_mod_prime(IntMatrix(orbits))})
+    return sorted({j // n for j in pivot_columns(IntMatrix(orbits))})
 
 
 def find_section(seq: ShortExactSequence) -> Optional[EquivariantMap]:
@@ -479,60 +481,44 @@ def _orbit_count_solutions(M: GLattice) -> Optional[List[Tuple[int, ...]]]:
     (so no stable basis exists at all), None when the solution set is
     too large to enumerate, and otherwise the finite candidate list in a
     deterministic order.
+
+    The integer solutions are x + K t: one particular solution x plus the
+    lattice spanned by the kernel basis K.  A nonnegative solution lies in
+    [0, rank M]^k, since the trivial class reads
+    sum_H n_H * [G:H] = rank M.  K is in column Hermite form, so once
+    t_0 .. t_{j-1} are fixed, the pivot row of column j, which no later
+    column touches, bounds t_j.
     """
     G = M.group
     reps = subgroup_conjugacy_reps(G)
-    k = len(reps)
     cosets = [coset_gset(G, H) for H in reps]
     table = [[len(pts.restrict_group(K).orbits()) for pts in cosets] for K in reps]
     rhs = [fixed_sublattice(M, K).cols for K in reps]
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(table)]
-    pivots: List[Tuple[int, int]] = []  # (row, col)
-    row = 0
-    for col in range(k):
-        piv = next((i for i in range(row, k) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        for i in range(k):
-            if i != row and a[i][col] != 0:
-                f = a[i][col] / a[row][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-        pivots.append((row, col))
-        row += 1
-    for i in range(row, k):
-        if a[i][k] != 0:
-            return []  # inconsistent: no stable basis exists
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(k) if c not in pivot_cols]
-    particular = [Fraction(0)] * k
-    for r, c in pivots:
-        particular[c] = a[r][k] / a[r][c]
-    if not free_cols:
-        if all(v.denominator == 1 and v >= 0 for v in particular):
-            return [tuple(int(v) for v in particular)]
-        return []
-    if len(free_cols) > 2:
+    T, b = IntMatrix.from_rows(table), IntMatrix.column(rhs)
+    if len(reps) in pivot_columns(T.hstack(b)):
+        return []  # inconsistent over Q: no stable basis exists
+    K = kernel_basis(T)
+    if K.cols > 2:
         return None
-    null_dirs = []
-    for fc in free_cols:
-        direction = [Fraction(0)] * k
-        direction[fc] = Fraction(1)
-        for r, c in pivots:
-            direction[c] = -a[r][fc] / a[r][c]
-        null_dirs.append(direction)
-    bound = M.rank + 1
-    found = set()
-    for ts in itertools.product(range(-bound, bound + 1), repeat=len(free_cols)):
-        cand = [
-            particular[i] + sum(t * d[i] for t, d in zip(ts, null_dirs))
-            for i in range(k)
-        ]
-        if all(v.denominator == 1 and 0 <= v <= M.rank for v in cand):
-            found.add(tuple(int(v) for v in cand))
-        if len(found) > 60:
-            return None
-    return sorted(found)
+    x = solve_matrix(T, b)
+    if x is None:
+        return []
+    r = M.rank
+    found: List[Tuple[int, ...]] = []
+
+    def extend(point: List[int], j: int) -> bool:  # False once past 60 points
+        if j == K.cols:
+            if all(0 <= v <= r for v in point):
+                found.append(tuple(point))
+            return len(found) <= 60
+        col = K.col_list(j)
+        piv = next(i for i, v in enumerate(col) if v)
+        lo, hi = -(point[piv] // col[piv]), (r - point[piv]) // col[piv]
+        return all(
+            extend([v + t * c for v, c in zip(point, col)], j + 1) for t in range(lo, hi + 1)
+        )
+
+    return sorted(found) if extend(x.col_list(0), 0) else None
 
 
 def is_permutation_bounded(M: GLattice, bound: int = 2) -> PermutationSearchOutcome:

@@ -20,8 +20,8 @@ it is skipped when every pivot of that form is 1.  Kernels and solves
 Hermite form and its transform, skipped for a matrix already in that
 form; a certified triangular basis, such as a spanning-tree flow basis,
 is its own solver too, and no identity transform is multiplied.  No
-routine builds the Smith transforms.  Independence over Q is read by
-elimination modulo a prime (``independent_columns_mod_prime``).
+routine builds the Smith transforms.  Independence over Q is read off
+the pivot columns of the row Hermite form (``pivot_columns``).
 """
 
 from __future__ import annotations
@@ -82,7 +82,10 @@ class IntMatrix:
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
         if len(columns) == 0:
             return cls(np.empty((rows or 0, 0), dtype=object))
-        return cls.from_rows(list(map(list, zip(*columns))))
+        nrows = len(columns[0]) if rows is None else rows
+        if any(len(c) != nrows for c in columns):
+            raise ValueError("ragged columns")
+        return cls.from_rows(list(map(list, zip(*columns))), cols=len(columns))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -494,37 +497,17 @@ def is_saturated_hermite(H: IntMatrix) -> bool:
     return all(d == 1 for d in _hermite_smith_diagonal(H))
 
 
-# A prime below 2**31: residues multiply without overflowing int64.
-_RANK_PRIME = 2**31 - 1
+def pivot_columns(A: IntMatrix) -> list:
+    """The pivot columns of the row Hermite form of A, in order: the leftmost
+    columns independent over Q.  When there are A.rows of them they span
+    Q^rows.
 
-
-def independent_columns_mod_prime(A: IntMatrix) -> list:
-    """The greedy (leftmost) maximal set of columns of A that stay
-    independent modulo the prime 2**31 - 1, in order.
-
-    Columns independent modulo a prime are independent over Q, so the
-    columns it returns are independent over Q as well; when there are
-    A.rows of them they span Q^rows.
+    >>> pivot_columns(IntMatrix.from_rows([[2, 4, 1], [1, 2, 0]]))
+    [0, 2]
     """
-    p = _RANK_PRIME
-    a = (A.a % p).astype(np.int64)
-    pivots: list = []
-    j = 0
-    while len(pivots) < A.rows:
-        r = len(pivots)
-        live = np.flatnonzero(a[r:, j:].any(axis=0))  # columns not yet in the span
-        if live.size == 0:
-            break
-        j += int(live[0])
-        i = r + int(np.flatnonzero(a[r:, j])[0])
-        a[[r, i]] = a[[i, r]]
-        a[r] = a[r] * pow(int(a[r, j]), -1, p) % p
-        # clear column j below the pivot; columns left of j are done
-        rows = r + 1 + np.flatnonzero(a[r + 1 :, j])
-        a[rows, j:] = (a[rows, j:] - np.outer(a[rows, j], a[r, j:]) % p) % p
-        pivots.append(j)
-        j += 1
-    return pivots
+    h = A.to_lists()
+    _row_hermite_rows(h, A.cols)
+    return [next(j for j, x in enumerate(row) if x) for row in h if any(row)]
 
 
 def xgcd(a: int, b: int):

@@ -10,8 +10,9 @@ lattice, and the G-set operations as they were once written out where
 they were used: edge orbits by scanning every element, cosets by their
 own enumeration, a vector moved by a loop, the action on a stable edge
 subset, the two breadth-first searches of spanning trees and path
-flows, orbit counts point by point, and the coinvariant projection as a
-left kernel.  The routes that solving on generators replaced: a
+flows, orbit counts point by point, the per-class orbit-count system
+solved over the rationals, and the coinvariant projection as a left
+kernel.  The routes that solving on generators replaced: a
 sublattice's action solved element by element, exactness decided by
 comparing the image with ``kernel_basis`` of the right map, the flow
 basis as ``kernel_basis`` of the boundary, and the bar-cocycle loops
@@ -21,8 +22,10 @@ lattice is validated from scratch against the boundary map and the edge
 action.
 """
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from glattice.cohom import TateGroup, hom_basis, hom_basis_into_permutation
@@ -36,7 +39,14 @@ from glattice.gmod import (
     fixed_sublattice,
     norm_matrix,
 )
-from glattice.groups import FiniteGroup, GSet, Subgroup, prime_factorization
+from glattice.groups import (
+    FiniteGroup,
+    GSet,
+    Subgroup,
+    coset_gset,
+    prime_factorization,
+    subgroup_conjugacy_reps,
+)
 from glattice.intlinalg import (
     BasisSolver,
     IntMatrix,
@@ -533,6 +543,72 @@ def orbit_count(points: GSet, K: Subgroup) -> int:
         orbits += 1
         seen.update(points.action[g][x] for g in K.elements)
     return orbits
+
+
+def orbit_count_solutions_rational(M: GLattice) -> Optional[List[Tuple[int, ...]]]:
+    """Candidate per-class orbit counts for a stable basis of M, from a
+    Gauss-Jordan elimination over the rationals.
+
+    A stable basis with n_H orbits of stabilizer class H satisfies
+    rank M^K = sum_H n_H * #(K-orbits on G/H) for every subgroup class K.
+    Returns [] when the system is unsolvable in nonnegative integers
+    (so no stable basis exists at all), None when the solution set is
+    too large to enumerate, and otherwise the finite candidate list in a
+    deterministic order.
+    """
+    G = M.group
+    reps = subgroup_conjugacy_reps(G)
+    k = len(reps)
+    cosets = [coset_gset(G, H) for H in reps]
+    table = [[len(pts.restrict_group(K).orbits()) for pts in cosets] for K in reps]
+    rhs = [fixed_sublattice(M, K).cols for K in reps]
+    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(table)]
+    pivots: List[Tuple[int, int]] = []  # (row, col)
+    row = 0
+    for col in range(k):
+        piv = next((i for i in range(row, k) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        for i in range(k):
+            if i != row and a[i][col] != 0:
+                f = a[i][col] / a[row][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+        pivots.append((row, col))
+        row += 1
+    for i in range(row, k):
+        if a[i][k] != 0:
+            return []  # inconsistent: no stable basis exists
+    pivot_cols = {c for _, c in pivots}
+    free_cols = [c for c in range(k) if c not in pivot_cols]
+    particular = [Fraction(0)] * k
+    for r, c in pivots:
+        particular[c] = a[r][k] / a[r][c]
+    if not free_cols:
+        if all(v.denominator == 1 and v >= 0 for v in particular):
+            return [tuple(int(v) for v in particular)]
+        return []
+    if len(free_cols) > 2:
+        return None
+    null_dirs = []
+    for fc in free_cols:
+        direction = [Fraction(0)] * k
+        direction[fc] = Fraction(1)
+        for r, c in pivots:
+            direction[c] = -a[r][fc] / a[r][c]
+        null_dirs.append(direction)
+    bound = M.rank + 1
+    found = set()
+    for ts in itertools.product(range(-bound, bound + 1), repeat=len(free_cols)):
+        cand = [
+            particular[i] + sum(t * d[i] for t, d in zip(ts, null_dirs))
+            for i in range(k)
+        ]
+        if all(v.denominator == 1 and 0 <= v <= M.rank for v in cand):
+            found.add(tuple(int(v) for v in cand))
+        if len(found) > 60:
+            return None
+    return sorted(found)
 
 
 def coinvariant_projection_left_kernel(M: GLattice) -> IntMatrix:

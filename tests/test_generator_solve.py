@@ -1,8 +1,12 @@
 """Derived lattices solved on generators, flow bases from fundamental
-cycles, exactness without a kernel and sparse bar flows, each against the
-route it replaced (tests/reference.py)."""
+cycles, exactness without a kernel, sparse bar flows and orbit counts
+over the integers, each against the route it replaced
+(tests/reference.py); pivot columns against sympy."""
+
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import glattice.checks as checks_mod
 import glattice.cohom as cohom_mod
@@ -29,16 +33,18 @@ from glattice.gmod import (
     direct_sum_many,
     dual,
     regular,
+    restrict,
     sublattice_with_action,
     trivial,
 )
 from glattice.groups import cyclic, natural_gset, regular_gset, subgroup_conjugacy_reps, symmetric
-from glattice.intlinalg import BasisSolver, IntMatrix, independent_columns_mod_prime
+from glattice.intlinalg import BasisSolver, IntMatrix, pivot_columns
 from reference import (
     bar_flow_dense,
     check_exact_by_kernel,
     cocycle_failures_dense,
     flow_basis_by_kernel,
+    orbit_count_solutions_rational,
     path_flow_by_bfs,
     spanning_tree_by_bfs,
     sublattice_action_per_element,
@@ -271,26 +277,51 @@ class TestSparseBarFlows:
         assert _tree_recursion_failures(X, G, sparse) == tree_recursion_failures_dense(X, G, dense) > 0
 
 
-class TestIndependentColumnsModPrime:
+class TestPivotColumns:
     def test_greedy_columns(self):
         A = IntMatrix.from_rows([[1, 2, 0, 1], [0, 0, 1, 1], [0, 0, 0, 0]])
-        assert independent_columns_mod_prime(A) == [0, 2]
+        assert pivot_columns(A) == [0, 2]
 
-    def test_matches_rational_rank(self):
+    def test_entry_divisible_by_a_large_prime(self):
+        # 2**31 - 1 divides column 0, which is still independent over Q
+        assert pivot_columns(IntMatrix.from_rows([[2**31 - 1, 1]])) == [0]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sympy_rref(self, data):
         sympy = pytest.importorskip("sympy")
-        seed = 7
-        for trial in range(20):
-            rows = []
-            for _ in range(4):
-                row = []
-                for _ in range(7):
-                    seed = (1103515245 * seed + 12345) % (1 << 31)
-                    row.append(seed % 5 - 2 if seed % 3 else 0)
-                rows.append(row)
-            A = IntMatrix.from_rows(rows)
-            cols = independent_columns_mod_prime(A)
-            assert len(cols) == sympy.Matrix(rows).rank()
-            assert sympy.Matrix([[r[j] for j in cols] for r in rows]).rank() == len(cols)
+        r, c = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 7))
+        small = st.integers(-2, 2)
+        near_prime_multiple = st.builds(lambda q, e: q * (2**31 - 1) + e, small, small)
+        entry = st.one_of(small, near_prime_multiple)
+        rows = data.draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+        _, expected = sympy.Matrix(r, c, [x for row in rows for x in row]).rref()
+        assert pivot_columns(IntMatrix.from_rows(rows, cols=c)) == list(expected)
+
+
+@lru_cache(maxsize=None)
+def _orbit_counts(spec):
+    """(lattice, restricted to, integer solve, rational oracle) of every
+    lattice of _lattices and its restriction to every subgroup class."""
+    G = parse_group_spec(spec)
+    return [
+        (name, H.order, cohom_mod._orbit_count_solutions(N), orbit_count_solutions_rational(N))
+        for name, M in _lattices(G).items()
+        for H in subgroup_conjugacy_reps(G)
+        for N in [restrict(M, H)]
+    ]
+
+
+class TestOrbitCountsAgainstRational:
+    @pytest.mark.parametrize("spec", GROUPS)
+    def test_same_candidates(self, spec):
+        for name, order, got, expected in _orbit_counts(spec):
+            assert got == expected, (name, order)
+
+    def test_every_outcome_occurs(self):
+        outcomes = [got for spec in GROUPS for _, _, got, _ in _orbit_counts(spec)]
+        assert [] in outcomes and None in outcomes
+        assert any(outcomes)
 
 
 class TestKnownFormsAreReused:

@@ -589,6 +589,22 @@ class TestNormalFormOracles:
         assert cokernel_invariants(IntMatrix.zeros(2, 0)) == ([], 2)
 
 
+class TestFromColumns:
+    def test_zero_length_columns_keep_their_count(self):
+        m = IntMatrix.from_columns([[], []], rows=0)
+        assert m.shape == (0, 2)
+        # two vectors of Z^0 are dependent
+        assert not is_saturated_basis(m)
+        assert IntMatrix.from_columns([], rows=3).shape == (3, 0)
+
+    def test_rows_disagreeing_with_the_columns(self):
+        with pytest.raises(ValueError, match="ragged columns"):
+            IntMatrix.from_columns([[1, 2]], rows=5)
+        with pytest.raises(ValueError, match="ragged columns"):
+            IntMatrix.from_columns([[1, 2], [3]])
+        assert IntMatrix.from_columns([[1, 2], [3, 4]], rows=2).to_lists() == [[1, 3], [2, 4]]
+
+
 def test_module_doctests():
     import doctest
     import reference
