@@ -203,7 +203,7 @@ def check_flow_coflasque(G: FiniteGroup, gens: Sequence[int]) -> CheckReport:
     )
     bd = boundary_matrix(X)
     I_lat, I_incl = augmentation_kernel(bd.target)
-    coords = BasisSolver.of_hermite(I_incl.matrix).express_matrix(bd.matrix)
+    coords = BasisSolver(I_incl.matrix).express_matrix(bd.matrix)
     ck.record("boundary lands in the augmentation sublattice", coords is not None)
     if coords is not None:
         seq = ShortExactSequence(
@@ -329,12 +329,10 @@ def check_bar_cocycle(G: FiniteGroup) -> CheckReport:
 # -- closed walks span the flows -------------------------------------------------------
 
 
-def check_center_walks(G: FiniteGroup, max_len: Optional[int] = None) -> CheckReport:
-    """Closed walks from the identity span the full flow lattice of Cay(G, G)."""
-    if max_len is None:
-        max_len = G.order + 1
-    if max_len < G.order + 1:
-        raise InvalidParameterError("max_len must be at least |G| + 1")
+def check_center_walks(G: FiniteGroup) -> CheckReport:
+    """Closed walks from the identity, of lengths up to |G| + 1, span the
+    full flow lattice of Cay(G, G)."""
+    max_len = G.order + 1
     ck = _Checker("center-walks", G.spec, {"max_len": max_len})
     n = G.order
     X = cayley_graph(G, list(range(n)))  # includes the identity: loops
@@ -507,9 +505,7 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
     pi.validate()
 
     kernel = kernel_basis(pi.matrix)
-    K, K_incl = sublattice_with_action(
-        B, kernel, name="ker(pi)", solver=BasisSolver.of_hermite(kernel)
-    )
+    K, K_incl = sublattice_with_action(B, kernel, name="ker(pi)")
 
     # the listed kernel elements, in the coordinates of B
     off_s, off_t, off_g = 0, m, m + n
@@ -552,8 +548,8 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
         u_vectors=u_vectors,
         v_vectors=IntMatrix.from_columns(v_cols, rows=B.rank),
         I_lat=I_lat, I_incl=I_incl,
-        phi_cols=BasisSolver.of_hermite(I_incl.matrix).express_matrix(block),
-        u_in_K=BasisSolver.of_hermite(kernel).express_matrix(u_vectors),
+        phi_cols=BasisSolver(I_incl.matrix).express_matrix(block),
+        u_in_K=BasisSolver(kernel).express_matrix(u_vectors),
     )
 
 
@@ -642,7 +638,7 @@ def check_faithful_transfer(n: int, m: int, r: int) -> CheckReport:
     Vt = coset_gset(G, data.Ht)
     Xt = complete_edges(Vt, loops=False)
     bd = boundary_matrix(Xt)
-    psi_cols = BasisSolver.of_hermite(I_incl.matrix).express_matrix(bd.matrix)
+    psi_cols = BasisSolver(I_incl.matrix).express_matrix(bd.matrix)
     certify(psi_cols is not None, "the coset boundary lies in the augmentation sublattice")
     P = bd.source
     psi = EquivariantMap(P, I_lat, psi_cols)
@@ -653,15 +649,13 @@ def check_faithful_transfer(n: int, m: int, r: int) -> CheckReport:
     Q, p_ker, p_P, q_incl = pullback(phi, psi)
     ck.record("pullback rank", Q.rank == data.K.rank + P.rank - I_lat.rank,
               f"rank {Q.rank}")
-    q_solver = BasisSolver.of_hermite(q_incl.matrix)
+    q_solver = BasisSolver(q_incl.matrix)
 
     # middle row 0 -> Z[G/s] -> Q -> P -> 0 splits
     u_in_K = data.u_in_K
     certify(u_in_K is not None, "the u vectors lie in the kernel")
     Ls = coset_lattice(G, data.Hs)
-    amb = IntMatrix.zeros(data.K.rank + P.rank, m)
-    amb.a[: data.K.rank, :] = u_in_K.a
-    left_cols = q_solver.express_matrix(amb)
+    left_cols = q_solver.express_matrix(u_in_K.vstack(IntMatrix.zeros(P.rank, m)))
     ck.record("s-coset lattice embeds into the pullback", left_cols is not None)
     if left_cols is None:
         return ck.finish()
@@ -682,9 +676,7 @@ def check_faithful_transfer(n: int, m: int, r: int) -> CheckReport:
 
     # middle column 0 -> ker(psi) -> Q -> ker(pi) -> 0
     flt = flow_lattice(Xt)
-    col_amb = IntMatrix.zeros(data.K.rank + P.rank, flt.rank)
-    col_amb.a[data.K.rank :, :] = flt.basis.a
-    col_left = q_solver.express_matrix(col_amb)
+    col_left = q_solver.express_matrix(IntMatrix.zeros(data.K.rank, flt.rank).vstack(flt.basis))
     ck.record("coset flows embed into the pullback", col_left is not None)
     if col_left is None:
         return ck.finish()
@@ -745,17 +737,16 @@ def check_schanuel(M: GLattice, group_spec: str, lattice_spec: str) -> CheckRepo
     ck.record("two resolutions built", True,
               f"middles of rank {r1.sequence.B.rank} and {r2.sequence.B.rank}")
     Q, p1, p2, q_incl = pullback(r1.sequence.right, r2.sequence.right)
-    q_solver = BasisSolver.of_hermite(q_incl.matrix)
+    q_solver = BasisSolver(q_incl.matrix)
     b1 = r1.sequence.B.rank
 
     def embed(cert: ResolutionCertificate, into_first: bool) -> EquivariantMap:
         C = cert.sequence.A
         incl = cert.sequence.left.matrix
-        amb = IntMatrix.zeros(b1 + r2.sequence.B.rank, C.rank)
         if into_first:
-            amb.a[:b1, :] = incl.a
+            amb = incl.vstack(IntMatrix.zeros(r2.sequence.B.rank, C.rank))
         else:
-            amb.a[b1:, :] = incl.a
+            amb = IntMatrix.zeros(b1, C.rank).vstack(incl)
         coords = q_solver.express_matrix(amb)
         certify(coords is not None, "the coflasque kernel lies in the pullback")
         return EquivariantMap(C, Q, coords)

@@ -248,9 +248,7 @@ def _flow_coflasque(params: Dict[str, object]) -> checks.CheckReport:
 
 
 def _center_walks(params: Dict[str, object]) -> checks.CheckReport:
-    G = parse_group_spec(str(params["group"]))
-    max_len = params.get("max_len")
-    return checks.check_center_walks(G, int(max_len) if max_len is not None else None)
+    return checks.check_center_walks(parse_group_spec(str(params["group"])))
 
 
 def _schanuel(params: Dict[str, object]) -> checks.CheckReport:
@@ -577,7 +575,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--group")
     p_check.add_argument("--gens")
     p_check.add_argument("--lattice")
-    p_check.add_argument("--max-len", dest="max_len", type=int)
     p_check.add_argument("--output", choices=("text", "json"), default="json")
 
     p_suite = sub.add_parser("suite", help="run the quick or full check suite")

@@ -98,9 +98,7 @@ def tate(M: GLattice, H: Subgroup, degree: int) -> TateGroup:
         spanning = norm_matrix(M, H)
     else:
         eye = IntMatrix.identity(M.rank)
-        spanning = IntMatrix.zeros(M.rank, 0)
-        for s in H.generators():
-            spanning = spanning.hstack(M.action[s] - eye)
+        spanning = IntMatrix.zeros(M.rank, 0).hstack(*(M.action[s] - eye for s in H.generators()))
     factors, _ = cokernel_invariants(spanning)
     return TateGroup(tuple(factors))
 
@@ -209,9 +207,7 @@ def coflasque_resolution(
         pi_cols.extend(block)
     pi = EquivariantMap(P, M, IntMatrix.from_columns(pi_cols, rows=M.rank))
     kernel = kernel_basis(pi.matrix)
-    C, incl = sublattice_with_action(
-        P, kernel, name="coflasque kernel", solver=BasisSolver.of_hermite(kernel)
-    )
+    C, incl = sublattice_with_action(P, kernel, name="coflasque kernel")
     cert = ResolutionCertificate(
         sequence=ShortExactSequence(incl, pi),
         kind="coflasque",
@@ -254,9 +250,7 @@ def pullback(
     big = f.matrix.hstack(-g.matrix)
     K = kernel_basis(big)
     ambient = direct_sum(f.source, g.source)
-    Q, incl = sublattice_with_action(
-        ambient, K, name="pullback", solver=BasisSolver.of_hermite(K)
-    )
+    Q, incl = sublattice_with_action(ambient, K, name="pullback")
     b1 = f.source.rank
     p1 = EquivariantMap(Q, f.source, K.take_rows(range(b1)))
     p2 = EquivariantMap(Q, g.source, K.take_rows(range(b1, ambient.rank)))
@@ -278,11 +272,17 @@ def hom_basis_into_permutation(C: GLattice, B: GLattice) -> List[IntMatrix]:
     out = []
     for base, transversal in B.gset.orbit_transversal():
         fixed = fixed_sublattice(Cd, B.gset.stabilizer(base))
-        homs = np.zeros((fixed.cols, B.rank, C.rank), dtype=object)
-        for p, g in transversal:
-            # column j is the row of point p in the j-th map
-            homs[:, p, :] = (Cd.action[g] @ fixed).a.T
-        out.extend(IntMatrix(m) for m in homs)
+        f = fixed.cols
+        # row t * f + j is the row of the t-th point in the j-th map; the last row is 0
+        rows = IntMatrix.zeros(0, C.rank).vstack(
+            *((Cd.action[g] @ fixed).T for _, g in transversal), IntMatrix.zeros(1, C.rank)
+        )
+        slot = {p: t * f for t, (p, _) in enumerate(transversal)}
+        zero = len(transversal) * f
+        out.extend(
+            rows.take_rows(slot[p] + j if p in slot else zero for p in range(B.rank))
+            for j in range(f)
+        )
     return out
 
 
@@ -292,27 +292,18 @@ def hom_basis(C: GLattice, A: GLattice) -> List[IntMatrix]:
     The kernel of T -> rho_A(g) T - T rho_C(g) over the generators g,
     with T flattened column-major.
     """
-    gens = C.group.generators
     a, c = A.rank, C.rank
     if a == 0 or c == 0:
         return []
     eye_a, eye_c = IntMatrix.identity(a), IntMatrix.identity(c)
-    stacked = None
-    for g in gens:
-        op = eye_c.kron(A.action[g]) - C.action[g].T.kron(eye_a)
-        stacked = op if stacked is None else stacked.vstack(op)
-    if stacked is None:  # trivial group
-        stacked = IntMatrix.zeros(0, a * c)
-    K = kernel_basis(stacked)
-    out = []
-    for j in range(K.cols):
-        v = K.col_list(j)
-        m = IntMatrix.zeros(a, c)
-        for col in range(c):
-            for row in range(a):
-                m.a[row, col] = v[col * a + row]
-        out.append(m)
-    return out
+    stacked = IntMatrix.zeros(0, a * c).vstack(
+        *(eye_c.kron(A.action[g]) - C.action[g].T.kron(eye_a) for g in C.group.generators)
+    )
+    # column j of the kernel basis is the j-th map, flattened column-major
+    return [
+        IntMatrix.from_columns([v[col * a : (col + 1) * a] for col in range(c)], rows=a)
+        for v in kernel_basis(stacked).T.to_lists()
+    ]
 
 
 # -- section finding -------------------------------------------------------------
@@ -360,10 +351,11 @@ def _orbit_spanning_basis(C: GLattice) -> List[int]:
     An equivariant map out of C that vanishes on these orbits vanishes on
     a sublattice of full rank, hence on all of C.
     """
-    n = C.group.order
-    # column l * n + g is g e_l
-    orbits = np.stack([m.a for m in C.action], axis=2).reshape(C.rank, C.rank * n)
-    return sorted({j // n for j in pivot_columns(IntMatrix(orbits))})
+    n, r = C.group.order, C.rank
+    # column l * n + g is g e_l, column l of the g-th matrix of the hstack
+    stacked = IntMatrix.zeros(r, 0).hstack(*C.action)
+    orbits = stacked.take_columns(g * r + l for l in range(r) for g in range(n))
+    return sorted({j // n for j in pivot_columns(orbits)})
 
 
 def find_section(seq: ShortExactSequence) -> Optional[EquivariantMap]:
@@ -390,20 +382,18 @@ def find_section(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     else:
         homs = hom_basis(C, B)
     c, k = C.rank, len(homs)
-    stacked = np.zeros((B.rank, k, c), dtype=object)  # stacked[:, j, :] is h_j
-    for j, h in enumerate(homs):
-        stacked[:, j, :] = h.a
+    stacked = IntMatrix.zeros(B.rank, 0).hstack(*homs)  # column j * c + l is column l of h_j
     J = _orbit_spanning_basis(C)
-    images = (pi @ IntMatrix(stacked[:, :, J].reshape(B.rank, k * len(J)))).a
+    # row t * c + i, column j: entry (i, J[t]) of right . h_j
+    images = IntMatrix.zeros(0, k).vstack(
+        *(pi @ stacked.take_columns(range(l, k * c, c)) for l in J)
+    )
     # one equation per entry (i, l), l in J: sum_j x_j (right . h_j)[i, l] = id[i, l]
-    equations = np.concatenate(
-        [images.reshape(c, k, len(J)).transpose(0, 2, 1), IntMatrix.identity(c).a[:, J, None]],
-        axis=2,
-    ).reshape(c * len(J), k + 1)
-    x = BasisSolver(IntMatrix(equations[:, :k])).express(equations[:, k].tolist())
+    equations = images.take_rows(t * c + i for i in range(c) for t in range(len(J)))
+    x = BasisSolver(equations).express([int(i == l) for i in range(c) for l in J])
     if x is None:
         return None
-    s_matrix = IntMatrix((stacked * np.array(x, dtype=object)[None, :, None]).sum(axis=1))
+    s_matrix = stacked @ IntMatrix.column(x).kron(IntMatrix.identity(c))  # sum_j x_j h_j
     section = EquivariantMap(C, B, s_matrix)
     section.validate()
     certify((pi @ s_matrix).is_identity(), "the section is a right inverse of the quotient map")
@@ -762,22 +752,15 @@ def invertibility_certificate(M: GLattice) -> Optional[InvertibilityCertificate]
     coeffs = bezout_coefficients(indices)
     blocks = [tensor(coset_lattice(G, H), M) for H in subgroups]
     target = direct_sum_many(blocks)
-    emb = IntMatrix.zeros(target.rank, M.rank)
-    offset = 0
-    for a_i, H, blk in zip(coeffs, subgroups, blocks):
-        k = H.index()
-        for c in range(k):
-            for j in range(M.rank):
-                emb.a[offset + c * M.rank + j, j] = a_i
-        offset += blk.rank
-    retr = IntMatrix.zeros(M.rank, target.rank)
-    offset = 0
-    for H, blk in zip(subgroups, blocks):
-        k = H.index()
-        for c in range(k):
-            for j in range(M.rank):
-                retr.a[j, offset + c * M.rank + j] = 1
-        offset += blk.rank
+    # block i is index(H_i) copies of M: a_i times the identity into each
+    # copy, and the identity back from each
+    eye = IntMatrix.identity(M.rank)
+    emb = IntMatrix.zeros(0, M.rank).vstack(
+        *(IntMatrix.column([a_i] * H.index()).kron(eye) for a_i, H in zip(coeffs, subgroups))
+    )
+    retr = IntMatrix.zeros(M.rank, 0).hstack(
+        *(IntMatrix.from_rows([[1] * H.index()]).kron(eye) for H in subgroups)
+    )
     embedding = EquivariantMap(M, target, emb).validate()
     retraction = EquivariantMap(target, M, retr).validate()
     certify((retr @ emb).is_identity(), "the retraction inverts the embedding")

@@ -169,11 +169,8 @@ def cayley_graph(G: FiniteGroup, generators: Sequence[int]) -> GGraph:
 
 def boundary_matrix(X: GGraph) -> EquivariantMap:
     """The map ZE -> ZV sending an edge to target minus source (loops to 0)."""
-    m = IntMatrix.zeros(X.n_vertices, X.n_edges)
-    for e, (s, t) in enumerate(X.edges):
-        if s != t:
-            m.a[t, e] += 1
-            m.a[s, e] -= 1
+    heads = IntMatrix.unit_columns(X.n_vertices, [t for _, t in X.edges])
+    m = heads - IntMatrix.unit_columns(X.n_vertices, [s for s, _ in X.edges])
     return EquivariantMap(X.edge_lattice(), X.vertex_lattice(), m)
 
 
@@ -232,7 +229,7 @@ def flow_lattice(X: GGraph) -> FlowLattice:
             cycles.append(path_flow(X, t, s, tree))
             cycles[-1][e] += 1
     basis = IntMatrix.from_columns(cycles, rows=X.n_edges)
-    fl = FlowLattice(X, BasisSolver.of_hermite(basis))
+    fl = FlowLattice(X, BasisSolver(basis))
     expected = X.n_edges - X.n_vertices + 1
     certify(fl.rank == expected, f"rank formula violated: {fl.rank} != {expected}")
     return fl

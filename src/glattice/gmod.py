@@ -103,7 +103,8 @@ class GLattice:
                     )
         X = self.gset
         if X is not None and (X.group is not G or X.size != self.rank or any(
-                self.action[s] != _permutation_matrix(X, s) for s in G.generators)):
+                self.action[s] != IntMatrix.unit_columns(X.size, X.action[s])
+                for s in G.generators)):
             raise InvalidParameterError("G-set does not match the action on the generators")
 
     def is_permutation_action(self) -> bool:
@@ -112,11 +113,11 @@ class GLattice:
 
         The action is a homomorphism, so then every element does too.
         """
-        for s in self.group.generators:
-            a = self.action[s].a
-            if not (((a == 0) | (a == 1)).all() and ((a == 1).sum(axis=0) == 1).all()):
-                return False
-        return True
+        return all(
+            col.count(1) == 1 and col.count(0) == len(col) - 1
+            for s in self.group.generators
+            for col in self.action[s].T.to_lists()
+        )
 
     def __repr__(self) -> str:
         label = self.name or "lattice"
@@ -277,18 +278,13 @@ def check_exact(seq: ShortExactSequence) -> ExactnessReport:
 # -- permutation-type constructors -------------------------------------------
 
 
-def _permutation_matrix(X: GSet, g: int) -> IntMatrix:
-    """The matrix sending basis vector x to basis vector g x."""
-    m = IntMatrix.zeros(X.size, X.size)
-    m.a[list(X.action[g]), range(X.size)] = 1
-    return m
-
-
 def permutation_lattice(G: FiniteGroup, gset: GSet) -> GLattice:
     """Z-basis indexed by the G-set points, permuted by the action."""
     if gset.group is not G:
         raise InvalidParameterError("invalid-gset: G-set belongs to a different group")
-    action = _Action(gset.size, [None] * G.order, lambda _, g: _permutation_matrix(gset, g))
+    action = _Action(
+        gset.size, [None] * G.order, lambda _, g: IntMatrix.unit_columns(gset.size, gset.action[g])
+    )
     return GLattice(G, action, gset=gset, name=f"Z[{gset.size} points]", _derived=True)
 
 
@@ -367,9 +363,7 @@ def fixed_sublattice(M: GLattice, H: Subgroup) -> IntMatrix:
             fixed = IntMatrix.identity(M.rank)
         else:
             eye = IntMatrix.identity(M.rank)
-            stacked = M.action[gens[0]] - eye
-            for h in gens[1:]:
-                stacked = stacked.vstack(M.action[h] - eye)
+            stacked = IntMatrix.zeros(0, M.rank).vstack(*(M.action[h] - eye for h in gens))
             fixed = kernel_basis(stacked)
         M._fixed[H.elements] = fixed
     return fixed
@@ -451,4 +445,4 @@ def augmentation_kernel(P: GLattice) -> Tuple[GLattice, EquivariantMap]:
     matrix is the canonical (column Hermite) basis of the kernel."""
     eps = augmentation_map(P)
     basis = kernel_basis(eps.matrix)
-    return sublattice_with_action(P, basis, name="I", solver=BasisSolver.of_hermite(basis))
+    return sublattice_with_action(P, basis, name="I")

@@ -1,11 +1,16 @@
 """Exact integer matrix algebra: normal forms, kernels, solving, quotients.
 
-All matrices carry arbitrary-precision Python integers (numpy ``object``
-dtype), so nothing here can silently overflow.  The product computes in
-int64 when its shared dimension k and the entry bounds satisfy
+How an ``IntMatrix`` is stored is private to this module: every other
+module builds and reads matrices through its API.  The entries are
+arbitrary-precision Python integers, so nothing can silently overflow,
+and caller numbers enter through ``operator.index``, so a float or a
+string is refused rather than truncated.  Only the product and the
+Hermite boundary convert the storage.  The product computes in int64
+when its shared dimension k and the entry bounds satisfy
 k * max|A| * max|B| < 2**62, so no partial sum can overflow; otherwise,
 and for products too small to gain from it, it multiplies the Python
-integers.  Either way the result holds Python integers.  Every routine
+integers.  The Hermite forms eliminate on rows of Python integers and
+wrap the rows they return without converting an entry.  Every routine
 is a pure function of its inputs and is deterministic.
 
 One integer elimination routine serves every question: the row Hermite
@@ -26,6 +31,7 @@ the pivot columns of the row Hermite form (``pivot_columns``).
 
 from __future__ import annotations
 
+import operator
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -37,12 +43,6 @@ _INT64_PRODUCT_BOUND = 1 << 62
 # twice its operand entries: converting an entry costs about as much as
 # one multiply-add of Python integers, and the guard has a fixed cost.
 _SMALL_PRODUCT = 512
-
-
-def _as_object_array(rows: int, cols: int, data) -> np.ndarray:
-    a = np.empty(rows * cols, dtype=object)
-    a[:] = [int(x) for row in data for x in row]
-    return a.reshape(rows, cols)
 
 
 class IntMatrix:
@@ -59,24 +59,19 @@ class IntMatrix:
     __slots__ = ("a",)
 
     def __init__(self, array: np.ndarray):
-        if array.dtype != object:
-            array = _as_object_array(array.shape[0], array.shape[1], array.tolist())
+        # a 2-d object array of Python ints, built in this module only
         self.a = array
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        nrows = len(rows)
-        if nrows == 0:
-            if cols is None:
-                cols = 0
-            return cls(np.empty((0, cols), dtype=object))
-        ncols = len(rows[0]) if cols is None else cols
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-        return cls(_as_object_array(nrows, ncols, rows))
+        ncols = (len(rows[0]) if rows else 0) if cols is None else cols
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        a = np.empty(len(rows) * ncols, dtype=object)
+        a[:] = [x for row in rows for x in map(operator.index, row)]  # caller numbers enter here
+        return cls(a.reshape(len(rows), ncols))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
@@ -86,6 +81,14 @@ class IntMatrix:
         if any(len(c) != nrows for c in columns):
             raise ValueError("ragged columns")
         return cls.from_rows(list(map(list, zip(*columns))), cols=len(columns))
+
+    @classmethod
+    def _of_int_rows(cls, rows: list, cols: int) -> "IntMatrix":
+        """Wrap rows that are already lists of ``cols`` Python ints."""
+        a = np.empty((len(rows), cols), dtype=object)
+        for i, row in enumerate(rows):
+            a[i] = row
+        return cls(a)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -99,8 +102,16 @@ class IntMatrix:
         return cls(np.zeros((rows, cols), dtype=object))
 
     @classmethod
+    def unit_columns(cls, rows: int, images: Sequence[int]) -> "IntMatrix":
+        """The rows x len(images) matrix whose column j is the unit vector
+        of row images[j]: the matrix of the basis map j -> images[j]."""
+        a = np.zeros((rows, len(images)), dtype=object)
+        a[list(images), range(len(images))] = 1
+        return cls(a)
+
+    @classmethod
     def column(cls, entries: Sequence[int]) -> "IntMatrix":
-        return cls.from_rows([[int(x)] for x in entries], cols=1)
+        return cls.from_rows([[x] for x in entries], cols=1)
 
     # -- shape & access ----------------------------------------------------
 
@@ -115,16 +126,16 @@ class IntMatrix:
     @property
     def entries(self) -> tuple:
         """Row-major tuple of all entries."""
-        return tuple(int(x) for x in self.a.reshape(-1))
+        return tuple(self.a.reshape(-1).tolist())
 
     def __getitem__(self, ij):
         return self.a[ij]
 
     def col_list(self, j: int) -> list:
-        return [int(x) for x in self.a[:, j]]
+        return self.a[:, j].tolist()
 
     def to_lists(self) -> list:
-        return [[int(x) for x in row] for row in self.a]
+        return self.a.tolist()
 
     # -- algebra -----------------------------------------------------------
 
@@ -179,15 +190,15 @@ class IntMatrix:
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == IntMatrix.identity(self.rows)
 
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
+    def hstack(self, *others: "IntMatrix") -> "IntMatrix":
+        if any(o.rows != self.rows for o in others):
             raise ValueError("row mismatch in hstack")
-        return IntMatrix(np.hstack([self.a, other.a]))
+        return IntMatrix(np.hstack([self.a] + [o.a for o in others]))
 
-    def vstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.cols:
+    def vstack(self, *others: "IntMatrix") -> "IntMatrix":
+        if any(o.cols != self.cols for o in others):
             raise ValueError("column mismatch in vstack")
-        return IntMatrix(np.vstack([self.a, other.a]))
+        return IntMatrix(np.vstack([self.a] + [o.a for o in others]))
 
     def take_columns(self, js: Iterable[int]) -> "IntMatrix":
         js = list(js)
@@ -207,9 +218,8 @@ class IntMatrix:
         if self.cols == 0:
             return [0] * self.rows
         arr = np.empty(self.cols, dtype=object)
-        for j, x in enumerate(v):
-            arr[j] = int(x)
-        return [int(x) for x in np.dot(self.a, arr)]
+        arr[:] = list(map(operator.index, v))
+        return np.dot(self.a, arr).tolist()
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product, row-major block convention."""
@@ -327,9 +337,9 @@ def row_hermite(A: IntMatrix, transform: bool = False):
     h = A.to_lists()
     u = [[1 if i == j else 0 for j in range(A.rows)] for i in range(A.rows)] if transform else None
     _row_hermite_rows(h, A.cols, u)
-    H = IntMatrix.from_rows(h, cols=A.cols)
+    H = IntMatrix._of_int_rows(h, A.cols)
     if transform:
-        return H, IntMatrix.from_rows(u, cols=A.rows)
+        return H, IntMatrix._of_int_rows(u, A.rows)
     return H
 
 
@@ -347,13 +357,19 @@ def _is_column_hermite(A: IntMatrix) -> bool:
     increasing rows, and every entry left of a pivot in [0, pivot)."""
     if A.rows and A.cols > 1 and A.a[0, 1] != 0:  # row 0 is zero past column 0
         return False
-    nz = A.a != 0
-    k = int(nz.any(axis=0).sum())
-    piv = nz[:, :k].argmax(axis=0) if k else np.zeros(0, dtype=int)
-    left = np.tril(A.a[piv, :k], -1)  # row j: the entries left of pivot j
-    d = A.a[piv, range(k)]
-    return bool(not nz[:, k:].any() and (np.diff(piv) > 0).all() and (d > 0).all()
-                and ((left >= 0) & (left < d[:, None])).all())
+    rows, cols = A.a.tolist(), A.a.T.tolist()
+    last = -1  # the pivot row of the column before
+    for j, col in enumerate(cols):
+        if any(col[: last + 1]):
+            return False
+        piv = next((i for i in range(last + 1, A.rows) if col[i]), None)
+        if piv is None:  # the zero columns come last
+            return not any(map(any, cols[j + 1 :]))
+        left = rows[piv][:j]
+        if col[piv] < 0 or left and (min(left) < 0 or max(left) >= col[piv]):
+            return False
+        last = piv
+    return True
 
 
 def drop_zero_columns(A: IntMatrix) -> IntMatrix:
@@ -422,13 +438,6 @@ class BasisSolver:
         self._setup(basis, H, V)
 
     @classmethod
-    def of_hermite(cls, H: IntMatrix) -> "BasisSolver":
-        """The solver of a basis already in column Hermite form (such as a
-        ``kernel_basis``), which is its own Hermite form with the identity
-        transform."""
-        return cls._of_triangular(H)
-
-    @classmethod
     def _of_triangular(cls, basis: IntMatrix, pivots=None) -> "BasisSolver":
         """The solver of a basis that is its own echelon form: column j is nonzero
         in row pivots[j] (default: its first nonzero row), 0 in earlier ones."""
@@ -443,15 +452,15 @@ class BasisSolver:
         # nonzero column of H
         self._columns = []
         for j, col in enumerate(self.H.a.T.tolist()):
-            nonzero = [(i, int(x)) for i, x in enumerate(col) if x != 0]
+            nonzero = [(i, x) for i, x in enumerate(col) if x != 0]
             if nonzero:
                 piv = nonzero[0][0] if pivots is None else pivots[j]
-                self._columns.append((j, piv, int(col[piv]), nonzero))
+                self._columns.append((j, piv, col[piv], nonzero))
         self.rank = len(self._columns)
 
     def _express_h(self, vec: Sequence[int]) -> Optional[list]:
         """Back-substitution against the Hermite form (coordinates before V)."""
-        r = list(map(int, vec))
+        r = list(map(operator.index, vec))
         if len(r) != self.H.rows:
             raise ValueError("vector length mismatch")
         y = [0] * self.H.cols
@@ -481,7 +490,7 @@ class BasisSolver:
             if y is None:
                 return None
             ys.append(y)
-        Y = IntMatrix.from_columns(ys, rows=self.basis.cols)
+        Y = IntMatrix._of_int_rows(ys, self.basis.cols).T
         return Y if self._unit else self.V @ Y
 
 

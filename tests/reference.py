@@ -369,7 +369,7 @@ def section_by_averaging(seq: ShortExactSequence) -> Optional[EquivariantMap]:
             m = IntMatrix.zeros(B.rank, C.rank)
             for cf, cand in zip(coeff_kernel.col_list(k), candidates):
                 if cf:
-                    m = m + IntMatrix(cand.a * cf)
+                    m = m + _scaled(cand, cf)
             corrections.append(m)
     else:
         corrections = [seq.left.matrix @ h for h in hom_basis(C, seq.A)]
@@ -381,7 +381,7 @@ def section_by_averaging(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     total = t
     for xi, m in zip(x, corrections):
         if xi:
-            total = total + IntMatrix(m.a * xi)
+            total = total + _scaled(m, xi)
     rows = []
     for i in range(B.rank):
         row = []
@@ -392,6 +392,10 @@ def section_by_averaging(seq: ShortExactSequence) -> Optional[EquivariantMap]:
             row.append(q)
         rows.append(row)
     return EquivariantMap(C, B, IntMatrix.from_rows(rows, cols=C.rank)).validate()
+
+
+def _scaled(m: IntMatrix, c: int) -> IntMatrix:
+    return IntMatrix.from_rows([[c * x for x in row] for row in m.to_lists()], cols=m.cols)
 
 
 def identity_map(M: GLattice) -> EquivariantMap:
@@ -410,12 +414,9 @@ def shapiro_hom_basis(C: GLattice, A: GLattice) -> List[IntMatrix]:
         fixed = fixed_sublattice(A, points.stabilizer(base))
         for j in range(fixed.cols):
             v = fixed.col_list(j)
-            m = IntMatrix.zeros(A.rank, C.rank)
-            for p, g in transversal:
-                col = A.action[g].mul_vector(v)
-                for i in range(A.rank):
-                    m.a[i, p] = col[i]
-            out.append(m)
+            cols = {p: A.action[g].mul_vector(v) for p, g in transversal}
+            zero = [0] * A.rank
+            out.append(IntMatrix.from_columns([cols.get(p, zero) for p in range(C.rank)], rows=A.rank))
     return out
 
 
@@ -667,12 +668,8 @@ def check_exact_by_kernel(seq: ShortExactSequence) -> ExactnessReport:
 
 
 def _boundary(X) -> IntMatrix:
-    m = IntMatrix.zeros(X.n_vertices, X.n_edges)
-    for e, (s, t) in enumerate(X.edges):
-        if s != t:
-            m.a[t, e] += 1
-            m.a[s, e] -= 1
-    return m
+    cols = [[(v == t) - (v == s) for v in range(X.n_vertices)] for s, t in X.edges]
+    return IntMatrix.from_columns(cols, rows=X.n_vertices)
 
 
 def flow_basis_by_kernel(X) -> IntMatrix:

@@ -129,10 +129,6 @@ class TestCenterWalks:
         assert rep.ok
         assert detail(rep, "rank formula")["detail"] == f"rank {rank}"
 
-    def test_max_len_too_small_rejected(self):
-        with pytest.raises(InvalidParameterError, match="max_len"):
-            check_center_walks(cyclic(3), max_len=2)
-
     @pytest.mark.parametrize("spec", ["C:2", "C:3", "C:4", "SD:3,2,2", "D:4"])
     def test_rank_rule_agrees_with_saturation(self, spec):
         """Closed walks of length up to 4: W's saturated span is Fl exactly

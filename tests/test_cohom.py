@@ -82,9 +82,7 @@ def oracle_lattices(G):
     aug = augmentation_kernel(regular(G))[0]
     total = direct_sum(aug, trivial(G))
     base = flows if flows.rank > 1 else total  # cyclic groups: the flows are Z
-    T = IntMatrix.identity(base.rank)
-    for i in range(base.rank - 1):
-        T.a[i, i + 1] = 1
+    T = IntMatrix.from_rows([[int(j - i in (0, 1)) for j in range(base.rank)] for i in range(base.rank)])
     T_inv = solve_matrix(T, IntMatrix.identity(base.rank))
     out = {
         "trivial": trivial(G),
@@ -191,12 +189,13 @@ class TestCyclicOracle:
         base = regular(C4)
         seed = 1
         for trial in range(10):
-            T = IntMatrix.identity(4)
+            rows = IntMatrix.identity(4).to_lists()
             for _ in range(4):
                 seed = (1103515245 * seed + 12345) % (1 << 31)
                 i, j = seed % 4, (seed >> 8) % 4
                 if i != j:
-                    T.a[i, :] = [x + ((seed >> 16) % 3 - 1) * y for x, y in zip(T.a[i, :], T.a[j, :])]
+                    rows[i] = [x + ((seed >> 16) % 3 - 1) * y for x, y in zip(rows[i], rows[j])]
+            T = IntMatrix.from_rows(rows)
             Tinv = None
             from glattice.intlinalg import solve_matrix
 
@@ -374,8 +373,7 @@ class TestFindSection:
         r1 = coflasque_resolution(M)
         r2 = coflasque_resolution(M, rep_order=[1, 0])
         Q, p1, p2, incl = pullback(r1.sequence.right, r2.sequence.right)
-        amb = IntMatrix.zeros(r1.sequence.B.rank + r2.sequence.B.rank, r2.sequence.A.rank)
-        amb.a[r1.sequence.B.rank :, :] = r2.sequence.left.matrix.a
+        amb = IntMatrix.zeros(r1.sequence.B.rank, r2.sequence.A.rank).vstack(r2.sequence.left.matrix)
         from glattice.intlinalg import BasisSolver
 
         left = EquivariantMap(

@@ -348,15 +348,3 @@ class TestKnownFormsAreReused:
         first = fixed_sublattice(M, H)
         monkeypatch.setattr(gmod_mod, "kernel_basis", None)
         assert fixed_sublattice(M, H) is first
-
-    @pytest.mark.parametrize("spec", GROUPS)
-    def test_solver_of_a_kernel_basis(self, spec):
-        G = parse_group_spec(spec)
-        K = intlinalg_mod.kernel_basis(regular(G).action[G.generators[0]] - IntMatrix.identity(G.order))
-        known, fresh = BasisSolver.of_hermite(K), BasisSolver(K)
-        assert (known.H, known.V, known.rank) == (fresh.H, fresh.V, fresh.rank)
-        probe = IntMatrix.from_columns([[1] * G.order, list(range(G.order))])
-        assert known.express_matrix(K @ probe.take_rows(range(K.cols))) == fresh.express_matrix(
-            K @ probe.take_rows(range(K.cols))
-        )
-        assert known.express_matrix(probe) == fresh.express_matrix(probe)

@@ -223,14 +223,15 @@ class TestExactnessTorture:
         # change the exactness verdict
         seq = self._known_sequence()
         B = seq.B
-        U = IntMatrix.identity(B.rank)
+        rows = IntMatrix.identity(B.rank).to_lists()
         seed = 11
         for _ in range(10):
             seed = (1103515245 * seed + 12345) % (1 << 31)
             i, j = seed % B.rank, (seed >> 9) % B.rank
             if i != j:
-                for r in range(B.rank):
-                    U.a[r, i] = int(U[r, i]) + ((seed >> 17) % 3 - 1) * int(U[r, j])
+                for row in rows:
+                    row[i] += ((seed >> 17) % 3 - 1) * row[j]
+        U = IntMatrix.from_rows(rows)
         from glattice.intlinalg import solve_matrix
 
         Uinv = solve_matrix(U, IntMatrix.identity(B.rank))
@@ -254,7 +255,7 @@ class TestExactnessTorture:
         assert any("injective" in f or "kernel" in f for f in report.failures)
         # doubled left map: image no longer saturated, must be diagnosed
         doubled = ShortExactSequence(
-            EquivariantMap(seq.A, seq.B, IntMatrix(seq.left.matrix.a * 2)), seq.right
+            EquivariantMap(seq.A, seq.B, seq.left.matrix + seq.left.matrix), seq.right
         )
         report = check_exact(doubled)
         assert not report.ok

@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -361,17 +362,17 @@ class TestHermite:
     @settings(max_examples=80, deadline=None)
     def test_canonical_under_column_moves(self, a, seed):
         # apply deterministic pseudo-random unimodular column operations
-        m = IntMatrix(a.a.copy())
-        n = m.cols
+        rows = a.to_lists()
+        n = a.cols
         s = seed
         for step in range(6):
             s = (1103515245 * s + 12345) % (1 << 31)
             i, j = s % n, (s // n) % n
             if i != j:
                 q = (s >> 7) % 5 - 2
-                col = [m[r, i] + q * m[r, j] for r in range(m.rows)]
-                for r in range(m.rows):
-                    m.a[r, i] = col[r]
+                for row in rows:
+                    row[i] += q * row[j]
+        m = IntMatrix.from_rows(rows, cols=n)
         assert column_span_canonical(a) == column_span_canonical(m)
 
     def test_transform(self):
@@ -444,7 +445,7 @@ class TestProduct:
         c = a @ b
         assert c.shape == (a.rows, b.cols)
         assert c.to_lists() == triple_loop_product(a, b)
-        assert all(type(x) is int for x in c.a.reshape(-1))
+        assert all(type(x) is int for x in c.entries)
 
     @pytest.mark.parametrize("mb", [2**28 - 1, 2**28, 2**30])
     def test_guard_boundary(self, mb):
@@ -454,7 +455,7 @@ class TestProduct:
         a = IntMatrix.from_rows([[2**30] * k] * k)
         b = IntMatrix.from_rows([[mb] * k] * k)
         c = a @ b
-        assert all(x == k * 2**30 * mb and type(x) is int for x in c.a.reshape(-1))
+        assert all(x == k * 2**30 * mb and type(x) is int for x in c.entries)
 
     def test_mixed_signs_wide_range(self):
         k = 12
@@ -523,7 +524,7 @@ def smith_solve_matrix(A: IntMatrix, B: IntMatrix):
     dec = smith(A)
     diag = dec.diagonal()
     C = dec.U @ B
-    Y = IntMatrix.zeros(A.cols, B.cols)
+    Y = [[0] * B.cols for _ in range(A.cols)]
     for k in range(B.cols):
         for i in range(A.rows):
             c = int(C[i, k])
@@ -534,8 +535,8 @@ def smith_solve_matrix(A: IntMatrix, B: IntMatrix):
             else:
                 if c % d != 0:
                     return None
-                Y.a[i, k] = c // d
-    return dec.V @ Y
+                Y[i][k] = c // d
+    return dec.V @ IntMatrix.from_rows(Y, cols=B.cols)
 
 
 @st.composite
@@ -603,6 +604,35 @@ class TestFromColumns:
         with pytest.raises(ValueError, match="ragged columns"):
             IntMatrix.from_columns([[1, 2], [3]])
         assert IntMatrix.from_columns([[1, 2], [3, 4]], rows=2).to_lists() == [[1, 3], [2, 4]]
+
+
+class TestCallerNumbers:
+    """Numbers enter as integers or not at all: a float or a string is
+    refused, never truncated into a lattice vector."""
+
+    NOT_INTEGERS = [2.5, 2.0, np.float64(3.0), "3"]
+
+    @pytest.mark.parametrize("x", NOT_INTEGERS, ids=repr)
+    def test_refused_everywhere_they_enter(self, x):
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[x]])
+        with pytest.raises(TypeError):
+            IntMatrix.from_columns([[1, x]])
+        with pytest.raises(TypeError):
+            IntMatrix.column([x])
+        with pytest.raises(TypeError):
+            IntMatrix.identity(1).mul_vector([x])
+        with pytest.raises(TypeError):
+            BasisSolver(IntMatrix.identity(1)).express([x])
+
+    @pytest.mark.parametrize("x", [3, np.int64(3), np.int8(3), True], ids=repr)
+    def test_integers_enter_as_python_ints(self, x):
+        n = int(x)
+        for m in (IntMatrix.from_rows([[x]]), IntMatrix.from_columns([[x]]), IntMatrix.column([x])):
+            assert m.to_lists() == [[n]] and type(m.entries[0]) is int
+        assert IntMatrix.identity(1).mul_vector([x]) == [n]
+        assert BasisSolver(IntMatrix.identity(1)).express([x]) == [n]
+        assert str(IntMatrix.from_rows([[x]])) == f"[{n}]"
 
 
 def test_module_doctests():

@@ -295,10 +295,10 @@ def near_hermite(draw):
     sometimes changed, so that both verdicts occur."""
     r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     rows = [[draw(st.integers(-4, 4)) for _ in range(c)] for _ in range(r)]
-    H = col_hermite(IntMatrix.from_rows(rows, cols=c))
+    H = col_hermite(IntMatrix.from_rows(rows, cols=c)).to_lists()
     if r and c and draw(st.booleans()):
-        H.a[draw(st.integers(0, r - 1)), draw(st.integers(0, c - 1))] = draw(st.integers(-4, 4))
-    return H
+        H[draw(st.integers(0, r - 1))][draw(st.integers(0, c - 1))] = draw(st.integers(-4, 4))
+    return IntMatrix.from_rows(H, cols=c)
 
 
 class TestBasesAlreadyInHermiteForm:

@@ -188,8 +188,9 @@ def test_corrupted_action_matrix_rejected(name, use_kernel, data):
     i = data.draw(st.integers(0, M.rank - 1))
     j = data.draw(st.integers(0, M.rank - 1))
     delta = data.draw(st.integers(-3, 3).filter(lambda x: x != 0))
-    action = [IntMatrix(m.a.copy()) for m in M.action]
-    action[g].a[i, j] += delta
+    rows = M.action[g].to_lists()
+    rows[i][j] += delta
+    action = [IntMatrix.from_rows(rows) if h == g else m for h, m in enumerate(M.action)]
     assert not oracle_is_lattice(G, action)
     with pytest.raises(InvalidParameterError):
         GLattice(G, action)
@@ -209,10 +210,8 @@ def _twisted_off_first_generator(G, perms):
 
 
 def _permutation_matrix(perm):
-    m = IntMatrix.zeros(len(perm), len(perm))
-    for x, y in enumerate(perm):
-        m.a[y, x] = 1
-    return m
+    n = len(perm)
+    return IntMatrix.from_columns([[int(x == y) for x in range(n)] for y in perm], rows=n)
 
 
 @pytest.mark.parametrize("name", ["S:3", "D:4", "X(C:2,C:2)"])
