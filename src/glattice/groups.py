@@ -1,17 +1,27 @@
 """Finite groups as multiplication tables, plus subgroup machinery and G-sets.
 
 Elements are indices 0..n-1 with index 0 reserved for the identity where a
-constructor controls the labeling.  Objects are validated on generators.
-Every group computes one greedy generating set at construction and checks
-associativity with Light's test on it.  A subgroup checks closure on its
-own greedy generators.  A G-set checks rho(g s) = rho(g) rho(s) for every
+constructor controls the labeling.  Table entries, G-set points and closure
+seeds enter through ``operator.index``, so a float or a string is refused,
+never truncated.  Objects are validated on generators.  Every group
+computes one greedy generating set at construction and checks
+associativity with Light's test on it; the center and the abelian test
+compare with the generators only, since an element is central exactly
+when it commutes with each of them.  A subgroup checks closure on its own
+greedy generators.  A G-set checks rho(g s) = rho(g) rho(s) for every
 element g and every generator s, which by induction on word length makes
 rho a homomorphism.
+
+Subgroups grow by cosets: ``FiniteGroup.closure`` extends a known subgroup
+B to <B, g> as a union of right cosets of B (Dimino), and both the greedy
+generators and the subgroup enumeration extend what they already have
+instead of closing again from the identity.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -20,7 +30,8 @@ from .errors import InvalidParameterError
 
 # Construction cap: the largest instance the acceptance surface needs is
 # the symmetric group on 5 points (order 120).  Subgroup *enumeration*
-# stays capped at 64, where exhaustive closure search is trivially fast.
+# stays capped at 64, where extending every subgroup by one element class
+# at a time (a few thousand coset extensions at most) is fast.
 MAX_ORDER = 120
 MAX_SUBGROUP_ENUMERATION_ORDER = 64
 
@@ -42,9 +53,9 @@ class FiniteGroup:
         if n > MAX_ORDER:
             raise InvalidParameterError(f"group order {n} exceeds cap {MAX_ORDER}")
         self.order = n
-        self.table = [list(map(int, row)) for row in table]
+        self.table = [list(map(operator.index, row)) for row in table]
         for row in self.table:
-            if len(row) != n or any(not (0 <= x < n) for x in row):
+            if len(row) != n or min(row) < 0 or max(row) >= n:
                 raise InvalidParameterError("multiplication table is not closed")
         self.identity = self._find_identity()
         self.inverses = self._find_inverses()
@@ -82,18 +93,20 @@ class FiniteGroup:
         """Greedy generators of the subgroup on `elements`.
 
         Adds the smallest element not yet reached until the closure covers
-        `elements`.  Raises when a closure leaves them, i.e. when they are
-        not closed under multiplication.
+        `elements`, extending the subgroup reached so far by cosets.  Raises
+        when a closure leaves them, i.e. when they are not closed under
+        multiplication.
         """
         target = set(elements)
-        gens: List[int] = []
-        have = {self.identity}
+        gens: Tuple[int, ...] = ()
+        have: Tuple[int, ...] = (self.identity,)
         while len(have) < len(target):
-            gens.append(min(target - have))
-            have = set(self.closure(gens))
-            if not have <= target:
+            g = min(target.difference(have))
+            have = self.closure((g,), have, gens)
+            gens += (g,)
+            if not target.issuperset(have):
                 raise InvalidParameterError("subgroup not closed under multiplication")
-        return tuple(gens)
+        return gens
 
     def _check_associativity(self) -> None:
         """Light's test: (a s) b == a (s b) for every generator s and all a, b.
@@ -137,36 +150,41 @@ class FiniteGroup:
         return range(self.order)
 
     def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
+        t = self.table
+        return all(t[a][b] == t[b][a] for a in self.generators for b in self.generators)
 
     def center(self) -> Tuple[int, ...]:
+        t = self.table
         return tuple(
-            g
-            for g in range(self.order)
-            if all(self.table[g][h] == self.table[h][g] for h in range(self.order))
+            g for g in range(self.order) if all(t[g][s] == t[s][g] for s in self.generators)
         )
 
-    def closure(self, seed: Sequence[int]) -> Tuple[int, ...]:
-        """Sorted subgroup generated by the seed elements.
+    def closure(
+        self, seed: Sequence[int], base: Sequence[int] = (), base_gens: Sequence[int] = ()
+    ) -> Tuple[int, ...]:
+        """Sorted subgroup generated by `base_gens` and the seed elements.
 
-        Breadth-first search from the identity under right multiplication by
-        the seeds; in a finite group these products already contain every
-        inverse.
+        `base` is the subgroup B that `base_gens` generate (the trivial one
+        when empty), and the result grows it as a union of right cosets B r
+        (Dimino).  A product r s of a coset representative r and a generator
+        s that lies outside the union adds its whole coset B r s.  Once right
+        multiplication by every generator keeps the union, it is a subgroup;
+        with B trivial this is a breadth-first search from the identity.
         """
-        seeds = sorted({int(x) for x in seed})
-        els = {self.identity}
-        queue = [self.identity]
-        for a in queue:
-            row = self.table[a]
-            for s in seeds:
-                c = row[s]
-                if c not in els:
-                    els.add(c)
-                    queue.append(c)
+        t = self.table
+        base = base or (self.identity,)
+        gens = sorted(set(base_gens).union(map(operator.index, seed)))
+        if gens and not 0 <= gens[0] <= gens[-1] < self.order:
+            raise InvalidParameterError("closure seed is not an element index")
+        els = set(base)
+        reps = [self.identity]
+        for r in reps:
+            row = t[r]
+            for s in gens:
+                x = row[s]
+                if x not in els:
+                    els.update([t[h][x] for h in base])
+                    reps.append(x)
         return tuple(sorted(els))
 
     def __repr__(self) -> str:
@@ -262,7 +280,8 @@ def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n with generator s."""
     if n < 1:
         raise InvalidParameterError(f"cyclic group order must be >= 1, got {n}")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    row = list(range(n))
+    table = [row[i:] + row[:i] for i in range(n)]
     names = ["e"] + [_power_name("s", i) for i in range(1, n)]
     gens = {"s": 1 % n}
     return FiniteGroup(table, element_names=names, spec=f"C:{n}", generator_indices=gens)
@@ -284,25 +303,21 @@ def semidirect(n: int, m: int, r: int) -> FiniteGroup:
     if gcd(r, n) != 1:
         raise InvalidParameterError(f"twist r={r} is not invertible modulo {n}")
     rinv = pow(r, -1, n) if n > 1 else 0
-
-    def idx(i: int, j: int) -> int:
-        return (i % n) * m + (j % m)
-
-    table = []
-    for i1 in range(n):
-        for j1 in range(m):
-            row = []
-            shift = pow(rinv, j1, n) if n > 1 else 0
-            for i2 in range(n):
-                for j2 in range(m):
-                    row.append(idx(i1 + i2 * shift, j1 + j2))
-            table.append(row)
+    shifts = [pow(rinv, j, n) for j in range(m)]
+    # (s^i1 t^j1)(s^i2 t^j2) = s^(i1 + i2 rinv^j1) t^(j1 + j2), index i*m + j
+    t_parts = [[(j1 + j2) % m for j2 in range(m)] for j1 in range(m)]
+    table = [
+        [s_part + t_part for s_part in [(i1 + i2 * shift) % n * m for i2 in range(n)]
+         for t_part in t_parts[j1]]
+        for i1 in range(n)
+        for j1, shift in enumerate(shifts)
+    ]
     names = []
     for i in range(n):
         for j in range(m):
             nm = _power_name("s", i) + _power_name("t", j)
             names.append(nm or "e")
-    gens = {"s": idx(1, 0), "t": idx(0, 1)}
+    gens = {"s": 1 % n * m, "t": 1 % m}
     return FiniteGroup(
         table, element_names=names, spec=f"SD:{n},{m},{r}", generator_indices=gens
     )
@@ -356,14 +371,11 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     n, m = G.order, H.order
     if n * m > MAX_ORDER:
         raise InvalidParameterError(f"product order {n * m} exceeds cap {MAX_ORDER}")
-    table = []
-    for a in range(n):
-        for b in range(m):
-            row = []
-            for c in range(n):
-                for d in range(m):
-                    row.append(G.table[a][c] * m + H.table[b][d])
-            table.append(row)
+    table = [
+        [ac * m + bd for ac in G.table[a] for bd in H.table[b]]
+        for a in range(n)
+        for b in range(m)
+    ]
     names = [
         f"({G.element_names[a]}|{H.element_names[b]})" for a in range(n) for b in range(m)
     ]
@@ -374,9 +386,12 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
 
 
 def all_subgroups(G: FiniteGroup) -> List[Subgroup]:
-    """Every subgroup, found by closing known subgroups with one new element.
+    """Every subgroup, found by extending known subgroups with one new element.
 
     Complete: any subgroup arises by adjoining its generators one at a time.
+    Each found subgroup B is extended once per class of new elements:
+    <B, g> = <B, x> for every x in a double coset B g^k B with k prime to
+    the order of g, so all of these are done once g is tried.
     """
     if G._subgroups_cache is not None:
         return list(G._subgroups_cache)
@@ -384,19 +399,29 @@ def all_subgroups(G: FiniteGroup) -> List[Subgroup]:
         raise InvalidParameterError(
             f"subgroup enumeration capped at order {MAX_SUBGROUP_ENUMERATION_ORDER}"
         )
+    t = G.table
     triv = (G.identity,)
     known = {triv}
-    # each subgroup with the generators it was first closed from
+    # each subgroup with the generators it was first reached from
     frontier = [(triv, ())]
     while frontier:
         base, gens = frontier.pop()
-        base_set = set(base)
+        done = set(base)  # a union of double cosets of base, marked by right cosets
         for g in range(G.order):
-            if g not in base_set:
-                new = G.closure(gens + (g,))
-                if new not in known:
-                    known.add(new)
-                    frontier.append((new, gens + (g,)))
+            if g in done:
+                continue
+            new = G.closure((g,), base, gens)
+            powers = [g]
+            while powers[-1] != G.identity:
+                powers.append(t[powers[-1]][g])
+            for k, x in enumerate(powers, 1):
+                if x not in done and gcd(k, len(powers)) == 1:
+                    for y in [t[x][c] for c in base]:
+                        if y not in done:
+                            done.update([t[b][y] for b in base])
+            if new not in known:
+                known.add(new)
+                frontier.append((new, gens + (g,)))
     ordered = sorted(known, key=lambda els: (len(els), els))
     subs = [Subgroup(G, els) for els in ordered]
     G._subgroups_cache = subs
@@ -470,7 +495,7 @@ class GSet:
         point_names: Optional[Sequence[str]] = None,
     ):
         self.group = group
-        self.action = [tuple(map(int, perm)) for perm in action]
+        self.action = [tuple(map(operator.index, perm)) for perm in action]
         if len(self.action) != group.order:
             raise InvalidParameterError("need one permutation per group element")
         self.size = len(self.action[0]) if self.action else 0
@@ -503,7 +528,7 @@ class GSet:
 
     def restrict(self, points: Sequence[int]) -> "GSet":
         """The G-set on a stable subset of points, renumbered in increasing order."""
-        keep = sorted(set(int(x) for x in points))
+        keep = sorted(set(map(operator.index, points)))
         if any(not 0 <= x < self.size for x in keep):
             raise InvalidParameterError("point out of range")
         pos = {x: i for i, x in enumerate(keep)}

@@ -1,7 +1,10 @@
 """Reference implementations the tests compare the library against.
 
 Each is independent of the code path it checks, and none is used by the
-library itself: the determinant, the Smith form with both transforms,
+library itself: subgroups closed from the identity (the whole subgroup
+lattice by closing every found subgroup's element set again, greedy
+generators re-closed from scratch, and the center and abelian test over
+all pairs), the determinant, the Smith form with both transforms,
 Tate groups from coordinates in the saturated fixed or norm-kernel
 lattice, the cyclic formula for degree 1 Tate cohomology, sections by
 group averaging with a congruence solve modulo |G|, the identity map,
@@ -418,6 +421,61 @@ def shapiro_hom_basis(C: GLattice, A: GLattice) -> List[IntMatrix]:
             zero = [0] * A.rank
             out.append(IntMatrix.from_columns([cols.get(p, zero) for p in range(C.rank)], rows=A.rank))
     return out
+
+
+def closure_from_identity(G: FiniteGroup, seed: Sequence[int]) -> Tuple[int, ...]:
+    """Sorted subgroup generated by the seed: breadth-first search from the
+    identity under right multiplication by every seed element."""
+    els = {G.identity}
+    queue = [G.identity]
+    for a in queue:
+        for s in seed:
+            c = G.table[a][s]
+            if c not in els:
+                els.add(c)
+                queue.append(c)
+    return tuple(sorted(els))
+
+
+def subgroups_by_closing_whole(G: FiniteGroup) -> List[Tuple[int, ...]]:
+    """Every subgroup, sorted by (order, elements): each found subgroup's
+    whole element set is closed with every element outside it."""
+    known = {(G.identity,)}
+    frontier = [(G.identity,)]
+    while frontier:
+        base = frontier.pop()
+        for g in range(G.order):
+            if g not in base:
+                new = closure_from_identity(G, base + (g,))
+                if new not in known:
+                    known.add(new)
+                    frontier.append(new)
+    return sorted(known, key=lambda els: (len(els), els))
+
+
+def greedy_generators_from_scratch(G: FiniteGroup, elements: Sequence[int]) -> Tuple[int, ...]:
+    """Add the smallest element not yet reached, closing all of them again
+    from the identity each time; raise when a closure leaves `elements`."""
+    target = set(elements)
+    gens: List[int] = []
+    have = {G.identity}
+    while len(have) < len(target):
+        gens.append(min(target - have))
+        have = set(closure_from_identity(G, gens))
+        if not have <= target:
+            raise InvalidParameterError("subgroup not closed under multiplication")
+    return tuple(gens)
+
+
+def center_all_pairs(G: FiniteGroup) -> Tuple[int, ...]:
+    """The elements that commute with every element."""
+    t = G.table
+    return tuple(g for g in range(G.order) if all(t[g][h] == t[h][g] for h in range(G.order)))
+
+
+def is_abelian_all_pairs(G: FiniteGroup) -> bool:
+    t = G.table
+    return all(t[a][b] == t[b][a] for a in range(G.order) for b in range(G.order))
 
 
 def edge_orbits_by_scan(X) -> List[Tuple[int, ...]]:
