@@ -3,11 +3,14 @@ the explicit edge-removal isomorphism between flow lattices.
 
 Conventions pinned for determinism: spanning trees are BFS from vertex 0
 scanning edges in listed order, path flows use the BFS path, and every
-kernel basis is saturated column-Hermite.
+kernel basis is saturated column-Hermite.  Caller numbers (edge
+endpoints, generators, tree edges, candidate entries, edge indices)
+enter through ``operator.index``, so a float is refused, not truncated.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -39,7 +42,7 @@ class GGraph:
     ):
         self.vertices = vertices
         self.group = vertices.group
-        self.edges = [(int(s), int(t)) for s, t in edges]
+        self.edges = [(operator.index(s), operator.index(t)) for s, t in edges]
         for s, t in self.edges:
             if not (0 <= s < vertices.size and 0 <= t < vertices.size):
                 raise InvalidParameterError("edge endpoint out of range")
@@ -154,7 +157,7 @@ def cayley_graph(G: FiniteGroup, generators: Sequence[int]) -> GGraph:
     """
     gens = []
     for s in generators:
-        s = int(s)
+        s = operator.index(s)
         if not 0 <= s < G.order:
             raise InvalidParameterError(f"generator index {s} out of range")
         if s not in gens:
@@ -299,13 +302,14 @@ def spanning_tree_basis(
     """Certify candidate flows as a basis via the triangular-tree criterion.
 
     The matrix of candidate values on the non-tree edges (in listed edge
-    order) must be upper triangular with +-1 on the diagonal.  Raises
-    SpanningTreeBasisError with a diagnostic otherwise.  The criterion
+    order) must be upper triangular with +-1 on the diagonal (the first
+    non-tree edge where candidate i is nonzero is the i-th: the solver's
+    invariant).  Raises SpanningTreeBasisError with a diagnostic otherwise.  The criterion
     proves a Z-basis of the flows: a flow is determined by its values on
     the non-tree edges, and that minor is unimodular.  So the lattice is
     built without a second span check, and it is its own solver.
     """
-    tree = sorted(set(int(e) for e in tree_edges))
+    tree = sorted(set(map(operator.index, tree_edges)))
     # validate the tree: spanning and acyclic in the undirected sense
     if len(tree) != X.n_vertices - 1:
         raise InvalidParameterError(
@@ -322,14 +326,15 @@ def spanning_tree_basis(
 
     tree_set = set(tree)
     non_tree = [e for e in range(X.n_edges) if e not in tree_set]
+    position = {e: j for j, e in enumerate(non_tree)}
     r = len(non_tree)
     if len(candidates) != r:
         raise SpanningTreeBasisError(
             f"need {r} candidate flows (one per non-tree edge), got {len(candidates)}"
         )
-    cols = []
+    cols, first = [], []  # first: each candidate's smallest nonzero non-tree position
     for i, cand in enumerate(candidates):
-        vec = list(map(int, cand))
+        vec = list(map(operator.index, cand))
         if len(vec) != X.n_edges:
             raise InvalidParameterError(f"candidate {i} has wrong length")
         net = [0] * X.n_vertices  # the boundary of vec
@@ -341,17 +346,17 @@ def spanning_tree_basis(
         if any(net):
             raise InvalidParameterError(f"candidate {i} violates the flow condition")
         cols.append(vec)
+        first.append(next((position[e] for e, c in enumerate(vec) if c and e in position), r))
     for i in range(r):
         d = cols[i][non_tree[i]]
         if d not in (1, -1):
             raise SpanningTreeBasisError(
                 f"diagonal entry f_{i}(e_{non_tree[i]}) = {d} is not +-1"
             )
-        for j in range(i):
-            if cols[i][non_tree[j]] != 0:
-                raise SpanningTreeBasisError(
-                    f"matrix not upper triangular: f_{i}(e_{non_tree[j]}) != 0"
-                )
+        if first[i] < i:
+            raise SpanningTreeBasisError(
+                f"matrix not upper triangular: f_{i}(e_{non_tree[first[i]]}) != 0"
+            )
     basis = IntMatrix.from_columns(cols, rows=X.n_edges)
     return FlowLattice(X, BasisSolver._of_triangular(basis, non_tree))
 
@@ -361,7 +366,7 @@ def spanning_tree_basis(
 
 def subgraph(X: GGraph, edge_indices: Sequence[int]) -> GGraph:
     """The G-subgraph on a stable subset of edges (same vertices)."""
-    keep = sorted(set(int(e) for e in edge_indices))
+    keep = sorted(set(map(operator.index, edge_indices)))
     return GGraph(X.vertices, [X.edges[e] for e in keep], X.edge_gset.restrict(keep).action)
 
 

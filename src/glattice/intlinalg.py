@@ -24,14 +24,19 @@ it is skipped when every pivot of that form is 1.  Kernels and solves
 (``kernel_basis``, ``solve_matrix``, ``BasisSolver``) use the column
 Hermite form and its transform, skipped for a matrix already in that
 form; a certified triangular basis, such as a spanning-tree flow basis,
-is its own solver too, and no identity transform is multiplied.  No
-routine builds the Smith transforms.  Independence over Q is read off
-the pivot columns of the row Hermite form (``pivot_columns``).
+is its own solver too, and no identity transform is multiplied.  The
+back-substitution visits only the pivots it reaches, in column order,
+which is sound because each echelon column is 0 in the pivot rows of the
+columns before it: a Hermite form is, and a caller of
+``BasisSolver._of_triangular`` must certify it.  No routine builds the
+Smith transforms.  Independence over Q is read off the pivot columns of
+the row Hermite form (``pivot_columns``).
 """
 
 from __future__ import annotations
 
 import operator
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -421,16 +426,28 @@ def solve_matrix(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     Back-substitutes each column of B against the column Hermite form of
     A (see ``BasisSolver``); A may have dependent columns.
     """
-    if B.rows != A.rows:
-        raise ValueError("rhs row mismatch")
     return BasisSolver(A).express_matrix(B)
+
+
+def _column_nonzeros(A: IntMatrix) -> list:
+    """Each column of A as a dict of its nonzero entries by row, rows ascending."""
+    js, rows = np.nonzero((A.a != 0).T)
+    columns = [{} for _ in range(A.cols)]
+    for j, i, x in zip(js.tolist(), rows.tolist(), A.a[rows, js].tolist()):
+        columns[j][i] = x
+    return columns
 
 
 class BasisSolver:
     """Repeated coordinate extraction against a fixed column basis.
 
     Precomputes a Hermite transform of the basis so that expressing many
-    vectors costs one triangular back-substitution each.
+    vectors costs one triangular back-substitution each.  It keeps the
+    residual sparse and visits only the pivots it reaches: a column enters
+    a heap when a subtraction makes its pivot row nonzero.  That is the
+    order of a dense sweep, less the columns it would divide into 0, since
+    each column is 0 in the pivot rows of the columns before it (a Hermite
+    form is; a caller of ``_of_triangular`` must certify it).
     """
 
     def __init__(self, basis: IntMatrix):
@@ -440,7 +457,8 @@ class BasisSolver:
     @classmethod
     def _of_triangular(cls, basis: IntMatrix, pivots=None) -> "BasisSolver":
         """The solver of a basis that is its own echelon form: column j is nonzero
-        in row pivots[j] (default: its first nonzero row), 0 in earlier ones."""
+        in row pivots[j] (default: its first nonzero row), 0 in the pivot rows
+        of the columns before it."""
         solver = cls.__new__(cls)
         solver._setup(basis, basis, pivots=pivots)
         return solver
@@ -449,43 +467,57 @@ class BasisSolver:
         self.basis, self.H, self._unit = basis, H, V is None
         self.V = IntMatrix.identity(H.cols) if V is None else V  # _unit: never multiplied
         # (index, pivot row, pivot, nonzero (row, entry) pairs) of each
-        # nonzero column of H
+        # nonzero column of H, and the position among them of each pivot row
         self._columns = []
-        for j, col in enumerate(self.H.a.T.tolist()):
-            nonzero = [(i, x) for i, x in enumerate(col) if x != 0]
-            if nonzero:
-                piv = nonzero[0][0] if pivots is None else pivots[j]
-                self._columns.append((j, piv, col[piv], nonzero))
+        for j, col in enumerate(_column_nonzeros(H)):
+            if col:
+                piv = next(iter(col)) if pivots is None else pivots[j]
+                self._columns.append((j, piv, col[piv], list(col.items())))
+        self._position = {piv: k for k, (_, piv, _, _) in enumerate(self._columns)}
         self.rank = len(self._columns)
 
-    def _express_h(self, vec: Sequence[int]) -> Optional[list]:
-        """Back-substitution against the Hermite form (coordinates before V)."""
-        r = list(map(operator.index, vec))
-        if len(r) != self.H.rows:
-            raise ValueError("vector length mismatch")
+    def _express_h(self, r: dict) -> Optional[list]:
+        """Back-substitution against the Hermite form (coordinates before V)
+        of the residual r, its nonzero entries by row; r is consumed."""
+        columns, position = self._columns, self._position
+        heap = [position[i] for i in r if i in position]
+        heapify(heap)
         y = [0] * self.H.cols
-        for j, piv, d, nonzero in self._columns:
+        last = -1
+        while heap:
+            k = heappop(heap)
+            j, piv, d, nonzero = columns[k]
+            if k == last or piv not in r:  # pushed twice, or cancelled since
+                continue
+            last = k
             q, rem = divmod(r[piv], d)
             if rem != 0:
                 return None
-            if q != 0:
-                y[j] = q
-                for i, h in nonzero:
-                    r[i] -= q * h
-        if any(r):
-            return None
-        return y
+            y[j] = q
+            for i, h in nonzero:
+                old = r.pop(i, 0)
+                new = old - q * h
+                if new:
+                    r[i] = new
+                    if not old and i in position:
+                        heappush(heap, position[i])
+        return None if r else y
 
     def express(self, vec: Sequence[int]) -> Optional[list]:
         """Coordinates of vec in the basis columns, or None if outside."""
-        y = self._express_h(vec)
+        r = list(map(operator.index, vec))
+        if len(r) != self.H.rows:
+            raise ValueError("vector length mismatch")
+        y = self._express_h({i: x for i, x in enumerate(r) if x})
         if y is None or self._unit:
             return y
         return self.V.mul_vector(y)
 
     def express_matrix(self, M: IntMatrix) -> Optional[IntMatrix]:
+        if M.rows != self.H.rows:
+            raise ValueError("matrix row mismatch")
         ys = []
-        for col in M.a.T.tolist():
+        for col in _column_nonzeros(M):
             y = self._express_h(col)
             if y is None:
                 return None

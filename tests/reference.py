@@ -22,10 +22,13 @@ basis as ``kernel_basis`` of the boundary, and the bar-cocycle loops
 over dense edge vectors.  The saturation of a span as a double kernel,
 which the closed-walk check once compared with the flow basis.  A flow
 lattice is validated from scratch against the boundary map and the edge
-action.
+action.  The back-substitution of ``BasisSolver`` as a dense sweep
+that divides at every column, and the fundamental cycles of a spanning
+tree as candidates for ``spanning_tree_basis``.
 """
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +57,7 @@ from glattice.intlinalg import (
     BasisSolver,
     IntMatrix,
     cokernel_invariants,
+    col_hermite,
     column_span_canonical,
     kernel_basis,
     solve_matrix,
@@ -808,3 +812,45 @@ def tree_recursion_failures_dense(X, G: FiniteGroup, d) -> int:
             )
             bad += d[(h, g)] != rhs
     return bad
+
+
+def express_by_dense_sweep(basis: IntMatrix, vec: Sequence[int], pivots=None) -> Optional[List[int]]:
+    """Coordinates of vec in the basis columns, or None: a back-substitution
+    that divides at the pivot of every nonzero column of the echelon form,
+    in column order, on a dense residual.  Without pivots the echelon form
+    is the column Hermite form with its transform; with them the basis is
+    its own echelon form, column j pivoting in row pivots[j]."""
+    H, V = col_hermite(basis, transform=True) if pivots is None else (basis, None)
+    r = list(map(operator.index, vec))
+    if len(r) != H.rows:
+        raise ValueError("vector length mismatch")
+    y = [0] * H.cols
+    for j in range(H.cols):
+        col = H.col_list(j)
+        nonzero = [(i, x) for i, x in enumerate(col) if x != 0]
+        if not nonzero:
+            continue
+        piv = nonzero[0][0] if pivots is None else pivots[j]
+        q, rem = divmod(r[piv], col[piv])
+        if rem != 0:
+            return None
+        y[j] = q
+        for i, h in nonzero:
+            r[i] -= q * h
+    if any(r):
+        return None
+    return y if V is None else V.mul_vector(y)
+
+
+def fundamental_cycles(X, tree: Sequence[int]) -> List[List[int]]:
+    """One flow per non-tree edge e = (s, t), in edge order: e itself
+    closed by the tree path from t back to s."""
+    tree_set = set(tree)
+    cycles = []
+    for e in range(X.n_edges):
+        if e not in tree_set:
+            s, t = X.edges[e]
+            vec = path_flow_by_bfs(X, t, s, tree)
+            vec[e] += 1
+            cycles.append(vec)
+    return cycles

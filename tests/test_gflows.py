@@ -1,9 +1,13 @@
 """Graphs, boundary maps, flow lattices and the edge-removal isomorphism."""
 
+import re
+
+import numpy as np
 import pytest
 
 from glattice.errors import InvalidParameterError
 from glattice.gflows import (
+    GGraph,
     SpanningTreeBasisError,
     boundary_matrix,
     cayley_graph,
@@ -24,7 +28,7 @@ from glattice.groups import (
     subgroup_from_generators,
 )
 from glattice.intlinalg import IntMatrix, kernel_basis, same_column_span
-from reference import spanning_tree_by_bfs, validate_flow_lattice
+from reference import fundamental_cycles, spanning_tree_by_bfs, validate_flow_lattice
 
 
 def s3():
@@ -166,11 +170,91 @@ class TestSpanningTreeBasis:
         with pytest.raises(InvalidParameterError, match="flow condition"):
             spanning_tree_basis(X, tree, [[1, 0, 0, 0]])
 
+    @staticmethod
+    def _five_cycles():
+        """The C:4 Cayley graph on s and s^2: 5 non-tree edges."""
+        G = cyclic(4)
+        s = G.generator_indices["s"]
+        X = cayley_graph(G, [s, G.table[s][s]])
+        tree = spanning_tree_by_bfs(X)
+        non_tree = [e for e in range(X.n_edges) if e not in tree]
+        return X, tree, non_tree, fundamental_cycles(X, tree)
+
+    @staticmethod
+    def _plus(*flows, scale=1):
+        return [scale * x + sum(ys) for x, *ys in zip(*flows)]
+
+    def test_fundamental_cycles_certified(self):
+        X, tree, non_tree, cyc = self._five_cycles()
+        assert len(non_tree) == 5
+        later = [self._plus(c, *cyc[i + 1 :]) for i, c in enumerate(cyc)]
+        assert spanning_tree_basis(X, tree, later).rank == 5
+
+    def test_first_failure_names_the_smallest_column(self):
+        """Candidates 3 and 4 are each nonzero on two earlier non-tree
+        edges; the message names candidate 3 and the smaller of its two."""
+        X, tree, non_tree, cyc = self._five_cycles()
+        for j1, j2 in [(0, 1), (0, 2), (1, 2)]:
+            cands = cyc[:3] + [self._plus(cyc[3], cyc[j1], cyc[j2]), self._plus(cyc[4], cyc[0], cyc[3])]
+            with pytest.raises(SpanningTreeBasisError) as err:
+                spanning_tree_basis(X, tree, cands)
+            assert str(err.value) == (
+                f"matrix not upper triangular: f_3(e_{non_tree[j1]}) != 0"
+            )
+        for j in (1, 3):
+            cands = cyc[:4] + [self._plus(cyc[4], cyc[j])]
+            with pytest.raises(SpanningTreeBasisError, match=re.escape(f"f_4(e_{non_tree[j]}) != 0")):
+                spanning_tree_basis(X, tree, cands)
+
+    def test_diagonal_checked_before_the_earlier_columns(self):
+        X, tree, non_tree, cyc = self._five_cycles()
+        cands = cyc[:2] + [self._plus(cyc[2], cyc[0], cyc[1], scale=2)] + cyc[3:]
+        with pytest.raises(SpanningTreeBasisError) as err:
+            spanning_tree_basis(X, tree, cands)
+        assert str(err.value) == f"diagonal entry f_2(e_{non_tree[2]}) = 2 is not +-1"
+        cands = cyc[:1] + [cyc[2]] + cyc[2:]
+        with pytest.raises(SpanningTreeBasisError, match=re.escape(f"f_1(e_{non_tree[1]}) = 0 is not")):
+            spanning_tree_basis(X, tree, cands)
+
     def test_not_a_tree_rejected(self):
         G = cyclic(4)
         X = cayley_graph(G, [G.generator_indices["s"]])
         with pytest.raises(InvalidParameterError):
             spanning_tree_basis(X, [0, 1, 2, 3], [])
+
+
+class TestCallerNumbers:
+    """Edge endpoints, generators, tree edges, candidate entries and edge
+    indices enter as integers or not at all: a float is refused, never
+    truncated."""
+
+    def test_floats_refused(self):
+        with pytest.raises(TypeError):
+            GGraph(regular_gset(cyclic(3)), [(0, 1.9), (1, 2), (2, 0)])
+        G = cyclic(4)
+        with pytest.raises(TypeError):
+            cayley_graph(G, [1.0])
+        X = cayley_graph(G, [G.generator_indices["s"]])
+        tree = spanning_tree_by_bfs(X)
+        with pytest.raises(TypeError):
+            spanning_tree_basis(X, [float(e) for e in tree], [[1, 1, 1, 1]])
+        with pytest.raises(TypeError):
+            spanning_tree_basis(X, tree, [[1.0, 1, 1, 1]])
+        with pytest.raises(TypeError):
+            subgraph(X, [0.0, 1, 2, 3])
+
+    @pytest.mark.parametrize("one", [1, np.int64(1), True], ids=repr)
+    def test_integers_enter_as_python_ints(self, one):
+        zero, two = one - one, one + one
+        X = GGraph(regular_gset(cyclic(3)), [(zero, one), (one, two), (two, zero)])
+        Y = cayley_graph(cyclic(3), [one])
+        sub = subgraph(X, [zero, one, two])
+        fl = spanning_tree_basis(X, [zero, two], [[one, one, one]])
+        assert X.edges == Y.edges == sub.edges == [(0, 1), (1, 2), (2, 0)]
+        assert Y.generators == (1,)
+        assert fl.basis.to_lists() == [[1], [1], [1]]
+        numbers = [v for e in X.edges + Y.edges + sub.edges for v in e] + list(Y.generators)
+        assert all(type(v) is int for v in numbers + list(fl.basis.entries))
 
 
 class TestRemoveEdges:
