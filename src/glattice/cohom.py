@@ -6,11 +6,16 @@ Each Tate group is the torsion of one cokernel: of the norm in degree 0,
 and of the s - 1 over the generators s of the subgroup in degree -1.
 Degree 1 is degree -1 of the dual; the tests check it against the direct
 formula for cyclic subgroups.
+
+The bounded search for a G-stable basis numbers the box vectors, so each
+group element acts on them by one index array, reads every orbit and
+stabilizer off those arrays, and combines orbits by one backtracking
+routine.  Stabilizers are classified by ``groups.subgroup_classes``, and
+the orbit counts that prune the search come from double coset counts.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,11 +40,11 @@ from .gmod import (
     tensor,
 )
 from .groups import (
-    FiniteGroup,
     GSet,
     Subgroup,
-    coset_gset,
+    double_coset_count,
     prime_factorization,
+    subgroup_classes,
     subgroup_conjugacy_reps,
     sylow,
     whole_group,
@@ -453,20 +458,12 @@ def _coinvariant_projection(M: GLattice) -> IntMatrix:
     return fixed_sublattice(dual(M), whole_group(M.group)).T
 
 
-def _subgroup_class_lookup(G: FiniteGroup) -> Dict[Tuple[int, ...], int]:
-    """Map each subgroup's canonical conjugate to its representative index."""
-    lookup: Dict[Tuple[int, ...], int] = {}
-    for idx, rep in enumerate(subgroup_conjugacy_reps(G)):
-        for g in G.elements():
-            lookup[tuple(sorted(G.conjugate(g, h) for h in rep.elements))] = idx
-    return lookup
-
-
 def _orbit_count_solutions(M: GLattice) -> Optional[List[Tuple[int, ...]]]:
     """Candidate per-class orbit counts for a stable basis of M.
 
     A stable basis with n_H orbits of stabilizer class H satisfies
-    rank M^K = sum_H n_H * #(K-orbits on G/H) for every subgroup class K.
+    rank M^K = sum_H n_H * #(K-orbits on G/H) for every subgroup class K,
+    and #(K-orbits on G/H) is the number of double cosets K g H.
     Returns [] when the system is unsolvable in nonnegative integers
     (so no stable basis exists at all), None when the solution set is
     too large to enumerate, and otherwise the finite candidate list in a
@@ -479,10 +476,8 @@ def _orbit_count_solutions(M: GLattice) -> Optional[List[Tuple[int, ...]]]:
     t_0 .. t_{j-1} are fixed, the pivot row of column j, which no later
     column touches, bounds t_j.
     """
-    G = M.group
-    reps = subgroup_conjugacy_reps(G)
-    cosets = [coset_gset(G, H) for H in reps]
-    table = [[len(pts.restrict_group(K).orbits()) for pts in cosets] for K in reps]
+    reps = subgroup_conjugacy_reps(M.group)
+    table = [[double_coset_count(K, H) for H in reps] for K in reps]
     rhs = [fixed_sublattice(M, K).cols for K in reps]
     T, b = IntMatrix.from_rows(table), IntMatrix.column(rhs)
     if len(reps) in pivot_columns(T.hstack(b)):
@@ -511,6 +506,39 @@ def _orbit_count_solutions(M: GLattice) -> Optional[List[Tuple[int, ...]]]:
     return sorted(found) if extend(x.col_list(0), 0) else None
 
 
+def _box_orbits(M: GLattice, bound: int) -> List[Tuple[List[List[int]], Tuple[int, ...]]]:
+    """The G-orbits of the primitive vectors whose whole orbit has entries
+    in [-bound, bound], each as (its members in increasing order, the
+    stabilizer of its least member under the key (max |entry|, vector)),
+    in the order of those least members.
+
+    The box vectors are numbered in itertools.product order, so each
+    element acts on the kept ones by one index array: a unimodular action
+    keeps the orbit of a kept vector kept and primitive.
+    """
+    box, r = 2 * bound + 1, M.rank
+    vectors = np.indices((box,) * r).reshape(r, -1).T - bound  # itertools.product order
+    actions = [np.array(M.action[g].to_lists(), dtype=np.int64).T for g in M.group.elements()]
+    keep = vectors.any(axis=1)
+    for mat in actions:
+        keep &= (np.abs(vectors @ mat) <= bound).all(axis=1)
+    vecs = vectors[keep]
+    vecs = vecs[np.gcd.reduce(np.abs(vecs), axis=1) == 1]
+    weights = box ** np.arange(r - 1, -1, -1)
+    kept = (vecs + bound) @ weights  # the numbers of the kept vectors, increasing
+    # row j, column g: the position in kept of g applied to vector j
+    moves = np.stack(
+        [np.searchsorted(kept, (vecs @ mat + bound) @ weights) for mat in actions], axis=1
+    ).tolist()
+    seen, out = set(), []
+    for j in np.argsort(np.abs(vecs).max(axis=1), kind="stable").tolist():
+        if j not in seen:
+            seen.update(moves[j])
+            stab = tuple(g for g, i in enumerate(moves[j]) if i == j)
+            out.append((vecs[sorted(set(moves[j]))].tolist(), stab))
+    return out
+
+
 def is_permutation_bounded(M: GLattice, bound: int = 2) -> PermutationSearchOutcome:
     """Search for a G-stable basis among vectors with entries in [-B, B].
 
@@ -520,6 +548,11 @@ def is_permutation_bounded(M: GLattice, bound: int = 2) -> PermutationSearchOutc
     per stabilizer class, saturation of partial spans, orbit images in
     the coinvariant quotient), so a failed search is reported as
     exhausted, never as a disproof.
+
+    The backtracking fills segments: for each candidate count, one per
+    class, largest stabilizer first, where an orbit costs 1; with the
+    counts unknown, one pool of every orbit filled to rank r, where an
+    orbit costs its size.  Every orbit tried is one node of the budget.
     """
     if bound < 1:
         raise InvalidParameterError("bound must be >= 1")
@@ -527,8 +560,11 @@ def is_permutation_bounded(M: GLattice, bound: int = 2) -> PermutationSearchOutc
     if r == 0:
         return PermutationSearchOutcome(IntMatrix.zeros(0, 0), [], bound)
     if M.is_permutation_action():
+        orbits: List[List[int]] = []
+        for j in range(r):  # the orbits of the standard basis
+            if not any(j in orbit for orbit in orbits):
+                orbits.append(sorted({a.col_list(j).index(1) for a in M.action}))
         eye = IntMatrix.identity(r)
-        orbits = _orbits_of_columns(M, eye)
         return PermutationSearchOutcome(eye, orbits, bound, "standard basis is stable")
     box = 2 * bound + 1
     if box ** r > ENUMERATION_CAP:
@@ -541,9 +577,7 @@ def is_permutation_bounded(M: GLattice, bound: int = 2) -> PermutationSearchOutc
         return PermutationSearchOutcome(
             None, [], bound, "orbit-count obstruction: fixed ranks admit no solution"
         )
-    G = M.group
-    reps = subgroup_conjugacy_reps(G)
-    class_lookup = _subgroup_class_lookup(G)
+    reps, class_of = subgroup_classes(M.group)
     coinv = _coinvariant_projection(M)
     if options is not None:
         options = [c for c in options if sum(c) == coinv.rows]
@@ -552,162 +586,74 @@ def is_permutation_bounded(M: GLattice, bound: int = 2) -> PermutationSearchOutc
                 None, [], bound, "coinvariant rank does not match any orbit count"
             )
 
-    # enumerate primitive box vectors whose whole orbit stays in the box
-    actions = [np.array(M.action[g].to_lists(), dtype=np.int64) for g in G.elements()]
-    vectors = np.array(
-        list(itertools.product(range(-bound, bound + 1), repeat=r)), dtype=np.int64
-    )
-    keep = ~(vectors == 0).all(axis=1)
-    for mat in actions:
-        keep &= (np.abs(vectors @ mat.T) <= bound).all(axis=1)
-    pool_set = set()
-    for v in vectors[keep]:
-        tup = tuple(int(x) for x in v)
-        g = 0
-        for x in tup:
-            g = gcd(g, abs(x))
-        if g == 1:
-            pool_set.add(tup)
-
     def saturated_cols(cols: List[Sequence[int]]) -> bool:
         return is_saturated_basis(IntMatrix.from_columns(cols, rows=len(cols[0])))
 
-    # orbits, bucketed by stabilizer conjugacy class
-    relevant = (
-        None if options is None else [any(c[i] for c in options) for i in range(len(reps))]
-    )
-    per_class: List[List[dict]] = [[] for _ in reps]
-    seen = set()
-    for tup in sorted(pool_set, key=lambda v: (max(abs(x) for x in v), v)):
-        if tup in seen:
+    # (orbit, image in the coinvariant quotient), bucketed by stabilizer class
+    per_class: List[List[Tuple[List[List[int]], List[int]]]] = [[] for _ in reps]
+    for orbit, stab in _box_orbits(M, bound):
+        cls = class_of[stab]
+        if options is not None and not any(c[cls] for c in options):
             continue
-        arr = np.array(tup, dtype=np.int64)
-        stab = tuple(
-            g for g in G.elements() if tuple(int(x) for x in actions[g] @ arr) == tup
-        )
-        orbit = sorted({tuple(int(x) for x in mat @ arr) for mat in actions})
-        seen.update(orbit)
-        if any(v not in pool_set for v in orbit):
-            continue
-        cls = class_lookup.get(stab)
-        if cls is None or (relevant is not None and not relevant[cls]):
-            continue
-        if not saturated_cols(list(orbit)):
-            continue
-        image = coinv.mul_vector(list(tup))
-        g = 0
-        for x in image:
-            g = gcd(g, abs(x))
-        if g != 1:
-            continue
-        per_class[cls].append({"orbit": orbit, "image": image})
+        image = coinv.mul_vector(orbit[0])
+        if gcd(*image) == 1 and saturated_cols(orbit):
+            per_class[cls].append((orbit, image))
 
-    budget = [SEARCH_NODE_BUDGET]
-    chosen: List[dict] = []
-
-    def extendable() -> bool:
-        cols = [v for item in chosen for v in item["orbit"]]
-        if not saturated_cols(cols):
-            return False
-        images = [item["image"] for item in chosen]
-        return saturated_cols(images)
-
-    def search_with_counts(counts: Sequence[int]) -> bool:
-        if any(len(per_class[c]) < counts[c] for c in range(len(reps))):
-            return False
-        class_order = sorted(
-            (c for c in range(len(reps)) if counts[c]),
-            key=lambda c: (-reps[c].order, c),
-        )
-
-        def backtrack(ci: int, start: int, remaining: int) -> bool:
-            if budget[0] <= 0:
-                return False
-            if remaining == 0:
-                if ci + 1 == len(class_order):
-                    return True
-                return backtrack(ci + 1, 0, counts[class_order[ci + 1]])
-            pool = per_class[class_order[ci]]
-            for k in range(start, len(pool)):
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    return False
-                chosen.append(pool[k])
-                if extendable() and backtrack(ci, k + 1, remaining - 1):
-                    return True
-                chosen.pop()
-            return False
-
-        if not class_order:
-            return coinv.rows == 0
-        return backtrack(0, 0, counts[class_order[0]])
-
-    def search_unconstrained() -> bool:
-        # unknown per-class counts: one flat pool, still orbit-structured
-        pool = sorted(
-            (item for cls_pool in per_class for item in cls_pool),
-            key=lambda it: (len(it["orbit"]), it["orbit"]),
-        )
-
-        def backtrack(start: int, size: int) -> bool:
-            if size == r:
-                return True
-            if budget[0] <= 0:
-                return False
-            for k in range(start, len(pool)):
-                if size + len(pool[k]["orbit"]) > r:
-                    continue
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    return False
-                chosen.append(pool[k])
-                if extendable() and backtrack(k + 1, size + len(pool[k]["orbit"])):
-                    return True
-                chosen.pop()
-            return False
-
-        return backtrack(0, 0)
-
-    ok = False
+    # segments (pool, total cost, whether an orbit costs its size), one list per search
     if options is None:
-        ok = search_unconstrained()
+        pool = [item for items in per_class for item in items]
+        pool.sort(key=lambda item: (len(item[0]), item[0]))
+        plans = [[(pool, r, True)]]
     else:
-        for counts in options:
-            chosen.clear()
-            if search_with_counts(counts):
-                ok = True
-                break
-            if budget[0] <= 0:
-                break
-    if not ok:
-        reason = (
-            "node budget exhausted" if budget[0] <= 0 else "no stable basis within bound"
-        )
+        by_order = sorted(range(len(reps)), key=lambda c: (-reps[c].order, c))
+        plans = [
+            [(per_class[c], counts[c], False) for c in by_order if counts[c]]
+            for counts in options
+            if all(len(per_class[c]) >= counts[c] for c in range(len(reps)))
+        ]
+
+    budget = SEARCH_NODE_BUDGET
+    chosen: List[Tuple[List[List[int]], List[int]]] = []
+
+    def backtrack(segments, seg: int, start: int, left: int) -> bool:
+        # orbits of segment seg from position start on, costing left in all;
+        # left == 0 moves to the next segment (seg == -1: to the first)
+        nonlocal budget
+        if left == 0:
+            seg, start = seg + 1, 0
+            if seg == len(segments):
+                return True
+            left = segments[seg][1]
+        if budget <= 0:
+            return False
+        pool, _, by_size = segments[seg]
+        for k in range(start, len(pool)):
+            cost = len(pool[k][0]) if by_size else 1
+            if cost > left:
+                continue
+            budget -= 1
+            if budget <= 0:
+                return False
+            chosen.append(pool[k])
+            if (
+                saturated_cols([v for orbit, _ in chosen for v in orbit])
+                and saturated_cols([image for _, image in chosen])
+                and backtrack(segments, seg, k + 1, left - cost)
+            ):
+                return True
+            chosen.pop()
+        return False
+
+    if not any(backtrack(segments, -1, 0, 0) for segments in plans):
+        reason = "node budget exhausted" if budget <= 0 else "no stable basis within bound"
         return PermutationSearchOutcome(None, [], bound, reason)
-    cols = []
-    orbits_out = []
-    for item in chosen:
-        first = len(cols)
-        cols.extend(list(v) for v in item["orbit"])
-        orbits_out.append(list(range(first, len(cols))))
-    witness = IntMatrix.from_columns(cols, rows=r)
+    witness = IntMatrix.from_columns([v for orbit, _ in chosen for v in orbit], rows=r)
     certify(is_saturated_basis(witness), "witness must be unimodular")
+    orbits_out, first = [], 0
+    for orbit, _ in chosen:
+        orbits_out.append(list(range(first, first + len(orbit))))
+        first += len(orbit)
     return PermutationSearchOutcome(witness, orbits_out, bound)
-
-
-def _orbits_of_columns(M: GLattice, basis: IntMatrix) -> List[List[int]]:
-    cols = {tuple(basis.col_list(j)): j for j in range(basis.cols)}
-    seen = set()
-    orbits = []
-    for tup, j in sorted(cols.items(), key=lambda kv: kv[1]):
-        if j in seen:
-            continue
-        orbit = sorted(
-            {cols[tuple(M.action[g].mul_vector(list(tup)))] for g in M.group.elements()}
-        )
-        seen.update(orbit)
-        orbits.append(orbit)
-    return orbits
 
 
 # -- invertibility certificates ---------------------------------------------------

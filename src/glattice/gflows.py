@@ -215,6 +215,7 @@ def flow_lattice(X: GGraph) -> FlowLattice:
     from the last edge backwards, each non-tree edge is the first edge of
     its cycle and in no other, so in edge order the cycles are already the
     column Hermite form: the canonical basis of the boundary's kernel.
+    Tree paths are unique, so one search of the tree closes every cycle.
     """
     if not X.is_connected():
         raise InvalidParameterError(
@@ -226,11 +227,20 @@ def flow_lattice(X: GGraph) -> FlowLattice:
         if a != b:
             root[a] = b
             tree.add(e)
+    # one search of the tree from vertex 0; the path t -> s is the root
+    # path to s less the root path to t
+    prev = _bfs(X, 0, tree) if X.n_vertices else []
     cycles = []
     for e, (s, t) in enumerate(X.edges):
         if e not in tree:
-            cycles.append(path_flow(X, t, s, tree))
-            cycles[-1][e] += 1
+            vec = [0] * X.n_edges
+            for v, c in ((s, 1), (t, -1)):
+                while prev[v] is not None:
+                    f, sign = prev[v]
+                    vec[f] += c * sign
+                    v = X.edges[f][0] if sign == 1 else X.edges[f][1]
+            vec[e] += 1
+            cycles.append(vec)
     basis = IntMatrix.from_columns(cycles, rows=X.n_edges)
     fl = FlowLattice(X, BasisSolver(basis))
     expected = X.n_edges - X.n_vertices + 1

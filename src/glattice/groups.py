@@ -15,7 +15,9 @@ rho a homomorphism.
 Subgroups grow by cosets: ``FiniteGroup.closure`` extends a known subgroup
 B to <B, g> as a union of right cosets of B (Dimino), and both the greedy
 generators and the subgroup enumeration extend what they already have
-instead of closing again from the identity.
+instead of closing again from the identity.  A conjugacy class of
+subgroups is an orbit under conjugation by the generators.  Constructors
+refuse an order above ``MAX_ORDER`` before they build its table.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ class FiniteGroup:
         n = len(table)
         if n == 0:
             raise InvalidParameterError("group order must be positive")
-        if n > MAX_ORDER:
-            raise InvalidParameterError(f"group order {n} exceeds cap {MAX_ORDER}")
+        _check_order(n)
         self.order = n
         self.table = [list(map(operator.index, row)) for row in table]
         for row in self.table:
@@ -68,7 +69,7 @@ class FiniteGroup:
         self.generator_indices = dict(generator_indices or {})
         self.point_action = point_action
         self._subgroups_cache: Optional[List["Subgroup"]] = None
-        self._conjugacy_reps_cache: Optional[List["Subgroup"]] = None
+        self._classes_cache: Optional[Tuple[List["Subgroup"], Dict[Tuple[int, ...], int]]] = None
         self._as_group_cache: Dict[Tuple[int, ...], Tuple["FiniteGroup", List[int]]] = {}
 
     # -- construction-time validation ---------------------------------------
@@ -268,6 +269,11 @@ def subgroup_from_generators(G: FiniteGroup, gens: Sequence[int]) -> Subgroup:
 # -- constructors ------------------------------------------------------------
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise InvalidParameterError(f"group order {n} exceeds cap {MAX_ORDER}")
+
+
 def _power_name(sym: str, k: int) -> str:
     if k == 0:
         return ""
@@ -280,6 +286,7 @@ def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n with generator s."""
     if n < 1:
         raise InvalidParameterError(f"cyclic group order must be >= 1, got {n}")
+    _check_order(n)
     row = list(range(n))
     table = [row[i:] + row[:i] for i in range(n)]
     names = ["e"] + [_power_name("s", i) for i in range(1, n)]
@@ -302,6 +309,7 @@ def semidirect(n: int, m: int, r: int) -> FiniteGroup:
         )
     if gcd(r, n) != 1:
         raise InvalidParameterError(f"twist r={r} is not invertible modulo {n}")
+    _check_order(n * m)
     rinv = pow(r, -1, n) if n > 1 else 0
     shifts = [pow(rinv, j, n) for j in range(m)]
     # (s^i1 t^j1)(s^i2 t^j2) = s^(i1 + i2 rinv^j1) t^(j1 + j2), index i*m + j
@@ -428,21 +436,50 @@ def all_subgroups(G: FiniteGroup) -> List[Subgroup]:
     return list(subs)
 
 
+def subgroup_classes(G: FiniteGroup) -> Tuple[List[Subgroup], Dict[Tuple[int, ...], int]]:
+    """The conjugacy classes of subgroups: one representative per class, the
+    first of its class in canonical subgroup order, and the class index of
+    every subgroup, keyed by its element tuple.
+
+    A class is the orbit of its representative under conjugation by the
+    generators alone, since conjugation by a product is a composite.
+    """
+    if G._classes_cache is None:
+        reps: List[Subgroup] = []
+        class_of: Dict[Tuple[int, ...], int] = {}
+        for sub in all_subgroups(G):  # already sorted by (order, elements)
+            if sub.elements not in class_of:
+                class_of[sub.elements] = len(reps)
+                queue = [sub.elements]
+                for els in queue:
+                    for s in G.generators:
+                        conj = tuple(sorted(G.conjugate(s, h) for h in els))
+                        if conj not in class_of:
+                            class_of[conj] = len(reps)
+                            queue.append(conj)
+                reps.append(sub)
+        G._classes_cache = (reps, class_of)
+    reps, class_of = G._classes_cache
+    return list(reps), dict(class_of)
+
+
 def subgroup_conjugacy_reps(G: FiniteGroup) -> List[Subgroup]:
     """One representative per conjugacy class of subgroups (deterministic)."""
-    if G._conjugacy_reps_cache is not None:
-        return list(G._conjugacy_reps_cache)
-    subs = all_subgroups(G)
-    seen = set()
-    reps = []
-    for sub in subs:  # already sorted by (order, elements)
-        if sub.elements in seen:
-            continue
-        orbit = {tuple(sorted(G.conjugate(g, h) for h in sub.elements)) for g in range(G.order)}
-        seen.update(orbit)
-        reps.append(sub)
-    G._conjugacy_reps_cache = reps
-    return list(reps)
+    return subgroup_classes(G)[0]
+
+
+def double_coset_count(K: Subgroup, H: Subgroup) -> int:
+    """The number of double cosets K g H, which is the number of K-orbits
+    on the left cosets G/H."""
+    G = K.parent
+    if H.parent is not G:
+        raise InvalidParameterError("subgroups belong to different groups")
+    t, seen, count = G.table, set(), 0
+    for g in range(G.order):
+        if g not in seen:
+            count += 1
+            seen.update(t[t[k][g]][h] for k in K.elements for h in H.elements)
+    return count
 
 
 def prime_factorization(n: int) -> List[Tuple[int, int]]:

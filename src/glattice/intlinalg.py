@@ -464,8 +464,7 @@ class BasisSolver:
         return solver
 
     def _setup(self, basis: IntMatrix, H: IntMatrix, V=None, pivots=None) -> None:
-        self.basis, self.H, self._unit = basis, H, V is None
-        self.V = IntMatrix.identity(H.cols) if V is None else V  # _unit: never multiplied
+        self.basis, self.H, self.V = basis, H, V  # V None: the basis is its own Hermite form
         # (index, pivot row, pivot, nonzero (row, entry) pairs) of each
         # nonzero column of H, and the position among them of each pivot row
         self._columns = []
@@ -509,7 +508,7 @@ class BasisSolver:
         if len(r) != self.H.rows:
             raise ValueError("vector length mismatch")
         y = self._express_h({i: x for i, x in enumerate(r) if x})
-        if y is None or self._unit:
+        if y is None or self.V is None:
             return y
         return self.V.mul_vector(y)
 
@@ -523,7 +522,7 @@ class BasisSolver:
                 return None
             ys.append(y)
         Y = IntMatrix._of_int_rows(ys, self.basis.cols).T
-        return Y if self._unit else self.V @ Y
+        return Y if self.V is None else self.V @ Y
 
 
 def is_saturated_basis(A: IntMatrix) -> bool:

@@ -24,7 +24,10 @@ which the closed-walk check once compared with the flow basis.  A flow
 lattice is validated from scratch against the boundary map and the edge
 action.  The back-substitution of ``BasisSolver`` as a dense sweep
 that divides at every column, and the fundamental cycles of a spanning
-tree as candidates for ``spanning_tree_basis``.
+tree as candidates for ``spanning_tree_basis``.  The bounded stable-basis
+search as it was before it numbered the box vectors: orbits found vector
+by vector, one backtracker per kind of search, and subgroup classes from
+conjugating by every element.
 """
 
 import itertools
@@ -32,9 +35,18 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from glattice.cohom import TateGroup, hom_basis, hom_basis_into_permutation
+import numpy as np
+
+from glattice.cohom import (
+    ENUMERATION_CAP,
+    PermutationSearchOutcome,
+    TateGroup,
+    hom_basis,
+    hom_basis_into_permutation,
+)
 from glattice.errors import InvalidParameterError
 from glattice.gmod import (
     EquivariantMap,
@@ -49,6 +61,7 @@ from glattice.groups import (
     FiniteGroup,
     GSet,
     Subgroup,
+    all_subgroups,
     coset_gset,
     prime_factorization,
     subgroup_conjugacy_reps,
@@ -59,6 +72,7 @@ from glattice.intlinalg import (
     cokernel_invariants,
     col_hermite,
     column_span_canonical,
+    is_saturated_basis,
     kernel_basis,
     solve_matrix,
     xgcd,
@@ -854,3 +868,171 @@ def fundamental_cycles(X, tree: Sequence[int]) -> List[List[int]]:
             vec[e] += 1
             cycles.append(vec)
     return cycles
+
+
+def subgroup_classes_by_all_conjugates(G: FiniteGroup) -> Tuple[List[Subgroup], dict]:
+    """Conjugacy classes of subgroups: the first subgroup of each class in
+    canonical order, and each subgroup's class index, conjugating by every
+    element."""
+    reps, class_of = [], {}
+    for sub in all_subgroups(G):
+        if sub.elements in class_of:
+            continue
+        for g in G.elements():
+            class_of[tuple(sorted(G.conjugate(g, h) for h in sub.elements))] = len(reps)
+        reps.append(sub)
+    return reps, class_of
+
+
+def permutation_search_by_scan(M: GLattice, bound: int, budget: int) -> PermutationSearchOutcome:
+    """``is_permutation_bounded`` as two backtracking searches over orbits
+    found vector by vector: one per candidate orbit count, filled class by
+    class, and one over a flat pool when the counts are unknown.  Orbit
+    counts come from the rational solve, classes from every conjugate."""
+    if bound < 1:
+        raise InvalidParameterError("bound must be >= 1")
+    r = M.rank
+    if r == 0:
+        return PermutationSearchOutcome(IntMatrix.zeros(0, 0), [], bound)
+    G = M.group
+    actions = [np.array(M.action[g].to_lists(), dtype=np.int64) for g in G.elements()]
+    if M.is_permutation_action():
+        eye = [[int(i == j) for j in range(r)] for i in range(r)]
+        orbits, seen = [], set()
+        for j in range(r):
+            if j not in seen:
+                orbit = sorted({int(np.flatnonzero(mat[:, j])[0]) for mat in actions})
+                seen.update(orbit)
+                orbits.append(orbit)
+        return PermutationSearchOutcome(IntMatrix.from_rows(eye), orbits, bound, "standard basis is stable")
+    box = 2 * bound + 1
+    if box ** r > ENUMERATION_CAP:
+        return PermutationSearchOutcome(None, [], bound, f"search space {box}^{r} exceeds enumeration cap")
+    options = orbit_count_solutions_rational(M)
+    if options == []:
+        return PermutationSearchOutcome(
+            None, [], bound, "orbit-count obstruction: fixed ranks admit no solution"
+        )
+    reps, class_lookup = subgroup_classes_by_all_conjugates(G)
+    coinv = coinvariant_projection_left_kernel(M)
+    if options is not None:
+        options = [c for c in options if sum(c) == coinv.rows]
+        if not options:
+            return PermutationSearchOutcome(
+                None, [], bound, "coinvariant rank does not match any orbit count"
+            )
+
+    vectors = np.array(list(itertools.product(range(-bound, bound + 1), repeat=r)), dtype=np.int64)
+    keep = ~(vectors == 0).all(axis=1)
+    for mat in actions:
+        keep &= (np.abs(vectors @ mat.T) <= bound).all(axis=1)
+    pool_set = set()
+    for v in vectors[keep]:
+        tup = tuple(int(x) for x in v)
+        if gcd(*tup) == 1:
+            pool_set.add(tup)
+
+    def saturated_cols(cols) -> bool:
+        return is_saturated_basis(IntMatrix.from_columns(cols, rows=len(cols[0])))
+
+    relevant = None if options is None else [any(c[i] for c in options) for i in range(len(reps))]
+    per_class: List[List[dict]] = [[] for _ in reps]
+    seen = set()
+    for tup in sorted(pool_set, key=lambda v: (max(abs(x) for x in v), v)):
+        if tup in seen:
+            continue
+        arr = np.array(tup, dtype=np.int64)
+        stab = tuple(g for g in G.elements() if tuple(int(x) for x in actions[g] @ arr) == tup)
+        orbit = sorted({tuple(int(x) for x in mat @ arr) for mat in actions})
+        seen.update(orbit)
+        if any(v not in pool_set for v in orbit):
+            continue
+        cls = class_lookup.get(stab)
+        if cls is None or (relevant is not None and not relevant[cls]):
+            continue
+        if not saturated_cols(list(orbit)):
+            continue
+        image = coinv.mul_vector(list(tup))
+        if gcd(*image) != 1:
+            continue
+        per_class[cls].append({"orbit": orbit, "image": image})
+
+    left = [budget]
+    chosen: List[dict] = []
+
+    def extendable() -> bool:
+        cols = [v for item in chosen for v in item["orbit"]]
+        return saturated_cols(cols) and saturated_cols([item["image"] for item in chosen])
+
+    def search_with_counts(counts) -> bool:
+        if any(len(per_class[c]) < counts[c] for c in range(len(reps))):
+            return False
+        class_order = sorted((c for c in range(len(reps)) if counts[c]), key=lambda c: (-reps[c].order, c))
+
+        def backtrack(ci: int, start: int, remaining: int) -> bool:
+            if left[0] <= 0:
+                return False
+            if remaining == 0:
+                if ci + 1 == len(class_order):
+                    return True
+                return backtrack(ci + 1, 0, counts[class_order[ci + 1]])
+            pool = per_class[class_order[ci]]
+            for k in range(start, len(pool)):
+                left[0] -= 1
+                if left[0] <= 0:
+                    return False
+                chosen.append(pool[k])
+                if extendable() and backtrack(ci, k + 1, remaining - 1):
+                    return True
+                chosen.pop()
+            return False
+
+        if not class_order:
+            return coinv.rows == 0
+        return backtrack(0, 0, counts[class_order[0]])
+
+    def search_unconstrained() -> bool:
+        pool = sorted(
+            (item for cls_pool in per_class for item in cls_pool),
+            key=lambda it: (len(it["orbit"]), it["orbit"]),
+        )
+
+        def backtrack(start: int, size: int) -> bool:
+            if size == r:
+                return True
+            if left[0] <= 0:
+                return False
+            for k in range(start, len(pool)):
+                if size + len(pool[k]["orbit"]) > r:
+                    continue
+                left[0] -= 1
+                if left[0] <= 0:
+                    return False
+                chosen.append(pool[k])
+                if extendable() and backtrack(k + 1, size + len(pool[k]["orbit"])):
+                    return True
+                chosen.pop()
+            return False
+
+        return backtrack(0, 0)
+
+    ok = False
+    if options is None:
+        ok = search_unconstrained()
+    else:
+        for counts in options:
+            chosen.clear()
+            if search_with_counts(counts):
+                ok = True
+                break
+            if left[0] <= 0:
+                break
+    if not ok:
+        reason = "node budget exhausted" if left[0] <= 0 else "no stable basis within bound"
+        return PermutationSearchOutcome(None, [], bound, reason)
+    cols, orbits_out = [], []
+    for item in chosen:
+        first = len(cols)
+        cols.extend(list(v) for v in item["orbit"])
+        orbits_out.append(list(range(first, len(cols))))
+    return PermutationSearchOutcome(IntMatrix.from_columns(cols, rows=r), orbits_out, bound)

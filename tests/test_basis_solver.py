@@ -114,7 +114,7 @@ class TestAgainstTheDenseSweep:
         basis, vectors = case
         H = col_hermite(basis)
         solver = BasisSolver(H)
-        assert solver._unit
+        assert solver.V is None
         assert_agrees(solver, H, vectors)
         M = IntMatrix.from_columns(vectors, rows=H.rows)
         assert solve_matrix(H, M) == expected_matrix(H, vectors)
@@ -124,7 +124,7 @@ class TestAgainstTheDenseSweep:
     def test_other_bases(self, case):
         basis, vectors = case
         solver = BasisSolver(basis)
-        assert solver._unit == _is_column_hermite(basis)
+        assert (solver.V is None) == _is_column_hermite(basis)
         H = col_hermite(basis)
         assert_agrees(solver, basis, vectors)
         M = IntMatrix.from_columns(vectors, rows=basis.rows)

@@ -94,6 +94,13 @@ class TestExitCodes:
         code, _ = run_cli(["group", "info", "--group", "C:0"])
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["C:1000000000", "D:1000000000", "SD:1000003,1,1"])
+    def test_group_over_the_cap_is_refused_before_its_table(self, spec, capsys):
+        # building the table of any of these would take minutes and gigabytes
+        code, _ = run_cli(["group", "info", "--group", spec])
+        assert code == 2
+        assert "exceeds cap" in capsys.readouterr().err
+
     def test_unknown_flag_rejected(self):
         code, _ = run_cli(["group", "info", "--group", "C:2", "--frobnicate"])
         assert code == 2

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from glattice import cohom as cohom_mod
 from glattice.cohom import (
     ResolutionCertificate,
     TateGroup,
@@ -49,6 +50,7 @@ from glattice.groups import (
 )
 from glattice.intlinalg import IntMatrix, column_span_canonical, solve_matrix
 from reference import (
+    permutation_search_by_scan,
     section_by_averaging,
     shapiro_hom_basis,
     tate1_cyclic_direct,
@@ -528,6 +530,73 @@ class TestPermutationSearch:
         out = is_permutation_bounded(restrict(fl.glattice, H3), 2)
         assert out
         assert sorted(len(o) for o in out.orbits) == [1, 3, 3]
+
+
+def _search_cases():
+    """(name, lattice, bound) over both searches and every way they end."""
+    G, fl = s3_flow_lattice()
+    H2, H3 = (subgroup_from_generators(G, [G.generator_indices[x]]) for x in "ts")
+    D4 = dihedral(4)
+    D4_flows = flow_lattice(cayley_graph(D4, D4.generators)).glattice
+    I_D4 = augmentation_kernel(regular(D4))[0]
+    return [
+        # counted: one candidate orbit count, searched class by class
+        ("S3 flows | H2", restrict(fl.glattice, H2), 1),
+        ("S3 flows | H2", restrict(fl.glattice, H2), 2),
+        ("S3 flows | H3", restrict(fl.glattice, H3), 1),
+        ("S3 flows", fl.glattice, 1),
+        ("S3 flows dual", dual(fl.glattice), 2),
+        # uncounted: too many orbit counts, one flat pool filled to the rank
+        ("D4 flows", D4_flows, 1),
+        ("D4 augmentation", I_D4, 1),
+        ("D4 augmentation dual", dual(I_D4), 2),
+        # the orbit-count obstruction, and the standard basis of a permutation lattice
+        ("sign", sign_lattice(cyclic(2)), 2),
+        ("S3 augmentation", augmentation_kernel(regular(G))[0], 2),
+        ("S3 flows | 1", restrict(fl.glattice, trivial_subgroup(G)), 1),
+    ]
+
+
+def _outcome(out):
+    return out.witness, out.orbits, out.bound, out.reason
+
+
+class TestSearchAgainstReference:
+    """The search over numbered box vectors against the two searches over
+    orbits found vector by vector that it replaced."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return _search_cases()
+
+    def test_every_outcome_matches(self, cases):
+        reasons = set()
+        for name, M, bound in cases:
+            got = is_permutation_bounded(M, bound)
+            want = permutation_search_by_scan(M, bound, cohom_mod.SEARCH_NODE_BUDGET)
+            assert _outcome(got) == _outcome(want), (name, bound)
+            reasons.add(got.reason if got.reason or not got else "witness")
+        assert reasons >= {
+            "witness",
+            "no stable basis within bound",
+            "orbit-count obstruction: fixed ranks admit no solution",
+            "standard basis is stable",
+        }
+
+    @pytest.mark.parametrize("budget", [0, 7, 50])
+    def test_budget_runs_out_at_the_same_node(self, cases, budget, monkeypatch):
+        monkeypatch.setattr(cohom_mod, "SEARCH_NODE_BUDGET", budget)
+        exhausted = 0
+        for name, M, bound in cases:
+            if M.rank * bound > 9:  # the bound 1 and small bound 2 cases
+                continue
+            got = is_permutation_bounded(M, bound)
+            assert _outcome(got) == _outcome(permutation_search_by_scan(M, bound, budget)), (
+                name,
+                bound,
+            )
+            exhausted += got.reason == "node budget exhausted"
+        assert exhausted >= 1
 
 
 class TestInvertibility:

@@ -17,6 +17,7 @@ from glattice.groups import (
     natural_gset,
     regular_gset,
     semidirect,
+    subgroup_classes,
     subgroup_conjugacy_reps,
     subgroup_from_generators,
     sylow,
@@ -28,6 +29,7 @@ from reference import (
     center_all_pairs,
     greedy_generators_from_scratch,
     is_abelian_all_pairs,
+    subgroup_classes_by_all_conjugates,
     subgroups_by_closing_whole,
 )
 
@@ -135,6 +137,14 @@ class TestSubgroups:
         G = symmetric(4)
         assert len(all_subgroups(G)) == 30
         assert len(subgroup_conjugacy_reps(G)) == 11
+
+    @pytest.mark.parametrize("G", ORACLE_GROUPS, ids=str)
+    def test_classes_match_conjugating_by_every_element(self, G):
+        reps, class_of = subgroup_classes(G)
+        want_reps, want_class_of = subgroup_classes_by_all_conjugates(G)
+        assert [H.elements for H in reps] == [H.elements for H in want_reps]
+        assert class_of == want_class_of
+        assert [H.elements for H in subgroup_conjugacy_reps(G)] == [H.elements for H in reps]
 
     @pytest.mark.parametrize("G", ORACLE_GROUPS, ids=str)
     def test_matches_closing_whole_subgroups(self, G):

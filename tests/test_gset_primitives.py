@@ -22,6 +22,7 @@ from glattice.groups import (
     cyclic,
     dihedral,
     direct_product,
+    double_coset_count,
     left_coset_reps,
     natural_gset,
     regular_gset,
@@ -95,6 +96,14 @@ def test_restrict_group_matches_orbit_count(group):
             assert R.group is K.as_group()[0]
             assert R.action == [V.action[g] for g in K.elements]
             assert len(R.orbits()) == orbit_count(V, K)
+
+
+def test_double_coset_count_matches_orbit_count(group):
+    reps = subgroup_conjugacy_reps(group)
+    for H in reps:
+        V = coset_gset(group, H)
+        for K in reps:
+            assert double_coset_count(K, H) == orbit_count(V, K)
 
 
 def test_edge_orbits_match_scan(group):

@@ -317,7 +317,7 @@ class TestBasesAlreadyInHermiteForm:
         K = intlinalg_mod.kernel_basis(IntMatrix.from_rows([[1] * G.order]))  # augmentation
         _refuse_hermite(monkeypatch)
         solver = BasisSolver(K)
-        assert (solver.H, solver.V, solver.rank) == (K, IntMatrix.identity(K.cols), K.cols)
+        assert (solver.H, solver.V, solver.rank) == (K, None, K.cols)
         coords = IntMatrix.from_columns([list(range(K.cols)), [1] * K.cols])
         assert solver.express_matrix(K @ coords) == coords
         assert solver.express([1] * G.order) is None
