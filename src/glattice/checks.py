@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParameterError, certify
 from .gflows import (
+    FlowLattice,
     GGraph,
     boundary_matrix,
     cayley_graph,
@@ -51,13 +52,11 @@ from .groups import (
     symmetric,
 )
 from .cohom import (
-    ResolutionCertificate,
     coflasque_resolution,
-    find_section,
     is_coflasque,
     is_flasque,
     pullback,
-    split_iso_from_section,
+    split_iso,
 )
 from .intlinalg import (
     BasisSolver,
@@ -201,23 +200,16 @@ def check_flow_coflasque(G: FiniteGroup, gens: Sequence[int]) -> CheckReport:
         bool(verdict),
         "" if verdict else f"fails at subgroup {verdict.failing_subgroup}",
     )
-    bd = boundary_matrix(X)
-    I_lat, I_incl = augmentation_kernel(bd.target)
-    coords = BasisSolver(I_incl.matrix).express_matrix(bd.matrix)
-    ck.record("boundary lands in the augmentation sublattice", coords is not None)
-    if coords is not None:
-        seq = ShortExactSequence(
-            EquivariantMap(fl.glattice, bd.source, fl.basis),
-            EquivariantMap(bd.source, I_lat, coords),
-        )
-        report = check_exact(seq)
-        ck.record("boundary sequence exact", report.ok, "; ".join(report.failures))
-        ck.record("middle term is permutation", bd.source.is_permutation_action())
-        ck.record(
-            "certificate kind",
-            bool(verdict),
-            "coflasque resolution of the augmentation sublattice",
-        )
+    seq = fl.boundary_sequence()
+    ck.record("boundary lands in the augmentation sublattice", True)
+    report = check_exact(seq)
+    ck.record("boundary sequence exact", report.ok, "; ".join(report.failures))
+    ck.record("middle term is permutation", seq.B.is_permutation_action())
+    ck.record(
+        "certificate kind",
+        bool(verdict),
+        "coflasque resolution of the augmentation sublattice",
+    )
     return ck.finish()
 
 
@@ -433,21 +425,16 @@ def check_sn_restrictions(n: int) -> CheckReport:
 @dataclass
 class _MetacyclicData:
     G: FiniteGroup
-    fl: object
-    B: GLattice
-    pi: EquivariantMap
-    K: GLattice
-    K_incl: EquivariantMap
-    kernel_matrix: IntMatrix
+    fl: FlowLattice
+    # 0 -> ker(pi) -> Z[G/s] + Z[G/t] + ZG -> Fl -> 0
+    pres: ShortExactSequence
     Hs: Subgroup
     Ht: Subgroup
     u_vectors: IntMatrix
     v_vectors: IntMatrix
-    # the augmentation sublattice of the t-coset lattice, and in its
-    # coordinates the t-coset block of the kernel (None when outside)
-    I_lat: GLattice
-    I_incl: EquivariantMap
-    phi_cols: Optional[IntMatrix]
+    # the t-coset block of the kernel, onto the augmentation sublattice
+    # of the t-coset lattice (None when it lands outside)
+    phi: Optional[EquivariantMap]
     # the u vectors in the kernel's coordinates (None when outside)
     u_in_K: Optional[IntMatrix]
 
@@ -505,7 +492,8 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
     pi.validate()
 
     kernel = kernel_basis(pi.matrix)
-    K, K_incl = sublattice_with_action(B, kernel, name="ker(pi)")
+    solver = BasisSolver(kernel)
+    K, K_incl = sublattice_with_action(B, kernel, name="ker(pi)", solver=solver)
 
     # the listed kernel elements, in the coordinates of B
     off_s, off_t, off_g = 0, m, m + n
@@ -541,15 +529,13 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
 
     u_vectors = IntMatrix.from_columns(u_cols, rows=B.rank)
     I_lat, I_incl = augmentation_kernel(Lt)
-    block = kernel.take_rows(range(off_t, off_t + n))
+    phi_cols = BasisSolver(I_incl.matrix).express_matrix(kernel.take_rows(range(off_t, off_t + n)))
     return _MetacyclicData(
-        G=G, fl=fl, B=B, pi=pi, K=K, K_incl=K_incl,
-        kernel_matrix=kernel, Hs=Hs, Ht=Ht,
+        G=G, fl=fl, pres=ShortExactSequence(K_incl, pi), Hs=Hs, Ht=Ht,
         u_vectors=u_vectors,
         v_vectors=IntMatrix.from_columns(v_cols, rows=B.rank),
-        I_lat=I_lat, I_incl=I_incl,
-        phi_cols=BasisSolver(I_incl.matrix).express_matrix(block),
-        u_in_K=BasisSolver(kernel).express_matrix(u_vectors),
+        phi=None if phi_cols is None else EquivariantMap(K, I_lat, phi_cols),
+        u_in_K=solver.express_matrix(u_vectors),
     )
 
 
@@ -559,25 +545,22 @@ def check_kernel_generators(n: int, m: int, r: int) -> CheckReport:
     G = data.G
     ck = _Checker("kernel-generators", G.spec, {"n": n, "m": m, "r": r % n})
 
-    factors, free = cokernel_invariants(data.pi.matrix)
+    pres = data.pres
+    factors, free = cokernel_invariants(pres.right.matrix)
     ck.record("pi surjective", factors == [] and free == 0)
 
     W = data.v_vectors.hstack(data.u_vectors)
-    ck.record("listed elements lie in the kernel", (data.pi.matrix @ W).is_zero())
+    ck.record("listed elements lie in the kernel", (pres.right.matrix @ W).is_zero())
     ck.record(
         "listed elements span the kernel saturated",
-        same_column_span(W, data.kernel_matrix),
+        same_column_span(W, pres.left.matrix),
         f"{W.cols} generators",
     )
-    ck.record(
-        "kernel rank n+m-1",
-        data.kernel_matrix.cols == n + m - 1,
-        f"rank {data.kernel_matrix.cols}",
-    )
+    ck.record("kernel rank n+m-1", pres.A.rank == n + m - 1, f"rank {pres.A.rank}")
 
     u_in_K = data.u_in_K
     ck.record("norm-type elements generate a submodule", u_in_K is not None)
-    M0, M0_incl = sublattice_with_action(data.K, u_in_K, name="M0")
+    M0, _ = sublattice_with_action(pres.A, u_in_K, name="M0")
     iso = EquivariantMap(coset_lattice(G, data.Hs), M0, IntMatrix.identity(m))
     ck.run(
         "M0 is the s-coset lattice via the basepoint map",
@@ -586,10 +569,9 @@ def check_kernel_generators(n: int, m: int, r: int) -> CheckReport:
 
     # quotient: project kernel onto the t-coset block and land in its
     # augmentation sublattice
-    phi_cols = data.phi_cols
-    ck.record("kernel projects into the augmentation sublattice", phi_cols is not None)
-    if phi_cols is not None:
-        phi = EquivariantMap(data.K, data.I_lat, phi_cols)
+    phi = data.phi
+    ck.record("kernel projects into the augmentation sublattice", phi is not None)
+    if phi is not None:
         ck.run("projection equivariant", lambda: (phi.equivariance_failure() is None, ""))
         f2, free2 = cokernel_invariants(phi.matrix)
         ck.record("projection surjective", f2 == [] and free2 == 0)
@@ -604,18 +586,16 @@ def check_kernel_generators(n: int, m: int, r: int) -> CheckReport:
             f"factors {f3}, free {free3}",
         )
 
-    verdict = is_coflasque(data.K)
+    verdict = is_coflasque(pres.A)
     ck.record(
         "kernel coflasque",
         bool(verdict),
         "" if verdict else f"fails at {verdict.failing_subgroup}",
     )
 
-    seq = ShortExactSequence(data.K_incl, data.pi)
-    section = find_section(seq)
-    ck.record("presentation sequence splits", section is not None)
-    if section is not None:
-        split = split_iso_from_section(seq, section)
+    split = split_iso(pres)
+    ck.record("presentation sequence splits", split is not None)
+    if split is not None:
         ck.record(
             "ker(pi) + M = Z[G/s] + Z[G/t] + ZG",
             split.is_unimodular() and split.equivariance_failure() is None,
@@ -629,94 +609,68 @@ def check_faithful_transfer(n: int, m: int, r: int) -> CheckReport:
     G = data.G
     ck = _Checker("faithful-transfer", G.spec, {"n": n, "m": m, "r": r % n})
 
-    # phi: ker(pi) ->> I on the t-cosets, kernel M0 (checked elsewhere)
-    I_lat, I_incl = data.I_lat, data.I_incl
-    certify(data.phi_cols is not None, "the kernel block lies in the augmentation sublattice")
-    phi = EquivariantMap(data.K, I_lat, data.phi_cols)
-
-    # psi: the boundary of the complete graph on the t-cosets
-    Vt = coset_gset(G, data.Ht)
-    Xt = complete_edges(Vt, loops=False)
-    bd = boundary_matrix(Xt)
-    psi_cols = BasisSolver(I_incl.matrix).express_matrix(bd.matrix)
-    certify(psi_cols is not None, "the coset boundary lies in the augmentation sublattice")
-    P = bd.source
-    psi = EquivariantMap(P, I_lat, psi_cols)
-    f0, free0 = cokernel_invariants(psi.matrix)
+    # phi: ker(pi) ->> I on the t-cosets with kernel M0 = Z[G/s] (checked
+    # elsewhere); psi: the boundary of the complete graph on the t-cosets
+    K = data.pres.A
+    certify(data.phi is not None, "the kernel block lies in the augmentation sublattice")
+    certify(data.u_in_K is not None, "the u vectors lie in the kernel")
+    phi_seq = ShortExactSequence(
+        EquivariantMap(coset_lattice(G, data.Hs), K, data.u_in_K), data.phi
+    )
+    flt = flow_lattice(complete_edges(coset_gset(G, data.Ht), loops=False))
+    psi_seq = flt.boundary_sequence()
+    f0, free0 = cokernel_invariants(psi_seq.right.matrix)
     ck.record("coset boundary surjects onto the augmentation sublattice",
               f0 == [] and free0 == 0)
 
-    Q, p_ker, p_P, q_incl = pullback(phi, psi)
-    ck.record("pullback rank", Q.rank == data.K.rank + P.rank - I_lat.rank,
+    # middle column 0 -> ker(psi) -> Q -> ker(pi) -> 0, middle row
+    # 0 -> Z[G/s] -> Q -> P -> 0
+    col_seq, row_seq = pullback(phi_seq, psi_seq)
+    Q = row_seq.B
+    ck.record("pullback rank", Q.rank == K.rank + row_seq.C.rank - psi_seq.C.rank,
               f"rank {Q.rank}")
-    q_solver = BasisSolver(q_incl.matrix)
-
-    # middle row 0 -> Z[G/s] -> Q -> P -> 0 splits
-    u_in_K = data.u_in_K
-    certify(u_in_K is not None, "the u vectors lie in the kernel")
-    Ls = coset_lattice(G, data.Hs)
-    left_cols = q_solver.express_matrix(u_in_K.vstack(IntMatrix.zeros(P.rank, m)))
-    ck.record("s-coset lattice embeds into the pullback", left_cols is not None)
-    if left_cols is None:
-        return ck.finish()
-    row_seq = ShortExactSequence(
-        EquivariantMap(Ls, Q, left_cols), p_P
-    )
+    ck.record("s-coset lattice embeds into the pullback", True)
     row_report = check_exact(row_seq)
     ck.record("middle row exact", row_report.ok, "; ".join(row_report.failures))
-    section = find_section(row_seq)
-    ck.record("middle row splits", section is not None)
-    if section is None:
+    q_iso = split_iso(row_seq)  # Ls + P -> Q
+    ck.record("middle row splits", q_iso is not None)
+    if q_iso is None:
         return ck.finish()
-    q_iso = split_iso_from_section(row_seq, section)  # Ls + P -> Q
     ck.record(
         "pullback is permutation",
         q_iso.source.is_permutation_action() and q_iso.is_unimodular(),
     )
-
-    # middle column 0 -> ker(psi) -> Q -> ker(pi) -> 0
-    flt = flow_lattice(Xt)
-    col_left = q_solver.express_matrix(IntMatrix.zeros(data.K.rank, flt.rank).vstack(flt.basis))
-    ck.record("coset flows embed into the pullback", col_left is not None)
-    if col_left is None:
-        return ck.finish()
-    col_seq = ShortExactSequence(
-        EquivariantMap(flt.glattice, Q, col_left), p_ker
-    )
+    ck.record("coset flows embed into the pullback", True)
     col_report = check_exact(col_seq)
     ck.record("middle column exact", col_report.ok, "; ".join(col_report.failures))
 
     # the shared flasque cokernel: one flasque resolution of the flow
     # lattice from the split presentation, one of the coset flows from
     # the permutation pullback
-    pres = ShortExactSequence(data.K_incl, data.pi)
-    pres_section = find_section(pres)
-    ck.record("presentation splits", pres_section is not None)
-    if pres_section is None:
+    u = split_iso(data.pres)  # K + Fl -> B
+    ck.record("presentation splits", u is not None)
+    if u is None:
         return ck.finish()
-    u = split_iso_from_section(pres, pres_section)  # K + M -> B
-    top = u.inverse().matrix.take_rows(range(data.K.rank))
+    B = data.pres.B
     res1 = ShortExactSequence(
-        EquivariantMap(data.fl.glattice, data.B, pres_section.matrix),
-        EquivariantMap(data.B, data.K, top),
+        EquivariantMap(data.fl.glattice, B, u.matrix.take_columns(range(K.rank, B.rank))),
+        EquivariantMap(B, K, u.inverse().matrix.take_rows(range(K.rank))),
     )
     res1_report = check_exact(res1)
     ck.record("flasque resolution of the flow lattice", res1_report.ok,
               "; ".join(res1_report.failures))
 
-    q_inv = q_iso.inverse()
     res2 = ShortExactSequence(
-        EquivariantMap(flt.glattice, q_iso.source, q_inv.matrix @ col_left),
-        EquivariantMap(q_iso.source, data.K, p_ker.matrix @ q_iso.matrix),
+        q_iso.inverse().compose(col_seq.left), col_seq.right.compose(q_iso)
     )
     res2_report = check_exact(res2)
     ck.record("flasque resolution of the coset flows", res2_report.ok,
               "; ".join(res2_report.failures))
     ck.record(
         "resolutions share permutation middles",
-        data.B.is_permutation_action() and q_iso.source.is_permutation_action(),
+        B.is_permutation_action() and q_iso.source.is_permutation_action(),
     )
-    verdict = is_flasque(data.K)
+    verdict = is_flasque(K)
     ck.record(
         "shared cokernel flasque",
         bool(verdict),
@@ -736,33 +690,15 @@ def check_schanuel(M: GLattice, group_spec: str, lattice_spec: str) -> CheckRepo
     r2 = coflasque_resolution(M, rep_order=list(reversed(range(k))))
     ck.record("two resolutions built", True,
               f"middles of rank {r1.sequence.B.rank} and {r2.sequence.B.rank}")
-    Q, p1, p2, q_incl = pullback(r1.sequence.right, r2.sequence.right)
-    q_solver = BasisSolver(q_incl.matrix)
-    b1 = r1.sequence.B.rank
-
-    def embed(cert: ResolutionCertificate, into_first: bool) -> EquivariantMap:
-        C = cert.sequence.A
-        incl = cert.sequence.left.matrix
-        if into_first:
-            amb = incl.vstack(IntMatrix.zeros(r2.sequence.B.rank, C.rank))
-        else:
-            amb = IntMatrix.zeros(b1, C.rank).vstack(incl)
-        coords = q_solver.express_matrix(amb)
-        certify(coords is not None, "the coflasque kernel lies in the pullback")
-        return EquivariantMap(C, Q, coords)
-
-    seq1 = ShortExactSequence(embed(r2, into_first=False), p1)
-    seq2 = ShortExactSequence(embed(r1, into_first=True), p2)
+    seq1, seq2 = pullback(r1.sequence, r2.sequence)
     rep1, rep2 = check_exact(seq1), check_exact(seq2)
     ck.record("first projection exact", rep1.ok, "; ".join(rep1.failures))
     ck.record("second projection exact", rep2.ok, "; ".join(rep2.failures))
-    s1 = find_section(seq1)
-    s2 = find_section(seq2)
-    ck.record("both projections split", s1 is not None and s2 is not None)
-    if s1 is None or s2 is None:
+    iso1 = split_iso(seq1)  # C2 + P1 -> Q
+    iso2 = split_iso(seq2)  # C1 + P2 -> Q
+    ck.record("both projections split", iso1 is not None and iso2 is not None)
+    if iso1 is None or iso2 is None:
         return ck.finish()
-    iso1 = split_iso_from_section(seq1, s1)  # C2 + P1 -> Q
-    iso2 = split_iso_from_section(seq2, s2)  # C1 + P2 -> Q
     final = iso1.inverse().compose(iso2)
     ck.record(
         "C1 + P2 = C2 + P1 via an explicit unimodular map",

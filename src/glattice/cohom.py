@@ -1,11 +1,16 @@
 """Tate cohomology in degrees -1, 0, 1; flasque/coflasque predicates;
-resolution constructors; split finding; permutation and invertibility
-certificates.
+resolution constructors; pullback squares; split finding and split
+isomorphisms; permutation and invertibility certificates.
 
 Each Tate group is the torsion of one cokernel: of the norm in degree 0,
 and of the s - 1 over the generators s of the subgroup in degree -1.
 Degree 1 is degree -1 of the dual; the tests check it against the direct
 formula for cyclic subgroups.
+
+Schanuel's lemma is one construction: ``pullback`` takes two sequences
+onto one lattice and returns the two rows of their pullback square, and
+``split_iso`` turns each split row into a unimodular iso with its
+inverse, so two resolutions compare through one composed map.
 
 The bounded search for a G-stable basis numbers the box vectors, so each
 group element acts on them by one index array, reads every orbit and
@@ -242,24 +247,39 @@ def flasque_resolution(M: GLattice) -> ResolutionCertificate:
 
 
 def pullback(
-    f: EquivariantMap, g: EquivariantMap
-) -> Tuple[GLattice, EquivariantMap, EquivariantMap, EquivariantMap]:
-    """Fibre product {(x, y): f(x) = g(y)}.
+    first: ShortExactSequence, second: ShortExactSequence
+) -> Tuple[ShortExactSequence, ShortExactSequence]:
+    """The two rows of the pullback square of 0 -> A1 -> B1 -> C -> 0 and
+    0 -> A2 -> B2 -> C -> 0: 0 -> A2 -> Q -> B1 -> 0 and
+    0 -> A1 -> Q -> B2 -> 0, in that order.
 
-    Returns the pullback lattice, its two projections, and the inclusion
-    into the ambient direct sum of the sources, whose matrix is the
-    canonical (column Hermite) basis of the kernel of [f | -g].
+    Q is the fibre product {(x, y): f(x) = g(y)} of the right maps f and
+    g, in the canonical (column Hermite) basis of the kernel of [f | -g];
+    the rows' right maps are its two projections.  One solver of that
+    basis gives Q its action and embeds both kernels, A1 as (a, 0) and A2
+    as (0, a); a left map whose image leaves the kernel of its right map
+    has no such embedding, and raises.
     """
+    f, g = first.right, second.right
     if not lattices_equal(f.target, g.target):
         raise InvalidParameterError("pullback legs must share the target")
-    big = f.matrix.hstack(-g.matrix)
-    K = kernel_basis(big)
-    ambient = direct_sum(f.source, g.source)
-    Q, incl = sublattice_with_action(ambient, K, name="pullback")
-    b1 = f.source.rank
-    p1 = EquivariantMap(Q, f.source, K.take_rows(range(b1)))
-    p2 = EquivariantMap(Q, g.source, K.take_rows(range(b1, ambient.rank)))
-    return Q, p1, p2, incl
+    basis = kernel_basis(f.matrix.hstack(-g.matrix))
+    solver = BasisSolver(basis)
+    B1, B2 = first.B, second.B
+    Q, _ = sublattice_with_action(direct_sum(B1, B2), basis, name="pullback", solver=solver)
+    a1 = solver.express_matrix(first.left.matrix.vstack(IntMatrix.zeros(B2.rank, first.A.rank)))
+    a2 = solver.express_matrix(IntMatrix.zeros(B1.rank, second.A.rank).vstack(second.left.matrix))
+    certify(a1 is not None and a2 is not None, "both kernels lie in the pullback")
+    return (
+        ShortExactSequence(
+            EquivariantMap(second.A, Q, a2),
+            EquivariantMap(Q, B1, basis.take_rows(range(B1.rank))),
+        ),
+        ShortExactSequence(
+            EquivariantMap(first.A, Q, a1),
+            EquivariantMap(Q, B2, basis.take_rows(range(B1.rank, basis.rows))),
+        ),
+    )
 
 
 # -- equivariant hom spaces -----------------------------------------------------
@@ -405,14 +425,16 @@ def find_section(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     return section
 
 
-def split_iso_from_section(
-    seq: ShortExactSequence, section: EquivariantMap
-) -> EquivariantMap:
-    """The unimodular iso A + C -> B assembled from inclusion and section.
+def split_iso(seq: ShortExactSequence) -> Optional[EquivariantMap]:
+    """The unimodular iso A + C -> B assembled from the inclusion and a
+    section (see find_section), or None when the sequence does not split.
 
     Its inverse is constructed explicitly, which certifies unimodularity;
     the iso keeps it, so ``inverse`` and ``is_unimodular`` read it back.
     """
+    section = find_section(seq)
+    if section is None:
+        return None
     A, B, C = seq.A, seq.B, seq.C
     fwd_matrix = seq.left.matrix.hstack(section.matrix)
     fwd = EquivariantMap(direct_sum(A, C), B, fwd_matrix)

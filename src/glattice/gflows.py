@@ -1,5 +1,6 @@
-"""G-graphs, boundary maps, flow lattices and spanning-tree bases, with
-the explicit edge-removal isomorphism between flow lattices.
+"""G-graphs, boundary maps, flow lattices, their boundary sequences and
+spanning-tree bases, with the explicit edge-removal isomorphism between
+flow lattices.
 
 Conventions pinned for determinism: spanning trees are BFS from vertex 0
 scanning edges in listed order, path flows use the BFS path, and every
@@ -18,6 +19,8 @@ from .errors import GlatticeError, InvalidParameterError, certify
 from .gmod import (
     EquivariantMap,
     GLattice,
+    ShortExactSequence,
+    augmentation_kernel,
     direct_sum_many,
     permutation_lattice,
     regular,
@@ -203,12 +206,25 @@ class FlowLattice:
         """Basis coordinates of an edge vector, or None when it is no flow."""
         return self.solver.express(edge_vector)
 
+    def boundary_sequence(self) -> ShortExactSequence:
+        """0 -> Fl -> Z[E] -> I_V -> 0: the flows in the edges, and the
+        boundary onto the augmentation sublattice I_V of Z[V], in its
+        canonical basis.  Every boundary sums to 0, which is certified."""
+        bd = boundary_matrix(self.graph)
+        I_lat, I_incl = augmentation_kernel(bd.target)
+        coords = BasisSolver(I_incl.matrix).express_matrix(bd.matrix)
+        certify(coords is not None, "the boundary lands in the augmentation sublattice")
+        return ShortExactSequence(
+            EquivariantMap(self.glattice, bd.source, self.basis),
+            EquivariantMap(bd.source, I_lat, coords),
+        )
+
     def __repr__(self) -> str:
         return f"FlowLattice(rank={self.rank}, graph={self.graph!r})"
 
 
 def flow_lattice(X: GGraph) -> FlowLattice:
-    """Flow lattice of a connected G-graph (disconnected graphs rejected).
+    """Flow lattice of a connected G-graph (empty or disconnected graphs rejected).
 
     The fundamental cycles of a spanning tree (each non-tree edge, forward,
     closed by the tree path) are a Z-basis of the flows.  On Kruskal's tree
@@ -217,6 +233,8 @@ def flow_lattice(X: GGraph) -> FlowLattice:
     column Hermite form: the canonical basis of the boundary's kernel.
     Tree paths are unique, so one search of the tree closes every cycle.
     """
+    if X.n_vertices == 0:
+        raise InvalidParameterError("graph has no vertices")
     if not X.is_connected():
         raise InvalidParameterError(
             f"graph is disconnected; components: {X.components()}"
@@ -229,7 +247,7 @@ def flow_lattice(X: GGraph) -> FlowLattice:
             tree.add(e)
     # one search of the tree from vertex 0; the path t -> s is the root
     # path to s less the root path to t
-    prev = _bfs(X, 0, tree) if X.n_vertices else []
+    prev = _bfs(X, 0, tree)
     cycles = []
     for e, (s, t) in enumerate(X.edges):
         if e not in tree:

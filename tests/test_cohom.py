@@ -17,17 +17,18 @@ from glattice.cohom import (
     is_flasque,
     is_permutation_bounded,
     pullback,
-    split_iso_from_section,
+    split_iso,
     tate,
 )
-from glattice.errors import InvalidParameterError
-from glattice.gflows import boundary_matrix, cayley_graph, flow_lattice
+from glattice.errors import CertificateError, InvalidParameterError
+from glattice.gflows import cayley_graph, flow_lattice
 from glattice.gmod import (
     EquivariantMap,
     GLattice,
     ShortExactSequence,
     augmentation_kernel,
     augmentation_map,
+    check_exact,
     coset_lattice,
     direct_sum,
     dual,
@@ -268,18 +269,8 @@ class TestResolutions:
 
     def test_three_cycle_boundary_is_coflasque_resolution(self):
         G = cyclic(3)
-        X = cayley_graph(G, [G.generator_indices["s"]])
-        fl = flow_lattice(X)
-        bd = boundary_matrix(X)
-        I_lat, I_incl = augmentation_kernel(bd.target)
-        from glattice.intlinalg import BasisSolver
-
-        coords = BasisSolver(I_incl.matrix).express_matrix(bd.matrix)
-        seq = ShortExactSequence(
-            EquivariantMap(fl.glattice, bd.source, fl.basis),
-            EquivariantMap(bd.source, I_lat, coords),
-        )
-        cert = ResolutionCertificate(seq, "coflasque", bd.source.gset)
+        seq = flow_lattice(cayley_graph(G, [G.generator_indices["s"]])).boundary_sequence()
+        cert = ResolutionCertificate(seq, "coflasque", seq.B.gset)
         cert.validate()
 
     def test_flasque_resolution_dualizes(self):
@@ -369,23 +360,45 @@ class TestFindSection:
                               IntMatrix.from_rows([[1, 1]]))
         assert find_section(ShortExactSequence(incl, ones)) is None
 
-    def test_schanuel_style_pullback_section(self):
-        C2 = cyclic(2)
-        M = sign_lattice(C2)
-        r1 = coflasque_resolution(M)
-        r2 = coflasque_resolution(M, rep_order=[1, 0])
-        Q, p1, p2, incl = pullback(r1.sequence.right, r2.sequence.right)
-        amb = IntMatrix.zeros(r1.sequence.B.rank, r2.sequence.A.rank).vstack(r2.sequence.left.matrix)
-        from glattice.intlinalg import BasisSolver
 
-        left = EquivariantMap(
-            r2.sequence.A, Q, BasisSolver(incl.matrix).express_matrix(amb)
+class TestPullback:
+    @pytest.mark.parametrize("spec, gens", [
+        ("SD:3,2,2", "s,t"), ("C:6", "s"), ("D:4", "s,t"), ("X(C:2,C:2)", "all"),
+    ])
+    def test_schanuel_across_two_resolutions(self, spec, gens):
+        # the boundary sequence and the coflasque resolution of I_V are two
+        # different resolutions of one lattice: Fl + P = C + Z[E]
+        G = parse_group_spec(spec)
+        if gens == "all":
+            S = [g for g in G.elements() if g != G.identity]
+        else:
+            S = [G.generator_indices[name] for name in gens.split(",")]
+        boundary = flow_lattice(cayley_graph(G, S)).boundary_sequence()
+        resolution = coflasque_resolution(boundary.C).sequence
+        rows = pullback(boundary, resolution)
+        assert [check_exact(row).failures for row in rows] == [[], []]
+        iso1, iso2 = (split_iso(row) for row in rows)
+        assert iso1 is not None and iso2 is not None
+        final = iso1.inverse().compose(iso2)  # Fl + P -> C + Z[E]
+        assert final.is_unimodular() and final.equivariance_failure() is None
+        assert final.source.rank == boundary.A.rank + resolution.B.rank
+
+    def test_quotients_must_agree(self):
+        C2 = cyclic(2)
+        first = coflasque_resolution(sign_lattice(C2)).sequence
+        second = augmentation_sequence_of(regular(C2))
+        with pytest.raises(InvalidParameterError, match="share the target"):
+            pullback(first, second)
+
+    def test_left_image_outside_the_kernel_raises(self):
+        C2 = cyclic(2)
+        seq = coflasque_resolution(sign_lattice(C2)).sequence
+        # the kernel is spanned by (1, 1); (1, -1) maps to twice a generator
+        wrong = ShortExactSequence(
+            EquivariantMap(seq.C, seq.B, IntMatrix.from_columns([[1, -1]])), seq.right
         )
-        seq = ShortExactSequence(left, p1)
-        s = find_section(seq)
-        assert s is not None
-        iso = split_iso_from_section(seq, s)
-        assert iso.is_unimodular()
+        with pytest.raises(CertificateError, match="kernels lie in the pullback"):
+            pullback(seq, wrong)
 
 
 class TestSectionOracle:
@@ -403,6 +416,7 @@ class TestSectionOracle:
             seq = coflasque_resolution(M).sequence
             split = find_section(seq) is not None
             assert split == (section_by_averaging(seq) is not None), name
+            assert (split_iso(seq) is not None) == split, name
             if not seq.C.is_permutation_action() and G.order <= 6:
                 # without its point structure B goes through hom_basis(C, B)
                 bare = GLattice(G, list(seq.B.action))

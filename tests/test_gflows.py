@@ -135,6 +135,10 @@ class TestFlowLattice:
         with pytest.raises(InvalidParameterError, match="components"):
             flow_lattice(cayley_graph(G, [sq]))
 
+    def test_no_vertices_rejected(self):
+        with pytest.raises(InvalidParameterError, match="no vertices"):
+            flow_lattice(GGraph(GSet(cyclic(1), [()]), []))
+
     def test_validate_rejects_wrong_action(self):
         G = s3()
         X = cayley_graph(G, [G.generator_indices["s"], G.generator_indices["t"]])
