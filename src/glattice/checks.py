@@ -13,8 +13,11 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import InvalidParameterError, certify
+import numpy as np
+
+from .errors import GlatticeError, InvalidParameterError, certify
 from .gflows import (
+    Flow,
     FlowLattice,
     GGraph,
     boundary_matrix,
@@ -113,7 +116,7 @@ class _Checker:
     def run(self, name: str, fn: Callable[[], Tuple[bool, str]]) -> bool:
         try:
             ok, detail = fn()
-        except Exception as exc:  # recorded, not raised: reports stay comparable
+        except GlatticeError as exc:  # recorded, not raised: reports stay comparable
             return self.record(name, False, f"{type(exc).__name__}: {exc}")
         return self.record(name, ok, detail)
 
@@ -216,9 +219,6 @@ def check_flow_coflasque(G: FiniteGroup, gens: Sequence[int]) -> CheckReport:
 # -- bar basis and the cocycle identity ----------------------------------------------
 
 
-Flow = Dict[int, int]  # a sparse edge vector: {edge: nonzero coefficient}
-
-
 def _sum_flows(*flows: Flow) -> Flow:
     out: Flow = {}
     for f in flows:
@@ -246,21 +246,48 @@ def _bar_flows(X: GGraph, G: FiniteGroup) -> Dict[Tuple[int, int], Flow]:
 
 
 def _cocycle_failures(X: GGraph, G: FiniteGroup, d: Dict[Tuple[int, int], Flow]) -> int:
-    """Triples with d(g1, g2) + d(g1 g2, g3) != d(g1, g2 g3) + g1 . d(g2, g3)."""
+    """Triples with d(g1, g2) + d(g1 g2, g3) != d(g1, g2 g3) + g1 . d(g2, g3).
+
+    Every triple is checked exactly, in int64 index arrays made for one g1
+    at a time, never for all n^3 triples at once.  The left side minus the
+    right side of a triple is 4 k (edge, coefficient) terms, where k bounds
+    the nonzeros of a flow; flows with fewer are padded with coefficient 0
+    on edge 0.  Sorted by edge, the terms sum to 0 on every edge exactly
+    when their running sum is 0 at the end of every run of equal edges.
+    """
+    n = G.order
+    k = max(map(len, d.values()), default=0) or 1
+    bound = (1 << 62) // (4 * k)  # then no running sum of 4 k terms overflows
+    certify(all(abs(c) < bound for f in d.values() for c in f.values()),
+            "bar flow coefficients sum exactly in int64")
+    edges = np.zeros((n, n, k), dtype=np.int64)
+    coefs = np.zeros((n, n, k), dtype=np.int64)
+    for (g, h), flow in d.items():
+        edges[g, h, : len(flow)] = list(flow)
+        coefs[g, h, : len(flow)] = list(flow.values())
+    table = np.array(G.table, dtype=np.int64)
     failures = 0
     for g1 in G.elements():
-        perm, row1 = X.edge_action[g1], G.table[g1]
-        for g2 in G.elements():
-            row2, g12, d12 = G.table[g2], row1[g2], d[(g1, g2)]
-            for g3 in G.elements():
-                acc = dict(d12)  # the left side minus the right side
-                for k, c in d[(g12, g3)].items():
-                    acc[k] = acc.get(k, 0) + c
-                for k, c in d[(g1, row2[g3])].items():
-                    acc[k] = acc.get(k, 0) - c
-                for k, c in d[(g2, g3)].items():
-                    acc[perm[k]] = acc.get(perm[k], 0) - c
-                failures += any(acc.values())
+        perm = np.array(X.edge_action[g1], dtype=np.int64)
+        row1 = table[g1]
+        pair_edges = np.concatenate([
+            np.broadcast_to(edges[g1][:, None], (n, n, k)),  # d(g1, g2)
+            edges[row1],  # d(g1 g2, g3)
+            edges[g1][table],  # d(g1, g2 g3)
+            perm[edges],  # g1 . d(g2, g3)
+        ], axis=2).reshape(n * n, 4 * k)
+        pair_coefs = np.concatenate([
+            np.broadcast_to(coefs[g1][:, None], (n, n, k)),
+            coefs[row1],
+            -coefs[g1][table],
+            -coefs,
+        ], axis=2).reshape(n * n, 4 * k)
+        order = np.argsort(pair_edges, axis=1, kind="stable")
+        sorted_edges = np.take_along_axis(pair_edges, order, axis=1)
+        running = np.cumsum(np.take_along_axis(pair_coefs, order, axis=1), axis=1)
+        run_end = np.ones_like(running, dtype=bool)
+        run_end[:, :-1] = sorted_edges[:, 1:] != sorted_edges[:, :-1]
+        failures += int(np.count_nonzero(((running != 0) & run_end).any(axis=1)))
     return failures
 
 
@@ -296,18 +323,15 @@ def check_bar_cocycle(G: FiniteGroup) -> CheckReport:
     star_tree = [idx[(e, g)] for g in nonid]
     star_set = set(star_tree)
     d = _bar_flows(X, G)
-    candidates = []
-    for k in range(X.n_edges):
-        if k not in star_set:
-            u, v = X.edges[k]
-            vec = [0] * X.n_edges
-            for edge, c in d[(u, G.mul(G.inverses[u], v))].items():
-                vec[edge] = c
-            candidates.append(vec)
+    candidates = [
+        d[(u, G.mul(G.inverses[u], v))]
+        for k, (u, v) in enumerate(X.edges)
+        if k not in star_set
+    ]
     try:
         fl = spanning_tree_basis(X, star_tree, candidates)
         ck.record("basis certified by the star tree", True, f"rank {fl.rank}")
-    except Exception as exc:
+    except GlatticeError as exc:
         ck.record("basis certified by the star tree", False, str(exc))
         return ck.finish()
 
@@ -403,17 +427,18 @@ def check_sn_restrictions(n: int) -> CheckReport:
     candidates = []
     for k in non_tree:
         u, v = X.edges[k]
-        steps = [(u, v, 1)]
+        flow = {k: 1}
         if v != n - 1:
-            steps.append((v, n - 1, 1))
+            flow[idx[(v, n - 1)]] = 1
         if u != n - 1:
-            steps.append((u, n - 1, -1))
-        candidates.append(_edge_vector(X, steps))
+            flow[idx[(u, n - 1)]] = -1
+        candidates.append(flow)
     fl2 = spanning_tree_basis(X, star, candidates)
     ck.record("star-tree flows form a basis", True, f"rank {fl2.rank}")
-    cand_set = {tuple(c) for c in candidates}
+    cand_set = {frozenset(c.items()) for c in candidates}
     stable = all(
-        tuple(X.edge_gset.move(h, c)) in cand_set for h in H2.elements for c in candidates
+        frozenset((X.edge_action[h][e], c) for e, c in cand.items()) in cand_set
+        for h in H2.elements for cand in candidates
     )
     ck.record("star-tree basis is stabilizer-stable", stable)
     return ck.finish()

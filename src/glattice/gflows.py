@@ -4,16 +4,19 @@ flow lattices.
 
 Conventions pinned for determinism: spanning trees are BFS from vertex 0
 scanning edges in listed order, path flows use the BFS path, and every
-kernel basis is saturated column-Hermite.  Caller numbers (edge
-endpoints, generators, tree edges, candidate entries, edge indices)
-enter through ``operator.index``, so a float is refused, not truncated.
+kernel basis is saturated column-Hermite.  A candidate flow is a
+``Flow``, the map of its nonzero coefficients by edge, so certifying a
+basis costs time in its nonzeros; the basis matrix built from it is
+stored densely.  Caller numbers (edge endpoints, generators, tree edges,
+candidate edges and coefficients, edge indices) enter through
+``operator.index``, so a float is refused, not truncated.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import GlatticeError, InvalidParameterError, certify
 from .gmod import (
@@ -28,6 +31,9 @@ from .gmod import (
 )
 from .groups import FiniteGroup, GSet, Subgroup, regular_gset
 from .intlinalg import BasisSolver, IntMatrix
+
+
+Flow = Dict[int, int]  # a sparse edge vector: {edge: nonzero coefficient}
 
 
 class SpanningTreeBasisError(GlatticeError):
@@ -166,8 +172,11 @@ def cayley_graph(G: FiniteGroup, generators: Sequence[int]) -> GGraph:
         if s not in gens:
             gens.append(s)
     vertices = regular_gset(G)
-    edges = [(g, G.table[g][s]) for s in gens for g in range(G.order)]
-    graph = GGraph(vertices, edges)
+    n = G.order
+    edges = [(g, G.table[g][s]) for s in gens for g in range(n)]
+    # h (g, g s_k) = (h g, h g s_k): edge k n + g moves to k n + h g
+    action = [[k * n + hg for k in range(len(gens)) for hg in G.table[h]] for h in range(n)]
+    graph = GGraph(vertices, edges, action)
     graph.generators = tuple(gens)
     graph.edge_degree = [s for s in gens for _ in range(G.order)]
     return graph
@@ -248,18 +257,17 @@ def flow_lattice(X: GGraph) -> FlowLattice:
     # one search of the tree from vertex 0; the path t -> s is the root
     # path to s less the root path to t
     prev = _bfs(X, 0, tree)
-    cycles = []
+    cycles: List[Flow] = []
     for e, (s, t) in enumerate(X.edges):
         if e not in tree:
-            vec = [0] * X.n_edges
+            vec = {e: 1}
             for v, c in ((s, 1), (t, -1)):
                 while prev[v] is not None:
                     f, sign = prev[v]
-                    vec[f] += c * sign
+                    vec[f] = vec.get(f, 0) + c * sign
                     v = X.edges[f][0] if sign == 1 else X.edges[f][1]
-            vec[e] += 1
             cycles.append(vec)
-    basis = IntMatrix.from_columns(cycles, rows=X.n_edges)
+    basis = IntMatrix.from_sparse_columns(X.n_edges, cycles)
     fl = FlowLattice(X, BasisSolver(basis))
     expected = X.n_edges - X.n_vertices + 1
     certify(fl.rank == expected, f"rank formula violated: {fl.rank} != {expected}")
@@ -325,17 +333,20 @@ def path_flow(
 
 
 def spanning_tree_basis(
-    X: GGraph, tree_edges: Sequence[int], candidates: Sequence[Sequence[int]]
+    X: GGraph, tree_edges: Sequence[int], candidates: Sequence[Mapping[int, int]]
 ) -> FlowLattice:
     """Certify candidate flows as a basis via the triangular-tree criterion.
 
-    The matrix of candidate values on the non-tree edges (in listed edge
-    order) must be upper triangular with +-1 on the diagonal (the first
-    non-tree edge where candidate i is nonzero is the i-th: the solver's
-    invariant).  Raises SpanningTreeBasisError with a diagnostic otherwise.  The criterion
-    proves a Z-basis of the flows: a flow is determined by its values on
-    the non-tree edges, and that minor is unimodular.  So the lattice is
-    built without a second span check, and it is its own solver.
+    Each candidate is a ``Flow``: its coefficients by edge, where a missing
+    edge or a coefficient 0 means 0.  The matrix of candidate values on the
+    non-tree edges (in listed edge order) must be upper triangular with +-1
+    on the diagonal (the first non-tree edge where candidate i is nonzero
+    is the i-th: the solver's invariant).  Raises SpanningTreeBasisError
+    with a diagnostic otherwise.  The criterion proves a Z-basis of the
+    flows: a flow is determined by its values on the non-tree edges, and
+    that minor is unimodular.  So the lattice is built without a second
+    span check, and it is its own solver.  These checks read only the
+    nonzero coefficients; the basis matrix is stored densely.
     """
     tree = sorted(set(map(operator.index, tree_edges)))
     # validate the tree: spanning and acyclic in the undirected sense
@@ -360,23 +371,26 @@ def spanning_tree_basis(
         raise SpanningTreeBasisError(
             f"need {r} candidate flows (one per non-tree edge), got {len(candidates)}"
         )
-    cols, first = [], []  # first: each candidate's smallest nonzero non-tree position
+    cols: List[Flow] = []
+    first = []  # each candidate's smallest nonzero non-tree position
     for i, cand in enumerate(candidates):
-        vec = list(map(operator.index, cand))
-        if len(vec) != X.n_edges:
-            raise InvalidParameterError(f"candidate {i} has wrong length")
-        net = [0] * X.n_vertices  # the boundary of vec
-        for e, c in enumerate(vec):
+        vec: Flow = {}
+        net: Dict[int, int] = {}  # the boundary of vec
+        for e, c in cand.items():
+            e, c = operator.index(e), operator.index(c)
+            if not 0 <= e < X.n_edges:
+                raise InvalidParameterError(f"candidate {i} has edge {e} out of range")
             if c:
+                vec[e] = c
                 s, t = X.edges[e]
-                net[t] += c
-                net[s] -= c
-        if any(net):
+                net[t] = net.get(t, 0) + c
+                net[s] = net.get(s, 0) - c
+        if any(net.values()):
             raise InvalidParameterError(f"candidate {i} violates the flow condition")
         cols.append(vec)
-        first.append(next((position[e] for e, c in enumerate(vec) if c and e in position), r))
+        first.append(min((position[e] for e in vec if e in position), default=r))
     for i in range(r):
-        d = cols[i][non_tree[i]]
+        d = cols[i].get(non_tree[i], 0)
         if d not in (1, -1):
             raise SpanningTreeBasisError(
                 f"diagonal entry f_{i}(e_{non_tree[i]}) = {d} is not +-1"
@@ -385,7 +399,7 @@ def spanning_tree_basis(
             raise SpanningTreeBasisError(
                 f"matrix not upper triangular: f_{i}(e_{non_tree[first[i]]}) != 0"
             )
-    basis = IntMatrix.from_columns(cols, rows=X.n_edges)
+    basis = IntMatrix.from_sparse_columns(X.n_edges, cols)
     return FlowLattice(X, BasisSolver._of_triangular(basis, non_tree))
 
 

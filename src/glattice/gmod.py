@@ -390,8 +390,9 @@ def sublattice_with_action(
     invariance under every element.  A caller that already holds a
     BasisSolver of the basis may pass it.
 
-    Only the generators are solved for, M(s) B = B rho(s), where row x of
-    M(s) B is row s^-1 x of B when M has a G-set.  Every other element gets
+    Only the generators are solved for, M(s) B = B rho(s).  When M has a
+    G-set, M(s) B is the nonzero entries of B, read once, with row x moved
+    to row s x, and no product is made.  Every other element gets
     rho(a s) = rho(a) rho(s) when first read, one product each, along the
     breadth-first search of FiniteGroup.closure.  This is exact and rho
     is a homomorphism, because M is one and the basis B is injective;
@@ -402,10 +403,14 @@ def sublattice_with_action(
         raise InvalidParameterError("basis columns are not linearly independent")
     G = M.group
     made: List[Optional[IntMatrix]] = [None] * G.order
+    columns = None if M.gset is None else basis.column_nonzeros()
     for s in G.generators:
-        moved = M.action[s] @ basis if M.gset is None else basis.take_rows(
-            M.gset.action[G.inverses[s]])
-        made[s] = solver.express_matrix(moved)
+        if columns is None:
+            made[s] = solver.express_matrix(M.action[s] @ basis)
+        else:
+            perm = M.gset.action[s]
+            made[s] = solver.express_columns(
+                [{perm[i]: x for i, x in col.items()} for col in columns])
         if made[s] is None:
             raise InvalidParameterError(
                 f"column span is not invariant under element {s}"

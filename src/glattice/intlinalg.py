@@ -4,7 +4,10 @@ How an ``IntMatrix`` is stored is private to this module: every other
 module builds and reads matrices through its API.  The entries are
 arbitrary-precision Python integers, so nothing can silently overflow,
 and caller numbers enter through ``operator.index``, so a float or a
-string is refused rather than truncated.  Only the product and the
+string is refused rather than truncated.  A matrix may be given by the
+nonzero entries of its columns, ``{row: entry}`` maps, and the solver
+takes the columns it solves as such maps; the matrices themselves are
+stored densely all the same.  Only the product and the
 Hermite boundary convert the storage.  The product computes in int64
 when its shared dimension k and the entry bounds satisfy
 k * max|A| * max|B| < 2**62, so no partial sum can overflow; otherwise,
@@ -38,7 +41,7 @@ from __future__ import annotations
 import operator
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -86,6 +89,26 @@ class IntMatrix:
         if any(len(c) != nrows for c in columns):
             raise ValueError("ragged columns")
         return cls.from_rows(list(map(list, zip(*columns))), cols=len(columns))
+
+    @classmethod
+    def from_sparse_columns(cls, rows: int, columns: Sequence[Mapping[int, int]]) -> "IntMatrix":
+        """The rows x len(columns) matrix whose column j holds the entries of
+        the map columns[j], {row: entry}; the rows it omits are 0.  Only the
+        input is sparse: the matrix is stored densely like any other.
+
+        >>> print(IntMatrix.from_sparse_columns(3, [{0: 1, 2: -1}, {}]))
+        [1 0]
+        [0 0]
+        [-1 0]
+        """
+        a = np.zeros((rows, len(columns)), dtype=object)
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                i = operator.index(i)
+                if not 0 <= i < rows:
+                    raise ValueError(f"row index {i} out of range for {rows} rows")
+                a[i, j] = operator.index(x)  # caller numbers enter here
+        return cls(a)
 
     @classmethod
     def _of_int_rows(cls, rows: list, cols: int) -> "IntMatrix":
@@ -216,6 +239,14 @@ class IntMatrix:
         if not idx:
             return IntMatrix.zeros(0, self.cols)
         return IntMatrix(self.a[idx, :].copy())
+
+    def column_nonzeros(self) -> list:
+        """Each column as a dict of its nonzero entries by row, rows ascending."""
+        js, rows = np.nonzero((self.a != 0).T)
+        columns = [{} for _ in range(self.cols)]
+        for j, i, x in zip(js.tolist(), rows.tolist(), self.a[rows, js].tolist()):
+            columns[j][i] = x
+        return columns
 
     def mul_vector(self, v: Sequence[int]) -> list:
         if len(v) != self.cols:
@@ -429,15 +460,6 @@ def solve_matrix(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     return BasisSolver(A).express_matrix(B)
 
 
-def _column_nonzeros(A: IntMatrix) -> list:
-    """Each column of A as a dict of its nonzero entries by row, rows ascending."""
-    js, rows = np.nonzero((A.a != 0).T)
-    columns = [{} for _ in range(A.cols)]
-    for j, i, x in zip(js.tolist(), rows.tolist(), A.a[rows, js].tolist()):
-        columns[j][i] = x
-    return columns
-
-
 class BasisSolver:
     """Repeated coordinate extraction against a fixed column basis.
 
@@ -468,20 +490,21 @@ class BasisSolver:
         # (index, pivot row, pivot, nonzero (row, entry) pairs) of each
         # nonzero column of H, and the position among them of each pivot row
         self._columns = []
-        for j, col in enumerate(_column_nonzeros(H)):
+        for j, col in enumerate(H.column_nonzeros()):
             if col:
                 piv = next(iter(col)) if pivots is None else pivots[j]
                 self._columns.append((j, piv, col[piv], list(col.items())))
         self._position = {piv: k for k, (_, piv, _, _) in enumerate(self._columns)}
         self.rank = len(self._columns)
 
-    def _express_h(self, r: dict) -> Optional[list]:
-        """Back-substitution against the Hermite form (coordinates before V)
-        of the residual r, its nonzero entries by row; r is consumed."""
+    def _express_h(self, r: dict) -> Optional[dict]:
+        """Back-substitution against the Hermite form of the residual r, its
+        nonzero entries by row, which is consumed: the nonzero coordinates
+        before V, by column."""
         columns, position = self._columns, self._position
         heap = [position[i] for i in r if i in position]
         heapify(heap)
-        y = [0] * self.H.cols
+        y = {}
         last = -1
         while heap:
             k = heappop(heap)
@@ -507,21 +530,30 @@ class BasisSolver:
         r = list(map(operator.index, vec))
         if len(r) != self.H.rows:
             raise ValueError("vector length mismatch")
-        y = self._express_h({i: x for i, x in enumerate(r) if x})
-        if y is None or self.V is None:
-            return y
-        return self.V.mul_vector(y)
+        nonzero = self._express_h({i: x for i, x in enumerate(r) if x})
+        if nonzero is None:
+            return None
+        y = [0] * self.H.cols
+        for j, q in nonzero.items():
+            y[j] = q
+        return y if self.V is None else self.V.mul_vector(y)
 
     def express_matrix(self, M: IntMatrix) -> Optional[IntMatrix]:
         if M.rows != self.H.rows:
             raise ValueError("matrix row mismatch")
+        return self.express_columns(M.column_nonzeros())
+
+    def express_columns(self, columns: Sequence[dict]) -> Optional[IntMatrix]:
+        """The coordinate matrix of the columns given by their nonzero
+        entries, {row: Python int} maps, which are consumed; None when one
+        lies outside the span.  Every matrix solve enters here."""
         ys = []
-        for col in _column_nonzeros(M):
+        for col in columns:
             y = self._express_h(col)
             if y is None:
                 return None
             ys.append(y)
-        Y = IntMatrix._of_int_rows(ys, self.basis.cols).T
+        Y = IntMatrix.from_sparse_columns(self.H.cols, ys)
         return Y if self.V is None else self.V @ Y
 
 

@@ -24,7 +24,10 @@ which the closed-walk check once compared with the flow basis.  A flow
 lattice is validated from scratch against the boundary map and the edge
 action.  The back-substitution of ``BasisSolver`` as a dense sweep
 that divides at every column, and the fundamental cycles of a spanning
-tree as candidates for ``spanning_tree_basis``.  The bounded stable-basis
+tree as candidates for ``spanning_tree_basis``, and that function as it
+was when every candidate was a dense edge vector; the cocycle check as
+it was before it sorted index arrays, one merge of flow dicts per
+triple.  The bounded stable-basis
 search as it was before it numbered the box vectors: orbits found vector
 by vector, one backtracker per kind of search, and subgroup classes from
 conjugating by every element.
@@ -826,6 +829,87 @@ def tree_recursion_failures_dense(X, G: FiniteGroup, d) -> int:
             )
             bad += d[(h, g)] != rhs
     return bad
+
+
+def cocycle_failures_by_dicts(X, G: FiniteGroup, d) -> int:
+    """Triples failing d(g1, g2) + d(g1 g2, g3) = d(g1, g2 g3) + g1 . d(g2, g3),
+    with d as {edge: coefficient} maps: one dict merge per triple."""
+    failures = 0
+    for g1 in G.elements():
+        perm, row1 = X.edge_action[g1], G.table[g1]
+        for g2 in G.elements():
+            row2, g12, d12 = G.table[g2], row1[g2], d[(g1, g2)]
+            for g3 in G.elements():
+                acc = dict(d12)  # the left side minus the right side
+                for k, c in d[(g12, g3)].items():
+                    acc[k] = acc.get(k, 0) + c
+                for k, c in d[(g1, row2[g3])].items():
+                    acc[k] = acc.get(k, 0) - c
+                for k, c in d[(g2, g3)].items():
+                    acc[perm[k]] = acc.get(perm[k], 0) - c
+                failures += any(acc.values())
+    return failures
+
+
+def as_flow(vec: Sequence[int]) -> dict:
+    """The nonzero entries of a dense edge vector, by edge."""
+    return {e: c for e, c in enumerate(vec) if c}
+
+
+def spanning_tree_basis_dense(X, tree_edges: Sequence[int], candidates: Sequence[Sequence[int]]):
+    """``spanning_tree_basis`` on dense candidate vectors: every test loops
+    over all edges of every candidate, and the basis is built from the
+    dense columns.  Raises what it raises, with the same messages."""
+    from glattice.gflows import FlowLattice, SpanningTreeBasisError, _find
+
+    tree = sorted(set(map(operator.index, tree_edges)))
+    if len(tree) != X.n_vertices - 1:
+        raise InvalidParameterError(
+            f"tree has {len(tree)} edges, expected |V|-1 = {X.n_vertices - 1}"
+        )
+    parent = list(range(X.n_vertices))
+    for e in tree:
+        rs, rt = (_find(parent, v) for v in X.edges[e])
+        if rs == rt:
+            raise InvalidParameterError("tree edges contain a cycle")
+        parent[rs] = rt
+    if len({_find(parent, v) for v in range(X.n_vertices)}) != 1:
+        raise InvalidParameterError("tree edges do not span the graph")
+    tree_set = set(tree)
+    non_tree = [e for e in range(X.n_edges) if e not in tree_set]
+    position = {e: j for j, e in enumerate(non_tree)}
+    r = len(non_tree)
+    if len(candidates) != r:
+        raise SpanningTreeBasisError(
+            f"need {r} candidate flows (one per non-tree edge), got {len(candidates)}"
+        )
+    cols, first = [], []
+    for i, cand in enumerate(candidates):
+        vec = list(map(operator.index, cand))
+        if len(vec) != X.n_edges:
+            raise InvalidParameterError(f"candidate {i} has wrong length")
+        net = [0] * X.n_vertices
+        for e, c in enumerate(vec):
+            if c:
+                s, t = X.edges[e]
+                net[t] += c
+                net[s] -= c
+        if any(net):
+            raise InvalidParameterError(f"candidate {i} violates the flow condition")
+        cols.append(vec)
+        first.append(next((position[e] for e, c in enumerate(vec) if c and e in position), r))
+    for i in range(r):
+        d = cols[i][non_tree[i]]
+        if d not in (1, -1):
+            raise SpanningTreeBasisError(
+                f"diagonal entry f_{i}(e_{non_tree[i]}) = {d} is not +-1"
+            )
+        if first[i] < i:
+            raise SpanningTreeBasisError(
+                f"matrix not upper triangular: f_{i}(e_{non_tree[first[i]]}) != 0"
+            )
+    basis = IntMatrix.from_columns(cols, rows=X.n_edges)
+    return FlowLattice(X, BasisSolver._of_triangular(basis, non_tree))
 
 
 def express_by_dense_sweep(basis: IntMatrix, vec: Sequence[int], pivots=None) -> Optional[List[int]]:

@@ -16,7 +16,7 @@ from glattice.checks import check_bar_cocycle
 from glattice.cli import parse_group_spec
 from glattice.gflows import cayley_graph, spanning_tree_basis
 from glattice.intlinalg import BasisSolver, IntMatrix, _is_column_hermite, col_hermite, solve_matrix
-from reference import express_by_dense_sweep, fundamental_cycles, spanning_tree_by_bfs
+from reference import as_flow, express_by_dense_sweep, fundamental_cycles, spanning_tree_by_bfs
 
 BIG = 2**64
 ENTRY = st.one_of(st.integers(-3, 3), st.integers(-3 * BIG, 3 * BIG))
@@ -88,7 +88,7 @@ def spanning_tree_case(draw):
         for later in cycles[i + 1 :]:
             c = draw(SMALL)
             vec = [x + c * y for x, y in zip(vec, later)]
-        candidates.append(vec)
+        candidates.append(as_flow(vec))
     fl = spanning_tree_basis(X, tree, candidates)
     non_tree = [e for e in range(X.n_edges) if e not in set(tree)]
     return fl, non_tree, draw(probes(fl.basis, non_tree))

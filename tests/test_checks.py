@@ -1,16 +1,19 @@
 """Named checks: every report assertion must carry its own verdict."""
 
 import itertools
+import json
 
 import pytest
 
-from glattice.cli import parse_group_spec
+import glattice.checks as checks_mod
+from glattice.cli import main, parse_group_spec
 from glattice.errors import InvalidParameterError
-from glattice.gflows import boundary_matrix, cayley_graph, flow_lattice
+from glattice.gflows import SpanningTreeBasisError, boundary_matrix, cayley_graph, flow_lattice
 from glattice.gmod import GLattice, trivial
 from glattice.groups import cyclic, dihedral, direct_product, semidirect, symmetric
 from glattice.intlinalg import IntMatrix, column_span_canonical
 from glattice.checks import (
+    _Checker,
     check_bar_cocycle,
     check_center_walks,
     check_cyclic_flows,
@@ -116,6 +119,48 @@ class TestBarCocycle:
     def test_too_small_group_rejected(self):
         with pytest.raises(InvalidParameterError):
             check_bar_cocycle(cyclic(1))
+
+    def test_program_fault_reaches_the_cli(self, monkeypatch, capsys):
+        def broken(*args):
+            raise TypeError("unhashable type: 'list'")
+
+        monkeypatch.setattr(checks_mod, "spanning_tree_basis", broken)
+        assert main(["check", "bar-cocycle", "--group", "C:4"]) == 3
+        assert "internal error: TypeError" in capsys.readouterr().err
+
+    def test_refused_basis_is_a_failed_check(self, monkeypatch, capsys):
+        message = "diagonal entry f_0(e_4) = 2 is not +-1"
+
+        def refusing(*args):
+            raise SpanningTreeBasisError(message)
+
+        monkeypatch.setattr(checks_mod, "spanning_tree_basis", refusing)
+        assert main(["check", "bar-cocycle", "--group", "C:4"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "fail"
+        assert report["assertions"] == [
+            {"name": "basis certified by the star tree", "status": "fail", "detail": message}
+        ]
+
+
+class TestCheckerRun:
+    def test_toolkit_error_is_a_failed_assertion(self):
+        ck = _Checker("demo", "C:1", {})
+
+        def refused():
+            raise InvalidParameterError("map is not equivariant at element 1")
+
+        assert ck.run("equivariant", refused) is False
+        assert ck.finish().details == [{
+            "name": "equivariant", "status": "fail",
+            "detail": "InvalidParameterError: map is not equivariant at element 1",
+        }]
+
+    def test_program_fault_is_raised(self):
+        ck = _Checker("demo", "C:1", {})
+        with pytest.raises(TypeError):
+            ck.run("unpacks a pair", lambda: None)
+        assert ck.details == []
 
 
 class TestCenterWalks:

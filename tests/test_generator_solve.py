@@ -1,8 +1,10 @@
 """Derived lattices solved on generators, flow bases from fundamental
-cycles, exactness without a kernel, sparse bar flows and orbit counts
-over the integers, each against the route it replaced
+cycles, exactness without a kernel, sparse bar flows, the cocycle check
+on sorted index arrays, spanning-tree bases from nonzeros and orbit
+counts over the integers, each against the route it replaced
 (tests/reference.py); pivot columns against sympy."""
 
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -16,7 +18,7 @@ import glattice.intlinalg as intlinalg_mod
 from glattice.checks import _bar_flows, _cocycle_failures, _tree_recursion_failures
 from glattice.cli import parse_group_spec
 from glattice.cohom import coflasque_resolution, flasque_resolution, pullback
-from glattice.errors import InvalidParameterError
+from glattice.errors import CertificateError, GlatticeError, InvalidParameterError
 from glattice.gflows import (
     GGraph,
     cayley_graph,
@@ -26,6 +28,7 @@ from glattice.gflows import (
 )
 from glattice.gmod import (
     EquivariantMap,
+    GLattice,
     ShortExactSequence,
     augmentation_kernel,
     check_exact,
@@ -40,12 +43,16 @@ from glattice.gmod import (
 from glattice.groups import cyclic, natural_gset, regular_gset, subgroup_conjugacy_reps, symmetric
 from glattice.intlinalg import BasisSolver, IntMatrix, pivot_columns
 from reference import (
+    as_flow,
     bar_flow_dense,
     check_exact_by_kernel,
+    cocycle_failures_by_dicts,
     cocycle_failures_dense,
     flow_basis_by_kernel,
+    fundamental_cycles,
     orbit_count_solutions_rational,
     path_flow_by_bfs,
+    spanning_tree_basis_dense,
     spanning_tree_by_bfs,
     sublattice_action_per_element,
     tree_recursion_failures_dense,
@@ -131,19 +138,22 @@ class TestDerivedLatticesAgainstPerElementSolve:
 
     @pytest.mark.parametrize("spec", GROUPS)
     def test_express_matrix_called_once_per_generator(self, spec, monkeypatch):
+        """One solve per generator, through the one entry point every
+        matrix solve takes, with or without a G-set on the lattice."""
         G = parse_group_spec(spec)
-        P = regular(G)
         basis = intlinalg_mod.kernel_basis(IntMatrix.from_rows([[1] * G.order]))
         calls = []
-        original = BasisSolver.express_matrix
+        original = BasisSolver.express_columns
 
-        def counting(self, M):
-            calls.append(M.shape)
-            return original(self, M)
+        def counting(self, columns):
+            calls.append(len(columns))
+            return original(self, columns)
 
-        monkeypatch.setattr(BasisSolver, "express_matrix", counting)
-        sublattice_with_action(P, basis)
-        assert len(calls) == len(G.generators)
+        monkeypatch.setattr(BasisSolver, "express_columns", counting)
+        for P in (regular(G), GLattice(G, list(regular(G).action))):
+            calls.clear()
+            sublattice_with_action(P, basis)
+            assert calls == [basis.cols] * len(G.generators)
 
 
 def _graphs():
@@ -192,7 +202,7 @@ class TestFlowBasisAgainstKernel:
                 s, t = X.edges[e]
                 cycle = path_flow_by_bfs(X, t, s, tree)
                 cycle[e] += 1
-                candidates.append(cycle)
+                candidates.append(as_flow(cycle))
         fl = spanning_tree_basis(X, tree, candidates)
         validate_flow_lattice(fl)
         assert fl.glattice.action == sublattice_action_per_element(X.edge_lattice(), fl.basis)
@@ -275,6 +285,109 @@ class TestSparseBarFlows:
         bad = _cocycle_failures(X, G, sparse)
         assert bad > 0 and bad == cocycle_failures_dense(X, G, dense)
         assert _tree_recursion_failures(X, G, sparse) == tree_recursion_failures_dense(X, G, dense) > 0
+
+
+# groups of order at most 16: those bar-cocycle runs on in the suites and
+# the bench ladder, and more of the same families
+BAR_GROUPS = [
+    "C:2", "C:3", "C:5", "C:8", "C:12", "C:16", "S:3", "D:4", "D:7", "D:8",
+    "X(C:2,C:2)", "X(C:4,C:4)", "X(C:2,C:8)", "SD:3,2,2", "SD:3,4,2", "SD:5,2,4",
+]
+
+
+@lru_cache(maxsize=None)
+def _bar_case(spec):
+    G = parse_group_spec(spec)
+    X = cayley_graph(G, [g for g in G.elements() if g != G.identity])
+    return G, X, _bar_flows(X, G)
+
+
+class TestCocycleCheckAgainstDictLoops:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_corrupted_flows_give_equal_failure_counts(self, data):
+        G, X, bar = _bar_case(data.draw(st.sampled_from(BAR_GROUPS), label="group"))
+        d = dict(bar)
+        pairs = sorted(d)
+        coefficient = st.one_of(st.integers(-2, 2), st.integers(-(2**57), 2**57))
+        for _ in range(data.draw(st.integers(0, 4))):
+            key = data.draw(st.sampled_from(pairs))
+            kind = data.draw(st.sampled_from(["random", "negate", "copy", "drop edge"]))
+            if kind == "random":  # explicit zeros and up to five edges
+                d[key] = data.draw(st.dictionaries(
+                    st.integers(0, X.n_edges - 1), coefficient, max_size=5))
+            elif kind == "negate":
+                d[key] = {e: -c for e, c in d[key].items()}
+            elif kind == "copy":
+                d[key] = dict(d[data.draw(st.sampled_from(pairs))])
+            elif d[key]:
+                d[key] = dict(list(d[key].items())[1:])
+        assert _cocycle_failures(X, G, d) == cocycle_failures_by_dicts(X, G, d)
+
+    def test_coefficients_that_could_overflow_refused(self):
+        """Twelve terms of up to 2**62 / 12 each sum exactly in int64."""
+        G, X, bar = _bar_case("C:3")
+        d = dict(bar)
+        key = next(k for k, flow in d.items() if len(flow) == 3)
+        d[key] = {e: c * ((1 << 62) // 12 - 1) for e, c in bar[key].items()}
+        assert _cocycle_failures(X, G, d) == cocycle_failures_by_dicts(X, G, d) > 0
+        d[key] = {e: c * ((1 << 62) // 12) for e, c in bar[key].items()}
+        with pytest.raises(CertificateError, match="sum exactly in int64"):
+            _cocycle_failures(X, G, d)
+
+    def test_memory_stays_per_g1(self):
+        """C:25 has 15,625 triples of up to 12 terms.  One int64 array of
+        all their edges takes 1.5 MB, and the sort needs several such
+        arrays; one g1 at a time, the peak stays under 4 MB."""
+        G = parse_group_spec("C:25")
+        X = cayley_graph(G, [g for g in G.elements() if g != G.identity])
+        d = _bar_flows(X, G)
+        tracemalloc.start()
+        try:
+            assert _cocycle_failures(X, G, d) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestSpanningTreeBasisAgainstDenseOracle:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_perturbed_candidates(self, data):
+        """Perturbed fundamental cycles are accepted with the same basis, or
+        refused with the same error and message, as on dense vectors."""
+        G = parse_group_spec(data.draw(st.sampled_from(GROUPS), label="group"))
+        gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=2))
+        X = cayley_graph(G, gens + list(G.generators))
+        tree = spanning_tree_by_bfs(X)
+        dense = fundamental_cycles(X, tree)
+        small = st.integers(-2, 2)
+        for _ in range(data.draw(st.integers(0, 3))):
+            i = data.draw(st.integers(0, len(dense) - 1))
+            kind = data.draw(st.sampled_from(["add", "scale", "edge", "drop"]))
+            if kind == "add":
+                other, c = dense[data.draw(st.integers(0, len(dense) - 1))], data.draw(small)
+                dense[i] = [x + c * y for x, y in zip(dense[i], other)]
+            elif kind == "scale":
+                c = data.draw(small)
+                dense[i] = [c * x for x in dense[i]]
+            elif kind == "edge":
+                dense[i][data.draw(st.integers(0, X.n_edges - 1))] += data.draw(small)
+            elif len(dense) > 1:
+                del dense[i]
+        sparse = [as_flow(vec) for vec in dense]
+        for flow in sparse:  # explicit zeros change nothing
+            for e in data.draw(st.lists(st.integers(0, X.n_edges - 1), max_size=2)):
+                flow.setdefault(e, 0)
+
+        def outcome(build, candidates):
+            try:
+                return build(X, tree, candidates).basis
+            except GlatticeError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(spanning_tree_basis, sparse) == outcome(spanning_tree_basis_dense, dense)
 
 
 class TestPivotColumns:

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from glattice.cli import parse_group_spec, suite_definition
 from glattice.errors import InvalidParameterError
 from glattice.gflows import (
     GGraph,
@@ -28,7 +29,7 @@ from glattice.groups import (
     subgroup_from_generators,
 )
 from glattice.intlinalg import IntMatrix, kernel_basis, same_column_span
-from reference import fundamental_cycles, spanning_tree_by_bfs, validate_flow_lattice
+from reference import as_flow, fundamental_cycles, spanning_tree_by_bfs, validate_flow_lattice
 
 
 def s3():
@@ -84,6 +85,35 @@ class TestCayley:
             X = cayley_graph(G, [G.power(s, k)])
             generates = G.closure([G.power(s, k)]) == tuple(range(12))
             assert X.is_connected() == generates
+
+
+def _suite_groups():
+    """The group of every check of the full suite."""
+    specs = set()
+    for check_id, params in suite_definition("full"):
+        if "group" in params:
+            specs.add(params["group"])
+        elif check_id == "cyclic-flows":
+            specs.add(f"C:{params['n']}")
+        elif check_id == "sn-restrictions":
+            specs.add(f"S:{params['n']}")
+        elif "m" in params:
+            specs.add(f"SD:{params['n']},{params['m']},{params['r']}")
+    return sorted(specs)
+
+
+class TestCayleyEdgeAction:
+    @pytest.mark.parametrize("spec", _suite_groups())
+    def test_equals_the_inferred_action(self, spec):
+        """The action cayley_graph passes, h (g, g s) = (h g, h g s), is
+        the one read off the vertex action edge by edge."""
+        G = parse_group_spec(spec)
+        generator_sets = [list(G.generators)]
+        if G.order <= 24:
+            generator_sets += [[g for g in G.elements() if g != G.identity], list(G.elements())]
+        for gens in generator_sets:
+            X = cayley_graph(G, gens)
+            assert X.edge_action == X._infer_edge_action()
 
 
 class TestBoundary:
@@ -155,7 +185,7 @@ class TestSpanningTreeBasis:
         X = cayley_graph(G, [G.generator_indices["s"]])
         tree = spanning_tree_by_bfs(X)
         assert len(tree) == 3
-        candidate = [1, 1, 1, 1]
+        candidate = {0: 1, 1: 1, 2: 1, 3: 1}
         fl = spanning_tree_basis(X, tree, [candidate])
         assert fl.rank == 1
         validate_flow_lattice(fl)
@@ -165,14 +195,14 @@ class TestSpanningTreeBasis:
         X = cayley_graph(G, [G.generator_indices["s"]])
         tree = spanning_tree_by_bfs(X)
         with pytest.raises(SpanningTreeBasisError, match="not \\+-1"):
-            spanning_tree_basis(X, tree, [[2, 2, 2, 2]])
+            spanning_tree_basis(X, tree, [{0: 2, 1: 2, 2: 2, 3: 2}])
 
     def test_non_flow_candidate_rejected(self):
         G = cyclic(4)
         X = cayley_graph(G, [G.generator_indices["s"]])
         tree = spanning_tree_by_bfs(X)
         with pytest.raises(InvalidParameterError, match="flow condition"):
-            spanning_tree_basis(X, tree, [[1, 0, 0, 0]])
+            spanning_tree_basis(X, tree, [{0: 1}])
 
     @staticmethod
     def _five_cycles():
@@ -186,7 +216,7 @@ class TestSpanningTreeBasis:
 
     @staticmethod
     def _plus(*flows, scale=1):
-        return [scale * x + sum(ys) for x, *ys in zip(*flows)]
+        return as_flow([scale * x + sum(ys) for x, *ys in zip(*flows)])
 
     def test_fundamental_cycles_certified(self):
         X, tree, non_tree, cyc = self._five_cycles()
@@ -199,26 +229,49 @@ class TestSpanningTreeBasis:
         edges; the message names candidate 3 and the smaller of its two."""
         X, tree, non_tree, cyc = self._five_cycles()
         for j1, j2 in [(0, 1), (0, 2), (1, 2)]:
-            cands = cyc[:3] + [self._plus(cyc[3], cyc[j1], cyc[j2]), self._plus(cyc[4], cyc[0], cyc[3])]
+            cands = [as_flow(c) for c in cyc[:3]] + [
+                self._plus(cyc[3], cyc[j1], cyc[j2]), self._plus(cyc[4], cyc[0], cyc[3])]
             with pytest.raises(SpanningTreeBasisError) as err:
                 spanning_tree_basis(X, tree, cands)
             assert str(err.value) == (
                 f"matrix not upper triangular: f_3(e_{non_tree[j1]}) != 0"
             )
         for j in (1, 3):
-            cands = cyc[:4] + [self._plus(cyc[4], cyc[j])]
+            cands = [as_flow(c) for c in cyc[:4]] + [self._plus(cyc[4], cyc[j])]
             with pytest.raises(SpanningTreeBasisError, match=re.escape(f"f_4(e_{non_tree[j]}) != 0")):
                 spanning_tree_basis(X, tree, cands)
 
     def test_diagonal_checked_before_the_earlier_columns(self):
         X, tree, non_tree, cyc = self._five_cycles()
-        cands = cyc[:2] + [self._plus(cyc[2], cyc[0], cyc[1], scale=2)] + cyc[3:]
+        cands = [as_flow(c) for c in cyc]
+        cands[2] = self._plus(cyc[2], cyc[0], cyc[1], scale=2)
         with pytest.raises(SpanningTreeBasisError) as err:
             spanning_tree_basis(X, tree, cands)
         assert str(err.value) == f"diagonal entry f_2(e_{non_tree[2]}) = 2 is not +-1"
-        cands = cyc[:1] + [cyc[2]] + cyc[2:]
+        cands = [as_flow(c) for c in cyc[:1] + [cyc[2]] + cyc[2:]]
         with pytest.raises(SpanningTreeBasisError, match=re.escape(f"f_1(e_{non_tree[1]}) = 0 is not")):
             spanning_tree_basis(X, tree, cands)
+
+    @pytest.mark.parametrize("edge", [-1, 4, 1 << 70])
+    def test_edge_out_of_range_rejected(self, edge):
+        G = cyclic(4)
+        X = cayley_graph(G, [G.generator_indices["s"]])
+        tree = spanning_tree_by_bfs(X)
+        with pytest.raises(InvalidParameterError, match=f"candidate 0 has edge {edge} out of range"):
+            spanning_tree_basis(X, tree, [{0: 1, 1: 1, 2: 1, 3: 1, edge: 0}])
+
+    def test_explicit_zero_coefficients_ignored(self):
+        """A 0 on an earlier non-tree edge would break triangularity, and a
+        0 on the diagonal edge would break the diagonal, if they counted."""
+        X, tree, non_tree, cyc = self._five_cycles()
+        cands = [as_flow(c) for c in cyc]
+        padded = [dict(c) for c in cands]
+        padded[3][non_tree[0]] = 0
+        padded[4].update({non_tree[1]: 0, non_tree[2]: 0})
+        plain = spanning_tree_basis(X, tree, cands)
+        assert spanning_tree_basis(X, tree, padded).basis == plain.basis
+        with pytest.raises(SpanningTreeBasisError, match=re.escape(f"f_4(e_{non_tree[4]}) = 0")):
+            spanning_tree_basis(X, tree, cands[:4] + [{non_tree[4]: 0}])
 
     def test_not_a_tree_rejected(self):
         G = cyclic(4)
@@ -241,9 +294,11 @@ class TestCallerNumbers:
         X = cayley_graph(G, [G.generator_indices["s"]])
         tree = spanning_tree_by_bfs(X)
         with pytest.raises(TypeError):
-            spanning_tree_basis(X, [float(e) for e in tree], [[1, 1, 1, 1]])
+            spanning_tree_basis(X, [float(e) for e in tree], [{0: 1, 1: 1, 2: 1, 3: 1}])
         with pytest.raises(TypeError):
-            spanning_tree_basis(X, tree, [[1.0, 1, 1, 1]])
+            spanning_tree_basis(X, tree, [{0: 1.0, 1: 1, 2: 1, 3: 1}])
+        with pytest.raises(TypeError):
+            spanning_tree_basis(X, tree, [{0.0: 1, 1: 1, 2: 1, 3: 1}])
         with pytest.raises(TypeError):
             subgraph(X, [0.0, 1, 2, 3])
 
@@ -253,7 +308,7 @@ class TestCallerNumbers:
         X = GGraph(regular_gset(cyclic(3)), [(zero, one), (one, two), (two, zero)])
         Y = cayley_graph(cyclic(3), [one])
         sub = subgraph(X, [zero, one, two])
-        fl = spanning_tree_basis(X, [zero, two], [[one, one, one]])
+        fl = spanning_tree_basis(X, [zero, two], [{zero: one, one: one, two: one}])
         assert X.edges == Y.edges == sub.edges == [(0, 1), (1, 2), (2, 0)]
         assert Y.generators == (1,)
         assert fl.basis.to_lists() == [[1], [1], [1]]

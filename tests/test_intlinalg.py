@@ -464,6 +464,33 @@ class TestProduct:
         assert (a @ b).to_lists() == triple_loop_product(a, b)
 
 
+class TestFromSparseColumns:
+    @given(st.integers(0, 5), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_against_from_columns(self, rows, data):
+        entry = st.integers(-(2**70), 2**70)
+        dense = data.draw(st.lists(st.lists(entry, min_size=rows, max_size=rows), max_size=4))
+        sparse = [{i: x for i, x in enumerate(col) if x} for col in dense]
+        m = IntMatrix.from_sparse_columns(rows, sparse)
+        assert m == IntMatrix.from_columns(dense, rows=rows)
+        assert all(type(x) is int for x in m.entries)
+
+    def test_zero_entries_and_integer_types(self):
+        m = IntMatrix.from_sparse_columns(2, [{np.int64(1): True, 0: 0}, {}])
+        assert m.to_lists() == [[0, 0], [1, 0]]
+        assert all(type(x) is int for x in m.entries)
+
+    @pytest.mark.parametrize("row", [-1, 3])
+    def test_row_out_of_range(self, row):
+        with pytest.raises(ValueError, match=f"row index {row} out of range"):
+            IntMatrix.from_sparse_columns(3, [{0: 1}, {row: 1}])
+
+    @pytest.mark.parametrize("col", [{0.0: 1}, {0: 1.0}])
+    def test_floats_refused(self, col):
+        with pytest.raises(TypeError):
+            IntMatrix.from_sparse_columns(3, [col])
+
+
 def lattice_index_oracle(basis: IntMatrix):
     """(rank, product of nonzero invariant factors) of the column span, via sympy."""
     sympy = pytest.importorskip("sympy")
