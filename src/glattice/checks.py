@@ -219,14 +219,6 @@ def check_flow_coflasque(G: FiniteGroup, gens: Sequence[int]) -> CheckReport:
 # -- bar basis and the cocycle identity ----------------------------------------------
 
 
-def _sum_flows(*flows: Flow) -> Flow:
-    out: Flow = {}
-    for f in flows:
-        for k, c in f.items():
-            out[k] = out.get(k, 0) + c
-    return {k: c for k, c in out.items() if c}
-
-
 def _bar_flows(X: GGraph, G: FiniteGroup) -> Dict[Tuple[int, int], Flow]:
     """d(g, h) = (e -> g -> gh) - (e -> gh), loops dropped as zero, for all g, h.
 
@@ -294,21 +286,43 @@ def _cocycle_failures(X: GGraph, G: FiniteGroup, d: Dict[Tuple[int, int], Flow])
 def _tree_recursion_failures(
     X: GGraph, G: FiniteGroup, d: Dict[Tuple[int, int], Flow]
 ) -> int:
-    """Pairs with d(h, g) != [e -> h] + h . [e -> g] - [e -> hg] on the star-tree edges."""
+    """Pairs with d(h, g) != [e -> h] + h . [e -> g] - [e -> hg] on the star-tree edges.
+
+    X is the Cayley graph on the non-identity elements.  The right side is
+    0 when g or h is e.  Otherwise it is 1 on the edges (e, h) and
+    h . (e, g) = (h, hg), and -1 on (e, hg) unless hg = e; the three edges
+    are distinct, so each map is written down without a merge.
+    """
     e = G.identity
     idx = X.edge_index()
-
-    def edge_unit(g: int, c: int = 1) -> Flow:
-        return {idx[(e, g)]: c} if g != e else {}
-
+    star = [idx[(e, g)] if g != e else None for g in G.elements()]
     bad = 0
     for h in G.elements():
-        perm = X.edge_action[h]
+        perm, row = X.edge_action[h], G.table[h]
         for g in G.elements():
-            moved = {perm[k]: c for k, c in edge_unit(g).items()}
-            if d[(h, g)] != _sum_flows(edge_unit(h), moved, edge_unit(G.mul(h, g), -1)):
-                bad += 1
+            expected = {}
+            if e not in (g, h):
+                expected = {star[h]: 1, perm[star[g]]: 1}
+                if row[g] != e:
+                    expected[star[row[g]]] = -1
+            bad += d[(h, g)] != expected
     return bad
+
+
+def _star_tree_basis(X: GGraph, G: FiniteGroup, d: Dict[Tuple[int, int], Flow]) -> FlowLattice:
+    """The bar flows d(u, u^-1 v) of the edges (u, v) off the star tree at e,
+    certified as a basis of the flows of X, the Cayley graph on the
+    non-identity elements; raises SpanningTreeBasisError when they are not."""
+    e = G.identity
+    idx = X.edge_index()
+    star_tree = [idx[(e, g)] for g in G.elements() if g != e]
+    star_set = set(star_tree)
+    candidates = [
+        d[(u, G.mul(G.inverses[u], v))]
+        for k, (u, v) in enumerate(X.edges)
+        if k not in star_set
+    ]
+    return spanning_tree_basis(X, star_tree, candidates)
 
 
 def check_bar_cocycle(G: FiniteGroup) -> CheckReport:
@@ -316,20 +330,10 @@ def check_bar_cocycle(G: FiniteGroup) -> CheckReport:
     if G.order < 2:
         raise InvalidParameterError("group must have at least two elements")
     ck = _Checker("bar-cocycle", G.spec, {"order": G.order})
-    e = G.identity
-    nonid = [g for g in G.elements() if g != e]
-    X = cayley_graph(G, nonid)
-    idx = X.edge_index()
-    star_tree = [idx[(e, g)] for g in nonid]
-    star_set = set(star_tree)
+    X = cayley_graph(G, [g for g in G.elements() if g != G.identity])
     d = _bar_flows(X, G)
-    candidates = [
-        d[(u, G.mul(G.inverses[u], v))]
-        for k, (u, v) in enumerate(X.edges)
-        if k not in star_set
-    ]
     try:
-        fl = spanning_tree_basis(X, star_tree, candidates)
+        fl = _star_tree_basis(X, G, d)
         ck.record("basis certified by the star tree", True, f"rank {fl.rank}")
     except GlatticeError as exc:
         ck.record("basis certified by the star tree", False, str(exc))

@@ -9,13 +9,17 @@ kernel basis is saturated column-Hermite.  A candidate flow is a
 basis costs time in its nonzeros; the basis matrix built from it is
 stored densely.  Caller numbers (edge endpoints, generators, tree edges,
 candidate edges and coefficients, edge indices) enter through
-``operator.index``, so a float is refused, not truncated.
+``operator.index``, so a float is refused, not truncated.  A flow
+lattice is its basis and the solver of it: its G-action and inclusion
+are solved for when first read, so a caller that needs only the basis or
+the rank makes no solve.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import deque
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import GlatticeError, InvalidParameterError, certify
@@ -192,20 +196,44 @@ def boundary_matrix(X: GGraph) -> EquivariantMap:
 class FlowLattice:
     """The kernel of the boundary map, with an explicit basis and G-action.
 
-    Built from the BasisSolver of a basis already known to span the flows.
+    Built from the graph and the BasisSolver of a basis already known to
+    span the flows; ``basis`` and ``rank`` read the solver's basis.  The
+    G-action (``glattice``) and the inclusion into Z[E] (``inclusion``)
+    are made by one ``sublattice_with_action`` call when either is first
+    read, and kept.  That call cannot find the span unstable: both
+    constructors certify that the basis spans the whole kernel of the
+    boundary map (``spanning_tree_basis`` by its triangular +-1 minor on
+    the non-tree edges, ``flow_lattice`` by the identity minor of its
+    fundamental cycles and the rank formula), and the boundary is
+    equivariant, since GGraph checks the edge action against the vertex
+    action, so its kernel is G-stable.  A caller that builds a FlowLattice
+    from another basis gets the same error, with the same message, on the
+    first read of the action.
     """
 
     def __init__(self, graph: GGraph, solver: BasisSolver):
         self.graph = graph
         self.solver = solver
-        # the abstract lattice and its inclusion into ZE
-        self.glattice, self.inclusion = sublattice_with_action(
-            graph.edge_lattice(), solver.basis, name="Fl", solver=solver
+
+    @cached_property
+    def _with_action(self) -> Tuple[GLattice, EquivariantMap]:
+        return sublattice_with_action(
+            self.graph.edge_lattice(), self.solver.basis, name="Fl", solver=self.solver
         )
 
     @property
+    def glattice(self) -> GLattice:
+        """The abstract lattice, in the basis of the flows."""
+        return self._with_action[0]
+
+    @property
+    def inclusion(self) -> EquivariantMap:
+        """The inclusion of the flows into Z[E]; its matrix is ``basis``."""
+        return self._with_action[1]
+
+    @property
     def basis(self) -> IntMatrix:
-        return self.inclusion.matrix
+        return self.solver.basis
 
     @property
     def rank(self) -> int:
@@ -400,7 +428,7 @@ def spanning_tree_basis(
                 f"matrix not upper triangular: f_{i}(e_{non_tree[first[i]]}) != 0"
             )
     basis = IntMatrix.from_sparse_columns(X.n_edges, cols)
-    return FlowLattice(X, BasisSolver._of_triangular(basis, non_tree))
+    return FlowLattice(X, BasisSolver._of_triangular(basis, non_tree, cols))
 
 
 # -- subgraphs and edge removal --------------------------------------------------

@@ -6,7 +6,9 @@ identification is carried by an explicit unimodular equivariant map.
 
 A derived lattice is its generator matrices; any other element's matrix
 is made when first read, and kept.  Permutation lattices fill it from
-their G-set, and move a sublattice basis by reindexing its rows.
+their G-set, and move a sublattice basis by reindexing its rows.  A flow
+lattice (``gflows.FlowLattice``) defers even the generator matrices: its
+``sublattice_with_action`` call runs when its action is first read.
 """
 
 from __future__ import annotations

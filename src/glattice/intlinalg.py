@@ -477,20 +477,22 @@ class BasisSolver:
         self._setup(basis, H, V)
 
     @classmethod
-    def _of_triangular(cls, basis: IntMatrix, pivots=None) -> "BasisSolver":
+    def _of_triangular(cls, basis: IntMatrix, pivots=None, columns=None) -> "BasisSolver":
         """The solver of a basis that is its own echelon form: column j is nonzero
         in row pivots[j] (default: its first nonzero row), 0 in the pivot rows
-        of the columns before it."""
+        of the columns before it.  A caller that holds the nonzero entries of
+        each column, {row: entry} maps, passes them as ``columns`` (then with
+        the pivots), and the basis is not scanned for them."""
         solver = cls.__new__(cls)
-        solver._setup(basis, basis, pivots=pivots)
+        solver._setup(basis, basis, pivots=pivots, columns=columns)
         return solver
 
-    def _setup(self, basis: IntMatrix, H: IntMatrix, V=None, pivots=None) -> None:
+    def _setup(self, basis: IntMatrix, H: IntMatrix, V=None, pivots=None, columns=None) -> None:
         self.basis, self.H, self.V = basis, H, V  # V None: the basis is its own Hermite form
         # (index, pivot row, pivot, nonzero (row, entry) pairs) of each
         # nonzero column of H, and the position among them of each pivot row
         self._columns = []
-        for j, col in enumerate(H.column_nonzeros()):
+        for j, col in enumerate(H.column_nonzeros() if columns is None else columns):
             if col:
                 piv = next(iter(col)) if pivots is None else pivots[j]
                 self._columns.append((j, piv, col[piv], list(col.items())))

@@ -851,6 +851,32 @@ def cocycle_failures_by_dicts(X, G: FiniteGroup, d) -> int:
     return failures
 
 
+def tree_recursion_failures_by_dicts(X, G: FiniteGroup, d) -> int:
+    """Pairs failing d(h, g) = [e -> h] + h . [e -> g] - [e -> hg], with d as
+    {edge: coefficient} maps: three unit maps moved and merged per pair."""
+    e = G.identity
+    idx = X.edge_index()
+
+    def edge_unit(g: int, c: int = 1) -> dict:
+        return {idx[(e, g)]: c} if g != e else {}
+
+    def sum_flows(*flows: dict) -> dict:
+        out: dict = {}
+        for f in flows:
+            for k, c in f.items():
+                out[k] = out.get(k, 0) + c
+        return {k: c for k, c in out.items() if c}
+
+    bad = 0
+    for h in G.elements():
+        perm = X.edge_action[h]
+        for g in G.elements():
+            moved = {perm[k]: c for k, c in edge_unit(g).items()}
+            if d[(h, g)] != sum_flows(edge_unit(h), moved, edge_unit(G.mul(h, g), -1)):
+                bad += 1
+    return bad
+
+
 def as_flow(vec: Sequence[int]) -> dict:
     """The nonzero entries of a dense edge vector, by edge."""
     return {e: c for e, c in enumerate(vec) if c}

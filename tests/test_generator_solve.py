@@ -1,8 +1,9 @@
 """Derived lattices solved on generators, flow bases from fundamental
-cycles, exactness without a kernel, sparse bar flows, the cocycle check
-on sorted index arrays, spanning-tree bases from nonzeros and orbit
-counts over the integers, each against the route it replaced
-(tests/reference.py); pivot columns against sympy."""
+cycles, flow-lattice actions solved on first read, exactness without a
+kernel, sparse bar flows, the cocycle check on sorted index arrays, the
+tree-recursion check without dict merges, spanning-tree bases from
+nonzeros and orbit counts over the integers, each against the route it
+replaced (tests/reference.py); pivot columns against sympy."""
 
 import tracemalloc
 from functools import lru_cache
@@ -15,11 +16,12 @@ import glattice.cohom as cohom_mod
 import glattice.gflows as gflows_mod
 import glattice.gmod as gmod_mod
 import glattice.intlinalg as intlinalg_mod
-from glattice.checks import _bar_flows, _cocycle_failures, _tree_recursion_failures
-from glattice.cli import parse_group_spec
+from glattice.checks import _bar_flows, _cocycle_failures, _star_tree_basis, _tree_recursion_failures
+from glattice.cli import main, parse_group_spec
 from glattice.cohom import coflasque_resolution, flasque_resolution, pullback
 from glattice.errors import CertificateError, GlatticeError, InvalidParameterError
 from glattice.gflows import (
+    FlowLattice,
     GGraph,
     cayley_graph,
     complete_edges,
@@ -55,6 +57,7 @@ from reference import (
     spanning_tree_basis_dense,
     spanning_tree_by_bfs,
     sublattice_action_per_element,
+    tree_recursion_failures_by_dicts,
     tree_recursion_failures_dense,
     validate_flow_lattice,
 )
@@ -208,6 +211,79 @@ class TestFlowBasisAgainstKernel:
         assert fl.glattice.action == sublattice_action_per_element(X.edge_lattice(), fl.basis)
 
 
+def _counting(monkeypatch, owner, name):
+    """Calls of owner.name, recorded by name, from now on."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def _bar_basis(spec):
+    G = parse_group_spec(spec)
+    X = cayley_graph(G, [g for g in G.elements() if g != G.identity])
+    return _star_tree_basis(X, G, _bar_flows(X, G))
+
+
+class TestFlowLatticeActionOnFirstRead:
+    """A flow lattice solves for its generator action when the action or
+    the inclusion is first read, and never for a command that reads only
+    the basis or the rank.  Work is counted, not timed."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "bar-cocycle", "--group", "C:16"],
+        ["check", "rank-formula"],
+        ["flows", "--graph", "cayley(D:4;s,t)"],
+    ])
+    def test_commands_reading_the_rank_make_no_solve(self, argv, monkeypatch, capsys):
+        solves = _counting(monkeypatch, BasisSolver, "express_columns")
+        scans = _counting(monkeypatch, IntMatrix, "column_nonzeros")
+        assert main(argv) == 0
+        assert "rank" in capsys.readouterr().out
+        assert solves == []
+        if argv[1] == "bar-cocycle":  # the certified basis is not scanned either
+            assert scans == []
+
+    @pytest.mark.parametrize("label", list(_graphs()) + ["bar C:6", "bar D:4"])
+    def test_action_read_after_construction(self, label, monkeypatch):
+        solves = _counting(monkeypatch, BasisSolver, "express_columns")
+        fl = _bar_basis(label[4:]) if label.startswith("bar ") else flow_lattice(_graphs()[label])
+        assert solves == []
+        X = fl.graph
+        assert fl.glattice.action == sublattice_action_per_element(X.edge_lattice(), fl.basis)
+        assert fl.inclusion.matrix is fl.basis and fl.inclusion.target.rank == X.n_edges
+        validate_flow_lattice(fl)
+
+    def test_read_twice_solves_once(self, monkeypatch):
+        fl = flow_lattice(cayley_graph(parse_group_spec("D:4"), range(8)))
+        builds = _counting(monkeypatch, gflows_mod, "sublattice_with_action")
+        solves = _counting(monkeypatch, BasisSolver, "express_columns")
+        first = fl.glattice
+        assert fl.glattice is first and fl.inclusion.source is first
+        assert fl.inclusion is fl.inclusion
+        assert len(builds) == 1 and len(solves) == len(first.group.generators)
+
+    def test_an_unstable_basis_raises_on_first_read(self):
+        """Both constructors certify a G-stable basis; a FlowLattice built
+        directly from another one raises what sublattice_with_action
+        raises, when its action is read."""
+        G = parse_group_spec("C:6")
+        X = cayley_graph(G, range(G.order))
+        basis = flow_lattice(X).basis.take_columns([0])  # one cycle, not G-stable
+        fl = FlowLattice(X, BasisSolver(basis))
+        assert fl.rank == 1
+        with pytest.raises(InvalidParameterError) as direct:
+            sublattice_with_action(X.edge_lattice(), basis)
+        with pytest.raises(InvalidParameterError, match="not invariant under element") as deferred:
+            fl.glattice
+        assert str(deferred.value) == str(direct.value)
+
+
 def _seq(left_rows, right_rows, ranks):
     """A sequence of trivial C:2-lattices of the given ranks."""
     G = cyclic(2)
@@ -349,6 +425,39 @@ class TestCocycleCheckAgainstDictLoops:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestTreeRecursionAgainstDictMerges:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_corrupted_flows_give_equal_failure_counts(self, data):
+        G, X, bar = _bar_case(data.draw(st.sampled_from(BAR_GROUPS), label="group"))
+        d = dict(bar)
+        pairs = sorted(d)
+        for _ in range(data.draw(st.integers(0, 4))):
+            key = data.draw(st.sampled_from(pairs))
+            flow = dict(d[key])
+            kind = data.draw(st.sampled_from(["coefficient", "move edge", "drop term"]))
+            edge = data.draw(st.sampled_from(sorted(flow) or [0]))
+            if kind == "coefficient":  # 0 leaves an explicit zero
+                flow[edge] = data.draw(st.integers(-2, 2))
+            elif kind == "move edge" and edge in flow:
+                c = flow.pop(edge)
+                target = data.draw(st.integers(0, X.n_edges - 1))
+                flow[target] = flow.get(target, 0) + c
+            else:
+                flow.pop(edge, None)
+            d[key] = flow
+        assert _tree_recursion_failures(X, G, d) == tree_recursion_failures_by_dicts(X, G, d)
+
+    @pytest.mark.parametrize("spec", BAR_GROUPS)
+    def test_bar_flows_pass_and_a_dropped_term_fails(self, spec):
+        G, X, bar = _bar_case(spec)
+        assert _tree_recursion_failures(X, G, bar) == tree_recursion_failures_by_dicts(X, G, bar) == 0
+        d = dict(bar)
+        key = next(k for k, flow in d.items() if flow)
+        d[key] = dict(list(d[key].items())[1:])
+        assert _tree_recursion_failures(X, G, d) == tree_recursion_failures_by_dicts(X, G, d) == 1
 
 
 class TestSpanningTreeBasisAgainstDenseOracle:
