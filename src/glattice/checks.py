@@ -37,6 +37,7 @@ from .gmod import (
     check_exact,
     coset_lattice,
     direct_sum_many,
+    orbit_map,
     regular,
     sublattice_with_action,
 )
@@ -510,14 +511,9 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
     certify(rho[s] @ s_vec == s_vec, "cycle flow must be s-invariant")
     certify(rho[t] @ t_vec == t_vec, "cycle flow must be t-invariant")
 
-    cols: List[List[int]] = []
-    for H, base in ((Hs, s_flow), (Ht, t_flow)):
-        [(_, transversal)] = coset_gset(G, H).orbit_transversal()
-        for _, g_p in transversal:
-            cols.append(rho[g_p].mul_vector(base))
-    for g in G.elements():
-        cols.append(rho[g].mul_vector(a_flow))
-    pi = EquivariantMap(B, fl.glattice, IntMatrix.from_columns(cols, rows=fl.rank))
+    # B has the three orbits of Ls, Lt and LG, in that order
+    bases = IntMatrix.from_columns([s_flow, t_flow, a_flow], rows=fl.rank)
+    pi = EquivariantMap(B, fl.glattice, orbit_map(B, fl.glattice, bases))
     pi.validate()
 
     kernel = kernel_basis(pi.matrix)

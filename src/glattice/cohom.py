@@ -7,10 +7,18 @@ and of the s - 1 over the generators s of the subgroup in degree -1.
 Degree 1 is degree -1 of the dual; the tests check it against the direct
 formula for cyclic subgroups.
 
+The flasque and coflasque scans visit only the p-subgroup classes:
+restriction embeds the p-part of a Tate group of H into that of a Sylow
+p-subgroup of H, whose class comes first (by order), so the first
+failing class of a scan over all classes is a p-group.
+
 Schanuel's lemma is one construction: ``pullback`` takes two sequences
 onto one lattice and returns the two rows of their pullback square, and
 ``split_iso`` turns each split row into a unimodular iso with its
-inverse, so two resolutions compare through one composed map.
+inverse, so two resolutions compare through one composed map.  Sections
+are lifts (``lift``, one solve per orbit of a permutation source): of a
+permutation quotient, the lift of its identity; of a pullback row
+Q -> B1, x -> (x, lift(f, g) x), as the fibre product's sections are.
 
 The bounded search for a G-stable basis numbers the box vectors, so each
 group element acts on them by one index array, reads every orbit and
@@ -40,6 +48,7 @@ from .gmod import (
     fixed_sublattice,
     lattices_equal,
     norm_matrix,
+    orbit_map,
     restrict,
     sublattice_with_action,
     tensor,
@@ -127,11 +136,12 @@ class VanishingReport:
 
 
 def _vanishes_for_all_subgroups(M: GLattice, degree: int) -> VanishingReport:
-    # cohomology is conjugation-invariant, so representatives suffice
+    # class representatives suffice; the p-classes decide (module docstring)
     for H in subgroup_conjugacy_reps(M.group):
-        t = tate(M, H, degree)
-        if not t.is_trivial:
-            return VanishingReport(False, degree, H, t)
+        if len(prime_factorization(H.order)) <= 1:
+            group = tate(M, H, degree)
+            if not group.is_trivial:
+                return VanishingReport(False, degree, H, group)
     return VanishingReport(True, degree)
 
 
@@ -197,25 +207,16 @@ def coflasque_resolution(
             raise InvalidParameterError("rep_order must permute the representatives")
         reps = [reps[i] for i in rep_order]
     summands: List[GLattice] = []
-    col_blocks: List[List[List[int]]] = []
+    fixed_vectors: List[IntMatrix] = []  # the basepoint images, one per summand
     for H in reps:
         fixed = fixed_sublattice(M, H)
-        if fixed.cols == 0:
-            continue
-        lat = coset_lattice(G, H)
-        # G/H is one orbit; g_p moves the identity coset to the point p
-        [(_, transversal)] = lat.gset.orbit_transversal()
-        for j in range(fixed.cols):
-            v = fixed.col_list(j)
-            summands.append(lat)
-            col_blocks.append([M.action[g].mul_vector(v) for _, g in transversal])
+        if fixed.cols:
+            summands += [coset_lattice(G, H)] * fixed.cols
+            fixed_vectors.append(fixed)
     if not summands:
         raise InvalidParameterError("lattice admits no fixed vectors; rank 0 unsupported")
-    P = direct_sum_many(summands)
-    pi_cols: List[List[int]] = []
-    for block in col_blocks:
-        pi_cols.extend(block)
-    pi = EquivariantMap(P, M, IntMatrix.from_columns(pi_cols, rows=M.rank))
+    P = direct_sum_many(summands)  # one orbit per summand, in order
+    pi = EquivariantMap(P, M, orbit_map(P, M, IntMatrix.zeros(M.rank, 0).hstack(*fixed_vectors)))
     kernel = kernel_basis(pi.matrix)
     C, incl = sublattice_with_action(P, kernel, name="coflasque kernel")
     cert = ResolutionCertificate(
@@ -270,7 +271,7 @@ def pullback(
     a1 = solver.express_matrix(first.left.matrix.vstack(IntMatrix.zeros(B2.rank, first.A.rank)))
     a2 = solver.express_matrix(IntMatrix.zeros(B1.rank, second.A.rank).vstack(second.left.matrix))
     certify(a1 is not None and a2 is not None, "both kernels lie in the pullback")
-    return (
+    rows = (
         ShortExactSequence(
             EquivariantMap(second.A, Q, a2),
             EquivariantMap(Q, B1, basis.take_rows(range(B1.rank))),
@@ -280,6 +281,16 @@ def pullback(
             EquivariantMap(Q, B2, basis.take_rows(range(B1.rank, basis.rows))),
         ),
     )
+
+    def section(f, g, pair):  # x -> (x, lift(f, g) x) in Q's basis; None with no lift
+        t = lift(f, g)
+        s = None if t is None else solver.express_matrix(pair(t.matrix))
+        certify(t is None or s is not None, "(x, lift x) lies in the pullback")
+        return s
+
+    rows[0]._section = lambda: section(f, g, lambda t: IntMatrix.identity(t.cols).vstack(t))
+    rows[1]._section = lambda: section(g, f, lambda t: t.vstack(IntMatrix.identity(t.cols)))
+    return rows
 
 
 # -- equivariant hom spaces -----------------------------------------------------
@@ -334,38 +345,30 @@ def hom_basis(C: GLattice, A: GLattice) -> List[IntMatrix]:
 # -- section finding -------------------------------------------------------------
 
 
-def _find_section_orbitwise(seq: ShortExactSequence) -> Optional[EquivariantMap]:
-    """Section search when the quotient is a permutation lattice.
-
-    A section is exactly a choice, per orbit, of a stabilizer-fixed
-    preimage of the basepoint; each orbit is one integer solve, and an
-    unsolvable orbit rules the section out.
-    """
-    B, C = seq.B, seq.C
-    pi = seq.right.matrix
-    cols: Dict[int, List[int]] = {}
-    # stabilizer -> (basis F of its fixed points, None if trivial; solver of pi @ F)
-    solvers: Dict[Tuple[int, ...], Tuple[Optional[IntMatrix], BasisSolver]] = {}
-    for base, transversal in C.gset.orbit_transversal():
-        stab = C.gset.stabilizer(base)
-        target = [0] * C.rank
-        target[base] = 1
-        if stab.elements not in solvers:
-            F = None if stab.order == 1 else fixed_sublattice(B, stab)
-            solvers[stab.elements] = (F, BasisSolver(pi if F is None else pi @ F))
-        F, solver = solvers[stab.elements]
-        b = solver.express(target)
-        if b is None:
+def lift(f: EquivariantMap, g: EquivariantMap) -> Optional[EquivariantMap]:
+    """A validated G-map sigma: P -> B with g . sigma = f, for f: P -> C out of
+    a lattice P with a G-set and g: B -> C, or None when none exists.  A
+    basepoint p goes to F y, F = fixed_sublattice(B, stab p), g F y = f(e_p):
+    one decisive solve per orbit, batched by stabilizer, moved by orbit_map."""
+    P, B = f.source, g.source
+    if P.gset is None or not lattices_equal(f.target, g.target):
+        raise InvalidParameterError("lift needs a permutation source and maps into one lattice")
+    by_stab: Dict[Tuple[int, ...], Tuple[Subgroup, List[int]]] = {}
+    for base, _ in P.gset.orbit_transversal():  # basepoints ascending
+        stab = P.gset.stabilizer(base)
+        by_stab.setdefault(stab.elements, (stab, []))[1].append(base)
+    images, order = [], []  # the basepoint images, by stabilizer
+    for stab, bases in by_stab.values():
+        F = fixed_sublattice(B, stab)
+        y = BasisSolver(g.matrix @ F).express_matrix(f.matrix.take_columns(bases))
+        if y is None:
             return None
-        if F is not None:
-            b = F.mul_vector(b)
-        for p, g in transversal:
-            cols[p] = B.action[g].mul_vector(b)
-    matrix = IntMatrix.from_columns([cols[p] for p in range(C.rank)], rows=B.rank)
-    section = EquivariantMap(C, B, matrix)
-    section.validate()
-    certify((pi @ matrix).is_identity(), "the section is a right inverse of the quotient map")
-    return section
+        images.append(F @ y)
+        order += bases
+    Y = IntMatrix.zeros(B.rank, 0).hstack(*images).take_columns(np.argsort(order))
+    sigma = EquivariantMap(P, B, orbit_map(P, B, Y)).validate()
+    certify(g.matrix @ sigma.matrix == f.matrix, "the lift maps through g onto f")
+    return sigma
 
 
 def _orbit_spanning_basis(C: GLattice) -> List[int]:
@@ -386,7 +389,8 @@ def _orbit_spanning_basis(C: GLattice) -> List[int]:
 def find_section(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     """An equivariant s: C -> B with right . s = id, or None when none exists.
 
-    Permutation quotients split orbit by orbit.  Otherwise the sections
+    A section of a permutation quotient, or of a pullback row onto one, is
+    a lift (module docstring), which decides.  Otherwise the sections
     are the equivariant maps that the quotient map sends to the identity:
     with h_k a Z-basis of Hom_G(C, B), a section exists exactly when
     vec(id) is an integer combination of the vec(right . h_k), which is
@@ -401,24 +405,24 @@ def find_section(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     B, C = seq.B, seq.C
     pi = seq.right.matrix
     if C.gset is not None:
-        return _find_section_orbitwise(seq)
-    if B.gset is not None:
-        homs = hom_basis_into_permutation(C, B)
+        if seq._section is None:
+            return lift(EquivariantMap(C, C, IntMatrix.identity(C.rank)), seq.right)
+        s_matrix = seq._section()
     else:
-        homs = hom_basis(C, B)
-    c, k = C.rank, len(homs)
-    stacked = IntMatrix.zeros(B.rank, 0).hstack(*homs)  # column j * c + l is column l of h_j
-    J = _orbit_spanning_basis(C)
-    # row t * c + i, column j: entry (i, J[t]) of right . h_j
-    images = IntMatrix.zeros(0, k).vstack(
-        *(pi @ stacked.take_columns(range(l, k * c, c)) for l in J)
-    )
-    # one equation per entry (i, l), l in J: sum_j x_j (right . h_j)[i, l] = id[i, l]
-    equations = images.take_rows(t * c + i for i in range(c) for t in range(len(J)))
-    x = BasisSolver(equations).express([int(i == l) for i in range(c) for l in J])
-    if x is None:
+        homs = hom_basis_into_permutation(C, B) if B.gset is not None else hom_basis(C, B)
+        c, k = C.rank, len(homs)
+        stacked = IntMatrix.zeros(B.rank, 0).hstack(*homs)  # column j * c + l is column l of h_j
+        J = _orbit_spanning_basis(C)
+        # row t * c + i, column j: entry (i, J[t]) of right . h_j
+        images = IntMatrix.zeros(0, k).vstack(
+            *(pi @ stacked.take_columns(range(l, k * c, c)) for l in J)
+        )
+        # one equation per entry (i, l), l in J: sum_j x_j (right . h_j)[i, l] = id[i, l]
+        equations = images.take_rows(t * c + i for i in range(c) for t in range(len(J)))
+        x = BasisSolver(equations).express([int(i == l) for i in range(c) for l in J])
+        s_matrix = None if x is None else stacked @ IntMatrix.column(x).kron(IntMatrix.identity(c))
+    if s_matrix is None:
         return None
-    s_matrix = stacked @ IntMatrix.column(x).kron(IntMatrix.identity(c))  # sum_j x_j h_j
     section = EquivariantMap(C, B, s_matrix)
     section.validate()
     certify((pi @ s_matrix).is_identity(), "the section is a right inverse of the quotient map")

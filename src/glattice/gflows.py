@@ -267,7 +267,8 @@ def flow_lattice(X: GGraph) -> FlowLattice:
     closed by the tree path) are a Z-basis of the flows.  On Kruskal's tree
     from the last edge backwards, each non-tree edge is the first edge of
     its cycle and in no other, so in edge order the cycles are already the
-    column Hermite form: the canonical basis of the boundary's kernel.
+    column Hermite form, certified on their nonzeros: the canonical basis of
+    the boundary's kernel, its own solver with the non-tree edges as pivots.
     Tree paths are unique, so one search of the tree closes every cycle.
     """
     if X.n_vertices == 0:
@@ -286,17 +287,19 @@ def flow_lattice(X: GGraph) -> FlowLattice:
     # path to s less the root path to t
     prev = _bfs(X, 0, tree)
     cycles: List[Flow] = []
-    for e, (s, t) in enumerate(X.edges):
-        if e not in tree:
-            vec = {e: 1}
-            for v, c in ((s, 1), (t, -1)):
-                while prev[v] is not None:
-                    f, sign = prev[v]
-                    vec[f] = vec.get(f, 0) + c * sign
-                    v = X.edges[f][0] if sign == 1 else X.edges[f][1]
-            cycles.append(vec)
+    pivots = [e for e in range(X.n_edges) if e not in tree]
+    for e in pivots:
+        vec = {e: 1}
+        for v, c in ((X.edges[e][0], 1), (X.edges[e][1], -1)):
+            while prev[v] is not None:
+                f, sign = prev[v]
+                vec[f] = vec.get(f, 0) + c * sign
+                v = X.edges[f][0] if sign == 1 else X.edges[f][1]
+        cycles.append({f: c for f, c in vec.items() if c})
+        certify(vec[e] == 1 and min(cycles[-1]) == e and tree.issuperset(cycles[-1].keys() - {e}),
+                "each fundamental cycle starts at its own non-tree edge, in no other cycle")
     basis = IntMatrix.from_sparse_columns(X.n_edges, cycles)
-    fl = FlowLattice(X, BasisSolver(basis))
+    fl = FlowLattice(X, BasisSolver._of_triangular(basis, pivots, cycles))
     expected = X.n_edges - X.n_vertices + 1
     certify(fl.rank == expected, f"rank formula violated: {fl.rank} != {expected}")
     return fl

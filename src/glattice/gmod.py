@@ -9,12 +9,15 @@ is made when first read, and kept.  Permutation lattices fill it from
 their G-set, and move a sublattice basis by reindexing its rows.  A flow
 lattice (``gflows.FlowLattice``) defers even the generator matrices: its
 ``sublattice_with_action`` call runs when its action is first read.
+With a G-set, the H-orbit sums by least point are the H-fixed vectors'
+canonical basis.  A direct sum is made in one step: the permutation
+lattice of one disjoint union of G-sets, else block diagonal matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParameterError
 from .groups import FiniteGroup, GSet, Subgroup, coset_gset, regular_gset
@@ -127,11 +130,11 @@ class GLattice:
 
 
 def lattices_equal(M: GLattice, N: GLattice) -> bool:
-    """Exact equality: same group object, same rank, same action matrices."""
+    """Exact equality: same group object, rank and generator matrices (homomorphisms)."""
     return M is N or (
         M.group is N.group
         and M.rank == N.rank
-        and all(M.action[g] == N.action[g] for g in range(M.group.order))
+        and all(M.action[s] == N.action[s] for s in M.group.generators)
     )
 
 
@@ -209,6 +212,8 @@ class ShortExactSequence:
     _report: Optional["ExactnessReport"] = field(
         default=None, init=False, repr=False, compare=False
     )
+    # a pullback row's section maker: its matrix, a lift, or None (see cohom.pullback)
+    _section: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not lattices_equal(self.left.target, self.right.source):
@@ -298,6 +303,20 @@ def coset_lattice(G: FiniteGroup, H: Subgroup) -> GLattice:
     return permutation_lattice(G, coset_gset(G, H))
 
 
+def orbit_map(P: GLattice, B: GLattice, images: IntMatrix) -> IntMatrix:
+    """The matrix of the G-map from P, a lattice with a G-set, to B sending the
+    basepoint (least point) of orbit i to column i of images, which its
+    stabilizer must fix, and h p to h images_i: one product per element h."""
+    orbits = P.gset.orbit_transversal()
+    moved: Dict[int, int] = {}  # element -> its block among the moved images
+    column = [0] * P.rank
+    for i, (_, transversal) in enumerate(orbits):
+        for p, h in transversal:
+            column[p] = moved.setdefault(h, len(moved)) * len(orbits) + i
+    blocks = IntMatrix.zeros(B.rank, 0).hstack(*(B.action[h] @ images for h in moved))
+    return blocks.take_columns(column)
+
+
 def trivial(G: FiniteGroup) -> GLattice:
     return GLattice(G, [IntMatrix.identity(1)] * G.order, name="Z", _derived=True)
 
@@ -313,22 +332,21 @@ def dual(M: GLattice) -> GLattice:
 
 
 def direct_sum(M: GLattice, N: GLattice) -> GLattice:
-    if M.group is not N.group:
-        raise InvalidParameterError("direct sum needs a common group")
-    zero = IntMatrix.zeros(M.rank, N.rank)
-    gset = M.gset.disjoint_union(N.gset) if None not in (M.gset, N.gset) else None
-    action = _Action(M.rank + N.rank, [None] * M.group.order,
-                     lambda _, g: M.action[g].hstack(zero).vstack(zero.T.hstack(N.action[g])))
-    return GLattice(M.group, action, gset=gset, _derived=True)
+    return direct_sum_many([M, N])
 
 
 def direct_sum_many(lattices: Sequence[GLattice]) -> GLattice:
     if not lattices:
         raise InvalidParameterError("empty direct sum")
-    out = lattices[0]
-    for M in lattices[1:]:
-        out = direct_sum(out, M)
-    return out
+    G = lattices[0].group
+    if any(M.group is not G for M in lattices):
+        raise InvalidParameterError("direct sum needs a common group")
+    if all(M.gset is not None for M in lattices):
+        first, *rest = (M.gset for M in lattices)
+        return permutation_lattice(G, first.disjoint_union(*rest))
+    action = _Action(sum(M.rank for M in lattices), [None] * G.order,
+                     lambda _, g: IntMatrix.block_diagonal([M.action[g] for M in lattices]))
+    return GLattice(G, action, _derived=True)
 
 
 def tensor(M: GLattice, N: GLattice) -> GLattice:
@@ -353,15 +371,17 @@ def restrict(M: GLattice, H: Subgroup) -> GLattice:
 def fixed_sublattice(M: GLattice, H: Subgroup) -> IntMatrix:
     """Saturated column basis of the H-fixed vectors of M, in column Hermite form.
 
-    The kernel of the h - 1 over the generators h of H, computed once per
-    lattice and subgroup; later calls return the same matrix.
+    The H-orbit sums with a G-set (module docstring), else the kernel of the
+    h - 1 over H's generators h; computed once per lattice and subgroup.
     """
     if H.parent is not M.group:
         raise InvalidParameterError("subgroup belongs to a different group")
     fixed = M._fixed.get(H.elements)
     if fixed is None:
         gens = H.generators()
-        if not gens:
+        if M.gset is not None:
+            fixed = IntMatrix.from_sparse_columns(M.rank, [dict.fromkeys(o, 1) for o in M.gset.orbits(H)])
+        elif not gens:
             fixed = IntMatrix.identity(M.rank)
         else:
             eye = IntMatrix.identity(M.rank)

@@ -584,13 +584,15 @@ class GSet:
         Hgrp, embed = H.as_group()
         return GSet(Hgrp, [self.action[g] for g in embed], self.point_names)
 
-    def orbits(self) -> List[Tuple[int, ...]]:
+    def orbits(self, H: Optional[Subgroup] = None) -> List[Tuple[int, ...]]:
+        """The orbits under G, or under its subgroup H, ordered by least point."""
+        elements = range(self.group.order) if H is None else H.elements
         seen = [False] * self.size
         out = []
         for x in range(self.size):
             if seen[x]:
                 continue
-            orbit = sorted({self.action[g][x] for g in range(self.group.order)})
+            orbit = sorted({self.action[g][x] for g in elements})
             for y in orbit:
                 seen[y] = True
             out.append(tuple(orbit))
@@ -619,15 +621,15 @@ class GSet:
             if g != self.group.identity
         )
 
-    def disjoint_union(self, other: "GSet") -> "GSet":
-        if other.group is not self.group:
+    def disjoint_union(self, *others: "GSet") -> "GSet":
+        """This G-set followed by the others, each shifted past the points before it."""
+        if any(other.group is not self.group for other in others):
             raise InvalidParameterError("G-set union needs a common group")
-        k = self.size
-        action = [
-            tuple(self.action[g]) + tuple(x + k for x in other.action[g])
-            for g in range(self.group.order)
-        ]
-        return GSet(self.group, action, self.point_names + other.point_names)
+        parts = (self,) + others
+        offsets = list(itertools.accumulate((X.size for X in parts), initial=0))
+        action = [tuple(x + off for X, off in zip(parts, offsets) for x in X.action[g])
+                  for g in range(self.group.order)]
+        return GSet(self.group, action, [name for X in parts for name in X.point_names])
 
     def __repr__(self) -> str:
         return f"GSet(group={self.group.spec}, size={self.size})"

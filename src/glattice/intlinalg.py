@@ -8,13 +8,15 @@ string is refused rather than truncated.  A matrix may be given by the
 nonzero entries of its columns, ``{row: entry}`` maps, and the solver
 takes the columns it solves as such maps; the matrices themselves are
 stored densely all the same.  Only the product and the
-Hermite boundary convert the storage.  The product computes in int64
-when its shared dimension k and the entry bounds satisfy
-k * max|A| * max|B| < 2**62, so no partial sum can overflow; otherwise,
-and for products too small to gain from it, it multiplies the Python
-integers.  The Hermite forms eliminate on rows of Python integers and
-wrap the rows they return without converting an entry.  Every routine
-is a pure function of its inputs and is deterministic.
+Hermite boundary convert the storage.  A product with shared dimension k
+runs in float64 (BLAS) when k * max|A| * max|B| < 2**53, where every
+partial sum is an exact integer in any order, in int64 below 2**62, and
+on Python integers beyond that or when too small to repay converting.
+Each matrix keeps its int64 image, made by the product that made it or
+else by its first product, so it converts once; a product's Python ints
+are made from that image when first read.  The Hermite forms eliminate
+on rows of Python integers and wrap their rows without converting an
+entry.  Every routine is a pure function of its inputs and deterministic.
 
 One integer elimination routine serves every question: the row Hermite
 form, on rows kept as lists of integers, with a fixed pivot rule
@@ -45,7 +47,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-# Bound on k * max|A| * max|B| below which a product runs in int64.
+# Bounds on k * max|A| * max|B| below which a product runs in float64, int64.
+_FLOAT64_PRODUCT_BOUND = 1 << 53
 _INT64_PRODUCT_BOUND = 1 << 62
 # A product runs in int64 only when its multiply-adds exceed this plus
 # twice its operand entries: converting an entry costs about as much as
@@ -54,7 +57,8 @@ _SMALL_PRODUCT = 512
 
 
 class IntMatrix:
-    """An immutable-by-convention integer matrix.
+    """An integer matrix, never changed once made (nothing writes through
+    ``.a``), so the int64 image it keeps stays its own.
 
     >>> m = IntMatrix.from_rows([[1, 2], [3, 4]])
     >>> m.rows, m.cols
@@ -64,11 +68,22 @@ class IntMatrix:
     [3 4]
     """
 
-    __slots__ = ("a",)
+    __slots__ = ("_a", "_i64")
 
-    def __init__(self, array: np.ndarray):
-        # a 2-d object array of Python ints, built in this module only
-        self.a = array
+    def __init__(self, array: Optional[np.ndarray], i64: Optional[np.ndarray] = None):
+        # a 2-d object array of Python ints built in this module only (None until
+        # read if a product made i64); its int64 image (False: exceeds int64)
+        self._a, self._i64 = array, i64
+
+    @property
+    def a(self) -> np.ndarray:
+        if self._a is None:
+            self._a = self._i64.astype(object)
+        return self._a
+
+    @property
+    def _made(self) -> np.ndarray:  # the entries in a storage already made
+        return self._i64 if self._a is None else self._a
 
     # -- constructors ------------------------------------------------------
 
@@ -120,10 +135,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        a = np.zeros((n, n), dtype=object)
-        for i in range(n):
-            a[i, i] = 1
-        return cls(a)
+        return cls.unit_columns(n, range(n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -138,6 +150,15 @@ class IntMatrix:
         return cls(a)
 
     @classmethod
+    def block_diagonal(cls, blocks: Sequence["IntMatrix"]) -> "IntMatrix":
+        a = np.zeros((sum(b.rows for b in blocks), sum(b.cols for b in blocks)), dtype=object)
+        i = j = 0
+        for b in blocks:
+            a[i : i + b.rows, j : j + b.cols] = b.a
+            i, j = i + b.rows, j + b.cols
+        return cls(a)
+
+    @classmethod
     def column(cls, entries: Sequence[int]) -> "IntMatrix":
         return cls.from_rows([[x] for x in entries], cols=1)
 
@@ -145,11 +166,11 @@ class IntMatrix:
 
     @property
     def rows(self) -> int:
-        return self.a.shape[0]
+        return self._made.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.a.shape[1]
+        return self._made.shape[1]
 
     @property
     def entries(self) -> tuple:
@@ -167,21 +188,28 @@ class IntMatrix:
 
     # -- algebra -----------------------------------------------------------
 
+    def _int64(self) -> Optional[np.ndarray]:
+        """The int64 image, made once; None when an entry exceeds int64."""
+        if self._i64 is None:
+            try:
+                self._i64 = self.a.astype(np.int64)
+            except OverflowError:
+                self._i64 = False
+        return None if self._i64 is False else self._i64
+
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        if self.cols == 0:
-            return IntMatrix.zeros(self.rows, other.cols)
         m, k, n = self.rows, self.cols, other.cols
         if m * k * n >= _SMALL_PRODUCT + 2 * (m * k + k * n):
-            try:
-                a, b = self.a.astype(np.int64), other.a.astype(np.int64)
-            except OverflowError:
-                pass
-            else:
-                bound = max(int(a.max()), -int(a.min())) * max(int(b.max()), -int(b.min()))
-                if k * bound < _INT64_PRODUCT_BOUND:
-                    return IntMatrix((a @ b).astype(object))
+            a, b = self._int64(), other._int64()
+            if a is not None and b is not None:
+                bound = k * max(int(a.max()), -int(a.min())) * max(int(b.max()), -int(b.min()))
+                if bound < _FLOAT64_PRODUCT_BOUND:
+                    c = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+                    return IntMatrix(None, c)
+                if bound < _INT64_PRODUCT_BOUND:
+                    return IntMatrix(None, a @ b)
         return IntMatrix(np.dot(self.a, other.a))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -202,21 +230,22 @@ class IntMatrix:
 
     @property
     def shape(self):
-        return self.a.shape
+        return self._made.shape
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return self.shape == other.shape and bool(np.array_equal(self.a, other.a))
+        return self.shape == other.shape and bool(np.array_equal(self._made, other._made))
 
     def __hash__(self):
         return hash((self.shape, self.entries))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.a.reshape(-1))
+        return np.count_nonzero(self._made) == 0
 
     def is_identity(self) -> bool:
-        return self.rows == self.cols and self == IntMatrix.identity(self.rows)
+        n, a = self.rows, self._made
+        return n == self.cols and np.count_nonzero(a) == n and bool((a.diagonal() == 1).all())
 
     def hstack(self, *others: "IntMatrix") -> "IntMatrix":
         if any(o.rows != self.rows for o in others):
@@ -229,16 +258,10 @@ class IntMatrix:
         return IntMatrix(np.vstack([self.a] + [o.a for o in others]))
 
     def take_columns(self, js: Iterable[int]) -> "IntMatrix":
-        js = list(js)
-        if not js:
-            return IntMatrix.zeros(self.rows, 0)
-        return IntMatrix(self.a[:, js].copy())
+        return IntMatrix(self.a[:, list(js)])  # a copy, as every index array makes
 
     def take_rows(self, idx: Iterable[int]) -> "IntMatrix":
-        idx = list(idx)
-        if not idx:
-            return IntMatrix.zeros(0, self.cols)
-        return IntMatrix(self.a[idx, :].copy())
+        return IntMatrix(self.a[list(idx), :])
 
     def column_nonzeros(self) -> list:
         """Each column as a dict of its nonzero entries by row, rows ascending."""
@@ -251,8 +274,6 @@ class IntMatrix:
     def mul_vector(self, v: Sequence[int]) -> list:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        if self.cols == 0:
-            return [0] * self.rows
         arr = np.empty(self.cols, dtype=object)
         arr[:] = list(map(operator.index, v))
         return np.dot(self.a, arr).tolist()
@@ -427,13 +448,27 @@ def same_column_span(A: IntMatrix, B: IntMatrix) -> bool:
 def kernel_basis(A: IntMatrix) -> IntMatrix:
     """Saturated basis of {x : A @ x == 0}, in column Hermite form.
 
-    From the column Hermite form A @ V == H: the columns of the unimodular
-    V under the zero columns of H span the kernel and are saturated; their
-    own column Hermite form is the canonical basis.
+    For a wide A (4 * rows <= cols), J its pivot columns read from the
+    right: when each other column i has integer coordinates Y_i in A_J,
+    the e_i - Y_i (Y_i on the rows J) are that form.  Otherwise the form of
+    the columns of V under the zero columns of H, A @ V == H in column
+    Hermite form (a transform as wide as A; J needs one as tall).  On the
+    benchmark's kernels the first route wins on every one from 3 * rows <=
+    cols up, and loses below 2 * rows, where some have no integer Y.
 
     >>> kernel_basis(IntMatrix.from_rows([[1, 1, 1]])).cols
     2
     """
+    n = A.cols
+    if 4 * A.rows <= n:
+        J = sorted(n - 1 - j for j in pivot_columns(A.take_columns(range(n - 1, -1, -1))))
+        free = sorted(set(range(n)).difference(J))
+        Y = BasisSolver(A.take_columns(J)).express_matrix(A.take_columns(free))
+        if Y is not None:
+            k = np.zeros((n, len(free)), dtype=object)
+            k[free, range(len(free))] = 1
+            k[J, :] = (-Y).a
+            return IntMatrix(k)
     H, V = col_hermite(A, transform=True)
     rank = sum(1 for col in H.a.T.tolist() if any(col))
     return column_span_canonical(V.take_columns(range(rank, A.cols)))

@@ -30,7 +30,12 @@ it was before it sorted index arrays, one merge of flow dicts per
 triple.  The bounded stable-basis
 search as it was before it numbered the box vectors: orbits found vector
 by vector, one backtracker per kind of search, and subgroup classes from
-conjugating by every element.
+conjugating by every element.  Lattice equality read on every element,
+the kernel basis through the full Hermite transform, fixed points as the
+kernel of the stacked h - 1, direct sums folded two at a time, the
+section of a permutation quotient found orbit by orbit against those
+fixed points and moved point by point, and the flasque scan over every
+subgroup class in order.
 """
 
 import itertools
@@ -49,6 +54,7 @@ from glattice.cohom import (
     TateGroup,
     hom_basis,
     hom_basis_into_permutation,
+    tate,
 )
 from glattice.errors import InvalidParameterError
 from glattice.gmod import (
@@ -1146,3 +1152,78 @@ def permutation_search_by_scan(M: GLattice, bound: int, budget: int) -> Permutat
         cols.extend(list(v) for v in item["orbit"])
         orbits_out.append(list(range(first, len(cols))))
     return PermutationSearchOutcome(IntMatrix.from_columns(cols, rows=r), orbits_out, bound)
+
+
+def lattices_equal_all_elements(M: GLattice, N: GLattice) -> bool:
+    """Equality of two lattices read on every group element's matrix."""
+    return M is N or (
+        M.group is N.group
+        and M.rank == N.rank
+        and all(M.action[g] == N.action[g] for g in range(M.group.order))
+    )
+
+
+def kernel_basis_by_transform(A: IntMatrix) -> IntMatrix:
+    """The canonical kernel basis from the column Hermite form A V = H: the
+    columns of V under the zero columns of H, brought to Hermite form."""
+    H, V = col_hermite(A, transform=True)
+    rank = sum(1 for j in range(H.cols) if any(H.col_list(j)))
+    return column_span_canonical(V.take_columns(range(rank, A.cols)))
+
+
+def fixed_sublattice_by_kernel(M: GLattice, H: Subgroup) -> IntMatrix:
+    """The H-fixed vectors as the kernel of the h - 1 stacked over the
+    generators h of H, whether or not M has a G-set."""
+    eye = IntMatrix.identity(M.rank)
+    gens = H.generators()
+    if not gens:
+        return eye
+    return kernel_basis_by_transform(
+        IntMatrix.zeros(0, M.rank).vstack(*(M.action[h] - eye for h in gens)))
+
+
+def direct_sum_by_fold(lattices: Sequence[GLattice]) -> List[IntMatrix]:
+    """The action matrices of a direct sum, built two summands at a time."""
+    G = lattices[0].group
+    out = [M for M in lattices[0].action]
+    for N in lattices[1:]:
+        for g in range(G.order):
+            zero = IntMatrix.zeros(out[g].rows, N.rank)
+            out[g] = out[g].hstack(zero).vstack(zero.T.hstack(N.action[g]))
+    return out
+
+
+def find_section_orbitwise(seq: ShortExactSequence) -> Optional[EquivariantMap]:
+    """A section of a sequence onto a permutation lattice, or None: per
+    orbit of the quotient, one solve for a stabilizer-fixed preimage of
+    the basepoint (fixed points by stacked kernels), moved point by point.
+    The section is validated."""
+    B, C = seq.B, seq.C
+    pi = seq.right.matrix
+    cols = {}
+    for base, transversal in C.gset.orbit_transversal():
+        F = fixed_sublattice_by_kernel(B, C.gset.stabilizer(base))
+        target = [int(i == base) for i in range(C.rank)]
+        b = BasisSolver(pi @ F).express(target)
+        if b is None:
+            return None
+        b = F.mul_vector(b)
+        for p, g in transversal:
+            cols[p] = B.action[g].mul_vector(b)
+    section = EquivariantMap(C, B, IntMatrix.from_columns([cols[p] for p in range(C.rank)], rows=B.rank))
+    section.validate()
+    if not (pi @ section.matrix).is_identity():
+        raise AssertionError("the orbitwise section is no right inverse")
+    return section
+
+
+def vanishing_by_full_scan(M: GLattice, degree: int):
+    """(ok, failing class elements, failing Tate group) from a scan of every
+    subgroup class in order; degree 1 is degree -1 of the dual."""
+    from glattice.cohom import tate
+
+    for H in subgroup_conjugacy_reps(M.group):
+        t = tate(M, H, degree)
+        if not t.is_trivial:
+            return False, H.elements, t
+    return True, None, None

@@ -27,7 +27,6 @@ from glattice.gmod import (
     augmentation_map,
     coset_lattice,
     fixed_sublattice,
-    lattices_equal,
     permutation_lattice,
     regular,
     restrict,
@@ -47,7 +46,7 @@ from glattice.groups import (
     whole_group,
 )
 from glattice.intlinalg import IntMatrix, same_column_span
-from reference import validate_flow_lattice
+from reference import lattices_equal_all_elements, validate_flow_lattice
 
 
 def s3():
@@ -219,7 +218,7 @@ def test_restricted_flow_lattice_is_flow_lattice_of_restricted_graph(name):
     X = cayley_on_named(H.parent, "st")
     fl_H = flow_lattice(restrict_graph_group(X, H))
     validate_flow_lattice(fl_H)
-    assert lattices_equal(fl_H.glattice, restrict(flow_lattice(X).glattice, H))
+    assert lattices_equal_all_elements(fl_H.glattice, restrict(flow_lattice(X).glattice, H))
 
 
 # -- the augmentation of ZV -------------------------------------------------------
@@ -275,8 +274,8 @@ def test_shapiro_lemma_for_coset_lattices(G, H):
 
 def test_coset_lattice_of_extreme_subgroups():
     G = s3()
-    assert lattices_equal(coset_lattice(G, trivial_subgroup(G)), regular(G))
-    assert lattices_equal(coset_lattice(G, whole_group(G)), trivial(G))
+    assert lattices_equal_all_elements(coset_lattice(G, trivial_subgroup(G)), regular(G))
+    assert lattices_equal_all_elements(coset_lattice(G, whole_group(G)), trivial(G))
 
 
 def test_tensor_with_coset_lattice_moves_to_the_subgroup():
@@ -284,7 +283,7 @@ def test_tensor_with_coset_lattice_moves_to_the_subgroup():
     G = cyclic(4)
     H = subgroup_from_generators(G, [G.power(G.generator_indices["s"], 2)])
     P = coset_lattice(G, H)
-    assert lattices_equal(tensor(P, trivial(G)), P)
+    assert lattices_equal_all_elements(tensor(P, trivial(G)), P)
     free = tensor(P, regular(G))
     assert free.rank == 2 * 4
     for K in subgroup_conjugacy_reps(G):

@@ -1,0 +1,283 @@
+"""Sections as lifts, orbit-sum fixed points, one-step direct sums and the
+p-subgroup scan, each against the route it replaced (tests/reference.py)."""
+
+import pytest
+
+from glattice.checks import _metacyclic_presentation
+from glattice.cli import parse_group_spec, parse_lattice_spec
+from glattice.cohom import (
+    coflasque_resolution,
+    find_section,
+    is_coflasque,
+    is_flasque,
+    lift,
+    pullback,
+    tate,
+)
+from glattice.gflows import cayley_graph, complete_edges, flow_lattice
+from glattice.gmod import (
+    EquivariantMap,
+    GLattice,
+    ShortExactSequence,
+    augmentation_kernel,
+    augmentation_map,
+    coset_lattice,
+    direct_sum_many,
+    dual,
+    fixed_sublattice,
+    lattices_equal,
+    regular,
+    trivial,
+)
+from glattice.groups import (
+    all_subgroups,
+    coset_gset,
+    cyclic,
+    prime_factorization,
+    semidirect,
+    subgroup_conjugacy_reps,
+    whole_group,
+)
+from glattice.intlinalg import IntMatrix
+from reference import (
+    direct_sum_by_fold,
+    find_section_orbitwise,
+    fixed_sublattice_by_kernel,
+    lattices_equal_all_elements,
+    vanishing_by_full_scan,
+)
+
+# every group that `suite full` builds, but S:5 (only its restrictions
+# are checked there, and its 156 subgroups would dominate this file)
+SUITE_GROUPS = [
+    *(f"C:{n}" for n in range(2, 13)),
+    "X(C:2,C:2)", "SD:3,2,2", "D:4", "SD:5,2,4", "D:6", "SD:5,4,2", "SD:7,3,2", "SD:5,4,3",
+    "D:12", "S:3", "S:4",
+]
+
+
+def permutation_lattices(G):
+    """The regular lattice, the coset lattice of every class, and their sum."""
+    cosets = [coset_lattice(G, H) for H in subgroup_conjugacy_reps(G)]
+    return {"regular": regular(G), **{f"coset{i}": P for i, P in enumerate(cosets)},
+            "sum": direct_sum_many([regular(G), *cosets])}
+
+
+def sign_of_s3():
+    """Z with S3 acting by the sign of its permutations."""
+    G = semidirect(3, 2, 2)
+    A3 = set(G.closure([G.generator_indices["s"]]))
+    return GLattice(G, [IntMatrix.from_rows([[1 if g in A3 else -1]]) for g in G.elements()])
+
+
+class TestOrbitSumFixedPoints:
+    @pytest.mark.parametrize("spec", SUITE_GROUPS)
+    def test_every_subgroup_matches_the_stacked_kernel(self, spec):
+        G = parse_group_spec(spec)
+        for name, P in permutation_lattices(G).items():
+            for K in all_subgroups(G):
+                assert fixed_sublattice(P, K) == fixed_sublattice_by_kernel(P, K), (name, K)
+
+    def test_the_whole_group_fixes_the_orbit_sums(self):
+        G = semidirect(3, 2, 2)
+        P = direct_sum_many([regular(G), trivial(G)])  # no G-set: the kernel route
+        assert P.gset is None
+        assert fixed_sublattice(P, whole_group(G)) == fixed_sublattice_by_kernel(P, whole_group(G))
+        Q = permutation_lattices(G)["sum"]
+        F = fixed_sublattice(Q, whole_group(G))
+        assert [sum(F.col_list(j)) for j in range(F.cols)] == [len(o) for o in Q.gset.orbits()]
+
+
+class TestOneStepDirectSums:
+    @pytest.mark.parametrize("spec", ["S:3", "D:4", "X(C:2,C:2)"])
+    def test_every_element_matches_the_fold(self, spec):
+        G = parse_group_spec(spec)
+        flows = flow_lattice(cayley_graph(G, G.generators)).glattice
+        for parts in (
+            [regular(G), coset_lattice(G, subgroup_conjugacy_reps(G)[1]), trivial(G)],
+            [flows, regular(G), dual(flows)],
+            list(permutation_lattices(G).values()),
+        ):
+            S = direct_sum_many(parts)
+            assert [S.action[g] for g in G.elements()] == direct_sum_by_fold(parts)
+            assert (S.gset is None) == any(M.gset is None for M in parts)
+
+    def test_nary_union_is_the_binary_union_iterated(self):
+        G = semidirect(3, 2, 2)
+        X, Y, Z = (coset_lattice(G, H).gset for H in subgroup_conjugacy_reps(G)[:3])
+        U = X.disjoint_union(Y, Z)
+        assert U.action == X.disjoint_union(Y).disjoint_union(Z).action
+        assert U.point_names == X.point_names + Y.point_names + Z.point_names
+        assert X.disjoint_union().action == X.action
+
+    def test_common_group_required(self):
+        with pytest.raises(Exception, match="common group"):
+            direct_sum_many([regular(cyclic(2)), regular(cyclic(3))])
+
+
+class TestLatticeEquality:
+    def test_generators_decide_like_every_element(self):
+        for spec in ("S:3", "D:4", "C:6"):
+            G = parse_group_spec(spec)
+            lattices = list(permutation_lattices(G).values())[:4] + [trivial(G), dual(regular(G))]
+            for M in lattices:
+                for N in lattices:
+                    assert lattices_equal(M, N) == lattices_equal_all_elements(M, N)
+
+
+# -- sections and lifts ---------------------------------------------------------
+
+SCHANUEL_CASES = [
+    ("SD:3,2,2", "flows:cayley"),
+    ("C:2", "sign"),
+    ("C:2", "trivial"),
+    ("D:4", "flows:cayley"),
+    ("C:6", "flows:cayley"),
+    ("X(C:2,C:2)", "flows:cayley(X(C:2,C:2);*)"),
+]
+
+
+def schanuel_rows(spec, lattice):
+    G = parse_group_spec(spec)
+    M = parse_lattice_spec(G, lattice)
+    k = len(subgroup_conjugacy_reps(G))
+    r1 = coflasque_resolution(M).sequence
+    r2 = coflasque_resolution(M, rep_order=list(reversed(range(k)))).sequence
+    return (r1, r2), pullback(r1, r2)
+
+
+def faithful_transfer_rows(n, m, r):
+    data = _metacyclic_presentation(n, m, r)
+    G = data.G
+    phi_seq = ShortExactSequence(
+        EquivariantMap(coset_lattice(G, data.Hs), data.pres.A, data.u_in_K), data.phi
+    )
+    psi_seq = flow_lattice(complete_edges(coset_gset(G, data.Ht), loops=False)).boundary_sequence()
+    return (phi_seq, psi_seq), pullback(phi_seq, psi_seq)
+
+
+def assert_section(seq, section):
+    assert section.source is seq.C and section.target is seq.B
+    assert section.equivariance_failure() is None
+    assert (seq.right.matrix @ section.matrix).is_identity()
+
+
+def assert_lift(f, g, t):
+    assert t.source is f.source and t.target is g.source
+    assert t.equivariance_failure() is None
+    assert g.matrix @ t.matrix == f.matrix
+
+
+class TestLiftsAgainstTheOrbitwiseSearch:
+    @pytest.mark.parametrize("case", SCHANUEL_CASES + [(3, 2, 2), (5, 2, 4), (7, 3, 2)],
+                             ids=lambda c: ",".join(map(str, c)))
+    def test_every_pullback_row(self, case):
+        if isinstance(case[0], int):
+            (first, second), rows = faithful_transfer_rows(*case)
+        else:
+            (first, second), rows = schanuel_rows(*case)
+        legs = ((first.right, second.right), (second.right, first.right))
+        covered = 0
+        for row, (f, g) in zip(rows, legs):
+            if row.C.gset is None:  # no permutation quotient: no lift, no orbitwise search
+                continue
+            covered += 1
+            new, old = find_section(row), find_section_orbitwise(row)
+            assert (new is None) == (old is None)
+            t = lift(f, g)
+            assert (t is None) == (new is None)
+            if new is not None:
+                assert_section(row, new)
+                assert_lift(f, g, t)
+        assert covered == (1 if isinstance(case[0], int) else 2)
+
+    @pytest.mark.parametrize("spec", ["C:2", "C:6", "S:3", "D:4"])
+    def test_a_permutation_quotient_splits_by_the_lift_of_its_identity(self, spec):
+        # Z[G/H] -> Z = Z[G/G] splits exactly when H = G: a G-fixed preimage
+        # of 1 is a multiple of the orbit sum, whose augmentation is [G:H]
+        G = parse_group_spec(spec)
+        Z = coset_lattice(G, whole_group(G))
+        for H in subgroup_conjugacy_reps(G):
+            P = coset_lattice(G, H)
+            eps = EquivariantMap(P, Z, augmentation_map(P).matrix)
+            seq = ShortExactSequence(augmentation_kernel(P)[1], eps)
+            new, old = find_section(seq), find_section_orbitwise(seq)
+            assert (new is None) == (old is None) == (H.index() != 1)
+            if new is not None:
+                assert_section(seq, new)
+
+    def test_a_row_without_a_lift_has_no_section(self):
+        # the pullback of the augmentation Z[G] -> Z against the identity of Z:
+        # a section of its second row would lift the identity of Z through the
+        # augmentation, and the G-fixed vectors of Z[G] augment to |G| Z
+        G = semidirect(3, 2, 2)
+        Z = coset_lattice(G, whole_group(G))
+        first = ShortExactSequence(augmentation_kernel(regular(G))[1], augmentation_map(regular(G)))
+        zero = GLattice(G, [IntMatrix.zeros(0, 0)] * G.order)
+        second = ShortExactSequence(
+            EquivariantMap(zero, Z, IntMatrix.zeros(1, 0)), EquivariantMap(Z, trivial(G), IntMatrix.identity(1))
+        )
+        row1, row2 = pullback(first, second)
+        assert lift(second.right, first.right) is None
+        assert find_section(row2) is None and find_section_orbitwise(row2) is None
+        s = find_section(row1)  # x -> (x, augmentation x) always exists
+        assert s is not None and find_section_orbitwise(row1) is not None
+        assert_section(row1, s)
+
+    def test_lift_refuses_a_source_without_a_gset(self):
+        G = cyclic(2)
+        with pytest.raises(Exception, match="permutation source"):
+            lift(EquivariantMap(trivial(G), trivial(G), IntMatrix.identity(1)),
+                 EquivariantMap(trivial(G), trivial(G), IntMatrix.identity(1)))
+
+
+# -- the p-subgroup scan ----------------------------------------------------------
+
+
+def scan_lattices(G):
+    out = {"trivial": trivial(G), "regular": regular(G),
+           "augmentation": augmentation_kernel(regular(G))[0]}
+    if len(G.generators) > 0 and G.order > 2:
+        flows = flow_lattice(cayley_graph(G, G.generators)).glattice
+        out.update(flows=flows, dual_flows=dual(flows))
+    return out
+
+
+def report_of(report):
+    return report.ok, None if report.failing_subgroup is None else report.failing_subgroup.elements, (
+        report.failing_group)
+
+
+def is_p_group(H):
+    return len(prime_factorization(H.order)) <= 1
+
+
+class TestPSubgroupScan:
+    @pytest.mark.parametrize("spec", SUITE_GROUPS)
+    def test_reports_match_the_full_scan(self, spec):
+        G = parse_group_spec(spec)
+        for name, M in scan_lattices(G).items():
+            assert report_of(is_flasque(M)) == vanishing_by_full_scan(M, -1), name
+            assert report_of(is_coflasque(M)) == vanishing_by_full_scan(M, 1), name
+
+    def test_hand_made_lattices_that_fail(self):
+        C2 = cyclic(2)
+        sign = GLattice(C2, [IntMatrix.identity(1), IntMatrix.from_rows([[-1]])])
+        S3 = semidirect(3, 2, 2)
+        for M in (sign, augmentation_kernel(regular(C2))[0], augmentation_kernel(regular(S3))[0],
+                  sign_of_s3()):
+            for degree, scan in ((-1, is_flasque), (1, is_coflasque)):
+                assert report_of(scan(M)) == vanishing_by_full_scan(M, degree)
+        assert not is_flasque(sign) and not is_coflasque(sign)
+
+    def test_a_first_failing_class_is_a_p_group(self):
+        # the sign of S3 fails at the class of order 2 and at S3 itself; a
+        # Sylow subgroup of a failing class fails and comes first in class
+        # order, so the p-class scan names the class a full scan names
+        M = sign_of_s3()
+        reps = subgroup_conjugacy_reps(M.group)
+        failing = [H for H in reps if not tate(M, H, -1).is_trivial]
+        assert [H.order for H in failing] == [2, 6]
+        report = is_flasque(M)
+        assert report.failing_subgroup.elements == failing[0].elements
+        assert is_p_group(report.failing_subgroup)
