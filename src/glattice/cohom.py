@@ -15,10 +15,14 @@ failing class of a scan over all classes is a p-group.
 Schanuel's lemma is one construction: ``pullback`` takes two sequences
 onto one lattice and returns the two rows of their pullback square, and
 ``split_iso`` turns each split row into a unimodular iso with its
-inverse, so two resolutions compare through one composed map.  Sections
-are lifts (``lift``, one solve per orbit of a permutation source): of a
-permutation quotient, the lift of its identity; of a pullback row
-Q -> B1, x -> (x, lift(f, g) x), as the fibre product's sections are.
+inverse, so two resolutions compare through one composed map.  A section
+takes one of two routes.  Out of a permutation quotient it is a lift
+(``lift``, one solve per orbit of a permutation source): the lift of the
+quotient's identity, or on a pullback row Q -> B1, x -> (x, lift(f, g) x),
+as the fibre product's sections are.  Into a permutation middle term it
+comes from a left inverse (``_left_inverse``, one solve over all orbits)
+of the injection on the smaller side: the inclusion, or the transposed
+quotient map.
 
 The bounded search for a G-stable basis numbers the box vectors, so each
 group element acts on them by one index array, reads every orbit and
@@ -293,55 +297,6 @@ def pullback(
     return rows
 
 
-# -- equivariant hom spaces -----------------------------------------------------
-
-
-def hom_basis_into_permutation(C: GLattice, B: GLattice) -> List[IntMatrix]:
-    """Z-basis of Hom_G(C, B) for a permutation target with point structure.
-
-    Hom_G(C, Z[G/H]) corresponds to H-fixed functionals on C: the
-    coordinate of the point g(basepoint) is the functional twisted by g.
-    """
-    if B.gset is None:
-        raise InvalidParameterError("target needs permutation point structure")
-    Cd = dual(C)
-    out = []
-    for base, transversal in B.gset.orbit_transversal():
-        fixed = fixed_sublattice(Cd, B.gset.stabilizer(base))
-        f = fixed.cols
-        # row t * f + j is the row of the t-th point in the j-th map; the last row is 0
-        rows = IntMatrix.zeros(0, C.rank).vstack(
-            *((Cd.action[g] @ fixed).T for _, g in transversal), IntMatrix.zeros(1, C.rank)
-        )
-        slot = {p: t * f for t, (p, _) in enumerate(transversal)}
-        zero = len(transversal) * f
-        out.extend(
-            rows.take_rows(slot[p] + j if p in slot else zero for p in range(B.rank))
-            for j in range(f)
-        )
-    return out
-
-
-def hom_basis(C: GLattice, A: GLattice) -> List[IntMatrix]:
-    """Z-basis of the saturated lattice of equivariant maps C -> A.
-
-    The kernel of T -> rho_A(g) T - T rho_C(g) over the generators g,
-    with T flattened column-major.
-    """
-    a, c = A.rank, C.rank
-    if a == 0 or c == 0:
-        return []
-    eye_a, eye_c = IntMatrix.identity(a), IntMatrix.identity(c)
-    stacked = IntMatrix.zeros(0, a * c).vstack(
-        *(eye_c.kron(A.action[g]) - C.action[g].T.kron(eye_a) for g in C.group.generators)
-    )
-    # column j of the kernel basis is the j-th map, flattened column-major
-    return [
-        IntMatrix.from_columns([v[col * a : (col + 1) * a] for col in range(c)], rows=a)
-        for v in kernel_basis(stacked).T.to_lists()
-    ]
-
-
 # -- section finding -------------------------------------------------------------
 
 
@@ -371,56 +326,100 @@ def lift(f: EquivariantMap, g: EquivariantMap) -> Optional[EquivariantMap]:
     return sigma
 
 
-def _orbit_spanning_basis(C: GLattice) -> List[int]:
-    """Indices l whose basis vectors e_l have G-orbits spanning C over Q:
+def _orbit_spanning_basis(T: GLattice) -> List[int]:
+    """Indices l whose basis vectors e_l have G-orbits spanning T over Q:
     the l of the pivot columns of the orbit vectors g e_l, which are the
-    leftmost ones independent over Q.
+    leftmost ones independent over Q.  The orbits of e_0 .. e_{k-1} are
+    read for k = 1, 2, 4, ... up to the first such prefix of full rank,
+    which holds every pivot column.
 
-    An equivariant map out of C that vanishes on these orbits vanishes on
-    a sublattice of full rank, hence on all of C.
+    An equivariant map out of T that vanishes on these orbits vanishes on
+    a sublattice of full rank, hence on all of T.
     """
-    n, r = C.group.order, C.rank
+    n, r = T.group.order, T.rank
     # column l * n + g is g e_l, column l of the g-th matrix of the hstack
-    stacked = IntMatrix.zeros(r, 0).hstack(*C.action)
-    orbits = stacked.take_columns(g * r + l for l in range(r) for g in range(n))
-    return sorted({j // n for j in pivot_columns(orbits)})
+    stacked = IntMatrix.zeros(r, 0).hstack(*T.action)
+    k = min(1, r)
+    while True:
+        pivots = pivot_columns(stacked.take_columns(g * r + l for l in range(k) for g in range(n)))
+        if len(pivots) == r or k == r:
+            return sorted({j // n for j in pivots})
+        k = min(2 * k, r)
+
+
+def _left_inverse(B: GLattice, T: GLattice, j: IntMatrix) -> Optional[IntMatrix]:
+    """The matrix of a G-map L: B -> T with L . j = id_T, for an injective
+    G-map j: T -> B into a lattice B with a G-set, or None when none exists.
+
+    L sends the basepoint of each orbit of B to F x, F = fixed_sublattice(T,
+    its stabilizer), and g_p of it to rho_T(g_p) F x (orbit_map).  Since
+    L . j - id is equivariant, it is 0 once it vanishes on the e_l, l in J,
+    whose orbits span T (_orbit_spanning_basis): one solve over all orbits
+    together, whose row block l reads sum_p j[p, l] rho_T(g_p) F x = e_l,
+    decisive both ways.
+    """
+    t = T.rank
+    J = _orbit_spanning_basis(T)
+    spread = IntMatrix.identity(t)
+    rho = IntMatrix.zeros(0, t).vstack(*T.action)  # row block g is rho_T(g)
+    fixed, blocks = [], []
+    for base, transversal in B.gset.orbit_transversal():
+        F = fixed_sublattice(T, B.gset.stabilizer(base))
+        moved = (rho @ F).take_rows(g * t + i for _, g in transversal for i in range(t))
+        # (j[orbit, J]^T kron I_t) @ moved: row block l is sum_p j[p, l] rho_T(g_p) F
+        coefficients = j.take_rows(p for p, _ in transversal).take_columns(J).T
+        blocks.append(coefficients.kron(spread) @ moved)
+        fixed.append(F)
+    # the right-hand side is e_l for l in J, stacked
+    x = BasisSolver(IntMatrix.zeros(len(J) * t, 0).hstack(*blocks)).express(
+        spread.take_columns(J).T.entries
+    )
+    if x is None:
+        return None
+    images, start = [], 0
+    for F in fixed:
+        images.append(F @ IntMatrix.column(x[start : start + F.cols]))
+        start += F.cols
+    L = orbit_map(B, T, IntMatrix.zeros(t, 0).hstack(*images))
+    certify((L @ j).is_identity(), "the left inverse inverts the injection")
+    return L
 
 
 def find_section(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     """An equivariant s: C -> B with right . s = id, or None when none exists.
 
-    A section of a permutation quotient, or of a pullback row onto one, is
-    a lift (module docstring), which decides.  Otherwise the sections
-    are the equivariant maps that the quotient map sends to the identity:
-    with h_k a Z-basis of Hom_G(C, B), a section exists exactly when
-    vec(id) is an integer combination of the vec(right . h_k), which is
-    one integer solve, decisive both ways.  Since right . s - id is
-    equivariant, the equations on the columns of a few basis vectors whose
-    orbits span C over Q decide it (see _orbit_spanning_basis).  The
+    Two routes, each decisive both ways.  Out of a permutation quotient, or
+    a pullback row onto one, s is a lift (module docstring).  Into a
+    permutation middle term, the injection with the smaller source gets a
+    left inverse (_left_inverse): with rank A < rank C a retraction r of
+    the inclusion, and s = X - left . r . X for any integer X with
+    right . X = id; else L . right^T = id, from B (a permutation lattice is
+    its own dual, with the same G-set) to the dual of C, and s = L^T.
+    With neither, the sequence is refused with InvalidParameterError.  The
     exactness report is the one the sequence already carries, if any.
     """
     report = check_exact(seq)
     if not report.ok:
         raise InvalidParameterError(f"sequence is not exact: {report.failures}")
-    B, C = seq.B, seq.C
-    pi = seq.right.matrix
+    A, B, C = seq.A, seq.B, seq.C
+    iota, pi = seq.left.matrix, seq.right.matrix
     if C.gset is not None:
         if seq._section is None:
             return lift(EquivariantMap(C, C, IntMatrix.identity(C.rank)), seq.right)
         s_matrix = seq._section()
-    else:
-        homs = hom_basis_into_permutation(C, B) if B.gset is not None else hom_basis(C, B)
-        c, k = C.rank, len(homs)
-        stacked = IntMatrix.zeros(B.rank, 0).hstack(*homs)  # column j * c + l is column l of h_j
-        J = _orbit_spanning_basis(C)
-        # row t * c + i, column j: entry (i, J[t]) of right . h_j
-        images = IntMatrix.zeros(0, k).vstack(
-            *(pi @ stacked.take_columns(range(l, k * c, c)) for l in J)
+    elif B.gset is None:
+        raise InvalidParameterError(
+            "a section needs a permutation quotient or a permutation middle term"
         )
-        # one equation per entry (i, l), l in J: sum_j x_j (right . h_j)[i, l] = id[i, l]
-        equations = images.take_rows(t * c + i for i in range(c) for t in range(len(J)))
-        x = BasisSolver(equations).express([int(i == l) for i in range(c) for l in J])
-        s_matrix = None if x is None else stacked @ IntMatrix.column(x).kron(IntMatrix.identity(c))
+    elif A.rank < C.rank:
+        r = _left_inverse(B, A, iota)
+        if r is None:
+            return None
+        X = solve_matrix(pi, IntMatrix.identity(C.rank))  # exists: right is onto
+        s_matrix = X - iota @ (r @ X)
+    else:
+        L = _left_inverse(B, dual(C), pi.T)
+        s_matrix = None if L is None else L.T
     if s_matrix is None:
         return None
     section = EquivariantMap(C, B, s_matrix)

@@ -237,9 +237,6 @@ class ExactnessReport:
     ok: bool
     failures: List[str]
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def check_exact(seq: ShortExactSequence) -> ExactnessReport:
     """Verify all short-exact-sequence invariants; name the first failures.

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import InvalidParameterError
 
 # Construction cap: the largest instance the acceptance surface needs is
@@ -345,8 +347,10 @@ def symmetric(n: int) -> FiniteGroup:
     if not 1 <= n <= 5:
         raise InvalidParameterError(f"symmetric group supported for 1 <= n <= 5, got {n}")
     perms = sorted(itertools.permutations(range(n)))
-    pos = {p: i for i, p in enumerate(perms)}
-    table = [[pos[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms]
+    # entry (i, j) is the index of x -> p_i[p_j[x]]: the sorted perms' base-n codes increase
+    P = np.array(perms, dtype=np.int64)
+    weights = n ** np.arange(n - 1, -1, -1)
+    table = np.searchsorted(P @ weights, P[:, P] @ weights).tolist()
     names = [_cycle_name(p) for p in perms]
     return FiniteGroup(
         table,

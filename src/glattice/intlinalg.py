@@ -237,9 +237,6 @@ class IntMatrix:
             return NotImplemented
         return self.shape == other.shape and bool(np.array_equal(self._made, other._made))
 
-    def __hash__(self):
-        return hash((self.shape, self.entries))
-
     def is_zero(self) -> bool:
         return np.count_nonzero(self._made) == 0
 
@@ -279,10 +276,10 @@ class IntMatrix:
         return np.dot(self.a, arr).tolist()
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
-        """Kronecker product, row-major block convention."""
-        a = np.kron(self.a, other.a) if self.a.size and other.a.size else np.zeros(
-            (self.rows * other.rows, self.cols * other.cols), dtype=object)
-        return IntMatrix(np.array(a, dtype=object))
+        """Kronecker product, row-major block convention: entry
+        (i * other.rows + k, j * other.cols + l) is self[i, j] * other[k, l]."""
+        a = self.a[:, None, :, None] * other.a[None, :, None, :]
+        return IntMatrix(a.reshape(self.rows * other.rows, self.cols * other.cols))
 
     def __str__(self) -> str:
         return "\n".join("[" + " ".join(str(x) for x in row) + "]" for row in self.a) or "[]"

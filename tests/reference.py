@@ -9,7 +9,10 @@ Tate groups from coordinates in the saturated fixed or norm-kernel
 lattice, the cyclic formula for degree 1 Tate cohomology, sections by
 group averaging with a congruence solve modulo |G|, the identity map,
 the Shapiro construction of equivariant maps out of a permutation
-lattice, and the G-set operations as they were once written out where
+lattice, the Hom bases and the one-solve section that ``find_section``
+once took (H-fixed functionals into a permutation lattice, else the
+Kronecker kernel), the symmetric group's table composed as tuples, and
+the G-set operations as they were once written out where
 they were used: edge orbits by scanning every element, cosets by their
 own enumeration, a vector moved by a loop, the action on a stable edge
 subset, the two breadth-first searches of spanning trees and path
@@ -52,8 +55,6 @@ from glattice.cohom import (
     ENUMERATION_CAP,
     PermutationSearchOutcome,
     TateGroup,
-    hom_basis,
-    hom_basis_into_permutation,
     tate,
 )
 from glattice.errors import InvalidParameterError
@@ -432,6 +433,73 @@ def identity_map(M: GLattice) -> EquivariantMap:
     return EquivariantMap(M, M, IntMatrix.identity(M.rank))
 
 
+def hom_basis_into_permutation(C: GLattice, B: GLattice) -> List[IntMatrix]:
+    """Z-basis of Hom_G(C, B) for a permutation target with point structure.
+
+    Hom_G(C, Z[G/H]) corresponds to H-fixed functionals on C: the
+    coordinate of the point g(basepoint) is the functional twisted by g.
+    """
+    if B.gset is None:
+        raise InvalidParameterError("target needs permutation point structure")
+    Cd = dual(C)
+    out = []
+    for base, transversal in B.gset.orbit_transversal():
+        fixed = fixed_sublattice(Cd, B.gset.stabilizer(base))
+        f = fixed.cols
+        # row t * f + j is the row of the t-th point in the j-th map; the last row is 0
+        rows = IntMatrix.zeros(0, C.rank).vstack(
+            *((Cd.action[g] @ fixed).T for _, g in transversal), IntMatrix.zeros(1, C.rank)
+        )
+        slot = {p: t * f for t, (p, _) in enumerate(transversal)}
+        zero = len(transversal) * f
+        out.extend(
+            rows.take_rows(slot[p] + j if p in slot else zero for p in range(B.rank))
+            for j in range(f)
+        )
+    return out
+
+
+def hom_basis(C: GLattice, A: GLattice) -> List[IntMatrix]:
+    """Z-basis of the saturated lattice of equivariant maps C -> A.
+
+    The kernel of T -> rho_A(g) T - T rho_C(g) over the generators g,
+    with T flattened column-major.
+    """
+    a, c = A.rank, C.rank
+    if a == 0 or c == 0:
+        return []
+    eye_a, eye_c = IntMatrix.identity(a), IntMatrix.identity(c)
+    stacked = IntMatrix.zeros(0, a * c).vstack(
+        *(eye_c.kron(A.action[g]) - C.action[g].T.kron(eye_a) for g in C.group.generators)
+    )
+    # column j of the kernel basis is the j-th map, flattened column-major
+    return [
+        IntMatrix.from_columns([v[col * a : (col + 1) * a] for col in range(c)], rows=a)
+        for v in kernel_basis(stacked).T.to_lists()
+    ]
+
+
+def section_by_hom_basis(seq: ShortExactSequence) -> Optional[IntMatrix]:
+    """The matrix of an equivariant section of seq.right, or None, by one
+    integer solve in Hom_G(C, B): vec(id) as a combination of the
+    vec(right . h_k) over a Z-basis h_k (into a permutation lattice with its
+    G-set, by H-fixed functionals; else the Kronecker kernel)."""
+    B, C = seq.B, seq.C
+    homs = hom_basis_into_permutation(C, B) if B.gset is not None else hom_basis(C, B)
+    if not homs:
+        return None if C.rank else IntMatrix.zeros(B.rank, 0)
+    pi = seq.right.matrix
+    flat = IntMatrix.from_columns([(pi @ h).entries for h in homs], rows=C.rank * C.rank)
+    x = BasisSolver(flat).express(IntMatrix.identity(C.rank).entries)
+    if x is None:
+        return None
+    total = IntMatrix.zeros(B.rank, C.rank)
+    for xk, h in zip(x, homs):
+        if xk:
+            total = total + _scaled(h, xk)
+    return total
+
+
 def shapiro_hom_basis(C: GLattice, A: GLattice) -> List[IntMatrix]:
     """Z-basis of Hom_G(C, A) for a permutation lattice C with its G-set.
 
@@ -448,6 +516,15 @@ def shapiro_hom_basis(C: GLattice, A: GLattice) -> List[IntMatrix]:
             zero = [0] * A.rank
             out.append(IntMatrix.from_columns([cols.get(p, zero) for p in range(C.rank)], rows=A.rank))
     return out
+
+
+def symmetric_table_by_composition(n: int) -> List[List[int]]:
+    """The table of the symmetric group on n points over its sorted
+    permutations: entry (i, j) is the position of x -> p_i[p_j[x]],
+    composed as tuples and looked up in a dict."""
+    perms = sorted(itertools.permutations(range(n)))
+    pos = {p: i for i, p in enumerate(perms)}
+    return [[pos[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms]
 
 
 def closure_from_identity(G: FiniteGroup, seed: Sequence[int]) -> Tuple[int, ...]:

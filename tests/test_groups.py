@@ -1,5 +1,7 @@
 """Group constructors, subgroup enumeration, Sylow machinery."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from reference import (
     is_abelian_all_pairs,
     subgroup_classes_by_all_conjugates,
     subgroups_by_closing_whole,
+    symmetric_table_by_composition,
 )
 
 # every group the subgroup machinery is compared with its from-scratch oracles on
@@ -92,6 +95,12 @@ class TestConstructors:
     def test_symmetric_cap(self):
         with pytest.raises(InvalidParameterError):
             symmetric(6)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_symmetric_table_composes_permutations(self, n):
+        G = symmetric(n)
+        assert G.table == symmetric_table_by_composition(n)
+        assert G.point_action == sorted(itertools.permutations(range(n)))
 
     @pytest.mark.parametrize("G", [cyclic(5), dihedral(3), semidirect(7, 3, 2), symmetric(3)])
     def test_axioms_spotcheck(self, G):
