@@ -11,7 +11,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,13 +133,18 @@ class _Checker:
         )
 
 
-def _edge_vector(X: GGraph, steps: Sequence[Tuple[int, int, int]]) -> List[int]:
-    """Edge vector from (source, target, coefficient) triples."""
+def _sparse_sum(terms: Iterable[Tuple[int, int]]) -> Dict[int, int]:
+    """The sparse vector sum of the c e_i over the (i, c) terms, zeros dropped."""
+    out: Dict[int, int] = {}
+    for i, c in terms:
+        out[i] = out.get(i, 0) + c
+    return {i: c for i, c in out.items() if c}
+
+
+def _edge_vector(X: GGraph, steps: Sequence[Tuple[int, int, int]]) -> Flow:
+    """The edge vector of (source, target, coefficient) triples."""
     idx = X.edge_index()
-    vec = [0] * X.n_edges
-    for s, t, c in steps:
-        vec[idx[(s, t)]] += c
-    return vec
+    return _sparse_sum((idx[(s, t)], c) for s, t, c in steps)
 
 
 # -- cyclic decomposition ---------------------------------------------------------
@@ -168,15 +173,11 @@ def check_cyclic_flows(n: int, gens: Sequence[int]) -> CheckReport:
     )
 
     def free_complement():
-        for g in G.elements():
-            if g == G.identity:
-                continue
-            block = iso.source.action[g]
-            for i in range(1, iso.source.rank):
-                col = block.col_list(i)
-                if sorted(col) != [0] * (iso.source.rank - 1) + [1]:
+        for g in (g for g in G.elements() if g != G.identity):
+            for i, col in enumerate(iso.source.action[g].column_nonzeros()[1:], 1):
+                if list(col.values()) != [1]:
                     return False, f"column {i} of element {g} is not a unit vector"
-                if col[i] == 1:
+                if i in col:
                     return False, f"element {g} fixes complement basis vector {i}"
         return True, f"free stable basis of rank {m * n}"
 
@@ -368,19 +369,15 @@ def check_center_walks(G: FiniteGroup) -> CheckReport:
     walks_used = 0
     for length in range(1, max_len + 1):
         for prefix in itertools.product(range(n), repeat=length - 1):
-            v = G.identity
-            vec = [0] * X.n_edges
-            acc = G.identity
+            v, steps = G.identity, []
             for s in prefix:
-                vec[edge_of[v][s]] += 1
+                steps.append((edge_of[v][s], 1))
                 v = G.table[v][s]
-                acc = G.table[acc][s]
-            last = G.inverses[acc]
-            vec[edge_of[v][last]] += 1
-            flows.add(tuple(vec))
+            steps.append((edge_of[v][G.inverses[v]], 1))  # back to the identity
+            flows.add(tuple(sorted(_sparse_sum(steps).items())))
         level_reached = length
         walks_used = len(flows)
-        W = IntMatrix.from_columns([list(f) for f in sorted(flows)], rows=X.n_edges)
+        W = IntMatrix.from_sparse_columns(X.n_edges, [dict(f) for f in sorted(flows)])
         # the walks lie in the saturated Fl, so their saturated span is Fl
         # exactly when they are flows of full rank
         if (boundary @ W).is_zero() and column_span_canonical(W).cols == fl.rank:
@@ -442,7 +439,7 @@ def check_sn_restrictions(n: int) -> CheckReport:
     ck.record("star-tree flows form a basis", True, f"rank {fl2.rank}")
     cand_set = {frozenset(c.items()) for c in candidates}
     stable = all(
-        frozenset((X.edge_action[h][e], c) for e, c in cand.items()) in cand_set
+        frozenset(X.edge_gset.move(h, cand).items()) in cand_set
         for h in H2.elements for cand in candidates
     )
     ck.record("star-tree basis is stabilizer-stable", stable)
@@ -475,7 +472,7 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
         raise InvalidParameterError(f"orders n={n}, m={m} must be coprime")
     G = semidirect(n, m, r)
     r = r % n
-    if r == 1:
+    if r == 1 % n:
         raise InvalidParameterError("twist must move s (r != 1 mod n)")
     s, t = G.generator_indices["s"], G.generator_indices["t"]
     X = cayley_graph(G, [s, t])
@@ -485,7 +482,7 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
     Ls, Lt, LG = coset_lattice(G, Hs), coset_lattice(G, Ht), regular(G)
     B = direct_sum_many([Ls, Lt, LG])
 
-    def cycle_flow(gen: int, length: int) -> List[int]:
+    def cycle_flow(gen: int, length: int) -> Flow:
         steps = []
         v = G.identity
         for _ in range(length):
@@ -493,8 +490,6 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
             v = G.table[v][gen]
         return _edge_vector(X, steps)
 
-    s_flow = fl.flow_coordinates(cycle_flow(s, n))
-    t_flow = fl.flow_coordinates(cycle_flow(t, m))
     # A = (e -> s -> s t) - (e -> t -> t s -> ... -> t s^r)
     steps = [(G.identity, s, 1), (s, G.mul(s, t), 1), (G.identity, t, -1)]
     v = t
@@ -502,17 +497,16 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
         steps.append((v, G.table[v][s], -1))
         v = G.table[v][s]
     certify(v == G.mul(s, t), "the two paths must end at s t")
-    a_flow = fl.flow_coordinates(_edge_vector(X, steps))
-    certify(None not in (s_flow, t_flow, a_flow), "the cycles and the twist path are flows")
+    # the cycles and the twist path in the flow basis: B has the three
+    # orbits of Ls, Lt and LG, in that order
+    bases = fl.solver.express_columns([cycle_flow(s, n), cycle_flow(t, m), _edge_vector(X, steps)])
+    certify(bases is not None, "the cycles and the twist path are flows")
 
     rho = fl.glattice.action
-    s_vec = IntMatrix.column(s_flow)
-    t_vec = IntMatrix.column(t_flow)
+    s_vec, t_vec = bases.take_columns([0]), bases.take_columns([1])
     certify(rho[s] @ s_vec == s_vec, "cycle flow must be s-invariant")
     certify(rho[t] @ t_vec == t_vec, "cycle flow must be t-invariant")
 
-    # B has the three orbits of Ls, Lt and LG, in that order
-    bases = IntMatrix.from_columns([s_flow, t_flow, a_flow], rows=fl.rank)
     pi = EquivariantMap(B, fl.glattice, orbit_map(B, fl.glattice, bases))
     pi.validate()
 
@@ -520,45 +514,31 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
     solver = BasisSolver(kernel)
     K, K_incl = sublattice_with_action(B, kernel, name="ker(pi)", solver=solver)
 
-    # the listed kernel elements, in the coordinates of B
-    off_s, off_t, off_g = 0, m, m + n
-    s_hat = [0] * B.rank
-    s_hat[off_s] = 1
-    t_hat = [0] * B.rank
-    t_hat[off_t] = 1
-    a_hat = [0] * B.rank
-    a_hat[off_g + G.identity] = 1
+    # the listed kernel elements, in the coordinates of B, as sparse maps
+    s_hat, t_hat, a_hat = {0: 1}, {m: 1}, {m + n + G.identity: 1}
+    move = B.gset.move
 
-    def act_B(g: int, vec: List[int]) -> List[int]:
-        return B.action[g].mul_vector(vec)
+    def combine(*terms: Tuple[int, Dict[int, int]]) -> Dict[int, int]:  # sum of the c * vec
+        return _sparse_sum((i, c * x) for c, vec in terms for i, x in vec.items())
 
-    def add(u: List[int], v: List[int], c: int = 1) -> List[int]:
-        return [a + c * b for a, b in zip(u, v)]
-
-    norm_s_a = [0] * B.rank
-    for i in range(n):
-        norm_s_a = add(norm_s_a, act_B(G.power(s, i), a_hat))
-    u_e = add(add(norm_s_a, s_hat, -1), act_B(t, s_hat), r)
-    u_cols = [act_B(G.power(t, j), u_e) for j in range(m)]
+    norm_s_a = [(1, move(G.power(s, i), a_hat)) for i in range(n)]
+    u_e = combine(*norm_s_a, (-1, s_hat), (r, move(t, s_hat)))
+    u_cols = [move(G.power(t, j), u_e) for j in range(m)]
 
     coeff, rem = divmod(r ** m - 1, n)
     certify(rem == 0, "the twist congruence forces an integer coefficient")
-    v_sum = [0] * B.rank
-    for j in range(m):
-        inner = [0] * B.rank
-        for i in range(r ** j):
-            inner = add(inner, act_B(G.power(s, i % n), a_hat))
-        v_sum = add(v_sum, act_B(G.power(t, j), inner))
-    v_e = add(add(add(v_sum, s_hat, coeff), t_hat), act_B(s, t_hat), -1)
-    v_cols = [act_B(g, v_e) for g in G.elements()]
+    v_sum = [(1, move(G.mul(G.power(t, j), G.power(s, i % n)), a_hat))
+             for j in range(m) for i in range(r ** j)]
+    v_e = combine(*v_sum, (coeff, s_hat), (1, t_hat), (-1, move(s, t_hat)))
+    v_cols = [move(g, v_e) for g in G.elements()]
 
-    u_vectors = IntMatrix.from_columns(u_cols, rows=B.rank)
+    u_vectors = IntMatrix.from_sparse_columns(B.rank, u_cols)
     I_lat, I_incl = augmentation_kernel(Lt)
-    phi_cols = BasisSolver(I_incl.matrix).express_matrix(kernel.take_rows(range(off_t, off_t + n)))
+    phi_cols = BasisSolver(I_incl.matrix).express_matrix(kernel.take_rows(range(m, m + n)))
     return _MetacyclicData(
         G=G, fl=fl, pres=ShortExactSequence(K_incl, pi), Hs=Hs, Ht=Ht,
         u_vectors=u_vectors,
-        v_vectors=IntMatrix.from_columns(v_cols, rows=B.rank),
+        v_vectors=IntMatrix.from_sparse_columns(B.rank, v_cols),
         phi=None if phi_cols is None else EquivariantMap(K, I_lat, phi_cols),
         u_in_K=solver.express_matrix(u_vectors),
     )

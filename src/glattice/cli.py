@@ -5,6 +5,7 @@ Spec grammars
     group     C:<n> | D:<n> | SD:<n>,<m>,<r> | S:<n> | X(<spec>,<spec>)
     generator e | s | s<k> | t<k> | s<k>t<j> | #<index> | * (all nonidentity)
               and cycle notation like (12) or (123)(45) for S:<n>
+              (disjoint cycles; malformed tokens are refused)
     gset      regular(<group>) | natural(<group>) | cosets(<group>;<gens>)
     graph     cayley(<group>;<gens>) | complete(<gset>;loops=0|1)
               | cosets(<group>;<gens>)
@@ -111,24 +112,25 @@ def parse_generator_token(G: FiniteGroup, token: str) -> int:
         if not 0 <= idx < G.order:
             raise SpecParseError(f"element index {idx} out of range", token, 0)
         return idx
-    m = re.fullmatch(r"\(([\d)(]*\d)\)", token)
-    if m or (token.startswith("(") and token.endswith(")")):
+    if token.startswith("("):
         if G.point_action is None:
             raise SpecParseError(
                 "cycle notation needs a symmetric group", token, 0
             )
+        if not re.fullmatch(r"(\(\d+\))+", token):
+            raise SpecParseError(f"malformed cycle token {token!r}", token, 0)
         n = len(G.point_action[0])
-        perm = list(range(n))
-        for cyc in re.findall(r"\(([0-9]+)\)", token):
+        perm, moved = list(range(n)), set()
+        for cyc in re.findall(r"\((\d+)\)", token):
             pts = [int(c) - 1 for c in cyc]
             if any(not 0 <= p < n for p in pts) or len(set(pts)) != len(pts):
                 raise SpecParseError(f"bad cycle {cyc!r}", token, 0)
+            if moved.intersection(pts):
+                raise SpecParseError(f"cycles of {token!r} are not disjoint", token, 0)
+            moved.update(pts)
             for i, p in enumerate(pts):
                 perm[p] = pts[(i + 1) % len(pts)]
-        try:
-            return G.point_action.index(tuple(perm))
-        except ValueError:
-            raise SpecParseError(f"cycle {token!r} is not a group element", token, 0)
+        return G.point_action.index(tuple(perm))  # S:n holds every permutation
     m = re.fullmatch(r"(?:s(\d*))?(?:t(\d*))?", token)
     if m and token:
         si = G.generator_indices.get("s")

@@ -371,14 +371,14 @@ def _left_inverse(B: GLattice, T: GLattice, j: IntMatrix) -> Optional[IntMatrix]
         blocks.append(coefficients.kron(spread) @ moved)
         fixed.append(F)
     # the right-hand side is e_l for l in J, stacked
-    x = BasisSolver(IntMatrix.zeros(len(J) * t, 0).hstack(*blocks)).express(
-        spread.take_columns(J).T.entries
+    x = BasisSolver(IntMatrix.zeros(len(J) * t, 0).hstack(*blocks)).express_columns(
+        [{k * t + l: 1 for k, l in enumerate(J)}]
     )
     if x is None:
         return None
     images, start = [], 0
     for F in fixed:
-        images.append(F @ IntMatrix.column(x[start : start + F.cols]))
+        images.append(F @ x.take_rows(range(start, start + F.cols)))
         start += F.cols
     L = orbit_map(B, T, IntMatrix.zeros(t, 0).hstack(*images))
     certify((L @ j).is_identity(), "the left inverse inverts the injection")
@@ -614,13 +614,13 @@ def is_permutation_bounded(M: GLattice, bound: int = 2) -> PermutationSearchOutc
     def saturated_cols(cols: List[Sequence[int]]) -> bool:
         return is_saturated_basis(IntMatrix.from_columns(cols, rows=len(cols[0])))
 
-    # (orbit, image in the coinvariant quotient), bucketed by stabilizer class
+    # (orbit, image in the coinvariant quotient), bucketed by stabilizer class;
+    # the images of all orbit leaders come from one product
+    orbits = [(orbit, class_of[stab]) for orbit, stab in _box_orbits(M, bound)
+              if options is None or any(c[class_of[stab]] for c in options)]
+    leaders = IntMatrix.from_columns([orbit[0] for orbit, _ in orbits], rows=r)
     per_class: List[List[Tuple[List[List[int]], List[int]]]] = [[] for _ in reps]
-    for orbit, stab in _box_orbits(M, bound):
-        cls = class_of[stab]
-        if options is not None and not any(c[cls] for c in options):
-            continue
-        image = coinv.mul_vector(orbit[0])
+    for (orbit, cls), image in zip(orbits, (coinv @ leaders).T.to_lists()):
         if gcd(*image) == 1 and saturated_cols(orbit):
             per_class[cls].append((orbit, image))
 

@@ -4,12 +4,14 @@ flow lattices.
 
 Conventions pinned for determinism: spanning trees are BFS from vertex 0
 scanning edges in listed order, path flows use the BFS path, and every
-kernel basis is saturated column-Hermite.  A candidate flow is a
-``Flow``, the map of its nonzero coefficients by edge, so certifying a
-basis costs time in its nonzeros; the basis matrix built from it is
-stored densely.  Caller numbers (edge endpoints, generators, tree edges,
-candidate edges and coefficients, edge indices) enter through
-``operator.index``, so a float is refused, not truncated.  A flow
+kernel basis is saturated column-Hermite.  Every edge vector (a
+candidate, a path, a circular flow) is a ``Flow``, the map of its
+nonzero coefficients by edge, so certifying a basis costs time in its
+nonzeros, and flows are solved for by ``express_columns`` of the
+lattice's solver; the basis matrix is stored densely.  Caller numbers
+(edge endpoints, generators, tree edges, candidate edges and
+coefficients, edge indices) enter through ``operator.index``, so a
+float is refused, not truncated.  A flow
 lattice is its basis and the solver of it: its G-action and inclusion
 are solved for when first read, so a caller that needs only the basis or
 the rank makes no solve.
@@ -239,10 +241,6 @@ class FlowLattice:
     def rank(self) -> int:
         return self.basis.cols
 
-    def flow_coordinates(self, edge_vector: Sequence[int]) -> Optional[list]:
-        """Basis coordinates of an edge vector, or None when it is no flow."""
-        return self.solver.express(edge_vector)
-
     def boundary_sequence(self) -> ShortExactSequence:
         """0 -> Fl -> Z[E] -> I_V -> 0: the flows in the edges, and the
         boundary onto the augmentation sublattice I_V of Z[V], in its
@@ -348,19 +346,20 @@ def _bfs(
 
 def path_flow(
     X: GGraph, src: int, dst: int, allowed_edges: Optional[Sequence[int]] = None
-) -> List[int]:
-    """Unit flow along the canonical BFS path src -> dst (boundary dst - src)."""
+) -> Flow:
+    """Unit flow along the canonical BFS path src -> dst (boundary dst - src),
+    which uses each edge at most once."""
     prev = _bfs(X, src, allowed_edges)
     if dst != src and prev[dst] is None:
         raise InvalidParameterError(f"no path from {src} to {dst} in allowed edges")
-    vec = [0] * X.n_edges
+    flow: Flow = {}
     v = dst
     while v != src:
         e, sign = prev[v]
-        vec[e] += sign
+        flow[e] = sign
         s, t = X.edges[e]
         v = s if (sign == 1) else t
-    return vec
+    return flow
 
 
 def spanning_tree_basis(
@@ -479,39 +478,25 @@ def remove_edges_decomposition(X: GGraph, X_sub: GGraph) -> EquivariantMap:
     m = len(removed_orbits)
     certify(m * G.order == X.n_edges - X_sub.n_edges, "the removed edges form free orbits")
 
-    cols = []
-    # natural embedding of the subgraph flows
-    for j in range(fl_sub.rank):
-        f = fl_sub.basis.col_list(j)
-        vec = [0] * X.n_edges
-        for e_sub, e_full in enumerate(sub_in_X):
-            vec[e_full] = f[e_sub]
-        cols.append(fl.flow_coordinates(vec))
-    # one free orbit of circular flows per removed orbit representative
+    # the subgraph flows extended by zero, then one free orbit of circular
+    # flows per removed orbit: its representative closed by a subgraph path
+    embedded = [{sub_in_X[e]: c for e, c in col.items()} for col in fl_sub.basis.column_nonzeros()]
+    flows = list(embedded)
     for orbit in removed_orbits:
         rep = orbit[0]
         v_i, w_i = X.edges[rep]
-        path = path_flow(X_sub, w_i, v_i)
-        circ = [0] * X.n_edges
-        for e_sub, e_full in enumerate(sub_in_X):
-            circ[e_full] = path[e_sub]
-        circ[rep] += 1
-        for g in range(G.order):
-            cols.append(fl.flow_coordinates(X.edge_gset.move(g, circ)))
+        circ = {sub_in_X[e]: c for e, c in path_flow(X_sub, w_i, v_i).items()}
+        circ[rep] = 1
+        flows += [X.edge_gset.move(g, circ) for g in range(G.order)]
+    matrix = fl.solver.express_columns(flows)
+    certify(matrix is not None, "the embedded and circular flows are flows")
     source = direct_sum_many([fl_sub.glattice] + [regular(G) for _ in range(m)])
-    matrix = IntMatrix.from_columns(cols, rows=fl.rank)
     iso = EquivariantMap(source, fl.glattice, matrix)
     iso.validate()
     certify(iso.is_unimodular(), "edge-removal decomposition must be unimodular")
     # restriction block identity: the first columns are the embedded basis
     emb = fl.inclusion.matrix @ matrix.take_columns(range(fl_sub.rank))
-    for j in range(fl_sub.rank):
-        col = emb.col_list(j)
-        src = fl_sub.basis.col_list(j)
-        expect = [0] * X.n_edges
-        for e_sub, e_full in enumerate(sub_in_X):
-            expect[e_full] = src[e_sub]
-        certify(col == expect, "the embedding extends subgraph flows by zero")
+    certify(emb.column_nonzeros() == embedded, "the embedding extends subgraph flows by zero")
     return iso
 
 

@@ -410,8 +410,8 @@ def sublattice_with_action(
     BasisSolver of the basis may pass it.
 
     Only the generators are solved for, M(s) B = B rho(s).  When M has a
-    G-set, M(s) B is the nonzero entries of B, read once, with row x moved
-    to row s x, and no product is made.  Every other element gets
+    G-set, M(s) B is the nonzero entries of B, read once, each column
+    moved by ``GSet.move``, and no product is made.  Every other element gets
     rho(a s) = rho(a) rho(s) when first read, one product each, along the
     breadth-first search of FiniteGroup.closure.  This is exact and rho
     is a homomorphism, because M is one and the basis B is injective;
@@ -427,9 +427,7 @@ def sublattice_with_action(
         if columns is None:
             made[s] = solver.express_matrix(M.action[s] @ basis)
         else:
-            perm = M.gset.action[s]
-            made[s] = solver.express_columns(
-                [{perm[i]: x for i, x in col.items()} for col in columns])
+            made[s] = solver.express_columns([M.gset.move(s, col) for col in columns])
         if made[s] is None:
             raise InvalidParameterError(
                 f"column span is not invariant under element {s}"

@@ -10,7 +10,8 @@ compare with the generators only, since an element is central exactly
 when it commutes with each of them.  A subgroup checks closure on its own
 greedy generators.  A G-set checks rho(g s) = rho(g) rho(s) for every
 element g and every generator s, which by induction on word length makes
-rho a homomorphism.
+rho a homomorphism.  A point-indexed vector is a sparse map, {point:
+entry}, and ``GSet.move`` is the one way a G-set moves it.
 
 Subgroups grow by cosets: ``FiniteGroup.closure`` extends a known subgroup
 B to <B, g> as a union of right cosets of B (Dimino), and both the greedy
@@ -26,7 +27,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -558,14 +559,16 @@ class GSet:
             list(point_names) if point_names else [f"p{i}" for i in range(self.size)]
         )
 
-    def move(self, g: int, vec: Sequence[int]) -> List[int]:
-        """The point-indexed vector g . vec: the entry at x moves to g x."""
+    def move(self, g: int, vec: Mapping[int, int]) -> Dict[int, int]:
+        """The sparse point-indexed vector g . vec, {point: entry}: the
+        entry at x moves to g x.
+
+        >>> X = regular_gset(cyclic(3))
+        >>> X.move(1, {0: 2, 2: -1})
+        {1: 2, 0: -1}
+        """
         perm = self.action[g]
-        out = [0] * self.size
-        for x, c in enumerate(vec):
-            if c:
-                out[perm[x]] = c
-        return out
+        return {perm[x]: c for x, c in vec.items()}
 
     def restrict(self, points: Sequence[int]) -> "GSet":
         """The G-set on a stable subset of points, renumbered in increasing order."""

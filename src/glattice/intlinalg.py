@@ -4,10 +4,11 @@ How an ``IntMatrix`` is stored is private to this module: every other
 module builds and reads matrices through its API.  The entries are
 arbitrary-precision Python integers, so nothing can silently overflow,
 and caller numbers enter through ``operator.index``, so a float or a
-string is refused rather than truncated.  A matrix may be given by the
-nonzero entries of its columns, ``{row: entry}`` maps, and the solver
-takes the columns it solves as such maps; the matrices themselves are
-stored densely all the same.  Only the product and the
+string is refused rather than truncated.  A vector is a sparse map,
+``{row: entry}``: a matrix may be given by its columns as such maps and
+read as them (``column_nonzeros``), and the one solve,
+``BasisSolver.express_columns``, takes its columns so; the matrices
+themselves are stored densely all the same.  Only the product and the
 Hermite boundary convert the storage.  A product with shared dimension k
 runs in float64 (BLAS) when k * max|A| * max|B| < 2**53, where every
 partial sum is an exact integer in any order, in int64 below 2**62, and
@@ -172,11 +173,6 @@ class IntMatrix:
     def cols(self) -> int:
         return self._made.shape[1]
 
-    @property
-    def entries(self) -> tuple:
-        """Row-major tuple of all entries."""
-        return tuple(self.a.reshape(-1).tolist())
-
     def __getitem__(self, ij):
         return self.a[ij]
 
@@ -267,13 +263,6 @@ class IntMatrix:
         for j, i, x in zip(js.tolist(), rows.tolist(), self.a[rows, js].tolist()):
             columns[j][i] = x
         return columns
-
-    def mul_vector(self, v: Sequence[int]) -> list:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        arr = np.empty(self.cols, dtype=object)
-        arr[:] = list(map(operator.index, v))
-        return np.dot(self.a, arr).tolist()
 
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product, row-major block convention: entry
@@ -559,31 +548,31 @@ class BasisSolver:
                         heappush(heap, position[i])
         return None if r else y
 
-    def express(self, vec: Sequence[int]) -> Optional[list]:
-        """Coordinates of vec in the basis columns, or None if outside."""
-        r = list(map(operator.index, vec))
-        if len(r) != self.H.rows:
-            raise ValueError("vector length mismatch")
-        nonzero = self._express_h({i: x for i, x in enumerate(r) if x})
-        if nonzero is None:
-            return None
-        y = [0] * self.H.cols
-        for j, q in nonzero.items():
-            y[j] = q
-        return y if self.V is None else self.V.mul_vector(y)
-
     def express_matrix(self, M: IntMatrix) -> Optional[IntMatrix]:
         if M.rows != self.H.rows:
             raise ValueError("matrix row mismatch")
         return self.express_columns(M.column_nonzeros())
 
-    def express_columns(self, columns: Sequence[dict]) -> Optional[IntMatrix]:
-        """The coordinate matrix of the columns given by their nonzero
-        entries, {row: Python int} maps, which are consumed; None when one
-        lies outside the span.  Every matrix solve enters here."""
-        ys = []
+    def express_columns(self, columns: Sequence[Mapping[int, int]]) -> Optional[IntMatrix]:
+        """The coordinate matrix of the columns given as {row: entry} maps
+        (a missing row or an entry 0 means 0); None when one lies outside
+        the span.  Every solve enters here: rows and entries enter through
+        ``operator.index``, and a row out of range raises ValueError.
+
+        >>> print(BasisSolver(IntMatrix.from_rows([[2, 0], [1, 1]])).express_columns([{0: 2, 1: 3}]))
+        [1]
+        [2]
+        """
+        rows, ys = self.H.rows, []
         for col in columns:
-            y = self._express_h(col)
+            r = {}
+            for i, x in col.items():
+                i, x = operator.index(i), operator.index(x)  # caller numbers enter here
+                if not 0 <= i < rows:
+                    raise ValueError(f"row index {i} out of range for {rows} rows")
+                if x:
+                    r[i] = x
+            y = self._express_h(r)
             if y is None:
                 return None
             ys.append(y)

@@ -38,7 +38,8 @@ the kernel basis through the full Hermite transform, fixed points as the
 kernel of the stacked h - 1, direct sums folded two at a time, the
 section of a permutation quotient found orbit by orbit against those
 fixed points and moved point by point, and the flasque scan over every
-subgroup class in order.
+subgroup class in order.  Dense vectors, which the library no longer
+takes, are multiplied, solved for and flattened here.
 """
 
 import itertools
@@ -87,6 +88,27 @@ from glattice.intlinalg import (
     solve_matrix,
     xgcd,
 )
+
+
+def mul_vector(M: IntMatrix, v: Sequence[int]) -> List[int]:
+    """M v for a dense vector v (a list), one dot product per row."""
+    if len(v) != M.cols:
+        raise ValueError("vector length mismatch")
+    return [sum(x * y for x, y in zip(row, v)) for row in M.to_lists()]
+
+
+def express_dense(solver: BasisSolver, vec: Sequence[int]) -> Optional[List[int]]:
+    """The coordinates of a dense vector, as a list, or None when it lies
+    outside the span: ``express_columns`` on its entries by row."""
+    if len(vec) != solver.H.rows:
+        raise ValueError("vector length mismatch")
+    Y = solver.express_columns([dict(enumerate(vec))])
+    return None if Y is None else Y.col_list(0)
+
+
+def entries(M: IntMatrix) -> List[int]:
+    """The entries of M, row by row."""
+    return [x for row in M.to_lists() for x in row]
 
 
 def det(m: IntMatrix) -> int:
@@ -241,7 +263,7 @@ def quotient_in_lattice(span_basis: IntMatrix, generators: IntMatrix) -> TateGro
     solver = BasisSolver(span_basis)
     cols = []
     for j in range(generators.cols):
-        coords = solver.express(generators.col_list(j))
+        coords = express_dense(solver, generators.col_list(j))
         if coords is None:
             raise InvalidParameterError("generator escapes the ambient sublattice")
         cols.append(coords)
@@ -392,7 +414,7 @@ def section_by_averaging(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     if B.gset is not None and B.is_permutation_action():
         candidates = hom_basis_into_permutation(C, B)
         flat_pi = IntMatrix.from_columns(
-            [(pi @ m).entries for m in candidates], rows=C.rank * C.rank
+            [entries(pi @ m) for m in candidates], rows=C.rank * C.rank
         )
         coeff_kernel = kernel_basis(flat_pi)
         corrections = []
@@ -404,9 +426,9 @@ def section_by_averaging(seq: ShortExactSequence) -> Optional[EquivariantMap]:
             corrections.append(m)
     else:
         corrections = [seq.left.matrix @ h for h in hom_basis(C, seq.A)]
-    flats = [m.entries for m in corrections]
+    flats = [entries(m) for m in corrections]
     flat_h = [[f[k] for f in flats] for k in range(B.rank * C.rank)]
-    x = solve_mod(flat_h, [-v for v in t.entries], n)
+    x = solve_mod(flat_h, [-v for v in entries(t)], n)
     if x is None:
         return None
     total = t
@@ -489,8 +511,8 @@ def section_by_hom_basis(seq: ShortExactSequence) -> Optional[IntMatrix]:
     if not homs:
         return None if C.rank else IntMatrix.zeros(B.rank, 0)
     pi = seq.right.matrix
-    flat = IntMatrix.from_columns([(pi @ h).entries for h in homs], rows=C.rank * C.rank)
-    x = BasisSolver(flat).express(IntMatrix.identity(C.rank).entries)
+    flat = IntMatrix.from_columns([entries(pi @ h) for h in homs], rows=C.rank * C.rank)
+    x = express_dense(BasisSolver(flat), entries(IntMatrix.identity(C.rank)))
     if x is None:
         return None
     total = IntMatrix.zeros(B.rank, C.rank)
@@ -512,7 +534,7 @@ def shapiro_hom_basis(C: GLattice, A: GLattice) -> List[IntMatrix]:
         fixed = fixed_sublattice(A, points.stabilizer(base))
         for j in range(fixed.cols):
             v = fixed.col_list(j)
-            cols = {p: A.action[g].mul_vector(v) for p, g in transversal}
+            cols = {p: mul_vector(A.action[g], v) for p, g in transversal}
             zero = [0] * A.rank
             out.append(IntMatrix.from_columns([cols.get(p, zero) for p in range(C.rank)], rows=A.rank))
     return out
@@ -878,7 +900,9 @@ def bar_flow_dense(X, G: FiniteGroup, g: int, h: int) -> Tuple[int, ...]:
 
 def cocycle_failures_dense(X, G: FiniteGroup, d) -> int:
     """Triples failing d(g1, g2) + d(g1 g2, g3) = d(g1, g2 g3) + g1 . d(g2, g3)."""
-    move = X.edge_gset.move
+    def move(g: int, vec: Sequence[int]) -> List[int]:
+        return move_by_loop(X.edge_action[g], vec)
+
     failures = 0
     for g1 in G.elements():
         for g2 in G.elements():
@@ -895,7 +919,9 @@ def tree_recursion_failures_dense(X, G: FiniteGroup, d) -> int:
     """Pairs failing d(h, g) = [e -> h] + h . [e -> g] - [e -> hg] on dense vectors."""
     e = G.identity
     idx = X.edge_index()
-    move = X.edge_gset.move
+    def move(g: int, vec: Sequence[int]) -> List[int]:
+        return move_by_loop(X.edge_action[g], vec)
+
 
     def edge_unit(g: int) -> Tuple[int, ...]:
         vec = [0] * X.n_edges
@@ -1046,7 +1072,7 @@ def express_by_dense_sweep(basis: IntMatrix, vec: Sequence[int], pivots=None) ->
             r[i] -= q * h
     if any(r):
         return None
-    return y if V is None else V.mul_vector(y)
+    return y if V is None else mul_vector(V, y)
 
 
 def fundamental_cycles(X, tree: Sequence[int]) -> List[List[int]]:
@@ -1145,7 +1171,7 @@ def permutation_search_by_scan(M: GLattice, bound: int, budget: int) -> Permutat
             continue
         if not saturated_cols(list(orbit)):
             continue
-        image = coinv.mul_vector(list(tup))
+        image = mul_vector(coinv, list(tup))
         if gcd(*image) != 1:
             continue
         per_class[cls].append({"orbit": orbit, "image": image})
@@ -1281,12 +1307,12 @@ def find_section_orbitwise(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     for base, transversal in C.gset.orbit_transversal():
         F = fixed_sublattice_by_kernel(B, C.gset.stabilizer(base))
         target = [int(i == base) for i in range(C.rank)]
-        b = BasisSolver(pi @ F).express(target)
+        b = express_dense(BasisSolver(pi @ F), target)
         if b is None:
             return None
-        b = F.mul_vector(b)
+        b = mul_vector(F, b)
         for p, g in transversal:
-            cols[p] = B.action[g].mul_vector(b)
+            cols[p] = mul_vector(B.action[g], b)
     section = EquivariantMap(C, B, IntMatrix.from_columns([cols[p] for p in range(C.rank)], rows=B.rank))
     section.validate()
     if not (pi @ section.matrix).is_identity():

@@ -16,7 +16,7 @@ from glattice.checks import _bar_flows, _star_tree_basis
 from glattice.cli import parse_group_spec
 from glattice.gflows import cayley_graph, spanning_tree_basis
 from glattice.intlinalg import BasisSolver, IntMatrix, _is_column_hermite, col_hermite, solve_matrix
-from reference import as_flow, express_by_dense_sweep, fundamental_cycles, spanning_tree_by_bfs
+from reference import as_flow, express_by_dense_sweep, fundamental_cycles, mul_vector, spanning_tree_by_bfs
 
 BIG = 2**64
 ENTRY = st.one_of(st.integers(-3, 3), st.integers(-3 * BIG, 3 * BIG))
@@ -28,7 +28,7 @@ def probes(draw, basis, pivots):
     """Vectors for the basis: inside its span, arbitrary, and (when some
     pivot is not +-1) inside plus 1 in that pivot's row."""
     coords = [draw(ENTRY) for _ in range(basis.cols)]
-    inside = basis.mul_vector(coords)
+    inside = mul_vector(basis, coords)
     vectors = [inside, [draw(ENTRY) for _ in range(basis.rows)]]
     for j, p in enumerate(pivots):
         if p is not None and basis[p, j] not in (1, -1):
@@ -101,7 +101,7 @@ def expected_matrix(basis, vectors, pivots=None):
 
 def assert_agrees(solver, basis, vectors, pivots=None):
     for v in vectors:
-        assert solver.express(v) == express_by_dense_sweep(basis, v, pivots)
+        assert solver.express_columns([as_flow(v)]) == expected_matrix(basis, [v], pivots)
     for m in (vectors, vectors[:1], []):
         M = IntMatrix.from_columns(m, rows=basis.rows)
         assert solver.express_matrix(M) == expected_matrix(basis, m, pivots)
@@ -155,11 +155,18 @@ class TestRefusals:
             with pytest.raises(ValueError):
                 solve_matrix(IntMatrix.identity(2), IntMatrix.zeros(rows, cols))
 
-    def test_express_refuses_a_float(self):
-        with pytest.raises(TypeError):
-            BasisSolver(IntMatrix.identity(1)).express([2.5])
-        with pytest.raises(ValueError):
-            BasisSolver(IntMatrix.identity(1)).express([1, 0])
+    def test_express_columns_refuses_a_non_integer_or_a_row_out_of_range(self):
+        solver = BasisSolver(IntMatrix.identity(3))
+        for col in ({0: 2.5}, {0: 2.0}, {0.0: 1}, {0: "1"}):
+            with pytest.raises(TypeError):
+                solver.express_columns([col])
+        for row in (3, 99, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                solver.express_columns([{0: 1}, {row: 1}])
+        # a zero entry is no entry, and the columns are left as they were
+        cols = [{0: 1, 2: 0}, {1: -2}]
+        assert solver.express_columns(cols).to_lists() == [[1, 0], [0, -2], [0, 0]]
+        assert cols == [{0: 1, 2: 0}, {1: -2}]
 
 
 def test_bar_cocycle_divides_only_at_reached_pivots(monkeypatch):

@@ -61,6 +61,9 @@ class TestSpecParsing:
         assert G.point_action[idx] == (1, 2, 3, 0)
         (swap,) = parse_generators(G, "(12)")
         assert G.point_action[swap] == (1, 0, 2, 3)
+        (double,) = parse_generators(G, "(12)(34)")
+        assert G.point_action[double] == (1, 0, 3, 2)
+        assert parse_generators(G, "(1)(2)") == [G.identity]
 
     def test_graph_specs(self):
         X = parse_graph_spec("cayley(C:5;s)")
@@ -130,6 +133,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "spec error: element index 'x' is not an integer (token '#x', position 0)\n"
         )
+
+    @pytest.mark.parametrize("token, message", [
+        ("(1 2)", "malformed cycle token '(1 2)'"),
+        ("(1x2)", "malformed cycle token '(1x2)'"),
+        ("(1)2(3)", "malformed cycle token '(1)2(3)'"),
+        ("(12", "malformed cycle token '(12'"),
+        ("(12)(13)", "cycles of '(12)(13)' are not disjoint"),
+        ("(14)", "bad cycle '14'"),
+    ])
+    def test_malformed_cycle_tokens_are_refused(self, capsys, token, message):
+        assert run_cli(["flows", "--graph", f"cayley(S:3;{token},(123))"]) == (2, "")
+        assert capsys.readouterr().err == f"spec error: {message} (token '{token}', position 0)\n"
+
+    @pytest.mark.parametrize("check, m", [("kernel-generators", "2"), ("faithful-transfer", "3")])
+    def test_metacyclic_twist_refused_at_n_1(self, capsys, check, m):
+        # at n = 1 every r is 1 mod n, so no twist moves s
+        assert run_cli(["check", check, "--n", "1", "--m", m, "--r", "0"]) == (2, "")
+        assert capsys.readouterr().err == "invalid invocation: twist must move s (r != 1 mod n)\n"
 
     def test_permutation_bound_zero_is_refused(self, capsys):
         argv = ["certify", "--group", "C:2", "--lattice", "sign",

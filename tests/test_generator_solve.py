@@ -5,6 +5,7 @@ tree-recursion check without dict merges, spanning-tree bases from
 nonzeros and orbit counts over the integers, each against the route it
 replaced (tests/reference.py); pivot columns against sympy."""
 
+import sys
 import tracemalloc
 from functools import lru_cache
 
@@ -17,7 +18,7 @@ import glattice.gflows as gflows_mod
 import glattice.gmod as gmod_mod
 import glattice.intlinalg as intlinalg_mod
 from glattice.checks import _bar_flows, _cocycle_failures, _star_tree_basis, _tree_recursion_failures
-from glattice.cli import main, parse_group_spec
+from glattice.cli import main, parse_generators, parse_group_spec
 from glattice.cohom import coflasque_resolution, flasque_resolution, pullback
 from glattice.errors import CertificateError, GlatticeError, InvalidParameterError
 from glattice.gflows import (
@@ -212,12 +213,13 @@ class TestFlowBasisAgainstKernel:
 
 
 def _counting(monkeypatch, owner, name):
-    """Calls of owner.name, recorded by name, from now on."""
+    """Calls of owner.name from now on, each recorded by the name of the
+    function that made it."""
     calls = []
     original = getattr(owner, name)
 
     def counting(*args, **kwargs):
-        calls.append(name)
+        calls.append(sys._getframe(1).f_code.co_name)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
@@ -282,6 +284,35 @@ class TestFlowLatticeActionOnFirstRead:
         with pytest.raises(InvalidParameterError, match="not invariant under element") as deferred:
             fl.glattice
         assert str(deferred.value) == str(direct.value)
+
+
+class TestOneSolveForTheFlows:
+    """The edge-removal isomorphism and the metacyclic presentation solve
+    all their flows in one express_columns call, the one public solve of
+    BasisSolver besides express_matrix, which enters it."""
+
+    @pytest.mark.parametrize("spec, gens, kept", [
+        ("C:6", "s,s2", "s"), ("D:4", "s,t,st", "s,t"), ("S:3", "(12),(123),(13)", "(12),(123)"),
+    ])
+    def test_remove_edges_decomposition(self, spec, gens, kept, monkeypatch):
+        G = parse_group_spec(spec)
+        X, X_sub = (cayley_graph(G, parse_generators(G, g)) for g in (gens, kept))
+        solves = _counting(monkeypatch, BasisSolver, "express_columns")
+        gflows_mod.remove_edges_decomposition(X, X_sub)
+        assert solves.count("remove_edges_decomposition") == 1
+
+    @pytest.mark.parametrize("nmr", [(3, 2, 2), (5, 2, 4), (7, 3, 2), (5, 4, 3)])
+    def test_metacyclic_presentation(self, nmr, monkeypatch):
+        solves = _counting(monkeypatch, BasisSolver, "express_columns")
+        checks_mod._metacyclic_presentation(*nmr)
+        assert solves.count("_metacyclic_presentation") == 1
+
+    def test_no_other_public_solve(self, monkeypatch):
+        public = {name for name, v in vars(BasisSolver).items() if callable(v) and name[0] != "_"}
+        assert public == {"express_columns", "express_matrix"}
+        solves = _counting(monkeypatch, BasisSolver, "express_columns")
+        BasisSolver(IntMatrix.identity(2)).express_matrix(IntMatrix.identity(2))
+        assert solves == ["express_matrix"]
 
 
 def _seq(left_rows, right_rows, ranks):

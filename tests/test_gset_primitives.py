@@ -32,6 +32,7 @@ from glattice.groups import (
 )
 
 from reference import (
+    as_flow,
     coinvariant_projection_left_kernel,
     coset_gset_by_scan,
     edge_orbits_by_scan,
@@ -82,10 +83,8 @@ def test_move_matches_loop(group):
     for V in gsets(group):
         vec = [x + 1 if x % 3 else 0 for x in range(V.size)]  # distinct entries and zeros
         for g in group.elements():
-            assert V.move(g, vec) == move_by_loop(V.action[g], vec)
-            unit = [0] * V.size
-            unit[V.size - 1] = 1
-            assert V.move(g, unit).index(1) == V.action[g][V.size - 1]
+            assert V.move(g, as_flow(vec)) == as_flow(move_by_loop(V.action[g], vec))
+            assert V.move(g, {V.size - 1: 1}) == {V.action[g][V.size - 1]: 1}
 
 
 def test_restrict_group_matches_orbit_count(group):
@@ -146,7 +145,7 @@ def test_bfs_matches_reference(group):
         sources = range(n) if n <= 12 else (0, n - 1)
         for src in sources:
             for dst in range(n):
-                assert path_flow(X, src, dst) == path_flow_by_bfs(X, src, dst)
+                assert path_flow(X, src, dst) == as_flow(path_flow_by_bfs(X, src, dst))
     # over the edges of the first generator only, connected for C:6 alone
     X = cayley_graph(group, group.generators)
     first = [e for e in range(X.n_edges) if X.edge_degree[e] == group.generators[0]]
@@ -157,7 +156,7 @@ def test_bfs_matches_reference(group):
             with pytest.raises(InvalidParameterError, match="no path"):
                 path_flow(X, 0, dst, first)
         else:
-            assert path_flow(X, 0, dst, first) == want
+            assert path_flow(X, 0, dst, first) == as_flow(want)
 
 
 def test_components_are_the_cosets_of_the_generated_subgroup(group):
