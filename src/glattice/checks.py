@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -46,10 +46,7 @@ from .groups import (
     Subgroup,
     coset_gset,
     cyclic,
-    dihedral,
-    direct_product,
     natural_gset,
-    regular_gset,
     semidirect,
     subgroup_conjugacy_reps,
     subgroup_from_generators,
@@ -74,39 +71,31 @@ from .intlinalg import (
 
 @dataclass
 class CheckReport:
-    """Outcome of one named check, reproducible modulo elapsed time."""
+    """Outcome of one named check, reproducible modulo elapsed time.
+
+    A check records each named assertion as it runs; ``finish`` sets the
+    status and the time since the report was made.
+
+    >>> report = CheckReport("demo", "C:1", {})
+    >>> report.record("holds", True)
+    True
+    >>> report.run("refused", lambda: (False, "by its own verdict"))
+    False
+    >>> report.finish().status, report.ok
+    ('fail', False)
+    """
 
     check_id: str
     group_spec: str
     parameters: Dict[str, object]
-    status: str  # "pass" | "fail"
-    details: List[Dict[str, str]]
-    elapsed_ms: float
+    details: List[Dict[str, str]] = field(default_factory=list)
+    status: str = "running"  # "pass" | "fail" once finished
+    elapsed_ms: float = 0.0
+    _start: float = field(default_factory=time.perf_counter, init=False, repr=False)
 
     @property
     def ok(self) -> bool:
         return self.status == "pass"
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "check_id": self.check_id,
-            "group": self.group_spec,
-            "parameters": dict(self.parameters),
-            "status": self.status,
-            "assertions": [dict(d) for d in self.details],
-            "elapsed_ms": round(self.elapsed_ms, 3),
-        }
-
-
-class _Checker:
-    """Accumulates named sub-assertions for one report."""
-
-    def __init__(self, check_id: str, group_spec: str, parameters: Dict[str, object]):
-        self.check_id = check_id
-        self.group_spec = group_spec
-        self.parameters = parameters
-        self.details: List[Dict[str, str]] = []
-        self.start = time.perf_counter()
 
     def record(self, name: str, ok: bool, detail: str = "") -> bool:
         self.details.append(
@@ -121,16 +110,20 @@ class _Checker:
             return self.record(name, False, f"{type(exc).__name__}: {exc}")
         return self.record(name, ok, detail)
 
-    def finish(self) -> CheckReport:
-        status = "pass" if all(d["status"] == "pass" for d in self.details) else "fail"
-        return CheckReport(
-            check_id=self.check_id,
-            group_spec=self.group_spec,
-            parameters=self.parameters,
-            status=status,
-            details=self.details,
-            elapsed_ms=(time.perf_counter() - self.start) * 1000.0,
-        )
+    def finish(self) -> "CheckReport":
+        self.status = "pass" if all(d["status"] == "pass" for d in self.details) else "fail"
+        self.elapsed_ms = (time.perf_counter() - self._start) * 1000.0
+        return self
+
+    def to_json_dict(self) -> Dict[str, object]:
+        return {
+            "check_id": self.check_id,
+            "group": self.group_spec,
+            "parameters": dict(self.parameters),
+            "status": self.status,
+            "assertions": [dict(d) for d in self.details],
+            "elapsed_ms": round(self.elapsed_ms, 3),
+        }
 
 
 def _sparse_sum(terms: Iterable[Tuple[int, int]]) -> Dict[int, int]:
@@ -157,9 +150,7 @@ def check_cyclic_flows(n: int, gens: Sequence[int]) -> CheckReport:
     gens = [g % n for g in gens]
     if sigma not in gens:
         raise InvalidParameterError("generating set must contain the rotation s")
-    ck = _Checker(
-        "cyclic-flows", f"C:{n}", {"n": n, "gens": sorted(set(gens))}
-    )
+    ck = CheckReport("cyclic-flows", f"C:{n}", {"n": n, "gens": sorted(set(gens))})
     X = cayley_graph(G, gens)
     Xc = cayley_graph(G, [sigma])
     iso = remove_edges_decomposition(X, Xc)
@@ -192,7 +183,7 @@ def check_flow_coflasque(G: FiniteGroup, gens: Sequence[int]) -> CheckReport:
     """Fl(Cay(G, S)) is coflasque and resolves the augmentation sublattice."""
     if G.closure(gens) != tuple(range(G.order)):
         raise InvalidParameterError("generating set does not generate the group")
-    ck = _Checker(
+    ck = CheckReport(
         "flow-coflasque",
         G.spec,
         {"gens": [G.element_names[g] for g in dict.fromkeys(int(g) for g in gens)]},
@@ -331,7 +322,7 @@ def check_bar_cocycle(G: FiniteGroup) -> CheckReport:
     """The translated two-step flows form a basis obeying the cocycle law."""
     if G.order < 2:
         raise InvalidParameterError("group must have at least two elements")
-    ck = _Checker("bar-cocycle", G.spec, {"order": G.order})
+    ck = CheckReport("bar-cocycle", G.spec, {"order": G.order})
     X = cayley_graph(G, [g for g in G.elements() if g != G.identity])
     d = _bar_flows(X, G)
     try:
@@ -355,7 +346,7 @@ def check_center_walks(G: FiniteGroup) -> CheckReport:
     """Closed walks from the identity, of lengths up to |G| + 1, span the
     full flow lattice of Cay(G, G)."""
     max_len = G.order + 1
-    ck = _Checker("center-walks", G.spec, {"max_len": max_len})
+    ck = CheckReport("center-walks", G.spec, {"max_len": max_len})
     n = G.order
     X = cayley_graph(G, list(range(n)))  # includes the identity: loops
     fl = flow_lattice(X)
@@ -399,7 +390,7 @@ def check_sn_restrictions(n: int) -> CheckReport:
     if not 3 <= n <= 5:
         raise InvalidParameterError("n must be between 3 and 5")
     G = symmetric(n)
-    ck = _Checker("sn-restrictions", G.spec, {"n": n})
+    ck = CheckReport("sn-restrictions", G.spec, {"n": n})
     V = natural_gset(G)
     X = complete_edges(V, loops=False)
     fl = flow_lattice(X)
@@ -512,7 +503,7 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
 
     kernel = kernel_basis(pi.matrix)
     solver = BasisSolver(kernel)
-    K, K_incl = sublattice_with_action(B, kernel, name="ker(pi)", solver=solver)
+    K, K_incl = sublattice_with_action(B, kernel, solver=solver)
 
     # the listed kernel elements, in the coordinates of B, as sparse maps
     s_hat, t_hat, a_hat = {0: 1}, {m: 1}, {m + n + G.identity: 1}
@@ -548,7 +539,7 @@ def check_kernel_generators(n: int, m: int, r: int) -> CheckReport:
     """The listed flows present the kernel of the metacyclic surjection."""
     data = _metacyclic_presentation(n, m, r)
     G = data.G
-    ck = _Checker("kernel-generators", G.spec, {"n": n, "m": m, "r": r % n})
+    ck = CheckReport("kernel-generators", G.spec, {"n": n, "m": m, "r": r % n})
 
     pres = data.pres
     factors, free = cokernel_invariants(pres.right.matrix)
@@ -565,7 +556,7 @@ def check_kernel_generators(n: int, m: int, r: int) -> CheckReport:
 
     u_in_K = data.u_in_K
     ck.record("norm-type elements generate a submodule", u_in_K is not None)
-    M0, _ = sublattice_with_action(pres.A, u_in_K, name="M0")
+    M0, _ = sublattice_with_action(pres.A, u_in_K)
     iso = EquivariantMap(coset_lattice(G, data.Hs), M0, IntMatrix.identity(m))
     ck.run(
         "M0 is the s-coset lattice via the basepoint map",
@@ -612,7 +603,7 @@ def check_faithful_transfer(n: int, m: int, r: int) -> CheckReport:
     """Flasque-class transfer from the group graph to the coset graph."""
     data = _metacyclic_presentation(n, m, r)
     G = data.G
-    ck = _Checker("faithful-transfer", G.spec, {"n": n, "m": m, "r": r % n})
+    ck = CheckReport("faithful-transfer", G.spec, {"n": n, "m": m, "r": r % n})
 
     # phi: ker(pi) ->> I on the t-cosets with kernel M0 = Z[G/s] (checked
     # elsewhere); psi: the boundary of the complete graph on the t-cosets
@@ -689,7 +680,7 @@ def check_faithful_transfer(n: int, m: int, r: int) -> CheckReport:
 
 def check_schanuel(M: GLattice, group_spec: str, lattice_spec: str) -> CheckReport:
     """Two independent coflasque resolutions have matching complements."""
-    ck = _Checker("schanuel", group_spec, {"lattice": lattice_spec})
+    ck = CheckReport("schanuel", group_spec, {"lattice": lattice_spec})
     k = len(subgroup_conjugacy_reps(M.group))
     r1 = coflasque_resolution(M)
     r2 = coflasque_resolution(M, rep_order=list(reversed(range(k))))
@@ -717,57 +708,10 @@ def check_schanuel(M: GLattice, group_spec: str, lattice_spec: str) -> CheckRepo
 
 def check_rank_formula(graphs: Sequence[Tuple[str, GGraph]]) -> CheckReport:
     """rank Fl = |E| - |V| + 1 on every listed connected graph."""
-    ck = _Checker("rank-formula", "various", {"graphs": len(graphs)})
+    ck = CheckReport("rank-formula", "various", {"graphs": len(graphs)})
     for label, X in graphs:
         fl = flow_lattice(X)
         expected = X.n_edges - X.n_vertices + 1
         ck.record(label, fl.rank == expected, f"rank {fl.rank} = {expected}")
     return ck.finish()
 
-
-def quick_suite_graphs() -> List[Tuple[str, GGraph]]:
-    """The pinned collection of connected G-graphs for the rank criterion."""
-    out: List[Tuple[str, GGraph]] = []
-    for n in (2, 3, 4, 5, 6):
-        G = cyclic(n)
-        out.append((f"cayley(C:{n};s)", cayley_graph(G, [G.generator_indices["s"]])))
-    G = cyclic(12)
-    s = G.generator_indices["s"]
-    out.append(("cayley(C:12;s,s2)", cayley_graph(G, [s, G.power(s, 2)])))
-    G = cyclic(8)
-    s = G.generator_indices["s"]
-    out.append(("cayley(C:8;s,s3)", cayley_graph(G, [s, G.power(s, 3)])))
-    for n in (3, 4, 6):
-        G = dihedral(n)
-        out.append(
-            (f"cayley(D:{n};s,t)",
-             cayley_graph(G, [G.generator_indices["s"], G.generator_indices["t"]]))
-        )
-    for (n, m, r) in ((3, 2, 2), (5, 2, 4), (5, 4, 2), (7, 3, 2)):
-        G = semidirect(n, m, r)
-        out.append(
-            (f"cayley(SD:{n},{m},{r};s,t)",
-             cayley_graph(G, [G.generator_indices["s"], G.generator_indices["t"]]))
-        )
-    K4 = direct_product(cyclic(2), cyclic(2))
-    out.append(
-        ("cayley(X(C:2,C:2);all)",
-         cayley_graph(K4, [g for g in K4.elements() if g != K4.identity]))
-    )
-    out.append(("complete(regular X(C:2,C:2))", complete_edges(regular_gset(K4))))
-    S3 = symmetric(3)
-    out.append(("complete(natural S:3)", complete_edges(natural_gset(S3))))
-    out.append(
-        ("complete(regular S:3; loops)", complete_edges(regular_gset(S3), loops=True))
-    )
-    t = next(g for g in S3.elements() if S3.element_order(g) == 2)
-    out.append(
-        ("complete(cosets S:3/<t>)",
-         complete_edges(coset_gset(S3, subgroup_from_generators(S3, [t]))))
-    )
-    S4 = symmetric(4)
-    swap = S4.point_action.index((1, 0, 2, 3))
-    four = S4.point_action.index((1, 2, 3, 0))
-    out.append(("cayley(S:4;(12),(1234))", cayley_graph(S4, [swap, four])))
-    out.append(("complete(natural S:4)", complete_edges(natural_gset(S4))))
-    return out

@@ -29,6 +29,7 @@ from .errors import InvalidParameterError, SpecParseError
 from .gflows import GGraph, cayley_graph, complete_edges, flow_lattice
 from .gmod import GLattice, regular as regular_lattice, trivial as trivial_lattice
 from .groups import (
+    MAX_SUBGROUP_ENUMERATION_ORDER,
     FiniteGroup,
     GSet,
     Subgroup,
@@ -232,58 +233,72 @@ def parse_subgroup_spec(G: FiniteGroup, spec: str) -> Subgroup:
 # -- check dispatch ------------------------------------------------------------------
 
 
-class _CheckParams(dict):
-    """CLI-level check parameters; a missing one is refused by its flag."""
-
-    def __missing__(self, key: str):
-        raise InvalidParameterError(f"missing check parameter --{key}")
+def _cyclic_flows(n: int, gens: str) -> checks.CheckReport:
+    return checks.check_cyclic_flows(n, parse_generators(cyclic(n), gens))
 
 
-def _cyclic_flows(params: Dict[str, object]) -> checks.CheckReport:
-    n = int(params["n"])
-    return checks.check_cyclic_flows(n, parse_generators(cyclic(n), str(params["gens"])))
+def _flow_coflasque(group: str, gens: str) -> checks.CheckReport:
+    G = parse_group_spec(group)
+    return checks.check_flow_coflasque(G, parse_generators(G, gens))
 
 
-def _flow_coflasque(params: Dict[str, object]) -> checks.CheckReport:
-    G = parse_group_spec(str(params["group"]))
-    return checks.check_flow_coflasque(G, parse_generators(G, str(params["gens"])))
+def _schanuel(group: str, lattice: str) -> checks.CheckReport:
+    G = parse_group_spec(group)
+    return checks.check_schanuel(parse_lattice_spec(G, lattice), G.spec, lattice)
 
 
-def _center_walks(params: Dict[str, object]) -> checks.CheckReport:
-    return checks.check_center_walks(parse_group_spec(str(params["group"])))
+# The rank-formula graphs: (report label, graph spec), in report order.
+# Most labels are their specs; the rest are pinned by the report's output.
+RANK_FORMULA_GRAPHS = [(spec, spec) for spec in (
+    *(f"cayley(C:{n};s)" for n in (2, 3, 4, 5, 6)),
+    "cayley(C:12;s,s2)",
+    "cayley(C:8;s,s3)",
+    *(f"cayley(D:{n};s,t)" for n in (3, 4, 6)),
+    *(f"cayley(SD:{nmr};s,t)" for nmr in ("3,2,2", "5,2,4", "5,4,2", "7,3,2")),
+)] + [
+    ("cayley(X(C:2,C:2);all)", "cayley(X(C:2,C:2);*)"),
+    ("complete(regular X(C:2,C:2))", "complete(regular(X(C:2,C:2));loops=0)"),
+    ("complete(natural S:3)", "complete(natural(S:3);loops=0)"),
+    ("complete(regular S:3; loops)", "complete(regular(S:3);loops=1)"),
+    ("complete(cosets S:3/<t>)", "cosets(S:3;(23))"),
+    ("cayley(S:4;(12),(1234))", "cayley(S:4;(12),(1234))"),
+    ("complete(natural S:4)", "complete(natural(S:4);loops=0)"),
+]
 
 
-def _schanuel(params: Dict[str, object]) -> checks.CheckReport:
-    G = parse_group_spec(str(params["group"]))
-    M = parse_lattice_spec(G, str(params["lattice"]))
-    return checks.check_schanuel(M, G.spec, str(params["lattice"]))
+def _rank_formula() -> checks.CheckReport:
+    return checks.check_rank_formula(
+        [(label, parse_graph_spec(spec)) for label, spec in RANK_FORMULA_GRAPHS]
+    )
 
 
-def _metacyclic_nmr(params: Dict[str, object]) -> Tuple[int, int, int]:
-    return int(params["n"]), int(params["m"]), int(params["r"])
-
-
-# Each check id, in the order the CLI lists them, with the runner that
-# takes its CLI-level parameters.
-CHECKS: Dict[str, Callable[[Dict[str, object]], checks.CheckReport]] = {
-    "rank-formula": lambda p: checks.check_rank_formula(checks.quick_suite_graphs()),
-    "cyclic-flows": _cyclic_flows,
-    "flow-coflasque": _flow_coflasque,
-    "kernel-generators": lambda p: checks.check_kernel_generators(*_metacyclic_nmr(p)),
-    "faithful-transfer": lambda p: checks.check_faithful_transfer(*_metacyclic_nmr(p)),
-    "bar-cocycle": lambda p: checks.check_bar_cocycle(parse_group_spec(str(p["group"]))),
-    "center-walks": _center_walks,
-    "sn-restrictions": lambda p: checks.check_sn_restrictions(int(p["n"])),
-    "schanuel": _schanuel,
+# Each check id, in the order the CLI lists them, with the flags its
+# runner reads, in that order, and the runner, called with their values.
+CHECKS: Dict[str, Tuple[Tuple[str, ...], Callable[..., checks.CheckReport]]] = {
+    "rank-formula": ((), _rank_formula),
+    "cyclic-flows": (("n", "gens"), _cyclic_flows),
+    "flow-coflasque": (("group", "gens"), _flow_coflasque),
+    "kernel-generators": (("n", "m", "r"), checks.check_kernel_generators),
+    "faithful-transfer": (("n", "m", "r"), checks.check_faithful_transfer),
+    "bar-cocycle": (("group",), lambda group: checks.check_bar_cocycle(parse_group_spec(group))),
+    "center-walks": (("group",), lambda group: checks.check_center_walks(parse_group_spec(group))),
+    "sn-restrictions": (("n",), checks.check_sn_restrictions),
+    "schanuel": (("group", "lattice"), _schanuel),
 }
 
 
 def run_check(check_id: str, params: Dict[str, object]) -> checks.CheckReport:
-    """Run one named check from CLI-level parameters."""
-    runner = CHECKS.get(check_id)
-    if runner is None:
+    """Run one named check from exactly the flags it reads, by flag name."""
+    if check_id not in CHECKS:
         raise SpecParseError(f"unknown check id {check_id!r}", check_id, 0)
-    return runner(_CheckParams(params))
+    flags, runner = CHECKS[check_id]
+    for flag in flags:
+        if flag not in params:
+            raise InvalidParameterError(f"missing check parameter --{flag}")
+    extra = [flag for flag in params if flag not in flags]
+    if extra:
+        raise InvalidParameterError(f"check {check_id} takes no parameter --{extra[0]}")
+    return runner(*(params[flag] for flag in flags))
 
 
 def suite_definition(name: str) -> List[Tuple[str, Dict[str, object]]]:
@@ -386,7 +401,7 @@ def _cmd_group_info(opts: Dict[str, object], output: str, out) -> int:
         "center_order": len(G.center()),
         "element_names": list(G.element_names),
     }
-    if G.order <= 64:
+    if G.order <= MAX_SUBGROUP_ENUMERATION_ORDER:
         subs = all_subgroups(G)
         info["subgroup_count"] = len(subs)
         info["subgroup_orders"] = sorted(s.order for s in subs)
@@ -453,9 +468,7 @@ def _cmd_resolve(opts: Dict[str, object], output: str, out) -> int:
             "middle": cert.sequence.B.rank,
             "right": cert.sequence.C.rank,
         },
-        "middle_orbit_sizes": sorted(len(o) for o in cert.permutation_witness.orbits())
-        if cert.permutation_witness is not None
-        else None,
+        "middle_orbit_sizes": sorted(len(o) for o in cert.sequence.B.gset.orbits()),
         "certified": True,
     }
     _emit(payload, output, out)
@@ -518,17 +531,6 @@ def _cmd_suite(opts: Dict[str, object], output: str, out) -> int:
     return 0 if all(r.status != "fail" for r in reports) else 1
 
 
-_COMMANDS = {
-    "group-info": _cmd_group_info,
-    "flows": _cmd_flows,
-    "tate": _cmd_tate,
-    "resolve": _cmd_resolve,
-    "certify": _cmd_certify,
-    "check": _cmd_check,
-    "suite": _cmd_suite,
-}
-
-
 # -- argument parsing -----------------------------------------------------------------------
 
 
@@ -537,17 +539,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="glattice",
         description="Exact computations with finite-group lattices and graph flows.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(required=True)
 
     p_group = sub.add_parser("group", help="group utilities")
-    group_sub = p_group.add_subparsers(dest="group_command", required=True)
+    group_sub = p_group.add_subparsers(required=True)
     p_info = group_sub.add_parser("info", help="orders, subgroups, Sylow data")
     p_info.add_argument("--group", required=True)
     p_info.add_argument("--output", choices=("text", "json"), default="text")
+    p_info.set_defaults(run=_cmd_group_info)
 
     p_flows = sub.add_parser("flows", help="flow lattice of a graph spec")
     p_flows.add_argument("--graph", required=True)
     p_flows.add_argument("--output", choices=("text", "json"), default="text")
+    p_flows.set_defaults(run=_cmd_flows)
 
     p_tate = sub.add_parser("tate", help="Tate cohomology in degrees -1, 0, 1")
     p_tate.add_argument("--group", required=True)
@@ -555,12 +559,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tate.add_argument("--subgroup", required=True)
     p_tate.add_argument("--degree", type=int, required=True, choices=(-1, 0, 1))
     p_tate.add_argument("--output", choices=("text", "json"), default="text")
+    p_tate.set_defaults(run=_cmd_tate)
 
     p_res = sub.add_parser("resolve", help="coflasque/flasque resolution")
     p_res.add_argument("--group", required=True)
     p_res.add_argument("--lattice", required=True)
     p_res.add_argument("--kind", choices=("coflasque", "flasque"), default="coflasque")
     p_res.add_argument("--output", choices=("text", "json"), default="text")
+    p_res.set_defaults(run=_cmd_resolve)
 
     p_cert = sub.add_parser("certify", help="permutation/invertibility certificates")
     p_cert.add_argument("--group", required=True)
@@ -568,6 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--kind", choices=("invertible", "permutation"), default="invertible")
     p_cert.add_argument("--bound", type=int, default=None)
     p_cert.add_argument("--output", choices=("text", "json"), default="text")
+    p_cert.set_defaults(run=_cmd_certify)
 
     p_check = sub.add_parser("check", help="run one named check")
     p_check.add_argument("check_id", choices=list(CHECKS))
@@ -578,10 +585,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--gens")
     p_check.add_argument("--lattice")
     p_check.add_argument("--output", choices=("text", "json"), default="json")
+    p_check.set_defaults(run=_cmd_check)
 
     p_suite = sub.add_parser("suite", help="run the quick or full check suite")
     p_suite.add_argument("name", choices=("quick", "full"))
     p_suite.add_argument("--output", choices=("text", "json"), default="text")
+    p_suite.set_defaults(run=_cmd_suite)
     return parser
 
 
@@ -593,12 +602,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     opts = vars(args)
-    command = opts.pop("command")
-    if command == "group":
-        command = f"group-{opts.pop('group_command')}"
-    output = opts.pop("output", "text")
+    run, output = opts.pop("run"), opts.pop("output")
     try:
-        return _COMMANDS[command](opts, output, out)
+        return run(opts, output, out)
     except SpecParseError as exc:
         print(
             f"spec error: {exc} (token {exc.token!r}, position {exc.position})",

@@ -58,7 +58,6 @@ from .gmod import (
     tensor,
 )
 from .groups import (
-    GSet,
     Subgroup,
     double_coset_count,
     prime_factorization,
@@ -165,11 +164,11 @@ def is_coflasque(M: GLattice) -> VanishingReport:
 
 @dataclass
 class ResolutionCertificate:
-    """A checked (co)flasque resolution with its permutation middle term."""
+    """A checked (co)flasque resolution; its middle term is a permutation
+    lattice with a G-set."""
 
     sequence: ShortExactSequence
     kind: str  # "coflasque" or "flasque"
-    permutation_witness: Optional[GSet]
 
     def validate(self) -> "ResolutionCertificate":
         report = check_exact(self.sequence)
@@ -222,13 +221,8 @@ def coflasque_resolution(
     P = direct_sum_many(summands)  # one orbit per summand, in order
     pi = EquivariantMap(P, M, orbit_map(P, M, IntMatrix.zeros(M.rank, 0).hstack(*fixed_vectors)))
     kernel = kernel_basis(pi.matrix)
-    C, incl = sublattice_with_action(P, kernel, name="coflasque kernel")
-    cert = ResolutionCertificate(
-        sequence=ShortExactSequence(incl, pi),
-        kind="coflasque",
-        permutation_witness=P.gset,
-    )
-    return cert.validate()
+    C, incl = sublattice_with_action(P, kernel)
+    return ResolutionCertificate(ShortExactSequence(incl, pi), "coflasque").validate()
 
 
 def flasque_resolution(M: GLattice) -> ResolutionCertificate:
@@ -243,12 +237,7 @@ def flasque_resolution(M: GLattice) -> ResolutionCertificate:
     F = dual(C)
     left = EquivariantMap(M, P, co.sequence.right.matrix.T)
     right = EquivariantMap(P, F, co.sequence.left.matrix.T)
-    cert = ResolutionCertificate(
-        sequence=ShortExactSequence(left, right),
-        kind="flasque",
-        permutation_witness=co.permutation_witness,
-    )
-    return cert.validate()
+    return ResolutionCertificate(ShortExactSequence(left, right), "flasque").validate()
 
 
 def pullback(
@@ -271,7 +260,7 @@ def pullback(
     basis = kernel_basis(f.matrix.hstack(-g.matrix))
     solver = BasisSolver(basis)
     B1, B2 = first.B, second.B
-    Q, _ = sublattice_with_action(direct_sum(B1, B2), basis, name="pullback", solver=solver)
+    Q, _ = sublattice_with_action(direct_sum(B1, B2), basis, solver=solver)
     a1 = solver.express_matrix(first.left.matrix.vstack(IntMatrix.zeros(B2.rank, first.A.rank)))
     a2 = solver.express_matrix(IntMatrix.zeros(B1.rank, second.A.rank).vstack(second.left.matrix))
     certify(a1 is not None and a2 is not None, "both kernels lie in the pullback")

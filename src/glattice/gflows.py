@@ -64,9 +64,7 @@ class GGraph:
         if edge_action is None:
             edge_action = self._infer_edge_action()
         # the edge G-set checks that the edge action is a homomorphism
-        self.edge_gset = GSet(
-            self.group, edge_action, [f"e{i}" for i in range(len(self.edges))]
-        )
+        self.edge_gset = GSet(self.group, edge_action)
         self.edge_action = self.edge_gset.action
         if self.edge_gset.size != len(self.edges):
             raise InvalidParameterError("edge action entries are not permutations")
@@ -182,10 +180,7 @@ def cayley_graph(G: FiniteGroup, generators: Sequence[int]) -> GGraph:
     edges = [(g, G.table[g][s]) for s in gens for g in range(n)]
     # h (g, g s_k) = (h g, h g s_k): edge k n + g moves to k n + h g
     action = [[k * n + hg for k in range(len(gens)) for hg in G.table[h]] for h in range(n)]
-    graph = GGraph(vertices, edges, action)
-    graph.generators = tuple(gens)
-    graph.edge_degree = [s for s in gens for _ in range(G.order)]
-    return graph
+    return GGraph(vertices, edges, action)
 
 
 def boundary_matrix(X: GGraph) -> EquivariantMap:
@@ -220,7 +215,7 @@ class FlowLattice:
     @cached_property
     def _with_action(self) -> Tuple[GLattice, EquivariantMap]:
         return sublattice_with_action(
-            self.graph.edge_lattice(), self.solver.basis, name="Fl", solver=self.solver
+            self.graph.edge_lattice(), self.solver.basis, solver=self.solver
         )
 
     @property

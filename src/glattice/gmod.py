@@ -68,7 +68,6 @@ class GLattice:
         group: FiniteGroup,
         action: Sequence[IntMatrix],
         gset: Optional[GSet] = None,
-        name: str = "",
         *,
         _derived: bool = False,
     ):
@@ -83,7 +82,6 @@ class GLattice:
             action = _Action(rank, action)
         self.action, self.rank = action, action.rank
         self.gset = gset
-        self.name = name
         # fixed_sublattice results, keyed by the subgroup's elements
         self._fixed: Dict[Tuple[int, ...], IntMatrix] = {}
         if not _derived:
@@ -125,8 +123,7 @@ class GLattice:
         )
 
     def __repr__(self) -> str:
-        label = self.name or "lattice"
-        return f"GLattice({label}, group={self.group.spec}, rank={self.rank})"
+        return f"GLattice(group={self.group.spec}, rank={self.rank})"
 
 
 def lattices_equal(M: GLattice, N: GLattice) -> bool:
@@ -289,7 +286,7 @@ def permutation_lattice(G: FiniteGroup, gset: GSet) -> GLattice:
     action = _Action(
         gset.size, [None] * G.order, lambda _, g: IntMatrix.unit_columns(gset.size, gset.action[g])
     )
-    return GLattice(G, action, gset=gset, name=f"Z[{gset.size} points]", _derived=True)
+    return GLattice(G, action, gset=gset, _derived=True)
 
 
 def regular(G: FiniteGroup) -> GLattice:
@@ -315,7 +312,7 @@ def orbit_map(P: GLattice, B: GLattice, images: IntMatrix) -> IntMatrix:
 
 
 def trivial(G: FiniteGroup) -> GLattice:
-    return GLattice(G, [IntMatrix.identity(1)] * G.order, name="Z", _derived=True)
+    return GLattice(G, [IntMatrix.identity(1)] * G.order, _derived=True)
 
 
 # -- functorial operations -----------------------------------------------------
@@ -325,7 +322,7 @@ def dual(M: GLattice) -> GLattice:
     """Dual lattice: action of g becomes the transpose of the action of g^-1."""
     G = M.group
     action = _Action(M.rank, [None] * G.order, lambda _, g: M.action[G.inverses[g]].T)
-    return GLattice(G, action, name=f"dual({M.name})" if M.name else "", _derived=True)
+    return GLattice(G, action, _derived=True)
 
 
 def direct_sum(M: GLattice, N: GLattice) -> GLattice:
@@ -360,9 +357,8 @@ def restrict(M: GLattice, H: Subgroup) -> GLattice:
     if H.parent is not M.group:
         raise InvalidParameterError("subgroup belongs to a different group")
     Hgrp, embed = H.as_group()
-    name = f"res({M.name})" if M.name else ""
     action = _Action(M.rank, [None] * Hgrp.order, lambda _, h: M.action[embed[h]])
-    return GLattice(Hgrp, action, name=name, _derived=True)
+    return GLattice(Hgrp, action, _derived=True)
 
 
 def fixed_sublattice(M: GLattice, H: Subgroup) -> IntMatrix:
@@ -399,7 +395,7 @@ def norm_matrix(M: GLattice, H: Subgroup) -> IntMatrix:
 
 
 def sublattice_with_action(
-    M: GLattice, basis: IntMatrix, name: str = "", solver: Optional[BasisSolver] = None
+    M: GLattice, basis: IntMatrix, solver: Optional[BasisSolver] = None
 ) -> Tuple[GLattice, EquivariantMap]:
     """Induced lattice structure on an invariant saturated column span.
 
@@ -450,7 +446,7 @@ def sublattice_with_action(
         return action[g]
 
     action = _Action(basis.cols, made, make)
-    sub = GLattice(G, action, name=name, _derived=True)
+    sub = GLattice(G, action, _derived=True)
     return sub, EquivariantMap(sub, M, basis)
 
 
@@ -467,4 +463,4 @@ def augmentation_kernel(P: GLattice) -> Tuple[GLattice, EquivariantMap]:
     matrix is the canonical (column Hermite) basis of the kernel."""
     eps = augmentation_map(P)
     basis = kernel_basis(eps.matrix)
-    return sublattice_with_action(P, basis, name="I")
+    return sublattice_with_action(P, basis)

@@ -248,8 +248,7 @@ class Subgroup:
         embed = list(self.elements)
         pos = {g: i for i, g in enumerate(embed)}
         table = [[pos[G.table[a][b]] for b in embed] for a in embed]
-        names = [G.element_names[g] for g in embed]
-        H = FiniteGroup(table, element_names=names, spec=f"{G.spec}|sub{embed}")
+        H = FiniteGroup(table, spec=f"{G.spec}|sub{embed}")
         G._as_group_cache[self.elements] = (H, embed)
         return H, list(embed)
 
@@ -530,12 +529,7 @@ def is_z_group(G: FiniteGroup) -> bool:
 class GSet:
     """A finite left G-set: one point permutation per group element."""
 
-    def __init__(
-        self,
-        group: FiniteGroup,
-        action: Sequence[Sequence[int]],
-        point_names: Optional[Sequence[str]] = None,
-    ):
+    def __init__(self, group: FiniteGroup, action: Sequence[Sequence[int]]):
         self.group = group
         self.action = [tuple(map(operator.index, perm)) for perm in action]
         if len(self.action) != group.order:
@@ -555,18 +549,26 @@ class GSet:
                     raise InvalidParameterError(
                         f"invalid-gset: action incompatible at elements ({g}, {s})"
                     )
-        self.point_names = (
-            list(point_names) if point_names else [f"p{i}" for i in range(self.size)]
-        )
 
     def move(self, g: int, vec: Mapping[int, int]) -> Dict[int, int]:
         """The sparse point-indexed vector g . vec, {point: entry}: the
-        entry at x moves to g x.
+        entry at x moves to g x.  A key outside the points is refused.
 
         >>> X = regular_gset(cyclic(3))
         >>> X.move(1, {0: 2, 2: -1})
         {1: 2, 0: -1}
+        >>> X.move(1, {-1: 1})
+        Traceback (most recent call last):
+        ...
+        glattice.errors.InvalidParameterError: point -1 out of range for a G-set of size 3
+        >>> X.move(1, {3: 1})
+        Traceback (most recent call last):
+        ...
+        glattice.errors.InvalidParameterError: point 3 out of range for a G-set of size 3
         """
+        for x in (min(vec), max(vec)) if vec else ():  # these two bound every key
+            if not 0 <= x < self.size:
+                raise InvalidParameterError(f"point {x} out of range for a G-set of size {self.size}")
         perm = self.action[g]
         return {perm[x]: c for x, c in vec.items()}
 
@@ -582,14 +584,14 @@ class GSet:
             if None in moved:
                 raise InvalidParameterError(f"point subset not stable under element {g}")
             action.append(moved)
-        return GSet(self.group, action, [self.point_names[x] for x in keep])
+        return GSet(self.group, action)
 
     def restrict_group(self, H: Subgroup) -> "GSet":
         """The same points as a G-set over the subgroup H (see Subgroup.as_group)."""
         if H.parent is not self.group:
             raise InvalidParameterError("subgroup belongs to a different group")
         Hgrp, embed = H.as_group()
-        return GSet(Hgrp, [self.action[g] for g in embed], self.point_names)
+        return GSet(Hgrp, [self.action[g] for g in embed])
 
     def orbits(self, H: Optional[Subgroup] = None) -> List[Tuple[int, ...]]:
         """The orbits under G, or under its subgroup H, ordered by least point."""
@@ -636,7 +638,7 @@ class GSet:
         offsets = list(itertools.accumulate((X.size for X in parts), initial=0))
         action = [tuple(x + off for X, off in zip(parts, offsets) for x in X.action[g])
                   for g in range(self.group.order)]
-        return GSet(self.group, action, [name for X in parts for name in X.point_names])
+        return GSet(self.group, action)
 
     def __repr__(self) -> str:
         return f"GSet(group={self.group.spec}, size={self.size})"
@@ -645,7 +647,7 @@ class GSet:
 def regular_gset(G: FiniteGroup) -> GSet:
     """G acting on itself by left translation."""
     action = [tuple(G.table[g][x] for x in range(G.order)) for g in range(G.order)]
-    return GSet(G, action, list(G.element_names))
+    return GSet(G, action)
 
 
 def coset_gset(G: FiniteGroup, H: Subgroup) -> GSet:
@@ -655,15 +657,14 @@ def coset_gset(G: FiniteGroup, H: Subgroup) -> GSet:
     reps = left_coset_reps(G, H)
     coset_of = {G.table[rep][h]: i for i, rep in enumerate(reps) for h in H.elements}
     action = [tuple(coset_of[G.table[g][rep]] for rep in reps) for g in range(G.order)]
-    names = [f"{G.element_names[rep]}H" for rep in reps]
-    return GSet(G, action, names)
+    return GSet(G, action)
 
 
 def natural_gset(G: FiniteGroup) -> GSet:
     """The defining point action (symmetric groups only)."""
     if G.point_action is None:
         raise InvalidParameterError(f"group {G.spec} carries no natural point action")
-    return GSet(G, G.point_action, [str(i + 1) for i in range(len(G.point_action[0]))])
+    return GSet(G, G.point_action)
 
 
 def left_coset_reps(G: FiniteGroup, H: Subgroup) -> List[int]:

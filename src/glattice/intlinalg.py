@@ -495,25 +495,24 @@ class BasisSolver:
 
     def __init__(self, basis: IntMatrix):
         H, V = (basis, None) if _is_column_hermite(basis) else col_hermite(basis, transform=True)
-        self._setup(basis, H, V)
+        self._setup(basis, H, V, None, H.column_nonzeros())
 
     @classmethod
-    def _of_triangular(cls, basis: IntMatrix, pivots=None, columns=None) -> "BasisSolver":
-        """The solver of a basis that is its own echelon form: column j is nonzero
-        in row pivots[j] (default: its first nonzero row), 0 in the pivot rows
-        of the columns before it.  A caller that holds the nonzero entries of
-        each column, {row: entry} maps, passes them as ``columns`` (then with
-        the pivots), and the basis is not scanned for them."""
+    def _of_triangular(cls, basis: IntMatrix, pivots: Sequence[int],
+                       columns: Sequence[Mapping[int, int]]) -> "BasisSolver":
+        """The solver of a basis that is its own echelon form: column j, whose
+        nonzero entries are the {row: entry} map columns[j], is nonzero in row
+        pivots[j] and 0 in the pivot rows of the columns before it."""
         solver = cls.__new__(cls)
-        solver._setup(basis, basis, pivots=pivots, columns=columns)
+        solver._setup(basis, basis, None, pivots, columns)
         return solver
 
-    def _setup(self, basis: IntMatrix, H: IntMatrix, V=None, pivots=None, columns=None) -> None:
+    def _setup(self, basis: IntMatrix, H: IntMatrix, V, pivots, columns) -> None:
         self.basis, self.H, self.V = basis, H, V  # V None: the basis is its own Hermite form
         # (index, pivot row, pivot, nonzero (row, entry) pairs) of each
         # nonzero column of H, and the position among them of each pivot row
         self._columns = []
-        for j, col in enumerate(H.column_nonzeros() if columns is None else columns):
+        for j, col in enumerate(columns):
             if col:
                 piv = next(iter(col)) if pivots is None else pivots[j]
                 self._columns.append((j, piv, col[piv], list(col.items())))

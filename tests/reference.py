@@ -39,7 +39,9 @@ kernel of the stacked h - 1, direct sums folded two at a time, the
 section of a permutation quotient found orbit by orbit against those
 fixed points and moved point by point, and the flasque scan over every
 subgroup class in order.  Dense vectors, which the library no longer
-takes, are multiplied, solved for and flattened here.
+takes, are multiplied, solved for and flattened here.  The rank-formula
+graphs built by the group and G-set constructors, as they were before
+the command line read them from graph specs.
 """
 
 import itertools
@@ -630,7 +632,7 @@ def coset_gset_by_scan(G: FiniteGroup, H: Subgroup) -> GSet:
             coset_of[x] = len(reps)
         reps.append(members[0])
     action = [tuple(coset_of[G.table[g][rep]] for rep in reps) for g in range(G.order)]
-    return GSet(G, action, [f"{G.element_names[rep]}H" for rep in reps])
+    return GSet(G, action)
 
 
 def move_by_loop(perm: Sequence[int], vec: Sequence[int]) -> List[int]:
@@ -1044,7 +1046,7 @@ def spanning_tree_basis_dense(X, tree_edges: Sequence[int], candidates: Sequence
                 f"matrix not upper triangular: f_{i}(e_{non_tree[first[i]]}) != 0"
             )
     basis = IntMatrix.from_columns(cols, rows=X.n_edges)
-    return FlowLattice(X, BasisSolver._of_triangular(basis, non_tree))
+    return FlowLattice(X, BasisSolver._of_triangular(basis, non_tree, basis.column_nonzeros()))
 
 
 def express_by_dense_sweep(basis: IntMatrix, vec: Sequence[int], pivots=None) -> Optional[List[int]]:
@@ -1330,3 +1332,64 @@ def vanishing_by_full_scan(M: GLattice, degree: int):
         if not t.is_trivial:
             return False, H.elements, t
     return True, None, None
+
+
+def quick_suite_graphs():
+    """The rank-formula graphs, (report label, graph), built by the group and
+    G-set constructors instead of from graph specs."""
+    from glattice.gflows import cayley_graph, complete_edges
+    from glattice.groups import (
+        cyclic,
+        dihedral,
+        direct_product,
+        natural_gset,
+        regular_gset,
+        semidirect,
+        subgroup_from_generators,
+        symmetric,
+    )
+
+    out = []
+    for n in (2, 3, 4, 5, 6):
+        G = cyclic(n)
+        out.append((f"cayley(C:{n};s)", cayley_graph(G, [G.generator_indices["s"]])))
+    G = cyclic(12)
+    s = G.generator_indices["s"]
+    out.append(("cayley(C:12;s,s2)", cayley_graph(G, [s, G.power(s, 2)])))
+    G = cyclic(8)
+    s = G.generator_indices["s"]
+    out.append(("cayley(C:8;s,s3)", cayley_graph(G, [s, G.power(s, 3)])))
+    for n in (3, 4, 6):
+        G = dihedral(n)
+        out.append(
+            (f"cayley(D:{n};s,t)",
+             cayley_graph(G, [G.generator_indices["s"], G.generator_indices["t"]]))
+        )
+    for (n, m, r) in ((3, 2, 2), (5, 2, 4), (5, 4, 2), (7, 3, 2)):
+        G = semidirect(n, m, r)
+        out.append(
+            (f"cayley(SD:{n},{m},{r};s,t)",
+             cayley_graph(G, [G.generator_indices["s"], G.generator_indices["t"]]))
+        )
+    K4 = direct_product(cyclic(2), cyclic(2))
+    out.append(
+        ("cayley(X(C:2,C:2);all)",
+         cayley_graph(K4, [g for g in K4.elements() if g != K4.identity]))
+    )
+    out.append(("complete(regular X(C:2,C:2))", complete_edges(regular_gset(K4))))
+    S3 = symmetric(3)
+    out.append(("complete(natural S:3)", complete_edges(natural_gset(S3))))
+    out.append(
+        ("complete(regular S:3; loops)", complete_edges(regular_gset(S3), loops=True))
+    )
+    t = next(g for g in S3.elements() if S3.element_order(g) == 2)
+    out.append(
+        ("complete(cosets S:3/<t>)",
+         complete_edges(coset_gset(S3, subgroup_from_generators(S3, [t]))))
+    )
+    S4 = symmetric(4)
+    swap = S4.point_action.index((1, 0, 2, 3))
+    four = S4.point_action.index((1, 2, 3, 0))
+    out.append(("cayley(S:4;(12),(1234))", cayley_graph(S4, [swap, four])))
+    out.append(("complete(natural S:4)", complete_edges(natural_gset(S4))))
+    return out

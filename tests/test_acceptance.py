@@ -25,7 +25,6 @@ from glattice.groups import (
     subgroup_from_generators,
 )
 from glattice.intlinalg import IntMatrix
-from glattice.checks import check_rank_formula, quick_suite_graphs
 from reference import tate1_cyclic_direct
 
 
@@ -46,11 +45,10 @@ def _criterion(number, name, budget_s, fn):
 
 def test_criterion_01_rank_formula():
     def body():
-        graphs = quick_suite_graphs()
-        assert len(graphs) >= 20
-        report = check_rank_formula(graphs)
+        report = run_check("rank-formula", {})
+        assert len(report.details) >= 20
         assert report.ok, [d for d in report.details if d["status"] != "pass"]
-        return f"{len(graphs)} graphs"
+        return f"{len(report.details)} graphs"
 
     _criterion(1, "rank formula on quick-suite graphs", 10, body)
 

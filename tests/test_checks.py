@@ -13,7 +13,7 @@ from glattice.gmod import GLattice, trivial
 from glattice.groups import cyclic, dihedral, direct_product, semidirect, symmetric
 from glattice.intlinalg import IntMatrix, column_span_canonical
 from glattice.checks import (
-    _Checker,
+    CheckReport,
     check_bar_cocycle,
     check_center_walks,
     check_cyclic_flows,
@@ -23,9 +23,8 @@ from glattice.checks import (
     check_rank_formula,
     check_schanuel,
     check_sn_restrictions,
-    quick_suite_graphs,
 )
-from reference import saturation
+from reference import quick_suite_graphs, saturation
 
 
 def detail(report, name):
@@ -143,9 +142,9 @@ class TestBarCocycle:
         ]
 
 
-class TestCheckerRun:
+class TestReportRun:
     def test_toolkit_error_is_a_failed_assertion(self):
-        ck = _Checker("demo", "C:1", {})
+        ck = CheckReport("demo", "C:1", {})
 
         def refused():
             raise InvalidParameterError("map is not equivariant at element 1")
@@ -157,7 +156,7 @@ class TestCheckerRun:
         }]
 
     def test_program_fault_is_raised(self):
-        ck = _Checker("demo", "C:1", {})
+        ck = CheckReport("demo", "C:1", {})
         with pytest.raises(TypeError):
             ck.run("unpacks a pair", lambda: None)
         assert ck.details == []

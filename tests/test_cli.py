@@ -9,6 +9,7 @@ import pytest
 
 from glattice.cli import (
     CHECKS,
+    RANK_FORMULA_GRAPHS,
     main,
     parse_generators,
     parse_graph_spec,
@@ -18,7 +19,8 @@ from glattice.cli import (
     run_check,
 )
 from glattice.errors import CertificateError, SpecParseError
-from test_golden import TATE_GRID
+from reference import quick_suite_graphs
+from test_golden import CHECK_ARGVS, TATE_GRID
 
 
 def run_cli(argv):
@@ -128,6 +130,19 @@ class TestExitCodes:
         assert run_cli(argv) == (2, "")
         assert capsys.readouterr().err == f"invalid invocation: missing check parameter {flag}\n"
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["check", "bar-cocycle", "--group", "C:3", "--gens", "zzz"], "--gens"),
+        (["check", "cyclic-flows", "--n", "3", "--gens", "s", "--lattice", "foo",
+          "--group", "D:4"], "--group"),
+        (["check", "rank-formula", "--n", "3"], "--n"),
+    ])
+    def test_extra_check_parameter_is_refused_by_its_flag(self, capsys, argv, flag):
+        assert run_cli(argv) == (2, "")
+        check_id = argv[1]
+        assert capsys.readouterr().err == (
+            f"invalid invocation: check {check_id} takes no parameter {flag}\n"
+        )
+
     def test_non_integer_element_index_names_its_token(self, capsys):
         assert run_cli(["flows", "--graph", "cayley(C:3;#x)"]) == (2, "")
         assert capsys.readouterr().err == (
@@ -170,10 +185,10 @@ class TestExitCodes:
         ids=lambda e: type(e).__name__,
     )
     def test_internal_error_exits_three_without_traceback(self, monkeypatch, capsys, exc):
-        def runner(params):
+        def runner():
             raise exc
 
-        monkeypatch.setitem(CHECKS, "rank-formula", runner)
+        monkeypatch.setitem(CHECKS, "rank-formula", ((), runner))
         code, out = run_cli(["check", "rank-formula"])
         err = capsys.readouterr().err
         assert code == 3
@@ -263,21 +278,7 @@ class TestCommands:
         ja.pop("elapsed_ms"), jb.pop("elapsed_ms")
         assert ja == jb
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["check", "rank-formula"],
-            ["check", "cyclic-flows", "--n", "3", "--gens", "s"],
-            ["check", "flow-coflasque", "--group", "C:4", "--gens", "s"],
-            ["check", "kernel-generators", "--n", "3", "--m", "2", "--r", "2"],
-            ["check", "faithful-transfer", "--n", "3", "--m", "2", "--r", "2"],
-            ["check", "bar-cocycle", "--group", "C:2"],
-            ["check", "center-walks", "--group", "C:2"],
-            ["check", "sn-restrictions", "--n", "3"],
-            ["check", "schanuel", "--group", "C:2", "--lattice", "trivial"],
-        ],
-        ids=lambda argv: argv[1],
-    )
+    @pytest.mark.parametrize("argv", CHECK_ARGVS, ids=lambda argv: argv[1])
     def test_every_check_id_is_addressable(self, argv):
         code, text = run_cli(argv)
         assert code == 0
@@ -288,7 +289,29 @@ class TestCommands:
             run_check("no-such-check", {})
 
 
+    def test_group_info_enumerates_subgroups_up_to_the_cap(self):
+        _, text = run_cli(["group", "info", "--group", "C:64", "--output", "json"])
+        assert json.loads(text)["subgroup_count"] == 7  # one per divisor of 64
+        _, text = run_cli(["group", "info", "--group", "C:65", "--output", "json"])
+        assert "subgroup_count" not in json.loads(text)
+
+
+def test_rank_formula_specs_build_the_reference_graphs():
+    reference = quick_suite_graphs()
+    assert [label for label, _ in RANK_FORMULA_GRAPHS] == [label for label, _ in reference]
+    for (_, spec), (label, want) in zip(RANK_FORMULA_GRAPHS, reference):
+        got = parse_graph_spec(spec)
+        assert got.group.spec == want.group.spec, label
+        assert got.vertices.action == want.vertices.action, label
+        assert got.edges == want.edges, label
+        assert got.edge_action == want.edge_action, label
+
+
 def test_readme_lists_every_check_id():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("### Check ids", 1)[1].split("Reports follow", 1)[0]
-    assert re.findall(r"`([a-z-]+)`", section) == list(CHECKS)
+    listed = [
+        (check_id, tuple(re.findall(r"`--([a-z]+)`", flags)))
+        for check_id, flags in re.findall(r"^- `([a-z-]+)`(.*)$", section, re.M)
+    ]
+    assert listed == [(check_id, flags) for check_id, (flags, _) in CHECKS.items()]

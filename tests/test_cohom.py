@@ -267,13 +267,13 @@ class TestResolutions:
         cert = coflasque_resolution(sign_lattice(C2))
         # no fixed vectors for the full group: only the free summand appears
         assert cert.sequence.B.rank == 2
-        assert cert.permutation_witness.orbits() == [(0, 1)]
+        assert cert.sequence.B.gset.orbits() == [(0, 1)]
         assert is_coflasque(cert.sequence.A)
 
     def test_three_cycle_boundary_is_coflasque_resolution(self):
         G = cyclic(3)
         seq = flow_lattice(cayley_graph(G, [G.generator_indices["s"]])).boundary_sequence()
-        cert = ResolutionCertificate(seq, "coflasque", seq.B.gset)
+        cert = ResolutionCertificate(seq, "coflasque")
         cert.validate()
 
     def test_flasque_resolution_dualizes(self):
@@ -288,7 +288,7 @@ class TestResolutions:
     def test_invalid_kind_rejected(self):
         G = cyclic(2)
         cert = coflasque_resolution(regular(G))
-        bad = ResolutionCertificate(cert.sequence, "sideways", cert.permutation_witness)
+        bad = ResolutionCertificate(cert.sequence, "sideways")
         with pytest.raises(InvalidParameterError):
             bad.validate()
 

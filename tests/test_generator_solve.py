@@ -82,8 +82,8 @@ def _record_sublattices(monkeypatch):
     """Route every module's sublattice_with_action through a recorder."""
     calls = []
 
-    def recording(M, basis, name="", solver=None):
-        sub, incl = sublattice_with_action(M, basis, name=name, solver=solver)
+    def recording(M, basis, solver=None):
+        sub, incl = sublattice_with_action(M, basis, solver=solver)
         calls.append((M, basis, sub))
         return sub, incl
 

@@ -310,9 +310,8 @@ class TestCallerNumbers:
         sub = subgraph(X, [zero, one, two])
         fl = spanning_tree_basis(X, [zero, two], [{zero: one, one: one, two: one}])
         assert X.edges == Y.edges == sub.edges == [(0, 1), (1, 2), (2, 0)]
-        assert Y.generators == (1,)
         assert fl.basis.to_lists() == [[1], [1], [1]]
-        numbers = [v for e in X.edges + Y.edges + sub.edges for v in e] + list(Y.generators)
+        numbers = [v for e in X.edges + Y.edges + sub.edges for v in e] + list(Y.edge_action[1])
         assert all(type(v) is int for v in numbers + fl.basis.col_list(0))
 
 

@@ -56,7 +56,7 @@ def sign_lattice(G, gen):
             k += 1
         sign = -1 if k % 2 else 1
         action.append(IntMatrix.from_rows([[sign]]))
-    return GLattice(G, action, name="sign")
+    return GLattice(G, action)
 
 
 class TestConstructors:

@@ -87,9 +87,25 @@ COMMANDS = [
         "json": "77370f0d33d066c253062b4dbc8e8d5bb22c9a7c88195d1ba2ad586740bb6e60",
     }),
     (["suite", "full"], {
+        "text": "b70a44daa60b70a45f451d763023aba13cfff474fdb3e83390968714006fc614",
         "json": "8f36cf92e4bf23d66618066bb501d13210f9c02c49db2b1f60e3d78c4e2a4587",
     }),
 ]
+
+# One invocation of each check id, with exactly the flags it reads; one
+# digest of the concatenated text reports.
+CHECK_ARGVS = [
+    ["check", "rank-formula"],
+    ["check", "cyclic-flows", "--n", "3", "--gens", "s"],
+    ["check", "flow-coflasque", "--group", "C:4", "--gens", "s"],
+    ["check", "kernel-generators", "--n", "3", "--m", "2", "--r", "2"],
+    ["check", "faithful-transfer", "--n", "3", "--m", "2", "--r", "2"],
+    ["check", "bar-cocycle", "--group", "C:2"],
+    ["check", "center-walks", "--group", "C:2"],
+    ["check", "sn-restrictions", "--n", "3"],
+    ["check", "schanuel", "--group", "C:2", "--lattice", "trivial"],
+]
+CHECK_TEXT_SHA256 = "2fd1e3f1d6848373ef790502713bd51dae24c83e9151f8ff138677cde748abcb"
 
 
 # `tate` over a grid of lattices, subgroups and degrees, one digest of the
@@ -126,6 +142,11 @@ def output_digest(argv) -> str:
 
 def tate_grid_digest(output: str) -> str:
     text = "".join(_output(argv + ["--output", output]) for argv in TATE_GRID)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def check_text_digest() -> str:
+    text = "".join(_output(argv + ["--output", "text"]) for argv in CHECK_ARGVS)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -166,6 +187,10 @@ def test_usage_error_unchanged(argv, code, digest):
     assert hashlib.sha256(err.getvalue().encode()).hexdigest() == digest
 
 
+def test_check_text_reports_unchanged():
+    assert check_text_digest() == CHECK_TEXT_SHA256
+
+
 @pytest.mark.parametrize("output", sorted(TATE_GRID_SHA256))
 def test_tate_grid_output_unchanged(output):
     assert tate_grid_digest(output) == TATE_GRID_SHA256[output]
@@ -178,3 +203,4 @@ if __name__ == "__main__":
             print(" ".join(argv), output, output_digest(argv + ["--output", output]))
     for output in TATE_GRID_SHA256:
         print("tate grid", output, tate_grid_digest(output))
+    print("check text", check_text_digest())

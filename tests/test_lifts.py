@@ -107,7 +107,6 @@ class TestOneStepDirectSums:
         X, Y, Z = (coset_lattice(G, H).gset for H in subgroup_conjugacy_reps(G)[:3])
         U = X.disjoint_union(Y, Z)
         assert U.action == X.disjoint_union(Y).disjoint_union(Z).action
-        assert U.point_names == X.point_names + Y.point_names + Z.point_names
         assert X.disjoint_union().action == X.action
 
     def test_common_group_required(self):
