@@ -24,6 +24,7 @@ from .gflows import (
     cayley_graph,
     complete_edges,
     flow_lattice,
+    fundamental_cycles,
     remove_edges_decomposition,
     restrict_graph_group,
     spanning_tree_basis,
@@ -253,7 +254,7 @@ def _cocycle_failures(X: GGraph, G: FiniteGroup, d: Dict[Tuple[int, int], Flow])
     table = np.array(G.table, dtype=np.int64)
     failures = 0
     for g1 in G.elements():
-        perm = np.array(X.edge_action[g1], dtype=np.int64)
+        perm = np.array(X.edge_gset.action[g1], dtype=np.int64)
         row1 = table[g1]
         pair_edges = np.concatenate([
             np.broadcast_to(edges[g1][:, None], (n, n, k)),  # d(g1, g2)
@@ -291,7 +292,7 @@ def _tree_recursion_failures(
     star = [idx[(e, g)] if g != e else None for g in G.elements()]
     bad = 0
     for h in G.elements():
-        perm, row = X.edge_action[h], G.table[h]
+        perm, row = X.edge_gset.action[h], G.table[h]
         for g in G.elements():
             expected = {}
             if e not in (g, h):
@@ -416,16 +417,7 @@ def check_sn_restrictions(n: int) -> CheckReport:
     H2 = V.stabilizer(n - 1)
     ck.record("point stabilizer order", H2.order == G.order // n, f"order {H2.order}")
     star = [idx[(i, n - 1)] for i in range(n - 1)]
-    non_tree = [k for k in range(X.n_edges) if k not in set(star)]
-    candidates = []
-    for k in non_tree:
-        u, v = X.edges[k]
-        flow = {k: 1}
-        if v != n - 1:
-            flow[idx[(v, n - 1)]] = 1
-        if u != n - 1:
-            flow[idx[(u, n - 1)]] = -1
-        candidates.append(flow)
+    candidates = list(fundamental_cycles(X, star).values())
     fl2 = spanning_tree_basis(X, star, candidates)
     ck.record("star-tree flows form a basis", True, f"rank {fl2.rank}")
     cand_set = {frozenset(c.items()) for c in candidates}
@@ -518,8 +510,10 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
 
     coeff, rem = divmod(r ** m - 1, n)
     certify(rem == 0, "the twist congruence forces an integer coefficient")
-    v_sum = [(1, move(G.mul(G.power(t, j), G.power(s, i % n)), a_hat))
-             for j in range(m) for i in range(r ** j)]
+    # t^j s^i a_hat for i < r^j, by multiplicity: each i < n appears
+    # floor(r^j / n) times, and once more when i < r^j mod n
+    v_sum = [(q + (i < rest), move(G.mul(G.power(t, j), G.power(s, i)), a_hat))
+             for j in range(m) for q, rest in [divmod(r ** j, n)] for i in range(n)]
     v_e = combine(*v_sum, (coeff, s_hat), (1, t_hat), (-1, move(s, t_hat)))
     v_cols = [move(g, v_e) for g in G.elements()]
 

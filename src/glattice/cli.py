@@ -476,11 +476,12 @@ def _cmd_resolve(opts: Dict[str, object], output: str, out) -> int:
 
 
 def _cmd_certify(opts: Dict[str, object], output: str, out) -> int:
+    kind, bound = str(opts["kind"]), opts["bound"]
+    if kind == "invertible" and bound is not None:
+        raise InvalidParameterError("certify --kind invertible takes no parameter --bound")
     G = parse_group_spec(str(opts["group"]))
     M = parse_lattice_spec(G, str(opts["lattice"]))
-    kind = str(opts["kind"])
     if kind == "permutation":
-        bound = opts.get("bound")
         outcome = is_permutation_bounded(M, 2 if bound is None else int(bound))
         payload = {
             "group": G.spec,

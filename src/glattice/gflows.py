@@ -2,15 +2,19 @@
 spanning-tree bases, with the explicit edge-removal isomorphism between
 flow lattices.
 
-Conventions pinned for determinism: spanning trees are BFS from vertex 0
-scanning edges in listed order, path flows use the BFS path, and every
-kernel basis is saturated column-Hermite.  Every edge vector (a
-candidate, a path, a circular flow) is a ``Flow``, the map of its
+Every G-graph is built from its vertex G-set, its edges and an explicit
+edge action, checked on the generators against the vertex action.  Every
+cycle is walked one way, pinned for determinism: ``fundamental_cycles``
+closes each edge outside a spanning edge set through the breadth-first
+tree of the set from vertex 0, scanning edges in listed order.  Every
+flow basis is certified one way: ``spanning_tree_basis``, by its
+triangular +-1 minor on the non-tree edges.  Every edge vector (a
+candidate, a cycle, a circular flow) is a ``Flow``, the map of its
 nonzero coefficients by edge, so certifying a basis costs time in its
 nonzeros, and flows are solved for by ``express_columns`` of the
 lattice's solver; the basis matrix is stored densely.  Caller numbers
-(edge endpoints, generators, tree edges, candidate edges and
-coefficients, edge indices) enter through ``operator.index``, so a
+(edge endpoints, generators, tree and spanning edges, candidate edges
+and coefficients, edge indices) enter through ``operator.index``, so a
 float is refused, not truncated.  A flow
 lattice is its basis and the solver of it: its G-action and inclusion
 are solved for when first read, so a caller that needs only the basis or
@@ -22,7 +26,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import GlatticeError, InvalidParameterError, certify
 from .gmod import (
@@ -47,51 +51,23 @@ class SpanningTreeBasisError(GlatticeError):
 
 
 class GGraph:
-    """A finite directed multigraph with a compatible group action."""
+    """A finite directed multigraph with a compatible group action: the
+    permutation of the edges by each element is given with the edges."""
 
-    def __init__(
-        self,
-        vertices: GSet,
-        edges: Sequence[Tuple[int, int]],
-        edge_action: Optional[Sequence[Sequence[int]]] = None,
-    ):
+    def __init__(self, vertices: GSet, edges: Sequence[Tuple[int, int]],
+                 edge_action: Sequence[Sequence[int]]):
         self.vertices = vertices
         self.group = vertices.group
         self.edges = [(operator.index(s), operator.index(t)) for s, t in edges]
         for s, t in self.edges:
             if not (0 <= s < vertices.size and 0 <= t < vertices.size):
                 raise InvalidParameterError("edge endpoint out of range")
-        if edge_action is None:
-            edge_action = self._infer_edge_action()
         # the edge G-set checks that the edge action is a homomorphism
         self.edge_gset = GSet(self.group, edge_action)
-        self.edge_action = self.edge_gset.action
         if self.edge_gset.size != len(self.edges):
             raise InvalidParameterError("edge action entries are not permutations")
         self._validate()
         self._components: Optional[List[Tuple[int, ...]]] = None
-
-    def _infer_edge_action(self) -> List[Tuple[int, ...]]:
-        index = {}
-        for i, pair in enumerate(self.edges):
-            if pair in index:
-                raise InvalidParameterError(
-                    "parallel edges need an explicit edge action"
-                )
-            index[pair] = i
-        act = []
-        for g in range(self.group.order):
-            vg = self.vertices.action[g]
-            perm = []
-            for s, t in self.edges:
-                moved = (vg[s], vg[t])
-                if moved not in index:
-                    raise InvalidParameterError(
-                        f"edge set is not stable under element {g}"
-                    )
-                perm.append(index[moved])
-            act.append(tuple(perm))
-        return act
 
     def _validate(self) -> None:
         """Check that edge endpoints move with the vertices.
@@ -100,7 +76,7 @@ class GGraph:
         """
         for s in self.group.generators:
             vs = self.vertices.action[s]
-            ps = self.edge_action[s]
+            ps = self.edge_gset.action[s]
             for e, (a, b) in enumerate(self.edges):
                 if self.edges[ps[e]] != (vs[a], vs[b]):
                     raise InvalidParameterError(
@@ -150,16 +126,30 @@ class GGraph:
 
 
 def complete_edges(vertices: GSet, loops: bool = False) -> GGraph:
-    """All ordered pairs of vertices (distinct unless loops are requested)."""
-    if vertices.size == 0:
+    """All ordered pairs of vertices (distinct unless loops are requested).
+
+    On n vertices the edge (u, v) is numbered u n + v with loops, and
+    u (n - 1) + v - [v > u] without, so g moves it to the number of
+    (g u, g v).
+
+    >>> from glattice.groups import cyclic
+    >>> X = complete_edges(regular_gset(cyclic(3)))
+    >>> X.edges
+    [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+    >>> X.edges[X.edge_gset.action[1][1]]  # s moves (0, 2) to (s 0, s 2)
+    (1, 0)
+    """
+    n = vertices.size
+    if n == 0:
         raise InvalidParameterError("vertex set must be nonempty")
-    edges = [
-        (u, v)
-        for u in range(vertices.size)
-        for v in range(vertices.size)
-        if u != v or loops
-    ]
-    return GGraph(vertices, edges)
+    edges = [(u, v) for u in range(n) for v in range(n) if u != v or loops]
+    # the row vg of g lists (g u, g v) in edge order, pair by pair
+    if loops:
+        action = [[a * n + b for a in vg for b in vg] for vg in vertices.action]
+    else:
+        action = [[a * (n - 1) + b - (b > a) for a in vg for b in vg if a != b]
+                  for vg in vertices.action]
+    return GGraph(vertices, edges, action)
 
 
 def cayley_graph(G: FiniteGroup, generators: Sequence[int]) -> GGraph:
@@ -197,15 +187,13 @@ class FlowLattice:
     span the flows; ``basis`` and ``rank`` read the solver's basis.  The
     G-action (``glattice``) and the inclusion into Z[E] (``inclusion``)
     are made by one ``sublattice_with_action`` call when either is first
-    read, and kept.  That call cannot find the span unstable: both
-    constructors certify that the basis spans the whole kernel of the
-    boundary map (``spanning_tree_basis`` by its triangular +-1 minor on
-    the non-tree edges, ``flow_lattice`` by the identity minor of its
-    fundamental cycles and the rank formula), and the boundary is
-    equivariant, since GGraph checks the edge action against the vertex
-    action, so its kernel is G-stable.  A caller that builds a FlowLattice
-    from another basis gets the same error, with the same message, on the
-    first read of the action.
+    read, and kept.  That call cannot find the span unstable: the one
+    certificate, ``spanning_tree_basis``, proves by its triangular +-1
+    minor on the non-tree edges that the basis spans the whole kernel of
+    the boundary map, and the boundary is equivariant, since GGraph checks
+    the edge action against the vertex action, so its kernel is G-stable.
+    A caller that builds a FlowLattice from another basis gets the same
+    error, with the same message, on the first read of the action.
     """
 
     def __init__(self, graph: GGraph, solver: BasisSolver):
@@ -256,13 +244,12 @@ class FlowLattice:
 def flow_lattice(X: GGraph) -> FlowLattice:
     """Flow lattice of a connected G-graph (empty or disconnected graphs rejected).
 
-    The fundamental cycles of a spanning tree (each non-tree edge, forward,
-    closed by the tree path) are a Z-basis of the flows.  On Kruskal's tree
-    from the last edge backwards, each non-tree edge is the first edge of
-    its cycle and in no other, so in edge order the cycles are already the
-    column Hermite form, certified on their nonzeros: the canonical basis of
-    the boundary's kernel, its own solver with the non-tree edges as pivots.
-    Tree paths are unique, so one search of the tree closes every cycle.
+    Its basis is the fundamental cycles of Kruskal's tree taken from the
+    last edge backwards, certified by ``spanning_tree_basis``.  On that tree
+    each non-tree edge is the first edge of its cycle and in no other, so
+    in edge order the cycles are already the column Hermite form: the
+    canonical basis of the boundary's kernel, its own solver with the
+    non-tree edges as pivots.
     """
     if X.n_vertices == 0:
         raise InvalidParameterError("graph has no vertices")
@@ -276,29 +263,10 @@ def flow_lattice(X: GGraph) -> FlowLattice:
         if a != b:
             root[a] = b
             tree.add(e)
-    # one search of the tree from vertex 0; the path t -> s is the root
-    # path to s less the root path to t
-    prev = _bfs(X, 0, tree)
-    cycles: List[Flow] = []
-    pivots = [e for e in range(X.n_edges) if e not in tree]
-    for e in pivots:
-        vec = {e: 1}
-        for v, c in ((X.edges[e][0], 1), (X.edges[e][1], -1)):
-            while prev[v] is not None:
-                f, sign = prev[v]
-                vec[f] = vec.get(f, 0) + c * sign
-                v = X.edges[f][0] if sign == 1 else X.edges[f][1]
-        cycles.append({f: c for f, c in vec.items() if c})
-        certify(vec[e] == 1 and min(cycles[-1]) == e and tree.issuperset(cycles[-1].keys() - {e}),
-                "each fundamental cycle starts at its own non-tree edge, in no other cycle")
-    basis = IntMatrix.from_sparse_columns(X.n_edges, cycles)
-    fl = FlowLattice(X, BasisSolver._of_triangular(basis, pivots, cycles))
-    expected = X.n_edges - X.n_vertices + 1
-    certify(fl.rank == expected, f"rank formula violated: {fl.rank} != {expected}")
-    return fl
+    return spanning_tree_basis(X, tree, list(fundamental_cycles(X, tree).values()))
 
 
-# -- canonical trees and path flows ---------------------------------------------
+# -- search trees and fundamental cycles ---------------------------------------------
 
 
 def _find(root: List[int], x: int) -> int:
@@ -339,26 +307,39 @@ def _bfs(
     return prev
 
 
-def path_flow(
-    X: GGraph, src: int, dst: int, allowed_edges: Optional[Sequence[int]] = None
-) -> Flow:
-    """Unit flow along the canonical BFS path src -> dst (boundary dst - src),
-    which uses each edge at most once."""
-    prev = _bfs(X, src, allowed_edges)
-    if dst != src and prev[dst] is None:
-        raise InvalidParameterError(f"no path from {src} to {dst} in allowed edges")
-    flow: Flow = {}
-    v = dst
-    while v != src:
-        e, sign = prev[v]
-        flow[e] = sign
-        s, t = X.edges[e]
-        v = s if (sign == 1) else t
-    return flow
+def fundamental_cycles(X: GGraph, spanning: Iterable[int]) -> Dict[int, Flow]:
+    """The cycle of each edge outside a connected spanning edge set, keyed
+    by edge in edge order: the edge forward, closed by the path between its
+    ends in the breadth-first tree of the set from vertex 0.  Over a tree
+    that path is the only one.
+
+    >>> from glattice.groups import cyclic
+    >>> X = cayley_graph(cyclic(3), [1])  # the triangle 0 -> 1 -> 2 -> 0
+    >>> fundamental_cycles(X, [0, 1])
+    {2: {2: 1, 1: 1, 0: 1}}
+    """
+    inside = set(map(operator.index, spanning))
+    if inside and not (min(inside) >= 0 and max(inside) < X.n_edges):
+        raise InvalidParameterError("spanning edge out of range")
+    prev = _bfs(X, 0, sorted(inside))
+    if None in prev[1:]:
+        raise InvalidParameterError("edge set does not span the graph")
+    # the path t -> s is the tree path from the root to s less the one to t
+    cycles: Dict[int, Flow] = {}
+    for e in range(X.n_edges):
+        if e not in inside:
+            vec = {e: 1}
+            for v, c in ((X.edges[e][0], 1), (X.edges[e][1], -1)):
+                while prev[v] is not None:
+                    f, sign = prev[v]
+                    vec[f] = vec.get(f, 0) + c * sign
+                    v = X.edges[f][0] if sign == 1 else X.edges[f][1]
+            cycles[e] = {f: c for f, c in vec.items() if c}
+    return cycles
 
 
 def spanning_tree_basis(
-    X: GGraph, tree_edges: Sequence[int], candidates: Sequence[Mapping[int, int]]
+    X: GGraph, tree_edges: Iterable[int], candidates: Sequence[Mapping[int, int]]
 ) -> FlowLattice:
     """Certify candidate flows as a basis via the triangular-tree criterion.
 
@@ -398,16 +379,17 @@ def spanning_tree_basis(
         )
     cols: List[Flow] = []
     first = []  # each candidate's smallest nonzero non-tree position
+    edges, n_edges = X.edges, X.n_edges
     for i, cand in enumerate(candidates):
         vec: Flow = {}
         net: Dict[int, int] = {}  # the boundary of vec
         for e, c in cand.items():
             e, c = operator.index(e), operator.index(c)
-            if not 0 <= e < X.n_edges:
+            if not 0 <= e < n_edges:
                 raise InvalidParameterError(f"candidate {i} has edge {e} out of range")
             if c:
                 vec[e] = c
-                s, t = X.edges[e]
+                s, t = edges[e]
                 net[t] = net.get(t, 0) + c
                 net[s] = net.get(s, 0) - c
         if any(net.values()):
@@ -440,9 +422,9 @@ def subgraph(X: GGraph, edge_indices: Sequence[int]) -> GGraph:
 def remove_edges_decomposition(X: GGraph, X_sub: GGraph) -> EquivariantMap:
     """Unimodular iso Fl(V, E') + ZG^m -> Fl(V, E) for free vertex actions.
 
-    One circular flow per removed edge orbit: the orbit representative is
-    completed by the canonical path flow inside the subgraph.  The
-    restriction to Fl(V, E') is the natural embedding.
+    One circular flow per removed edge orbit: the orbit representative,
+    closed through the subgraph's search tree by ``fundamental_cycles``.
+    The restriction to Fl(V, E') is the natural embedding.
     """
     G = X.group
     if X_sub.vertices is not X.vertices and X_sub.vertices.action != X.vertices.action:
@@ -474,15 +456,12 @@ def remove_edges_decomposition(X: GGraph, X_sub: GGraph) -> EquivariantMap:
     certify(m * G.order == X.n_edges - X_sub.n_edges, "the removed edges form free orbits")
 
     # the subgraph flows extended by zero, then one free orbit of circular
-    # flows per removed orbit: its representative closed by a subgraph path
+    # flows per removed orbit: its representative closed in the subgraph
     embedded = [{sub_in_X[e]: c for e, c in col.items()} for col in fl_sub.basis.column_nonzeros()]
     flows = list(embedded)
+    closed = fundamental_cycles(X, sub_in_X)
     for orbit in removed_orbits:
-        rep = orbit[0]
-        v_i, w_i = X.edges[rep]
-        circ = {sub_in_X[e]: c for e, c in path_flow(X_sub, w_i, v_i).items()}
-        circ[rep] = 1
-        flows += [X.edge_gset.move(g, circ) for g in range(G.order)]
+        flows += [X.edge_gset.move(g, closed[orbit[0]]) for g in range(G.order)]
     matrix = fl.solver.express_columns(flows)
     certify(matrix is not None, "the embedded and circular flows are flows")
     source = direct_sum_many([fl_sub.glattice] + [regular(G) for _ in range(m)])

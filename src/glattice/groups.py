@@ -136,10 +136,8 @@ class FiniteGroup:
         return self.table[self.table[g][h]][self.inverses[g]]
 
     def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverses[a], -k)
         out = self.identity
-        for _ in range(k):
+        for _ in range(k % self.element_order(a)):  # also for k < 0
             out = self.table[out][a]
         return out
 

@@ -13,7 +13,8 @@ lattice, the Hom bases and the one-solve section that ``find_section``
 once took (H-fixed functionals into a permutation lattice, else the
 Kronecker kernel), the symmetric group's table composed as tuples, and
 the G-set operations as they were once written out where
-they were used: edge orbits by scanning every element, cosets by their
+they were used: the edge action of a graph read off its vertex action
+pair by pair, edge orbits by scanning every element, cosets by their
 own enumeration, a vector moved by a loop, the action on a stable edge
 subset, the two breadth-first searches of spanning trees and path
 flows, orbit counts point by point, the per-class orbit-count system
@@ -606,6 +607,28 @@ def is_abelian_all_pairs(G: FiniteGroup) -> bool:
     return all(t[a][b] == t[b][a] for a in range(G.order) for b in range(G.order))
 
 
+def infer_edge_action(vertices: GSet, edges: Sequence[Tuple[int, int]]) -> List[Tuple[int, ...]]:
+    """The edge action read off the vertex action: g moves the edge (s, t)
+    to the edge (g s, g t), looked up pair by pair.  Parallel edges have no
+    such action, and an edge set that is not stable has none either."""
+    index = {}
+    for i, pair in enumerate(edges):
+        if pair in index:
+            raise InvalidParameterError("parallel edges need an explicit edge action")
+        index[pair] = i
+    act = []
+    for g in range(vertices.group.order):
+        vg = vertices.action[g]
+        perm = []
+        for s, t in edges:
+            moved = (vg[s], vg[t])
+            if moved not in index:
+                raise InvalidParameterError(f"edge set is not stable under element {g}")
+            perm.append(index[moved])
+        act.append(tuple(perm))
+    return act
+
+
 def edge_orbits_by_scan(X) -> List[Tuple[int, ...]]:
     """Edge orbits of a G-graph, each from the images of its smallest edge."""
     seen = [False] * X.n_edges
@@ -613,7 +636,7 @@ def edge_orbits_by_scan(X) -> List[Tuple[int, ...]]:
     for e in range(X.n_edges):
         if seen[e]:
             continue
-        orbit = sorted({X.edge_action[g][e] for g in range(X.group.order)})
+        orbit = sorted({X.edge_gset.action[g][e] for g in range(X.group.order)})
         for x in orbit:
             seen[x] = True
         out.append(tuple(orbit))
@@ -880,7 +903,7 @@ def validate_flow_lattice(fl) -> None:
     for g in X.group.generators:
         # g moves edge e to perm[e], so row perm[e] of g * basis is row e
         # of basis; sorting the edges by perm inverts it
-        perm = X.edge_action[g]
+        perm = X.edge_gset.action[g]
         moved = fl.basis.take_rows(sorted(range(X.n_edges), key=perm.__getitem__))
         if moved != fl.basis @ fl.glattice.action[g]:
             raise InvalidParameterError(f"action invariant fails at element {g}")
@@ -903,7 +926,7 @@ def bar_flow_dense(X, G: FiniteGroup, g: int, h: int) -> Tuple[int, ...]:
 def cocycle_failures_dense(X, G: FiniteGroup, d) -> int:
     """Triples failing d(g1, g2) + d(g1 g2, g3) = d(g1, g2 g3) + g1 . d(g2, g3)."""
     def move(g: int, vec: Sequence[int]) -> List[int]:
-        return move_by_loop(X.edge_action[g], vec)
+        return move_by_loop(X.edge_gset.action[g], vec)
 
     failures = 0
     for g1 in G.elements():
@@ -922,7 +945,7 @@ def tree_recursion_failures_dense(X, G: FiniteGroup, d) -> int:
     e = G.identity
     idx = X.edge_index()
     def move(g: int, vec: Sequence[int]) -> List[int]:
-        return move_by_loop(X.edge_action[g], vec)
+        return move_by_loop(X.edge_gset.action[g], vec)
 
 
     def edge_unit(g: int) -> Tuple[int, ...]:
@@ -947,7 +970,7 @@ def cocycle_failures_by_dicts(X, G: FiniteGroup, d) -> int:
     with d as {edge: coefficient} maps: one dict merge per triple."""
     failures = 0
     for g1 in G.elements():
-        perm, row1 = X.edge_action[g1], G.table[g1]
+        perm, row1 = X.edge_gset.action[g1], G.table[g1]
         for g2 in G.elements():
             row2, g12, d12 = G.table[g2], row1[g2], d[(g1, g2)]
             for g3 in G.elements():
@@ -980,7 +1003,7 @@ def tree_recursion_failures_by_dicts(X, G: FiniteGroup, d) -> int:
 
     bad = 0
     for h in G.elements():
-        perm = X.edge_action[h]
+        perm = X.edge_gset.action[h]
         for g in G.elements():
             moved = {perm[k]: c for k, c in edge_unit(g).items()}
             if d[(h, g)] != sum_flows(edge_unit(h), moved, edge_unit(G.mul(h, g), -1)):

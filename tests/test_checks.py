@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 
 import pytest
 
@@ -60,6 +61,31 @@ class TestKernelGenerators:
         rep = check_kernel_generators(n, m, r)
         assert rep.ok, [d for d in rep.details if d["status"] != "pass"]
         assert detail(rep, "kernel rank n+m-1")["detail"] == f"rank {rank}"
+
+    @pytest.mark.parametrize("n,m,r", [(3, 2, 2), (5, 4, 2), (7, 3, 2), (5, 6, 4)])
+    def test_v_vectors_equal_the_term_by_term_sum(self, n, m, r):
+        """v(e) = sum of t^j s^i a over j < m and i < r^j, plus (r^m - 1)/n s
+        + t - s t, one term at a time, against the sum by multiplicity."""
+        data = checks_mod._metacyclic_presentation(n, m, r)
+        G, B = data.G, data.pres.B
+        s, t = G.generator_indices["s"], G.generator_indices["t"]
+        terms = [(1, B.gset.move(G.mul(G.power(t, j), G.power(s, i)), {m + n + G.identity: 1}))
+                 for j in range(m) for i in range(r ** j)]
+        terms += [((r ** m - 1) // n, {0: 1}), (1, {m: 1}), (-1, B.gset.move(s, {m: 1}))]
+        v_e = {}
+        for c, vec in terms:
+            for k, x in vec.items():
+                v_e[k] = v_e.get(k, 0) + c * x
+        want = IntMatrix.from_sparse_columns(B.rank, [B.gset.move(g, v_e) for g in G.elements()])
+        assert data.v_vectors == want
+
+    def test_inverting_twist_of_long_order_is_fast(self):
+        """t inverts s, so r^j runs to 4^11 = 4,194,304 at m = 12; summed by
+        multiplicity, the check takes a fraction of a second."""
+        start = time.perf_counter()
+        rep = check_kernel_generators(5, 12, 4)
+        assert time.perf_counter() - start < 1.0
+        assert rep.ok and detail(rep, "kernel rank n+m-1")["detail"] == "rank 16"
 
     def test_coprimality_required(self):
         with pytest.raises(InvalidParameterError, match="coprime"):

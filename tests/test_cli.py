@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,13 @@ class TestSpecParsing:
         (double,) = parse_generators(G, "(12)(34)")
         assert G.point_action[double] == (1, 0, 3, 2)
         assert parse_generators(G, "(1)(2)") == [G.identity]
+
+    def test_a_long_generator_power_is_its_residue(self):
+        start = time.perf_counter()
+        X = parse_graph_spec("cayley(C:3;s10000000000000000000000)")
+        assert time.perf_counter() - start < 0.1
+        Y = parse_graph_spec("cayley(C:3;s1)")  # 10^22 = 1 mod 3
+        assert X.edges == Y.edges and X.edge_gset.action == Y.edge_gset.action
 
     def test_graph_specs(self):
         X = parse_graph_spec("cayley(C:5;s)")
@@ -166,6 +174,29 @@ class TestExitCodes:
         # at n = 1 every r is 1 mod n, so no twist moves s
         assert run_cli(["check", check, "--n", "1", "--m", m, "--r", "0"]) == (2, "")
         assert capsys.readouterr().err == "invalid invocation: twist must move s (r != 1 mod n)\n"
+
+    def test_kernel_generators_past_the_enumeration_cap_is_refused(self, capsys):
+        # order 120, where r^j runs to 4^23: the v vector is summed by
+        # multiplicity, so the check reaches the cap at once
+        argv = ["check", "kernel-generators", "--n", "5", "--m", "24", "--r", "4"]
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err == (
+            "invalid invocation: subgroup enumeration capped at order 64\n"
+        )
+
+    def test_invertible_certificate_refuses_a_bound(self, capsys):
+        argv = ["certify", "--group", "C:2", "--lattice", "sign",
+                "--kind", "invertible", "--bound", "7"]
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err == (
+            "invalid invocation: certify --kind invertible takes no parameter --bound\n"
+        )
+
+    def test_permutation_bound_defaults_to_two(self):
+        argv = ["certify", "--group", "C:2", "--lattice", "sign",
+                "--kind", "permutation", "--output", "json"]
+        code, text = run_cli(argv)
+        assert code == 0 and json.loads(text)["bound"] == 2
 
     def test_permutation_bound_zero_is_refused(self, capsys):
         argv = ["certify", "--group", "C:2", "--lattice", "sign",
@@ -304,7 +335,7 @@ def test_rank_formula_specs_build_the_reference_graphs():
         assert got.group.spec == want.group.spec, label
         assert got.vertices.action == want.vertices.action, label
         assert got.edges == want.edges, label
-        assert got.edge_action == want.edge_action, label
+        assert got.edge_gset.action == want.edge_gset.action, label
 
 
 def test_readme_lists_every_check_id():

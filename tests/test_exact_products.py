@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from glattice import gflows as gflows_mod
 from glattice import intlinalg as intlinalg_mod
-from glattice.gflows import cayley_graph, complete_edges, flow_lattice
+from glattice.gflows import SpanningTreeBasisError, cayley_graph, complete_edges, flow_lattice
 from glattice.groups import cyclic, regular_gset, semidirect
 from glattice.intlinalg import IntMatrix, kernel_basis
 from reference import flow_basis_by_kernel, kernel_basis_by_transform
@@ -182,5 +182,5 @@ class TestFlowLatticeSolver:
             return real(X, src, None)
 
         monkeypatch.setattr(gflows_mod, "_bfs", wrong_tree)
-        with pytest.raises(Exception, match="fundamental cycle"):
+        with pytest.raises(SpanningTreeBasisError):
             flow_lattice(X)

@@ -16,7 +16,6 @@ from glattice.gflows import (
     cayley_graph,
     complete_edges,
     flow_lattice,
-    path_flow,
     remove_edges_decomposition,
     restrict_graph_group,
     subgraph,
@@ -46,7 +45,13 @@ from glattice.groups import (
     whole_group,
 )
 from glattice.intlinalg import IntMatrix, same_column_span
-from reference import lattices_equal_all_elements, validate_flow_lattice
+from reference import (
+    as_flow,
+    infer_edge_action,
+    lattices_equal_all_elements,
+    path_flow_by_bfs,
+    validate_flow_lattice,
+)
 
 
 def s3():
@@ -149,8 +154,8 @@ def graph_with_pendants(V, orbit, psi):
     inside = set(orbit)
     rest = [v for v in range(V.size) if v not in inside]
     X_rest = complete_edges(V.restrict(rest))
-    edges = [(rest[a], rest[b]) for a, b in X_rest.edges]
-    return X_rest, GGraph(V, edges + [(u, psi[u]) for u in orbit])
+    edges = [(rest[a], rest[b]) for a, b in X_rest.edges] + [(u, psi[u]) for u in orbit]
+    return X_rest, GGraph(V, edges, infer_edge_action(V, edges))
 
 
 @pytest.mark.parametrize(
@@ -172,9 +177,13 @@ def test_pendant_edges_carry_no_flow(vertices, psi):
 
 
 def test_non_equivariant_pendants_rejected():
+    """The pendant edges all end at 3, but the action moves them as the
+    edges of the bijection 0 -> 3, 1 -> 4, 2 -> 5."""
     V = union_of(cyclic(3), regular_gset, regular_gset)
-    with pytest.raises(InvalidParameterError, match="not stable"):
-        graph_with_pendants(V, V.orbits()[0], {0: 3, 1: 3, 2: 3})
+    _, X = graph_with_pendants(V, V.orbits()[0], {0: 3, 1: 4, 2: 5})
+    edges = X.edges[:-3] + [(u, 3) for u in range(3)]
+    with pytest.raises(InvalidParameterError, match="incompatible with vertex action"):
+        GGraph(V, edges, X.edge_gset.action)
 
 
 # -- restriction to subgroups -----------------------------------------------------
@@ -300,8 +309,8 @@ def test_closed_chains_of_paths_are_flows():
     bd = boundary_matrix(X).matrix
     for a, b, c in [(0, 3, 5), (1, 4, 2), (2, 2, 0)]:
         loop = {}
-        for path in (path_flow(X, a, b), path_flow(X, b, c), path_flow(X, c, a)):
-            for e, x in path.items():
+        for path in (path_flow_by_bfs(X, a, b), path_flow_by_bfs(X, b, c), path_flow_by_bfs(X, c, a)):
+            for e, x in as_flow(path).items():
                 loop[e] = loop.get(e, 0) + x
         vec = IntMatrix.from_sparse_columns(X.n_edges, [loop])
         assert (bd @ vec).is_zero()
@@ -313,7 +322,7 @@ def test_closed_chains_of_paths_are_flows():
 def test_open_paths_have_no_flow_coordinates():
     X = cayley_on_named(cyclic(5), "s")
     fl = flow_lattice(X)
-    assert fl.solver.express_columns([path_flow(X, 0, 3)]) is None
+    assert fl.solver.express_columns([as_flow(path_flow_by_bfs(X, 0, 3))]) is None
     # twice a flow is a flow; a flow halved off the lattice is rejected
     twice = {e: 2 * x for e, x in fl.basis.column_nonzeros()[0].items()}
     assert fl.solver.express_columns([twice]).to_lists() == [[2]]

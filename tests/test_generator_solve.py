@@ -271,8 +271,8 @@ class TestFlowLatticeActionOnFirstRead:
         assert len(builds) == 1 and len(solves) == len(first.group.generators)
 
     def test_an_unstable_basis_raises_on_first_read(self):
-        """Both constructors certify a G-stable basis; a FlowLattice built
-        directly from another one raises what sublattice_with_action
+        """spanning_tree_basis certifies a G-stable basis; a FlowLattice
+        built directly from another one raises what sublattice_with_action
         raises, when its action is read."""
         G = parse_group_spec("C:6")
         X = cayley_graph(G, range(G.order))

@@ -14,7 +14,7 @@ from glattice.gflows import (
     cayley_graph,
     complete_edges,
     flow_lattice,
-    path_flow,
+    fundamental_cycles,
     remove_edges_decomposition,
     spanning_tree_basis,
     subgraph,
@@ -24,12 +24,21 @@ from glattice.groups import (
     GSet,
     cyclic,
     coset_gset,
+    natural_gset,
     regular_gset,
     semidirect,
+    subgroup_conjugacy_reps,
     subgroup_from_generators,
 )
 from glattice.intlinalg import IntMatrix, kernel_basis, same_column_span
-from reference import as_flow, fundamental_cycles, spanning_tree_by_bfs, validate_flow_lattice
+from reference import (
+    as_flow,
+    infer_edge_action,
+    path_flow_by_bfs,
+    spanning_tree_by_bfs,
+    validate_flow_lattice,
+)
+from reference import fundamental_cycles as dense_fundamental_cycles
 
 
 def s3():
@@ -105,15 +114,20 @@ def _suite_groups():
 class TestCayleyEdgeAction:
     @pytest.mark.parametrize("spec", _suite_groups())
     def test_equals_the_inferred_action(self, spec):
-        """The action cayley_graph passes, h (g, g s) = (h g, h g s), is
-        the one read off the vertex action edge by edge."""
+        """The actions cayley_graph and complete_edges compute from edge
+        numbers, h (g, g s) = (h g, h g s) and h (u, v) = (h u, h v), are
+        the ones read off the vertex action edge by edge."""
         G = parse_group_spec(spec)
-        generator_sets = [list(G.generators)]
+        graphs = [cayley_graph(G, G.generators)]
         if G.order <= 24:
-            generator_sets += [[g for g in G.elements() if g != G.identity], list(G.elements())]
-        for gens in generator_sets:
-            X = cayley_graph(G, gens)
-            assert X.edge_action == X._infer_edge_action()
+            graphs += [cayley_graph(G, [g for g in G.elements() if g != G.identity]),
+                       cayley_graph(G, G.elements())]
+            vertex_sets = [regular_gset(G)] + [coset_gset(G, H) for H in subgroup_conjugacy_reps(G)]
+            if G.point_action is not None:
+                vertex_sets.append(natural_gset(G))
+            graphs += [complete_edges(V, loops) for V in vertex_sets for loops in (False, True)]
+        for X in graphs:
+            assert X.edge_gset.action == infer_edge_action(X.vertices, X.edges)
 
 
 class TestBoundary:
@@ -166,8 +180,9 @@ class TestFlowLattice:
             flow_lattice(cayley_graph(G, [sq]))
 
     def test_no_vertices_rejected(self):
+        V = GSet(cyclic(1), [()])
         with pytest.raises(InvalidParameterError, match="no vertices"):
-            flow_lattice(GGraph(GSet(cyclic(1), [()]), []))
+            flow_lattice(GGraph(V, [], infer_edge_action(V, [])))
 
     def test_validate_rejects_wrong_action(self):
         G = s3()
@@ -212,7 +227,7 @@ class TestSpanningTreeBasis:
         X = cayley_graph(G, [s, G.table[s][s]])
         tree = spanning_tree_by_bfs(X)
         non_tree = [e for e in range(X.n_edges) if e not in tree]
-        return X, tree, non_tree, fundamental_cycles(X, tree)
+        return X, tree, non_tree, dense_fundamental_cycles(X, tree)
 
     @staticmethod
     def _plus(*flows, scale=1):
@@ -286,8 +301,10 @@ class TestCallerNumbers:
     truncated."""
 
     def test_floats_refused(self):
+        V = regular_gset(cyclic(3))
+        action = infer_edge_action(V, [(0, 1), (1, 2), (2, 0)])
         with pytest.raises(TypeError):
-            GGraph(regular_gset(cyclic(3)), [(0, 1.9), (1, 2), (2, 0)])
+            GGraph(V, [(0, 1.9), (1, 2), (2, 0)], action)
         G = cyclic(4)
         with pytest.raises(TypeError):
             cayley_graph(G, [1.0])
@@ -301,17 +318,20 @@ class TestCallerNumbers:
             spanning_tree_basis(X, tree, [{0.0: 1, 1: 1, 2: 1, 3: 1}])
         with pytest.raises(TypeError):
             subgraph(X, [0.0, 1, 2, 3])
+        with pytest.raises(TypeError):
+            fundamental_cycles(X, [0.0, 1, 2])
 
     @pytest.mark.parametrize("one", [1, np.int64(1), True], ids=repr)
     def test_integers_enter_as_python_ints(self, one):
         zero, two = one - one, one + one
-        X = GGraph(regular_gset(cyclic(3)), [(zero, one), (one, two), (two, zero)])
+        V, edges = regular_gset(cyclic(3)), [(zero, one), (one, two), (two, zero)]
+        X = GGraph(V, edges, infer_edge_action(V, edges))
         Y = cayley_graph(cyclic(3), [one])
         sub = subgraph(X, [zero, one, two])
         fl = spanning_tree_basis(X, [zero, two], [{zero: one, one: one, two: one}])
         assert X.edges == Y.edges == sub.edges == [(0, 1), (1, 2), (2, 0)]
         assert fl.basis.to_lists() == [[1], [1], [1]]
-        numbers = [v for e in X.edges + Y.edges + sub.edges for v in e] + list(Y.edge_action[1])
+        numbers = [v for e in X.edges + Y.edges + sub.edges for v in e] + list(Y.edge_gset.action[1])
         assert all(type(v) is int for v in numbers + fl.basis.col_list(0))
 
 
@@ -351,14 +371,39 @@ class TestRemoveEdges:
             remove_edges_decomposition(X, X)
 
 
-class TestPathHelpers:
-    def test_path_flow_boundary(self):
+class TestFundamentalCycles:
+    def test_the_edge_off_a_path_closes_the_cycle(self):
         G = cyclic(5)
         X = cayley_graph(G, [G.generator_indices["s"]])
-        vec = path_flow(X, 0, 3)
-        assert vec == {3: -1, 4: -1}  # 0 <- 4 <- 3, the shorter way round
-        bd = boundary_matrix(X).matrix @ IntMatrix.from_sparse_columns(X.n_edges, [vec])
-        expect = [0] * 5
-        expect[3], expect[0] = 1, -1
-        assert bd.col_list(0) == expect
+        # edges 0..3 are the path 0 -> 1 -> 2 -> 3 -> 4, and edge 4 is (4, 0)
+        assert fundamental_cycles(X, [0, 1, 2, 3]) == {4: {4: 1, 0: 1, 1: 1, 2: 1, 3: 1}}
+        assert fundamental_cycles(X, range(5)) == {}
 
+    def test_cycles_through_a_spanning_set_with_cycles(self):
+        """Each edge outside the set closes through the breadth-first tree of
+        the set from vertex 0, and has boundary 0."""
+        G = s3()
+        X = complete_edges(regular_gset(G), loops=True)
+        s, t = G.generator_indices["s"], G.generator_indices["t"]
+        spanning = [e for e, (u, v) in enumerate(X.edges) if v in (G.table[u][s], G.table[u][t])]
+        tree = spanning_tree_by_bfs(X, spanning)
+        assert len(spanning) == 12 and len(tree) == 5
+        cycles = fundamental_cycles(X, spanning)
+        assert list(cycles) == [e for e in range(X.n_edges) if e not in spanning]
+        bd = boundary_matrix(X).matrix
+        for e, flow in cycles.items():
+            u, v = X.edges[e]
+            want = path_flow_by_bfs(X, v, u, tree)
+            want[e] += 1
+            assert flow == as_flow(want)
+            assert (bd @ IntMatrix.from_sparse_columns(X.n_edges, [flow])).is_zero()
+
+    def test_a_set_that_does_not_span_is_refused(self):
+        G = cyclic(4)
+        s = G.generator_indices["s"]
+        X = cayley_graph(G, [s, G.power(s, 2)])
+        with pytest.raises(InvalidParameterError, match="does not span"):
+            fundamental_cycles(X, [4, 5, 6, 7])  # the edges of s^2
+        for edge in (-1, 8):
+            with pytest.raises(InvalidParameterError, match="out of range"):
+                fundamental_cycles(X, [0, 1, 2, edge])

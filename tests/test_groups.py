@@ -70,6 +70,18 @@ class TestConstructors:
         lhs = G.mul(G.mul(G.inverses[t], s), t)
         assert lhs == G.power(s, 2)
 
+    def test_power_is_the_repeated_product(self):
+        """Exponents are reduced by the element order, negative ones too."""
+        G = symmetric(4)
+        for a in G.elements():
+            step = {0: G.identity}
+            for k in range(1, 13):
+                step[k] = G.mul(step[k - 1], a)
+                step[-k] = G.mul(step[-k + 1], G.inverses[a])
+            for k, want in step.items():
+                assert G.power(a, k) == want
+            assert G.power(a, 10 ** 22) == step[10 ** 22 % 12]
+
     def test_direct_product_c2_c3_is_c6(self):
         G = direct_product(cyclic(2), cyclic(3))
         assert G.order == 6

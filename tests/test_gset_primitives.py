@@ -12,7 +12,7 @@ from glattice.gflows import (
     cayley_graph,
     complete_edges,
     flow_lattice,
-    path_flow,
+    fundamental_cycles,
     restrict_graph_group,
     subgraph,
 )
@@ -39,6 +39,7 @@ from reference import (
     move_by_loop,
     orbit_count,
     path_flow_by_bfs,
+    spanning_tree_by_bfs,
     stable_subset_action,
 )
 
@@ -125,7 +126,7 @@ def test_restrict_matches_stable_subset_action(group):
         subsets = orbits + [tuple(e for o in orbits[1:] for e in o)]
         for keep in subsets:
             assert X.edge_gset.restrict(keep).action == stable_subset_action(X.edge_gset, keep)
-            assert subgraph(X, keep).edge_action == stable_subset_action(X.edge_gset, keep)
+            assert subgraph(X, keep).edge_gset.action == stable_subset_action(X.edge_gset, keep)
     V = gsets(group)[-1].disjoint_union(regular_gset(group))
     for orbit in V.orbits():
         R = V.restrict(orbit)
@@ -144,25 +145,45 @@ def test_restrict_rejects_unstable_subset():
         subgraph(X, [0])
 
 
-def test_bfs_matches_reference(group):
+def _cycles_by_reference(X, spanning):
+    """Each edge outside the spanning set closed by the reference path
+    through the set's breadth-first tree, by edge."""
+    tree, inside = spanning_tree_by_bfs(X, spanning), set(spanning)
+    out = {}
+    for e in range(X.n_edges):
+        if e not in inside:
+            u, v = X.edges[e]
+            cycle = path_flow_by_bfs(X, v, u, tree)
+            cycle[e] += 1
+            out[e] = as_flow(cycle)
+    return out
+
+
+def test_fundamental_cycles_match_reference(group):
+    """Over a spanning tree and over the edges left when one edge orbit is
+    removed, each edge outside the set is closed by the reference path
+    through the set's breadth-first tree; a set that does not span is
+    refused."""
     for X in graphs(group):
-        n = X.n_vertices
-        sources = range(n) if n <= 12 else (0, n - 1)
-        for src in sources:
-            for dst in range(n):
-                assert path_flow(X, src, dst) == as_flow(path_flow_by_bfs(X, src, dst))
-    # over the edges of the first generator only, connected for C:6 alone
+        spanning_sets = [spanning_tree_by_bfs(X)] + [
+            sorted(set(range(X.n_edges)) - set(orbit)) for orbit in X.edge_orbits()]
+        for spanning in spanning_sets:
+            try:
+                want = _cycles_by_reference(X, spanning)
+            except InvalidParameterError:
+                with pytest.raises(InvalidParameterError, match="does not span"):
+                    fundamental_cycles(X, spanning)
+            else:
+                assert list(fundamental_cycles(X, spanning).items()) == list(want.items())
+    # over the edges of the first generator only, spanning for C:6 alone
     X = cayley_graph(group, group.generators)
     s = group.generators[0]
     first = [e for e, (u, v) in enumerate(X.edges) if v == group.table[u][s]]
-    for dst in range(X.n_vertices):
-        try:
-            want = path_flow_by_bfs(X, 0, dst, first)
-        except InvalidParameterError:
-            with pytest.raises(InvalidParameterError, match="no path"):
-                path_flow(X, 0, dst, first)
-        else:
-            assert path_flow(X, 0, dst, first) == as_flow(want)
+    if len(group.generators) == 1:
+        assert fundamental_cycles(X, first) == _cycles_by_reference(X, first) == {}
+    else:
+        with pytest.raises(InvalidParameterError, match="does not span"):
+            fundamental_cycles(X, first)
 
 
 def test_components_are_the_cosets_of_the_generated_subgroup(group):

@@ -665,9 +665,9 @@ class TestCallerNumbers:
 def test_module_doctests():
     import doctest
     import reference
-    from glattice import checks, groups, intlinalg
+    from glattice import checks, gflows, groups, intlinalg
 
-    for module in (checks, groups, intlinalg, reference):
+    for module in (checks, gflows, groups, intlinalg, reference):
         result = doctest.testmod(module)
         assert result.failed == 0 and result.attempted > 0
 

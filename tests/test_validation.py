@@ -172,7 +172,7 @@ def test_corrupted_edge_action_rejected(name, data):
     X = cayley_graph(G, G.generators)
     g = data.draw(st.integers(0, G.order - 1))
     i, j = _two_points(data, X.n_edges)
-    edge_action = list(X.edge_action)
+    edge_action = list(X.edge_gset.action)
     edge_action[g] = _swap_images(edge_action[g], i, j)
     assert not oracle_is_graph(X.vertices, X.edges, edge_action)
     with pytest.raises(InvalidParameterError):
