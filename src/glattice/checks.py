@@ -212,6 +212,8 @@ def check_flow_coflasque(G: FiniteGroup, gens: Sequence[int]) -> CheckReport:
 
 # -- bar basis and the cocycle identity ----------------------------------------------
 
+_COCYCLE_BLOCK_ROWS = 1024  # the cocycle check sorts at most this many triples at once
+
 
 def _bar_flows(X: GGraph, G: FiniteGroup) -> Dict[Tuple[int, int], Flow]:
     """d(g, h) = (e -> g -> gh) - (e -> gh), loops dropped as zero, for all g, h.
@@ -234,46 +236,52 @@ def _bar_flows(X: GGraph, G: FiniteGroup) -> Dict[Tuple[int, int], Flow]:
 def _cocycle_failures(X: GGraph, G: FiniteGroup, d: Dict[Tuple[int, int], Flow]) -> int:
     """Triples with d(g1, g2) + d(g1 g2, g3) != d(g1, g2 g3) + g1 . d(g2, g3).
 
-    Every triple is checked exactly, in int64 index arrays made for one g1
-    at a time, never for all n^3 triples at once.  The left side minus the
-    right side of a triple is 4 k (edge, coefficient) terms, where k bounds
-    the nonzeros of a flow; flows with fewer are padded with coefficient 0
-    on edge 0.  Sorted by edge, the terms sum to 0 on every edge exactly
-    when their running sum is 0 at the end of every run of equal edges.
+    Every triple is checked exactly, in int64 index arrays made for a block
+    of g1 values at a time: at most ``_COCYCLE_BLOCK_ROWS`` triples, or one
+    g1.  The left side minus the right side of a triple is 4 k (edge,
+    coefficient) terms, where k bounds the nonzeros of a flow; flows with
+    fewer are padded with coefficient 0 on edge 0.  Each term is one key,
+    edge * span + the place of its signed coefficient in ``terms``, so one
+    sort orders a triple's terms by edge, and they sum to 0 on every edge
+    exactly when their running sum is 0 at the end of every run of equal
+    edges.  An edge of d out of range is refused.
     """
     n = G.order
     k = max(map(len, d.values()), default=0) or 1
+    flat_edges, flat_coefs = [], []
+    for flow in (d[(g, h)] for g in range(n) for h in range(n)):
+        pad = [0] * (k - len(flow))
+        flat_edges += [*flow, *pad]
+        flat_coefs += [*flow.values(), *pad]
     bound = (1 << 62) // (4 * k)  # then no running sum of 4 k terms overflows
-    certify(all(abs(c) < bound for f in d.values() for c in f.values()),
-            "bar flow coefficients sum exactly in int64")
-    edges = np.zeros((n, n, k), dtype=np.int64)
-    coefs = np.zeros((n, n, k), dtype=np.int64)
-    for (g, h), flow in d.items():
-        edges[g, h, : len(flow)] = list(flow)
-        coefs[g, h, : len(flow)] = list(flow.values())
+    certify(max(map(abs, flat_coefs)) < bound, "bar flow coefficients sum exactly in int64")
+    if not 0 <= min(flat_edges) <= max(flat_edges) < X.n_edges:
+        raise InvalidParameterError("bar flow edge out of range")
+    size = n * n * k
+    span = 2 * size  # the places of the coefficients of d, then of -d
+    certify(X.n_edges * span < 1 << 63, "bar flow keys fit in int64")
+    coefs = np.array(flat_coefs, dtype=np.int64)
+    terms = np.concatenate([coefs, -coefs])
+    place = np.arange(size, dtype=np.int64).reshape(n, n, k)
+    edges = np.array(flat_edges, dtype=np.int64).reshape(n, n, k)
+    plus = edges * span + place  # the keys of d(g, h); + size for -d(g, h)
+    perms = np.array(X.edge_gset.action, dtype=np.int64) * span
     table = np.array(G.table, dtype=np.int64)
+    step = max(1, _COCYCLE_BLOCK_ROWS // (n * n))
     failures = 0
-    for g1 in G.elements():
-        perm = np.array(X.edge_gset.action[g1], dtype=np.int64)
-        row1 = table[g1]
-        pair_edges = np.concatenate([
-            np.broadcast_to(edges[g1][:, None], (n, n, k)),  # d(g1, g2)
-            edges[row1],  # d(g1 g2, g3)
-            edges[g1][table],  # d(g1, g2 g3)
-            perm[edges],  # g1 . d(g2, g3)
-        ], axis=2).reshape(n * n, 4 * k)
-        pair_coefs = np.concatenate([
-            np.broadcast_to(coefs[g1][:, None], (n, n, k)),
-            coefs[row1],
-            -coefs[g1][table],
-            -coefs,
-        ], axis=2).reshape(n * n, 4 * k)
-        order = np.argsort(pair_edges, axis=1, kind="stable")
-        sorted_edges = np.take_along_axis(pair_edges, order, axis=1)
-        running = np.cumsum(np.take_along_axis(pair_coefs, order, axis=1), axis=1)
-        run_end = np.ones_like(running, dtype=bool)
-        run_end[:, :-1] = sorted_edges[:, 1:] != sorted_edges[:, :-1]
-        failures += int(np.count_nonzero(((running != 0) & run_end).any(axis=1)))
+    for start in range(0, n, step):
+        g1 = np.arange(start, min(start + step, n))
+        keys = np.empty((len(g1), n, n, 4, k), dtype=np.int64)  # (g1, g2, g3, term)
+        keys[:, :, :, 0] = plus[g1][:, :, None]  # d(g1, g2)
+        keys[:, :, :, 1] = plus[table[g1]]  # d(g1 g2, g3)
+        keys[:, :, :, 2] = plus[g1[:, None, None], table] + size  # -d(g1, g2 g3)
+        keys[:, :, :, 3] = perms[g1[:, None, None, None], edges] + place + size  # -g1 . d(g2, g3)
+        keys = np.sort(keys.reshape(-1, 4 * k), axis=1)
+        edge = keys // span
+        running = np.cumsum(terms[keys - edge * span], axis=1)
+        bad = running[:, -1] != 0
+        bad |= ((running[:, :-1] != 0) & (edge[:, 1:] != edge[:, :-1])).any(axis=1)
+        failures += int(np.count_nonzero(bad))
     return failures
 
 

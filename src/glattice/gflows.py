@@ -12,13 +12,13 @@ triangular +-1 minor on the non-tree edges.  Every edge vector (a
 candidate, a cycle, a circular flow) is a ``Flow``, the map of its
 nonzero coefficients by edge, so certifying a basis costs time in its
 nonzeros, and flows are solved for by ``express_columns`` of the
-lattice's solver; the basis matrix is stored densely.  Caller numbers
-(edge endpoints, generators, tree and spanning edges, candidate edges
-and coefficients, edge indices) enter through ``operator.index``, so a
-float is refused, not truncated.  A flow
-lattice is its basis and the solver of it: its G-action and inclusion
-are solved for when first read, so a caller that needs only the basis or
-the rank makes no solve.
+lattice's solver; the dense basis matrix is made from the basis flows
+only when first read.  Caller numbers (edge endpoints, generators, tree
+and spanning edges, candidate edges and coefficients, edge indices)
+enter through ``operator.index``, so a float is refused, not truncated.
+A flow lattice is its basis and the solver of it: its G-action and
+inclusion are solved for when first read, so a caller that needs only
+the basis or the rank makes no solve.
 """
 
 from __future__ import annotations
@@ -184,7 +184,8 @@ class FlowLattice:
     """The kernel of the boundary map, with an explicit basis and G-action.
 
     Built from the graph and the BasisSolver of a basis already known to
-    span the flows; ``basis`` and ``rank`` read the solver's basis.  The
+    span the flows; ``basis`` reads the solver's basis, and ``rank`` its
+    column count, so reading the rank makes no basis matrix.  The
     G-action (``glattice``) and the inclusion into Z[E] (``inclusion``)
     are made by one ``sublattice_with_action`` call when either is first
     read, and kept.  That call cannot find the span unstable: the one
@@ -222,7 +223,7 @@ class FlowLattice:
 
     @property
     def rank(self) -> int:
-        return self.basis.cols
+        return self.solver.cols
 
     def boundary_sequence(self) -> ShortExactSequence:
         """0 -> Fl -> Z[E] -> I_V -> 0: the flows in the edges, and the
@@ -352,9 +353,12 @@ def spanning_tree_basis(
     flows: a flow is determined by its values on the non-tree edges, and
     that minor is unimodular.  So the lattice is built without a second
     span check, and it is its own solver.  These checks read only the
-    nonzero coefficients; the basis matrix is stored densely.
+    nonzero coefficients, and the solver makes the dense basis matrix only
+    when it is first read.  A tree edge out of range is refused.
     """
     tree = sorted(set(map(operator.index, tree_edges)))
+    if tree and not (tree[0] >= 0 and tree[-1] < X.n_edges):
+        raise InvalidParameterError("spanning edge out of range")
     # validate the tree: spanning and acyclic in the undirected sense
     if len(tree) != X.n_vertices - 1:
         raise InvalidParameterError(
@@ -406,8 +410,7 @@ def spanning_tree_basis(
             raise SpanningTreeBasisError(
                 f"matrix not upper triangular: f_{i}(e_{non_tree[first[i]]}) != 0"
             )
-    basis = IntMatrix.from_sparse_columns(X.n_edges, cols)
-    return FlowLattice(X, BasisSolver._of_triangular(basis, non_tree, cols))
+    return FlowLattice(X, BasisSolver._of_triangular(X.n_edges, non_tree, cols))
 
 
 # -- subgraphs and edge removal --------------------------------------------------

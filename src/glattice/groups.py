@@ -533,17 +533,18 @@ class GSet:
         if len(self.action) != group.order:
             raise InvalidParameterError("need one permutation per group element")
         self.size = len(self.action[0]) if self.action else 0
+        points = list(range(self.size))
         for perm in self.action:
-            if sorted(perm) != list(range(self.size)):
+            if sorted(perm) != points:
                 raise InvalidParameterError("invalid-gset: action values are not permutations")
-        e = group.identity
-        if self.action[e] != tuple(range(self.size)):
+        if self.action[group.identity] != tuple(points):
             raise InvalidParameterError("invalid-gset: identity does not act trivially")
+        if self.size < 2:  # the identity is the only permutation
+            return
         for s in group.generators:
-            ps = self.action[s]
-            for g in range(group.order):
-                pg = self.action[g]
-                if self.action[group.table[g][s]] != tuple(pg[x] for x in ps):
+            after_s = operator.itemgetter(*self.action[s])  # pg -> pg . ps, a tuple
+            for g, pg in enumerate(self.action):
+                if self.action[group.table[g][s]] != after_s(pg):
                     raise InvalidParameterError(
                         f"invalid-gset: action incompatible at elements ({g}, {s})"
                     )

@@ -30,7 +30,8 @@ it is skipped when every pivot of that form is 1.  Kernels and solves
 (``kernel_basis``, ``solve_matrix``, ``BasisSolver``) use the column
 Hermite form and its transform, skipped for a matrix already in that
 form; a certified triangular basis, such as a spanning-tree flow basis,
-is its own solver too, and no identity transform is multiplied.  The
+is its own solver too, given by its sparse columns: no identity transform
+is multiplied, and its dense matrix is made when first read.  The
 back-substitution visits only the pivots it reaches, in column order,
 which is sound because each echelon column is 0 in the pivot rows of the
 columns before it: a Hermite form is, and a caller of
@@ -42,6 +43,7 @@ the row Hermite form (``pivot_columns``).
 from __future__ import annotations
 
 import operator
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
@@ -495,20 +497,30 @@ class BasisSolver:
 
     def __init__(self, basis: IntMatrix):
         H, V = (basis, None) if _is_column_hermite(basis) else col_hermite(basis, transform=True)
-        self._setup(basis, H, V, None, H.column_nonzeros())
+        self.basis, self.H = basis, H
+        self._setup(basis.rows, basis.cols, V, None, H.column_nonzeros())
 
     @classmethod
-    def _of_triangular(cls, basis: IntMatrix, pivots: Sequence[int],
+    def _of_triangular(cls, rows: int, pivots: Sequence[int],
                        columns: Sequence[Mapping[int, int]]) -> "BasisSolver":
-        """The solver of a basis that is its own echelon form: column j, whose
-        nonzero entries are the {row: entry} map columns[j], is nonzero in row
-        pivots[j] and 0 in the pivot rows of the columns before it."""
+        """The solver of the rows x len(columns) basis, made when first read,
+        that is its own echelon form: column j, the {row: entry} map columns[j],
+        is nonzero in row pivots[j] and 0 in the pivot rows of the columns before it."""
         solver = cls.__new__(cls)
-        solver._setup(basis, basis, None, pivots, columns)
+        solver._basis_columns = columns
+        solver._setup(rows, len(columns), None, pivots, columns)
         return solver
 
-    def _setup(self, basis: IntMatrix, H: IntMatrix, V, pivots, columns) -> None:
-        self.basis, self.H, self.V = basis, H, V  # V None: the basis is its own Hermite form
+    @cached_property
+    def basis(self) -> IntMatrix:  # set by __init__; made here for a triangular solver
+        return IntMatrix.from_sparse_columns(self.rows, self._basis_columns)
+
+    @cached_property
+    def H(self) -> IntMatrix:  # a triangular basis is its own echelon form
+        return self.basis
+
+    def _setup(self, rows: int, cols: int, V, pivots, columns) -> None:
+        self.rows, self.cols, self.V = rows, cols, V  # V None: the basis is its own Hermite form
         # (index, pivot row, pivot, nonzero (row, entry) pairs) of each
         # nonzero column of H, and the position among them of each pivot row
         self._columns = []
@@ -548,7 +560,7 @@ class BasisSolver:
         return None if r else y
 
     def express_matrix(self, M: IntMatrix) -> Optional[IntMatrix]:
-        if M.rows != self.H.rows:
+        if M.rows != self.rows:
             raise ValueError("matrix row mismatch")
         return self.express_columns(M.column_nonzeros())
 
@@ -562,7 +574,7 @@ class BasisSolver:
         [1]
         [2]
         """
-        rows, ys = self.H.rows, []
+        rows, ys = self.rows, []
         for col in columns:
             r = {}
             for i, x in col.items():
@@ -575,7 +587,7 @@ class BasisSolver:
             if y is None:
                 return None
             ys.append(y)
-        Y = IntMatrix.from_sparse_columns(self.H.cols, ys)
+        Y = IntMatrix.from_sparse_columns(self.cols, ys)
         return Y if self.V is None else self.V @ Y
 
 

@@ -1069,7 +1069,7 @@ def spanning_tree_basis_dense(X, tree_edges: Sequence[int], candidates: Sequence
                 f"matrix not upper triangular: f_{i}(e_{non_tree[first[i]]}) != 0"
             )
     basis = IntMatrix.from_columns(cols, rows=X.n_edges)
-    return FlowLattice(X, BasisSolver._of_triangular(basis, non_tree, basis.column_nonzeros()))
+    return FlowLattice(X, BasisSolver._of_triangular(basis.rows, non_tree, basis.column_nonzeros()))
 
 
 def express_by_dense_sweep(basis: IntMatrix, vec: Sequence[int], pivots=None) -> Optional[List[int]]:

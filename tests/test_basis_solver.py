@@ -135,7 +135,7 @@ class TestAgainstTheDenseSweep:
     @given(triangular_case())
     def test_triangular_bases(self, case):
         basis, pivots, vectors = case
-        solver = BasisSolver._of_triangular(basis, pivots, basis.column_nonzeros())
+        solver = BasisSolver._of_triangular(basis.rows, pivots, basis.column_nonzeros())
         assert_agrees(solver, basis, vectors, pivots)
 
     @settings(max_examples=40, deadline=None)

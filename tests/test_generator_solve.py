@@ -18,7 +18,7 @@ import glattice.gflows as gflows_mod
 import glattice.gmod as gmod_mod
 import glattice.intlinalg as intlinalg_mod
 from glattice.checks import _bar_flows, _cocycle_failures, _star_tree_basis, _tree_recursion_failures
-from glattice.cli import main, parse_generators, parse_group_spec
+from glattice.cli import RANK_FORMULA_GRAPHS, main, parse_generators, parse_graph_spec, parse_group_spec
 from glattice.cohom import coflasque_resolution, flasque_resolution, pullback
 from glattice.errors import CertificateError, GlatticeError, InvalidParameterError
 from glattice.gflows import (
@@ -64,6 +64,13 @@ from reference import (
 )
 
 GROUPS = ["C:6", "S:3", "D:4", "X(C:2,C:2)", "SD:3,2,2"]
+
+# groups of order at most 16: those bar-cocycle runs on in the suites and
+# the bench ladder, and more of the same families
+BAR_GROUPS = [
+    "C:2", "C:3", "C:5", "C:8", "C:12", "C:16", "S:3", "D:4", "D:7", "D:8",
+    "X(C:2,C:2)", "X(C:4,C:4)", "X(C:2,C:8)", "SD:3,2,2", "SD:3,4,2", "SD:5,2,4",
+]
 
 
 def _lattices(G):
@@ -245,9 +252,11 @@ class TestFlowLatticeActionOnFirstRead:
     def test_commands_reading_the_rank_make_no_solve(self, argv, monkeypatch, capsys):
         solves = _counting(monkeypatch, BasisSolver, "express_columns")
         scans = _counting(monkeypatch, IntMatrix, "column_nonzeros")
+        builds = _counting(monkeypatch, IntMatrix, "from_sparse_columns")
         assert main(argv) == 0
         assert "rank" in capsys.readouterr().out
         assert solves == []
+        assert builds == []  # no dense flow basis is made either
         if argv[1] == "bar-cocycle":  # the certified basis is not scanned either
             assert scans == []
 
@@ -269,6 +278,31 @@ class TestFlowLatticeActionOnFirstRead:
         assert fl.glattice is first and fl.inclusion.source is first
         assert fl.inclusion is fl.inclusion
         assert len(builds) == 1 and len(solves) == len(first.group.generators)
+
+    @pytest.mark.parametrize("label", [label for label, _ in RANK_FORMULA_GRAPHS]
+                             + [f"bar {spec}" for spec in BAR_GROUPS])
+    def test_basis_made_on_first_read(self, label, monkeypatch):
+        """The dense basis is made once, when first read, from the columns
+        that spanning_tree_basis certified."""
+        certified = []
+        triangular = BasisSolver._of_triangular
+
+        def spy(rows, pivots, columns):
+            certified.append((rows, columns))
+            return triangular(rows, pivots, columns)
+
+        monkeypatch.setattr(BasisSolver, "_of_triangular", spy)
+        builds = _counting(monkeypatch, IntMatrix, "from_sparse_columns")
+        if label.startswith("bar "):
+            fl = _bar_basis(label[4:])
+        else:
+            fl = flow_lattice(parse_graph_spec(dict(RANK_FORMULA_GRAPHS)[label]))
+        assert builds == [] and len(certified) == 1
+        basis = fl.basis
+        assert builds == ["basis"] and fl.basis is basis and fl.solver.H is basis
+        rows, columns = certified[0]
+        assert basis == IntMatrix.from_sparse_columns(rows, columns)
+        assert fl.rank == basis.cols == len(columns) and basis.rows == fl.graph.n_edges
 
     def test_an_unstable_basis_raises_on_first_read(self):
         """spanning_tree_basis certifies a G-stable basis; a FlowLattice
@@ -394,14 +428,6 @@ class TestSparseBarFlows:
         assert _tree_recursion_failures(X, G, sparse) == tree_recursion_failures_dense(X, G, dense) > 0
 
 
-# groups of order at most 16: those bar-cocycle runs on in the suites and
-# the bench ladder, and more of the same families
-BAR_GROUPS = [
-    "C:2", "C:3", "C:5", "C:8", "C:12", "C:16", "S:3", "D:4", "D:7", "D:8",
-    "X(C:2,C:2)", "X(C:4,C:4)", "X(C:2,C:8)", "SD:3,2,2", "SD:3,4,2", "SD:5,2,4",
-]
-
-
 @lru_cache(maxsize=None)
 def _bar_case(spec):
     G = parse_group_spec(spec)
@@ -442,11 +468,49 @@ class TestCocycleCheckAgainstDictLoops:
         with pytest.raises(CertificateError, match="sum exactly in int64"):
             _cocycle_failures(X, G, d)
 
-    def test_memory_stays_per_g1(self):
+    @pytest.mark.parametrize("spec", BAR_GROUPS + ["C:25"])
+    def test_one_negated_flow_in_every_block(self, spec):
+        """A negated flow enters triples of every g1, so every block counts
+        its failures.  At 1,024 triple rows a block holds 7 g1 of C:12 and 5
+        of D:7, so both end in a partial block; C:25 takes one g1 a block.
+        The one nonzero flow of C:2, d(s, s), is fixed by s, so its negation
+        is a cocycle too."""
+        G, X, bar = _bar_case(spec)
+        d = dict(bar)
+        key = max(k for k, flow in d.items() if flow)
+        d[key] = {e: -c for e, c in d[key].items()}
+        expected = cocycle_failures_by_dicts(X, G, d)
+        assert _cocycle_failures(X, G, d) == expected
+        assert expected > 0 or spec == "C:2"
+
+    @pytest.mark.parametrize("rows", [1, 150, 700, 1 << 20])
+    @pytest.mark.parametrize("spec", ["C:12", "D:7"])
+    def test_failures_do_not_depend_on_the_block_size(self, spec, rows, monkeypatch):
+        G, X, bar = _bar_case(spec)
+        d = dict(bar)
+        for key in [(1, 2), (G.order - 1, 3)]:
+            d[key] = {e: -c for e, c in d[key].items()}
+        expected = cocycle_failures_by_dicts(X, G, d)
+        monkeypatch.setattr(checks_mod, "_COCYCLE_BLOCK_ROWS", rows)
+        assert _cocycle_failures(X, G, d) == expected > 0
+
+    def test_edge_out_of_range_refused(self):
+        """-1 would wrap around the edge action and |E| would index past it."""
+        G, X, bar = _bar_case("C:3")
+        key = next(k for k, flow in bar.items() if flow)
+        for edge in (-1, X.n_edges):
+            d = {**bar, key: {**bar[key], edge: 1}}
+            with pytest.raises(InvalidParameterError, match="^bar flow edge out of range$"):
+                _cocycle_failures(X, G, d)
+
+    @pytest.mark.parametrize("spec, limit_mb", [("C:25", 4), ("C:16", 1)])
+    def test_memory_stays_per_block(self, spec, limit_mb):
         """C:25 has 15,625 triples of up to 12 terms.  One int64 array of
         all their edges takes 1.5 MB, and the sort needs several such
-        arrays; one g1 at a time, the peak stays under 4 MB."""
-        G = parse_group_spec("C:25")
+        arrays; one block of at most 1,024 triples at a time, the peak
+        stays under 4 MB.  C:16, the largest group of the bench ladder,
+        stays under 1 MB."""
+        G = parse_group_spec(spec)
         X = cayley_graph(G, [g for g in G.elements() if g != G.identity])
         d = _bar_flows(X, G)
         tracemalloc.start()
@@ -455,7 +519,7 @@ class TestCocycleCheckAgainstDictLoops:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < limit_mb * 2**20
 
 
 class TestTreeRecursionAgainstDictMerges:

@@ -275,6 +275,14 @@ class TestSpanningTreeBasis:
         with pytest.raises(InvalidParameterError, match=f"candidate 0 has edge {edge} out of range"):
             spanning_tree_basis(X, tree, [{0: 1, 1: 1, 2: 1, 3: 1, edge: 0}])
 
+    @pytest.mark.parametrize("tree", [[-1, 0, 1], [0, 1, 9]])
+    def test_tree_edge_out_of_range_rejected(self, tree):
+        """-1 would wrap around to edge 3, and 9 would index past the edges."""
+        G = cyclic(4)
+        X = cayley_graph(G, [G.generator_indices["s"]])
+        with pytest.raises(InvalidParameterError, match="^spanning edge out of range$"):
+            spanning_tree_basis(X, tree, [{0: 1, 1: 1, 2: 1, 3: 1}])
+
     def test_explicit_zero_coefficients_ignored(self):
         """A 0 on an earlier non-tree edge would break triangularity, and a
         0 on the diagonal edge would break the diagonal, if they counted."""

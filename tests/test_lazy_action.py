@@ -250,7 +250,7 @@ class TestTriangularSolver:
     @given(unit_triangular())
     def test_agrees_with_the_hermite_solver(self, case):
         basis, pivots, coords, inside, outside = case
-        solver = BasisSolver._of_triangular(basis, pivots, basis.column_nonzeros())
+        solver = BasisSolver._of_triangular(basis.rows, pivots, basis.column_nonzeros())
         fresh = BasisSolver(basis)
         assert solver.rank == fresh.rank == basis.cols
         assert express_dense(solver, inside) == coords
