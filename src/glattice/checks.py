@@ -191,7 +191,7 @@ def check_flow_coflasque(G: FiniteGroup, gens: Sequence[int]) -> CheckReport:
     )
     X = cayley_graph(G, gens)
     fl = flow_lattice(X)
-    verdict = is_coflasque(fl.glattice)
+    verdict = is_coflasque(fl)
     ck.record(
         "flow lattice coflasque",
         bool(verdict),
@@ -493,12 +493,12 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
     bases = fl.solver.express_columns([cycle_flow(s, n), cycle_flow(t, m), _edge_vector(X, steps)])
     certify(bases is not None, "the cycles and the twist path are flows")
 
-    rho = fl.glattice.action
+    rho = fl.action
     s_vec, t_vec = bases.take_columns([0]), bases.take_columns([1])
     certify(rho[s] @ s_vec == s_vec, "cycle flow must be s-invariant")
     certify(rho[t] @ t_vec == t_vec, "cycle flow must be t-invariant")
 
-    pi = EquivariantMap(B, fl.glattice, orbit_map(B, fl.glattice, bases))
+    pi = EquivariantMap(B, fl, orbit_map(B, fl, bases))
     pi.validate()
 
     kernel = kernel_basis(pi.matrix)
@@ -651,7 +651,7 @@ def check_faithful_transfer(n: int, m: int, r: int) -> CheckReport:
         return ck.finish()
     B = data.pres.B
     res1 = ShortExactSequence(
-        EquivariantMap(data.fl.glattice, B, u.matrix.take_columns(range(K.rank, B.rank))),
+        EquivariantMap(data.fl, B, u.matrix.take_columns(range(K.rank, B.rank))),
         EquivariantMap(B, K, u.inverse().matrix.take_rows(range(K.rank))),
     )
     res1_report = check_exact(res1)

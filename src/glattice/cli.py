@@ -206,12 +206,12 @@ def parse_lattice_spec(G: FiniteGroup, spec: str) -> GLattice:
                 "flows:cayley needs distinguished generators; use flows:cayley(...)",
                 spec, 0,
             )
-        return flow_lattice(cayley_graph(G, gens)).glattice
+        return flow_lattice(cayley_graph(G, gens))
     if spec.startswith("flows:"):
         graph = parse_graph_spec(spec[len("flows:"):])
         if graph.group.spec != G.spec:
             raise SpecParseError("lattice graph group differs from --group", spec, 0)
-        return flow_lattice(graph).glattice
+        return flow_lattice(graph)
     raise SpecParseError(f"unrecognized lattice spec {spec!r}", spec[:12], 0)
 
 

@@ -109,6 +109,12 @@ def tate(M: GLattice, H: Subgroup, degree: int) -> TateGroup:
     M^H and ker N are saturated and contain N M and I_H M with finite
     index, so each group is the torsion of Z^rank modulo the smaller
     lattice: one Smith diagonal.  Degree +1 dualizes to -1.
+
+    >>> from glattice.gmod import trivial
+    >>> from glattice.groups import cyclic, whole_group
+    >>> C2 = cyclic(2)
+    >>> str(tate(trivial(C2), whole_group(C2), 0))  # Z / 2Z: the norm is 2
+    'Z/2'
     """
     if H.parent is not M.group:
         raise InvalidParameterError("subgroup belongs to a different group")

@@ -16,16 +16,15 @@ lattice's solver; the dense basis matrix is made from the basis flows
 only when first read.  Caller numbers (edge endpoints, generators, tree
 and spanning edges, candidate edges and coefficients, edge indices)
 enter through ``operator.index``, so a float is refused, not truncated.
-A flow lattice is its basis and the solver of it: its G-action and
-inclusion are solved for when first read, so a caller that needs only
-the basis or the rank makes no solve.
+A flow lattice is a G-lattice that keeps its graph and the solver of its
+basis: each action matrix is solved for when first read, so a caller
+that needs only the basis or the rank makes no solve.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import deque
-from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import GlatticeError, InvalidParameterError, certify
@@ -37,7 +36,7 @@ from .gmod import (
     direct_sum_many,
     permutation_lattice,
     regular,
-    sublattice_with_action,
+    span_action,
 )
 from .groups import FiniteGroup, GSet, Subgroup, regular_gset
 from .intlinalg import BasisSolver, IntMatrix
@@ -180,50 +179,28 @@ def boundary_matrix(X: GGraph) -> EquivariantMap:
     return EquivariantMap(X.edge_lattice(), X.vertex_lattice(), m)
 
 
-class FlowLattice:
-    """The kernel of the boundary map, with an explicit basis and G-action.
+class FlowLattice(GLattice):
+    """The kernel of the boundary map: a G-lattice in the basis of the flows
+    that keeps its graph and the BasisSolver of that basis, ``basis``.
 
-    Built from the graph and the BasisSolver of a basis already known to
-    span the flows; ``basis`` reads the solver's basis, and ``rank`` its
-    column count, so reading the rank makes no basis matrix.  The
-    G-action (``glattice``) and the inclusion into Z[E] (``inclusion``)
-    are made by one ``sublattice_with_action`` call when either is first
-    read, and kept.  That call cannot find the span unstable: the one
+    Its rank is the solver's column count, so reading it makes no basis
+    matrix, and its action is ``span_action`` on Z[E], each matrix solved
+    for when first read.  None is read at construction: the one
     certificate, ``spanning_tree_basis``, proves by its triangular +-1
     minor on the non-tree edges that the basis spans the whole kernel of
     the boundary map, and the boundary is equivariant, since GGraph checks
     the edge action against the vertex action, so its kernel is G-stable.
-    A caller that builds a FlowLattice from another basis gets the same
-    error, with the same message, on the first read of the action.
+    A caller that builds a FlowLattice from another basis gets the error of
+    ``sublattice_with_action`` when it reads a matrix that leaves the span.
     """
 
     def __init__(self, graph: GGraph, solver: BasisSolver):
-        self.graph = graph
-        self.solver = solver
-
-    @cached_property
-    def _with_action(self) -> Tuple[GLattice, EquivariantMap]:
-        return sublattice_with_action(
-            self.graph.edge_lattice(), self.solver.basis, solver=self.solver
-        )
+        super().__init__(graph.group, span_action(graph.edge_lattice(), solver), _derived=True)
+        self.graph, self.solver = graph, solver
 
     @property
-    def glattice(self) -> GLattice:
-        """The abstract lattice, in the basis of the flows."""
-        return self._with_action[0]
-
-    @property
-    def inclusion(self) -> EquivariantMap:
-        """The inclusion of the flows into Z[E]; its matrix is ``basis``."""
-        return self._with_action[1]
-
-    @property
-    def basis(self) -> IntMatrix:
+    def basis(self) -> IntMatrix:  # the flows in Z[E]: the inclusion's matrix
         return self.solver.basis
-
-    @property
-    def rank(self) -> int:
-        return self.solver.cols
 
     def boundary_sequence(self) -> ShortExactSequence:
         """0 -> Fl -> Z[E] -> I_V -> 0: the flows in the edges, and the
@@ -234,7 +211,7 @@ class FlowLattice:
         coords = BasisSolver(I_incl.matrix).express_matrix(bd.matrix)
         certify(coords is not None, "the boundary lands in the augmentation sublattice")
         return ShortExactSequence(
-            EquivariantMap(self.glattice, bd.source, self.basis),
+            EquivariantMap(self, bd.source, self.basis),
             EquivariantMap(bd.source, I_lat, coords),
         )
 
@@ -467,12 +444,12 @@ def remove_edges_decomposition(X: GGraph, X_sub: GGraph) -> EquivariantMap:
         flows += [X.edge_gset.move(g, closed[orbit[0]]) for g in range(G.order)]
     matrix = fl.solver.express_columns(flows)
     certify(matrix is not None, "the embedded and circular flows are flows")
-    source = direct_sum_many([fl_sub.glattice] + [regular(G) for _ in range(m)])
-    iso = EquivariantMap(source, fl.glattice, matrix)
+    source = direct_sum_many([fl_sub] + [regular(G) for _ in range(m)])
+    iso = EquivariantMap(source, fl, matrix)
     iso.validate()
     certify(iso.is_unimodular(), "edge-removal decomposition must be unimodular")
     # restriction block identity: the first columns are the embedded basis
-    emb = fl.inclusion.matrix @ matrix.take_columns(range(fl_sub.rank))
+    emb = fl.basis @ matrix.take_columns(range(fl_sub.rank))
     certify(emb.column_nonzeros() == embedded, "the embedding extends subgraph flows by zero")
     return iso
 

@@ -4,14 +4,14 @@ equivariant homomorphisms and short exact sequences.
 A lattice never claims an isomorphism from numerical coincidences: every
 identification is carried by an explicit unimodular equivariant map.
 
-A derived lattice is its generator matrices; any other element's matrix
-is made when first read, and kept.  Permutation lattices fill it from
-their G-set, and move a sublattice basis by reindexing its rows.  A flow
-lattice (``gflows.FlowLattice``) defers even the generator matrices: its
-``sublattice_with_action`` call runs when its action is first read.
-With a G-set, the H-orbit sums by least point are the H-fixed vectors'
-canonical basis.  A direct sum is made in one step: the permutation
-lattice of one disjoint union of G-sets, else block diagonal matrices.
+A derived lattice makes each element's matrix when first read, and keeps
+it.  Permutation lattices fill it from their G-set.  The action on an
+invariant span has one maker, ``span_action``: a generator is solved for
+(its basis reindexed by row when there is a G-set), any other element is
+one product.  With a G-set, the H-orbit sums by least point are the
+H-fixed vectors' canonical basis.  A direct sum is made in one step: the
+permutation lattice of one disjoint union of G-sets, else block diagonal
+matrices.
 """
 
 from __future__ import annotations
@@ -394,59 +394,65 @@ def norm_matrix(M: GLattice, H: Subgroup) -> IntMatrix:
     return total
 
 
-def sublattice_with_action(
-    M: GLattice, basis: IntMatrix, solver: Optional[BasisSolver] = None
-) -> Tuple[GLattice, EquivariantMap]:
-    """Induced lattice structure on an invariant saturated column span.
+def span_action(M: GLattice, solver: BasisSolver) -> _Action:
+    """The action on an invariant saturated span in M, in the coordinates of
+    its basis B = ``solver.basis``: each matrix made when first read.
 
-    Returns the abstract lattice in the given basis together with the
-    inclusion map into M.  Raises, naming the first failing generator,
-    when the span is not G-invariant; invariance under the generators is
-    invariance under every element.  A caller that already holds a
-    BasisSolver of the basis may pass it.
-
-    Only the generators are solved for, M(s) B = B rho(s).  When M has a
-    G-set, M(s) B is the nonzero entries of B, read once, each column
-    moved by ``GSet.move``, and no product is made.  Every other element gets
-    rho(a s) = rho(a) rho(s) when first read, one product each, along the
-    breadth-first search of FiniteGroup.closure.  This is exact and rho
-    is a homomorphism, because M is one and the basis B is injective;
-    that is why a basis without full column rank is refused.
+    A generator s is solved for, M(s) B = B rho(s); with a G-set on M, each
+    nonzero column of B, read once, is moved by ``GSet.move`` instead of
+    multiplied.  A span that s moves out of itself raises, naming s.  Any
+    other element is rho(a s) = rho(a) rho(s), one product each, along the
+    breadth-first search of FiniteGroup.closure.  This is exact and rho is a
+    homomorphism, because M is one and B is injective; that is why a basis
+    without full column rank is refused.
     """
-    solver = solver or BasisSolver(basis)
-    if solver.rank != basis.cols:
+    if solver.rank != solver.cols:
         raise InvalidParameterError("basis columns are not linearly independent")
-    G = M.group
-    made: List[Optional[IntMatrix]] = [None] * G.order
-    columns = None if M.gset is None else basis.column_nonzeros()
-    for s in G.generators:
-        if columns is None:
-            made[s] = solver.express_matrix(M.action[s] @ basis)
-        else:
-            made[s] = solver.express_columns([M.gset.move(s, col) for col in columns])
-        if made[s] is None:
-            raise InvalidParameterError(
-                f"column span is not invariant under element {s}"
-            )
-    parent, queue = {G.identity: None}, [G.identity]  # c -> (a, s), c = a s
-    for a in queue:
-        for s in G.generators:
-            if G.table[a][s] not in parent:
-                parent[G.table[a][s]] = (a, s)
-                queue.append(G.table[a][s])
+    G, gens = M.group, set(M.group.generators)
+    columns = parent = None
 
-    def make(action, g):  # multiply down from the nearest element made
+    def make(action, g):
+        nonlocal columns, parent
         if g == G.identity:
-            return IntMatrix.identity(basis.cols)
-        path = [g]  # ends above a generator at the latest
-        while action._made[parent[path[-1]][0]] is None:
+            return IntMatrix.identity(solver.cols)
+        if g in gens:
+            if M.gset is None:
+                m = solver.express_matrix(M.action[g] @ solver.basis)
+            else:
+                columns = columns or solver.basis.column_nonzeros()
+                m = solver.express_columns([M.gset.move(g, col) for col in columns])
+            if m is None:
+                raise InvalidParameterError(f"column span is not invariant under element {g}")
+            return m
+        if parent is None:  # c -> (a, s), c = a s
+            parent, queue = {G.identity: None}, [G.identity]
+            for a in queue:
+                for s in G.generators:
+                    if G.table[a][s] not in parent:
+                        parent[G.table[a][s]] = (a, s)
+                        queue.append(G.table[a][s])
+        path = [g]  # multiply down from the nearest element made, or a generator
+        while action._made[parent[path[-1]][0]] is None and parent[path[-1]][0] not in gens:
             path.append(parent[path[-1]][0])
         for c in reversed(path):
             action[c] = action[parent[c][0]] @ action[parent[c][1]]
         return action[g]
 
-    action = _Action(basis.cols, made, make)
-    sub = GLattice(G, action, _derived=True)
+    return _Action(solver.cols, [None] * G.order, make)
+
+
+def sublattice_with_action(
+    M: GLattice, basis: IntMatrix, solver: Optional[BasisSolver] = None
+) -> Tuple[GLattice, EquivariantMap]:
+    """The lattice on an invariant saturated column span, in the given basis,
+    with its inclusion into M.  Its action is ``span_action``'s, with every
+    generator read here, so a span that is not G-invariant raises now (and
+    invariance under the generators is invariance under every element).  A
+    caller that already holds a BasisSolver of the basis may pass it."""
+    action = span_action(M, solver or BasisSolver(basis))
+    for s in M.group.generators:
+        action[s]
+    sub = GLattice(M.group, action, _derived=True)
     return sub, EquivariantMap(sub, M, basis)
 
 
@@ -460,7 +466,18 @@ def augmentation_map(P: GLattice) -> EquivariantMap:
 
 def augmentation_kernel(P: GLattice) -> Tuple[GLattice, EquivariantMap]:
     """The augmentation-zero sublattice with its inclusion map, whose
-    matrix is the canonical (column Hermite) basis of the kernel."""
+    matrix is the canonical (column Hermite) basis of the kernel.
+
+    >>> from glattice.groups import cyclic
+    >>> C3 = cyclic(3)
+    >>> I, _ = augmentation_kernel(regular(C3))
+    >>> s = I.action[C3.generators[0]]
+    >>> print(s)
+    [-1 -1]
+    [1 0]
+    >>> I.rank, (s @ s @ s).is_identity()
+    (2, True)
+    """
     eps = augmentation_map(P)
     basis = kernel_basis(eps.matrix)
     return sublattice_with_action(P, basis)

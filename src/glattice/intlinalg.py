@@ -497,7 +497,7 @@ class BasisSolver:
 
     def __init__(self, basis: IntMatrix):
         H, V = (basis, None) if _is_column_hermite(basis) else col_hermite(basis, transform=True)
-        self.basis, self.H = basis, H
+        self.basis = basis
         self._setup(basis.rows, basis.cols, V, None, H.column_nonzeros())
 
     @classmethod
@@ -514,10 +514,6 @@ class BasisSolver:
     @cached_property
     def basis(self) -> IntMatrix:  # set by __init__; made here for a triangular solver
         return IntMatrix.from_sparse_columns(self.rows, self._basis_columns)
-
-    @cached_property
-    def H(self) -> IntMatrix:  # a triangular basis is its own echelon form
-        return self.basis
 
     def _setup(self, rows: int, cols: int, V, pivots, columns) -> None:
         self.rows, self.cols, self.V = rows, cols, V  # V None: the basis is its own Hermite form

@@ -103,7 +103,7 @@ def mul_vector(M: IntMatrix, v: Sequence[int]) -> List[int]:
 def express_dense(solver: BasisSolver, vec: Sequence[int]) -> Optional[List[int]]:
     """The coordinates of a dense vector, as a list, or None when it lies
     outside the span: ``express_columns`` on its entries by row."""
-    if len(vec) != solver.H.rows:
+    if len(vec) != solver.rows:
         raise ValueError("vector length mismatch")
     Y = solver.express_columns([dict(enumerate(vec))])
     return None if Y is None else Y.col_list(0)
@@ -905,7 +905,7 @@ def validate_flow_lattice(fl) -> None:
         # of basis; sorting the edges by perm inverts it
         perm = X.edge_gset.action[g]
         moved = fl.basis.take_rows(sorted(range(X.n_edges), key=perm.__getitem__))
-        if moved != fl.basis @ fl.glattice.action[g]:
+        if moved != fl.basis @ fl.action[g]:
             raise InvalidParameterError(f"action invariant fails at element {g}")
 
 

@@ -131,7 +131,7 @@ def test_criterion_06_tate_duality_cross_check():
 
             G = parse_group_spec(group_spec)
             X = cayley_graph(G, parse_generators(G, gens))
-            lattices.append((f"Fl({group_spec})", flow_lattice(X).glattice, False))
+            lattices.append((f"Fl({group_spec})", flow_lattice(X), False))
         G = semidirect(3, 2, 2)
         lattices.append(("regular(S3)", regular(G), True))
         lattices.append(

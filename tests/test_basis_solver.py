@@ -186,5 +186,5 @@ def test_bar_cocycle_divides_only_at_reached_pivots(monkeypatch):
 
     monkeypatch.setattr(intlinalg, "divmod", counting, raising=False)
     for s in G.generators:
-        fl.glattice.action[s]
+        fl.action[s]
     assert 0 < len(calls) <= 2000

@@ -20,6 +20,8 @@ from glattice.cli import (
     run_check,
 )
 from glattice.errors import CertificateError, SpecParseError
+from glattice.gmod import GLattice
+from glattice.intlinalg import BasisSolver
 from reference import quick_suite_graphs
 from test_golden import CHECK_ARGVS, TATE_GRID
 
@@ -92,6 +94,24 @@ class TestSpecParsing:
         assert parse_lattice_spec(C2, "sign").rank == 1
         with pytest.raises(SpecParseError):
             parse_lattice_spec(G, "sign")
+
+    @pytest.mark.parametrize("spec, graph", [
+        ("flows:cayley", "cayley(SD:3,2,2;s,t)"),
+        ("flows:cayley(SD:3,2,2;s,t)", "cayley(SD:3,2,2;s,t)"),
+        ("flows:cayley(SD:3,2,2;*)", "cayley(SD:3,2,2;*)"),
+    ])
+    def test_flow_lattice_specs_keep_the_graph(self, spec, graph, monkeypatch):
+        """The lattice of a flows spec is a GLattice that keeps the graph of
+        that spec; reading its rank and graph solves for nothing."""
+        G = parse_group_spec("SD:3,2,2")
+        solves = []
+        monkeypatch.setattr(BasisSolver, "express_columns", lambda *args: solves.append(args))
+        M = parse_lattice_spec(G, spec)
+        X = parse_graph_spec(graph)
+        assert isinstance(M, GLattice) and M.group is M.graph.group and M.group.spec == G.spec
+        assert M.graph.edges == X.edges and M.graph.edge_gset.action == X.edge_gset.action
+        assert M.rank == X.n_edges - X.n_vertices + 1
+        assert solves == []
 
     def test_subgroup_specs(self):
         G = parse_group_spec("SD:3,2,2")

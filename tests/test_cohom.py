@@ -84,7 +84,7 @@ ORACLE_GROUPS = ["C:2", "C:4", "C:6", "S:3", "D:4", "X(C:2,C:2)", "SD:3,2,2"]
 def oracle_lattices(G):
     """Lattices of every kind the library builds, by name: permutation,
     flow, dual, kernel, direct sum and a unimodular conjugate."""
-    flows = flow_lattice(cayley_graph(G, G.generators)).glattice
+    flows = flow_lattice(cayley_graph(G, G.generators))
     aug = augmentation_kernel(regular(G))[0]
     total = direct_sum(aug, trivial(G))
     base = flows if flows.rank > 1 else total  # cyclic groups: the flows are Z
@@ -230,7 +230,7 @@ class TestFlasquePredicates:
         K4 = direct_product(cyclic(2), cyclic(2))
         X = cayley_graph(K4, [g for g in K4.elements() if g != K4.identity])
         fl = flow_lattice(X)
-        assert is_coflasque(fl.glattice)
+        assert is_coflasque(fl)
 
     def test_sign_lattice_fails_both(self):
         M = sign_lattice(cyclic(2))
@@ -601,7 +601,7 @@ class TestHomBasis:
 
     @pytest.mark.parametrize("G", [semidirect(3, 2, 2), dihedral(4)], ids=["SD:3,2,2", "D:4"])
     def test_coset_sources_match_shapiro(self, G):
-        targets = [regular(G), flow_lattice(cayley_graph(G, G.generators)).glattice]
+        targets = [regular(G), flow_lattice(cayley_graph(G, G.generators))]
         reps = subgroup_conjugacy_reps(G)
         assert len(reps) >= 3
         for H in reps:
@@ -659,7 +659,7 @@ class TestPermutationSearch:
     def test_flow_restrictions_get_witnesses(self):
         G, fl = s3_flow_lattice()
         H3 = subgroup_from_generators(G, [G.generator_indices["s"]])
-        out = is_permutation_bounded(restrict(fl.glattice, H3), 2)
+        out = is_permutation_bounded(restrict(fl, H3), 2)
         assert out
         assert sorted(len(o) for o in out.orbits) == [1, 3, 3]
 
@@ -669,15 +669,15 @@ def _search_cases():
     G, fl = s3_flow_lattice()
     H2, H3 = (subgroup_from_generators(G, [G.generator_indices[x]]) for x in "ts")
     D4 = dihedral(4)
-    D4_flows = flow_lattice(cayley_graph(D4, D4.generators)).glattice
+    D4_flows = flow_lattice(cayley_graph(D4, D4.generators))
     I_D4 = augmentation_kernel(regular(D4))[0]
     return [
         # counted: one candidate orbit count, searched class by class
-        ("S3 flows | H2", restrict(fl.glattice, H2), 1),
-        ("S3 flows | H2", restrict(fl.glattice, H2), 2),
-        ("S3 flows | H3", restrict(fl.glattice, H3), 1),
-        ("S3 flows", fl.glattice, 1),
-        ("S3 flows dual", dual(fl.glattice), 2),
+        ("S3 flows | H2", restrict(fl, H2), 1),
+        ("S3 flows | H2", restrict(fl, H2), 2),
+        ("S3 flows | H3", restrict(fl, H3), 1),
+        ("S3 flows", fl, 1),
+        ("S3 flows dual", dual(fl), 2),
         # uncounted: too many orbit counts, one flat pool filled to the rank
         ("D4 flows", D4_flows, 1),
         ("D4 augmentation", I_D4, 1),
@@ -685,7 +685,7 @@ def _search_cases():
         # the orbit-count obstruction, and the standard basis of a permutation lattice
         ("sign", sign_lattice(cyclic(2)), 2),
         ("S3 augmentation", augmentation_kernel(regular(G))[0], 2),
-        ("S3 flows | 1", restrict(fl.glattice, trivial_subgroup(G)), 1),
+        ("S3 flows | 1", restrict(fl, trivial_subgroup(G)), 1),
     ]
 
 
@@ -734,7 +734,7 @@ class TestSearchAgainstReference:
 class TestInvertibility:
     def test_flow_lattice_of_s3_certified(self):
         G, fl = s3_flow_lattice()
-        cert = invertibility_certificate(fl.glattice)
+        cert = invertibility_certificate(fl)
         assert cert is not None
         assert (cert.retraction.matrix @ cert.embedding.matrix).is_identity()
         assert sorted(H.order for H in cert.subgroups) == [2, 3]
@@ -751,7 +751,7 @@ class TestInvertibility:
         K4 = direct_product(cyclic(2), cyclic(2))
         X = cayley_graph(K4, [g for g in K4.elements() if g != K4.identity])
         fl = flow_lattice(X)
-        assert invertibility_certificate(fl.glattice) is None
+        assert invertibility_certificate(fl) is None
 
     @pytest.mark.parametrize("spec", ["C:1", "C:6", "S:3", "D:4", "SD:3,4,2"])
     def test_sylow_subgroups_have_coprime_indices(self, spec):

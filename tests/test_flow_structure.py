@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from glattice.cli import parse_graph_spec
 from glattice.cohom import find_section, tate
 from glattice.errors import InvalidParameterError
 from glattice.gflows import (
@@ -210,7 +211,7 @@ def test_restricted_flow_lattice_has_the_tate_groups_of_z_shifted_by_two(name):
     H = s3_subgroup(name)
     G = H.parent
     X = cayley_on_named(G, "st")
-    M = flow_lattice(X).glattice
+    M = flow_lattice(X)
     R = restrict(M, H)
     Hgrp = R.group
     # rank of the H-fixed flows: edge orbits - vertex orbits + 1
@@ -227,7 +228,24 @@ def test_restricted_flow_lattice_is_flow_lattice_of_restricted_graph(name):
     X = cayley_on_named(H.parent, "st")
     fl_H = flow_lattice(restrict_graph_group(X, H))
     validate_flow_lattice(fl_H)
-    assert lattices_equal_all_elements(fl_H.glattice, restrict(flow_lattice(X).glattice, H))
+    assert lattices_equal_all_elements(fl_H, restrict(flow_lattice(X), H))
+    assert fl_H.basis == flow_lattice(X).basis
+
+
+# The flow basis depends on the edge order alone, not on the group: over
+# every subgroup H the restricted graph has the same flow basis, so the
+# restricted flow lattice is the flow lattice of the restricted graph.
+@pytest.mark.parametrize("spec", [
+    "cayley(SD:3,4,2;s,t)", "cayley(SD:5,4,4;s,t)", "cayley(D:4;s,t)", "cayley(D:4;*)",
+    "cayley(X(C:2,C:6);#1,#6)",
+])
+def test_restricted_flow_lattice_keeps_the_flow_basis(spec):
+    X = parse_graph_spec(spec)
+    fl = flow_lattice(X)
+    for H in subgroup_conjugacy_reps(X.group):
+        fl_H = flow_lattice(restrict_graph_group(X, H))
+        assert fl_H.basis == fl.basis, H.elements
+        assert lattices_equal_all_elements(fl_H, restrict(fl, H)), H.elements
 
 
 # -- the augmentation of ZV -------------------------------------------------------

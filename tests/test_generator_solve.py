@@ -74,7 +74,7 @@ BAR_GROUPS = [
 
 
 def _lattices(G):
-    flows = flow_lattice(cayley_graph(G, G.generators)).glattice
+    flows = flow_lattice(cayley_graph(G, G.generators))
     return {
         "trivial": trivial(G),
         "regular": regular(G),
@@ -86,7 +86,8 @@ def _lattices(G):
 
 
 def _record_sublattices(monkeypatch):
-    """Route every module's sublattice_with_action through a recorder."""
+    """Route every module's sublattice_with_action through a recorder, and
+    record every flow lattice built, with the edge lattice it lies in."""
     calls = []
 
     def recording(M, basis, solver=None):
@@ -94,8 +95,15 @@ def _record_sublattices(monkeypatch):
         calls.append((M, basis, sub))
         return sub, incl
 
-    for mod in (gmod_mod, gflows_mod, cohom_mod, checks_mod):
+    for mod in (gmod_mod, cohom_mod, checks_mod):
         monkeypatch.setattr(mod, "sublattice_with_action", recording)
+    init = FlowLattice.__init__
+
+    def recording_flows(fl, graph, solver):
+        init(fl, graph, solver)
+        calls.append((graph.edge_lattice(), fl.basis, fl))
+
+    monkeypatch.setattr(FlowLattice, "__init__", recording_flows)
     return calls
 
 
@@ -110,6 +118,7 @@ class TestDerivedLatticesAgainstPerElementSolve:
             sequences += [co.sequence, fl.sequence]
         pullback(sequences[0], sequences[0])
         assert len(calls) > len(GROUPS)
+        assert any(isinstance(sub, FlowLattice) for _, _, sub in calls)
         for M, basis, sub in calls:
             assert sub.action == sublattice_action_per_element(M, basis)
         for seq in sequences:
@@ -117,7 +126,7 @@ class TestDerivedLatticesAgainstPerElementSolve:
 
     @pytest.mark.parametrize("check", [
         lambda: checks_mod.check_schanuel(
-            flow_lattice(cayley_graph(parse_group_spec("SD:3,2,2"), (1, 2))).glattice,
+            flow_lattice(cayley_graph(parse_group_spec("SD:3,2,2"), (1, 2))),
             "SD:3,2,2", "flows:cayley"),
         lambda: checks_mod.check_faithful_transfer(3, 2, 2),
         lambda: checks_mod.check_kernel_generators(5, 2, 4),
@@ -191,7 +200,7 @@ class TestFlowBasisAgainstKernel:
         X = _graphs()[label]
         fl = flow_lattice(X)
         assert fl.basis == flow_basis_by_kernel(X)
-        assert fl.glattice.action == sublattice_action_per_element(X.edge_lattice(), fl.basis)
+        assert fl.action == sublattice_action_per_element(X.edge_lattice(), fl.basis)
         validate_flow_lattice(fl)
 
     def test_flow_lattice_computes_no_kernel(self, monkeypatch):
@@ -216,7 +225,7 @@ class TestFlowBasisAgainstKernel:
                 candidates.append(as_flow(cycle))
         fl = spanning_tree_basis(X, tree, candidates)
         validate_flow_lattice(fl)
-        assert fl.glattice.action == sublattice_action_per_element(X.edge_lattice(), fl.basis)
+        assert fl.action == sublattice_action_per_element(X.edge_lattice(), fl.basis)
 
 
 def _counting(monkeypatch, owner, name):
@@ -240,9 +249,9 @@ def _bar_basis(spec):
 
 
 class TestFlowLatticeActionOnFirstRead:
-    """A flow lattice solves for its generator action when the action or
-    the inclusion is first read, and never for a command that reads only
-    the basis or the rank.  Work is counted, not timed."""
+    """A flow lattice solves for a generator matrix when that matrix is
+    first read, and never for a command that reads only the basis or the
+    rank.  Work is counted, not timed."""
 
     @pytest.mark.parametrize("argv", [
         ["check", "bar-cocycle", "--group", "C:16"],
@@ -266,18 +275,21 @@ class TestFlowLatticeActionOnFirstRead:
         fl = _bar_basis(label[4:]) if label.startswith("bar ") else flow_lattice(_graphs()[label])
         assert solves == []
         X = fl.graph
-        assert fl.glattice.action == sublattice_action_per_element(X.edge_lattice(), fl.basis)
-        assert fl.inclusion.matrix is fl.basis and fl.inclusion.target.rank == X.n_edges
+        assert isinstance(fl, GLattice) and fl.group is X.group
+        assert fl.action == sublattice_action_per_element(X.edge_lattice(), fl.basis)
+        inclusion = fl.boundary_sequence().left
+        assert inclusion.source is fl and inclusion.matrix is fl.basis
+        assert inclusion.target.rank == X.n_edges
         validate_flow_lattice(fl)
 
     def test_read_twice_solves_once(self, monkeypatch):
         fl = flow_lattice(cayley_graph(parse_group_spec("D:4"), range(8)))
-        builds = _counting(monkeypatch, gflows_mod, "sublattice_with_action")
         solves = _counting(monkeypatch, BasisSolver, "express_columns")
-        first = fl.glattice
-        assert fl.glattice is first and fl.inclusion.source is first
-        assert fl.inclusion is fl.inclusion
-        assert len(builds) == 1 and len(solves) == len(first.group.generators)
+        for k, s in enumerate(fl.group.generators, 1):
+            first = fl.action[s]  # the first read of a generator solves once
+            assert fl.action[s] is first and len(solves) == k
+        list(fl.action)  # every other element is a product
+        assert len(solves) == len(fl.group.generators)
 
     @pytest.mark.parametrize("label", [label for label, _ in RANK_FORMULA_GRAPHS]
                              + [f"bar {spec}" for spec in BAR_GROUPS])
@@ -299,7 +311,7 @@ class TestFlowLatticeActionOnFirstRead:
             fl = flow_lattice(parse_graph_spec(dict(RANK_FORMULA_GRAPHS)[label]))
         assert builds == [] and len(certified) == 1
         basis = fl.basis
-        assert builds == ["basis"] and fl.basis is basis and fl.solver.H is basis
+        assert builds == ["basis"] and fl.basis is basis and fl.solver.basis is basis
         rows, columns = certified[0]
         assert basis == IntMatrix.from_sparse_columns(rows, columns)
         assert fl.rank == basis.cols == len(columns) and basis.rows == fl.graph.n_edges
@@ -307,7 +319,7 @@ class TestFlowLatticeActionOnFirstRead:
     def test_an_unstable_basis_raises_on_first_read(self):
         """spanning_tree_basis certifies a G-stable basis; a FlowLattice
         built directly from another one raises what sublattice_with_action
-        raises, when its action is read."""
+        raises, when an action matrix is first read."""
         G = parse_group_spec("C:6")
         X = cayley_graph(G, range(G.order))
         basis = flow_lattice(X).basis.take_columns([0])  # one cycle, not G-stable
@@ -316,8 +328,10 @@ class TestFlowLatticeActionOnFirstRead:
         with pytest.raises(InvalidParameterError) as direct:
             sublattice_with_action(X.edge_lattice(), basis)
         with pytest.raises(InvalidParameterError, match="not invariant under element") as deferred:
-            fl.glattice
+            fl.action[G.generators[0]]
         assert str(deferred.value) == str(direct.value)
+        with pytest.raises(InvalidParameterError, match="not invariant under element"):
+            FlowLattice(X, BasisSolver(basis)).action[G.order - 1]  # a product reads a generator
 
 
 class TestOneSolveForTheFlows:

@@ -157,7 +157,7 @@ class TestFlowLattice:
         X = cayley_graph(G, [G.generator_indices["s"]])
         fl = flow_lattice(X)
         assert fl.rank == 1
-        assert all(fl.glattice.action[g].is_identity() for g in G.elements())
+        assert all(fl.action[g].is_identity() for g in G.elements())
         validate_flow_lattice(fl)
 
     def test_s3_rank(self):
@@ -189,7 +189,7 @@ class TestFlowLattice:
         X = cayley_graph(G, [G.generator_indices["s"], G.generator_indices["t"]])
         fl = flow_lattice(X)
         g = G.generator_indices["s"]
-        fl.glattice.action[g] = IntMatrix.identity(fl.rank)
+        fl.action[g] = IntMatrix.identity(fl.rank)
         with pytest.raises(InvalidParameterError, match=f"fails at element {g}"):
             validate_flow_lattice(fl)
 

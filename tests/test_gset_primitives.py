@@ -198,7 +198,7 @@ def test_components_are_the_cosets_of_the_generated_subgroup(group):
 
 def test_coinvariant_projection_matches_left_kernel(group):
     reps = subgroup_conjugacy_reps(group)
-    flows = flow_lattice(cayley_graph(group, group.generators)).glattice
+    flows = flow_lattice(cayley_graph(group, group.generators))
     lattices = [coset_lattice(group, H) for H in reps] + [flows]
     lattices += [restrict(flows, H) for H in reps]
     for M in lattices:

@@ -311,7 +311,7 @@ def test_cokernel_of_tate_matrices_against_dense_smith(spec, gens):
         [G.generator_indices[k] for k in "st"] if gens == "s,t"
         else [g for g in G.elements() if g != G.identity],
     )
-    fl = flow_lattice(X).glattice
+    fl = flow_lattice(X)
     for M in (fl, dual(fl)):
         for H in subgroup_conjugacy_reps(G):
             for A in tate_matrices(M, H):
@@ -665,9 +665,9 @@ class TestCallerNumbers:
 def test_module_doctests():
     import doctest
     import reference
-    from glattice import checks, gflows, groups, intlinalg
+    from glattice import checks, cohom, gflows, gmod, groups, intlinalg
 
-    for module in (checks, gflows, groups, intlinalg, reference):
+    for module in (checks, cohom, gflows, gmod, groups, intlinalg, reference):
         result = doctest.testmod(module)
         assert result.failed == 0 and result.attempted > 0
 

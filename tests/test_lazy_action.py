@@ -74,7 +74,7 @@ def _cases(G):
     Hgrp, embed = H.as_group()
     X = cayley_graph(G, G.generators)
     fl = flow_lattice(X)
-    F = fl.glattice
+    F = fl
     F_ref = sublattice_action_per_element(X.edge_lattice(), fl.basis)
     P = coset_lattice(G, H)
     P_ref = _perm_matrices(P.gset)
@@ -122,12 +122,22 @@ class TestMatricesMadeOnUse:
             M.validate()
 
     def test_generators_only_until_asked(self):
+        """A sublattice_with_action lattice has every generator made at
+        construction, a flow lattice none until one is read."""
         G = parse_group_spec("D:4")
-        F = flow_lattice(cayley_graph(G, G.generators)).glattice
-        made = [g for g, m in enumerate(F.action._made) if m is not None]
-        assert made == sorted(G.generators)
-        F.action[G.order - 1]
-        assert F.action._made[G.order - 1] is not None
+        X = cayley_graph(G, G.generators)
+        F = flow_lattice(X)
+        sub, _ = sublattice_with_action(X.edge_lattice(), F.basis)
+
+        def made(M):
+            return [g for g, m in enumerate(M.action._made) if m is not None]
+
+        assert made(sub) == sorted(G.generators) and made(F) == []
+        F.action[G.generators[-1]]
+        assert made(F) == [G.generators[-1]]
+        for M in (sub, F):
+            M.action[G.order - 1]
+            assert M.action._made[G.order - 1] is not None
 
     def test_source_matrices_are_not_read_before_use(self):
         G = parse_group_spec("S:3")
@@ -148,6 +158,7 @@ class TestMatricesMadeOnUse:
             lambda: tensor(P, P),
             lambda: restrict(P, H),
             lambda: sublattice_with_action(P, basis)[0],
+            lambda: flow_lattice(cayley_graph(G, G.generators)),
         ]
         gc.disable()  # only reference counting may free the lattice
         try:
@@ -317,7 +328,7 @@ class TestBasesAlreadyInHermiteForm:
         K = intlinalg_mod.kernel_basis(IntMatrix.from_rows([[1] * G.order]))  # augmentation
         _refuse_hermite(monkeypatch)
         solver = BasisSolver(K)
-        assert (solver.H, solver.V, solver.rank) == (K, None, K.cols)
+        assert (solver.basis, solver.V, solver.rank) == (K, None, K.cols)  # V None: its own form
         coords = IntMatrix.from_columns([list(range(K.cols)), [1] * K.cols])
         assert solver.express_matrix(K @ coords) == coords
         assert express_dense(solver, [1] * G.order) is None

@@ -92,7 +92,7 @@ class TestOneStepDirectSums:
     @pytest.mark.parametrize("spec", ["S:3", "D:4", "X(C:2,C:2)"])
     def test_every_element_matches_the_fold(self, spec):
         G = parse_group_spec(spec)
-        flows = flow_lattice(cayley_graph(G, G.generators)).glattice
+        flows = flow_lattice(cayley_graph(G, G.generators))
         for parts in (
             [regular(G), coset_lattice(G, subgroup_conjugacy_reps(G)[1]), trivial(G)],
             [flows, regular(G), dual(flows)],
@@ -237,7 +237,7 @@ def scan_lattices(G):
     out = {"trivial": trivial(G), "regular": regular(G),
            "augmentation": augmentation_kernel(regular(G))[0]}
     if len(G.generators) > 0 and G.order > 2:
-        flows = flow_lattice(cayley_graph(G, G.generators)).glattice
+        flows = flow_lattice(cayley_graph(G, G.generators))
         out.update(flows=flows, dual_flows=dual(flows))
     return out
 

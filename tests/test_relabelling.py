@@ -50,8 +50,8 @@ def test_relabelling_keeps_tate_groups_and_check_outcomes(name):
     r_gens = [sigma[g] for g in gens]
     pairs = [
         (regular(G), regular(R)),
-        (flow_lattice(cayley_graph(G, gens)).glattice,
-         flow_lattice(cayley_graph(R, r_gens)).glattice),
+        (flow_lattice(cayley_graph(G, gens)),
+         flow_lattice(cayley_graph(R, r_gens))),
     ]
     for H in subgroup_conjugacy_reps(G):
         H_r = Subgroup(R, tuple(sorted(sigma[h] for h in H.elements)))

@@ -240,7 +240,7 @@ def _derived_lattices(G):
         "dual": dual(I),
         "direct_sum": direct_sum(reg, trivial(G)),
         "tensor": tensor(I, I),
-        "flows": flow_lattice(cayley_graph(G, G.generators)).glattice,
+        "flows": flow_lattice(cayley_graph(G, G.generators)),
     }
     for H in subgroup_conjugacy_reps(G):
         out[f"coset{H.elements}"] = coset_lattice(G, H)
