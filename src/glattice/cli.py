@@ -159,33 +159,37 @@ def parse_generators(G: FiniteGroup, csv: str) -> List[int]:
     return [parse_generator_token(G, t) for t in tokens]
 
 
-def parse_gset_spec(spec: str) -> GSet:
+def _parse_gset(spec: str, group_of: Callable[[str], FiniteGroup]) -> GSet:
     spec = spec.strip()
     m = re.fullmatch(r"regular\((.*)\)", spec)
     if m:
-        return regular_gset(parse_group_spec(m.group(1)))
+        return regular_gset(group_of(m.group(1)))
     m = re.fullmatch(r"natural\((.*)\)", spec)
     if m:
-        return natural_gset(parse_group_spec(m.group(1)))
+        return natural_gset(group_of(m.group(1)))
     m = re.fullmatch(r"cosets\((.*);(.*)\)", spec)
     if m:
-        G = parse_group_spec(m.group(1))
+        G = group_of(m.group(1))
         H = subgroup_from_generators(G, parse_generators(G, m.group(2)))
         return coset_gset(G, H)
     raise SpecParseError(f"unrecognized gset spec {spec!r}", spec[:12], 0)
 
 
 def parse_graph_spec(spec: str) -> GGraph:
+    return _parse_graph(spec, parse_group_spec)
+
+
+def _parse_graph(spec: str, group_of: Callable[[str], FiniteGroup]) -> GGraph:
     spec = spec.strip()
     m = re.fullmatch(r"cayley\((.*);(.*)\)", spec)
     if m:
-        G = parse_group_spec(m.group(1))
+        G = group_of(m.group(1))
         return cayley_graph(G, parse_generators(G, m.group(2)))
     m = re.fullmatch(r"complete\((.*);loops=([01])\)", spec)
     if m:
-        return complete_edges(parse_gset_spec(m.group(1)), loops=m.group(2) == "1")
+        return complete_edges(_parse_gset(m.group(1), group_of), loops=m.group(2) == "1")
     if re.fullmatch(r"cosets\((.*);(.*)\)", spec):
-        return complete_edges(parse_gset_spec(spec), loops=False)
+        return complete_edges(_parse_gset(spec, group_of), loops=False)
     raise SpecParseError(f"unrecognized graph spec {spec!r}", spec[:12], 0)
 
 
@@ -208,8 +212,13 @@ def parse_lattice_spec(G: FiniteGroup, spec: str) -> GLattice:
             )
         return flow_lattice(cayley_graph(G, gens))
     if spec.startswith("flows:"):
-        graph = parse_graph_spec(spec[len("flows:"):])
-        if graph.group.spec != G.spec:
+        # the graph is built over G itself wherever its group spec names G
+        def own_group(text: str) -> FiniteGroup:
+            H = parse_group_spec(text)
+            return G if H.spec == G.spec else H
+
+        graph = _parse_graph(spec[len("flows:"):], own_group)
+        if graph.group is not G:
             raise SpecParseError("lattice graph group differs from --group", spec, 0)
         return flow_lattice(graph)
     raise SpecParseError(f"unrecognized lattice spec {spec!r}", spec[:12], 0)
@@ -435,8 +444,7 @@ def _cmd_flows(opts: Dict[str, object], output: str, out) -> int:
 def _cmd_tate(opts: Dict[str, object], output: str, out) -> int:
     G = parse_group_spec(str(opts["group"]))
     M = parse_lattice_spec(G, str(opts["lattice"]))
-    # a graph lattice is built over its own copy of the group
-    H = parse_subgroup_spec(M.group, str(opts["subgroup"]))
+    H = parse_subgroup_spec(G, str(opts["subgroup"]))
     degree = int(opts["degree"])
     result = tate(M, H, degree)
     payload = {

@@ -1,4 +1,4 @@
-"""G-lattices: duals, sums, tensors, restriction, fixed points, norm maps,
+"""G-lattices: duals, sums, restriction, fixed points, norm maps,
 equivariant homomorphisms and short exact sequences.
 
 A lattice never claims an isomorphism from numerical coincidences: every
@@ -341,15 +341,6 @@ def direct_sum_many(lattices: Sequence[GLattice]) -> GLattice:
     action = _Action(sum(M.rank for M in lattices), [None] * G.order,
                      lambda _, g: IntMatrix.block_diagonal([M.action[g] for M in lattices]))
     return GLattice(G, action, _derived=True)
-
-
-def tensor(M: GLattice, N: GLattice) -> GLattice:
-    """Tensor over Z with the diagonal action; row-major index (i, j) -> i*rank(N)+j."""
-    if M.group is not N.group:
-        raise InvalidParameterError("tensor needs a common group")
-    action = _Action(M.rank * N.rank, [None] * M.group.order,
-                     lambda _, g: M.action[g].kron(N.action[g]))
-    return GLattice(M.group, action, _derived=True)
 
 
 def restrict(M: GLattice, H: Subgroup) -> GLattice:

@@ -236,11 +236,11 @@ class IntMatrix:
         return self.shape == other.shape and bool(np.array_equal(self._made, other._made))
 
     def is_zero(self) -> bool:
-        return np.count_nonzero(self._made) == 0
+        return not np.count_nonzero(self._made)
 
     def is_identity(self) -> bool:
         n, a = self.rows, self._made
-        return n == self.cols and np.count_nonzero(a) == n and bool((a.diagonal() == 1).all())
+        return bool(n == self.cols and np.count_nonzero(a) == n and (a.diagonal() == 1).all())
 
     def hstack(self, *others: "IntMatrix") -> "IntMatrix":
         if any(o.rows != self.rows for o in others):

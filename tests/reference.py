@@ -42,7 +42,9 @@ fixed points and moved point by point, and the flasque scan over every
 subgroup class in order.  Dense vectors, which the library no longer
 takes, are multiplied, solved for and flattened here.  The rank-formula
 graphs built by the group and G-set constructors, as they were before
-the command line read them from graph specs.
+the command line read them from graph specs.  The tensor lattice, and
+the dense Bezout embedding and retraction through tensors with coset
+lattices that an invertibility certificate once built and validated.
 """
 
 import itertools
@@ -61,12 +63,15 @@ from glattice.cohom import (
     TateGroup,
     tate,
 )
-from glattice.errors import InvalidParameterError
+from glattice.errors import InvalidParameterError, certify
 from glattice.gmod import (
     EquivariantMap,
     ExactnessReport,
     GLattice,
     ShortExactSequence,
+    _Action,
+    coset_lattice,
+    direct_sum_many,
     dual,
     fixed_sublattice,
     norm_matrix,
@@ -83,6 +88,7 @@ from glattice.groups import (
 from glattice.intlinalg import (
     BasisSolver,
     IntMatrix,
+    bezout_coefficients,
     cokernel_invariants,
     col_hermite,
     column_span_canonical,
@@ -1416,3 +1422,37 @@ def quick_suite_graphs():
     out.append(("cayley(S:4;(12),(1234))", cayley_graph(S4, [swap, four])))
     out.append(("complete(natural S:4)", complete_edges(natural_gset(S4))))
     return out
+
+
+def tensor(M: GLattice, N: GLattice) -> GLattice:
+    """Tensor over Z with the diagonal action; row-major index (i, j) -> i*rank(N)+j."""
+    if M.group is not N.group:
+        raise InvalidParameterError("tensor needs a common group")
+    action = _Action(M.rank * N.rank, [None] * M.group.order,
+                     lambda _, g: M.action[g].kron(N.action[g]))
+    return GLattice(M.group, action, _derived=True)
+
+
+def bezout_embedding(M: GLattice, cert, coeffs=None) -> Tuple[EquivariantMap, EquivariantMap]:
+    """The split an InvertibilityCertificate stands for, built densely:
+    m -> (a_i u_i (x) m)_i into the sum of tensor(coset_lattice(G, H_i), M)
+    over its subgroups, u_i the sum of the coset vectors, and back by
+    summing each block's copies.  Both maps are validated on the
+    generators, and retraction . embedding = I is certified, so
+    coefficients a_i (by default the Bezout coefficients of the indices)
+    with sum a_i [G:H_i] != 1 raise CertificateError."""
+    G = M.group
+    if coeffs is None:
+        coeffs = bezout_coefficients([H.index() for H in cert.subgroups])
+    target = direct_sum_many([tensor(coset_lattice(G, H), M) for H in cert.subgroups])
+    eye = IntMatrix.identity(M.rank)
+    emb = IntMatrix.zeros(0, M.rank).vstack(
+        *(IntMatrix.column([a_i] * H.index()).kron(eye) for a_i, H in zip(coeffs, cert.subgroups))
+    )
+    retr = IntMatrix.zeros(M.rank, 0).hstack(
+        *(IntMatrix.from_rows([[1] * H.index()]).kron(eye) for H in cert.subgroups)
+    )
+    embedding = EquivariantMap(M, target, emb).validate()
+    retraction = EquivariantMap(target, M, retr).validate()
+    certify((retr @ emb).is_identity(), "the retraction inverts the embedding")
+    return embedding, retraction

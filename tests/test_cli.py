@@ -108,10 +108,30 @@ class TestSpecParsing:
         monkeypatch.setattr(BasisSolver, "express_columns", lambda *args: solves.append(args))
         M = parse_lattice_spec(G, spec)
         X = parse_graph_spec(graph)
-        assert isinstance(M, GLattice) and M.group is M.graph.group and M.group.spec == G.spec
+        assert isinstance(M, GLattice) and M.group is M.graph.group is G
         assert M.graph.edges == X.edges and M.graph.edge_gset.action == X.edge_gset.action
         assert M.rank == X.n_edges - X.n_vertices + 1
         assert solves == []
+
+    @pytest.mark.parametrize("group, spec", [
+        ("SD:3,2,2", "flows:cayley(SD:3,2,2;s,t)"),
+        ("S:3", "flows:cosets(S:3;(23))"),
+        ("C:4", "flows:complete(regular(C:4);loops=0)"),
+    ])
+    def test_flow_lattice_is_over_the_given_group(self, group, spec):
+        G = parse_group_spec(group)
+        assert parse_lattice_spec(G, spec).group is G
+
+    def test_flow_lattice_over_another_group_refused(self, capsys):
+        with pytest.raises(SpecParseError, match="differs from --group"):
+            parse_lattice_spec(parse_group_spec("C:4"), "flows:cayley(C:3;s)")
+        assert main(["tate", "--group", "C:4", "--lattice", "flows:cosets(S:3;(23))",
+                     "--subgroup", "whole", "--degree", "0"]) == 2
+        assert "differs from --group" in capsys.readouterr().err
+
+    def test_tate_subgroup_of_a_flow_lattice(self):
+        assert run_cli(["tate", "--group", "D:4", "--lattice", "flows:cayley(D:4;s,t)",
+                        "--subgroup", "gen:s", "--degree", "0"]) == (0, "Z/4\n")
 
     def test_subgroup_specs(self):
         G = parse_group_spec("SD:3,2,2")

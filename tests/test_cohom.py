@@ -18,7 +18,6 @@ from glattice.cohom import (
     is_flasque,
     is_permutation_bounded,
     pullback,
-    split_iso,
     tate,
 )
 from glattice.errors import CertificateError, InvalidParameterError
@@ -37,7 +36,7 @@ from glattice.gmod import (
     restrict,
     trivial,
 )
-from glattice.cli import parse_group_spec
+from glattice.cli import parse_group_spec, parse_lattice_spec
 from glattice.groups import (
     all_subgroups,
     cyclic,
@@ -50,8 +49,9 @@ from glattice.groups import (
     trivial_subgroup,
     whole_group,
 )
-from glattice.intlinalg import IntMatrix, column_span_canonical, solve_matrix
+from glattice.intlinalg import IntMatrix, bezout_coefficients, column_span_canonical, solve_matrix
 from reference import (
+    bezout_embedding,
     hom_basis,
     permutation_search_by_scan,
     section_by_averaging,
@@ -391,7 +391,7 @@ class TestPullback:
         resolution = coflasque_resolution(boundary.C).sequence
         rows = pullback(boundary, resolution)
         assert [check_exact(row).failures for row in rows] == [[], []]
-        iso1, iso2 = (split_iso(row) for row in rows)
+        iso1, iso2 = (cohom_mod.split_iso(row) for row in rows)
         assert iso1 is not None and iso2 is not None
         final = iso1.inverse().compose(iso2)  # Fl + P -> C + Z[E]
         assert final.is_unimodular() and final.equivariance_failure() is None
@@ -430,7 +430,7 @@ class TestSectionOracle:
             seq = coflasque_resolution(M).sequence
             split = find_section(seq) is not None
             assert split == (section_by_averaging(seq) is not None), name
-            assert (split_iso(seq) is not None) == split, name
+            assert (cohom_mod.split_iso(seq) is not None) == split, name
             if not seq.C.is_permutation_action() and G.order <= 6:
                 # without its point structure B is refused; the Hom route
                 # through hom_basis(C, B) gives the same verdict
@@ -517,7 +517,7 @@ class TestLeftInverse:
         )
         assert find_section(onto).matrix == IntMatrix.identity(2)
         assert find_section(into).matrix.shape == (2, 0)
-        assert split_iso(onto) is not None and split_iso(into) is not None
+        assert cohom_mod.split_iso(onto) is not None and cohom_mod.split_iso(into) is not None
 
     def test_mutated_inclusion(self):
         # one changed entry of the inclusion: the sequence no longer splits,
@@ -736,7 +736,7 @@ class TestInvertibility:
         G, fl = s3_flow_lattice()
         cert = invertibility_certificate(fl)
         assert cert is not None
-        assert (cert.retraction.matrix @ cert.embedding.matrix).is_identity()
+        bezout_embedding(fl, cert)
         assert sorted(H.order for H in cert.subgroups) == [2, 3]
 
     def test_permutation_lattice_certified_by_whole_group(self):
@@ -763,4 +763,100 @@ class TestInvertibility:
         orders = [p ** e for p, e in prime_factorization(G.order)] or [1]
         assert [H.order for H in cert.subgroups] == orders
         assert gcd(*(H.index() for H in cert.subgroups)) == 1
-        assert (cert.retraction.matrix @ cert.embedding.matrix).is_identity()
+        bezout_embedding(regular(G), cert)
+
+
+class TestBezoutEmbeddingOracle:
+    """The split an invertibility certificate stands for, rebuilt densely
+    through coset-lattice tensors and validated on the generators."""
+
+    @pytest.mark.parametrize("spec", ORACLE_GROUPS + ["C:12", "S:4"])
+    def test_regular_and_trivial_lattices(self, spec):
+        G = parse_group_spec(spec)
+        for M in (regular(G), trivial(G)):
+            cert = invertibility_certificate(M)
+            assert cert is not None
+            bezout_embedding(M, cert)
+
+    def test_certified_flow_lattices(self):
+        # the S3 flow lattice, also certified, is rebuilt in TestInvertibility
+        M = parse_lattice_spec(parse_group_spec("C:6"), "flows:cayley")
+        cert = invertibility_certificate(M)
+        assert cert is not None
+        bezout_embedding(M, cert)
+
+    @pytest.mark.parametrize("spec", ["C:1", "C:4", "C:12", "S:4"])
+    def test_coefficients_off_the_identity_refused(self, spec):
+        M = regular(parse_group_spec(spec))
+        cert = invertibility_certificate(M)
+        coeffs = bezout_coefficients([H.index() for H in cert.subgroups])
+        with pytest.raises(CertificateError, match="retraction inverts"):
+            bezout_embedding(M, cert, [coeffs[0] + 1] + coeffs[1:])
+
+    def test_library_certifies_the_identity(self, monkeypatch):
+        monkeypatch.setattr(cohom_mod, "bezout_coefficients", lambda values: [0] * len(values))
+        with pytest.raises(CertificateError, match="Bezout identity"):
+            invertibility_certificate(regular(parse_group_spec("C:12")))
+
+
+class TestEachCertificateCheckedOnce:
+    """Work counts, not times: a flasque resolution runs one exactness
+    check and one Tate scan, one tate call per p-subgroup class; an
+    invertibility certificate builds no Kronecker product; a split is
+    certified one way (the session fixture in conftest.py checks the
+    other)."""
+
+    @pytest.mark.parametrize("spec, p_classes", [("D:4", 8), ("SD:3,2,2", 3)])
+    def test_flasque_resolution_validates_once(self, spec, p_classes, monkeypatch):
+        G = parse_group_spec(spec)
+        M = parse_lattice_spec(G, "flows:cayley")
+        calls = []
+        for name in ("check_exact", "tate"):
+            def counting(*args, name=name, original=getattr(cohom_mod, name)):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(cohom_mod, name, counting)
+        flasque_resolution(M)
+        reps = subgroup_conjugacy_reps(G)
+        assert sum(len(prime_factorization(H.order)) <= 1 for H in reps) == p_classes
+        assert (calls.count("check_exact"), calls.count("tate")) == (1, p_classes)
+
+    def test_invertibility_certificate_builds_no_kronecker_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("IntMatrix.kron called")
+
+        monkeypatch.setattr(IntMatrix, "kron", refuse)
+        lattices = [regular(parse_group_spec(spec)) for spec in ("C:12", "S:4")]
+        lattices.append(parse_lattice_spec(parse_group_spec("C:6"), "flows:cayley"))
+        assert all(invertibility_certificate(M) is not None for M in lattices)
+
+    def test_every_split_is_checked_both_ways(self):
+        from glattice import checks as checks_mod
+
+        for module in (cohom_mod, checks_mod):
+            assert module.split_iso.__name__ == "_split_iso_checked_both_ways"
+
+
+class TestFlasqueCertificateMutants:
+    @pytest.mark.parametrize("spec, lattice", [
+        ("C:2", "sign"), ("C:2", "regular"), ("C:3", "regular"), ("SD:3,2,2", "flows:cayley"),
+    ])
+    def test_one_entry_of_either_map_changed_is_refused(self, spec, lattice):
+        """Every entry on the small lattices; on the flow lattice (a 62 x 7
+        and a 55 x 62 map) every entry of the first and the last column."""
+        seq = flasque_resolution(parse_lattice_spec(parse_group_spec(spec), lattice)).sequence
+        refused = 0
+        for side in ("left", "right"):
+            f = getattr(seq, side)
+            cols = range(f.matrix.cols) if f.matrix.rows * f.matrix.cols <= 100 else (0, f.matrix.cols - 1)
+            for i in range(f.matrix.rows):
+                for j in cols:
+                    rows = f.matrix.to_lists()
+                    rows[i][j] += 1
+                    mutant = EquivariantMap(f.source, f.target, IntMatrix.from_rows(rows))
+                    maps = (mutant, seq.right) if side == "left" else (seq.left, mutant)
+                    with pytest.raises(InvalidParameterError):
+                        ResolutionCertificate(ShortExactSequence(*maps), "flasque").validate()
+                    refused += 1
+        assert refused >= seq.B.rank

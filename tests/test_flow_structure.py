@@ -30,7 +30,6 @@ from glattice.gmod import (
     permutation_lattice,
     regular,
     restrict,
-    tensor,
     trivial,
 )
 from glattice.groups import (
@@ -51,6 +50,7 @@ from reference import (
     infer_edge_action,
     lattices_equal_all_elements,
     path_flow_by_bfs,
+    tensor,
     validate_flow_lattice,
 )
 

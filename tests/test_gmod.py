@@ -19,7 +19,6 @@ from glattice.gmod import (
     regular,
     restrict,
     sublattice_with_action,
-    tensor,
     trivial,
 )
 from glattice.groups import (
@@ -30,7 +29,7 @@ from glattice.groups import (
     whole_group,
 )
 from glattice.intlinalg import IntMatrix
-from reference import det, identity_map, lattices_equal_all_elements
+from reference import det, identity_map, lattices_equal_all_elements, tensor
 
 
 def augmentation_sequence_of(P):

@@ -56,6 +56,23 @@ COMMANDS = [
         "text": "fb1001ed3dbf6e7c11e23595c69ec27961fc53b65367288a02f5c4b737675c98",
         "json": "2d939c4a3b3838e6844d617287fd0da639089ffc9acfd7bda0b3966fde6073c8",
     }),
+    (["resolve", "--group", "D:4", "--lattice", "flows:cayley", "--kind", "flasque"], {
+        "text": "dd7a6d71d006fbbe94bee716d9daeea4251afab14869dada586c23e87434b9d9",
+        "json": "79a32ebb519cfa9888db70902028e41363f56fb3867546320a2f25e4252d71e2",
+    }),
+    (["resolve", "--group", "C:6", "--lattice", "regular", "--kind", "flasque"], {
+        "text": "370913e9dc3323deb2425de6a8776fd70738fb659081dd81491e29e4e7974827",
+        "json": "b9bd9c69f0b02c04902cb63f2be1b317467cdc2b0633f6aeff7742e7547ec122",
+    }),
+    # two Sylow primes: Bezout coefficients that are not all 0 and 1
+    (["certify", "--group", "C:12", "--lattice", "regular", "--kind", "invertible"], {
+        "text": "cb59aa8371b3ccff5d6db2797a0c0293727a516323e9c7f6e2a01d9810cba8a7",
+        "json": "ee202b5b65c5c9104c78b072a419c80700986aa15a80c547e7d79fb24f3bb31d",
+    }),
+    (["certify", "--group", "S:4", "--lattice", "regular", "--kind", "invertible"], {
+        "text": "a850540451d9756449efd422f5cb0608beb2e7dbac4ec2f8dc93b366011d03ae",
+        "json": "458a801d2f924ea61a2d148dfe9861f94449dfbdb7e09a8ea7bcf621d116880c",
+    }),
     (["flows", "--graph", "cosets(S:4;(12))"], {
         "text": "58e3500b9fbc352e92a091e7b5550fbc1f1a3a43b3ef1f50d910a1bf14c71d12",
         "json": "fb436bfafea53c5899b12ea7fa46d134ec845ff009e805e5a30a9cb8ed224a94",

@@ -464,6 +464,30 @@ class TestProduct:
         assert (a @ b).to_lists() == triple_loop_product(a, b)
 
 
+class TestVerdictsAreBool:
+    """is_identity and is_zero return bool, on object-held matrices and on
+    int64-held product results alike."""
+
+    def test_object_held(self):
+        for m in (IntMatrix.from_rows([[1, 1], [0, 1]]), IntMatrix.from_rows([[1, 0], [0, 0]]),
+                  IntMatrix.identity(2), IntMatrix.zeros(2, 2)):
+            assert m.a.dtype == object
+            assert type(m.is_identity()) is bool and type(m.is_zero()) is bool
+        assert not IntMatrix.from_rows([[1, 1], [0, 1]]).is_identity()
+        assert not IntMatrix.from_rows([[1, 0], [0, 0]]).is_zero()
+
+    def test_int64_products(self):
+        n = 16
+        eye = IntMatrix.identity(n)
+        shear = IntMatrix.from_rows([[int(i == j or j == i + 1) for j in range(n)] for i in range(n)])
+        products = [eye @ eye, shear @ eye, IntMatrix.zeros(n, n) @ eye]
+        assert all(p._made.dtype == np.int64 for p in products)
+        assert [(p.is_identity(), p.is_zero()) for p in products] == [
+            (True, False), (False, False), (False, True)
+        ]
+        assert all(type(v) is bool for p in products for v in (p.is_identity(), p.is_zero()))
+
+
 class TestFromSparseColumns:
     @given(st.integers(0, 5), st.data())
     @settings(max_examples=100, deadline=None)

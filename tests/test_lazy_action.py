@@ -24,7 +24,6 @@ from glattice.gmod import (
     regular,
     restrict,
     sublattice_with_action,
-    tensor,
     trivial,
 )
 from glattice.groups import (
@@ -36,7 +35,13 @@ from glattice.groups import (
     symmetric,
 )
 from glattice.intlinalg import BasisSolver, IntMatrix, _is_column_hermite, col_hermite
-from reference import express_dense, flow_basis_by_kernel, mul_vector, sublattice_action_per_element
+from reference import (
+    express_dense,
+    flow_basis_by_kernel,
+    mul_vector,
+    sublattice_action_per_element,
+    tensor,
+)
 
 GROUPS = ["C:6", "S:3", "D:4", "X(C:2,C:2)", "SD:3,2,2"]
 

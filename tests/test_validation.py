@@ -21,7 +21,6 @@ from glattice.gmod import (
     regular,
     restrict,
     sublattice_with_action,
-    tensor,
     trivial,
 )
 from glattice.groups import (
@@ -36,7 +35,7 @@ from glattice.groups import (
     symmetric,
 )
 from glattice.intlinalg import IntMatrix
-from reference import det
+from reference import det, tensor
 
 GROUPS = {
     "C:6": lambda: cyclic(6),
