@@ -65,7 +65,10 @@ from .cohom import (
 
 def parse_group_spec(spec: str) -> FiniteGroup:
     spec = spec.strip()
-    group, rest = _parse_group_prefix(spec, 0)
+    try:
+        group, rest = _parse_group_prefix(spec, 0)
+    except RecursionError:  # the descent recurses once per X( level
+        raise SpecParseError("group spec nests X(...) too deeply", spec[:8], 0) from None
     if rest != len(spec):
         raise SpecParseError(
             f"trailing characters in group spec {spec!r}", spec[rest:], rest

@@ -1,6 +1,6 @@
 """Tate cohomology in degrees -1, 0, 1; flasque/coflasque predicates;
-resolution constructors; pullback squares; split finding and split
-isomorphisms; permutation and invertibility certificates.
+resolution constructors; pullback squares; split isomorphisms;
+permutation and invertibility certificates.
 
 Each Tate group is the torsion of one cokernel: of the norm in degree 0,
 and of the s - 1 over the generators s of the subgroup in degree -1.
@@ -14,21 +14,23 @@ failing class of a scan over all classes is a p-group.
 
 Schanuel's lemma is one construction: ``pullback`` takes two sequences
 onto one lattice and returns the two rows of their pullback square, and
-``split_iso`` turns each split row into a unimodular iso with its
-inverse, so two resolutions compare through one composed map.  A section
-takes one of two routes.  Out of a permutation quotient it is a lift
-(``lift``, one solve per orbit of a permutation source): the lift of the
-quotient's identity, or on a pullback row Q -> B1, x -> (x, lift(f, g) x),
-as the fibre product's sections are.  Into a permutation middle term it
-comes from a left inverse (``_left_inverse``, one solve over all orbits)
-of the injection on the smaller side: the inclusion, or the transposed
-quotient map.
+``split_iso``, the one splitting routine, turns each split row into a
+unimodular iso [left | s] with its inverse [r; right], so two
+resolutions compare through one composed map.  It builds one half by one
+of two routes and reads the other off it.  Out of a permutation quotient
+the section s is a lift (``lift``, one solve per orbit of a permutation
+source): the lift of the quotient's identity, or on a pullback row
+Q -> B1, x -> (x, lift(f, g) x), as the fibre product's sections are.
+Into a permutation middle term a left inverse (``_left_inverse``, one
+solve over all orbits) of the injection on the smaller side gives the
+retraction r of the inclusion, or s through the transposed quotient map.
 
 Each certificate condition is checked once, on the object it is about.
 A flasque resolution is validated as flasque only, which checks what a
-coflasque validation of its transpose would; a split iso certifies
-fwd @ back = I only, since check_exact's ranks make fwd square; an
-invertibility certificate rests on its witnesses and Bezout identity.
+coflasque validation of its transpose would; a split iso is validated
+once and certifies fwd @ back = I only, since check_exact's ranks make
+fwd square (so right . s = I follows); an invertibility certificate
+rests on its witnesses and Bezout identity.
 
 The bounded search for a G-stable basis numbers the box vectors, so each
 group element acts on them by one index array, reads every orbit and
@@ -303,7 +305,7 @@ def pullback(
     return rows
 
 
-# -- section finding -------------------------------------------------------------
+# -- splits ----------------------------------------------------------------------
 
 
 def lift(f: EquivariantMap, g: EquivariantMap) -> Optional[EquivariantMap]:
@@ -391,28 +393,40 @@ def _left_inverse(B: GLattice, T: GLattice, j: IntMatrix) -> Optional[IntMatrix]
     return L
 
 
-def find_section(seq: ShortExactSequence) -> Optional[EquivariantMap]:
-    """An equivariant s: C -> B with right . s = id, or None when none exists.
+def split_iso(seq: ShortExactSequence) -> Optional[EquivariantMap]:
+    """The unimodular iso [left | s]: A + C -> B for a section s of the
+    right map, with its inverse [r; right] (r . left = id_A), or None when
+    the sequence does not split.
 
-    Two routes, each decisive both ways.  Out of a permutation quotient, or
-    a pullback row onto one, s is a lift (module docstring).  Into a
-    permutation middle term, the injection with the smaller source gets a
-    left inverse (_left_inverse): with rank A < rank C a retraction r of
-    the inclusion, and s = X - left . r . X for any integer X with
-    right . X = id; else L . right^T = id, from B (a permutation lattice is
-    its own dual, with the same G-set) to the dual of C, and s = L^T.
-    With neither, the sequence is refused with InvalidParameterError.  The
-    exactness report is the one the sequence already carries, if any.
+    Each route builds one half and reads the other off it, decisively
+    both ways.  Out of a permutation quotient, or a pullback row onto one,
+    s is a lift (module docstring).  Into a permutation middle term, the
+    injection with the smaller source gets a left inverse (_left_inverse):
+    with rank A < rank C that is r itself, and s = X - left . r . X for any
+    integer X with right . X = id; else L . right^T = id, from B (a
+    permutation lattice is its own dual, with the same G-set) to the dual
+    of C, and s = L^T.  Given s, r is the one solution of
+    left . r = id - s . right.  With neither route, the sequence is refused
+    with InvalidParameterError.  The exactness report is the one the
+    sequence already carries, if any.
+
+    The iso is validated once and certified as fwd @ back = I only: the
+    exactness check makes fwd square, so back @ fwd = I follows, and with
+    it right . s = id.  The iso keeps back, so ``inverse`` and
+    ``is_unimodular`` read it back.
     """
     report = check_exact(seq)
     if not report.ok:
         raise InvalidParameterError(f"sequence is not exact: {report.failures}")
     A, B, C = seq.A, seq.B, seq.C
     iota, pi = seq.left.matrix, seq.right.matrix
+    r = None
     if C.gset is not None:
         if seq._section is None:
-            return lift(EquivariantMap(C, C, IntMatrix.identity(C.rank)), seq.right)
-        s_matrix = seq._section()
+            t = lift(EquivariantMap(C, C, IntMatrix.identity(C.rank)), seq.right)
+            s = None if t is None else t.matrix
+        else:
+            s = seq._section()
     elif B.gset is None:
         raise InvalidParameterError(
             "a section needs a permutation quotient or a permutation middle term"
@@ -422,39 +436,18 @@ def find_section(seq: ShortExactSequence) -> Optional[EquivariantMap]:
         if r is None:
             return None
         X = solve_matrix(pi, IntMatrix.identity(C.rank))  # exists: right is onto
-        s_matrix = X - iota @ (r @ X)
+        s = X - iota @ (r @ X)
     else:
         L = _left_inverse(B, dual(C), pi.T)
-        s_matrix = None if L is None else L.T
-    if s_matrix is None:
+        s = None if L is None else L.T
+    if s is None:
         return None
-    section = EquivariantMap(C, B, s_matrix)
-    section.validate()
-    certify((pi @ s_matrix).is_identity(), "the section is a right inverse of the quotient map")
-    return section
-
-
-def split_iso(seq: ShortExactSequence) -> Optional[EquivariantMap]:
-    """The unimodular iso A + C -> B assembled from the inclusion and a
-    section (see find_section), or None when the sequence does not split.
-
-    Its inverse is constructed explicitly and certified as a right
-    inverse, fwd @ back = I: find_section's exactness check has certified
-    rank A + rank C = rank B, so fwd is square and back @ fwd = I follows.
-    The iso keeps back, so ``inverse`` and ``is_unimodular`` read it back.
-    """
-    section = find_section(seq)
-    if section is None:
-        return None
-    A, B, C = seq.A, seq.B, seq.C
-    fwd_matrix = seq.left.matrix.hstack(section.matrix)
-    fwd = EquivariantMap(direct_sum(A, C), B, fwd_matrix)
-    back_top = BasisSolver(seq.left.matrix).express_matrix(
-        IntMatrix.identity(B.rank) - section.matrix @ seq.right.matrix
-    )
-    certify(back_top is not None, "the section's complement lies in the inclusion's image")
-    back = back_top.vstack(seq.right.matrix)
-    certify((fwd_matrix @ back).is_identity(), "the split map has the constructed inverse")
+    if r is None:
+        r = BasisSolver(iota).express_matrix(IntMatrix.identity(B.rank) - s @ pi)
+        certify(r is not None, "the section's complement lies in the inclusion's image")
+    fwd = EquivariantMap(direct_sum(A, C), B, iota.hstack(s))
+    back = r.vstack(pi)
+    certify((fwd.matrix @ back).is_identity(), "the split map has the constructed inverse")
     fwd.validate()
     fwd._inverse = back
     return fwd

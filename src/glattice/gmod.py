@@ -28,7 +28,6 @@ from .intlinalg import (
     column_span_canonical,
     is_saturated_hermite,
     kernel_basis,
-    solve_matrix,
 )
 
 
@@ -188,13 +187,11 @@ class EquivariantMap:
         return m.rows == m.cols and column_span_canonical(m).is_identity()
 
     def inverse(self) -> "EquivariantMap":
+        """The inverse a construction certified (``split_iso``, ``inverse``
+        or ``compose`` of two such maps); no other map is inverted."""
         inv = self._inverse
         if inv is None:
-            if self.matrix.rows != self.matrix.cols:
-                raise InvalidParameterError("only square maps can be inverted")
-            inv = solve_matrix(self.matrix, IntMatrix.identity(self.matrix.rows))
-            if inv is None:
-                raise InvalidParameterError("map is not invertible over the integers")
+            raise InvalidParameterError("map was not constructed with an inverse")
         out = EquivariantMap(self.target, self.source, inv)
         out._inverse = self.matrix
         return out
@@ -209,7 +206,8 @@ class ShortExactSequence:
     _report: Optional["ExactnessReport"] = field(
         default=None, init=False, repr=False, compare=False
     )
-    # a pullback row's section maker: its matrix, a lift, or None (see cohom.pullback)
+    # a pullback row's section maker, read by cohom.split_iso: the matrix of
+    # x -> (x, lift x), or None with no lift (see cohom.pullback)
     _section: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

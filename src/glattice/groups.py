@@ -503,10 +503,12 @@ def prime_factorization(n: int) -> List[Tuple[int, int]]:
 
 def sylow(G: FiniteGroup, p: int) -> Subgroup:
     """One p-Sylow subgroup (the first in canonical subgroup order)."""
+    if p < 2:
+        raise InvalidParameterError(f"{p} is not prime")
+    if G.order % p != 0:  # before factoring p: only a divisor of |G| is factored
+        raise InvalidParameterError(f"{p} does not divide the group order {G.order}")
     if prime_factorization(p) != [(p, 1)]:
         raise InvalidParameterError(f"{p} is not prime")
-    if G.order % p != 0:
-        raise InvalidParameterError(f"{p} does not divide the group order {G.order}")
     pk = 1
     while G.order % (pk * p) == 0:
         pk *= p

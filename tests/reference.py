@@ -45,6 +45,9 @@ graphs built by the group and G-set constructors, as they were before
 the command line read them from graph specs.  The tensor lattice, and
 the dense Bezout embedding and retraction through tensors with coset
 lattices that an invertibility certificate once built and validated.
+The split as two routines: ``find_section``, which validated the section
+on its own, and the ``split_iso`` built on it, which solved again for
+the retraction that the section's route had built.
 """
 
 import itertools
@@ -61,6 +64,8 @@ from glattice.cohom import (
     ENUMERATION_CAP,
     PermutationSearchOutcome,
     TateGroup,
+    _left_inverse,
+    lift,
     tate,
 )
 from glattice.errors import InvalidParameterError, certify
@@ -70,7 +75,9 @@ from glattice.gmod import (
     GLattice,
     ShortExactSequence,
     _Action,
+    check_exact,
     coset_lattice,
+    direct_sum,
     direct_sum_many,
     dual,
     fixed_sublattice,
@@ -1456,3 +1463,72 @@ def bezout_embedding(M: GLattice, cert, coeffs=None) -> Tuple[EquivariantMap, Eq
     retraction = EquivariantMap(target, M, retr).validate()
     certify((retr @ emb).is_identity(), "the retraction inverts the embedding")
     return embedding, retraction
+
+
+def find_section(seq: ShortExactSequence) -> Optional[EquivariantMap]:
+    """An equivariant s: C -> B with right . s = id, or None when none exists.
+
+    Two routes, each decisive both ways.  Out of a permutation quotient, or
+    a pullback row onto one, s is a lift (module docstring).  Into a
+    permutation middle term, the injection with the smaller source gets a
+    left inverse (_left_inverse): with rank A < rank C a retraction r of
+    the inclusion, and s = X - left . r . X for any integer X with
+    right . X = id; else L . right^T = id, from B (a permutation lattice is
+    its own dual, with the same G-set) to the dual of C, and s = L^T.
+    With neither, the sequence is refused with InvalidParameterError.  The
+    exactness report is the one the sequence already carries, if any.
+    """
+    report = check_exact(seq)
+    if not report.ok:
+        raise InvalidParameterError(f"sequence is not exact: {report.failures}")
+    A, B, C = seq.A, seq.B, seq.C
+    iota, pi = seq.left.matrix, seq.right.matrix
+    if C.gset is not None:
+        if seq._section is None:
+            return lift(EquivariantMap(C, C, IntMatrix.identity(C.rank)), seq.right)
+        s_matrix = seq._section()
+    elif B.gset is None:
+        raise InvalidParameterError(
+            "a section needs a permutation quotient or a permutation middle term"
+        )
+    elif A.rank < C.rank:
+        r = _left_inverse(B, A, iota)
+        if r is None:
+            return None
+        X = solve_matrix(pi, IntMatrix.identity(C.rank))  # exists: right is onto
+        s_matrix = X - iota @ (r @ X)
+    else:
+        L = _left_inverse(B, dual(C), pi.T)
+        s_matrix = None if L is None else L.T
+    if s_matrix is None:
+        return None
+    section = EquivariantMap(C, B, s_matrix)
+    section.validate()
+    certify((pi @ s_matrix).is_identity(), "the section is a right inverse of the quotient map")
+    return section
+
+
+def split_iso(seq: ShortExactSequence) -> Optional[EquivariantMap]:
+    """The unimodular iso A + C -> B assembled from the inclusion and a
+    section (see find_section), or None when the sequence does not split.
+
+    Its inverse is constructed explicitly and certified as a right
+    inverse, fwd @ back = I: find_section's exactness check has certified
+    rank A + rank C = rank B, so fwd is square and back @ fwd = I follows.
+    The iso keeps back, so ``inverse`` and ``is_unimodular`` read it back.
+    """
+    section = find_section(seq)
+    if section is None:
+        return None
+    A, B, C = seq.A, seq.B, seq.C
+    fwd_matrix = seq.left.matrix.hstack(section.matrix)
+    fwd = EquivariantMap(direct_sum(A, C), B, fwd_matrix)
+    back_top = BasisSolver(seq.left.matrix).express_matrix(
+        IntMatrix.identity(B.rank) - section.matrix @ seq.right.matrix
+    )
+    certify(back_top is not None, "the section's complement lies in the inclusion's image")
+    back = back_top.vstack(seq.right.matrix)
+    certify((fwd_matrix @ back).is_identity(), "the split map has the constructed inverse")
+    fwd.validate()
+    fwd._inverse = back
+    return fwd

@@ -244,6 +244,53 @@ class TestExitCodes:
         assert run_cli(argv) == (2, "")
         assert capsys.readouterr().err == "invalid invocation: bound must be >= 1\n"
 
+    def test_a_huge_sylow_prime_is_refused_before_it_is_factored(self, capsys):
+        # trial division of p would take sqrt(p) steps; p does not divide 4
+        argv = ["tate", "--group", "C:4", "--lattice", "regular",
+                "--subgroup", "sylow100000000000000000039", "--degree", "0"]
+        start = time.perf_counter()
+        assert run_cli(argv) == (2, "")
+        assert time.perf_counter() - start < 1.0
+        assert "does not divide the group order 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p, message", [
+        ("0", "0 is not prime"), ("1", "1 is not prime"), ("4", "4 is not prime"),
+        ("9", "9 does not divide the group order 4"),
+    ])
+    def test_sylow_refusals(self, capsys, p, message):
+        argv = ["tate", "--group", "C:4", "--lattice", "regular",
+                "--subgroup", f"sylow{p}", "--degree", "0"]
+        assert run_cli(argv) == (2, "")
+        assert capsys.readouterr().err == f"invalid invocation: {message}\n"
+
+    @staticmethod
+    def nested(depth):
+        return "X(C:1," * depth + "C:1" + ")" * depth
+
+    @pytest.mark.parametrize("argv", [
+        lambda g: ["group", "info", "--group", g],
+        lambda g: ["flows", "--graph", f"cayley({g};s)"],
+        lambda g: ["flows", "--graph", f"cayley({g};e)"],
+        lambda g: ["tate", "--group", "C:1", "--lattice", f"flows:cayley({g};e)",
+                   "--subgroup", "whole", "--degree", "0"],
+    ], ids=["group", "cayley-s", "cayley-e", "flows"])
+    def test_a_deeply_nested_group_spec_is_a_spec_error(self, capsys, argv):
+        assert run_cli(argv(self.nested(1200))) == (2, "")
+        assert capsys.readouterr().err == (
+            "spec error: group spec nests X(...) too deeply (token 'X(C:1,X(', position 0)\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        lambda g: ["group", "info", "--group", g],
+        lambda g: ["flows", "--graph", f"cayley({g};e)"],
+        lambda g: ["tate", "--group", g, "--lattice", f"flows:cayley({g};e)",
+                   "--subgroup", "whole", "--degree", "0"],
+    ], ids=["group", "cayley-e", "flows"])
+    def test_a_moderately_nested_group_spec_parses(self, argv):
+        # direct products name no generator s, so the Cayley graphs take e
+        code, _ = run_cli(argv(self.nested(300)))
+        assert code == 0
+
     @pytest.mark.parametrize(
         "exc",
         [

@@ -11,7 +11,6 @@ from glattice.cohom import (
     ResolutionCertificate,
     TateGroup,
     coflasque_resolution,
-    find_section,
     flasque_resolution,
     invertibility_certificate,
     is_coflasque,
@@ -66,6 +65,11 @@ def augmentation_sequence_of(P):
     """0 -> I -> ZX -> Z -> 0 for a permutation lattice ZX."""
     _, incl = augmentation_kernel(P)
     return ShortExactSequence(incl, augmentation_map(P))
+
+
+def section_of(seq, iso):
+    """The section block s of a split iso [left | s]: A + C -> B."""
+    return iso.matrix.take_columns(range(seq.A.rank, seq.B.rank))
 
 
 def sign_lattice(C2):
@@ -260,7 +264,7 @@ class TestResolutions:
         G = cyclic(3)
         cert = coflasque_resolution(regular(G))
         assert cert.kind == "coflasque"
-        assert find_section(cert.sequence) is not None
+        assert cohom_mod.split_iso(cert.sequence) is not None
 
     def test_sign_resolution_structure(self):
         C2 = cyclic(2)
@@ -301,9 +305,9 @@ class TestFindSection:
         incl = EquivariantMap(M, B, IntMatrix.from_columns([[1, 0, 0, 0]]))
         proj = EquivariantMap(B, P, IntMatrix.identity(4).take_rows(range(1, 4)))
         seq = ShortExactSequence(incl, proj)
-        s = find_section(seq)
-        assert s is not None
-        assert (proj.matrix @ s.matrix).is_identity()
+        iso = cohom_mod.split_iso(seq)
+        assert iso is not None
+        assert (proj.matrix @ section_of(seq, iso)).is_identity()
 
     def test_multiplication_by_two_rejected_by_exactness(self):
         # a quotient with torsion cannot even be written with lattices: the
@@ -315,13 +319,13 @@ class TestFindSection:
             EquivariantMap(Z, Z, IntMatrix.zeros(1, 1)), double
         )
         with pytest.raises(InvalidParameterError, match="not exact"):
-            find_section(seq)
+            cohom_mod.split_iso(seq)
 
     def test_augmentation_sequence_of_c2_has_no_section(self):
         # a section would need a fixed vector of coordinate sum one
         C2 = cyclic(2)
         seq = augmentation_sequence_of(regular(C2))
-        assert find_section(seq) is None
+        assert cohom_mod.split_iso(seq) is None
 
     def test_no_section_stable_under_relabeling(self):
         # solver-completeness smoke: a no-section verdict must survive
@@ -339,10 +343,10 @@ class TestFindSection:
         )
         for gset in (plain, relabeled):
             seq = augmentation_sequence_of(permutation_lattice(C4, gset))
-            assert find_section(seq) is None
+            assert cohom_mod.split_iso(seq) is None
 
     def test_generic_path_without_point_structure(self):
-        # with no point structure anywhere, find_section refuses; the Hom
+        # with no point structure anywhere, split_iso refuses; the Hom
         # route it once took still finds the section
         C2 = cyclic(2)
         sign = sign_lattice(C2)
@@ -352,7 +356,7 @@ class TestFindSection:
         proj = EquivariantMap(B, sign, IntMatrix.from_rows([[0, 1]]))
         seq = ShortExactSequence(incl, proj)
         with pytest.raises(InvalidParameterError, match="permutation quotient or a permutation middle"):
-            find_section(seq)
+            cohom_mod.split_iso(seq)
         s = section_by_hom_basis(seq)
         assert s is not None
         assert (proj.matrix @ s).is_identity()
@@ -368,11 +372,11 @@ class TestFindSection:
             EquivariantMap(bare, ones, IntMatrix.from_rows([[1, 1]])),
         )
         with pytest.raises(InvalidParameterError, match="permutation quotient or a permutation middle"):
-            find_section(seq)
+            cohom_mod.split_iso(seq)
         assert section_by_hom_basis(seq) is None
         # with its G-set the middle term takes the left-inverse route
         seq = ShortExactSequence(incl_map, EquivariantMap(P, ones, IntMatrix.from_rows([[1, 1]])))
-        assert find_section(seq) is None
+        assert cohom_mod.split_iso(seq) is None
 
 
 class TestPullback:
@@ -416,7 +420,7 @@ class TestPullback:
 
 
 class TestSectionOracle:
-    """find_section against group averaging and a congruence solve modulo
+    """split_iso against group averaging and a congruence solve modulo
     |G|, on the coflasque resolution of each oracle lattice."""
 
     @pytest.mark.parametrize("spec", ORACLE_GROUPS)
@@ -428,9 +432,8 @@ class TestSectionOracle:
         verdicts = []
         for name, M in lattices.items():
             seq = coflasque_resolution(M).sequence
-            split = find_section(seq) is not None
+            split = cohom_mod.split_iso(seq) is not None
             assert split == (section_by_averaging(seq) is not None), name
-            assert (cohom_mod.split_iso(seq) is not None) == split, name
             if not seq.C.is_permutation_action() and G.order <= 6:
                 # without its point structure B is refused; the Hom route
                 # through hom_basis(C, B) gives the same verdict
@@ -440,14 +443,14 @@ class TestSectionOracle:
                     EquivariantMap(bare, seq.C, seq.right.matrix),
                 )
                 with pytest.raises(InvalidParameterError, match="permutation middle"):
-                    find_section(stripped)
+                    cohom_mod.split_iso(stripped)
                 assert (section_by_hom_basis(stripped) is not None) == split, name
             verdicts.append(split)
         assert False in verdicts
 
 
 class TestLeftInverse:
-    """Both sides of find_section's left-inverse route, a retraction of the
+    """Both sides of split_iso's left-inverse route, a retraction of the
     inclusion and a left inverse of the transposed quotient map, against
     the Hom route on the oracle lattices and the metacyclic presentations."""
 
@@ -455,7 +458,7 @@ class TestLeftInverse:
 
     @staticmethod
     def sides(seq, retraction=True):
-        """(B, T, j) of each injection find_section may invert."""
+        """(B, T, j) of each injection split_iso may invert."""
         out = [(seq.B, dual(seq.C), seq.right.matrix.T)]
         if retraction:
             out.append((seq.B, seq.A, seq.left.matrix))
@@ -482,7 +485,7 @@ class TestLeftInverse:
         for name, M in lattices.items():
             seq = coflasque_resolution(M).sequence
             # the retraction side of the D:4 kernel (rank 143) solves
-            # 34 * 143 dense equations, seconds of work; find_section
+            # 34 * 143 dense equations, seconds of work; split_iso
             # takes the other side there, and every smaller kernel is inverted
             verdicts.append(self.assert_sides_agree(seq, name, retraction=seq.A.rank < 100))
         assert set(verdicts) == {True, False} or G.order == 8  # both verdicts, below order 8
@@ -491,8 +494,8 @@ class TestLeftInverse:
     def test_presentations(self, nmr):
         pres = _metacyclic_presentation(*nmr).pres
         assert self.assert_sides_agree(pres, nmr)
-        s = find_section(pres)
-        assert s is not None and (pres.right.matrix @ s.matrix).is_identity()
+        iso = cohom_mod.split_iso(pres)
+        assert iso is not None and (pres.right.matrix @ section_of(pres, iso)).is_identity()
 
     def test_doubled_injections_have_no_left_inverse(self):
         # L . 2j = 2 (L . j) has even entries, so no L can give the identity
@@ -515,9 +518,9 @@ class TestLeftInverse:
             EquivariantMap(bare, P, IntMatrix.identity(2)),
             EquivariantMap(P, zero, IntMatrix.zeros(0, 2)),
         )
-        assert find_section(onto).matrix == IntMatrix.identity(2)
-        assert find_section(into).matrix.shape == (2, 0)
-        assert cohom_mod.split_iso(onto) is not None and cohom_mod.split_iso(into) is not None
+        assert cohom_mod.split_iso(onto).matrix == IntMatrix.identity(2)  # [left | s], left 2 x 0
+        iso = cohom_mod.split_iso(into)  # [left | s], s 2 x 0
+        assert iso.matrix == IntMatrix.identity(2) and section_of(into, iso).shape == (2, 0)
 
     def test_mutated_inclusion(self):
         # one changed entry of the inclusion: the sequence no longer splits,
@@ -529,7 +532,7 @@ class TestLeftInverse:
             EquivariantMap(pres.A, pres.B, IntMatrix.from_rows(rows)), pres.right
         )
         with pytest.raises(InvalidParameterError, match="not exact"):
-            find_section(mutant)
+            cohom_mod.split_iso(mutant)
 
     def test_presentation_hermite_work(self, monkeypatch):
         # the section of the (7, 3, 2) presentation retracts onto the rank-9
@@ -543,7 +546,7 @@ class TestLeftInverse:
             return core(h, cols, u)
 
         monkeypatch.setattr(intlinalg, "_row_hermite_rows", counted)
-        assert find_section(pres) is not None
+        assert cohom_mod.split_iso(pres) is not None
         assert sum(fed) <= 4000
 
 

@@ -8,8 +8,9 @@ from math import gcd
 
 import pytest
 
+from glattice import cohom
 from glattice.cli import parse_graph_spec
-from glattice.cohom import find_section, tate
+from glattice.cohom import tate
 from glattice.errors import InvalidParameterError
 from glattice.gflows import (
     GGraph,
@@ -271,10 +272,10 @@ def test_augmentation_splits_iff_orbit_sizes_are_coprime(name):
     # the fixed vectors are the orbit sums, whose augmentations are the orbit sizes
     assert gcd(*(sum(fixed.col_list(j)) for j in range(fixed.cols))) == d
     _, incl = augmentation_kernel(P)
-    section = find_section(ShortExactSequence(incl, augmentation_map(P)))
-    assert (section is not None) == (d == 1)
-    if section is not None:
-        assert sum(section.matrix.col_list(0)) == 1
+    iso = cohom.split_iso(ShortExactSequence(incl, augmentation_map(P)))  # [incl | s]
+    assert (iso is not None) == (d == 1)
+    if iso is not None:
+        assert sum(iso.matrix.col_list(P.rank - 1)) == 1
 
 
 # -- coset lattices ----------------------------------------------------------------

@@ -142,6 +142,14 @@ class TestSumsAndTensors:
         phi.validate()
         assert phi.is_unimodular()
 
+    def test_inverse_is_only_a_constructed_one(self):
+        # unimodular, but built without an inverse: inverse() solves for none
+        M = regular(cyclic(3))
+        eye = EquivariantMap(M, M, IntMatrix.identity(3))
+        assert eye.is_unimodular()
+        with pytest.raises(InvalidParameterError, match="not constructed with an inverse"):
+            eye.inverse()
+
 
     @given(st.lists(st.integers(-3, 3), min_size=9, max_size=9), st.integers(0, 2))
     @settings(max_examples=80, deadline=None)

@@ -1,19 +1,23 @@
-"""Sections as lifts, orbit-sum fixed points, one-step direct sums and the
-p-subgroup scan, each against the route it replaced (tests/reference.py)."""
+"""Sections as lifts, splits by one routine, orbit-sum fixed points,
+one-step direct sums and the p-subgroup scan, each against the route it
+replaced (tests/reference.py)."""
 
 import pytest
 
+import reference
+import test_cohom
+from glattice import cohom, gmod, intlinalg
 from glattice.checks import _metacyclic_presentation
 from glattice.cli import parse_group_spec, parse_lattice_spec
 from glattice.cohom import (
     coflasque_resolution,
-    find_section,
     is_coflasque,
     is_flasque,
     lift,
     pullback,
     tate,
 )
+from glattice.errors import GlatticeError
 from glattice.gflows import cayley_graph, complete_edges, flow_lattice
 from glattice.gmod import (
     EquivariantMap,
@@ -155,10 +159,11 @@ def faithful_transfer_rows(n, m, r):
     return (phi_seq, psi_seq), pullback(phi_seq, psi_seq)
 
 
-def assert_section(seq, section):
-    assert section.source is seq.C and section.target is seq.B
-    assert section.equivariance_failure() is None
-    assert (seq.right.matrix @ section.matrix).is_identity()
+def assert_split(seq, iso):
+    """iso is [left | s] with s a section: equivariant, right . s = id."""
+    assert iso.target is seq.B and iso.matrix.take_columns(range(seq.A.rank)) == seq.left.matrix
+    assert iso.equivariance_failure() is None
+    assert (seq.right.matrix @ iso.matrix.take_columns(range(seq.A.rank, seq.B.rank))).is_identity()
 
 
 def assert_lift(f, g, t):
@@ -181,12 +186,12 @@ class TestLiftsAgainstTheOrbitwiseSearch:
             if row.C.gset is None:  # no permutation quotient: no lift, no orbitwise search
                 continue
             covered += 1
-            new, old = find_section(row), find_section_orbitwise(row)
+            new, old = cohom.split_iso(row), find_section_orbitwise(row)
             assert (new is None) == (old is None)
             t = lift(f, g)
             assert (t is None) == (new is None)
             if new is not None:
-                assert_section(row, new)
+                assert_split(row, new)
                 assert_lift(f, g, t)
         assert covered == (1 if isinstance(case[0], int) else 2)
 
@@ -200,10 +205,10 @@ class TestLiftsAgainstTheOrbitwiseSearch:
             P = coset_lattice(G, H)
             eps = EquivariantMap(P, Z, augmentation_map(P).matrix)
             seq = ShortExactSequence(augmentation_kernel(P)[1], eps)
-            new, old = find_section(seq), find_section_orbitwise(seq)
+            new, old = cohom.split_iso(seq), find_section_orbitwise(seq)
             assert (new is None) == (old is None) == (H.index() != 1)
             if new is not None:
-                assert_section(seq, new)
+                assert_split(seq, new)
 
     def test_a_row_without_a_lift_has_no_section(self):
         # the pullback of the augmentation Z[G] -> Z against the identity of Z:
@@ -218,16 +223,102 @@ class TestLiftsAgainstTheOrbitwiseSearch:
         )
         row1, row2 = pullback(first, second)
         assert lift(second.right, first.right) is None
-        assert find_section(row2) is None and find_section_orbitwise(row2) is None
-        s = find_section(row1)  # x -> (x, augmentation x) always exists
-        assert s is not None and find_section_orbitwise(row1) is not None
-        assert_section(row1, s)
+        assert cohom.split_iso(row2) is None and find_section_orbitwise(row2) is None
+        iso = cohom.split_iso(row1)  # x -> (x, augmentation x) always exists
+        assert iso is not None and find_section_orbitwise(row1) is not None
+        assert_split(row1, iso)
 
     def test_lift_refuses_a_source_without_a_gset(self):
         G = cyclic(2)
         with pytest.raises(Exception, match="permutation source"):
             lift(EquivariantMap(trivial(G), trivial(G), IntMatrix.identity(1)),
                  EquivariantMap(trivial(G), trivial(G), IntMatrix.identity(1)))
+
+
+# -- one split routine against the two it replaced ------------------------------
+
+
+def assert_same_split(seq):
+    """split_iso gives the iso and inverse of find_section + split_iso as
+    they were (tests/reference.py), or None with them; returns the iso."""
+    new, old = cohom.split_iso(seq), reference.split_iso(seq)
+    assert (new is None) == (old is None)
+    if new is not None:
+        assert new.matrix == old.matrix
+        assert new.inverse().matrix == old.inverse().matrix
+    return new
+
+
+def one_entry_changes(m):
+    """m with one entry raised by 1, for every entry in turn."""
+    rows = m.to_lists()
+    for i in range(m.rows):
+        for j in range(m.cols):
+            changed = [row[:] for row in rows]
+            changed[i][j] += 1
+            yield IntMatrix.from_rows(changed)
+
+
+class TestSplitIsoAgainstTheTwoRoutines:
+    @pytest.mark.parametrize("nmr", test_cohom.TestLeftInverse.PRESENTATIONS,
+                             ids=lambda nmr: "SD:%d,%d,%d" % nmr)
+    def test_presentations(self, nmr):
+        assert assert_same_split(_metacyclic_presentation(*nmr).pres) is not None
+
+    @pytest.mark.parametrize("case", SCHANUEL_CASES + [("S:3", "regular")],
+                             ids=lambda c: ",".join(c))
+    def test_resolutions_and_their_pullback_rows(self, case):
+        (first, second), rows = schanuel_rows(*case)
+        assert all(assert_same_split(row) is not None for row in rows)
+        for seq in (first, second):
+            assert_same_split(seq)
+
+    @pytest.mark.parametrize("nmr", [(3, 2, 2), (5, 2, 4), (7, 3, 2)],
+                             ids=lambda nmr: "%d,%d,%d" % nmr)
+    def test_faithful_transfer_middle_row(self, nmr):
+        _, (_, middle_row) = faithful_transfer_rows(*nmr)
+        assert assert_same_split(middle_row) is not None
+
+    def test_every_changed_retraction_entry_is_refused(self, monkeypatch):
+        # the (7, 3, 2) presentation splits by the retraction of its rank-9 kernel
+        pres = _metacyclic_presentation(7, 3, 2).pres
+        r = cohom._left_inverse(pres.B, pres.A, pres.left.matrix)
+        assert (r.rows, r.cols) == (9, 31)
+        refused = 0
+        for changed in one_entry_changes(r):
+            monkeypatch.setattr(cohom, "_left_inverse", lambda B, T, j: changed)
+            with pytest.raises(GlatticeError):
+                cohom.split_iso(pres)
+            refused += 1
+        assert refused == 279
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_every_changed_section_entry_of_a_pullback_row_is_refused(self, k):
+        row = schanuel_rows("C:6", "flows:cayley")[1][k]
+        s = row._section()
+        for changed in one_entry_changes(s):
+            row._section = lambda: changed
+            with pytest.raises(GlatticeError):
+                cohom.split_iso(row)
+
+    def test_a_presentation_split_builds_two_solvers_and_validates_once(self, monkeypatch):
+        pres = _metacyclic_presentation(7, 3, 2).pres
+        cohom.split_iso(pres)  # the exactness report and the lattices' matrices, made once
+        built, checked = [], []
+        setup, failure = intlinalg.BasisSolver._setup, gmod.EquivariantMap.equivariance_failure
+
+        def counted_setup(self, *args):
+            built.append(1)
+            return setup(self, *args)
+
+        def counted_failure(self):
+            checked.append(1)
+            return failure(self)
+
+        monkeypatch.setattr(intlinalg.BasisSolver, "_setup", counted_setup)
+        monkeypatch.setattr(gmod.EquivariantMap, "equivariance_failure", counted_failure)
+        assert cohom.split_iso(pres) is not None
+        assert (len(built), len(checked)) == (2, 1)
 
 
 # -- the p-subgroup scan ----------------------------------------------------------
