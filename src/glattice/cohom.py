@@ -18,19 +18,19 @@ onto one lattice and returns the two rows of their pullback square, and
 unimodular iso [left | s] with its inverse [r; right], so two
 resolutions compare through one composed map.  It builds one half by one
 of two routes and reads the other off it.  Out of a permutation quotient
-the section s is a lift (``lift``, one solve per orbit of a permutation
-source): the lift of the quotient's identity, or on a pullback row
-Q -> B1, x -> (x, lift(f, g) x), as the fibre product's sections are.
-Into a permutation middle term a left inverse (``_left_inverse``, one
-solve over all orbits) of the injection on the smaller side gives the
+the section s is the sequence's own (a pullback row's x -> (x, lift x),
+the circular flows of an edge removal) or the lift of the quotient's
+identity (``lift``, one solve per orbit of a permutation source).  Into
+a permutation middle term a left inverse (``_left_inverse``, one solve
+over all orbits) of the injection on the smaller side gives the
 retraction r of the inclusion, or s through the transposed quotient map.
 
 Each certificate condition is checked once, on the object it is about.
 A flasque resolution is validated as flasque only, which checks what a
 coflasque validation of its transpose would; a split iso is validated
-once and certifies fwd @ back = I only, since check_exact's ranks make
-fwd square (so right . s = I follows); an invertibility certificate
-rests on its witnesses and Bezout identity.
+once and certifies fwd @ back = I only, which with ranks that add up
+certifies its sequence exact and every half it was built from; an
+invertibility certificate rests on its witnesses and Bezout identity.
 
 The bounded search for a G-stable basis numbers the box vectors, so each
 group element acts on them by one index array, reads every orbit and
@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, certify
+from .errors import GlatticeError, InvalidParameterError, certify
 from .gmod import (
     EquivariantMap,
     GLattice,
@@ -283,16 +283,6 @@ def pullback(
     a1 = solver.express_matrix(first.left.matrix.vstack(IntMatrix.zeros(B2.rank, first.A.rank)))
     a2 = solver.express_matrix(IntMatrix.zeros(B1.rank, second.A.rank).vstack(second.left.matrix))
     certify(a1 is not None and a2 is not None, "both kernels lie in the pullback")
-    rows = (
-        ShortExactSequence(
-            EquivariantMap(second.A, Q, a2),
-            EquivariantMap(Q, B1, basis.take_rows(range(B1.rank))),
-        ),
-        ShortExactSequence(
-            EquivariantMap(first.A, Q, a1),
-            EquivariantMap(Q, B2, basis.take_rows(range(B1.rank, basis.rows))),
-        ),
-    )
 
     def section(f, g, pair):  # x -> (x, lift(f, g) x) in Q's basis; None with no lift
         t = lift(f, g)
@@ -300,19 +290,30 @@ def pullback(
         certify(t is None or s is not None, "(x, lift x) lies in the pullback")
         return s
 
-    rows[0]._section = lambda: section(f, g, lambda t: IntMatrix.identity(t.cols).vstack(t))
-    rows[1]._section = lambda: section(g, f, lambda t: t.vstack(IntMatrix.identity(t.cols)))
-    return rows
+    return (
+        ShortExactSequence(
+            EquivariantMap(second.A, Q, a2),
+            EquivariantMap(Q, B1, basis.take_rows(range(B1.rank))),
+            section=lambda: section(f, g, lambda t: IntMatrix.identity(t.cols).vstack(t)),
+        ),
+        ShortExactSequence(
+            EquivariantMap(first.A, Q, a1),
+            EquivariantMap(Q, B2, basis.take_rows(range(B1.rank, basis.rows))),
+            section=lambda: section(g, f, lambda t: t.vstack(IntMatrix.identity(t.cols))),
+        ),
+    )
 
 
 # -- splits ----------------------------------------------------------------------
 
 
 def lift(f: EquivariantMap, g: EquivariantMap) -> Optional[EquivariantMap]:
-    """A validated G-map sigma: P -> B with g . sigma = f, for f: P -> C out of
-    a lattice P with a G-set and g: B -> C, or None when none exists.  A
+    """A G-map sigma: P -> B with g . sigma = f, for f: P -> C out of a
+    lattice P with a G-set and g: B -> C, or None when none exists.  A
     basepoint p goes to F y, F = fixed_sublattice(B, stab p), g F y = f(e_p):
-    one decisive solve per orbit, batched by stabilizer, moved by orbit_map."""
+    one decisive solve per orbit, batched by stabilizer, moved by orbit_map.
+    g . sigma = f is certified; sigma is equivariant by construction, and
+    split_iso validates it once, as the section block of its iso."""
     P, B = f.source, g.source
     if P.gset is None or not lattices_equal(f.target, g.target):
         raise InvalidParameterError("lift needs a permutation source and maps into one lattice")
@@ -329,7 +330,7 @@ def lift(f: EquivariantMap, g: EquivariantMap) -> Optional[EquivariantMap]:
         images.append(F @ y)
         order += bases
     Y = IntMatrix.zeros(B.rank, 0).hstack(*images).take_columns(np.argsort(order))
-    sigma = EquivariantMap(P, B, orbit_map(P, B, Y)).validate()
+    sigma = EquivariantMap(P, B, orbit_map(P, B, Y))
     certify(g.matrix @ sigma.matrix == f.matrix, "the lift maps through g onto f")
     return sigma
 
@@ -364,7 +365,8 @@ def _left_inverse(B: GLattice, T: GLattice, j: IntMatrix) -> Optional[IntMatrix]
     L . j - id is equivariant, it is 0 once it vanishes on the e_l, l in J,
     whose orbits span T (_orbit_spanning_basis): one solve over all orbits
     together, whose row block l reads sum_p j[p, l] rho_T(g_p) F x = e_l,
-    decisive both ways.
+    decisive both ways.  split_iso's one validation of its iso and its
+    fwd @ back = I certify L equivariant and L . j = id.
     """
     t = T.rank
     J = _orbit_spanning_basis(T)
@@ -388,55 +390,65 @@ def _left_inverse(B: GLattice, T: GLattice, j: IntMatrix) -> Optional[IntMatrix]
     for F in fixed:
         images.append(F @ x.take_rows(range(start, start + F.cols)))
         start += F.cols
-    L = orbit_map(B, T, IntMatrix.zeros(t, 0).hstack(*images))
-    certify((L @ j).is_identity(), "the left inverse inverts the injection")
-    return L
+    return orbit_map(B, T, IntMatrix.zeros(t, 0).hstack(*images))
 
 
 def split_iso(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     """The unimodular iso [left | s]: A + C -> B for a section s of the
     right map, with its inverse [r; right] (r . left = id_A), or None when
-    the sequence does not split.
+    the sequence is exact and does not split.
 
-    Each route builds one half and reads the other off it, decisively
-    both ways.  Out of a permutation quotient, or a pullback row onto one,
-    s is a lift (module docstring).  Into a permutation middle term, the
+    Each route builds one half and reads the other off it, decisively both
+    ways.  Out of a permutation quotient, s is the sequence's own section
+    or a lift (module docstring).  Into a permutation middle term, the
     injection with the smaller source gets a left inverse (_left_inverse):
     with rank A < rank C that is r itself, and s = X - left . r . X for any
-    integer X with right . X = id; else L . right^T = id, from B (a
-    permutation lattice is its own dual, with the same G-set) to the dual
-    of C, and s = L^T.  Given s, r is the one solution of
-    left . r = id - s . right.  With neither route, the sequence is refused
-    with InvalidParameterError.  The exactness report is the one the
-    sequence already carries, if any.
+    integer X with right . X = id; else L . right^T = id, from B (its own
+    dual, with the same G-set) to the dual of C, and s = L^T.  Given s, r
+    solves left . r = id - s . right.  With neither route, an exact
+    sequence is refused with InvalidParameterError.
 
-    The iso is validated once and certified as fwd @ back = I only: the
-    exactness check makes fwd square, so back @ fwd = I follows, and with
-    it right . s = id.  The iso keeps back, so ``inverse`` and
-    ``is_unimodular`` read it back.
+    The split certifies the sequence exact: with rank A + rank C = rank B,
+    fwd is square and fwd @ back = I gives back @ fwd = I (right . s = id,
+    r . left = id, ker right = im left), and fwd, validated once, makes
+    left, s and its inverse equivariant, so right is.  check_exact runs
+    only to explain a split not certified: a sequence that is not exact is
+    refused with its failures; on an exact one the route's None or the
+    CertificateError stands.  The iso keeps back for ``inverse``.
     """
-    report = check_exact(seq)
-    if not report.ok:
-        raise InvalidParameterError(f"sequence is not exact: {report.failures}")
+    iso = failure = None
+    if seq.A.rank + seq.C.rank == seq.B.rank:
+        try:
+            iso = _split(seq)
+        except GlatticeError as error:
+            failure = error
+    if iso is None:
+        report = check_exact(seq)
+        if not report.ok:
+            raise InvalidParameterError(f"sequence is not exact: {report.failures}") from failure
+        if failure is not None:
+            raise failure
+    return iso
+
+
+def _split(seq: ShortExactSequence) -> Optional[EquivariantMap]:
+    """split_iso's iso, certified, on a sequence with rank A + rank C = rank B."""
     A, B, C = seq.A, seq.B, seq.C
     iota, pi = seq.left.matrix, seq.right.matrix
     r = None
-    if C.gset is not None:
-        if seq._section is None:
-            t = lift(EquivariantMap(C, C, IntMatrix.identity(C.rank)), seq.right)
-            s = None if t is None else t.matrix
-        else:
-            s = seq._section()
+    if C.gset is not None and seq.section is not None:
+        s = seq.section()
+    elif C.gset is not None:
+        t = lift(EquivariantMap(C, C, IntMatrix.identity(C.rank)), seq.right)
+        s = None if t is None else t.matrix
     elif B.gset is None:
         raise InvalidParameterError(
             "a section needs a permutation quotient or a permutation middle term"
         )
     elif A.rank < C.rank:
         r = _left_inverse(B, A, iota)
-        if r is None:
-            return None
-        X = solve_matrix(pi, IntMatrix.identity(C.rank))  # exists: right is onto
-        s = X - iota @ (r @ X)
+        X = None if r is None else solve_matrix(pi, IntMatrix.identity(C.rank))  # None: not onto
+        s = None if X is None else X - iota @ (r @ X)
     else:
         L = _left_inverse(B, dual(C), pi.T)
         s = None if L is None else L.T
@@ -448,7 +460,7 @@ def split_iso(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     fwd = EquivariantMap(direct_sum(A, C), B, iota.hstack(s))
     back = r.vstack(pi)
     certify((fwd.matrix @ back).is_identity(), "the split map has the constructed inverse")
-    fwd.validate()
+    certify(fwd.equivariance_failure() is None, "the split map is equivariant")
     fwd._inverse = back
     return fwd
 

@@ -1,6 +1,7 @@
 """G-graphs, boundary maps, flow lattices, their boundary sequences and
-spanning-tree bases, with the explicit edge-removal isomorphism between
-flow lattices.
+spanning-tree bases, and the edge-removal isomorphism between flow
+lattices, the split (``cohom.split_iso``) of the restriction of flows to
+the removed edges, onto their permutation lattice.
 
 Every G-graph is built from its vertex G-set, its edges and an explicit
 edge action, checked on the generators against the vertex action.  Every
@@ -27,15 +28,14 @@ import operator
 from collections import deque
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from .cohom import split_iso
 from .errors import GlatticeError, InvalidParameterError, certify
 from .gmod import (
     EquivariantMap,
     GLattice,
     ShortExactSequence,
     augmentation_kernel,
-    direct_sum_many,
     permutation_lattice,
-    regular,
     span_action,
 )
 from .groups import FiniteGroup, GSet, Subgroup, regular_gset
@@ -400,13 +400,19 @@ def subgraph(X: GGraph, edge_indices: Sequence[int]) -> GGraph:
 
 
 def remove_edges_decomposition(X: GGraph, X_sub: GGraph) -> EquivariantMap:
-    """Unimodular iso Fl(V, E') + ZG^m -> Fl(V, E) for free vertex actions.
+    """The unimodular iso Fl(V, E') + Z[E - E'] -> Fl(V, E), with its inverse,
+    for a connected G-subgraph on the same free vertex G-set: ``split_iso``
+    of 0 -> Fl(V, E') -> Fl(V, E) -> Z[E - E'] -> 0, whose left map extends
+    flows by zero and whose right map restricts them to the removed edges.
+    The section is the circular flows: each removed orbit's least edge closed
+    through the subgraph by ``fundamental_cycles``, moved by the edge G-set.
 
-    One circular flow per removed edge orbit: the orbit representative,
-    closed through the subgraph's search tree by ``fundamental_cycles``.
-    The restriction to Fl(V, E') is the natural embedding.
+    >>> from glattice.groups import cyclic
+    >>> G = cyclic(4)  # s is element 1 and s2 element 2
+    >>> iso = remove_edges_decomposition(cayley_graph(G, [1, 2]), cayley_graph(G, [1]))
+    >>> iso.source.rank, iso.inverse().source is iso.target
+    (5, True)
     """
-    G = X.group
     if X_sub.vertices is not X.vertices and X_sub.vertices.action != X.vertices.action:
         raise InvalidParameterError("graphs must share the vertex G-set")
     if not X.vertices.is_free():
@@ -419,39 +425,24 @@ def remove_edges_decomposition(X: GGraph, X_sub: GGraph) -> EquivariantMap:
         if pair not in idx:
             raise InvalidParameterError(f"subgraph edge {pair} missing from the graph")
         sub_in_X.append(idx[pair])
-    sub_set = set(sub_in_X)
+    removed = sorted(set(range(X.n_edges)).difference(sub_in_X))
+    quotient = permutation_lattice(X.group, X.edge_gset.restrict(removed))
+    fl, fl_sub = flow_lattice(X), flow_lattice(X_sub)
 
-    fl = flow_lattice(X)
-    fl_sub = flow_lattice(X_sub)
-
-    removed_orbits = [
-        orbit for orbit in X.edge_orbits() if orbit[0] not in sub_set
-    ]
-    for orbit in removed_orbits:
-        if any(e in sub_set for e in orbit):
-            raise InvalidParameterError("edge orbit straddles the subgraph")
-        if len(orbit) != G.order:
-            raise InvalidParameterError("free action forces free edge orbits")
-    m = len(removed_orbits)
-    certify(m * G.order == X.n_edges - X_sub.n_edges, "the removed edges form free orbits")
-
-    # the subgraph flows extended by zero, then one free orbit of circular
-    # flows per removed orbit: its representative closed in the subgraph
-    embedded = [{sub_in_X[e]: c for e, c in col.items()} for col in fl_sub.basis.column_nonzeros()]
-    flows = list(embedded)
-    closed = fundamental_cycles(X, sub_in_X)
-    for orbit in removed_orbits:
-        flows += [X.edge_gset.move(g, closed[orbit[0]]) for g in range(G.order)]
-    matrix = fl.solver.express_columns(flows)
+    # the subgraph flows extended by zero, then each removed edge's circular flow
+    flows = [{sub_in_X[e]: c for e, c in col.items()} for col in fl_sub.basis.column_nonzeros()]
+    closed, circular = fundamental_cycles(X, sub_in_X), [None] * len(removed)
+    for base, transversal in quotient.gset.orbit_transversal():
+        for p, g in transversal:
+            circular[p] = X.edge_gset.move(g, closed[removed[base]])
+    matrix = fl.solver.express_columns(flows + circular)
     certify(matrix is not None, "the embedded and circular flows are flows")
-    source = direct_sum_many([fl_sub] + [regular(G) for _ in range(m)])
-    iso = EquivariantMap(source, fl, matrix)
-    iso.validate()
-    certify(iso.is_unimodular(), "edge-removal decomposition must be unimodular")
-    # restriction block identity: the first columns are the embedded basis
-    emb = fl.basis @ matrix.take_columns(range(fl_sub.rank))
-    certify(emb.column_nonzeros() == embedded, "the embedding extends subgraph flows by zero")
-    return iso
+    k = fl_sub.rank
+    return split_iso(ShortExactSequence(
+        EquivariantMap(fl_sub, fl, matrix.take_columns(range(k))),
+        EquivariantMap(fl, quotient, fl.basis.take_rows(removed)),
+        section=lambda: matrix.take_columns(range(k, matrix.cols)),
+    ))
 
 
 def restrict_graph_group(X: GGraph, H: Subgroup) -> GGraph:

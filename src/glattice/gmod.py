@@ -199,16 +199,14 @@ class EquivariantMap:
 
 @dataclass
 class ShortExactSequence:
-    """0 -> A -> B -> C -> 0 carried by two equivariant maps."""
+    """0 -> A -> B -> C -> 0 carried by two equivariant maps, and optionally
+    the maker of a section of the right map, which returns its matrix, or
+    None with no section: a pullback row and an edge removal are made with
+    one, and ``cohom.split_iso`` calls it."""
 
     left: EquivariantMap   # A -> B
     right: EquivariantMap  # B -> C
-    _report: Optional["ExactnessReport"] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # a pullback row's section maker, read by cohom.split_iso: the matrix of
-    # x -> (x, lift x), or None with no lift (see cohom.pullback)
-    _section: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
+    section: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not lattices_equal(self.left.target, self.right.source):
@@ -241,11 +239,9 @@ def check_exact(seq: ShortExactSequence) -> ExactnessReport:
     B.rank - rank(right), and the image is saturated: a saturated lattice
     inside the kernel with its rank is the whole kernel.  The rank of the
     right map is read off its cokernel, and saturation off the canonical
-    basis of the image, so no kernel is computed.  The report is computed
-    once per sequence and then read back.
+    basis of the image, so no kernel is computed.  Not cached: split_iso
+    calls it only to explain a split it could not certify.
     """
-    if seq._report is not None:
-        return seq._report
     failures = []
     if seq.A.rank + seq.C.rank != seq.B.rank:
         failures.append(
@@ -270,8 +266,7 @@ def check_exact(seq: ShortExactSequence) -> ExactnessReport:
         g = m.equivariance_failure()
         if g is not None:
             failures.append(f"{label} map not equivariant at element {g}")
-    seq._report = ExactnessReport(not failures, failures)
-    return seq._report
+    return ExactnessReport(not failures, failures)
 
 
 # -- permutation-type constructors -------------------------------------------

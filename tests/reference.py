@@ -47,7 +47,10 @@ the dense Bezout embedding and retraction through tensors with coset
 lattices that an invertibility certificate once built and validated.
 The split as two routines: ``find_section``, which validated the section
 on its own, and the ``split_iso`` built on it, which solved again for
-the retraction that the section's route had built.
+the retraction that the section's route had built.  The edge-removal
+isomorphism onto Fl(V, E') + ZG^m, one regular summand per removed
+orbit, certified beside the split: by its own validation, a Hermite-form
+unimodularity test and a check of the embedded subgraph flows.
 """
 
 import itertools
@@ -82,6 +85,7 @@ from glattice.gmod import (
     dual,
     fixed_sublattice,
     norm_matrix,
+    regular,
 )
 from glattice.groups import (
     FiniteGroup,
@@ -1484,9 +1488,9 @@ def find_section(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     A, B, C = seq.A, seq.B, seq.C
     iota, pi = seq.left.matrix, seq.right.matrix
     if C.gset is not None:
-        if seq._section is None:
+        if seq.section is None:
             return lift(EquivariantMap(C, C, IntMatrix.identity(C.rank)), seq.right)
-        s_matrix = seq._section()
+        s_matrix = seq.section()
     elif B.gset is None:
         raise InvalidParameterError(
             "a section needs a permutation quotient or a permutation middle term"
@@ -1532,3 +1536,60 @@ def split_iso(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     fwd.validate()
     fwd._inverse = back
     return fwd
+
+
+def remove_edges_decomposition(X, X_sub) -> EquivariantMap:
+    """Unimodular iso Fl(V, E') + ZG^m -> Fl(V, E) for free vertex actions.
+
+    One circular flow per removed edge orbit: the orbit representative,
+    closed through the subgraph's search tree by ``fundamental_cycles``.
+    The restriction to Fl(V, E') is the natural embedding.
+    """
+    from glattice.gflows import flow_lattice, fundamental_cycles
+
+    G = X.group
+    if X_sub.vertices is not X.vertices and X_sub.vertices.action != X.vertices.action:
+        raise InvalidParameterError("graphs must share the vertex G-set")
+    if not X.vertices.is_free():
+        raise InvalidParameterError("vertex action must be free")
+    if not X_sub.is_connected():
+        raise InvalidParameterError("subgraph must be connected")
+    idx = X.edge_index()
+    sub_in_X = []
+    for pair in X_sub.edges:
+        if pair not in idx:
+            raise InvalidParameterError(f"subgraph edge {pair} missing from the graph")
+        sub_in_X.append(idx[pair])
+    sub_set = set(sub_in_X)
+
+    fl = flow_lattice(X)
+    fl_sub = flow_lattice(X_sub)
+
+    removed_orbits = [
+        orbit for orbit in X.edge_orbits() if orbit[0] not in sub_set
+    ]
+    for orbit in removed_orbits:
+        if any(e in sub_set for e in orbit):
+            raise InvalidParameterError("edge orbit straddles the subgraph")
+        if len(orbit) != G.order:
+            raise InvalidParameterError("free action forces free edge orbits")
+    m = len(removed_orbits)
+    certify(m * G.order == X.n_edges - X_sub.n_edges, "the removed edges form free orbits")
+
+    # the subgraph flows extended by zero, then one free orbit of circular
+    # flows per removed orbit: its representative closed in the subgraph
+    embedded = [{sub_in_X[e]: c for e, c in col.items()} for col in fl_sub.basis.column_nonzeros()]
+    flows = list(embedded)
+    closed = fundamental_cycles(X, sub_in_X)
+    for orbit in removed_orbits:
+        flows += [X.edge_gset.move(g, closed[orbit[0]]) for g in range(G.order)]
+    matrix = fl.solver.express_columns(flows)
+    certify(matrix is not None, "the embedded and circular flows are flows")
+    source = direct_sum_many([fl_sub] + [regular(G) for _ in range(m)])
+    iso = EquivariantMap(source, fl, matrix)
+    iso.validate()
+    certify(iso.is_unimodular(), "edge-removal decomposition must be unimodular")
+    # restriction block identity: the first columns are the embedded basis
+    emb = fl.basis @ matrix.take_columns(range(fl_sub.rank))
+    certify(emb.column_nonzeros() == embedded, "the embedding extends subgraph flows by zero")
+    return iso

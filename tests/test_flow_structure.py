@@ -54,6 +54,7 @@ from reference import (
     tensor,
     validate_flow_lattice,
 )
+from test_lifts import assert_oracle_columns
 
 
 def s3():
@@ -137,6 +138,7 @@ def test_loops_split_off_a_free_summand(vertices, loopless_rank):
     iso = remove_edges_decomposition(X, loopless)
     assert iso.source.rank == loopless_rank + V.size
     assert iso.target.rank == X.n_edges - V.size + 1
+    assert_oracle_columns(X, loopless)
 
 
 # -- pendant edges ----------------------------------------------------------------

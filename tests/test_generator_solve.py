@@ -404,21 +404,6 @@ class TestExactnessAgainstKernel:
         failures = check_exact(_non_exact_sequences()["index-2 image"]).failures
         assert failures == ["image of left map differs from kernel of right map"]
 
-    def test_second_check_makes_no_hermite_call(self, monkeypatch):
-        seq = coflasque_resolution(_lattices(parse_group_spec("S:3"))["flows"]).sequence
-        seq._report = None
-        first = check_exact(seq)
-        calls = []
-        original = intlinalg_mod.row_hermite
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(intlinalg_mod, "row_hermite", counting)
-        assert check_exact(seq) is first
-        assert calls == []
-
 
 class TestSparseBarFlows:
     @pytest.mark.parametrize("spec", ["C:4", "S:3", "D:4", "X(C:2,C:2)"])

@@ -6,9 +6,15 @@ import pytest
 
 import reference
 import test_cohom
-from glattice import cohom, gmod, intlinalg
+from glattice import checks, cohom, gflows, gmod, intlinalg
 from glattice.checks import _metacyclic_presentation
-from glattice.cli import parse_group_spec, parse_lattice_spec
+from glattice.cli import (
+    parse_generators,
+    parse_group_spec,
+    parse_lattice_spec,
+    run_check,
+    suite_definition,
+)
 from glattice.cohom import (
     coflasque_resolution,
     is_coflasque,
@@ -17,14 +23,15 @@ from glattice.cohom import (
     pullback,
     tate,
 )
-from glattice.errors import GlatticeError
-from glattice.gflows import cayley_graph, complete_edges, flow_lattice
+from glattice.errors import CertificateError, GlatticeError, InvalidParameterError
+from glattice.gflows import cayley_graph, complete_edges, flow_lattice, remove_edges_decomposition
 from glattice.gmod import (
     EquivariantMap,
     GLattice,
     ShortExactSequence,
     augmentation_kernel,
     augmentation_map,
+    check_exact,
     coset_lattice,
     direct_sum_many,
     dual,
@@ -295,15 +302,14 @@ class TestSplitIsoAgainstTheTwoRoutines:
     @pytest.mark.parametrize("k", [0, 1])
     def test_every_changed_section_entry_of_a_pullback_row_is_refused(self, k):
         row = schanuel_rows("C:6", "flows:cayley")[1][k]
-        s = row._section()
+        s = row.section()
         for changed in one_entry_changes(s):
-            row._section = lambda: changed
             with pytest.raises(GlatticeError):
-                cohom.split_iso(row)
+                cohom.split_iso(ShortExactSequence(row.left, row.right, section=lambda: changed))
 
     def test_a_presentation_split_builds_two_solvers_and_validates_once(self, monkeypatch):
         pres = _metacyclic_presentation(7, 3, 2).pres
-        cohom.split_iso(pres)  # the exactness report and the lattices' matrices, made once
+        cohom.split_iso(pres)  # the lattices' matrices, made once
         built, checked = [], []
         setup, failure = intlinalg.BasisSolver._setup, gmod.EquivariantMap.equivariance_failure
 
@@ -319,6 +325,175 @@ class TestSplitIsoAgainstTheTwoRoutines:
         monkeypatch.setattr(gmod.EquivariantMap, "equivariance_failure", counted_failure)
         assert cohom.split_iso(pres) is not None
         assert (len(built), len(checked)) == (2, 1)
+
+
+# -- a split certifies its own sequence ---------------------------------------------
+
+
+def edge_removal_sequence(spec, gens, kept):
+    """The sequence 0 -> Fl(V, E') -> Fl(V, E) -> Z[E - E'] -> 0 that
+    remove_edges_decomposition hands to split_iso, for two Cayley graphs."""
+    G = parse_group_spec(spec)
+    X, X_sub = (cayley_graph(G, parse_generators(G, g)) for g in (gens, kept))
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gflows, "split_iso", lambda seq: seen.append(seq) or cohom.split_iso(seq))
+        remove_edges_decomposition(X, X_sub)
+    return seen[0]
+
+
+def lifted_quotient():
+    """0 -> Z[C3] -> Z[C3] + Z -> Z -> 0, x -> (x, -aug x) and
+    (x, y) -> aug x + y: a permutation quotient with no section maker."""
+    G = cyclic(3)
+    Z = coset_lattice(G, whole_group(G))
+    B = direct_sum_many([regular(G), Z])
+    return ShortExactSequence(
+        EquivariantMap(regular(G), B, IntMatrix.identity(3).vstack(IntMatrix.from_rows([[-1] * 3]))),
+        EquivariantMap(B, Z, IntMatrix.from_rows([[1, 1, 1, 1]])),
+    )
+
+
+def route_of(seq):
+    """The route by which split_iso builds its first half."""
+    if seq.C.gset is not None:
+        return "lift" if seq.section is None else "section maker"
+    return "retraction" if seq.A.rank < seq.C.rank else "transposed"
+
+
+# one exact sequence per route of split_iso, each split
+SPLIT_ROUTES = {
+    "quotient lift": lifted_quotient,
+    "pullback-row maker": lambda: schanuel_rows("C:2", "sign")[1][0],
+    "left inverse of the inclusion": lambda: _metacyclic_presentation(3, 2, 2).pres,
+    "left inverse of the transposed quotient":
+        lambda: coflasque_resolution(trivial(cyclic(2))).sequence,
+    "edge removal": lambda: edge_removal_sequence("C:4", "s,s2", "s"),
+}
+
+
+class TestASplitCertifiesItsSequence:
+    """split_iso certifies exactness through its iso and calls check_exact
+    only to explain a split it could not certify."""
+
+    @pytest.mark.parametrize("route", list(SPLIT_ROUTES))
+    def test_every_non_exact_changed_map_is_refused(self, route):
+        seq = SPLIT_ROUTES[route]()
+        assert route_of(seq) == {
+            "quotient lift": "lift",
+            "pullback-row maker": "section maker",
+            "left inverse of the inclusion": "retraction",
+            "left inverse of the transposed quotient": "transposed",
+            "edge removal": "section maker",
+        }[route]
+        assert cohom.split_iso(seq) is not None
+        refused = 0
+        for side in ("left", "right"):
+            m = getattr(seq, side)
+            for changed in one_entry_changes(m.matrix):
+                maps = {"left": seq.left, "right": seq.right}
+                maps[side] = EquivariantMap(m.source, m.target, changed)
+                mutant = ShortExactSequence(maps["left"], maps["right"], section=seq.section)
+                if not check_exact(mutant).ok:
+                    with pytest.raises(InvalidParameterError, match="sequence is not exact"):
+                        cohom.split_iso(mutant)
+                    refused += 1
+        assert refused > 0
+
+    @pytest.mark.parametrize("spec, gens, kept", [
+        ("C:4", "s,s2", "s"), ("C:6", "s,s3", "s"), ("S:3", "(12),(123),(13)", "(12),(123)"),
+    ])
+    def test_every_changed_edge_removal_section_entry_is_refused(self, spec, gens, kept):
+        seq = edge_removal_sequence(spec, gens, kept)
+        for changed in one_entry_changes(seq.section()):
+            with pytest.raises(CertificateError):
+                cohom.split_iso(ShortExactSequence(seq.left, seq.right, section=lambda: changed))
+
+    @pytest.mark.parametrize("case", ["presentation", "schanuel rows", "edge removal"])
+    def test_a_successful_split_checks_no_exactness(self, case, monkeypatch):
+        if case == "presentation":
+            seqs = [_metacyclic_presentation(7, 3, 2).pres]
+        elif case == "schanuel rows":
+            seqs = list(schanuel_rows("SD:3,2,2", "flows:cayley")[1])
+        else:
+            G = cyclic(7)
+            s = G.generator_indices["s"]
+            X, X_sub = cayley_graph(G, [s, G.power(s, 2)]), cayley_graph(G, [s])
+        calls = []
+        original = cohom.check_exact
+        monkeypatch.setattr(cohom, "check_exact", lambda seq: calls.append(1) or original(seq))
+        if case == "edge removal":
+            splits = [remove_edges_decomposition(X, X_sub)]
+        else:
+            splits = [cohom.split_iso(seq) for seq in seqs]
+        assert None not in splits
+        assert calls == []
+
+    def test_ranks_that_do_not_add_up_are_refused(self):
+        # 0 -> Z -> Z -> Z -> 0 by 1 and 1: [left | s] = [1 | 1] has the right
+        # inverse [0; 1], but it is not square, so it certifies nothing
+        G = cyclic(2)
+        Z = coset_lattice(G, whole_group(G))
+        one = IntMatrix.identity(1)
+        seq = ShortExactSequence(EquivariantMap(trivial(G), Z, one), EquivariantMap(Z, Z, one))
+        with pytest.raises(InvalidParameterError, match="not exact.*rank mismatch"):
+            cohom.split_iso(seq)
+
+    def test_an_exact_sequence_without_a_split_is_checked_once(self, monkeypatch):
+        calls = []
+        original = cohom.check_exact
+        monkeypatch.setattr(cohom, "check_exact", lambda seq: calls.append(1) or original(seq))
+        G = cyclic(2)
+        P = regular(G)
+        eps = EquivariantMap(P, coset_lattice(G, whole_group(G)), augmentation_map(P).matrix)
+        assert cohom.split_iso(ShortExactSequence(augmentation_kernel(P)[1], eps)) is None
+        assert calls == [1]
+
+    def test_edge_removal_makes_no_hermite_test_of_its_iso(self, monkeypatch):
+        shapes = []
+        for module in (gmod, intlinalg):
+            original = module.column_span_canonical
+            monkeypatch.setattr(module, "column_span_canonical",
+                                lambda A, original=original: shapes.append(A.shape) or original(A))
+        G = cyclic(7)
+        s = G.generator_indices["s"]
+        iso = remove_edges_decomposition(cayley_graph(G, [s, G.power(s, 2)]), cayley_graph(G, [s]))
+        assert iso.matrix.shape == (8, 8) and (8, 8) not in shapes
+
+
+def suite_full_edge_removals():
+    """(X, X_sub) of every edge removal of the cyclic-flows and
+    sn-restrictions checks of `suite full`."""
+    calls = []
+    original = checks.remove_edges_decomposition
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "remove_edges_decomposition",
+                      lambda X, X_sub: calls.append((X, X_sub)) or original(X, X_sub))
+        for check_id, params in suite_definition("full"):
+            if check_id in ("cyclic-flows", "sn-restrictions"):
+                run_check(check_id, params)
+    return calls
+
+
+def assert_oracle_columns(X, X_sub):
+    """remove_edges_decomposition has the columns of the one it replaced
+    (tests/reference.py): the embedded subgraph flows first and in order,
+    then the circular flows in edge order rather than by orbit."""
+    iso = remove_edges_decomposition(X, X_sub)
+    old = reference.remove_edges_decomposition(X, X_sub)
+    k = flow_lattice(X_sub).rank
+    assert iso.target.basis == old.target.basis and iso.source.rank == old.source.rank
+    new_cols, old_cols = iso.matrix.T.to_lists(), old.matrix.T.to_lists()
+    assert new_cols[:k] == old_cols[:k]
+    assert sorted(new_cols[k:]) == sorted(old_cols[k:])
+    assert (iso.inverse().matrix @ iso.matrix).is_identity()
+
+
+def test_suite_full_edge_removals_match_the_oracle():
+    removals = suite_full_edge_removals()
+    assert len(removals) == 22 + 3  # cyclic-flows n = 2 .. 12 twice, sn-restrictions n = 3, 4, 5
+    for X, X_sub in removals:
+        assert_oracle_columns(X, X_sub)
 
 
 # -- the p-subgroup scan ----------------------------------------------------------
