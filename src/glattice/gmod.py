@@ -179,13 +179,6 @@ class EquivariantMap:
             out._inverse = inner._inverse @ self._inverse
         return out
 
-    def is_unimodular(self) -> bool:
-        if self._inverse is not None:
-            return True
-        # a square integer matrix is invertible over Z iff its Hermite form is I
-        m = self.matrix
-        return m.rows == m.cols and column_span_canonical(m).is_identity()
-
     def inverse(self) -> "EquivariantMap":
         """The inverse a construction certified (``split_iso``, ``inverse``
         or ``compose`` of two such maps); no other map is inverted."""

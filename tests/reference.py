@@ -4,7 +4,9 @@ Each is independent of the code path it checks, and none is used by the
 library itself: subgroups closed from the identity (the whole subgroup
 lattice by closing every found subgroup's element set again, greedy
 generators re-closed from scratch, and the center and abelian test over
-all pairs), the determinant, the Smith form with both transforms,
+all pairs), the determinant, unimodularity as a Hermite form equal to
+I (a test ``EquivariantMap`` once carried beside its certified inverse),
+the Smith form with both transforms,
 Tate groups from coordinates in the saturated fixed or norm-kernel
 lattice, the cyclic formula for degree 1 Tate cohomology, sections by
 group averaging with a congruence solve modulo |G|, the identity map,
@@ -158,6 +160,11 @@ def det(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = pk
     return sign * a[n - 1][n - 1]
+
+
+def is_unimodular_by_hermite(m: IntMatrix) -> bool:
+    """Whether m is invertible over Z: square, with column Hermite form I."""
+    return m.rows == m.cols and column_span_canonical(m).is_identity()
 
 
 @dataclass(frozen=True)
@@ -1519,7 +1526,7 @@ def split_iso(seq: ShortExactSequence) -> Optional[EquivariantMap]:
     Its inverse is constructed explicitly and certified as a right
     inverse, fwd @ back = I: find_section's exactness check has certified
     rank A + rank C = rank B, so fwd is square and back @ fwd = I follows.
-    The iso keeps back, so ``inverse`` and ``is_unimodular`` read it back.
+    The iso keeps back, so ``inverse`` reads it back.
     """
     section = find_section(seq)
     if section is None:
@@ -1588,7 +1595,7 @@ def remove_edges_decomposition(X, X_sub) -> EquivariantMap:
     source = direct_sum_many([fl_sub] + [regular(G) for _ in range(m)])
     iso = EquivariantMap(source, fl, matrix)
     iso.validate()
-    certify(iso.is_unimodular(), "edge-removal decomposition must be unimodular")
+    certify(is_unimodular_by_hermite(matrix), "edge-removal decomposition must be unimodular")
     # restriction block identity: the first columns are the embedded basis
     emb = fl.basis @ matrix.take_columns(range(fl_sub.rank))
     certify(emb.column_nonzeros() == embedded, "the embedding extends subgraph flows by zero")

@@ -7,10 +7,11 @@ import time
 import pytest
 
 import glattice.checks as checks_mod
-from glattice.cli import main, parse_group_spec
-from glattice.errors import InvalidParameterError
+from glattice import cohom, gflows, gmod
+from glattice.cli import main, parse_group_spec, parse_lattice_spec
+from glattice.errors import GlatticeError, InvalidParameterError
 from glattice.gflows import SpanningTreeBasisError, boundary_matrix, cayley_graph, flow_lattice
-from glattice.gmod import GLattice, trivial
+from glattice.gmod import GLattice, ShortExactSequence, trivial
 from glattice.groups import cyclic, dihedral, direct_product, semidirect, symmetric
 from glattice.intlinalg import IntMatrix, column_span_canonical
 from glattice.checks import (
@@ -278,3 +279,94 @@ class TestReportShape:
         }
         for a in data["assertions"]:
             assert set(a) == {"name", "status", "detail"}
+
+
+# -- a check reads the certificate a split hands it ------------------------------------------
+
+
+def count_work(monkeypatch):
+    """Counts of the calls of EquivariantMap.equivariance_failure and of
+    check_exact, from every module that calls the latter."""
+    counts = {"equivariance": 0, "exactness": 0}
+    failure, exact = gmod.EquivariantMap.equivariance_failure, gmod.check_exact
+
+    def counted_failure(self):
+        counts["equivariance"] += 1
+        return failure(self)
+
+    def counted_exact(seq):
+        counts["exactness"] += 1
+        return exact(seq)
+
+    monkeypatch.setattr(gmod.EquivariantMap, "equivariance_failure", counted_failure)
+    for module in (cohom, checks_mod):
+        monkeypatch.setattr(module, "check_exact", counted_exact)
+    return counts
+
+
+class TestWorkCounts:
+    """Each split is validated once, by split_iso; the rest of the count is
+    the presentation map, the basepoint and projection maps of
+    kernel-generators, the middle column of faithful-transfer and the two
+    resolutions of schanuel, whose checks are the only evidence for them."""
+
+    @pytest.mark.parametrize("argv, equivariance, exactness", [
+        (["schanuel", "--group", "SD:3,2,2", "--lattice", "flows:cayley"], 6, 2),
+        (["faithful-transfer", "--n", "7", "--m", "3", "--r", "2"], 5, 1),
+        (["kernel-generators", "--n", "7", "--m", "3", "--r", "2"], 4, 0),
+        (["cyclic-flows", "--n", "7", "--gens", "s,s2"], 1, 0),
+    ], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+    def test_no_certified_fact_is_checked_again(self, argv, equivariance, exactness,
+                                                monkeypatch, capsys):
+        counts = count_work(monkeypatch)
+        assert main(["check", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass"
+        assert counts == {"equivariance": equivariance, "exactness": exactness}
+
+
+def raise_entry(m, i, j):
+    """m with entry (i, j) raised by 1."""
+    rows = m.to_lists()
+    rows[i][j] += 1
+    return IntMatrix.from_rows(rows)
+
+
+def corrupt_sections(monkeypatch, i, j):
+    """Make every split that is handed a section receive it with entry
+    (i, j) raised by 1, negative indices counting from the end."""
+    for module in (checks_mod, gflows):
+        split = module.split_iso
+
+        def corrupted(seq, split=split):
+            if seq.section is None:
+                return split(seq)
+            changed = raise_entry(seq.section(), i, j)
+            return split(ShortExactSequence(seq.left, seq.right, section=lambda: changed))
+
+        monkeypatch.setattr(module, "split_iso", corrupted)
+
+
+class TestCorruptedCertificate:
+    """A section with one wrong entry is refused by the split, so the check
+    that reads the split's certificate raises; it never reports a pass."""
+
+    ENTRIES = [(0, 0), (-1, -1), (3, 1)]
+
+    @pytest.mark.parametrize("i, j", ENTRIES)
+    def test_schanuel_pullback_row(self, i, j, monkeypatch, capsys):
+        G = parse_group_spec("SD:3,2,2")
+        M = parse_lattice_spec(G, "flows:cayley")
+        corrupt_sections(monkeypatch, i, j)
+        with pytest.raises(GlatticeError):
+            check_schanuel(M, G.spec, "flows:cayley")
+        argv = ["check", "schanuel", "--group", "SD:3,2,2", "--lattice", "flows:cayley"]
+        assert main(argv) in (2, 3)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("i, j", ENTRIES)
+    def test_cyclic_flows_edge_removal(self, i, j, monkeypatch, capsys):
+        corrupt_sections(monkeypatch, i, j)
+        with pytest.raises(GlatticeError):
+            check_cyclic_flows(7, [1, 2])
+        assert main(["check", "cyclic-flows", "--n", "7", "--gens", "s,s2"]) in (2, 3)
+        assert capsys.readouterr().out == ""

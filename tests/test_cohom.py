@@ -398,7 +398,8 @@ class TestPullback:
         iso1, iso2 = (cohom_mod.split_iso(row) for row in rows)
         assert iso1 is not None and iso2 is not None
         final = iso1.inverse().compose(iso2)  # Fl + P -> C + Z[E]
-        assert final.is_unimodular() and final.equivariance_failure() is None
+        assert (final.matrix @ final.inverse().matrix).is_identity()
+        assert final.equivariance_failure() is None
         assert final.source.rank == boundary.A.rank + resolution.B.rank
 
     def test_quotients_must_agree(self):

