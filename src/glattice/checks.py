@@ -35,6 +35,7 @@ from .gflows import (
     remove_edges_decomposition,
     restrict_graph_group,
     spanning_tree_basis,
+    spanning_tree_basis_of_arrays,
     subgraph,
 )
 from .gmod import (
@@ -228,59 +229,87 @@ def check_flow_coflasque(G: FiniteGroup, gens: Sequence[int]) -> CheckReport:
 
 _COCYCLE_BLOCK_ROWS = 1024  # the cocycle check sorts at most this many triples at once
 
+BarFlows = Tuple[np.ndarray, np.ndarray]  # padded (n, n, k) edges and coefficients of d
 
-def _bar_flows(X: GGraph, G: FiniteGroup) -> Dict[Tuple[int, int], Flow]:
-    """d(g, h) = (e -> g -> gh) - (e -> gh), loops dropped as zero, for all g, h.
 
-    X is the Cayley graph on the non-identity elements, so each d(g, h)
-    has at most three edges.
+def _bar_flows(X: GGraph, G: FiniteGroup) -> BarFlows:
+    """d(g, h) = (e -> g -> gh) - (e -> gh), loops dropped as zero, for all g, h,
+    as padded (n, n, 3) int64 arrays of edges and coefficients: d(g, h) is
+    coefficient [g, h, i] on edge [g, h, i], summed over i, and a dropped
+    term is coefficient 0 on edge 0.
+
+    X is the Cayley graph on the non-identity elements, so d(g, h) has three
+    distinct edges when g, h != e, of which (e, gh) is a loop when gh = e.
     """
-    e = G.identity
-    idx = X.edge_index()
-    d: Dict[Tuple[int, int], Flow] = {}
-    for g in G.elements():
-        for h in G.elements():
-            gh = G.mul(g, h)
-            # three distinct edges when g, h != e; (e, gh) is a loop when gh = e
-            steps = [] if e in (g, h) else [(e, g, 1), (g, gh, 1), (e, gh, -1)]
-            d[(g, h)] = {idx[(s, t)]: c for s, t, c in steps if s != t}
-    return d
+    n, e, table = G.order, G.identity, G.table_array
+    ends = X.edge_array
+    at = np.zeros((n, n), dtype=np.int64)  # at[u, v]: the edge u -> v
+    at[ends[:, 0], ends[:, 1]] = np.arange(X.n_edges)
+    g = np.arange(n)[:, None]
+    edges = np.stack(np.broadcast_arrays(at[e, g], at[g, table], at[e, table]), axis=-1)
+    coefs = np.empty_like(edges)
+    coefs[...] = (1, 1, -1)
+    coefs[e] = coefs[:, e] = 0
+    coefs[table == e, 2] = 0
+    edges[coefs == 0] = 0
+    return edges, coefs
 
 
-def _cocycle_failures(X: GGraph, G: FiniteGroup, d: Dict[Tuple[int, int], Flow]) -> int:
+def _term_keys(X: GGraph, d: BarFlows) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Sort keys for the terms of d, with the coefficients they index.
+
+    Term i of d(g, h) has the key edge << shift | place, with place its
+    index in d and terms[place] its coefficient; place + size (d has size
+    terms) is that of its negative, and 2 size + 0, 1, 2 those of -1, 1
+    and 0.  So a row of keys sorts by edge.  The coefficients are
+    certified small enough that no row of 4 k terms, k the terms of a
+    flow, overflows int64 on any running sum, and an edge out of range is
+    refused.
+    """
+    edges, coefs = d
+    k = edges.shape[2]
+    bound = (1 << 62) // (4 * k)  # then no running sum of 4 k terms overflows
+    certify(max(-int(coefs.min()), int(coefs.max())) < bound, "bar flow coefficients sum exactly in int64")
+    if not 0 <= edges.min() <= edges.max() < X.n_edges:
+        raise InvalidParameterError("bar flow edge out of range")
+    size = coefs.size
+    shift = (2 * size + 2).bit_length()
+    certify(X.n_edges << shift < 1 << 63, "bar flow keys fit in int64")
+    coefs = coefs.astype(np.int64).ravel()
+    terms = np.concatenate([coefs, -coefs, [-1, 1, 0]])
+    place = np.arange(size, dtype=np.int64).reshape(edges.shape)
+    return edges.astype(np.int64) << shift | place, terms, shift
+
+
+def _failing_rows(keys: np.ndarray, terms: np.ndarray, shift: int) -> int:
+    """The number of rows of keys (see ``_term_keys``) whose terms do not sum
+    to 0 on every edge.  One sort per row orders its terms by edge, and they
+    sum to 0 on every edge exactly when their running sum is 0 at the end
+    of every run of equal edges; the sorted rows are scanned term by term,
+    all rows at once.  keys is sorted in place."""
+    keys.sort(axis=1)
+    keys = np.ascontiguousarray(keys.T)
+    running = terms[keys & ((1 << shift) - 1)]
+    np.cumsum(running, axis=0, out=running)
+    keys >>= shift
+    bad = (keys[1:] != keys[:-1]) & (running[:-1] != 0)
+    return int(np.count_nonzero(bad.any(axis=0) | (running[-1] != 0)))
+
+
+def _cocycle_failures(X: GGraph, G: FiniteGroup, d: BarFlows) -> int:
     """Triples with d(g1, g2) + d(g1 g2, g3) != d(g1, g2 g3) + g1 . d(g2, g3).
 
-    Every triple is checked exactly, in int64 index arrays made for a block
+    Every triple is checked exactly, in int64 key arrays made for a block
     of g1 values at a time: at most ``_COCYCLE_BLOCK_ROWS`` triples, or one
-    g1.  The left side minus the right side of a triple is 4 k (edge,
-    coefficient) terms, where k bounds the nonzeros of a flow; flows with
-    fewer are padded with coefficient 0 on edge 0.  Each term is one key,
-    edge * span + the place of its signed coefficient in ``terms``, so one
-    sort orders a triple's terms by edge, and they sum to 0 on every edge
-    exactly when their running sum is 0 at the end of every run of equal
-    edges.  An edge of d out of range is refused.
+    g1.  The left side minus the right side of a triple is 4 k terms, k
+    those of each flow of d, indexed by fancy indexing into d's keys.
     """
-    n = G.order
-    k = max(map(len, d.values()), default=0) or 1
-    flat_edges, flat_coefs = [], []
-    for flow in (d[(g, h)] for g in range(n) for h in range(n)):
-        pad = [0] * (k - len(flow))
-        flat_edges += [*flow, *pad]
-        flat_coefs += [*flow.values(), *pad]
-    bound = (1 << 62) // (4 * k)  # then no running sum of 4 k terms overflows
-    certify(max(map(abs, flat_coefs)) < bound, "bar flow coefficients sum exactly in int64")
-    if not 0 <= min(flat_edges) <= max(flat_edges) < X.n_edges:
-        raise InvalidParameterError("bar flow edge out of range")
-    size = n * n * k
-    span = 2 * size  # the places of the coefficients of d, then of -d
-    certify(X.n_edges * span < 1 << 63, "bar flow keys fit in int64")
-    coefs = np.array(flat_coefs, dtype=np.int64)
-    terms = np.concatenate([coefs, -coefs])
-    place = np.arange(size, dtype=np.int64).reshape(n, n, k)
-    edges = np.array(flat_edges, dtype=np.int64).reshape(n, n, k)
-    plus = edges * span + place  # the keys of d(g, h); + size for -d(g, h)
-    perms = np.array(X.edge_gset.action, dtype=np.int64) * span
-    table = np.array(G.table, dtype=np.int64)
+    plus, terms, shift = _term_keys(X, d)
+    n, k = G.order, plus.shape[2]
+    minus = plus + plus.size  # the keys of -d
+    moved = X.edge_gset.action_array << shift  # g1 moves edge << shift to moved[g1, edge]
+    minus_place = minus & ((1 << shift) - 1)
+    edges, table = d[0], G.table_array
     step = max(1, _COCYCLE_BLOCK_ROWS // (n * n))
     failures = 0
     for start in range(0, n, step):
@@ -288,57 +317,45 @@ def _cocycle_failures(X: GGraph, G: FiniteGroup, d: Dict[Tuple[int, int], Flow])
         keys = np.empty((len(g1), n, n, 4, k), dtype=np.int64)  # (g1, g2, g3, term)
         keys[:, :, :, 0] = plus[g1][:, :, None]  # d(g1, g2)
         keys[:, :, :, 1] = plus[table[g1]]  # d(g1 g2, g3)
-        keys[:, :, :, 2] = plus[g1[:, None, None], table] + size  # -d(g1, g2 g3)
-        keys[:, :, :, 3] = perms[g1[:, None, None, None], edges] + place + size  # -g1 . d(g2, g3)
-        keys = np.sort(keys.reshape(-1, 4 * k), axis=1)
-        edge = keys // span
-        running = np.cumsum(terms[keys - edge * span], axis=1)
-        bad = running[:, -1] != 0
-        bad |= ((running[:, :-1] != 0) & (edge[:, 1:] != edge[:, :-1])).any(axis=1)
-        failures += int(np.count_nonzero(bad))
+        keys[:, :, :, 2] = minus[g1[:, None, None], table]  # -d(g1, g2 g3)
+        np.add(np.take(moved[g1], edges, axis=1), minus_place, out=keys[:, :, :, 3])  # -g1 . d(g2, g3)
+        failures += _failing_rows(keys.reshape(-1, 4 * k), terms, shift)
     return failures
 
 
-def _tree_recursion_failures(
-    X: GGraph, G: FiniteGroup, d: Dict[Tuple[int, int], Flow]
-) -> int:
+def _tree_recursion_failures(X: GGraph, G: FiniteGroup, d: BarFlows) -> int:
     """Pairs with d(h, g) != [e -> h] + h . [e -> g] - [e -> hg] on the star-tree edges.
 
     X is the Cayley graph on the non-identity elements.  The right side is
     0 when g or h is e.  Otherwise it is 1 on the edges (e, h) and
-    h . (e, g) = (h, hg), and -1 on (e, hg) unless hg = e; the three edges
-    are distinct, so each map is written down without a merge.
+    h . (e, g) = (h, hg), and -1 on (e, hg) unless hg = e.  Each pair is a
+    row of the k terms of d(h, g) and the three of the right side, negated.
     """
-    e = G.identity
-    idx = X.edge_index()
-    star = [idx[(e, g)] if g != e else None for g in G.elements()]
-    bad = 0
-    for h in G.elements():
-        perm, row = X.edge_gset.action[h], G.table[h]
-        for g in G.elements():
-            expected = {}
-            if e not in (g, h):
-                expected = {star[h]: 1, perm[star[g]]: 1}
-                if row[g] != e:
-                    expected[star[row[g]]] = -1
-            bad += d[(h, g)] != expected
-    return bad
+    plus, terms, shift = _term_keys(X, d)
+    n, e, table = G.order, G.identity, G.table_array
+    ends = X.edge_array
+    star = np.zeros(n, dtype=np.int64)  # star[g]: the edge e -> g
+    tree = np.flatnonzero(ends[:, 0] == e)
+    star[ends[tree, 1]] = tree
+    h = np.arange(n)[:, None]
+    right = np.stack(np.broadcast_arrays(star[h], X.edge_gset.action_array[h, star], star[table]), axis=-1)
+    place = np.empty_like(right)
+    place[...] = 2 * plus.size + np.array([0, 0, 1])  # the places of -1, -1 and 1
+    place[e] = place[:, e] = 2 * plus.size + 2  # that of 0
+    place[table == e, 2] = 2 * plus.size + 2
+    keys = np.concatenate([plus, right << shift | place], axis=2)
+    return _failing_rows(keys.reshape(n * n, -1), terms, shift)
 
 
-def _star_tree_basis(X: GGraph, G: FiniteGroup, d: Dict[Tuple[int, int], Flow]) -> FlowLattice:
+def _star_tree_basis(X: GGraph, G: FiniteGroup, d: BarFlows) -> FlowLattice:
     """The bar flows d(u, u^-1 v) of the edges (u, v) off the star tree at e,
     certified as a basis of the flows of X, the Cayley graph on the
     non-identity elements; raises SpanningTreeBasisError when they are not."""
-    e = G.identity
-    idx = X.edge_index()
-    star_tree = [idx[(e, g)] for g in G.elements() if g != e]
-    star_set = set(star_tree)
-    candidates = [
-        d[(u, G.mul(G.inverses[u], v))]
-        for k, (u, v) in enumerate(X.edges)
-        if k not in star_set
-    ]
-    return spanning_tree_basis(X, star_tree, candidates)
+    ends = X.edge_array
+    on_star = ends[:, 0] == G.identity
+    u, v = ends[~on_star].T
+    h = G.table_array[np.array(G.inverses)[u], v]
+    return spanning_tree_basis_of_arrays(X, np.flatnonzero(on_star), d[0][u, h], d[1][u, h])
 
 
 def check_bar_cocycle(G: FiniteGroup) -> CheckReport:
@@ -436,7 +453,8 @@ def check_sn_restrictions(n: int) -> CheckReport:
     H2 = V.stabilizer(n - 1)
     ck.record("point stabilizer order", H2.order == G.order // n, f"order {H2.order}")
     star = [idx[(i, n - 1)] for i in range(n - 1)]
-    candidates = list(fundamental_cycles(X, star).values())
+    star_set = set(star)
+    candidates = list(fundamental_cycles(X, star, [e for e in range(X.n_edges) if e not in star_set]).values())
     fl2 = spanning_tree_basis(X, star, candidates)
     ck.record("star-tree flows form a basis", True, f"rank {fl2.rank}")
     cand_set = {frozenset(c.items()) for c in candidates}

@@ -6,13 +6,14 @@ the removed edges, onto their permutation lattice.
 Every G-graph is built from its vertex G-set, its edges and an explicit
 edge action, checked on the generators against the vertex action.  Every
 cycle is walked one way, pinned for determinism: ``fundamental_cycles``
-closes each edge outside a spanning edge set through the breadth-first
-tree of the set from vertex 0, scanning edges in listed order.  Every
-flow basis is certified one way: ``spanning_tree_basis``, by its
-triangular +-1 minor on the non-tree edges.  Every edge vector (a
-candidate, a cycle, a circular flow) is a ``Flow``, the map of its
-nonzero coefficients by edge, so certifying a basis costs time in its
-nonzeros, and flows are solved for by ``express_columns`` of the
+closes each edge it is given outside a spanning edge set through the
+breadth-first tree of the set from vertex 0, scanning edges in listed
+order.  Every flow basis is certified one way, by its triangular +-1
+minor on the non-tree edges: ``spanning_tree_basis``, or
+``spanning_tree_basis_of_arrays`` for candidates in padded arrays.  Every
+edge vector (a candidate, a cycle, a circular flow) is a ``Flow``, the
+map of its nonzero coefficients by edge, so certifying a basis costs time
+in its nonzeros, and flows are solved for by ``express_columns`` of the
 lattice's solver; the dense basis matrix is made from the basis flows
 only when first read.  Caller numbers (edge endpoints, generators, tree
 and spanning edges, candidate edges and coefficients, edge indices)
@@ -20,13 +21,28 @@ enter through ``operator.index``, so a float is refused, not truncated.
 A flow lattice is a G-lattice that keeps its graph and the solver of its
 basis: each action matrix is solved for when first read, so a caller
 that needs only the basis or the rank makes no solve.
+
+A graph keeps an int64 image of its edges (``GGraph.edge_array``).  At or
+above ``groups._ARRAY_CHECK_ENTRIES`` entries (of the edge action, or of
+the candidates), the endpoint check and the basis certificate compare
+whole int64 tables: one fancy-index comparison of the moved endpoints per
+generator, and the candidates as (candidate, edge, coefficient) columns,
+their flow condition one scatter-add.  Below it they check entry by
+entry, which is faster there.  Both forms refuse alike, first failure
+first.  ``cayley_graph`` and ``complete_edges`` build their edges and
+edge action with one broadcast of the group or vertex table; a Cayley
+table below the constant is built as lists.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections import deque
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .cohom import split_iso
 from .errors import GlatticeError, InvalidParameterError, certify
@@ -38,7 +54,16 @@ from .gmod import (
     permutation_lattice,
     span_action,
 )
-from .groups import FiniteGroup, GSet, Subgroup, regular_gset
+from .groups import (
+    _ARRAY_CHECK_ENTRIES,
+    FiniteGroup,
+    GSet,
+    Subgroup,
+    _int64_table,
+    _python_rows,
+    _read_only,
+    regular_gset,
+)
 from .intlinalg import BasisSolver, IntMatrix
 
 
@@ -57,19 +82,36 @@ class GGraph:
                  edge_action: Sequence[Sequence[int]]):
         self.vertices = vertices
         self.group = vertices.group
-        self.edges = [(operator.index(s), operator.index(t)) for s, t in edges]
-        for s, t in self.edges:
-            if not (0 <= s < vertices.size and 0 <= t < vertices.size):
+        # sized by the entries of the edge action
+        ends = _int64_table(edges) if self.group.order * len(edges) >= _ARRAY_CHECK_ENTRIES else None
+        if ends is not None and ends.shape[1] == 2:
+            if ends.min() < 0 or ends.max() >= vertices.size:
+                raise InvalidParameterError("edge endpoint out of range")
+            self.edges = list(map(tuple, ends.tolist()))
+        else:
+            ends = None
+            self.edges = [(operator.index(s), operator.index(t)) for s, t in _python_rows(edges)]
+            if any(not (0 <= s < vertices.size and 0 <= t < vertices.size) for s, t in self.edges):
                 raise InvalidParameterError("edge endpoint out of range")
         # the edge G-set checks that the edge action is a homomorphism
         self.edge_gset = GSet(self.group, edge_action)
         if self.edge_gset.size != len(self.edges):
             raise InvalidParameterError("edge action entries are not permutations")
-        self._validate()
+        if ends is None:
+            self._validate()
+        else:
+            self.__dict__["edge_array"] = _read_only(ends)
+            self._validate_by_table()
         self._components: Optional[List[Tuple[int, ...]]] = None
 
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (n_edges, 2) int64 array of (source,
+        target) rows, made once."""
+        return _read_only(np.array(self.edges, dtype=np.int64).reshape(len(self.edges), 2))
+
     def _validate(self) -> None:
-        """Check that edge endpoints move with the vertices.
+        """Check that edge endpoints move with the vertices, edge by edge.
 
         Generators suffice, since both actions are homomorphisms.
         """
@@ -81,6 +123,17 @@ class GGraph:
                     raise InvalidParameterError(
                         f"edge action incompatible with vertex action at g={s}, edge={e}"
                     )
+
+    def _validate_by_table(self) -> None:
+        """``_validate`` as one fancy-index comparison per generator s of the
+        moved endpoints of every edge with the endpoints of its image."""
+        ends, moved, edge_action = self.edge_array, self.vertices.action_array, self.edge_gset.action_array
+        for s in self.group.generators:
+            bad = ends[edge_action[s]] != moved[s][ends]
+            if bad.any():
+                raise InvalidParameterError(
+                    f"edge action incompatible with vertex action at g={s}, edge={int(bad.any(axis=1).argmax())}"
+                )
 
     @property
     def n_vertices(self) -> int:
@@ -141,14 +194,13 @@ def complete_edges(vertices: GSet, loops: bool = False) -> GGraph:
     n = vertices.size
     if n == 0:
         raise InvalidParameterError("vertex set must be nonempty")
-    edges = [(u, v) for u in range(n) for v in range(n) if u != v or loops]
-    # the row vg of g lists (g u, g v) in edge order, pair by pair
-    if loops:
-        action = [[a * n + b for a in vg for b in vg] for vg in vertices.action]
-    else:
-        action = [[a * (n - 1) + b - (b > a) for a in vg for b in vg if a != b]
-                  for vg in vertices.action]
-    return GGraph(vertices, edges, action)
+    ends = np.stack(np.divmod(np.arange(n * n), n), axis=1)  # (u, v) in edge order
+    if not loops:
+        ends = ends[ends[:, 0] != ends[:, 1]]
+    # row g of the action numbers the edge (g u, g v) of each edge (u, v)
+    a, b = (vertices.action_array[:, ends[:, i]] for i in (0, 1))
+    action = a * n + b if loops else a * (n - 1) + b - (b > a)
+    return GGraph(vertices, ends, action)
 
 
 def cayley_graph(G: FiniteGroup, generators: Sequence[int]) -> GGraph:
@@ -164,12 +216,19 @@ def cayley_graph(G: FiniteGroup, generators: Sequence[int]) -> GGraph:
             raise InvalidParameterError(f"generator index {s} out of range")
         if s not in gens:
             gens.append(s)
-    vertices = regular_gset(G)
-    n = G.order
-    edges = [(g, G.table[g][s]) for s in gens for g in range(n)]
-    # h (g, g s_k) = (h g, h g s_k): edge k n + g moves to k n + h g
-    action = [[k * n + hg for k in range(len(gens)) for hg in G.table[h]] for h in range(n)]
-    return GGraph(vertices, edges, action)
+    n, m = G.order, len(gens)
+    # edge k n + g is (g, g s_k), and h moves it to (h g, h g s_k), edge k n + h g;
+    # a table checked entry by entry is built as lists, a larger one by one broadcast
+    if n * m * n < _ARRAY_CHECK_ENTRIES:
+        edges = [(g, G.table[g][s]) for s in gens for g in range(n)]
+        action = [[k * n + hg for k in range(m) for hg in G.table[h]] for h in range(n)]
+        return GGraph(regular_gset(G), edges, action)
+    table = G.table_array
+    ends = np.empty((m, n, 2), dtype=np.int64)
+    ends[:, :, 0] = np.arange(n)
+    ends[:, :, 1] = table.T[gens]
+    action = (table[:, None, :] + n * np.arange(m)[:, None]).reshape(n, m * n)
+    return GGraph(regular_gset(G), ends.reshape(m * n, 2), action)
 
 
 def boundary_matrix(X: GGraph) -> EquivariantMap:
@@ -241,7 +300,8 @@ def flow_lattice(X: GGraph) -> FlowLattice:
         if a != b:
             root[a] = b
             tree.add(e)
-    return spanning_tree_basis(X, tree, list(fundamental_cycles(X, tree).values()))
+    non_tree = [e for e in range(X.n_edges) if e not in tree]
+    return spanning_tree_basis(X, tree, list(fundamental_cycles(X, tree, non_tree).values()))
 
 
 # -- search trees and fundamental cycles ---------------------------------------------
@@ -285,34 +345,38 @@ def _bfs(
     return prev
 
 
-def fundamental_cycles(X: GGraph, spanning: Iterable[int]) -> Dict[int, Flow]:
-    """The cycle of each edge outside a connected spanning edge set, keyed
-    by edge in edge order: the edge forward, closed by the path between its
-    ends in the breadth-first tree of the set from vertex 0.  Over a tree
-    that path is the only one.
+def fundamental_cycles(X: GGraph, spanning: Iterable[int], closing: Iterable[int]) -> Dict[int, Flow]:
+    """The cycle of each closing edge, keyed by edge in the order given: the
+    edge forward, closed by the path between its ends in the breadth-first
+    tree from vertex 0 of a connected spanning edge set.  Over a tree that
+    path is the only one, and a closing edge on the tree closes to 0.
 
     >>> from glattice.groups import cyclic
     >>> X = cayley_graph(cyclic(3), [1])  # the triangle 0 -> 1 -> 2 -> 0
-    >>> fundamental_cycles(X, [0, 1])
+    >>> fundamental_cycles(X, [0, 1], [2])
     {2: {2: 1, 1: 1, 0: 1}}
+    >>> fundamental_cycles(X, [0, 1, 2], [1, 2])  # the tree is edges 0 and 2
+    {1: {1: 1, 0: 1, 2: 1}, 2: {}}
     """
     inside = set(map(operator.index, spanning))
     if inside and not (min(inside) >= 0 and max(inside) < X.n_edges):
         raise InvalidParameterError("spanning edge out of range")
+    closing = list(map(operator.index, closing))
+    if closing and not (min(closing) >= 0 and max(closing) < X.n_edges):
+        raise InvalidParameterError("closing edge out of range")
     prev = _bfs(X, 0, sorted(inside))
     if None in prev[1:]:
         raise InvalidParameterError("edge set does not span the graph")
     # the path t -> s is the tree path from the root to s less the one to t
     cycles: Dict[int, Flow] = {}
-    for e in range(X.n_edges):
-        if e not in inside:
-            vec = {e: 1}
-            for v, c in ((X.edges[e][0], 1), (X.edges[e][1], -1)):
-                while prev[v] is not None:
-                    f, sign = prev[v]
-                    vec[f] = vec.get(f, 0) + c * sign
-                    v = X.edges[f][0] if sign == 1 else X.edges[f][1]
-            cycles[e] = {f: c for f, c in vec.items() if c}
+    for e in closing:
+        vec = {e: 1}
+        for v, c in ((X.edges[e][0], 1), (X.edges[e][1], -1)):
+            while prev[v] is not None:
+                f, sign = prev[v]
+                vec[f] = vec.get(f, 0) + c * sign
+                v = X.edges[f][0] if sign == 1 else X.edges[f][1]
+        cycles[e] = {f: c for f, c in vec.items() if c}
     return cycles
 
 
@@ -332,11 +396,60 @@ def spanning_tree_basis(
     span check, and it is its own solver.  These checks read only the
     nonzero coefficients, and the solver makes the dense basis matrix only
     when it is first read.  A tree edge out of range is refused.
+
+    Candidates with at least ``_ARRAY_CHECK_ENTRIES`` entries in all are
+    certified on int64 columns (``_tree_basis_by_columns``), fewer entry by
+    entry (``_tree_basis_by_entries``); both refuse alike.
     """
+    non_tree = _non_tree_edges(X, tree_edges, len(candidates))
+    if sum(map(len, candidates)) >= _ARRAY_CHECK_ENTRIES:
+        try:
+            edge = list(map(operator.index, itertools.chain.from_iterable(candidates)))
+            coef = list(map(operator.index, itertools.chain.from_iterable(c.values() for c in candidates)))
+        except TypeError:  # refused by the per-entry form, after the candidates before it
+            pass
+        else:
+            candidate = np.repeat(np.arange(len(candidates)), list(map(len, candidates)))
+            return _tree_basis_by_columns(X, non_tree, candidate, _integer_array(edge), _integer_array(coef))
+    return _tree_basis_by_entries(X, non_tree, candidates)
+
+
+def spanning_tree_basis_of_arrays(
+    X: GGraph, tree_edges: Iterable[int], edges: np.ndarray, coefficients: np.ndarray
+) -> FlowLattice:
+    """``spanning_tree_basis`` of candidates given as padded (count, k)
+    integer arrays: candidate i is coefficient [i, j] on edge [i, j],
+    summed over j, so a padding entry is coefficient 0 on any edge.
+
+    At least ``_ARRAY_CHECK_ENTRIES`` entries are certified on their int64
+    columns as they are, fewer entry by entry as flows.
+    """
+    non_tree = _non_tree_edges(X, tree_edges, len(edges))
+    if edges.size >= _ARRAY_CHECK_ENTRIES:
+        candidate = np.repeat(np.arange(len(edges)), edges.shape[1])
+        return _tree_basis_by_columns(X, non_tree, candidate, edges.ravel(), coefficients.ravel())
+    flows = []
+    for row_edges, row_coefs in zip(edges.tolist(), coefficients.tolist()):
+        flow: Flow = {}
+        for e, c in zip(row_edges, row_coefs):
+            flow[e] = flow.get(e, 0) + c
+        flows.append(flow)
+    return _tree_basis_by_entries(X, non_tree, flows)
+
+
+def _integer_array(values: List[int]) -> np.ndarray:
+    """The integers as an int64 array, or as Python ints where one exceeds int64."""
+    a = np.array(values)
+    return a if a.dtype.kind == "i" else np.array(values, dtype=object)
+
+
+def _non_tree_edges(X: GGraph, tree_edges: Iterable[int], count: int) -> List[int]:
+    """The edges off a spanning tree of X, in edge order, once the tree is
+    checked (in range, spanning and acyclic in the undirected sense) and
+    there is one of the count candidates for each."""
     tree = sorted(set(map(operator.index, tree_edges)))
     if tree and not (tree[0] >= 0 and tree[-1] < X.n_edges):
         raise InvalidParameterError("spanning edge out of range")
-    # validate the tree: spanning and acyclic in the undirected sense
     if len(tree) != X.n_vertices - 1:
         raise InvalidParameterError(
             f"tree has {len(tree)} edges, expected |V|-1 = {X.n_vertices - 1}"
@@ -349,15 +462,24 @@ def spanning_tree_basis(
         parent[rs] = rt
     if len({_find(parent, v) for v in range(X.n_vertices)}) != 1:
         raise InvalidParameterError("tree edges do not span the graph")
-
     tree_set = set(tree)
     non_tree = [e for e in range(X.n_edges) if e not in tree_set]
+    if count != len(non_tree):
+        raise SpanningTreeBasisError(
+            f"need {len(non_tree)} candidate flows (one per non-tree edge), got {count}"
+        )
+    return non_tree
+
+
+def _tree_basis_by_entries(
+    X: GGraph, non_tree: List[int], candidates: Sequence[Mapping[int, int]]
+) -> FlowLattice:
+    """The triangular-tree certificate entry by entry: each entry through
+    ``operator.index`` and its edge's range, then the flow condition of
+    its candidate, candidate by candidate; then the +-1 diagonal and the
+    first non-tree position of each candidate, in candidate order."""
     position = {e: j for j, e in enumerate(non_tree)}
     r = len(non_tree)
-    if len(candidates) != r:
-        raise SpanningTreeBasisError(
-            f"need {r} candidate flows (one per non-tree edge), got {len(candidates)}"
-        )
     cols: List[Flow] = []
     first = []  # each candidate's smallest nonzero non-tree position
     edges, n_edges = X.edges, X.n_edges
@@ -379,15 +501,92 @@ def spanning_tree_basis(
         first.append(min((position[e] for e in vec if e in position), default=r))
     for i in range(r):
         d = cols[i].get(non_tree[i], 0)
-        if d not in (1, -1):
-            raise SpanningTreeBasisError(
-                f"diagonal entry f_{i}(e_{non_tree[i]}) = {d} is not +-1"
-            )
-        if first[i] < i:
-            raise SpanningTreeBasisError(
-                f"matrix not upper triangular: f_{i}(e_{non_tree[first[i]]}) != 0"
-            )
-    return FlowLattice(X, BasisSolver._of_triangular(X.n_edges, non_tree, cols))
+        if d not in (1, -1) or first[i] < i:
+            _check_pivot(non_tree, i, d, first[i])
+    return FlowLattice(X, BasisSolver._of_triangular(n_edges, non_tree, cols))
+
+
+def _check_pivot(non_tree: List[int], i: int, diagonal: int, first: int) -> None:
+    """Refuse candidate i unless its diagonal entry is +-1 and its first
+    nonzero non-tree position is not before i."""
+    if diagonal not in (1, -1):
+        raise SpanningTreeBasisError(
+            f"diagonal entry f_{i}(e_{non_tree[i]}) = {diagonal} is not +-1"
+        )
+    if first < i:
+        raise SpanningTreeBasisError(
+            f"matrix not upper triangular: f_{i}(e_{non_tree[first]}) != 0"
+        )
+
+
+def _tree_basis_by_columns(
+    X: GGraph, non_tree: List[int], candidate: np.ndarray, edge: np.ndarray, coef: np.ndarray
+) -> FlowLattice:
+    """``_tree_basis_by_entries`` on (candidate, edge, coefficient) columns,
+    one row per entry, candidates in increasing order, where entries on
+    one edge add: the same refusals in the same order.
+
+    The edge range comes first; an edge out of range is refused after the
+    flow condition of the candidates before its own.  The flow condition
+    is one scatter-add over (candidate, vertex), in int64 when the largest
+    coefficient times twice the entry count is below 2**63, else in Python
+    ints.  One sort of (candidate, edge) keys orders the entries and adds
+    those on one edge; one scatter-min gives each candidate's first
+    nonzero non-tree position, read with the diagonal entries to refuse
+    the first failing candidate as the per-entry form does.
+    """
+    r, n_edges = len(non_tree), X.n_edges
+    big = max(-int(coef.min()), int(coef.max()))
+    coef = coef.astype(np.int64 if big * 2 * len(coef) < 1 << 63 else object)
+    outside = (edge < 0) | (edge >= n_edges)
+    if outside.any():
+        p = int(outside.argmax())
+        before = candidate < candidate[p]
+        _check_flows(X, r, candidate[before], edge[before].astype(np.int64), coef[before])
+        raise InvalidParameterError(f"candidate {candidate[p]} has edge {edge[p]} out of range")
+    edge = edge.astype(np.int64)
+    _check_flows(X, r, candidate, edge, coef)
+
+    key = candidate * n_edges + edge
+    order = np.argsort(key)
+    key, coef = key[order], coef[order]
+    if (key[1:] == key[:-1]).any():  # entries on one edge add
+        starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        key, coef = key[starts], np.add.reduceat(coef, starts)
+    nonzero = coef != 0
+    candidate, edge = np.divmod(key[nonzero], n_edges)
+    coef = coef[nonzero]
+
+    position = np.full(n_edges, r, dtype=np.int64)  # r off the non-tree edges
+    position[non_tree] = np.arange(r)
+    pos = position[edge]
+    first = np.full(r, r, dtype=np.int64)
+    np.minimum.at(first, candidate, pos)
+    diagonal = np.zeros(r, dtype=coef.dtype)
+    on_diagonal = pos == candidate
+    diagonal[candidate[on_diagonal]] = coef[on_diagonal]
+    failing = (first < np.arange(r)) | (diagonal != 1) & (diagonal != -1)
+    if failing.any():
+        i = int(failing.argmax())
+        _check_pivot(non_tree, i, int(diagonal[i]), int(first[i]))
+
+    cols: List[Flow] = [{} for _ in range(r)]
+    for i, e, c in zip(candidate.tolist(), edge.tolist(), coef.tolist()):
+        cols[i][e] = c
+    return FlowLattice(X, BasisSolver._of_triangular(n_edges, non_tree, cols))
+
+
+def _check_flows(X: GGraph, r: int, candidate: np.ndarray, edge: np.ndarray, coef: np.ndarray) -> None:
+    """Refuse the first of r candidates, given by columns with edges in
+    range, whose boundary is not 0: one scatter-add of +c at the target and
+    -c at the source of every entry, over (candidate, vertex)."""
+    ends, n = X.edge_array, X.n_vertices
+    net = np.zeros(r * n, dtype=coef.dtype)
+    np.add.at(net, candidate * n + ends[edge, 1], coef)
+    np.subtract.at(net, candidate * n + ends[edge, 0], coef)
+    if net.any():
+        bad = int((net.reshape(r, n) != 0).any(axis=1).argmax())
+        raise InvalidParameterError(f"candidate {bad} violates the flow condition")
 
 
 # -- subgraphs and edge removal --------------------------------------------------
@@ -431,8 +630,10 @@ def remove_edges_decomposition(X: GGraph, X_sub: GGraph) -> EquivariantMap:
 
     # the subgraph flows extended by zero, then each removed edge's circular flow
     flows = [{sub_in_X[e]: c for e, c in col.items()} for col in fl_sub.basis.column_nonzeros()]
-    closed, circular = fundamental_cycles(X, sub_in_X), [None] * len(removed)
-    for base, transversal in quotient.gset.orbit_transversal():
+    orbits = quotient.gset.orbit_transversal()
+    closed = fundamental_cycles(X, sub_in_X, [removed[base] for base, _ in orbits])
+    circular = [None] * len(removed)
+    for base, transversal in orbits:
         for p, g in transversal:
             circular[p] = X.edge_gset.move(g, closed[removed[base]])
     matrix = fl.solver.express_columns(flows + circular)

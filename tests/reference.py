@@ -42,7 +42,8 @@ kernel of the stacked h - 1, direct sums folded two at a time, the
 section of a permutation quotient found orbit by orbit against those
 fixed points and moved point by point, and the flasque scan over every
 subgroup class in order.  Dense vectors, which the library no longer
-takes, are multiplied, solved for and flattened here.  The rank-formula
+takes, are multiplied, solved for and flattened here, and flows given
+as dicts are laid out as the padded arrays the bar-cocycle checks read.  The rank-formula
 graphs built by the group and G-set constructors, as they were before
 the command line read them from graph specs.  The tensor lattice, and
 the dense Bezout embedding and retraction through tensors with coset
@@ -989,6 +990,29 @@ def tree_recursion_failures_dense(X, G: FiniteGroup, d) -> int:
     return bad
 
 
+def bar_arrays(d, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The padded (n, n, k) edge and coefficient arrays of a dict of flows
+    d[(g, h)], {edge: coefficient}, that the library's bar-cocycle checks
+    read: entry i of d(g, h) in order, explicit zeros kept, then padding
+    coefficient 0 on edge 0; k is the longest flow, at least 1.  The
+    coefficients are Python ints where one exceeds int64."""
+    k = max(map(len, d.values()), default=0) or 1
+    edges = np.zeros((n, n, k), dtype=np.int64)
+    coefs = np.zeros((n, n, k), dtype=object)
+    for (g, h), flow in d.items():
+        edges[g, h, : len(flow)] = list(flow)
+        coefs[g, h, : len(flow)] = list(flow.values())
+    if all(-(2**63) <= c < 2**63 for c in coefs.flat):
+        coefs = coefs.astype(np.int64)
+    return edges, coefs
+
+
+def bar_flow_dicts(X, G: FiniteGroup) -> dict:
+    """Every bar flow d(g, h), keyed by (g, h), as the map of its nonzero
+    coefficients by edge (``bar_flow_dense``)."""
+    return {(g, h): as_flow(bar_flow_dense(X, G, g, h)) for g in G.elements() for h in G.elements()}
+
+
 def cocycle_failures_by_dicts(X, G: FiniteGroup, d) -> int:
     """Triples failing d(g1, g2) + d(g1 g2, g3) = d(g1, g2 g3) + g1 . d(g2, g3),
     with d as {edge: coefficient} maps: one dict merge per triple."""
@@ -1011,7 +1035,8 @@ def cocycle_failures_by_dicts(X, G: FiniteGroup, d) -> int:
 
 def tree_recursion_failures_by_dicts(X, G: FiniteGroup, d) -> int:
     """Pairs failing d(h, g) = [e -> h] + h . [e -> g] - [e -> hg], with d as
-    {edge: coefficient} maps: three unit maps moved and merged per pair."""
+    {edge: coefficient} maps, where an explicit zero means 0: three unit
+    maps moved and merged per pair."""
     e = G.identity
     idx = X.edge_index()
 
@@ -1030,9 +1055,16 @@ def tree_recursion_failures_by_dicts(X, G: FiniteGroup, d) -> int:
         perm = X.edge_gset.action[h]
         for g in G.elements():
             moved = {perm[k]: c for k, c in edge_unit(g).items()}
-            if d[(h, g)] != sum_flows(edge_unit(h), moved, edge_unit(G.mul(h, g), -1)):
+            if sum_flows(d[(h, g)]) != sum_flows(edge_unit(h), moved, edge_unit(G.mul(h, g), -1)):
                 bad += 1
     return bad
+
+
+def edges_outside(X, spanning) -> List[int]:
+    """The edges of X outside an edge set, in edge order: those
+    ``fundamental_cycles`` closes over a spanning tree or set."""
+    inside = set(spanning)
+    return [e for e in range(X.n_edges) if e not in inside]
 
 
 def as_flow(vec: Sequence[int]) -> dict:
@@ -1587,7 +1619,7 @@ def remove_edges_decomposition(X, X_sub) -> EquivariantMap:
     # flows per removed orbit: its representative closed in the subgraph
     embedded = [{sub_in_X[e]: c for e, c in col.items()} for col in fl_sub.basis.column_nonzeros()]
     flows = list(embedded)
-    closed = fundamental_cycles(X, sub_in_X)
+    closed = fundamental_cycles(X, sub_in_X, edges_outside(X, sub_in_X))
     for orbit in removed_orbits:
         flows += [X.edge_gset.move(g, closed[orbit[0]]) for g in range(G.order)]
     matrix = fl.solver.express_columns(flows)

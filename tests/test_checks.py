@@ -150,7 +150,7 @@ class TestBarCocycle:
         def broken(*args):
             raise TypeError("unhashable type: 'list'")
 
-        monkeypatch.setattr(checks_mod, "spanning_tree_basis", broken)
+        monkeypatch.setattr(checks_mod, "spanning_tree_basis_of_arrays", broken)
         assert main(["check", "bar-cocycle", "--group", "C:4"]) == 3
         assert "internal error: TypeError" in capsys.readouterr().err
 
@@ -160,7 +160,7 @@ class TestBarCocycle:
         def refusing(*args):
             raise SpanningTreeBasisError(message)
 
-        monkeypatch.setattr(checks_mod, "spanning_tree_basis", refusing)
+        monkeypatch.setattr(checks_mod, "spanning_tree_basis_of_arrays", refusing)
         assert main(["check", "bar-cocycle", "--group", "C:4"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "fail"

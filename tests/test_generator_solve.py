@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,7 +48,9 @@ from glattice.groups import cyclic, natural_gset, regular_gset, subgroup_conjuga
 from glattice.intlinalg import BasisSolver, IntMatrix, pivot_columns
 from reference import (
     as_flow,
+    bar_arrays,
     bar_flow_dense,
+    bar_flow_dicts,
     check_exact_by_kernel,
     cocycle_failures_by_dicts,
     cocycle_failures_dense,
@@ -410,28 +413,39 @@ class TestSparseBarFlows:
     def test_against_dense_loops(self, spec):
         G = parse_group_spec(spec)
         X = cayley_graph(G, [g for g in G.elements() if g != G.identity])
-        sparse = _bar_flows(X, G)
-        dense = {key: bar_flow_dense(X, G, *key) for key in sparse}
-        for key, flow in sparse.items():
-            assert all(c != 0 for c in flow.values())
-            assert tuple(flow.get(e, 0) for e in range(X.n_edges)) == dense[key]
-        assert _cocycle_failures(X, G, sparse) == cocycle_failures_dense(X, G, dense) == 0
-        assert _tree_recursion_failures(X, G, sparse) == 0
+        edges, coefs = _bar_flows(X, G)
+        assert edges.shape == coefs.shape == (G.order, G.order, 3)
+        assert edges.dtype == coefs.dtype == np.int64
+        assert (edges[coefs == 0] == 0).all()  # a dropped term is 0 on edge 0
+        dense = {}
+        for g in G.elements():
+            for h in G.elements():
+                used = edges[g, h][coefs[g, h] != 0].tolist()
+                assert len(set(used)) == len(used)  # one term per edge
+                vec = np.zeros(X.n_edges, dtype=np.int64)
+                np.add.at(vec, edges[g, h], coefs[g, h])
+                dense[(g, h)] = bar_flow_dense(X, G, g, h)
+                assert tuple(vec.tolist()) == dense[(g, h)]
+        d = (edges, coefs.copy())
+        assert _cocycle_failures(X, G, d) == cocycle_failures_dense(X, G, dense) == 0
+        assert _tree_recursion_failures(X, G, d) == 0
         assert tree_recursion_failures_dense(X, G, dense) == 0
         # a corrupted flow breaks both routes alike
         g, h = G.generators[0], G.generators[-1]
-        sparse[(g, h)] = {e: -c for e, c in sparse[(g, h)].items()}
+        d[1][g, h] *= -1
         dense[(g, h)] = tuple(-c for c in dense[(g, h)])
-        bad = _cocycle_failures(X, G, sparse)
+        bad = _cocycle_failures(X, G, d)
         assert bad > 0 and bad == cocycle_failures_dense(X, G, dense)
-        assert _tree_recursion_failures(X, G, sparse) == tree_recursion_failures_dense(X, G, dense) > 0
+        assert _tree_recursion_failures(X, G, d) == tree_recursion_failures_dense(X, G, dense) > 0
 
 
 @lru_cache(maxsize=None)
 def _bar_case(spec):
+    """The group, its Cayley graph on the non-identity elements, and its
+    bar flows as {edge: coefficient} maps from the dense reference."""
     G = parse_group_spec(spec)
     X = cayley_graph(G, [g for g in G.elements() if g != G.identity])
-    return G, X, _bar_flows(X, G)
+    return G, X, bar_flow_dicts(X, G)
 
 
 class TestCocycleCheckAgainstDictLoops:
@@ -454,7 +468,7 @@ class TestCocycleCheckAgainstDictLoops:
                 d[key] = dict(d[data.draw(st.sampled_from(pairs))])
             elif d[key]:
                 d[key] = dict(list(d[key].items())[1:])
-        assert _cocycle_failures(X, G, d) == cocycle_failures_by_dicts(X, G, d)
+        assert _cocycle_failures(X, G, bar_arrays(d, G.order)) == cocycle_failures_by_dicts(X, G, d)
 
     def test_coefficients_that_could_overflow_refused(self):
         """Twelve terms of up to 2**62 / 12 each sum exactly in int64."""
@@ -462,10 +476,11 @@ class TestCocycleCheckAgainstDictLoops:
         d = dict(bar)
         key = next(k for k, flow in d.items() if len(flow) == 3)
         d[key] = {e: c * ((1 << 62) // 12 - 1) for e, c in bar[key].items()}
-        assert _cocycle_failures(X, G, d) == cocycle_failures_by_dicts(X, G, d) > 0
-        d[key] = {e: c * ((1 << 62) // 12) for e, c in bar[key].items()}
-        with pytest.raises(CertificateError, match="sum exactly in int64"):
-            _cocycle_failures(X, G, d)
+        assert _cocycle_failures(X, G, bar_arrays(d, 3)) == cocycle_failures_by_dicts(X, G, d) > 0
+        for scale in ((1 << 62) // 12, 1 << 64):  # the second past int64 itself
+            d[key] = {e: c * scale for e, c in bar[key].items()}
+            with pytest.raises(CertificateError, match="sum exactly in int64"):
+                _cocycle_failures(X, G, bar_arrays(d, 3))
 
     @pytest.mark.parametrize("spec", BAR_GROUPS + ["C:25"])
     def test_one_negated_flow_in_every_block(self, spec):
@@ -479,7 +494,7 @@ class TestCocycleCheckAgainstDictLoops:
         key = max(k for k, flow in d.items() if flow)
         d[key] = {e: -c for e, c in d[key].items()}
         expected = cocycle_failures_by_dicts(X, G, d)
-        assert _cocycle_failures(X, G, d) == expected
+        assert _cocycle_failures(X, G, bar_arrays(d, G.order)) == expected
         assert expected > 0 or spec == "C:2"
 
     @pytest.mark.parametrize("rows", [1, 150, 700, 1 << 20])
@@ -491,7 +506,7 @@ class TestCocycleCheckAgainstDictLoops:
             d[key] = {e: -c for e, c in d[key].items()}
         expected = cocycle_failures_by_dicts(X, G, d)
         monkeypatch.setattr(checks_mod, "_COCYCLE_BLOCK_ROWS", rows)
-        assert _cocycle_failures(X, G, d) == expected > 0
+        assert _cocycle_failures(X, G, bar_arrays(d, G.order)) == expected > 0
 
     def test_edge_out_of_range_refused(self):
         """-1 would wrap around the edge action and |E| would index past it."""
@@ -500,7 +515,7 @@ class TestCocycleCheckAgainstDictLoops:
         for edge in (-1, X.n_edges):
             d = {**bar, key: {**bar[key], edge: 1}}
             with pytest.raises(InvalidParameterError, match="^bar flow edge out of range$"):
-                _cocycle_failures(X, G, d)
+                _cocycle_failures(X, G, bar_arrays(d, 3))
 
     @pytest.mark.parametrize("spec, limit_mb", [("C:25", 4), ("C:16", 1)])
     def test_memory_stays_per_block(self, spec, limit_mb):
@@ -533,7 +548,7 @@ class TestTreeRecursionAgainstDictMerges:
             flow = dict(d[key])
             kind = data.draw(st.sampled_from(["coefficient", "move edge", "drop term"]))
             edge = data.draw(st.sampled_from(sorted(flow) or [0]))
-            if kind == "coefficient":  # 0 leaves an explicit zero
+            if kind == "coefficient":  # 0 leaves an explicit zero, which is 0
                 flow[edge] = data.draw(st.integers(-2, 2))
             elif kind == "move edge" and edge in flow:
                 c = flow.pop(edge)
@@ -542,16 +557,19 @@ class TestTreeRecursionAgainstDictMerges:
             else:
                 flow.pop(edge, None)
             d[key] = flow
-        assert _tree_recursion_failures(X, G, d) == tree_recursion_failures_by_dicts(X, G, d)
+        expected = tree_recursion_failures_by_dicts(X, G, d)
+        assert _tree_recursion_failures(X, G, bar_arrays(d, G.order)) == expected
 
     @pytest.mark.parametrize("spec", BAR_GROUPS)
     def test_bar_flows_pass_and_a_dropped_term_fails(self, spec):
         G, X, bar = _bar_case(spec)
-        assert _tree_recursion_failures(X, G, bar) == tree_recursion_failures_by_dicts(X, G, bar) == 0
+        assert _tree_recursion_failures(X, G, _bar_flows(X, G)) == 0
+        assert _tree_recursion_failures(X, G, bar_arrays(bar, G.order)) == 0
+        assert tree_recursion_failures_by_dicts(X, G, bar) == 0
         d = dict(bar)
         key = next(k for k, flow in d.items() if flow)
         d[key] = dict(list(d[key].items())[1:])
-        assert _tree_recursion_failures(X, G, d) == tree_recursion_failures_by_dicts(X, G, d) == 1
+        assert _tree_recursion_failures(X, G, bar_arrays(d, G.order)) == tree_recursion_failures_by_dicts(X, G, d) == 1
 
 
 class TestSpanningTreeBasisAgainstDenseOracle:

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import glattice.gflows as gflows_mod
 from glattice.cli import parse_group_spec, suite_definition
 from glattice.errors import InvalidParameterError
 from glattice.gflows import (
@@ -33,6 +34,7 @@ from glattice.groups import (
 from glattice.intlinalg import IntMatrix, kernel_basis, same_column_span
 from reference import (
     as_flow,
+    edges_outside,
     infer_edge_action,
     path_flow_by_bfs,
     spanning_tree_by_bfs,
@@ -327,7 +329,7 @@ class TestCallerNumbers:
         with pytest.raises(TypeError):
             subgraph(X, [0.0, 1, 2, 3])
         with pytest.raises(TypeError):
-            fundamental_cycles(X, [0.0, 1, 2])
+            fundamental_cycles(X, [0.0, 1, 2], [3])
 
     @pytest.mark.parametrize("one", [1, np.int64(1), True], ids=repr)
     def test_integers_enter_as_python_ints(self, one):
@@ -370,6 +372,28 @@ class TestRemoveEdges:
         assert iso.source.rank == 7 + 3 * 6  # m = (30-12)/6 = 3
         assert iso.target.rank == 30 - 6 + 1
 
+    def test_one_cycle_closed_per_removed_orbit(self, monkeypatch):
+        """The circular flows are the closed cycles of the least edge of each
+        removed orbit, moved by the edge G-set: S:3's complete graph less
+        its two-generator subgraph loses 18 edges in 3 orbits."""
+        closed = []
+        original = gflows_mod.fundamental_cycles
+
+        def recording(X, spanning, closing):
+            cycles = original(X, spanning, closing)
+            closed.append(list(cycles))
+            return cycles
+
+        monkeypatch.setattr(gflows_mod, "fundamental_cycles", recording)
+        G = s3()
+        X = complete_edges(regular_gset(G), loops=False)
+        pairs = {(g, G.table[g][s]) for s in (G.generator_indices["s"], G.generator_indices["t"]) for g in G.elements()}
+        Xsub = subgraph(X, [i for i, e in enumerate(X.edges) if e in pairs])
+        remove_edges_decomposition(X, Xsub)
+        removed = [i for i, e in enumerate(X.edges) if e not in pairs]
+        orbits = [orbit for orbit in X.edge_orbits() if orbit[0] in removed]
+        assert closed[-1] == [orbit[0] for orbit in orbits] and len(orbits) == 3
+
     def test_nonfree_action_rejected(self):
         G = s3()
         t = G.generator_indices["t"]
@@ -384,8 +408,8 @@ class TestFundamentalCycles:
         G = cyclic(5)
         X = cayley_graph(G, [G.generator_indices["s"]])
         # edges 0..3 are the path 0 -> 1 -> 2 -> 3 -> 4, and edge 4 is (4, 0)
-        assert fundamental_cycles(X, [0, 1, 2, 3]) == {4: {4: 1, 0: 1, 1: 1, 2: 1, 3: 1}}
-        assert fundamental_cycles(X, range(5)) == {}
+        assert fundamental_cycles(X, [0, 1, 2, 3], [4]) == {4: {4: 1, 0: 1, 1: 1, 2: 1, 3: 1}}
+        assert fundamental_cycles(X, range(5), edges_outside(X, range(5))) == {}
 
     def test_cycles_through_a_spanning_set_with_cycles(self):
         """Each edge outside the set closes through the breadth-first tree of
@@ -396,7 +420,7 @@ class TestFundamentalCycles:
         spanning = [e for e, (u, v) in enumerate(X.edges) if v in (G.table[u][s], G.table[u][t])]
         tree = spanning_tree_by_bfs(X, spanning)
         assert len(spanning) == 12 and len(tree) == 5
-        cycles = fundamental_cycles(X, spanning)
+        cycles = fundamental_cycles(X, spanning, edges_outside(X, spanning))
         assert list(cycles) == [e for e in range(X.n_edges) if e not in spanning]
         bd = boundary_matrix(X).matrix
         for e, flow in cycles.items():
@@ -411,7 +435,9 @@ class TestFundamentalCycles:
         s = G.generator_indices["s"]
         X = cayley_graph(G, [s, G.power(s, 2)])
         with pytest.raises(InvalidParameterError, match="does not span"):
-            fundamental_cycles(X, [4, 5, 6, 7])  # the edges of s^2
+            fundamental_cycles(X, [4, 5, 6, 7], [0])  # the edges of s^2
         for edge in (-1, 8):
             with pytest.raises(InvalidParameterError, match="out of range"):
-                fundamental_cycles(X, [0, 1, 2, edge])
+                fundamental_cycles(X, [0, 1, 2, edge], [3])
+            with pytest.raises(InvalidParameterError, match="^closing edge out of range$"):
+                fundamental_cycles(X, [0, 1, 2, 3], [4, edge])

@@ -212,14 +212,14 @@ class TestGSetMustMatchTheAction:
 def _bar_cocycle_solvers(spec, monkeypatch):
     """The solvers of the spanning-tree bases that bar-cocycle certifies."""
     made = []
-    original = checks_mod.spanning_tree_basis
+    original = checks_mod.spanning_tree_basis_of_arrays
 
     def recording(*args):
         fl = original(*args)
         made.append(fl)
         return fl
 
-    monkeypatch.setattr(checks_mod, "spanning_tree_basis", recording)
+    monkeypatch.setattr(checks_mod, "spanning_tree_basis_of_arrays", recording)
     assert checks_mod.check_bar_cocycle(parse_group_spec(spec)).ok
     return made
 
