@@ -6,14 +6,14 @@ the removed edges, onto their permutation lattice.
 Every G-graph is built from its vertex G-set, its edges and an explicit
 edge action, checked on the generators against the vertex action.  Every
 cycle is walked one way, pinned for determinism: ``fundamental_cycles``
-closes each edge it is given outside a spanning edge set through the
-breadth-first tree of the set from vertex 0, scanning edges in listed
-order.  Every flow basis is certified one way, by its triangular +-1
-minor on the non-tree edges: ``spanning_tree_basis``, or
-``spanning_tree_basis_of_arrays`` for candidates in padded arrays.  Every
-edge vector (a candidate, a cycle, a circular flow) is a ``Flow``, the
-map of its nonzero coefficients by edge, so certifying a basis costs time
-in its nonzeros, and flows are solved for by ``express_columns`` of the
+closes each edge it is given, by default every edge outside a spanning
+edge set, through the breadth-first tree of the set from vertex 0,
+scanning edges in listed order.  Every flow basis is certified one way,
+by its triangular +-1 minor on the non-tree edges:
+``spanning_tree_basis``, or ``spanning_tree_basis_of_arrays`` for
+candidates in padded arrays.  Every edge vector (a candidate, a cycle,
+a circular flow) is a ``Flow``, the map of its nonzero coefficients by
+edge, so certifying a basis costs time in its nonzeros, and flows are solved for by ``express_columns`` of the
 lattice's solver; the dense basis matrix is made from the basis flows
 only when first read.  Caller numbers (edge endpoints, generators, tree
 and spanning edges, candidate edges and coefficients, edge indices)
@@ -22,24 +22,23 @@ A flow lattice is a G-lattice that keeps its graph and the solver of its
 basis: each action matrix is solved for when first read, so a caller
 that needs only the basis or the rank makes no solve.
 
-A graph keeps an int64 image of its edges (``GGraph.edge_array``).  At or
-above ``groups._ARRAY_CHECK_ENTRIES`` entries (of the edge action, or of
-the candidates), the endpoint check and the basis certificate compare
-whole int64 tables: one fancy-index comparison of the moved endpoints per
-generator, and the candidates as (candidate, edge, coefficient) columns,
-their flow condition one scatter-add.  Below it they check entry by
-entry, which is faster there.  Both forms refuse alike, first failure
-first.  ``cayley_graph`` and ``complete_edges`` build their edges and
-edge action with one broadcast of the group or vertex table; a Cayley
-table below the constant is built as lists.
+A graph keeps an int64 image of its edges (``GGraph.edge_array``).  The
+size rule of ``groups._by_table`` picks the form by entries: of the edge
+action for ``cayley_graph``, ``complete_edges`` and the endpoint check, of
+the padded arrays for ``spanning_tree_basis_of_arrays``.  At or above it
+the builders make the edges and edge action with one broadcast of the
+group or vertex table, the endpoint check is one fancy-index comparison
+of the moved endpoints per generator, and the basis certificate reads
+the candidates as (candidate, edge, coefficient) columns, their flow
+condition one scatter-add.  Below it they work entry by entry, which is
+faster there, as ``spanning_tree_basis`` always does on flows.  Both
+forms refuse alike, first failure first.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections import deque
-from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,10 +54,10 @@ from .gmod import (
     span_action,
 )
 from .groups import (
-    _ARRAY_CHECK_ENTRIES,
     FiniteGroup,
     GSet,
     Subgroup,
+    _by_table,
     _int64_table,
     _python_rows,
     _read_only,
@@ -83,9 +82,9 @@ class GGraph:
         self.vertices = vertices
         self.group = vertices.group
         # sized by the entries of the edge action
-        ends = _int64_table(edges) if self.group.order * len(edges) >= _ARRAY_CHECK_ENTRIES else None
+        ends = _int64_table(edges) if _by_table(self.group.order * len(edges)) else None
         if ends is not None and ends.shape[1] == 2:
-            if ends.min() < 0 or ends.max() >= vertices.size:
+            if ends.size and (ends.min() < 0 or ends.max() >= vertices.size):
                 raise InvalidParameterError("edge endpoint out of range")
             self.edges = list(map(tuple, ends.tolist()))
         else:
@@ -97,18 +96,20 @@ class GGraph:
         self.edge_gset = GSet(self.group, edge_action)
         if self.edge_gset.size != len(self.edges):
             raise InvalidParameterError("edge action entries are not permutations")
+        self._edge_array = None if ends is None else _read_only(ends)
+        self._components: Optional[List[Tuple[int, ...]]] = None
         if ends is None:
             self._validate()
         else:
-            self.__dict__["edge_array"] = _read_only(ends)
             self._validate_by_table()
-        self._components: Optional[List[Tuple[int, ...]]] = None
 
-    @cached_property
+    @property
     def edge_array(self) -> np.ndarray:
         """The edges as a read-only (n_edges, 2) int64 array of (source,
-        target) rows, made once."""
-        return _read_only(np.array(self.edges, dtype=np.int64).reshape(len(self.edges), 2))
+        target) rows, made when first read."""
+        if self._edge_array is None:
+            self._edge_array = _read_only(np.array(self.edges, dtype=np.int64).reshape(len(self.edges), 2))
+        return self._edge_array
 
     def _validate(self) -> None:
         """Check that edge endpoints move with the vertices, edge by edge.
@@ -194,10 +195,18 @@ def complete_edges(vertices: GSet, loops: bool = False) -> GGraph:
     n = vertices.size
     if n == 0:
         raise InvalidParameterError("vertex set must be nonempty")
+    # row g of the action numbers the edge (g u, g v) of each edge (u, v)
+    if not _by_table(vertices.group.order * (n * n if loops else n * (n - 1))):
+        edges = [(u, v) for u in range(n) for v in range(n) if u != v or loops]
+        if loops:
+            action = [[a * n + b for a in vg for b in vg] for vg in vertices.action]
+        else:
+            action = [[a * (n - 1) + b - (b > a) for a in vg for b in vg if a != b]
+                      for vg in vertices.action]
+        return GGraph(vertices, edges, action)
     ends = np.stack(np.divmod(np.arange(n * n), n), axis=1)  # (u, v) in edge order
     if not loops:
         ends = ends[ends[:, 0] != ends[:, 1]]
-    # row g of the action numbers the edge (g u, g v) of each edge (u, v)
     a, b = (vertices.action_array[:, ends[:, i]] for i in (0, 1))
     action = a * n + b if loops else a * (n - 1) + b - (b > a)
     return GGraph(vertices, ends, action)
@@ -217,9 +226,8 @@ def cayley_graph(G: FiniteGroup, generators: Sequence[int]) -> GGraph:
         if s not in gens:
             gens.append(s)
     n, m = G.order, len(gens)
-    # edge k n + g is (g, g s_k), and h moves it to (h g, h g s_k), edge k n + h g;
-    # a table checked entry by entry is built as lists, a larger one by one broadcast
-    if n * m * n < _ARRAY_CHECK_ENTRIES:
+    # edge k n + g is (g, g s_k), and h moves it to (h g, h g s_k), edge k n + h g
+    if not _by_table(n * m * n):
         edges = [(g, G.table[g][s]) for s in gens for g in range(n)]
         action = [[k * n + hg for k in range(m) for hg in G.table[h]] for h in range(n)]
         return GGraph(regular_gset(G), edges, action)
@@ -300,8 +308,7 @@ def flow_lattice(X: GGraph) -> FlowLattice:
         if a != b:
             root[a] = b
             tree.add(e)
-    non_tree = [e for e in range(X.n_edges) if e not in tree]
-    return spanning_tree_basis(X, tree, list(fundamental_cycles(X, tree, non_tree).values()))
+    return spanning_tree_basis(X, tree, list(fundamental_cycles(X, tree).values()))
 
 
 # -- search trees and fundamental cycles ---------------------------------------------
@@ -345,15 +352,24 @@ def _bfs(
     return prev
 
 
-def fundamental_cycles(X: GGraph, spanning: Iterable[int], closing: Iterable[int]) -> Dict[int, Flow]:
-    """The cycle of each closing edge, keyed by edge in the order given: the
-    edge forward, closed by the path between its ends in the breadth-first
-    tree from vertex 0 of a connected spanning edge set.  Over a tree that
-    path is the only one, and a closing edge on the tree closes to 0.
+def _edges_outside(X: GGraph, edges: Iterable[int]) -> List[int]:
+    """The edges of X not among the given ones, in edge order."""
+    inside = set(edges)
+    return [e for e in range(X.n_edges) if e not in inside]
+
+
+def fundamental_cycles(
+    X: GGraph, spanning: Iterable[int], closing: Optional[Iterable[int]] = None
+) -> Dict[int, Flow]:
+    """The cycle of each closing edge, by default each edge outside the
+    spanning set, keyed by edge in the order given: the edge forward,
+    closed by the path between its ends in the breadth-first tree from
+    vertex 0 of a connected spanning edge set.  Over a tree that path is
+    the only one, and a closing edge on the tree closes to 0.
 
     >>> from glattice.groups import cyclic
     >>> X = cayley_graph(cyclic(3), [1])  # the triangle 0 -> 1 -> 2 -> 0
-    >>> fundamental_cycles(X, [0, 1], [2])
+    >>> fundamental_cycles(X, [0, 1])
     {2: {2: 1, 1: 1, 0: 1}}
     >>> fundamental_cycles(X, [0, 1, 2], [1, 2])  # the tree is edges 0 and 2
     {1: {1: 1, 0: 1, 2: 1}, 2: {}}
@@ -361,9 +377,12 @@ def fundamental_cycles(X: GGraph, spanning: Iterable[int], closing: Iterable[int
     inside = set(map(operator.index, spanning))
     if inside and not (min(inside) >= 0 and max(inside) < X.n_edges):
         raise InvalidParameterError("spanning edge out of range")
-    closing = list(map(operator.index, closing))
-    if closing and not (min(closing) >= 0 and max(closing) < X.n_edges):
-        raise InvalidParameterError("closing edge out of range")
+    if closing is None:
+        closing = _edges_outside(X, inside)
+    else:
+        closing = list(map(operator.index, closing))
+        if closing and not (min(closing) >= 0 and max(closing) < X.n_edges):
+            raise InvalidParameterError("closing edge out of range")
     prev = _bfs(X, 0, sorted(inside))
     if None in prev[1:]:
         raise InvalidParameterError("edge set does not span the graph")
@@ -396,22 +415,8 @@ def spanning_tree_basis(
     span check, and it is its own solver.  These checks read only the
     nonzero coefficients, and the solver makes the dense basis matrix only
     when it is first read.  A tree edge out of range is refused.
-
-    Candidates with at least ``_ARRAY_CHECK_ENTRIES`` entries in all are
-    certified on int64 columns (``_tree_basis_by_columns``), fewer entry by
-    entry (``_tree_basis_by_entries``); both refuse alike.
     """
-    non_tree = _non_tree_edges(X, tree_edges, len(candidates))
-    if sum(map(len, candidates)) >= _ARRAY_CHECK_ENTRIES:
-        try:
-            edge = list(map(operator.index, itertools.chain.from_iterable(candidates)))
-            coef = list(map(operator.index, itertools.chain.from_iterable(c.values() for c in candidates)))
-        except TypeError:  # refused by the per-entry form, after the candidates before it
-            pass
-        else:
-            candidate = np.repeat(np.arange(len(candidates)), list(map(len, candidates)))
-            return _tree_basis_by_columns(X, non_tree, candidate, _integer_array(edge), _integer_array(coef))
-    return _tree_basis_by_entries(X, non_tree, candidates)
+    return _tree_basis_by_entries(X, _non_tree_edges(X, tree_edges, len(candidates)), candidates)
 
 
 def spanning_tree_basis_of_arrays(
@@ -421,11 +426,12 @@ def spanning_tree_basis_of_arrays(
     integer arrays: candidate i is coefficient [i, j] on edge [i, j],
     summed over j, so a padding entry is coefficient 0 on any edge.
 
-    At least ``_ARRAY_CHECK_ENTRIES`` entries are certified on their int64
-    columns as they are, fewer entry by entry as flows.
+    Integer arrays with enough entries for the size rule are certified on
+    their int64 columns as they are (``_tree_basis_by_columns``); others
+    entry by entry as flows, each entry through ``operator.index``.
     """
     non_tree = _non_tree_edges(X, tree_edges, len(edges))
-    if edges.size >= _ARRAY_CHECK_ENTRIES:
+    if _by_table(edges.size) and edges.dtype.kind == coefficients.dtype.kind == "i":
         candidate = np.repeat(np.arange(len(edges)), edges.shape[1])
         return _tree_basis_by_columns(X, non_tree, candidate, edges.ravel(), coefficients.ravel())
     flows = []
@@ -435,12 +441,6 @@ def spanning_tree_basis_of_arrays(
             flow[e] = flow.get(e, 0) + c
         flows.append(flow)
     return _tree_basis_by_entries(X, non_tree, flows)
-
-
-def _integer_array(values: List[int]) -> np.ndarray:
-    """The integers as an int64 array, or as Python ints where one exceeds int64."""
-    a = np.array(values)
-    return a if a.dtype.kind == "i" else np.array(values, dtype=object)
 
 
 def _non_tree_edges(X: GGraph, tree_edges: Iterable[int], count: int) -> List[int]:
@@ -462,8 +462,7 @@ def _non_tree_edges(X: GGraph, tree_edges: Iterable[int], count: int) -> List[in
         parent[rs] = rt
     if len({_find(parent, v) for v in range(X.n_vertices)}) != 1:
         raise InvalidParameterError("tree edges do not span the graph")
-    tree_set = set(tree)
-    non_tree = [e for e in range(X.n_edges) if e not in tree_set]
+    non_tree = _edges_outside(X, tree)
     if count != len(non_tree):
         raise SpanningTreeBasisError(
             f"need {len(non_tree)} candidate flows (one per non-tree edge), got {count}"
@@ -522,9 +521,9 @@ def _check_pivot(non_tree: List[int], i: int, diagonal: int, first: int) -> None
 def _tree_basis_by_columns(
     X: GGraph, non_tree: List[int], candidate: np.ndarray, edge: np.ndarray, coef: np.ndarray
 ) -> FlowLattice:
-    """``_tree_basis_by_entries`` on (candidate, edge, coefficient) columns,
-    one row per entry, candidates in increasing order, where entries on
-    one edge add: the same refusals in the same order.
+    """``_tree_basis_by_entries`` on (candidate, edge, coefficient) integer
+    columns, one row per entry, candidates in increasing order, where
+    entries on one edge add: the same refusals in the same order.
 
     The edge range comes first; an edge out of range is refused after the
     flow condition of the candidates before its own.  The flow condition
@@ -542,9 +541,8 @@ def _tree_basis_by_columns(
     if outside.any():
         p = int(outside.argmax())
         before = candidate < candidate[p]
-        _check_flows(X, r, candidate[before], edge[before].astype(np.int64), coef[before])
+        _check_flows(X, r, candidate[before], edge[before], coef[before])
         raise InvalidParameterError(f"candidate {candidate[p]} has edge {edge[p]} out of range")
-    edge = edge.astype(np.int64)
     _check_flows(X, r, candidate, edge, coef)
 
     key = candidate * n_edges + edge
@@ -624,7 +622,7 @@ def remove_edges_decomposition(X: GGraph, X_sub: GGraph) -> EquivariantMap:
         if pair not in idx:
             raise InvalidParameterError(f"subgraph edge {pair} missing from the graph")
         sub_in_X.append(idx[pair])
-    removed = sorted(set(range(X.n_edges)).difference(sub_in_X))
+    removed = _edges_outside(X, sub_in_X)
     quotient = permutation_lattice(X.group, X.edge_gset.restrict(removed))
     fl, fl_sub = flow_lattice(X), flow_lattice(X_sub)
 

@@ -14,12 +14,15 @@ rho a homomorphism.  A point-indexed vector is a sparse map, {point:
 entry}, and ``GSet.move`` is the one way a G-set moves it.
 
 A group and a G-set each keep one int64 image of their table, made once
-(``FiniteGroup.table_array``, ``GSet.action_array``).  A G-set table of at
-least ``_ARRAY_CHECK_ENTRIES`` entries is certified by whole-table
-comparisons on that image: one seen-array scatter for the permutations,
-and one fancy-index comparison per generator for the homomorphism.  A
-smaller one is checked entry by entry, which is faster there.  Both forms
-refuse with the same messages and report the same first failure.
+(``FiniteGroup.table_array``, ``GSet.action_array``).  One size rule,
+``_by_table``, picks whole int64 tables or entry-by-entry work for every
+table this package builds and certifies (here, and for graphs and
+spanning-tree candidates in ``gflows``).  A G-set table at or above it is
+certified by whole-table comparisons on its image: one seen-array
+scatter for the permutations, and one fancy-index comparison per
+generator for the homomorphism.  A smaller one is checked entry by
+entry, which is faster there.  Both forms refuse with the same messages
+and report the same first failure.
 
 Subgroups grow by cosets: ``FiniteGroup.closure`` extends a known subgroup
 B to <B, g> as a union of right cosets of B (Dimino), and both the greedy
@@ -34,7 +37,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -49,12 +51,16 @@ from .errors import InvalidParameterError
 MAX_ORDER = 120
 MAX_SUBGROUP_ENUMERATION_ORDER = 64
 
-# Tables of at least this many entries are certified as whole int64 arrays
-# (G-set actions, graph edge actions, spanning-tree candidates), smaller
-# ones entry by entry.  Measured on a 2-vCPU Xeon, the two forms cost the
-# same near 150 entries for a G-set (15 against 14 us at 144) and near 250
-# for spanning-tree candidates (107 against 121 us at 238, 136 against
-# 128 us at 226): the constant sits at the larger.
+# Tables of at least this many entries are built and certified as whole
+# int64 arrays (G-set actions, graph edges and edge actions, spanning-tree
+# candidates in arrays), smaller ones entry by entry; ``_by_table`` reads it.
+# Measured on a 2-vCPU Xeon, the two forms cost the same near 150 entries
+# for a G-set (15 against 14 us at 144), near 250 for spanning-tree
+# candidates (107 against 121 us at 238, 136 against 128 us at 226), and
+# near 200-250 entries of the edge action for a whole Cayley or complete
+# graph built and checked (the array form 3-17% slower at 180-216 entries,
+# 6-7% faster at 196 and 243, 8-26% faster at 256-300): the constant sits
+# at the largest.
 _ARRAY_CHECK_ENTRIES = 256
 
 
@@ -91,6 +97,7 @@ class FiniteGroup:
         self._subgroups_cache: Optional[List["Subgroup"]] = None
         self._classes_cache: Optional[Tuple[List["Subgroup"], Dict[Tuple[int, ...], int]]] = None
         self._as_group_cache: Dict[Tuple[int, ...], Tuple["FiniteGroup", List[int]]] = {}
+        self._table_array: Optional[np.ndarray] = None
 
     # -- construction-time validation ---------------------------------------
 
@@ -143,10 +150,13 @@ class FiniteGroup:
                 if t[ta[s]] != [ta[x] for x in ts]:
                     raise InvalidParameterError(f"associativity fails at elements ({a}, {s})")
 
-    @cached_property
+    @property
     def table_array(self) -> np.ndarray:
-        """The multiplication table as a read-only int64 array, made once."""
-        return _read_only(np.array(self.table, dtype=np.int64))
+        """The multiplication table as a read-only int64 array, made when
+        first read."""
+        if self._table_array is None:
+            self._table_array = _read_only(np.array(self.table, dtype=np.int64))
+        return self._table_array
 
     # -- basic operations ----------------------------------------------------
 
@@ -548,6 +558,12 @@ def is_z_group(G: FiniteGroup) -> bool:
 # -- G-sets -------------------------------------------------------------------
 
 
+def _by_table(entries: int) -> bool:
+    """Whether a table of this many entries is built and certified as a
+    whole int64 array rather than entry by entry: the one size rule."""
+    return entries >= _ARRAY_CHECK_ENTRIES
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -627,28 +643,36 @@ class GSet:
     def __init__(self, group: FiniteGroup, action: Sequence[Sequence[int]]):
         self.group = group
         entries = len(action) * len(action[0]) if len(action) else 0  # as the first row counts them
-        table = _int64_table(action) if entries >= _ARRAY_CHECK_ENTRIES else None
+        table = _int64_table(action) if _by_table(entries) else None
+        # the form that checks the action keeps its own image, the tuples or
+        # the int64 table; the other is made from it when first read, into an
+        # attribute set here (writing __dict__, as cached_property does, makes
+        # every later attribute read of the object slower on CPython 3.11)
+        self._action: Optional[List[Tuple[int, ...]]] = None
+        self._action_array: Optional[np.ndarray] = None
         if table is None:
-            rows = self.__dict__["action"] = _action_by_rows(group, action)
-            self.size = len(rows[0])
+            self._action = _action_by_rows(group, action)
+            self.size = len(self._action[0])
         else:
             _check_action_table(group, table)
-            self.__dict__["action_array"] = _read_only(table)
+            self._action_array = _read_only(table)
             self.size = table.shape[1]
 
-    # The form that checked the action sets its own image, the tuples or the
-    # int64 table; the other is made from it when first read.
-
-    @cached_property
+    @property
     def action(self) -> List[Tuple[int, ...]]:
         """The permutation of each element g, action[g], a tuple of points."""
-        return list(map(tuple, self.action_array.tolist()))
+        if self._action is None:
+            self._action = list(map(tuple, self._action_array.tolist()))
+        return self._action
 
-    @cached_property
+    @property
     def action_array(self) -> np.ndarray:
-        """The action as a read-only (order, size) int64 array, made once:
-        row g is the permutation of g."""
-        return _read_only(np.array(self.action, dtype=np.int64).reshape(self.group.order, self.size))
+        """The action as a read-only (order, size) int64 array: row g is the
+        permutation of g."""
+        if self._action_array is None:
+            self._action_array = _read_only(
+                np.array(self._action, dtype=np.int64).reshape(self.group.order, self.size))
+        return self._action_array
 
     def move(self, g: int, vec: Mapping[int, int]) -> Dict[int, int]:
         """The sparse point-indexed vector g . vec, {point: entry}: the
@@ -696,12 +720,13 @@ class GSet:
     def orbits(self, H: Optional[Subgroup] = None) -> List[Tuple[int, ...]]:
         """The orbits under G, or under its subgroup H, ordered by least point."""
         elements = range(self.group.order) if H is None else H.elements
+        action = self.action
         seen = [False] * self.size
         out = []
         for x in range(self.size):
             if seen[x]:
                 continue
-            orbit = sorted({self.action[g][x] for g in elements})
+            orbit = sorted({action[g][x] for g in elements})
             for y in orbit:
                 seen[y] = True
             out.append(tuple(orbit))
@@ -710,23 +735,25 @@ class GSet:
     def orbit_transversal(self) -> List[Tuple[int, List[Tuple[int, int]]]]:
         """Per orbit: its basepoint (the smallest point) and (p, g_p) for each
         of its points p, with g_p the smallest element moving the basepoint to p."""
+        action = self.action
         out = []
         for orbit in self.orbits():
             base = orbit[0]
             reach: Dict[int, int] = {}
             for g in range(self.group.order):
-                reach.setdefault(self.action[g][base], g)
+                reach.setdefault(action[g][base], g)
             out.append((base, [(p, reach[p]) for p in orbit]))
         return out
 
     def stabilizer(self, x: int) -> Subgroup:
-        els = tuple(sorted(g for g in range(self.group.order) if self.action[g][x] == x))
+        action = self.action
+        els = tuple(sorted(g for g in range(self.group.order) if action[g][x] == x))
         return Subgroup(self.group, els)
 
     def is_free(self) -> bool:
         return all(
-            all(self.action[g][x] != x for x in range(self.size))
-            for g in range(self.group.order)
+            all(perm[x] != x for x in range(self.size))
+            for g, perm in enumerate(self.action)
             if g != self.group.identity
         )
 
@@ -746,7 +773,7 @@ class GSet:
 
 def regular_gset(G: FiniteGroup) -> GSet:
     """G acting on itself by left translation."""
-    return GSet(G, G.table_array if G.order * G.order >= _ARRAY_CHECK_ENTRIES else G.table)
+    return GSet(G, G.table_array if _by_table(G.order * G.order) else G.table)
 
 
 def coset_gset(G: FiniteGroup, H: Subgroup) -> GSet:

@@ -1060,13 +1060,6 @@ def tree_recursion_failures_by_dicts(X, G: FiniteGroup, d) -> int:
     return bad
 
 
-def edges_outside(X, spanning) -> List[int]:
-    """The edges of X outside an edge set, in edge order: those
-    ``fundamental_cycles`` closes over a spanning tree or set."""
-    inside = set(spanning)
-    return [e for e in range(X.n_edges) if e not in inside]
-
-
 def as_flow(vec: Sequence[int]) -> dict:
     """The nonzero entries of a dense edge vector, by edge."""
     return {e: c for e, c in enumerate(vec) if c}
@@ -1619,7 +1612,7 @@ def remove_edges_decomposition(X, X_sub) -> EquivariantMap:
     # flows per removed orbit: its representative closed in the subgraph
     embedded = [{sub_in_X[e]: c for e, c in col.items()} for col in fl_sub.basis.column_nonzeros()]
     flows = list(embedded)
-    closed = fundamental_cycles(X, sub_in_X, edges_outside(X, sub_in_X))
+    closed = fundamental_cycles(X, sub_in_X)
     for orbit in removed_orbits:
         flows += [X.edge_gset.move(g, closed[orbit[0]]) for g in range(G.order)]
     matrix = fl.solver.express_columns(flows)

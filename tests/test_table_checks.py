@@ -12,9 +12,16 @@ import glattice.gflows as gflows_mod
 import glattice.groups as groups_mod
 from glattice.cli import main, parse_group_spec
 from glattice.errors import GlatticeError, InvalidParameterError
-from glattice.gflows import GGraph, cayley_graph, flow_lattice, spanning_tree_basis, spanning_tree_basis_of_arrays
+from glattice.gflows import (
+    GGraph,
+    cayley_graph,
+    complete_edges,
+    flow_lattice,
+    spanning_tree_basis,
+    spanning_tree_basis_of_arrays,
+)
 from glattice.groups import GSet, coset_gset, natural_gset, regular_gset, subgroup_conjugacy_reps
-from reference import edges_outside, spanning_tree_by_bfs
+from reference import spanning_tree_by_bfs
 
 # the regular action of C:3 has 9 entries and that of S:4 576, on either
 # side of the size rule; S:4's Cayley graph on three generators has 72 edges
@@ -33,8 +40,7 @@ def _by_size_rule(entries, make):
     table of at least that many entries takes the array form: 0 for all,
     None for none."""
     with pytest.MonkeyPatch.context() as patch:
-        for module in (groups_mod, gflows_mod):
-            patch.setattr(module, "_ARRAY_CHECK_ENTRIES", float("inf") if entries is None else entries)
+        patch.setattr(groups_mod, "_ARRAY_CHECK_ENTRIES", float("inf") if entries is None else entries)
         return _outcome(make)
 
 
@@ -131,6 +137,20 @@ class TestGGraphForms:
         by_table, by_entry = _both_forms(lambda: GGraph(X.vertices, edges, X.edge_gset.action).edges)
         assert by_table == by_entry
 
+    @pytest.mark.parametrize("spec", ["C:3", "S:3", "D:4", "S:4"])
+    def test_builders_agree(self, spec):
+        """The complete graphs with and without loops and the Cayley graph
+        come out the same from lists and from one broadcast."""
+        G = parse_group_spec(spec)
+
+        def build():
+            graphs = [complete_edges(V, loops) for V in (regular_gset(G), coset_gset(G, subgroup_conjugacy_reps(G)[1]))
+                      for loops in (False, True)]
+            return [(X.edges, X.edge_gset.action) for X in graphs + [cayley_graph(G, G.generators)]]
+
+        by_table, by_entry = _both_forms(build)
+        assert by_table == by_entry
+
 
 # Cayley graphs with their generators: C:3 and S:3 have a few entries of
 # candidates, C:12 on five generators and S:4 on its two some hundreds
@@ -149,7 +169,7 @@ def tree_cases(draw):
     G = parse_group_spec(spec)
     X = cayley_graph(G, gens or G.generators)
     tree = spanning_tree_by_bfs(X)
-    cands = list(gflows_mod.fundamental_cycles(X, tree, edges_outside(X, tree)).values())
+    cands = list(gflows_mod.fundamental_cycles(X, tree).values())
     r = len(cands)
     for i in range(r - 1):
         j, c = draw(st.integers(i + 1, r - 1)), draw(st.integers(-2, 2))
@@ -181,43 +201,44 @@ def tree_cases(draw):
     return X, tree, cands
 
 
+def _fits_int64(cands):
+    return all(type(x) is int and -(2**63) <= x < 2**63 for c in cands for x in (*c, *c.values()))
+
+
 def _as_arrays(cands):
-    """The candidates as padded arrays, or None when an entry is not an int64."""
+    """The candidates as padded arrays: int64 when every entry is an int64,
+    else of the entries themselves as Python objects."""
     k = max(map(len, cands), default=0) or 1
     rows = [list(c.items()) + [(0, 0)] * (k - len(c)) for c in cands]
-    edges, coefs = np.array([[e for e, _ in row] for row in rows]), np.array([[c for _, c in row] for row in rows])
-    return (edges, coefs) if edges.dtype == coefs.dtype == np.int64 else None
+    dtype = np.int64 if _fits_int64(cands) else object
+    return tuple(np.array([[entry[i] for entry in row] for row in rows], dtype=dtype) for i in (0, 1))
 
 
 class TestSpanningTreeForms:
     @given(tree_cases())
     @settings(max_examples=200, deadline=None)
     def test_same_outcome(self, case):
+        """The padded-array entry, on both sides of the size rule, against
+        the per-entry form of the same candidates as flows; object arrays
+        (a float, an entry beyond int64) are certified entry by entry."""
         X, tree, cands = case
-
-        def basis(make):
-            return lambda: make().basis
-
-        by_columns, by_entry = _both_forms(basis(lambda: spanning_tree_basis(X, tree, cands)))
-        assert by_columns == by_entry
+        by_entry = _outcome(lambda: spanning_tree_basis(X, tree, cands).basis)
         arrays = _as_arrays(cands)
-        if arrays is not None:  # the padded-array entry, on both sides of the rule
-            by_arrays = _both_forms(basis(lambda: spanning_tree_basis_of_arrays(X, tree, *arrays)))
-            assert by_arrays == (by_entry, by_entry)
+        by_arrays = _both_forms(lambda: spanning_tree_basis_of_arrays(X, tree, *arrays).basis)
+        assert by_arrays == (by_entry, by_entry)
 
     @given(tree_cases())
     @settings(max_examples=100, deadline=None)
     def test_cores_directly(self, case):
-        """The column core on the flattened entries of every candidate set
-        whose entries are integers, small or large, against the per-entry form."""
+        """The column core on the int64 entries of every candidate set that
+        has them, small or large, against the per-entry form."""
         X, tree, cands = case
-        assume(all(type(x) is int for c in cands for x in (*c, *c.values())))  # floats: test_same_outcome
+        assume(_fits_int64(cands))  # floats and wider integers: test_same_outcome
         non_tree = gflows_mod._non_tree_edges(X, tree, len(cands))
         by_entry = _outcome(lambda: gflows_mod._tree_basis_by_entries(X, non_tree, cands).basis)
         candidate = np.repeat(np.arange(len(cands)), [len(c) for c in cands])
-        edge, coef = ([x for c in cands for x in part(c)] for part in (dict.keys, dict.values))
-        by_columns = _outcome(lambda: gflows_mod._tree_basis_by_columns(
-            X, non_tree, candidate, gflows_mod._integer_array(edge), gflows_mod._integer_array(coef)).basis)
+        edge, coef = (np.array([x for c in cands for x in part(c)], dtype=np.int64) for part in (dict.keys, dict.values))
+        by_columns = _outcome(lambda: gflows_mod._tree_basis_by_columns(X, non_tree, candidate, edge, coef).basis)
         assert by_columns == by_entry
 
 
