@@ -230,6 +230,7 @@ def check_flow_coflasque(G: FiniteGroup, gens: Sequence[int]) -> CheckReport:
 _COCYCLE_BLOCK_ROWS = 1024  # the cocycle check sorts at most this many triples at once
 
 BarFlows = Tuple[np.ndarray, np.ndarray]  # padded (n, n, k) edges and coefficients of d
+TermKeys = Tuple[np.ndarray, np.ndarray, int]  # d's keys, made once by _term_keys
 
 
 def _bar_flows(X: GGraph, G: FiniteGroup) -> BarFlows:
@@ -255,7 +256,7 @@ def _bar_flows(X: GGraph, G: FiniteGroup) -> BarFlows:
     return edges, coefs
 
 
-def _term_keys(X: GGraph, d: BarFlows) -> Tuple[np.ndarray, np.ndarray, int]:
+def _term_keys(X: GGraph, d: BarFlows) -> TermKeys:
     """Sort keys for the terms of d, with the coefficients they index.
 
     Term i of d(g, h) has the key edge << shift | place, with place its
@@ -296,7 +297,7 @@ def _failing_rows(keys: np.ndarray, terms: np.ndarray, shift: int) -> int:
     return int(np.count_nonzero(bad.any(axis=0) | (running[-1] != 0)))
 
 
-def _cocycle_failures(X: GGraph, G: FiniteGroup, d: BarFlows) -> int:
+def _cocycle_failures(X: GGraph, G: FiniteGroup, d: BarFlows, keys: Optional[TermKeys] = None) -> int:
     """Triples with d(g1, g2) + d(g1 g2, g3) != d(g1, g2 g3) + g1 . d(g2, g3).
 
     Every triple is checked exactly, in int64 key arrays made for a block
@@ -304,7 +305,7 @@ def _cocycle_failures(X: GGraph, G: FiniteGroup, d: BarFlows) -> int:
     g1.  The left side minus the right side of a triple is 4 k terms, k
     those of each flow of d, indexed by fancy indexing into d's keys.
     """
-    plus, terms, shift = _term_keys(X, d)
+    plus, terms, shift = keys or _term_keys(X, d)
     n, k = G.order, plus.shape[2]
     minus = plus + plus.size  # the keys of -d
     moved = X.edge_gset.action_array << shift  # g1 moves edge << shift to moved[g1, edge]
@@ -323,7 +324,7 @@ def _cocycle_failures(X: GGraph, G: FiniteGroup, d: BarFlows) -> int:
     return failures
 
 
-def _tree_recursion_failures(X: GGraph, G: FiniteGroup, d: BarFlows) -> int:
+def _tree_recursion_failures(X: GGraph, G: FiniteGroup, d: BarFlows, keys: Optional[TermKeys] = None) -> int:
     """Pairs with d(h, g) != [e -> h] + h . [e -> g] - [e -> hg] on the star-tree edges.
 
     X is the Cayley graph on the non-identity elements.  The right side is
@@ -331,7 +332,7 @@ def _tree_recursion_failures(X: GGraph, G: FiniteGroup, d: BarFlows) -> int:
     h . (e, g) = (h, hg), and -1 on (e, hg) unless hg = e.  Each pair is a
     row of the k terms of d(h, g) and the three of the right side, negated.
     """
-    plus, terms, shift = _term_keys(X, d)
+    plus, terms, shift = keys or _term_keys(X, d)
     n, e, table = G.order, G.identity, G.table_array
     ends = X.edge_array
     star = np.zeros(n, dtype=np.int64)  # star[g]: the edge e -> g
@@ -372,9 +373,10 @@ def check_bar_cocycle(G: FiniteGroup) -> CheckReport:
         ck.record("basis certified by the star tree", False, str(exc))
         return ck.finish()
 
-    failures = _cocycle_failures(X, G, d)
+    keys = _term_keys(X, d)
+    failures = _cocycle_failures(X, G, d, keys)
     ck.record("two cocycle condition", failures == 0, f"{G.order ** 3} triples")
-    bad = _tree_recursion_failures(X, G, d)
+    bad = _tree_recursion_failures(X, G, d, keys)
     ck.record("tree-edge recursion at the edge level", bad == 0, f"{G.order ** 2} pairs")
     return ck.finish()
 

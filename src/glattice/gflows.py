@@ -416,7 +416,8 @@ def spanning_tree_basis(
     nonzero coefficients, and the solver makes the dense basis matrix only
     when it is first read.  A tree edge out of range is refused.
     """
-    return _tree_basis_by_entries(X, _non_tree_edges(X, tree_edges, len(candidates)), candidates)
+    non_tree = _non_tree_edges(X, tree_edges, len(candidates))
+    return _tree_basis_by_entries(X, non_tree, [cand.items() for cand in candidates])
 
 
 def spanning_tree_basis_of_arrays(
@@ -428,19 +429,14 @@ def spanning_tree_basis_of_arrays(
 
     Integer arrays with enough entries for the size rule are certified on
     their int64 columns as they are (``_tree_basis_by_columns``); others
-    entry by entry as flows, each entry through ``operator.index``.
+    entry by entry, each entry through ``operator.index`` before entries on
+    one edge add, so a float edge is refused, not merged.
     """
     non_tree = _non_tree_edges(X, tree_edges, len(edges))
     if _by_table(edges.size) and edges.dtype.kind == coefficients.dtype.kind == "i":
         candidate = np.repeat(np.arange(len(edges)), edges.shape[1])
         return _tree_basis_by_columns(X, non_tree, candidate, edges.ravel(), coefficients.ravel())
-    flows = []
-    for row_edges, row_coefs in zip(edges.tolist(), coefficients.tolist()):
-        flow: Flow = {}
-        for e, c in zip(row_edges, row_coefs):
-            flow[e] = flow.get(e, 0) + c
-        flows.append(flow)
-    return _tree_basis_by_entries(X, non_tree, flows)
+    return _tree_basis_by_entries(X, non_tree, list(map(zip, edges.tolist(), coefficients.tolist())))
 
 
 def _non_tree_edges(X: GGraph, tree_edges: Iterable[int], count: int) -> List[int]:
@@ -471,12 +467,14 @@ def _non_tree_edges(X: GGraph, tree_edges: Iterable[int], count: int) -> List[in
 
 
 def _tree_basis_by_entries(
-    X: GGraph, non_tree: List[int], candidates: Sequence[Mapping[int, int]]
+    X: GGraph, non_tree: List[int], candidates: Sequence[Iterable[Tuple[int, int]]]
 ) -> FlowLattice:
-    """The triangular-tree certificate entry by entry: each entry through
-    ``operator.index`` and its edge's range, then the flow condition of
-    its candidate, candidate by candidate; then the +-1 diagonal and the
-    first non-tree position of each candidate, in candidate order."""
+    """The triangular-tree certificate entry by entry, on candidates given
+    as (edge, coefficient) entries, where entries on one edge add: each
+    entry through ``operator.index`` and its edge's range before it is
+    added, then the flow condition of its candidate, candidate by
+    candidate; then the +-1 diagonal and the first non-tree position of
+    each candidate, in candidate order."""
     position = {e: j for j, e in enumerate(non_tree)}
     r = len(non_tree)
     cols: List[Flow] = []
@@ -485,17 +483,19 @@ def _tree_basis_by_entries(
     for i, cand in enumerate(candidates):
         vec: Flow = {}
         net: Dict[int, int] = {}  # the boundary of vec
-        for e, c in cand.items():
+        for e, c in cand:
             e, c = operator.index(e), operator.index(c)
             if not 0 <= e < n_edges:
                 raise InvalidParameterError(f"candidate {i} has edge {e} out of range")
             if c:
-                vec[e] = c
+                vec[e] = vec.get(e, 0) + c
                 s, t = edges[e]
                 net[t] = net.get(t, 0) + c
                 net[s] = net.get(s, 0) - c
         if any(net.values()):
             raise InvalidParameterError(f"candidate {i} violates the flow condition")
+        if 0 in vec.values():  # entries on one edge cancelled
+            vec = {e: c for e, c in vec.items() if c}
         cols.append(vec)
         first.append(min((position[e] for e in vec if e in position), default=r))
     for i in range(r):

@@ -17,12 +17,16 @@ A group and a G-set each keep one int64 image of their table, made once
 (``FiniteGroup.table_array``, ``GSet.action_array``).  One size rule,
 ``_by_table``, picks whole int64 tables or entry-by-entry work for every
 table this package builds and certifies (here, and for graphs and
-spanning-tree candidates in ``gflows``).  A G-set table at or above it is
-certified by whole-table comparisons on its image: one seen-array
-scatter for the permutations, and one fancy-index comparison per
-generator for the homomorphism.  A smaller one is checked entry by
-entry, which is faster there.  Both forms refuse with the same messages
-and report the same first failure.
+spanning-tree candidates in ``gflows``).  The group constructors build
+their tables by broadcast.  An integer group table at or above the rule
+is certified by whole-table scans: one range test, the identity as the
+first row and column equal to arange(n), the inverses by one argmax per
+row, and Light's test as one fancy-index comparison per generator.  A
+G-set table there is certified by one seen-array scatter for the
+permutations and one fancy-index comparison per generator for the
+homomorphism.  A smaller table, or one whose entries are not integers, is
+checked entry by entry, which is faster there.  Both forms refuse with
+the same messages and report the same first failure.
 
 Subgroups grow by cosets: ``FiniteGroup.closure`` extends a known subgroup
 B to <B, g> as a union of right cosets of B (Dimino), and both the greedy
@@ -52,15 +56,18 @@ MAX_ORDER = 120
 MAX_SUBGROUP_ENUMERATION_ORDER = 64
 
 # Tables of at least this many entries are built and certified as whole
-# int64 arrays (G-set actions, graph edges and edge actions, spanning-tree
-# candidates in arrays), smaller ones entry by entry; ``_by_table`` reads it.
-# Measured on a 2-vCPU Xeon, the two forms cost the same near 150 entries
-# for a G-set (15 against 14 us at 144), near 250 for spanning-tree
-# candidates (107 against 121 us at 238, 136 against 128 us at 226), and
-# near 200-250 entries of the edge action for a whole Cayley or complete
-# graph built and checked (the array form 3-17% slower at 180-216 entries,
-# 6-7% faster at 196 and 243, 8-26% faster at 256-300): the constant sits
-# at the largest.
+# int64 arrays (group multiplication tables, G-set actions, graph edges and
+# edge actions, spanning-tree candidates in arrays), smaller ones entry by
+# entry; ``_by_table`` reads it.  Measured on a 2-vCPU Xeon, the two forms
+# cost the same near 150 entries for a G-set (15 against 14 us at 144), near
+# 250 for spanning-tree candidates (107 against 121 us at 238, 136 against
+# 128 us at 226), and near 200-250 entries of the edge action for a whole
+# Cayley or complete graph built and checked (the array form 3-17% slower
+# at 180-216 entries, 6-7% faster at 196 and 243, 8-26% faster at 256-300):
+# the constant sits at the largest.  A group table crosses over lower, near
+# 150 entries (C:12 37 against 37 us, D:6 44 against 44): its scans are 1.4-2.3
+# times slower at 16-64 entries, 13-15% faster at 196-225 (so orders 13-15
+# lose a few us to the constant), 19-25% at 256 and 4-8 times at order 120.
 _ARRAY_CHECK_ENTRIES = 256
 
 
@@ -80,14 +87,23 @@ class FiniteGroup:
             raise InvalidParameterError("group order must be positive")
         _check_order(n)
         self.order = n
-        self.table = [list(map(operator.index, row)) for row in table]
-        for row in self.table:
-            if len(row) != n or min(row) < 0 or max(row) >= n:
-                raise InvalidParameterError("multiplication table is not closed")
-        self.identity = self._find_identity()
-        self.inverses = self._find_inverses()
-        self.generators = self._greedy_generators(range(n))
-        self._check_associativity()
+        array = _int64_table(table) if _by_table(n * n) else None
+        self._table_array: Optional[np.ndarray] = None
+        if array is None:
+            self.table = [list(map(operator.index, row)) for row in _python_rows(table)]
+            for row in self.table:
+                if len(row) != n or min(row) < 0 or max(row) >= n:
+                    raise InvalidParameterError("multiplication table is not closed")
+            self.identity = self._find_identity()
+            self.inverses = self._find_inverses()
+            self.generators = self._greedy_generators(range(n))
+            self._check_associativity()
+        else:
+            self.identity, inverses = _identity_and_inverses(array)
+            self.table, self.inverses = array.tolist(), inverses.tolist()
+            self.generators = self._greedy_generators(range(n))
+            _check_associativity_by_table(array, self.generators)
+            self._table_array = _read_only(array)
         self.element_names = list(element_names) if element_names else [f"g{i}" for i in range(n)]
         if len(self.element_names) != n:
             raise InvalidParameterError("element_names length mismatch")
@@ -97,7 +113,6 @@ class FiniteGroup:
         self._subgroups_cache: Optional[List["Subgroup"]] = None
         self._classes_cache: Optional[Tuple[List["Subgroup"], Dict[Tuple[int, ...], int]]] = None
         self._as_group_cache: Dict[Tuple[int, ...], Tuple["FiniteGroup", List[int]]] = {}
-        self._table_array: Optional[np.ndarray] = None
 
     # -- construction-time validation ---------------------------------------
 
@@ -276,8 +291,9 @@ class Subgroup:
         if cached is not None:
             return cached[0], list(cached[1])
         embed = list(self.elements)
-        pos = {g: i for i, g in enumerate(embed)}
-        table = [[pos[G.table[a][b]] for b in embed] for a in embed]
+        pos = np.zeros(G.order, dtype=np.int64)
+        pos[embed] = np.arange(len(embed))
+        table = pos[G.table_array[np.ix_(embed, embed)]]
         H = FiniteGroup(table, spec=f"{G.spec}|sub{embed}")
         G._as_group_cache[self.elements] = (H, embed)
         return H, list(embed)
@@ -319,8 +335,8 @@ def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidParameterError(f"cyclic group order must be >= 1, got {n}")
     _check_order(n)
-    row = list(range(n))
-    table = [row[i:] + row[:i] for i in range(n)]
+    points = np.arange(n)
+    table = (points[:, None] + points) % n
     names = ["e"] + [_power_name("s", i) for i in range(1, n)]
     gens = {"s": 1 % n}
     return FiniteGroup(table, element_names=names, spec=f"C:{n}", generator_indices=gens)
@@ -345,13 +361,9 @@ def semidirect(n: int, m: int, r: int) -> FiniteGroup:
     rinv = pow(r, -1, n) if n > 1 else 0
     shifts = [pow(rinv, j, n) for j in range(m)]
     # (s^i1 t^j1)(s^i2 t^j2) = s^(i1 + i2 rinv^j1) t^(j1 + j2), index i*m + j
-    t_parts = [[(j1 + j2) % m for j2 in range(m)] for j1 in range(m)]
-    table = [
-        [s_part + t_part for s_part in [(i1 + i2 * shift) % n * m for i2 in range(n)]
-         for t_part in t_parts[j1]]
-        for i1 in range(n)
-        for j1, shift in enumerate(shifts)
-    ]
+    i, j = np.divmod(np.arange(n * m), m)
+    shift = np.array(shifts, dtype=np.int64)[j]
+    table = (i[:, None] + i * shift[:, None]) % n * m + (j[:, None] + j) % m
     names = []
     for i in range(n):
         for j in range(m):
@@ -380,7 +392,7 @@ def symmetric(n: int) -> FiniteGroup:
     # entry (i, j) is the index of x -> p_i[p_j[x]]: the sorted perms' base-n codes increase
     P = np.array(perms, dtype=np.int64)
     weights = n ** np.arange(n - 1, -1, -1)
-    table = np.searchsorted(P @ weights, P[:, P] @ weights).tolist()
+    table = np.searchsorted(P @ weights, P[:, P] @ weights)
     names = [_cycle_name(p) for p in perms]
     return FiniteGroup(
         table,
@@ -413,11 +425,8 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     n, m = G.order, H.order
     if n * m > MAX_ORDER:
         raise InvalidParameterError(f"product order {n * m} exceeds cap {MAX_ORDER}")
-    table = [
-        [ac * m + bd for ac in G.table[a] for bd in H.table[b]]
-        for a in range(n)
-        for b in range(m)
-    ]
+    # entry (a m + b, c m + d) is (a c) m + b d
+    table = (G.table_array[:, None, :, None] * m + H.table_array[:, None]).reshape(n * m, n * m)
     names = [
         f"({G.element_names[a]}|{H.element_names[b]})" for a in range(n) for b in range(m)
     ]
@@ -584,6 +593,34 @@ def _python_rows(rows: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
     """The rows of an integer array as lists of Python ints (the entries
     ``operator.index`` gives, fetched at once), other rows as they are."""
     return rows.tolist() if isinstance(rows, np.ndarray) and rows.dtype.kind == "i" else rows
+
+
+def _identity_and_inverses(table: np.ndarray) -> Tuple[int, np.ndarray]:
+    """The closure, identity and inverse checks of ``FiniteGroup`` as scans
+    of a 2-d int64 table, with the same messages and first failure."""
+    n = len(table)
+    if table.shape[1] != n or table.min() < 0 or table.max() >= n:
+        raise InvalidParameterError("multiplication table is not closed")
+    points = np.arange(n)
+    unit = (table == points).all(axis=1) & (table == points[:, None]).all(axis=0)
+    if not unit.any():
+        raise InvalidParameterError("no identity element in table")
+    e = int(unit.argmax())
+    hit = table == e
+    inverses = hit.argmax(axis=1)
+    bad = ~hit[points, inverses] | (table[inverses, points] != e)
+    if bad.any():
+        raise InvalidParameterError(f"element {int(bad.argmax())} has no inverse")
+    return e, inverses
+
+
+def _check_associativity_by_table(table: np.ndarray, generators: Sequence[int]) -> None:
+    """``FiniteGroup._check_associativity`` on a 2-d int64 table: per
+    generator s, (a s) b == a (s b) for all a, b as T[T[:, s]] == T[:, T[s]]."""
+    for s in generators:
+        bad = table[table[:, s]] != table[:, table[s]]
+        if bad.any():
+            raise InvalidParameterError(f"associativity fails at elements ({int(bad.any(axis=1).argmax())}, {s})")
 
 
 def _action_by_rows(group: FiniteGroup, action: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:

@@ -14,7 +14,9 @@ the Shapiro construction of equivariant maps out of a permutation
 lattice, the Hom bases and the one-solve section that ``find_section``
 once took (H-fixed functionals into a permutation lattice, else the
 Kronecker kernel), the symmetric group's table composed as tuples, and
-the G-set operations as they were once written out where
+the tables of the cyclic, semidirect and direct product groups and of
+a subgroup as a group, built entry by entry in lists as the constructors
+once built them, and the G-set operations as they were once written out where
 they were used: the edge action of a graph read off its vertex action
 pair by pair, edge orbits by scanning every element, cosets by their
 own enumeration, a vector moved by a loop, the action on a stable edge
@@ -575,6 +577,35 @@ def symmetric_table_by_composition(n: int) -> List[List[int]]:
     perms = sorted(itertools.permutations(range(n)))
     pos = {p: i for i, p in enumerate(perms)}
     return [[pos[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms]
+
+
+def cyclic_table(n: int) -> List[List[int]]:
+    row = list(range(n))
+    return [row[i:] + row[:i] for i in range(n)]
+
+
+def semidirect_table(n: int, m: int, r: int) -> List[List[int]]:
+    """(s^i1 t^j1)(s^i2 t^j2) = s^(i1 + i2 r^-j1) t^(j1 + j2), index i m + j."""
+    rinv = pow(r, -1, n) if n > 1 else 0
+    return [
+        [(i1 + i2 * pow(rinv, j1, n)) % n * m + (j1 + j2) % m for i2 in range(n) for j2 in range(m)]
+        for i1 in range(n)
+        for j1 in range(m)
+    ]
+
+
+def direct_product_table(G: FiniteGroup, H: FiniteGroup) -> List[List[int]]:
+    m = H.order
+    return [
+        [ac * m + bd for ac in G.table[a] for bd in H.table[b]]
+        for a in range(G.order)
+        for b in range(m)
+    ]
+
+
+def subgroup_table(G: FiniteGroup, elements: Sequence[int]) -> List[List[int]]:
+    pos = {g: i for i, g in enumerate(elements)}
+    return [[pos[G.table[a][b]] for b in elements] for a in elements]
 
 
 def closure_from_identity(G: FiniteGroup, seed: Sequence[int]) -> Tuple[int, ...]:

@@ -1,9 +1,11 @@
 """The benchmark's output oracle, replayed in the tier-1 suite.
 
-Runs every `suite-full` and `ladder` operation of `bench/workloads.py`
-once through `cli.main` and compares each output with the digest that
-`bench/digests.json` records for it, using the benchmark's own check.
-So byte-identical output is gated here, not only in benchmark runs.
+Runs every operation any seed of any workload can issue (the
+`suite-full` and `ladder` operations of `bench/workloads.py` and the
+requests of `bench/queries.json`) once through `cli.main`, and compares
+each output with the digest that `bench/digests.json` records for it,
+using the benchmark's own check.  So byte-identical output is gated
+here, not only in benchmark runs.
 This only reads the files under `bench/`.
 """
 
@@ -34,14 +36,12 @@ def _bench_modules():
 
 workloads, worker = _bench_modules()
 DIGESTS = json.loads((BENCH / "digests.json").read_text())
-OPS = [list(argv) for argv in workloads.SUITE_FULL] + [
-    ["check", "bar-cocycle", "--group", g] for pool in workloads.LADDER_POOLS for g in pool
-]
+OPS = workloads.every_op()
 
 
 def test_every_operation_has_a_recorded_digest():
-    assert len(OPS) == 55 + 8
-    assert all(workloads.op_key(argv) in DIGESTS for argv in OPS)
+    assert len(OPS) == 55 + 8 + 890
+    assert sorted(map(workloads.op_key, OPS)) == sorted(DIGESTS)
 
 
 @pytest.mark.parametrize("argv", OPS, ids=workloads.op_key)
