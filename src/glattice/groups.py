@@ -7,11 +7,12 @@ never truncated.  Objects are validated on generators.  Every group
 computes one greedy generating set at construction and checks
 associativity with Light's test on it; the center and the abelian test
 compare with the generators only, since an element is central exactly
-when it commutes with each of them.  A subgroup checks closure on its own
-greedy generators.  A G-set checks rho(g s) = rho(g) rho(s) for every
-element g and every generator s, which by induction on word length makes
-rho a homomorphism.  A point-indexed vector is a sparse map, {point:
-entry}, and ``GSet.move`` is the one way a G-set moves it.
+when it commutes with each of them.  A subgroup given by its elements
+checks closure on its own greedy generators.  A G-set checks rho(g s) =
+rho(g) rho(s) for every element g and every generator s, which by
+induction on word length makes rho a homomorphism.  A point-indexed
+vector is a sparse map, {point: entry}, and ``GSet.move`` is the one way
+a G-set moves it.
 
 A group and a G-set each keep one int64 image of their table, made once
 (``FiniteGroup.table_array``, ``GSet.action_array``).  One size rule,
@@ -31,9 +32,11 @@ the same messages and report the same first failure.
 Subgroups grow by cosets: ``FiniteGroup.closure`` extends a known subgroup
 B to <B, g> as a union of right cosets of B (Dimino), and both the greedy
 generators and the subgroup enumeration extend what they already have
-instead of closing again from the identity.  A conjugacy class of
-subgroups is an orbit under conjugation by the generators.  Constructors
-refuse an order above ``MAX_ORDER`` before they build its table.
+instead of closing again from the identity.  The enumeration skips every
+closure whose result Lagrange's theorem fixes and certifies each subgroup
+by the closure that found it.  A conjugacy class of subgroups is an orbit
+under conjugation by the generators.  Constructors refuse an order above
+``MAX_ORDER`` before they build its table.
 """
 
 from __future__ import annotations
@@ -158,11 +161,11 @@ class FiniteGroup:
         element is a product of generators, so the whole table is associative.
         """
         t = self.table
+        rows = list(map(tuple, t))
         for s in self.generators:
-            ts = t[s]
-            for a in range(self.order):
-                ta = t[a]
-                if t[ta[s]] != [ta[x] for x in ts]:
+            after_s = operator.itemgetter(*t[s])  # row a -> the row of a . s, as a (s b) over b
+            for a, ta in enumerate(t):
+                if rows[ta[s]] != after_s(ta):
                     raise InvalidParameterError(f"associativity fails at elements ({a}, {s})")
 
     @property
@@ -232,7 +235,7 @@ class FiniteGroup:
             for s in gens:
                 x = row[s]
                 if x not in els:
-                    els.update([t[h][x] for h in base])
+                    els.update([t[h][x] for h in base] if len(base) > 1 else (x,))
                     reps.append(x)
         return tuple(sorted(els))
 
@@ -246,7 +249,7 @@ class Subgroup:
 
     parent: FiniteGroup
     elements: Tuple[int, ...]
-    _generators: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _generators: Optional[Tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         G = self.parent
@@ -260,6 +263,15 @@ class Subgroup:
         if G.order % len(self.elements) != 0:
             raise InvalidParameterError("subgroup size does not divide group order")
 
+    @classmethod
+    def _of_closure(cls, G: FiniteGroup, elements: Tuple[int, ...]) -> "Subgroup":
+        """The subgroup on `elements`, a tuple ``G.closure`` returned: that
+        closure is its certificate, which ``Subgroup(G, elements)`` would repeat."""
+        sub = object.__new__(cls)
+        for name, value in (("parent", G), ("elements", elements), ("_generators", None)):
+            object.__setattr__(sub, name, value)  # a __dict__ write would slow every read
+        return sub
+
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -269,6 +281,8 @@ class Subgroup:
 
     def generators(self) -> Tuple[int, ...]:
         """Deterministic generating set: greedily add smallest missing element."""
+        if self._generators is None:
+            object.__setattr__(self, "_generators", self.parent._greedy_generators(self.elements))
         return self._generators
 
     def is_cyclic(self) -> bool:
@@ -322,12 +336,9 @@ def _check_order(n: int) -> None:
         raise InvalidParameterError(f"group order {n} exceeds cap {MAX_ORDER}")
 
 
-def _power_name(sym: str, k: int) -> str:
-    if k == 0:
-        return ""
-    if k == 1:
-        return sym
-    return f"{sym}{k}"
+def _power_names(sym: str, n: int) -> List[str]:
+    """The names of sym^0 .. sym^(n-1): "", sym, then sym with its exponent."""
+    return (["", sym] + [f"{sym}{k}" for k in range(2, n)])[:n]
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -337,7 +348,7 @@ def cyclic(n: int) -> FiniteGroup:
     _check_order(n)
     points = np.arange(n)
     table = (points[:, None] + points) % n
-    names = ["e"] + [_power_name("s", i) for i in range(1, n)]
+    names = ["e"] + _power_names("s", n)[1:]
     gens = {"s": 1 % n}
     return FiniteGroup(table, element_names=names, spec=f"C:{n}", generator_indices=gens)
 
@@ -361,14 +372,12 @@ def semidirect(n: int, m: int, r: int) -> FiniteGroup:
     rinv = pow(r, -1, n) if n > 1 else 0
     shifts = [pow(rinv, j, n) for j in range(m)]
     # (s^i1 t^j1)(s^i2 t^j2) = s^(i1 + i2 rinv^j1) t^(j1 + j2), index i*m + j
+    # so row i1*m + j1 is the row of t^j1 with i1*m added modulo n*m
     i, j = np.divmod(np.arange(n * m), m)
-    shift = np.array(shifts, dtype=np.int64)[j]
-    table = (i[:, None] + i * shift[:, None]) % n * m + (j[:, None] + j) % m
-    names = []
-    for i in range(n):
-        for j in range(m):
-            nm = _power_name("s", i) + _power_name("t", j)
-            names.append(nm or "e")
+    rows_of_t = i * np.array(shifts)[:, None] % n * m + (np.arange(m)[:, None] + j) % m
+    table = (rows_of_t[j] + (i * m)[:, None]) % (n * m)
+    t_names = _power_names("t", m)
+    names = [si + tj or "e" for si in _power_names("s", n) for tj in t_names]
     gens = {"s": 1 % n * m, "t": 1 % m}
     return FiniteGroup(
         table, element_names=names, spec=f"SD:{n},{m},{r}", generator_indices=gens
@@ -427,9 +436,7 @@ def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
         raise InvalidParameterError(f"product order {n * m} exceeds cap {MAX_ORDER}")
     # entry (a m + b, c m + d) is (a c) m + b d
     table = (G.table_array[:, None, :, None] * m + H.table_array[:, None]).reshape(n * m, n * m)
-    names = [
-        f"({G.element_names[a]}|{H.element_names[b]})" for a in range(n) for b in range(m)
-    ]
+    names = [f"({a}|{b})" for a in G.element_names for b in H.element_names]
     return FiniteGroup(table, element_names=names, spec=f"X({G.spec},{H.spec})")
 
 
@@ -441,8 +448,14 @@ def all_subgroups(G: FiniteGroup) -> List[Subgroup]:
 
     Complete: any subgroup arises by adjoining its generators one at a time.
     Each found subgroup B is extended once per class of new elements:
-    <B, g> = <B, x> for every x in a double coset B g^k B with k prime to
-    the order of g, so all of these are done once g is tried.
+    <B, g> = <B, x> for every x in a double coset B g^j B with j prime to
+    the least k with g^k in B, so all of these are done once g is tried.
+    Lagrange's theorem fixes <B, g> without a closure when g lies in a known
+    K > B whose index over B is prime, or has least prime q with
+    |B<g>| = |B| k > |K| / q: both leave no proper subgroup of K over B
+    that holds g.  A subgroup is certified by the closure that found it, a
+    union of cosets kept by right multiplication with every generator, and
+    is not closed again: its greedy generators are made when first read.
     """
     if G._subgroups_cache is not None:
         return list(G._subgroups_cache)
@@ -450,31 +463,46 @@ def all_subgroups(G: FiniteGroup) -> List[Subgroup]:
         raise InvalidParameterError(
             f"subgroup enumeration capped at order {MAX_SUBGROUP_ENUMERATION_ORDER}"
         )
-    t = G.table
-    triv = (G.identity,)
-    known = {triv}
+    t, n = G.table, G.order
+    primes = [p for p, _ in prime_factorization(n)]
+    least = {i: next(p for p in primes if i % p == 0) for i in range(2, n + 1) if n % i == 0}
+    holders = [set() for _ in range(n)]  # holders[x]: the known subgroups > 1 that hold x
     # each subgroup with the generators it was first reached from
-    frontier = [(triv, ())]
+    frontier = [((G.identity,), ())]
     while frontier:
         base, gens = frontier.pop()
+        d, bset = len(base), set(base)
         done = set(base)  # a union of double cosets of base, marked by right cosets
-        for g in range(G.order):
+        over = []  # (|K| / q, K) for known K > base of composite index, q its least prime
+        for K in set.intersection(*[holders[x] for x in gens]) if gens else ():  # K >= base
+            m = len(K) // d
+            if m in primes:  # <base, g> = K for every g in K - base
+                done.update(K)
+            elif m > 1:
+                over.append((len(K) // least[m], K))
+        for g in range(n):
             if g in done:
                 continue
-            new = G.closure((g,), base, gens)
-            powers = [g]
-            while powers[-1] != G.identity:
-                powers.append(t[powers[-1]][g])
-            for k, x in enumerate(powers, 1):
-                if x not in done and gcd(k, len(powers)) == 1:
+            powers, row = [g], t[g]  # up to the first power g^k in base
+            while powers[-1] not in bset:
+                powers.append(row[powers[-1]])
+            k = len(powers)  # |base<g>| = d k, so K is <base, g> once d k > |K| / q
+            fits = [K for bound, K in over if bound < d * k and K in holders[g]]
+            new = fits[0] if fits else G.closure((g,), base, gens)
+            if new not in holders[g]:  # new holds g, so holders[g] has it once it is known
+                for x in new:
+                    holders[x].add(new)
+                frontier.append((new, gens + (g,)))
+            if len(new) // d in primes:
+                done.update(new)
+                continue
+            for j, x in enumerate(powers, 1):  # <base, x> = <base, g> for these x
+                if x not in done and gcd(j, k) == 1:
                     for y in [t[x][c] for c in base]:
                         if y not in done:
                             done.update([t[b][y] for b in base])
-            if new not in known:
-                known.add(new)
-                frontier.append((new, gens + (g,)))
-    ordered = sorted(known, key=lambda els: (len(els), els))
-    subs = [Subgroup(G, els) for els in ordered]
+    ordered = sorted(set().union(*holders) | {(G.identity,)}, key=lambda els: (len(els), els))
+    subs = [Subgroup._of_closure(G, els) for els in ordered]
     G._subgroups_cache = subs
     return list(subs)
 
@@ -602,10 +630,11 @@ def _identity_and_inverses(table: np.ndarray) -> Tuple[int, np.ndarray]:
     if table.shape[1] != n or table.min() < 0 or table.max() >= n:
         raise InvalidParameterError("multiplication table is not closed")
     points = np.arange(n)
-    unit = (table == points).all(axis=1) & (table == points[:, None]).all(axis=0)
-    if not unit.any():
+    # the identity: the first e whose row and column are arange(n), among rows starting with 0
+    e = next((e for e in np.flatnonzero(table[:, 0] == 0).tolist()
+              if (table[e] == points).all() and (table[:, e] == points).all()), None)
+    if e is None:
         raise InvalidParameterError("no identity element in table")
-    e = int(unit.argmax())
     hit = table == e
     inverses = hit.argmax(axis=1)
     bad = ~hit[points, inverses] | (table[inverses, points] != e)
@@ -618,7 +647,7 @@ def _check_associativity_by_table(table: np.ndarray, generators: Sequence[int]) 
     """``FiniteGroup._check_associativity`` on a 2-d int64 table: per
     generator s, (a s) b == a (s b) for all a, b as T[T[:, s]] == T[:, T[s]]."""
     for s in generators:
-        bad = table[table[:, s]] != table[:, table[s]]
+        bad = table.take(table[:, s], axis=0) != table.take(table[s], axis=1)
         if bad.any():
             raise InvalidParameterError(f"associativity fails at elements ({int(bad.any(axis=1).argmax())}, {s})")
 
