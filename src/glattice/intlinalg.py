@@ -1,23 +1,23 @@
 """Exact integer matrix algebra: normal forms, kernels, solving, quotients.
 
 How an ``IntMatrix`` is stored is private to this module: every other
-module builds and reads matrices through its API.  The entries are
-arbitrary-precision Python integers, so nothing can silently overflow,
-and caller numbers enter through ``operator.index``, so a float or a
-string is refused rather than truncated.  A vector is a sparse map,
-``{row: entry}``: a matrix may be given by its columns as such maps and
-read as them (``column_nonzeros``), and the one solve,
+module builds and reads matrices through its API.  A matrix holds one
+array, ``a``: int64 exactly when every entry fits, else an object array
+of Python integers.  Caller numbers enter through ``operator.index``, so
+a float or a string is refused rather than truncated.  Every operation
+checks a bound on its results before it runs on machine words, so
+nothing silently overflows: a product with shared dimension k runs in
+float64 (BLAS) when k * max|A| * max|B| < 2**53, where every partial sum
+is an exact integer in any order, and it is large enough to repay
+converting; in int64 below 2**62; on Python integers beyond that, as do
+a sum, negation or Kronecker product that may leave int64.  Every read
+hands out Python ints: a numpy scalar would wrap silently.  A vector is
+a sparse map, ``{row: entry}``: a matrix may be given by its columns as
+such maps and read as them (``column_nonzeros``), and the one solve,
 ``BasisSolver.express_columns``, takes its columns so; the matrices
-themselves are stored densely all the same.  Only the product and the
-Hermite boundary convert the storage.  A product with shared dimension k
-runs in float64 (BLAS) when k * max|A| * max|B| < 2**53, where every
-partial sum is an exact integer in any order, in int64 below 2**62, and
-on Python integers beyond that or when too small to repay converting.
-Each matrix keeps its int64 image, made by the product that made it or
-else by its first product, so it converts once; a product's Python ints
-are made from that image when first read.  The Hermite forms eliminate
-on rows of Python integers and wrap their rows without converting an
-entry.  Every routine is a pure function of its inputs and deterministic.
+themselves are stored densely all the same.  The Hermite forms eliminate
+on rows of Python integers.  Every routine is a pure function of its
+inputs and deterministic.
 
 One integer elimination routine serves every question: the row Hermite
 form, on rows kept as lists of integers, with a fixed pivot rule
@@ -53,15 +53,15 @@ import numpy as np
 # Bounds on k * max|A| * max|B| below which a product runs in float64, int64.
 _FLOAT64_PRODUCT_BOUND = 1 << 53
 _INT64_PRODUCT_BOUND = 1 << 62
-# A product runs in int64 only when its multiply-adds exceed this plus
-# twice its operand entries: converting an entry costs about as much as
-# one multiply-add of Python integers, and the guard has a fixed cost.
-_SMALL_PRODUCT = 512
+# Below this many multiply-adds an int64 product beats converting to float64.
+_BLAS_PRODUCT = 4096
+# A sum, negation or Kronecker product runs in int64 when its results are below this.
+_INT64_BOUND = 1 << 63
 
 
 class IntMatrix:
     """An integer matrix, never changed once made (nothing writes through
-    ``.a``), so the int64 image it keeps stays its own.
+    ``.a``), held as int64 exactly when every entry fits.
 
     >>> m = IntMatrix.from_rows([[1, 2], [3, 4]])
     >>> m.rows, m.cols
@@ -71,22 +71,31 @@ class IntMatrix:
     [3 4]
     """
 
-    __slots__ = ("_a", "_i64")
+    __slots__ = ("a", "_bound")
 
-    def __init__(self, array: Optional[np.ndarray], i64: Optional[np.ndarray] = None):
-        # a 2-d object array of Python ints built in this module only (None until
-        # read if a product made i64); its int64 image (False: exceeds int64)
-        self._a, self._i64 = array, i64
+    def __init__(self, a: np.ndarray, bound: Optional[int] = None):
+        # a 2-d int64 array, or an object array of Python ints with an entry
+        # outside int64, built in this module only; a bound on |entry| if known
+        self.a, self._bound = a, bound
 
-    @property
-    def a(self) -> np.ndarray:
-        if self._a is None:
-            self._a = self._i64.astype(object)
-        return self._a
+    @classmethod
+    def _held(cls, a: np.ndarray, bound: Optional[int] = None) -> "IntMatrix":
+        """Wrap an int64 array, or Python ints: held as int64 if every entry fits."""
+        if a.dtype == object:
+            try:
+                a = a.astype(np.int64)
+            except OverflowError:
+                pass
+        return cls(a, bound)
 
-    @property
-    def _made(self) -> np.ndarray:  # the entries in a storage already made
-        return self._i64 if self._a is None else self._a
+    def _max_abs(self, kept: bool = True) -> int:
+        """A bound on |entry|: the one kept, else (or unless ``kept``) the
+        largest absolute entry, 0 for none, which is then kept.  A guard that
+        fails on kept bounds is checked again on the largest entries."""
+        if self._bound is None or not kept:
+            a = np.abs(self.a)  # |-2**63| wraps to -2**63, whose uint64 view is 2**63
+            self._bound = int((a.view(np.uint64) if a.dtype == np.int64 else a).max()) if a.size else 0
+        return self._bound
 
     # -- constructors ------------------------------------------------------
 
@@ -95,14 +104,12 @@ class IntMatrix:
         ncols = (len(rows[0]) if rows else 0) if cols is None else cols
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        a = np.empty(len(rows) * ncols, dtype=object)
-        a[:] = [x for row in rows for x in map(operator.index, row)]  # caller numbers enter here
-        return cls(a.reshape(len(rows), ncols))
+        return cls._of_int_rows([list(map(operator.index, row)) for row in rows], ncols)  # caller numbers enter here
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
         if len(columns) == 0:
-            return cls(np.empty((rows or 0, 0), dtype=object))
+            return cls.zeros(rows or 0, 0)
         nrows = len(columns[0]) if rows is None else rows
         if any(len(c) != nrows for c in columns):
             raise ValueError("ragged columns")
@@ -119,22 +126,28 @@ class IntMatrix:
         [0 0]
         [-1 0]
         """
-        a = np.zeros((rows, len(columns)), dtype=object)
+        a = np.zeros((rows, len(columns)), dtype=np.int64)
         for j, col in enumerate(columns):
             for i, x in col.items():
                 i = operator.index(i)
                 if not 0 <= i < rows:
                     raise ValueError(f"row index {i} out of range for {rows} rows")
-                a[i, j] = operator.index(x)  # caller numbers enter here
+                x = operator.index(x)  # caller numbers enter here
+                try:
+                    a[i, j] = x
+                except OverflowError:  # x leaves int64: hold Python ints
+                    a = a.astype(object)
+                    a[i, j] = x
         return cls(a)
 
     @classmethod
     def _of_int_rows(cls, rows: list, cols: int) -> "IntMatrix":
         """Wrap rows that are already lists of ``cols`` Python ints."""
-        a = np.empty((len(rows), cols), dtype=object)
-        for i, row in enumerate(rows):
-            a[i] = row
-        return cls(a)
+        try:
+            a = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            a = np.array(rows, dtype=object)
+        return cls(a.reshape(len(rows), cols))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -142,19 +155,20 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(np.zeros((rows, cols), dtype=object))
+        return cls(np.zeros((rows, cols), dtype=np.int64), 0)
 
     @classmethod
     def unit_columns(cls, rows: int, images: Sequence[int]) -> "IntMatrix":
         """The rows x len(images) matrix whose column j is the unit vector
         of row images[j]: the matrix of the basis map j -> images[j]."""
-        a = np.zeros((rows, len(images)), dtype=object)
+        a = np.zeros((rows, len(images)), dtype=np.int64)
         a[list(images), range(len(images))] = 1
-        return cls(a)
+        return cls(a, int(len(images) > 0))
 
     @classmethod
     def block_diagonal(cls, blocks: Sequence["IntMatrix"]) -> "IntMatrix":
-        a = np.zeros((sum(b.rows for b in blocks), sum(b.cols for b in blocks)), dtype=object)
+        dtype = np.result_type(np.int64, *(b.a for b in blocks))  # object if a block is
+        a = np.zeros((sum(b.rows for b in blocks), sum(b.cols for b in blocks)), dtype=dtype)
         i = j = 0
         for b in blocks:
             a[i : i + b.rows, j : j + b.cols] = b.a
@@ -169,14 +183,16 @@ class IntMatrix:
 
     @property
     def rows(self) -> int:
-        return self._made.shape[0]
+        return self.a.shape[0]
 
     @property
     def cols(self) -> int:
-        return self._made.shape[1]
+        return self.a.shape[1]
 
     def __getitem__(self, ij):
-        return self.a[ij]
+        """An entry as an int, or the entries of a slice as lists of ints."""
+        x = self.a[ij]
+        return x.tolist() if isinstance(x, (np.ndarray, np.integer)) else x
 
     def col_list(self, j: int) -> list:
         return self.a[:, j].tolist()
@@ -186,41 +202,38 @@ class IntMatrix:
 
     # -- algebra -----------------------------------------------------------
 
-    def _int64(self) -> Optional[np.ndarray]:
-        """The int64 image, made once; None when an entry exceeds int64."""
-        if self._i64 is None:
-            try:
-                self._i64 = self.a.astype(np.int64)
-            except OverflowError:
-                self._i64 = False
-        return None if self._i64 is False else self._i64
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        m, k, n = self.rows, self.cols, other.cols
-        if m * k * n >= _SMALL_PRODUCT + 2 * (m * k + k * n):
-            a, b = self._int64(), other._int64()
-            if a is not None and b is not None:
-                bound = k * max(int(a.max()), -int(a.min())) * max(int(b.max()), -int(b.min()))
-                if bound < _FLOAT64_PRODUCT_BOUND:
-                    c = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-                    return IntMatrix(None, c)
-                if bound < _INT64_PRODUCT_BOUND:
-                    return IntMatrix(None, a @ b)
-        return IntMatrix(np.dot(self.a, other.a))
+        (m, k), n = self.shape, other.cols
+        a, b = self.a, other.a
+        bound = k * self._max_abs() * other._max_abs()
+        if bound >= _FLOAT64_PRODUCT_BOUND:
+            bound = k * self._max_abs(kept=False) * other._max_abs(kept=False)
+        if bound < _INT64_PRODUCT_BOUND and a.dtype == b.dtype == np.int64:
+            if bound < _FLOAT64_PRODUCT_BOUND and m * k * n >= _BLAS_PRODUCT:
+                return IntMatrix((a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64), bound)
+            return IntMatrix(a @ b, bound)
+        return IntMatrix._held(np.dot(a.astype(object), b.astype(object)), bound)
+
+    def _elementwise(self, op, other: "IntMatrix") -> "IntMatrix":
+        bound = self._max_abs() + other._max_abs()
+        if bound >= _INT64_BOUND:
+            bound = self._max_abs(kept=False) + other._max_abs(kept=False)
+        a, b = (self.a, other.a) if bound < _INT64_BOUND else (self.a.astype(object), other.a.astype(object))
+        return IntMatrix._held(op(a, b), bound)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(self.a + other.a)
+        return self._elementwise(np.add, other)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(self.a - other.a)
+        return self._elementwise(np.subtract, other)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(-self.a)
+        return IntMatrix.zeros(*self.shape) - self  # -(-2**63) leaves int64, as the guard knows
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.a.T.copy())
+        return IntMatrix(self.a.T.copy(), self._bound)
 
     @property
     def T(self) -> "IntMatrix":
@@ -228,18 +241,18 @@ class IntMatrix:
 
     @property
     def shape(self):
-        return self._made.shape
+        return self.a.shape
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return self.shape == other.shape and bool(np.array_equal(self._made, other._made))
+        return self.shape == other.shape and bool(np.array_equal(self.a, other.a))
 
     def is_zero(self) -> bool:
-        return not np.count_nonzero(self._made)
+        return not np.count_nonzero(self.a)
 
     def is_identity(self) -> bool:
-        n, a = self.rows, self._made
+        n, a = self.rows, self.a
         return bool(n == self.cols and np.count_nonzero(a) == n and (a.diagonal() == 1).all())
 
     def hstack(self, *others: "IntMatrix") -> "IntMatrix":
@@ -253,10 +266,10 @@ class IntMatrix:
         return IntMatrix(np.vstack([self.a] + [o.a for o in others]))
 
     def take_columns(self, js: Iterable[int]) -> "IntMatrix":
-        return IntMatrix(self.a[:, list(js)])  # a copy, as every index array makes
+        return IntMatrix._held(self.a[:, list(js)], self._bound)  # a copy, as every index array makes
 
     def take_rows(self, idx: Iterable[int]) -> "IntMatrix":
-        return IntMatrix(self.a[list(idx), :])
+        return IntMatrix._held(self.a[list(idx), :], self._bound)
 
     def column_nonzeros(self) -> list:
         """Each column as a dict of its nonzero entries by row, rows ascending."""
@@ -269,11 +282,17 @@ class IntMatrix:
     def kron(self, other: "IntMatrix") -> "IntMatrix":
         """Kronecker product, row-major block convention: entry
         (i * other.rows + k, j * other.cols + l) is self[i, j] * other[k, l]."""
-        a = self.a[:, None, :, None] * other.a[None, :, None, :]
-        return IntMatrix(a.reshape(self.rows * other.rows, self.cols * other.cols))
+        a, b = self.a, other.a
+        bound = self._max_abs() * other._max_abs()
+        if bound >= _INT64_BOUND:
+            bound = self._max_abs(kept=False) * other._max_abs(kept=False)
+        if bound >= _INT64_BOUND or a.dtype != b.dtype:  # an object array has an entry past int64
+            a, b = a.astype(object), b.astype(object)
+        c = (a[:, None, :, None] * b[None, :, None, :]).reshape(self.rows * other.rows, self.cols * other.cols)
+        return IntMatrix._held(c, bound)
 
     def __str__(self) -> str:
-        return "\n".join("[" + " ".join(str(x) for x in row) + "]" for row in self.a) or "[]"
+        return "\n".join("[" + " ".join(map(str, row)) + "]" for row in self.to_lists()) or "[]"
 
     def __repr__(self) -> str:
         return f"IntMatrix({self.rows}x{self.cols})"
@@ -453,9 +472,10 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
         free = sorted(set(range(n)).difference(J))
         Y = BasisSolver(A.take_columns(J)).express_matrix(A.take_columns(free))
         if Y is not None:
-            k = np.zeros((n, len(free)), dtype=object)
+            minus_y = (-Y).a
+            k = np.zeros((n, len(free)), dtype=minus_y.dtype)
             k[free, range(len(free))] = 1
-            k[J, :] = (-Y).a
+            k[J, :] = minus_y
             return IntMatrix(k)
     H, V = col_hermite(A, transform=True)
     rank = sum(1 for col in H.a.T.tolist() if any(col))

@@ -45,7 +45,9 @@ section of a permutation quotient found orbit by orbit against those
 fixed points and moved point by point, and the flasque scan over every
 subgroup class in order.  Dense vectors, which the library no longer
 takes, are multiplied, solved for and flattened here, and flows given
-as dicts are laid out as the padded arrays the bar-cocycle checks read.  The rank-formula
+as dicts are laid out as the padded arrays the bar-cocycle checks read.
+Products and Kronecker products of matrices given as lists of rows, on
+Python ints, check every operation across the int64 boundary.  The rank-formula
 graphs built by the group and G-set constructors, as they were before
 the command line read them from graph specs.  The tensor lattice, and
 the dense Bezout embedding and retraction through tensors with coset
@@ -129,6 +131,19 @@ def express_dense(solver: BasisSolver, vec: Sequence[int]) -> Optional[List[int]
         raise ValueError("vector length mismatch")
     Y = solver.express_columns([dict(enumerate(vec))])
     return None if Y is None else Y.col_list(0)
+
+
+def product_by_python_ints(A: List[List[int]], B: List[List[int]], n: Optional[int] = None) -> List[List[int]]:
+    """The product of two matrices given as lists of rows (B with n columns),
+    one Python-int dot product per entry."""
+    n = len(B[0]) if n is None else n
+    return [[sum(row[t] * B[t][j] for t in range(len(row))) for j in range(n)] for row in A]
+
+
+def kron_by_python_ints(A: List[List[int]], B: List[List[int]]) -> List[List[int]]:
+    """The Kronecker product of two matrices given as lists of rows: entry
+    (i * rows(B) + k, j * cols(B) + l) is A[i][j] * B[k][l]."""
+    return [[x * y for x in a_row for y in b_row] for a_row in A for b_row in B]
 
 
 def entries(M: IntMatrix) -> List[int]:

@@ -465,13 +465,13 @@ class TestProduct:
 
 
 class TestVerdictsAreBool:
-    """is_identity and is_zero return bool, on object-held matrices and on
-    int64-held product results alike."""
+    """is_identity and is_zero return bool, on int64-held matrices (made by
+    a constructor or a product) and on matrices held as Python ints."""
 
-    def test_object_held(self):
+    def test_int64_held(self):
         for m in (IntMatrix.from_rows([[1, 1], [0, 1]]), IntMatrix.from_rows([[1, 0], [0, 0]]),
                   IntMatrix.identity(2), IntMatrix.zeros(2, 2)):
-            assert m.a.dtype == object
+            assert m.a.dtype == np.int64
             assert type(m.is_identity()) is bool and type(m.is_zero()) is bool
         assert not IntMatrix.from_rows([[1, 1], [0, 1]]).is_identity()
         assert not IntMatrix.from_rows([[1, 0], [0, 0]]).is_zero()
@@ -481,11 +481,20 @@ class TestVerdictsAreBool:
         eye = IntMatrix.identity(n)
         shear = IntMatrix.from_rows([[int(i == j or j == i + 1) for j in range(n)] for i in range(n)])
         products = [eye @ eye, shear @ eye, IntMatrix.zeros(n, n) @ eye]
-        assert all(p._made.dtype == np.int64 for p in products)
+        assert all(p.a.dtype == np.int64 for p in products)
         assert [(p.is_identity(), p.is_zero()) for p in products] == [
             (True, False), (False, False), (False, True)
         ]
         assert all(type(v) is bool for p in products for v in (p.is_identity(), p.is_zero()))
+
+    def test_python_int_held(self):
+        wide = [IntMatrix.from_rows([[1, 2**64], [0, 1]]), IntMatrix.from_rows([[2**63, 0], [0, 1]]),
+                IntMatrix.from_rows([[1, 0], [0, 1]]) @ IntMatrix.from_rows([[1, -(2**80)], [0, 1]])]
+        assert all(m.a.dtype == object for m in wide)
+        assert [(m.is_identity(), m.is_zero()) for m in wide] == [(False, False)] * 3
+        assert all(type(v) is bool for m in wide for v in (m.is_identity(), m.is_zero()))
+        back = wide[2] @ IntMatrix.from_rows([[1, 2**80], [0, 1]])
+        assert back.a.dtype == np.int64 and back.is_identity() is True
 
 
 class TestFromSparseColumns:
