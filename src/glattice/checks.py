@@ -487,7 +487,10 @@ class _MetacyclicData:
 
 
 def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
-    """Build the presentation map for <s, t | s^n = t^m, t^-1 s t = s^r>."""
+    """Build the presentation map for <s, t | s^n = t^m, t^-1 s t = s^r>.
+    ``semidirect`` certifies the twist congruence r^m = 1 mod n, the flow
+    solve that the twist path is a flow, so ends at s t, and pi.validate()
+    that the cycle flows are invariant, as the coset basepoints' images."""
     if gcd(n, m) != 1:
         raise InvalidParameterError(f"orders n={n}, m={m} must be coprime")
     G = semidirect(n, m, r)
@@ -516,16 +519,10 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
     for _ in range(r):
         steps.append((v, G.table[v][s], -1))
         v = G.table[v][s]
-    certify(v == G.mul(s, t), "the two paths must end at s t")
     # the cycles and the twist path in the flow basis: B has the three
     # orbits of Ls, Lt and LG, in that order
     bases = fl.solver.express_columns([cycle_flow(s, n), cycle_flow(t, m), _edge_vector(X, steps)])
     certify(bases is not None, "the cycles and the twist path are flows")
-
-    rho = fl.action
-    s_vec, t_vec = bases.take_columns([0]), bases.take_columns([1])
-    certify(rho[s] @ s_vec == s_vec, "cycle flow must be s-invariant")
-    certify(rho[t] @ t_vec == t_vec, "cycle flow must be t-invariant")
 
     pi = EquivariantMap(B, fl, orbit_map(B, fl, bases))
     pi.validate()
@@ -545,8 +542,7 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
     u_e = combine(*norm_s_a, (-1, s_hat), (r, move(t, s_hat)))
     u_cols = [move(G.power(t, j), u_e) for j in range(m)]
 
-    coeff, rem = divmod(r ** m - 1, n)
-    certify(rem == 0, "the twist congruence forces an integer coefficient")
+    coeff = (r ** m - 1) // n
     # t^j s^i a_hat for i < r^j, by multiplicity: each i < n appears
     # floor(r^j / n) times, and once more when i < r^j mod n
     v_sum = [(q + (i < rest), move(G.mul(G.power(t, j), G.power(s, i)), a_hat))

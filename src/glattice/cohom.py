@@ -31,6 +31,10 @@ coflasque validation of its transpose would; a split iso is validated
 once and certifies fwd @ back = I only, which with ranks that add up
 certifies its sequence exact and every half it was built from; an
 invertibility certificate rests on its witnesses and Bezout identity.
+A pullback row's section lies in the pullback as ``lift`` certifies
+g . lift = f.  A permutation witness is unimodular by the saturation
+check that accepts its last orbit.  Rank 0 gets no resolution, as
+``direct_sum_many`` refuses an empty sum.
 
 The bounded search for a G-stable basis numbers the box vectors, so each
 group element acts on them by one index array, reads every orbit and
@@ -222,7 +226,8 @@ def coflasque_resolution(
 def _coflasque_sequence(
     M: GLattice, rep_order: Optional[Sequence[int]] = None
 ) -> ShortExactSequence:
-    """The unvalidated sequence of ``coflasque_resolution``."""
+    """The unvalidated sequence of ``coflasque_resolution``; rank 0, with no
+    fixed vectors, is refused as an empty sum by ``direct_sum_many``."""
     G = M.group
     reps = subgroup_conjugacy_reps(G)
     if rep_order is not None:
@@ -236,9 +241,7 @@ def _coflasque_sequence(
         if fixed.cols:
             summands += [coset_lattice(G, H)] * fixed.cols
             fixed_vectors.append(fixed)
-    if not summands:
-        raise InvalidParameterError("lattice admits no fixed vectors; rank 0 unsupported")
-    P = direct_sum_many(summands)  # one orbit per summand, in order
+    P = direct_sum_many(summands)  # one orbit per summand, in order; none for rank 0
     pi = EquivariantMap(P, M, orbit_map(P, M, IntMatrix.zeros(M.rank, 0).hstack(*fixed_vectors)))
     _, incl = sublattice_with_action(P, kernel_basis(pi.matrix))
     return ShortExactSequence(incl, pi)
@@ -271,7 +274,8 @@ def pullback(
     the rows' right maps are its two projections.  One solver of that
     basis gives Q its action and embeds both kernels, A1 as (a, 0) and A2
     as (0, a); a left map whose image leaves the kernel of its right map
-    has no such embedding, and raises.
+    has no such embedding, and raises.  A row's section x -> (x, lift x)
+    lies in Q, whose basis is saturated, as ``lift`` certifies g . lift = f.
     """
     f, g = first.right, second.right
     if not lattices_equal(f.target, g.target):
@@ -286,9 +290,7 @@ def pullback(
 
     def section(f, g, pair):  # x -> (x, lift(f, g) x) in Q's basis; None with no lift
         t = lift(f, g)
-        s = None if t is None else solver.express_matrix(pair(t.matrix))
-        certify(t is None or s is not None, "(x, lift x) lies in the pullback")
-        return s
+        return None if t is None else solver.express_matrix(pair(t.matrix))
 
     return (
         ShortExactSequence(
@@ -590,6 +592,8 @@ def is_permutation_bounded(M: GLattice, bound: int = 2) -> PermutationSearchOutc
     class, largest stabilizer first, where an orbit costs 1; with the
     counts unknown, one pool of every orbit filled to rank r, where an
     orbit costs its size.  Every orbit tried is one node of the budget.
+    The chosen orbits hold r vectors (sum_H n_H [G:H] = r at the trivial
+    class), so the saturation check of the last certifies the witness.
     """
     if bound < 1:
         raise InvalidParameterError("bound must be >= 1")
@@ -685,7 +689,6 @@ def is_permutation_bounded(M: GLattice, bound: int = 2) -> PermutationSearchOutc
         reason = "node budget exhausted" if budget <= 0 else "no stable basis within bound"
         return PermutationSearchOutcome(None, [], bound, reason)
     witness = IntMatrix.from_columns([v for orbit, _ in chosen for v in orbit], rows=r)
-    certify(is_saturated_basis(witness), "witness must be unimodular")
     orbits_out, first = [], 0
     for orbit, _ in chosen:
         orbits_out.append(list(range(first, first + len(orbit))))

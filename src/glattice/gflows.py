@@ -441,8 +441,9 @@ def spanning_tree_basis_of_arrays(
 
 def _non_tree_edges(X: GGraph, tree_edges: Iterable[int], count: int) -> List[int]:
     """The edges off a spanning tree of X, in edge order, once the tree is
-    checked (in range, spanning and acyclic in the undirected sense) and
-    there is one of the count candidates for each."""
+    checked (in range, |V| - 1 edges and acyclic in the undirected sense,
+    so each edge joins two components and the tree spans) and there is one
+    of the count candidates for each."""
     tree = sorted(set(map(operator.index, tree_edges)))
     if tree and not (tree[0] >= 0 and tree[-1] < X.n_edges):
         raise InvalidParameterError("spanning edge out of range")
@@ -456,8 +457,6 @@ def _non_tree_edges(X: GGraph, tree_edges: Iterable[int], count: int) -> List[in
         if rs == rt:
             raise InvalidParameterError("tree edges contain a cycle")
         parent[rs] = rt
-    if len({_find(parent, v) for v in range(X.n_vertices)}) != 1:
-        raise InvalidParameterError("tree edges do not span the graph")
     non_tree = _edges_outside(X, tree)
     if count != len(non_tree):
         raise SpanningTreeBasisError(
@@ -603,6 +602,7 @@ def remove_edges_decomposition(X: GGraph, X_sub: GGraph) -> EquivariantMap:
     flows by zero and whose right map restricts them to the removed edges.
     The section is the circular flows: each removed orbit's least edge closed
     through the subgraph by ``fundamental_cycles``, moved by the edge G-set.
+    ``flow_lattice`` refuses a subgraph that is not connected.
 
     >>> from glattice.groups import cyclic
     >>> G = cyclic(4)  # s is element 1 and s2 element 2
@@ -614,8 +614,6 @@ def remove_edges_decomposition(X: GGraph, X_sub: GGraph) -> EquivariantMap:
         raise InvalidParameterError("graphs must share the vertex G-set")
     if not X.vertices.is_free():
         raise InvalidParameterError("vertex action must be free")
-    if not X_sub.is_connected():
-        raise InvalidParameterError("subgraph must be connected")
     idx = X.edge_index()
     sub_in_X = []
     for pair in X_sub.edges:

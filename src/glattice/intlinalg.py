@@ -203,8 +203,7 @@ class IntMatrix:
     # -- algebra -----------------------------------------------------------
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
+        # numpy's product refuses a shape mismatch with ValueError on every route
         (m, k), n = self.shape, other.cols
         a, b = self.a, other.a
         bound = k * self._max_abs() * other._max_abs()
@@ -255,14 +254,10 @@ class IntMatrix:
         n, a = self.rows, self.a
         return bool(n == self.cols and np.count_nonzero(a) == n and (a.diagonal() == 1).all())
 
-    def hstack(self, *others: "IntMatrix") -> "IntMatrix":
-        if any(o.rows != self.rows for o in others):
-            raise ValueError("row mismatch in hstack")
+    def hstack(self, *others: "IntMatrix") -> "IntMatrix":  # numpy refuses a row mismatch
         return IntMatrix(np.hstack([self.a] + [o.a for o in others]))
 
-    def vstack(self, *others: "IntMatrix") -> "IntMatrix":
-        if any(o.cols != self.cols for o in others):
-            raise ValueError("column mismatch in vstack")
+    def vstack(self, *others: "IntMatrix") -> "IntMatrix":  # numpy refuses a column mismatch
         return IntMatrix(np.vstack([self.a] + [o.a for o in others]))
 
     def take_columns(self, js: Iterable[int]) -> "IntMatrix":

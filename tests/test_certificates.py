@@ -58,3 +58,40 @@ def test_certificates_and_output_survive_optimize_flag():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["raised", SUITE_QUICK_SHA256]
+
+
+def unfired_certificates(src: Path = SRC, tests: Path = Path(__file__).resolve().parent) -> list:
+    """(module, line, message) of each ``certify(cond, "message")`` in src
+    whose message appears in no test file under tests: a guard that no
+    test names is a guard that no test is known to fire.  A message that
+    is not a string literal is listed as None."""
+    text = "".join(path.read_text() for path in sorted(tests.glob("test_*.py")))
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "certify":
+                what = node.args[1] if len(node.args) == 2 else None
+                message = what.value if isinstance(what, ast.Constant) else None
+                if not isinstance(message, str) or message not in text:
+                    found.append((path.stem, node.lineno, message))
+    return found
+
+
+def test_every_certificate_message_is_named_by_a_test():
+    assert unfired_certificates() == []
+
+
+def test_guard_sees_an_unnamed_certificate(tmp_path):
+    src, tests = tmp_path / "src", tmp_path / "tests"
+    src.mkdir()
+    tests.mkdir()
+    (src / "checked.py").write_text(
+        "from .errors import certify\n\n"
+        "def f(x):\n"
+        '    certify(x > 0, "x is positive")\n'
+        '    certify(x < 9, "x is small")\n'
+        '    certify(x != 5, f"x is not {5}")\n'
+    )
+    (tests / "test_checked.py").write_text('MATCH = "x is positive"\n')
+    (tests / "helpers.py").write_text('MATCH = "x is small"\n')  # not a test file
+    assert unfired_certificates(src, tests) == [("checked", 5, "x is small"), ("checked", 6, None)]

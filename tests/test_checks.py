@@ -96,6 +96,21 @@ class TestKernelGenerators:
         with pytest.raises(InvalidParameterError, match="r != 1"):
             check_kernel_generators(5, 2, 1)
 
+    @pytest.mark.parametrize("n, m, r, fwd_bits, back_bits", [
+        (3, 2, 2, 2, 2), (5, 2, 4, 5, 5), (7, 3, 2, 5, 5),
+        (5, 4, 2, 4, 6), (5, 4, 3, 23, 22), (5, 12, 4, 106, 106),
+    ])
+    def test_split_entries_do_not_grow(self, n, m, r, fwd_bits, back_bits):
+        """The largest entries of the presentation's split iso and of its
+        inverse, in bits, at most as they are today: growth shows here
+        before any composition of these isos multiplies it."""
+        iso = cohom.split_iso(checks_mod._metacyclic_presentation(n, m, r).pres)
+
+        def bits(matrix):
+            return max(abs(x) for row in matrix.to_lists() for x in row).bit_length()
+
+        assert bits(iso.matrix) <= fwd_bits and bits(iso.inverse().matrix) <= back_bits
+
     def test_reports_are_reproducible(self):
         a = check_kernel_generators(3, 2, 2).to_json_dict()
         b = check_kernel_generators(3, 2, 2).to_json_dict()

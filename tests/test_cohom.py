@@ -416,7 +416,7 @@ class TestPullback:
         wrong = ShortExactSequence(
             EquivariantMap(seq.C, seq.B, IntMatrix.from_columns([[1, -1]])), seq.right
         )
-        with pytest.raises(CertificateError, match="kernels lie in the pullback"):
+        with pytest.raises(CertificateError, match="both kernels lie in the pullback"):
             pullback(seq, wrong)
 
 
@@ -799,7 +799,7 @@ class TestBezoutEmbeddingOracle:
 
     def test_library_certifies_the_identity(self, monkeypatch):
         monkeypatch.setattr(cohom_mod, "bezout_coefficients", lambda values: [0] * len(values))
-        with pytest.raises(CertificateError, match="Bezout identity"):
+        with pytest.raises(CertificateError, match="the Bezout identity holds"):
             invertibility_certificate(regular(parse_group_spec("C:12")))
 
 

@@ -479,7 +479,7 @@ class TestCocycleCheckAgainstDictLoops:
         assert _cocycle_failures(X, G, bar_arrays(d, 3)) == cocycle_failures_by_dicts(X, G, d) > 0
         for scale in ((1 << 62) // 12, 1 << 64):  # the second past int64 itself
             d[key] = {e: c * scale for e, c in bar[key].items()}
-            with pytest.raises(CertificateError, match="sum exactly in int64"):
+            with pytest.raises(CertificateError, match="bar flow coefficients sum exactly in int64"):
                 _cocycle_failures(X, G, bar_arrays(d, 3))
 
     @pytest.mark.parametrize("spec", BAR_GROUPS + ["C:25"])
