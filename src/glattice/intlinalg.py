@@ -13,8 +13,8 @@ converting; in int64 below 2**62; on Python integers beyond that, as do
 a sum, negation or Kronecker product that may leave int64.  Every read
 hands out Python ints: a numpy scalar would wrap silently.  A vector is
 a sparse map, ``{row: entry}``: a matrix may be given by its columns as
-such maps and read as them (``column_nonzeros``), and the one solve,
-``BasisSolver.express_columns``, takes its columns so; the matrices
+such maps and read as them (``column_nonzeros``), and
+``BasisSolver.express_columns`` takes its columns so; the matrices
 themselves are stored densely all the same.  The Hermite forms eliminate
 on rows of Python integers.  Every routine is a pure function of its
 inputs and deterministic.
@@ -31,12 +31,14 @@ it is skipped when every pivot of that form is 1.  Kernels and solves
 Hermite form and its transform, skipped for a matrix already in that
 form; a certified triangular basis, such as a spanning-tree flow basis,
 is its own solver too, given by its sparse columns: no identity transform
-is multiplied, and its dense matrix is made when first read.  The
-back-substitution visits only the pivots it reaches, in column order,
-which is sound because each echelon column is 0 in the pivot rows of the
-columns before it: a Hermite form is, and a caller of
-``BasisSolver._of_triangular`` must certify it.  No routine builds the
-Smith transforms.  Independence over Q is read off the pivot columns of
+is multiplied, and its dense matrix is made when first read.  Each
+echelon column is 0 in the pivot rows of the columns before it (a Hermite
+form is, and a caller of ``BasisSolver._of_triangular`` must certify
+it), so the pivot rows hold a triangular minor, and the coordinates are
+read off them: as they are when that minor is the identity, else by one
+forward substitution over it.  One exact product on the other rows then
+decides membership of a whole batch.  No routine builds the Smith
+transforms.  Independence over Q is read off the pivot columns of
 the row Hermite form (``pivot_columns``).
 """
 
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -216,6 +218,8 @@ class IntMatrix:
         return IntMatrix._held(np.dot(a.astype(object), b.astype(object)), bound)
 
     def _elementwise(self, op, other: "IntMatrix") -> "IntMatrix":
+        if self.shape != other.shape:  # numpy would broadcast a row or a column
+            raise ValueError(f"shape mismatch: {self.shape} and {other.shape}")
         bound = self._max_abs() + other._max_abs()
         if bound >= _INT64_BOUND:
             bound = self._max_abs(kept=False) + other._max_abs(kept=False)
@@ -492,8 +496,8 @@ def cokernel_invariants(A: IntMatrix):
 def solve_matrix(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     """Integer X with A @ X == B (columnwise solve), or None.
 
-    Back-substitutes each column of B against the column Hermite form of
-    A (see ``BasisSolver``); A may have dependent columns.
+    Reads each column of B off the pivot rows of the column Hermite form
+    of A (see ``BasisSolver``); A may have dependent columns.
     """
     return BasisSolver(A).express_matrix(B)
 
@@ -501,19 +505,23 @@ def solve_matrix(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
 class BasisSolver:
     """Repeated coordinate extraction against a fixed column basis.
 
-    Precomputes a Hermite transform of the basis so that expressing many
-    vectors costs one triangular back-substitution each.  It keeps the
-    residual sparse and visits only the pivots it reaches: a column enters
-    a heap when a subtraction makes its pivot row nonzero.  That is the
-    order of a dense sweep, less the columns it would divide into 0, since
-    each column is 0 in the pivot rows of the columns before it (a Hermite
-    form is; a caller of ``_of_triangular`` must certify it).
+    Keeps an echelon form H: the column Hermite form, basis @ V == H, or the
+    basis itself (V None).  Its rank nonzero columns come first, each 0 in
+    the pivot rows P of the columns before it, so H[P] is a lower-triangular
+    minor T; N are the other rows.  H @ Y == B is read off B[P]: Y = B[P]
+    when T is the identity, else by one forward substitution over T, None
+    at a pivot that does not divide (the rational solution is unique).  One
+    exact product, H[N] @ Y == B[N], then decides membership of the batch.
+    P and N are made on the first solve.  An entry above a pivot, which a
+    caller of ``_of_triangular`` must certify away, refuses the batch.
     """
 
     def __init__(self, basis: IntMatrix):
         H, V = (basis, None) if _is_column_hermite(basis) else col_hermite(basis, transform=True)
         self.basis = basis
-        self._setup(basis.rows, basis.cols, V, None, H.column_nonzeros())
+        nonzero = H.a != 0  # a Hermite form's nonzero columns come first
+        pivots = nonzero.argmax(axis=0)[nonzero.any(axis=0)].tolist() if H.rows else []
+        self._setup(basis.rows, basis.cols, V, H, pivots)
 
     @classmethod
     def _of_triangular(cls, rows: int, pivots: Sequence[int],
@@ -523,83 +531,91 @@ class BasisSolver:
         is nonzero in row pivots[j] and 0 in the pivot rows of the columns before it."""
         solver = cls.__new__(cls)
         solver._basis_columns = columns
-        solver._setup(rows, len(columns), None, pivots, columns)
+        solver._setup(rows, len(columns), None, None, list(pivots))
         return solver
 
     @cached_property
     def basis(self) -> IntMatrix:  # set by __init__; made here for a triangular solver
         return IntMatrix.from_sparse_columns(self.rows, self._basis_columns)
 
-    def _setup(self, rows: int, cols: int, V, pivots, columns) -> None:
-        self.rows, self.cols, self.V = rows, cols, V  # V None: the basis is its own Hermite form
-        # (index, pivot row, pivot, nonzero (row, entry) pairs) of each
-        # nonzero column of H, and the position among them of each pivot row
-        self._columns = []
-        for j, col in enumerate(columns):
-            if col:
-                piv = next(iter(col)) if pivots is None else pivots[j]
-                self._columns.append((j, piv, col[piv], list(col.items())))
-        self._position = {piv: k for k, (_, piv, _, _) in enumerate(self._columns)}
-        self.rank = len(self._columns)
+    def _setup(self, rows: int, cols: int, V, H, pivots: list) -> None:
+        # V None: the basis is its own echelon form H (None: the basis, when first read)
+        self.rows, self.cols, self.V, self._H, self._pivots = rows, cols, V, H, pivots
+        self.rank = len(pivots)
 
-    def _express_h(self, r: dict) -> Optional[dict]:
-        """Back-substitution against the Hermite form of the residual r, its
-        nonzero entries by row, which is consumed: the nonzero coordinates
-        before V, by column."""
-        columns, position = self._columns, self._position
-        heap = [position[i] for i in r if i in position]
-        heapify(heap)
-        y = {}
-        last = -1
-        while heap:
-            k = heappop(heap)
-            j, piv, d, nonzero = columns[k]
-            if k == last or piv not in r:  # pushed twice, or cancelled since
-                continue
-            last = k
-            q, rem = divmod(r[piv], d)
-            if rem != 0:
+    @cached_property
+    def _pivot_rows(self):
+        """(P, N, H[N] on the nonzero columns, and the minor T: None when it
+        is the identity, else each column k as (T[k, k], its other nonzero
+        (row, entry) pairs), rows numbered by position in P)."""
+        H = (self.basis if self._H is None else self._H).take_columns(range(self.rank))
+        P, T, minor = self._pivots, H.take_rows(self._pivots), None
+        if not T.is_identity():
+            minor = [(col[k], [(i, h) for i, h in enumerate(col) if h and i != k])
+                     for k, col in enumerate(T.a.T.tolist())]
+        N = sorted(set(range(self.rows)).difference(P))
+        return P, N, H.take_rows(N), minor
+
+    def _solve(self, B: IntMatrix) -> Optional[IntMatrix]:
+        """The coordinate matrix of the columns of B, B.rows == self.rows, or
+        None when one lies outside the span: every solve enters here."""
+        P, N, H_N, minor = self._pivot_rows
+        if minor is None:
+            Y = B.take_rows(P)
+        else:
+            ys = _forward_substitution(minor, B.a[P].T.tolist())
+            if ys is None:
                 return None
-            y[j] = q
-            for i, h in nonzero:
-                old = r.pop(i, 0)
-                new = old - q * h
-                if new:
-                    r[i] = new
-                    if not old and i in position:
-                        heappush(heap, position[i])
-        return None if r else y
+            Y = IntMatrix._of_int_rows(ys, self.rank).T
+        if H_N @ Y != B.take_rows(N):
+            return None
+        if self.rank < self.cols:  # the zero columns of H take coordinate 0
+            Y = Y.vstack(IntMatrix.zeros(self.cols - self.rank, B.cols))
+        return Y if self.V is None else self.V @ Y
 
     def express_matrix(self, M: IntMatrix) -> Optional[IntMatrix]:
         if M.rows != self.rows:
             raise ValueError("matrix row mismatch")
-        return self.express_columns(M.column_nonzeros())
+        return self._solve(M)
 
     def express_columns(self, columns: Sequence[Mapping[int, int]]) -> Optional[IntMatrix]:
         """The coordinate matrix of the columns given as {row: entry} maps
         (a missing row or an entry 0 means 0); None when one lies outside
-        the span.  Every solve enters here: rows and entries enter through
-        ``operator.index``, and a row out of range raises ValueError.
+        the span.  Rows and entries enter through ``operator.index``, and a
+        row out of range raises ValueError (``IntMatrix.from_sparse_columns``).
 
         >>> print(BasisSolver(IntMatrix.from_rows([[2, 0], [1, 1]])).express_columns([{0: 2, 1: 3}]))
         [1]
         [2]
         """
-        rows, ys = self.rows, []
-        for col in columns:
-            r = {}
-            for i, x in col.items():
-                i, x = operator.index(i), operator.index(x)  # caller numbers enter here
-                if not 0 <= i < rows:
-                    raise ValueError(f"row index {i} out of range for {rows} rows")
-                if x:
-                    r[i] = x
-            y = self._express_h(r)
-            if y is None:
+        return self._solve(IntMatrix.from_sparse_columns(self.rows, columns))
+
+
+def _forward_substitution(minor: list, columns: list) -> Optional[list]:
+    """y with T y == x for each list x of Python ints (consumed), T the minor
+    of ``BasisSolver._pivot_rows``, or None when one has none: the pivots
+    are visited in order, only those a nonzero entry reaches."""
+    ys = []
+    for x in columns:
+        y = [0] * len(x)
+        heap = [k for k, v in enumerate(x) if v]  # ascending, so a heap
+        while heap:
+            k = heappop(heap)
+            if not x[k]:  # pushed twice, or cancelled since
+                continue
+            d, pairs = minor[k]
+            y[k], rem = divmod(x[k], d)
+            if rem:
                 return None
-            ys.append(y)
-        Y = IntMatrix.from_sparse_columns(self.cols, ys)
-        return Y if self.V is None else self.V @ Y
+            x[k] = 0
+            for i, h in pairs:
+                if i > k and not x[i]:
+                    heappush(heap, i)
+                x[i] -= y[k] * h
+        if any(x):  # an entry above a pivot: T is not triangular
+            return None
+        ys.append(y)
+    return ys
 
 
 def is_saturated_basis(A: IntMatrix) -> bool:

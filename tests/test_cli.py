@@ -105,7 +105,7 @@ class TestSpecParsing:
         that spec; reading its rank and graph solves for nothing."""
         G = parse_group_spec("SD:3,2,2")
         solves = []
-        monkeypatch.setattr(BasisSolver, "express_columns", lambda *args: solves.append(args))
+        monkeypatch.setattr(BasisSolver, "_solve", lambda *args: solves.append(args))
         M = parse_lattice_spec(G, spec)
         X = parse_graph_spec(graph)
         assert isinstance(M, GLattice) and M.group is M.graph.group is G

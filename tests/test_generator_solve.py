@@ -161,18 +161,18 @@ class TestDerivedLatticesAgainstPerElementSolve:
 
     @pytest.mark.parametrize("spec", GROUPS)
     def test_express_matrix_called_once_per_generator(self, spec, monkeypatch):
-        """One solve per generator, through the one entry point every
-        matrix solve takes, with or without a G-set on the lattice."""
+        """One solve per generator, through the private core every solve
+        enters, with or without a G-set on the lattice."""
         G = parse_group_spec(spec)
         basis = intlinalg_mod.kernel_basis(IntMatrix.from_rows([[1] * G.order]))
         calls = []
-        original = BasisSolver.express_columns
+        original = BasisSolver._solve
 
-        def counting(self, columns):
-            calls.append(len(columns))
-            return original(self, columns)
+        def counting(self, B):
+            calls.append(B.cols)
+            return original(self, B)
 
-        monkeypatch.setattr(BasisSolver, "express_columns", counting)
+        monkeypatch.setattr(BasisSolver, "_solve", counting)
         for P in (regular(G), GLattice(G, list(regular(G).action))):
             calls.clear()
             sublattice_with_action(P, basis)
@@ -262,7 +262,7 @@ class TestFlowLatticeActionOnFirstRead:
         ["flows", "--graph", "cayley(D:4;s,t)"],
     ])
     def test_commands_reading_the_rank_make_no_solve(self, argv, monkeypatch, capsys):
-        solves = _counting(monkeypatch, BasisSolver, "express_columns")
+        solves = _counting(monkeypatch, BasisSolver, "_solve")
         scans = _counting(monkeypatch, IntMatrix, "column_nonzeros")
         builds = _counting(monkeypatch, IntMatrix, "from_sparse_columns")
         assert main(argv) == 0
@@ -274,7 +274,7 @@ class TestFlowLatticeActionOnFirstRead:
 
     @pytest.mark.parametrize("label", list(_graphs()) + ["bar C:6", "bar D:4"])
     def test_action_read_after_construction(self, label, monkeypatch):
-        solves = _counting(monkeypatch, BasisSolver, "express_columns")
+        solves = _counting(monkeypatch, BasisSolver, "_solve")
         fl = _bar_basis(label[4:]) if label.startswith("bar ") else flow_lattice(_graphs()[label])
         assert solves == []
         X = fl.graph
@@ -287,7 +287,7 @@ class TestFlowLatticeActionOnFirstRead:
 
     def test_read_twice_solves_once(self, monkeypatch):
         fl = flow_lattice(cayley_graph(parse_group_spec("D:4"), range(8)))
-        solves = _counting(monkeypatch, BasisSolver, "express_columns")
+        solves = _counting(monkeypatch, BasisSolver, "_solve")
         for k, s in enumerate(fl.group.generators, 1):
             first = fl.action[s]  # the first read of a generator solves once
             assert fl.action[s] is first and len(solves) == k
@@ -339,8 +339,8 @@ class TestFlowLatticeActionOnFirstRead:
 
 class TestOneSolveForTheFlows:
     """The edge-removal isomorphism and the metacyclic presentation solve
-    all their flows in one express_columns call, the one public solve of
-    BasisSolver besides express_matrix, which enters it."""
+    all their flows in one express_columns call.  It and express_matrix are
+    the public solves of BasisSolver, and both enter its private core."""
 
     @pytest.mark.parametrize("spec, gens, kept", [
         ("C:6", "s,s2", "s"), ("D:4", "s,t,st", "s,t"), ("S:3", "(12),(123),(13)", "(12),(123)"),
@@ -361,9 +361,11 @@ class TestOneSolveForTheFlows:
     def test_no_other_public_solve(self, monkeypatch):
         public = {name for name, v in vars(BasisSolver).items() if callable(v) and name[0] != "_"}
         assert public == {"express_columns", "express_matrix"}
-        solves = _counting(monkeypatch, BasisSolver, "express_columns")
+        solves = _counting(monkeypatch, BasisSolver, "_solve")
         BasisSolver(IntMatrix.identity(2)).express_matrix(IntMatrix.identity(2))
         assert solves == ["express_matrix"]
+        BasisSolver(IntMatrix.identity(2)).express_columns([{0: 1}])
+        assert solves == ["express_matrix", "express_columns"]
 
 
 def _seq(left_rows, right_rows, ranks):

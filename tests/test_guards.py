@@ -123,6 +123,23 @@ class TestMetacyclicPresentation:
         refused_by_cli(["check", "kernel-generators", "--n", "5", "--m", "2", "--r", "2"],
                        capsys, code=(2,))
 
+    def test_u_vectors_outside_the_kernel_fail_the_check(self, capsys, monkeypatch):
+        """u_in_K is None when the solve finds a u vector outside the kernel:
+        the check records that and skips the steps that read u_in_K."""
+        presentation = checks_mod._metacyclic_presentation
+        monkeypatch.setattr(
+            checks_mod, "_metacyclic_presentation",
+            lambda *args: dataclasses.replace(presentation(*args), u_in_K=None),
+        )
+        report = checks_mod.check_kernel_generators(7, 3, 2)
+        failed = [d["name"] for d in report.details if d["status"] == "fail"]
+        assert failed == ["norm-type elements generate a submodule"] and not report.ok
+        names = {d["name"] for d in report.details}
+        assert "M0 is the s-coset lattice via the basepoint map" not in names
+        assert "projection surjective" in names and "kernel of projection is exactly M0" not in names
+        assert main(KERNEL_GENERATORS) == 1
+        assert "norm-type elements generate a submodule" in capsys.readouterr().out
+
     @pytest.mark.parametrize("field, message", [
         ("phi", "the kernel block lies in the augmentation sublattice"),
         ("u_in_K", "the u vectors lie in the kernel"),
@@ -506,6 +523,19 @@ class TestIntlinalgRefusals:
             IntMatrix.zeros(2, 0).hstack(IntMatrix.zeros(0, 0))
         with pytest.raises(ValueError):
             IntMatrix.zeros(0, 2).vstack(IntMatrix.zeros(0, 0))
+
+    @pytest.mark.parametrize("a, b", [((1, 2), (3, 2)), ((3, 1), (3, 2)), ((1, 1), (2, 2)), ((0, 2), (1, 2))])
+    @pytest.mark.parametrize("big", [False, True], ids=["int64", "object"])
+    def test_sum_shape_mismatch_refused(self, a, b, big):
+        """numpy would broadcast a row or a column across the other matrix."""
+        x = 1 << 70 if big else 1
+        left = IntMatrix.from_rows([[x] * a[1]] * a[0], cols=a[1])
+        right = IntMatrix.from_rows([[x] * b[1]] * b[0], cols=b[1])
+        for first, second in ((left, right), (right, left)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                first + second
+            with pytest.raises(ValueError, match="shape mismatch"):
+                first - second
 
     def test_bezout_needs_a_value(self):
         """Without the check the empty list is an IndexError."""
