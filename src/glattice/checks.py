@@ -489,8 +489,9 @@ class _MetacyclicData:
 def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
     """Build the presentation map for <s, t | s^n = t^m, t^-1 s t = s^r>.
     ``semidirect`` certifies the twist congruence r^m = 1 mod n, the flow
-    solve that the twist path is a flow, so ends at s t, and pi.validate()
-    that the cycle flows are invariant, as the coset basepoints' images."""
+    solve that the twist path is a flow, so ends at s t, and the
+    equivariance of pi that the cycle flows are invariant, as the coset
+    basepoints' images."""
     if gcd(n, m) != 1:
         raise InvalidParameterError(f"orders n={n}, m={m} must be coprime")
     G = semidirect(n, m, r)
@@ -525,7 +526,7 @@ def _metacyclic_presentation(n: int, m: int, r: int) -> _MetacyclicData:
     certify(bases is not None, "the cycles and the twist path are flows")
 
     pi = EquivariantMap(B, fl, orbit_map(B, fl, bases))
-    pi.validate()
+    certify(pi.equivariance_failure() is None, "the presentation map is equivariant")
 
     kernel = kernel_basis(pi.matrix)
     solver = BasisSolver(kernel)

@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import GlatticeError, InvalidParameterError, certify
+from .errors import CertificateError, GlatticeError, InvalidParameterError, certify
 from .gmod import (
     EquivariantMap,
     GLattice,
@@ -182,7 +182,8 @@ def is_coflasque(M: GLattice) -> VanishingReport:
 @dataclass
 class ResolutionCertificate:
     """A checked (co)flasque resolution; its middle term is a permutation
-    lattice with a G-set."""
+    lattice with a G-set.  The library builds every one it validates, so a
+    failed condition is a CertificateError, a fault of the program."""
 
     sequence: ShortExactSequence
     kind: str  # "coflasque" or "flasque"
@@ -190,23 +191,23 @@ class ResolutionCertificate:
     def validate(self) -> "ResolutionCertificate":
         report = check_exact(self.sequence)
         if not report.ok:
-            raise InvalidParameterError(f"resolution is not exact: {report.failures}")
+            raise CertificateError(f"resolution is not exact: {report.failures}")
         if not self.sequence.B.is_permutation_action():
-            raise InvalidParameterError("middle term is not a permutation lattice")
+            raise CertificateError("middle term is not a permutation lattice")
         if self.kind == "coflasque":
             verdict = is_coflasque(self.sequence.A)
             if not verdict:
-                raise InvalidParameterError(
+                raise CertificateError(
                     f"kernel fails coflasqueness at subgroup {verdict.failing_subgroup}"
                 )
         elif self.kind == "flasque":
             verdict = is_flasque(self.sequence.C)
             if not verdict:
-                raise InvalidParameterError(
+                raise CertificateError(
                     f"cokernel fails flasqueness at subgroup {verdict.failing_subgroup}"
                 )
         else:
-            raise InvalidParameterError(f"unknown resolution kind {self.kind!r}")
+            raise CertificateError(f"unknown resolution kind {self.kind!r}")
         return self
 
 

@@ -22,17 +22,17 @@ A flow lattice is a G-lattice that keeps its graph and the solver of its
 basis: each action matrix is solved for when first read, so a caller
 that needs only the basis or the rank makes no solve.
 
-A graph keeps an int64 image of its edges (``GGraph.edge_array``).  The
-size rule of ``groups._by_table`` picks the form by entries: of the edge
-action for ``cayley_graph``, ``complete_edges`` and the endpoint check, of
-the padded arrays for ``spanning_tree_basis_of_arrays``.  At or above it
-the builders make the edges and edge action with one broadcast of the
-group or vertex table, the endpoint check is one fancy-index comparison
-of the moved endpoints per generator, and the basis certificate reads
-the candidates as (candidate, edge, coefficient) columns, their flow
-condition one scatter-add.  Below it they work entry by entry, which is
-faster there, as ``spanning_tree_basis`` always does on flows.  Both
-forms refuse alike, first failure first.
+A graph keeps its edges as one read-only (n_edges, 2) int64 array
+(``GGraph.edge_array``), the original of the list ``GGraph.edges``; they
+enter through the intake of ``groups``, ``_int64_table``, as the edge
+action does through its G-set.  The endpoint check is one fancy-index
+comparison of the moved endpoints over the generators, and
+``cayley_graph`` and ``complete_edges`` make the edges and edge action
+with one broadcast of the group or vertex table.  The certificate of
+``spanning_tree_basis_of_arrays`` reads the candidates as (candidate,
+edge, coefficient) columns, their flow condition one scatter-add;
+``spanning_tree_basis`` reads its flows entry by entry.  Both refuse
+alike, first failure first.
 """
 
 from __future__ import annotations
@@ -57,9 +57,7 @@ from .groups import (
     FiniteGroup,
     GSet,
     Subgroup,
-    _by_table,
     _int64_table,
-    _python_rows,
     _read_only,
     regular_gset,
 )
@@ -81,60 +79,31 @@ class GGraph:
                  edge_action: Sequence[Sequence[int]]):
         self.vertices = vertices
         self.group = vertices.group
-        # sized by the entries of the edge action
-        ends = _int64_table(edges) if _by_table(self.group.order * len(edges)) else None
-        if ends is not None and ends.shape[1] == 2:
-            if ends.size and (ends.min() < 0 or ends.max() >= vertices.size):
-                raise InvalidParameterError("edge endpoint out of range")
-            self.edges = list(map(tuple, ends.tolist()))
-        else:
-            ends = None
-            self.edges = [(operator.index(s), operator.index(t)) for s, t in _python_rows(edges)]
-            if any(not (0 <= s < vertices.size and 0 <= t < vertices.size) for s, t in self.edges):
-                raise InvalidParameterError("edge endpoint out of range")
+        ends = _int64_table(edges)
+        if not len(ends):  # no edges
+            ends = ends.reshape(0, 2)
+        if ends.shape[1] != 2:
+            raise InvalidParameterError("an edge is not a (source, target) pair")
+        if np.count_nonzero(ends.view(np.uint64) >= vertices.size):  # a negative as uint64 is past 2**63
+            raise InvalidParameterError("edge endpoint out of range")
         # the edge G-set checks that the edge action is a homomorphism
         self.edge_gset = GSet(self.group, edge_action)
-        if self.edge_gset.size != len(self.edges):
+        if self.edge_gset.size != len(ends):
             raise InvalidParameterError("edge action entries are not permutations")
-        self._edge_array = None if ends is None else _read_only(ends)
+        self.edge_array = _read_only(ends)
+        self.edges = list(map(tuple, ends.tolist()))
         self._components: Optional[List[Tuple[int, ...]]] = None
-        if ends is None:
-            self._validate()
-        else:
-            self._validate_by_table()
-
-    @property
-    def edge_array(self) -> np.ndarray:
-        """The edges as a read-only (n_edges, 2) int64 array of (source,
-        target) rows, made when first read."""
-        if self._edge_array is None:
-            self._edge_array = _read_only(np.array(self.edges, dtype=np.int64).reshape(len(self.edges), 2))
-        return self._edge_array
-
-    def _validate(self) -> None:
-        """Check that edge endpoints move with the vertices, edge by edge.
-
-        Generators suffice, since both actions are homomorphisms.
-        """
-        for s in self.group.generators:
-            vs = self.vertices.action[s]
-            ps = self.edge_gset.action[s]
-            for e, (a, b) in enumerate(self.edges):
-                if self.edges[ps[e]] != (vs[a], vs[b]):
-                    raise InvalidParameterError(
-                        f"edge action incompatible with vertex action at g={s}, edge={e}"
-                    )
-
-    def _validate_by_table(self) -> None:
-        """``_validate`` as one fancy-index comparison per generator s of the
-        moved endpoints of every edge with the endpoints of its image."""
-        ends, moved, edge_action = self.edge_array, self.vertices.action_array, self.edge_gset.action_array
-        for s in self.group.generators:
-            bad = ends[edge_action[s]] != moved[s][ends]
-            if bad.any():
-                raise InvalidParameterError(
-                    f"edge action incompatible with vertex action at g={s}, edge={int(bad.any(axis=1).argmax())}"
-                )
+        # endpoints move with the vertices: on the generators, since both
+        # actions are homomorphisms; edge g e against (g source, g target)
+        gens = list(self.group.generators)
+        images = self.edge_gset.action_array.take(gens, axis=0)
+        bad = ends.take(images, axis=0) != vertices.action_array.take(gens, axis=0).take(ends, axis=1)
+        if np.count_nonzero(bad):
+            bad = bad.any(axis=2)  # (generator, edge)
+            j = int(bad.any(axis=1).argmax())
+            raise InvalidParameterError(
+                f"edge action incompatible with vertex action at g={gens[j]}, edge={int(bad[j].argmax())}"
+            )
 
     @property
     def n_vertices(self) -> int:
@@ -196,14 +165,6 @@ def complete_edges(vertices: GSet, loops: bool = False) -> GGraph:
     if n == 0:
         raise InvalidParameterError("vertex set must be nonempty")
     # row g of the action numbers the edge (g u, g v) of each edge (u, v)
-    if not _by_table(vertices.group.order * (n * n if loops else n * (n - 1))):
-        edges = [(u, v) for u in range(n) for v in range(n) if u != v or loops]
-        if loops:
-            action = [[a * n + b for a in vg for b in vg] for vg in vertices.action]
-        else:
-            action = [[a * (n - 1) + b - (b > a) for a in vg for b in vg if a != b]
-                      for vg in vertices.action]
-        return GGraph(vertices, edges, action)
     ends = np.stack(np.divmod(np.arange(n * n), n), axis=1)  # (u, v) in edge order
     if not loops:
         ends = ends[ends[:, 0] != ends[:, 1]]
@@ -227,10 +188,6 @@ def cayley_graph(G: FiniteGroup, generators: Sequence[int]) -> GGraph:
             gens.append(s)
     n, m = G.order, len(gens)
     # edge k n + g is (g, g s_k), and h moves it to (h g, h g s_k), edge k n + h g
-    if not _by_table(n * m * n):
-        edges = [(g, G.table[g][s]) for s in gens for g in range(n)]
-        action = [[k * n + hg for k in range(m) for hg in G.table[h]] for h in range(n)]
-        return GGraph(regular_gset(G), edges, action)
     table = G.table_array
     ends = np.empty((m, n, 2), dtype=np.int64)
     ends[:, :, 0] = np.arange(n)
@@ -427,16 +384,31 @@ def spanning_tree_basis_of_arrays(
     integer arrays: candidate i is coefficient [i, j] on edge [i, j],
     summed over j, so a padding entry is coefficient 0 on any edge.
 
-    Integer arrays with enough entries for the size rule are certified on
-    their int64 columns as they are (``_tree_basis_by_columns``); others
-    entry by entry, each entry through ``operator.index`` before entries on
-    one edge add, so a float edge is refused, not merged.
+    The candidates are certified as (candidate, edge, coefficient) columns
+    by ``_tree_basis_by_columns``.  Integer arrays enter as they are; the
+    entries of other arrays go through ``operator.index`` before entries
+    on one edge add, so a float edge is refused, not merged.
     """
     non_tree = _non_tree_edges(X, tree_edges, len(edges))
-    if _by_table(edges.size) and edges.dtype.kind == coefficients.dtype.kind == "i":
-        candidate = np.repeat(np.arange(len(edges)), edges.shape[1])
-        return _tree_basis_by_columns(X, non_tree, candidate, edges.ravel(), coefficients.ravel())
-    return _tree_basis_by_entries(X, non_tree, list(map(zip, edges.tolist(), coefficients.tolist())))
+    candidate = np.repeat(np.arange(len(edges)), edges.shape[1])
+    return _tree_basis_by_columns(X, non_tree, candidate, edges, coefficients)
+
+
+def _entries(a: np.ndarray) -> Tuple[np.ndarray, int]:
+    """The entries of an array in row order: int64 from a signed integer
+    array, else Python ints in an object array, each entry through
+    ``operator.index``, with 0 for each entry it refuses; and the position
+    of the first such entry (the entry count when there is none)."""
+    if a.dtype.kind == "i":
+        return a.astype(np.int64).ravel(), a.size
+    values, first = [], a.size
+    for p, x in enumerate(a.ravel().tolist()):
+        try:
+            values.append(operator.index(x))
+        except TypeError:
+            values.append(0)
+            first = min(first, p)
+    return np.array(values, dtype=object), first
 
 
 def _non_tree_edges(X: GGraph, tree_edges: Iterable[int], count: int) -> List[int]:
@@ -518,30 +490,38 @@ def _check_pivot(non_tree: List[int], i: int, diagonal: int, first: int) -> None
 
 
 def _tree_basis_by_columns(
-    X: GGraph, non_tree: List[int], candidate: np.ndarray, edge: np.ndarray, coef: np.ndarray
+    X: GGraph, non_tree: List[int], candidate: np.ndarray, edges: np.ndarray, coefficients: np.ndarray
 ) -> FlowLattice:
-    """``_tree_basis_by_entries`` on (candidate, edge, coefficient) integer
-    columns, one row per entry, candidates in increasing order, where
-    entries on one edge add: the same refusals in the same order.
+    """``_tree_basis_by_entries`` on the entries of padded edge and
+    coefficient arrays, with the candidate of each entry in increasing
+    order, where entries on one edge add: the same refusals in the same
+    order.
 
-    The edge range comes first; an edge out of range is refused after the
-    flow condition of the candidates before its own.  The flow condition
-    is one scatter-add over (candidate, vertex), in int64 when the largest
-    coefficient times twice the entry count is below 2**63, else in Python
-    ints.  One sort of (candidate, edge) keys orders the entries and adds
-    those on one edge; one scatter-min gives each candidate's first
-    nonzero non-tree position, read with the diagonal entries to refuse
-    the first failing candidate as the per-entry form does.
+    The entry faults come first: the first entry whose edge or coefficient
+    ``operator.index`` refuses, or whose edge is out of range, is refused
+    after the flow condition of the candidates before its own.  The flow
+    condition is one scatter-add over (candidate, vertex), in int64 when
+    the largest coefficient times twice the entry count is below 2**63,
+    else in Python ints.  One sort of (candidate, edge) keys orders the
+    entries and adds those on one edge; one scatter-min gives each
+    candidate's first nonzero non-tree position, read with the diagonal
+    entries to refuse the first failing candidate as the per-entry form
+    does.
     """
     r, n_edges = len(non_tree), X.n_edges
-    big = max(-int(coef.min()), int(coef.max()))
+    (edge, bad_edge), (coef, bad_coef) = _entries(edges), _entries(coefficients)
+    big = max(-int(coef.min()), int(coef.max())) if len(coef) else 0
     coef = coef.astype(np.int64 if big * 2 * len(coef) < 1 << 63 else object)
-    outside = (edge < 0) | (edge >= n_edges)
-    if outside.any():
-        p = int(outside.argmax())
+    stop = min(bad_edge, bad_coef)
+    outside = (edge[:stop] < 0) | (edge[:stop] >= n_edges)
+    p = int(outside.argmax()) if outside.any() else stop
+    if p < len(edge):
         before = candidate < candidate[p]
-        _check_flows(X, r, candidate[before], edge[before], coef[before])
+        _check_flows(X, r, candidate[before], edge[before].astype(np.int64), coef[before])
+        if p == stop:  # raises the TypeError of the edge, else of the coefficient
+            operator.index(edges.item(p)), operator.index(coefficients.item(p))
         raise InvalidParameterError(f"candidate {candidate[p]} has edge {edge[p]} out of range")
+    edge = edge.astype(np.int64)
     _check_flows(X, r, candidate, edge, coef)
 
     key = candidate * n_edges + edge
@@ -592,7 +572,8 @@ def _check_flows(X: GGraph, r: int, candidate: np.ndarray, edge: np.ndarray, coe
 def subgraph(X: GGraph, edge_indices: Sequence[int]) -> GGraph:
     """The G-subgraph on a stable subset of edges (same vertices)."""
     keep = sorted(set(map(operator.index, edge_indices)))
-    return GGraph(X.vertices, [X.edges[e] for e in keep], X.edge_gset.restrict(keep).action)
+    edge_gset = X.edge_gset.restrict(keep)  # refuses an edge out of range
+    return GGraph(X.vertices, X.edge_array.take(keep, axis=0), edge_gset.action_array)
 
 
 def remove_edges_decomposition(X: GGraph, X_sub: GGraph) -> EquivariantMap:
@@ -644,4 +625,4 @@ def remove_edges_decomposition(X: GGraph, X_sub: GGraph) -> EquivariantMap:
 
 def restrict_graph_group(X: GGraph, H: Subgroup) -> GGraph:
     """The same graph seen as an H-graph for a subgroup H."""
-    return GGraph(X.vertices.restrict_group(H), X.edges, X.edge_gset.restrict_group(H).action)
+    return GGraph(X.vertices.restrict_group(H), X.edge_array, X.edge_gset.restrict_group(H).action_array)

@@ -14,20 +14,22 @@ induction on word length makes rho a homomorphism.  A point-indexed
 vector is a sparse map, {point: entry}, and ``GSet.move`` is the one way
 a G-set moves it.
 
-A group and a G-set each keep one int64 image of their table, made once
-(``FiniteGroup.table_array``, ``GSet.action_array``).  One size rule,
-``_by_table``, picks whole int64 tables or entry-by-entry work for every
-table this package builds and certifies (here, and for graphs and
-spanning-tree candidates in ``gflows``).  The group constructors build
-their tables by broadcast.  An integer group table at or above the rule
-is certified by whole-table scans: one range test, the identity as the
-first row and column equal to arange(n), the inverses by one argmax per
-row, and Light's test as one fancy-index comparison per generator.  A
-G-set table there is certified by one seen-array scatter for the
-permutations and one fancy-index comparison per generator for the
-homomorphism.  A smaller table, or one whose entries are not integers, is
-checked entry by entry, which is faster there.  Both forms refuse with
-the same messages and report the same first failure.
+A group and a G-set each keep their table as one read-only int64 array
+(``FiniteGroup.table_array``, ``GSet.action_array``), the original from
+which the Python lists ``table`` and ``action`` are made for the readers
+that loop in Python.  Every table enters through one intake,
+``_int64_table``, which ``gflows`` shares for graph edges: integer arrays
+and rows of Python ints convert whole, other entries go through
+``operator.index``, and an entry past int64 or missing from a short row
+reads -1, which every table check refuses as out of range.  The library's
+own builders hand it int64 arrays.  A group table is certified by
+whole-table scans: one range test, the identity as the first row and
+column equal to arange(n), the inverses by one argmax per row, and
+Light's test as one fancy-index comparison over the generators.  A G-set
+table is certified by one sort per row against arange(size) for the
+permutations and one fancy-index comparison over the generators for the
+homomorphism; Light's test is that comparison on the rows of the group
+table, the regular action.
 
 Subgroups grow by cosets: ``FiniteGroup.closure`` extends a known subgroup
 B to <B, g> as a union of right cosets of B (Dimino), and both the greedy
@@ -58,21 +60,6 @@ from .errors import InvalidParameterError
 MAX_ORDER = 120
 MAX_SUBGROUP_ENUMERATION_ORDER = 64
 
-# Tables of at least this many entries are built and certified as whole
-# int64 arrays (group multiplication tables, G-set actions, graph edges and
-# edge actions, spanning-tree candidates in arrays), smaller ones entry by
-# entry; ``_by_table`` reads it.  Measured on a 2-vCPU Xeon, the two forms
-# cost the same near 150 entries for a G-set (15 against 14 us at 144), near
-# 250 for spanning-tree candidates (107 against 121 us at 238, 136 against
-# 128 us at 226), and near 200-250 entries of the edge action for a whole
-# Cayley or complete graph built and checked (the array form 3-17% slower
-# at 180-216 entries, 6-7% faster at 196 and 243, 8-26% faster at 256-300):
-# the constant sits at the largest.  A group table crosses over lower, near
-# 150 entries (C:12 37 against 37 us, D:6 44 against 44): its scans are 1.4-2.3
-# times slower at 16-64 entries, 13-15% faster at 196-225 (so orders 13-15
-# lose a few us to the constant), 19-25% at 256 and 4-8 times at order 120.
-_ARRAY_CHECK_ENTRIES = 256
-
 
 class FiniteGroup:
     """A finite group given by its full multiplication table."""
@@ -90,23 +77,14 @@ class FiniteGroup:
             raise InvalidParameterError("group order must be positive")
         _check_order(n)
         self.order = n
-        array = _int64_table(table) if _by_table(n * n) else None
-        self._table_array: Optional[np.ndarray] = None
-        if array is None:
-            self.table = [list(map(operator.index, row)) for row in _python_rows(table)]
-            for row in self.table:
-                if len(row) != n or min(row) < 0 or max(row) >= n:
-                    raise InvalidParameterError("multiplication table is not closed")
-            self.identity = self._find_identity()
-            self.inverses = self._find_inverses()
-            self.generators = self._greedy_generators(range(n))
-            self._check_associativity()
-        else:
-            self.identity, inverses = _identity_and_inverses(array)
-            self.table, self.inverses = array.tolist(), inverses.tolist()
-            self.generators = self._greedy_generators(range(n))
-            _check_associativity_by_table(array, self.generators)
-            self._table_array = _read_only(array)
+        array = _int64_table(table)
+        self.identity, inverses = _identity_and_inverses(array)
+        self.table, self.inverses = array.tolist(), inverses.tolist()
+        self.generators = self._greedy_generators(range(n))
+        bad = _first_incompatible(array, array, self.generators)  # Light's test
+        if bad is not None:
+            raise InvalidParameterError(f"associativity fails at elements {bad}")
+        self.table_array = _read_only(array)
         self.element_names = list(element_names) if element_names else [f"g{i}" for i in range(n)]
         if len(self.element_names) != n:
             raise InvalidParameterError("element_names length mismatch")
@@ -118,22 +96,6 @@ class FiniteGroup:
         self._as_group_cache: Dict[Tuple[int, ...], Tuple["FiniteGroup", List[int]]] = {}
 
     # -- construction-time validation ---------------------------------------
-
-    def _find_identity(self) -> int:
-        for e in range(self.order):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(self.order)):
-                return e
-        raise InvalidParameterError("no identity element in table")
-
-    def _find_inverses(self) -> List[int]:
-        e = self.identity
-        inv = []
-        for x, row in enumerate(self.table):
-            y = row.index(e) if e in row else -1
-            if y < 0 or self.table[y][x] != e:
-                raise InvalidParameterError(f"element {x} has no inverse")
-            inv.append(y)
-        return inv
 
     def _greedy_generators(self, elements: Sequence[int]) -> Tuple[int, ...]:
         """Greedy generators of the subgroup on `elements`.
@@ -153,28 +115,6 @@ class FiniteGroup:
             if not target.issuperset(have):
                 raise InvalidParameterError("subgroup not closed under multiplication")
         return gens
-
-    def _check_associativity(self) -> None:
-        """Light's test: (a s) b == a (s b) for every generator s and all a, b.
-
-        The elements s that pass are closed under products, and every
-        element is a product of generators, so the whole table is associative.
-        """
-        t = self.table
-        rows = list(map(tuple, t))
-        for s in self.generators:
-            after_s = operator.itemgetter(*t[s])  # row a -> the row of a . s, as a (s b) over b
-            for a, ta in enumerate(t):
-                if rows[ta[s]] != after_s(ta):
-                    raise InvalidParameterError(f"associativity fails at elements ({a}, {s})")
-
-    @property
-    def table_array(self) -> np.ndarray:
-        """The multiplication table as a read-only int64 array, made when
-        first read."""
-        if self._table_array is None:
-            self._table_array = _read_only(np.array(self.table, dtype=np.int64))
-        return self._table_array
 
     # -- basic operations ----------------------------------------------------
 
@@ -307,7 +247,7 @@ class Subgroup:
         embed = list(self.elements)
         pos = np.zeros(G.order, dtype=np.int64)
         pos[embed] = np.arange(len(embed))
-        table = pos[G.table_array[np.ix_(embed, embed)]]
+        table = pos.take(G.table_array.take(embed, axis=0).take(embed, axis=1))
         H = FiniteGroup(table, spec=f"{G.spec}|sub{embed}")
         G._as_group_cache[self.elements] = (H, embed)
         return H, list(embed)
@@ -595,112 +535,70 @@ def is_z_group(G: FiniteGroup) -> bool:
 # -- G-sets -------------------------------------------------------------------
 
 
-def _by_table(entries: int) -> bool:
-    """Whether a table of this many entries is built and certified as a
-    whole int64 array rather than entry by entry: the one size rule."""
-    return entries >= _ARRAY_CHECK_ENTRIES
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
 
-def _int64_table(rows: Sequence[Sequence[int]]) -> Optional[np.ndarray]:
-    """A new 2-d int64 array of the rows, or None unless they are rows of
-    equal length of integers that fit in int64: the per-entry form refuses
-    those as it always has."""
+def _int64_table(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Caller rows as a new 2-d int64 array: the one intake of every table.
+
+    Integer arrays, and rows of ints that numpy reads as such, convert
+    whole (a uint64 entry past int64 wraps to a negative).  Other rows go
+    entry by entry through ``operator.index``, so a float, a string or a
+    numpy bool is refused, never truncated, and a Python bool is its int;
+    there an entry past int64, and each entry missing from a row shorter
+    than the longest, reads -1.  No table admits a negative entry, so its
+    check refuses those as out of range.
+    """
     try:
         a = np.asarray(rows)
     except ValueError:  # rows of unequal lengths
-        return None
-    return a.astype(np.int64) if a.ndim == 2 and a.dtype.kind == "i" else None
-
-
-def _python_rows(rows: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
-    """The rows of an integer array as lists of Python ints (the entries
-    ``operator.index`` gives, fetched at once), other rows as they are."""
-    return rows.tolist() if isinstance(rows, np.ndarray) and rows.dtype.kind == "i" else rows
+        a = None
+    if a is not None and a.ndim == 2 and a.dtype.kind in "iu":
+        return a.astype(np.int64, order="C")
+    entries = [list(map(operator.index, row)) for row in rows]
+    width = max(map(len, entries), default=0)
+    padded = [[x if -(1 << 63) <= x < 1 << 63 else -1 for x in row] + [-1] * (width - len(row))
+              for row in entries]
+    return np.array(padded, dtype=np.int64).reshape(len(entries), width)
 
 
 def _identity_and_inverses(table: np.ndarray) -> Tuple[int, np.ndarray]:
-    """The closure, identity and inverse checks of ``FiniteGroup`` as scans
-    of a 2-d int64 table, with the same messages and first failure."""
+    """The identity and the inverses of a 2-d int64 group table, once it is
+    closed: the first e whose row and column are arange(n), and per row x
+    the first y with x y = e, which must also have y x = e."""
     n = len(table)
-    if table.shape[1] != n or table.min() < 0 or table.max() >= n:
+    # read as uint64, a negative entry is at least 2**63
+    if table.shape[1] != n or np.count_nonzero(table.view(np.uint64) >= n):
         raise InvalidParameterError("multiplication table is not closed")
     points = np.arange(n)
-    # the identity: the first e whose row and column are arange(n), among rows starting with 0
-    e = next((e for e in np.flatnonzero(table[:, 0] == 0).tolist()
-              if (table[e] == points).all() and (table[:, e] == points).all()), None)
-    if e is None:
+    is_identity = ((table == points) & (table.T == points)).all(axis=1)
+    e = int(is_identity.argmax())
+    if not is_identity[e]:
         raise InvalidParameterError("no identity element in table")
     hit = table == e
     inverses = hit.argmax(axis=1)
-    bad = ~hit[points, inverses] | (table[inverses, points] != e)
-    if bad.any():
-        raise InvalidParameterError(f"element {int(bad.argmax())} has no inverse")
+    inverted = (hit & hit.T)[points, inverses]
+    if np.count_nonzero(inverted) < n:
+        raise InvalidParameterError(f"element {int(inverted.argmin())} has no inverse")
     return e, inverses
 
 
-def _check_associativity_by_table(table: np.ndarray, generators: Sequence[int]) -> None:
-    """``FiniteGroup._check_associativity`` on a 2-d int64 table: per
-    generator s, (a s) b == a (s b) for all a, b as T[T[:, s]] == T[:, T[s]]."""
-    for s in generators:
-        bad = table.take(table[:, s], axis=0) != table.take(table[s], axis=1)
-        if bad.any():
-            raise InvalidParameterError(f"associativity fails at elements ({int(bad.any(axis=1).argmax())}, {s})")
-
-
-def _action_by_rows(group: FiniteGroup, action: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
-    """The G-set checks entry by entry: every entry through ``operator.index``,
-    a sort per permutation, and rho(g s) = rho(g) rho(s) for every element g
-    and generator s, one tuple comparison each.  Returns the permutations."""
-    rows = [tuple(map(operator.index, perm)) for perm in _python_rows(action)]
-    if len(rows) != group.order:
-        raise InvalidParameterError("need one permutation per group element")
-    points = list(range(len(rows[0])))
-    for perm in rows:
-        if sorted(perm) != points:
-            raise InvalidParameterError("invalid-gset: action values are not permutations")
-    if rows[group.identity] != tuple(points):
-        raise InvalidParameterError("invalid-gset: identity does not act trivially")
-    if len(points) < 2:  # the identity is the only permutation
-        return rows
-    for s in group.generators:
-        after_s = operator.itemgetter(*rows[s])  # pg -> pg . ps, a tuple
-        for g, pg in enumerate(rows):
-            if rows[group.table[g][s]] != after_s(pg):
-                raise InvalidParameterError(f"invalid-gset: action incompatible at elements ({g}, {s})")
-    return rows
-
-
-def _check_action_table(group: FiniteGroup, table: np.ndarray) -> None:
-    """The G-set checks of ``_action_by_rows`` on a 2-d int64 table, by
-    whole-table comparisons: one range test and one seen-array scatter for
-    the permutations, and per generator s one fancy-index comparison of
-    rho(g s) with rho(g) rho(s) over all g.  Same messages, same first failure."""
-    if len(table) != group.order:
-        raise InvalidParameterError("need one permutation per group element")
-    n, size = table.shape
-    not_permutations = "invalid-gset: action values are not permutations"
-    if size and (table.min() < 0 or table.max() >= size):
-        raise InvalidParameterError(not_permutations)
-    seen = np.zeros((n, size), dtype=bool)
-    seen[np.arange(n)[:, None], table] = True
-    if not seen.all():  # some row repeats a point, so misses another
-        raise InvalidParameterError(not_permutations)
-    if not (table[group.identity] == np.arange(size)).all():
-        raise InvalidParameterError("invalid-gset: identity does not act trivially")
-    if size < 2:
-        return
-    products = group.table_array
-    for s in group.generators:
-        bad = table[products[:, s]] != table[:, table[s]]
-        if bad.any():
-            raise InvalidParameterError(
-                f"invalid-gset: action incompatible at elements ({int(bad.any(axis=1).argmax())}, {s})"
-            )
+def _first_incompatible(
+    products: np.ndarray, rows: np.ndarray, generators: Sequence[int]
+) -> Optional[Tuple[int, int]]:
+    """The first (g, s), in generator order and then by g, where rows[g s]
+    differs from rows[g] after rows[s], with products the group table; None
+    when rows is a homomorphism on the generators.  On the rows of the
+    group table itself, (g s) b == g (s b) for all b: Light's test, where
+    the elements s that pass are closed under products, so passing on the
+    generators makes the whole table associative."""
+    for s in generators:  # one at a time: at a few hundred points, all at once is slower
+        bad = rows.take(products[:, s], axis=0) != rows.take(rows[s], axis=1)
+        if np.count_nonzero(bad):
+            return int(bad.any(axis=1).argmax()), s
+    return None
 
 
 class GSet:
@@ -708,37 +606,31 @@ class GSet:
 
     def __init__(self, group: FiniteGroup, action: Sequence[Sequence[int]]):
         self.group = group
-        entries = len(action) * len(action[0]) if len(action) else 0  # as the first row counts them
-        table = _int64_table(action) if _by_table(entries) else None
-        # the form that checks the action keeps its own image, the tuples or
-        # the int64 table; the other is made from it when first read, into an
-        # attribute set here (writing __dict__, as cached_property does, makes
-        # every later attribute read of the object slower on CPython 3.11)
+        table = _int64_table(action)
+        if len(table) != group.order:
+            raise InvalidParameterError("need one permutation per group element")
+        points = np.arange(table.shape[1])
+        if np.count_nonzero(np.sort(table, axis=1) != points):
+            raise InvalidParameterError("invalid-gset: action values are not permutations")
+        if np.count_nonzero(table[group.identity] != points):
+            raise InvalidParameterError("invalid-gset: identity does not act trivially")
+        bad = _first_incompatible(group.table_array, table, group.generators)
+        if bad is not None:
+            raise InvalidParameterError(f"invalid-gset: action incompatible at elements {bad}")
+        self.action_array = _read_only(table)
+        self.size = len(points)
+        # the tuples are made when first read, into an attribute set here
+        # (writing __dict__, as cached_property does, makes every later
+        # attribute read of the object slower on CPython 3.11)
         self._action: Optional[List[Tuple[int, ...]]] = None
-        self._action_array: Optional[np.ndarray] = None
-        if table is None:
-            self._action = _action_by_rows(group, action)
-            self.size = len(self._action[0])
-        else:
-            _check_action_table(group, table)
-            self._action_array = _read_only(table)
-            self.size = table.shape[1]
 
     @property
     def action(self) -> List[Tuple[int, ...]]:
-        """The permutation of each element g, action[g], a tuple of points."""
+        """The permutation of each element g, action[g], a tuple of points:
+        the rows of ``action_array``, the (order, size) int64 table."""
         if self._action is None:
-            self._action = list(map(tuple, self._action_array.tolist()))
+            self._action = list(map(tuple, self.action_array.tolist()))
         return self._action
-
-    @property
-    def action_array(self) -> np.ndarray:
-        """The action as a read-only (order, size) int64 array: row g is the
-        permutation of g."""
-        if self._action_array is None:
-            self._action_array = _read_only(
-                np.array(self._action, dtype=np.int64).reshape(self.group.order, self.size))
-        return self._action_array
 
     def move(self, g: int, vec: Mapping[int, int]) -> Dict[int, int]:
         """The sparse point-indexed vector g . vec, {point: entry}: the
@@ -767,13 +659,12 @@ class GSet:
         keep = sorted(set(map(operator.index, points)))
         if any(not 0 <= x < self.size for x in keep):
             raise InvalidParameterError("point out of range")
-        pos = {x: i for i, x in enumerate(keep)}
-        action = []
-        for g, perm in enumerate(self.action):
-            moved = tuple(pos.get(perm[x]) for x in keep)
-            if None in moved:
-                raise InvalidParameterError(f"point subset not stable under element {g}")
-            action.append(moved)
+        pos = np.full(self.size, -1, dtype=np.int64)
+        pos[keep] = np.arange(len(keep))
+        action = pos.take(self.action_array.take(keep, axis=1))  # -1 where a point leaves the subset
+        if np.count_nonzero(action < 0):
+            g = int((action < 0).any(axis=1).argmax())
+            raise InvalidParameterError(f"point subset not stable under element {g}")
         return GSet(self.group, action)
 
     def restrict_group(self, H: Subgroup) -> "GSet":
@@ -781,7 +672,7 @@ class GSet:
         if H.parent is not self.group:
             raise InvalidParameterError("subgroup belongs to a different group")
         Hgrp, embed = H.as_group()
-        return GSet(Hgrp, [self.action[g] for g in embed])
+        return GSet(Hgrp, self.action_array.take(embed, axis=0))
 
     def orbits(self, H: Optional[Subgroup] = None) -> List[Tuple[int, ...]]:
         """The orbits under G, or under its subgroup H, ordered by least point."""
@@ -829,8 +720,7 @@ class GSet:
             raise InvalidParameterError("G-set union needs a common group")
         parts = (self,) + others
         offsets = list(itertools.accumulate((X.size for X in parts), initial=0))
-        action = [tuple(x + off for X, off in zip(parts, offsets) for x in X.action[g])
-                  for g in range(self.group.order)]
+        action = np.hstack([X.action_array + off for X, off in zip(parts, offsets)])
         return GSet(self.group, action)
 
     def __repr__(self) -> str:
@@ -839,7 +729,7 @@ class GSet:
 
 def regular_gset(G: FiniteGroup) -> GSet:
     """G acting on itself by left translation."""
-    return GSet(G, G.table_array if _by_table(G.order * G.order) else G.table)
+    return GSet(G, G.table_array)
 
 
 def coset_gset(G: FiniteGroup, H: Subgroup) -> GSet:
@@ -847,9 +737,10 @@ def coset_gset(G: FiniteGroup, H: Subgroup) -> GSet:
     if H.parent is not G:
         raise InvalidParameterError("subgroup belongs to a different group")
     reps = left_coset_reps(G, H)
-    coset_of = {G.table[rep][h]: i for i, rep in enumerate(reps) for h in H.elements}
-    action = [tuple(coset_of[G.table[g][rep]] for rep in reps) for g in range(G.order)]
-    return GSet(G, action)
+    table = G.table_array
+    coset_of = np.empty(G.order, dtype=np.int64)  # the coset index of each element
+    coset_of[table.take(reps, axis=0).take(H.elements, axis=1)] = np.arange(len(reps))[:, None]
+    return GSet(G, coset_of.take(table.take(reps, axis=1)))
 
 
 def natural_gset(G: FiniteGroup) -> GSet:

@@ -418,21 +418,20 @@ def _is_column_hermite(A: IntMatrix) -> bool:
     """Whether ``col_hermite`` returns A with the identity transform: nonzero
     columns first, their pivots (first nonzero entries) positive in
     increasing rows, and every entry left of a pivot in [0, pivot)."""
-    if A.rows and A.cols > 1 and A.a[0, 1] != 0:  # row 0 is zero past column 0
+    a = A.a
+    if A.rows and A.cols > 1 and a[0, 1] != 0:  # row 0 is zero past column 0
         return False
-    rows, cols = A.a.tolist(), A.a.T.tolist()
-    last = -1  # the pivot row of the column before
-    for j, col in enumerate(cols):
-        if any(col[: last + 1]):
-            return False
-        piv = next((i for i in range(last + 1, A.rows) if col[i]), None)
-        if piv is None:  # the zero columns come last
-            return not any(map(any, cols[j + 1 :]))
-        left = rows[piv][:j]
-        if col[piv] < 0 or left and (min(left) < 0 or max(left) >= col[piv]):
-            return False
-        last = piv
-    return True
+    nonzero = a != 0
+    k = int(np.count_nonzero(nonzero.any(axis=0)))  # the nonzero columns, which must come first
+    if not k:
+        return True
+    piv = nonzero[:, :k].argmax(axis=0)  # their first nonzero rows, row 0 for a zero column
+    rows = a[:, :k].take(piv, axis=0)  # row j: the pivot row of column j, on the first k columns
+    pivots = rows.diagonal()
+    # positive pivots in increasing rows leave rows lower triangular; then
+    # only the pivots are below 0 or reach the pivot of their row
+    return bool(np.count_nonzero(pivots > 0) == k and not np.count_nonzero(piv[1:] <= piv[:-1])
+                and np.count_nonzero((rows < 0) | (rows >= pivots[:, None])) == k)
 
 
 def drop_zero_columns(A: IntMatrix) -> IntMatrix:

@@ -16,8 +16,11 @@ once took (H-fixed functionals into a permutation lattice, else the
 Kronecker kernel), the symmetric group's table composed as tuples, and
 the tables of the cyclic, semidirect and direct product groups and of
 a subgroup as a group, built entry by entry in lists as the constructors
-once built them, and the G-set operations as they were once written out where
-they were used: the edge action of a graph read off its vertex action
+once built them.  The per-entry table checks the library ran below its
+old size rule: group tables, G-sets, graphs and padded spanning-tree
+candidates certified entry by entry with the same refusals, and the
+Cayley and complete graphs built in lists.  The G-set operations as
+they were once written out where they were used: the edge action of a graph read off its vertex action
 pair by pair, edge orbits by scanning every element, cosets by their
 own enumeration, a vector moved by a loop, the action on a stable edge
 subset, the two breadth-first searches of spanning trees and path
@@ -94,7 +97,9 @@ from glattice.gmod import (
     norm_matrix,
     regular,
 )
+from glattice import gflows
 from glattice.groups import (
+    MAX_ORDER,
     FiniteGroup,
     GSet,
     Subgroup,
@@ -621,6 +626,125 @@ def direct_product_table(G: FiniteGroup, H: FiniteGroup) -> List[List[int]]:
 def subgroup_table(G: FiniteGroup, elements: Sequence[int]) -> List[List[int]]:
     pos = {g: i for i, g in enumerate(elements)}
     return [[pos[G.table[a][b]] for b in elements] for a in elements]
+
+
+def _python_rows(rows):
+    """The rows of a signed integer array as lists of Python ints, other
+    rows as they are."""
+    return rows.tolist() if isinstance(rows, np.ndarray) and rows.dtype.kind == "i" else rows
+
+
+def group_by_entries(table) -> Tuple[List[List[int]], int, List[int], Tuple[int, ...]]:
+    """A group table certified entry by entry, as ``FiniteGroup`` once
+    did below its size rule: the rows of Python ints, the identity, the
+    inverses and the greedy generators, or the same refusal.  Every entry
+    goes through ``operator.index``; then the rows are closed, the identity
+    is the first element whose row and column are the identity map, each
+    row's first hit of it names an inverse that must also invert from the
+    left, and Light's test runs on each generator, row tuple by row tuple.
+    The generators come from the library's greedy search on these rows."""
+    n = len(table)
+    if n == 0:
+        raise InvalidParameterError("group order must be positive")
+    if n > MAX_ORDER:
+        raise InvalidParameterError(f"group order {n} exceeds cap {MAX_ORDER}")
+    rows = [list(map(operator.index, row)) for row in _python_rows(table)]
+    for row in rows:
+        if len(row) != n or min(row) < 0 or max(row) >= n:
+            raise InvalidParameterError("multiplication table is not closed")
+    e = next((e for e in range(n) if all(rows[e][x] == x and rows[x][e] == x for x in range(n))), None)
+    if e is None:
+        raise InvalidParameterError("no identity element in table")
+    inverses = []
+    for x, row in enumerate(rows):
+        y = row.index(e) if e in row else -1
+        if y < 0 or rows[y][x] != e:
+            raise InvalidParameterError(f"element {x} has no inverse")
+        inverses.append(y)
+    shell = object.__new__(FiniteGroup)
+    shell.order, shell.table, shell.identity = n, rows, e
+    generators = shell._greedy_generators(range(n))
+    as_tuples = list(map(tuple, rows))
+    for s in generators:
+        after_s = operator.itemgetter(*rows[s])  # row a -> the row of a . s, as a (s b) over b
+        for a, ta in enumerate(rows):
+            if as_tuples[ta[s]] != after_s(ta):
+                raise InvalidParameterError(f"associativity fails at elements ({a}, {s})")
+    return rows, e, inverses, generators
+
+
+def gset_by_entries(group: FiniteGroup, action) -> List[Tuple[int, ...]]:
+    """A G-set table certified entry by entry, as ``GSet`` once did below
+    the size rule: every entry through ``operator.index``, a sort per
+    permutation, and rho(g s) = rho(g) rho(s) for every element g and
+    generator s, one tuple comparison each.  Returns the permutations."""
+    rows = [tuple(map(operator.index, perm)) for perm in _python_rows(action)]
+    if len(rows) != group.order:
+        raise InvalidParameterError("need one permutation per group element")
+    points = list(range(len(rows[0])))
+    for perm in rows:
+        if sorted(perm) != points:
+            raise InvalidParameterError("invalid-gset: action values are not permutations")
+    if rows[group.identity] != tuple(points):
+        raise InvalidParameterError("invalid-gset: identity does not act trivially")
+    if len(points) < 2:  # the identity is the only permutation
+        return rows
+    for s in group.generators:
+        after_s = operator.itemgetter(*rows[s])  # pg -> pg . ps, a tuple
+        for g, pg in enumerate(rows):
+            if rows[group.table[g][s]] != after_s(pg):
+                raise InvalidParameterError(f"invalid-gset: action incompatible at elements ({g}, {s})")
+    return rows
+
+
+def graph_by_entries(vertices: GSet, edges, edge_action) -> Tuple[List[Tuple[int, int]], List[Tuple[int, ...]]]:
+    """The edges and the edge action of a G-graph certified entry by entry,
+    as ``GGraph`` once did below the size rule: each endpoint through
+    ``operator.index`` and its range, the edge action as a G-set of as
+    many points as edges, and per generator s and edge e, the edge s e
+    against the moved endpoints."""
+    edges = [(operator.index(s), operator.index(t)) for s, t in _python_rows(edges)]
+    if any(not (0 <= s < vertices.size and 0 <= t < vertices.size) for s, t in edges):
+        raise InvalidParameterError("edge endpoint out of range")
+    action = gset_by_entries(vertices.group, edge_action)
+    if len(action[0]) != len(edges):
+        raise InvalidParameterError("edge action entries are not permutations")
+    for s in vertices.group.generators:
+        vs, ps = vertices.action[s], action[s]
+        for e, (a, b) in enumerate(edges):
+            if edges[ps[e]] != (vs[a], vs[b]):
+                raise InvalidParameterError(f"edge action incompatible with vertex action at g={s}, edge={e}")
+    return edges, action
+
+
+def cayley_graph_by_lists(G: FiniteGroup, generators: Sequence[int]):
+    """The edges and the edge action of the Cayley graph on distinct valid
+    generators, in lists: edge k n + g is (g, g s_k), and h moves it to
+    edge k n + h g."""
+    n, m = G.order, len(generators)
+    edges = [(g, G.table[g][s]) for s in generators for g in range(n)]
+    action = [[k * n + hg for k in range(m) for hg in G.table[h]] for h in range(n)]
+    return edges, action
+
+
+def complete_edges_by_lists(vertices: GSet, loops: bool):
+    """The edges and the edge action of the complete graph, in lists: the
+    edge (u, v) is numbered u n + v with loops, else u (n - 1) + v - [v > u]."""
+    n = vertices.size
+    edges = [(u, v) for u in range(n) for v in range(n) if u != v or loops]
+    if loops:
+        action = [[a * n + b for a in vg for b in vg] for vg in vertices.action]
+    else:
+        action = [[a * (n - 1) + b - (b > a) for a in vg for b in vg if a != b] for vg in vertices.action]
+    return edges, action
+
+
+def tree_basis_of_arrays_by_entries(X, tree_edges, edges: np.ndarray, coefficients: np.ndarray):
+    """``spanning_tree_basis_of_arrays`` entry by entry, as it once ran
+    below the size rule: the padded rows as (edge, coefficient) entries,
+    each through ``operator.index`` in the library's per-entry form."""
+    non_tree = gflows._non_tree_edges(X, tree_edges, len(edges))
+    return gflows._tree_basis_by_entries(X, non_tree, list(map(zip, edges.tolist(), coefficients.tolist())))
 
 
 def closure_from_identity(G: FiniteGroup, seed: Sequence[int]) -> Tuple[int, ...]:

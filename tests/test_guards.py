@@ -3,8 +3,8 @@
 Each test corrupts the producer of one guarded fact with monkeypatch and
 sees the guard raise, or, where the guard was deleted as covered, sees
 the covering certificate raise on the same corruption.  A guard on a CLI
-path also makes ``main`` exit 2 or 3 with nothing on stdout: a corrupted
-certificate is never a report.  ``tests/guard_census.py`` turns each
+path also makes ``main`` exit with nothing on stdout: 3 for a corrupted
+certificate, which is never a report, and 2 for a refused input.  ``tests/guard_census.py`` turns each
 guard into a no-op in turn and reports the ones no test kills.
 """
 
@@ -34,9 +34,10 @@ SCHANUEL = ["check", "schanuel", "--group", "SD:3,2,2", "--lattice", "flows:cayl
 CYCLIC_FLOWS = ["check", "cyclic-flows", "--n", "7", "--gens", "s,s2"]
 
 
-def refused_by_cli(argv, capsys, code=(2, 3)):
-    """main refuses argv with an exit code in code and prints no report."""
-    assert main(argv) in code
+def refused_by_cli(argv, capsys, code):
+    """main refuses argv with exit code code and prints no report: 3 for a
+    failed certificate, a fault of the program, and 2 for a refused input."""
+    assert main(argv) == code
     assert capsys.readouterr().out == ""
 
 
@@ -60,7 +61,7 @@ class TestBarFlowKeys:
             return fl
 
         monkeypatch.setattr(checks_mod, "_star_tree_basis", star_then_widen)
-        refused_by_cli(["check", "bar-cocycle", "--group", "C:4"], capsys)
+        refused_by_cli(["check", "bar-cocycle", "--group", "C:4"], capsys, 3)
 
 
 # -- checks: the metacyclic presentation ------------------------------------------------
@@ -105,23 +106,22 @@ class TestMetacyclicPresentation:
         corrupt_twist_path(monkeypatch)
         with pytest.raises(CertificateError, match="the cycles and the twist path are flows"):
             checks_mod._metacyclic_presentation(3, 2, 2)
-        refused_by_cli(KERNEL_GENERATORS, capsys)
+        refused_by_cli(KERNEL_GENERATORS, capsys, 3)
 
     @pytest.mark.parametrize("order", [(2, 1, 2), (0, 2, 2)], ids=["s-cycle", "t-cycle"])
     def test_cycle_flow_not_invariant_fails_the_presentation_map(self, order, capsys, monkeypatch):
         """pi sends the coset basepoint of <s> (of <t>) to the s-cycle
-        (t-cycle) flow, so pi.validate() certifies it invariant."""
+        (t-cycle) flow, so the equivariance of pi certifies it invariant."""
         swap_flow_columns(monkeypatch, order)
-        with pytest.raises(InvalidParameterError, match="map is not equivariant at element"):
+        with pytest.raises(CertificateError, match="the presentation map is equivariant"):
             checks_mod.check_kernel_generators(3, 2, 2)
-        refused_by_cli(KERNEL_GENERATORS, capsys)
+        refused_by_cli(KERNEL_GENERATORS, capsys, 3)
 
     def test_twist_congruence_certified_by_semidirect(self, capsys):
         """2^2 = 4 is not 1 mod 5, so (r^m - 1) / n would not be an integer."""
         with pytest.raises(InvalidParameterError, match="is not congruent to 1 modulo 5"):
             checks_mod.check_kernel_generators(5, 2, 2)
-        refused_by_cli(["check", "kernel-generators", "--n", "5", "--m", "2", "--r", "2"],
-                       capsys, code=(2,))
+        refused_by_cli(["check", "kernel-generators", "--n", "5", "--m", "2", "--r", "2"], capsys, 2)
 
     def test_u_vectors_outside_the_kernel_fail_the_check(self, capsys, monkeypatch):
         """u_in_K is None when the solve finds a u vector outside the kernel:
@@ -153,7 +153,7 @@ class TestMetacyclicPresentation:
         )
         with pytest.raises(CertificateError, match=message):
             checks_mod.check_faithful_transfer(7, 3, 2)
-        refused_by_cli(FAITHFUL_TRANSFER, capsys)
+        refused_by_cli(FAITHFUL_TRANSFER, capsys, 3)
 
 
 # -- cohom: lifts and pullback sections -------------------------------------------------
@@ -195,7 +195,7 @@ class TestLift:
         corrupt_lifts(monkeypatch)
         with pytest.raises(CertificateError, match="the lift maps through g onto f"):
             checks_mod.check_schanuel(M, G.spec, "flows:cayley")
-        refused_by_cli(SCHANUEL, capsys)
+        refused_by_cli(SCHANUEL, capsys, 3)
 
 
 # -- cohom: the permutation witness -----------------------------------------------------
@@ -256,7 +256,7 @@ class TestFlowSequences:
         fl = gflows.flow_lattice(cayley_graph(cyclic(3), [1]))
         with pytest.raises(CertificateError, match="the boundary lands in the augmentation sublattice"):
             fl.boundary_sequence()
-        refused_by_cli(FAITHFUL_TRANSFER, capsys)
+        refused_by_cli(FAITHFUL_TRANSFER, capsys, 3)
 
     def test_circular_flows_that_are_not_flows_refused(self, capsys, monkeypatch):
         """Without the guard the missing flows are an AttributeError."""
@@ -272,7 +272,7 @@ class TestFlowSequences:
         G = cyclic(4)
         with pytest.raises(CertificateError, match="the embedded and circular flows are flows"):
             gflows.remove_edges_decomposition(cayley_graph(G, [1, 2]), cayley_graph(G, [1]))
-        refused_by_cli(CYCLIC_FLOWS, capsys)
+        refused_by_cli(CYCLIC_FLOWS, capsys, 3)
 
 
 # -- cohom: the split certificate --------------------------------------------------------
@@ -311,7 +311,7 @@ class TestSplitCertificate:
                             lambda *args: raise_entry(left_inverse(*args), 0, 0))
         with pytest.raises(CertificateError, match="the split map has the constructed inverse"):
             cohom.split_iso(checks_mod._metacyclic_presentation(7, 3, 2).pres)
-        refused_by_cli(KERNEL_GENERATORS, capsys)
+        refused_by_cli(KERNEL_GENERATORS, capsys, 3)
 
 
 # -- internal raises: each refusal fires ---------------------------------------------------
@@ -346,14 +346,14 @@ class TestCohomRefusals:
         B = sign_plus_trivial(cyclic(2))
         seq = ShortExactSequence(EquivariantMap(sign_lattice(B.group), B, IntMatrix.from_rows([[1], [0]])),
                                  EquivariantMap(B, trivial(B.group), IntMatrix.from_rows([[0, 1]])))
-        with pytest.raises(InvalidParameterError, match="middle term is not a permutation lattice"):
+        with pytest.raises(CertificateError, match="middle term is not a permutation lattice"):
             cohom.ResolutionCertificate(seq, "coflasque").validate()
 
     def test_coflasque_resolution_needs_a_coflasque_kernel(self):
         """0 -> I -> Z[C2] -> Z -> 0: I is the sign lattice, H^1 = Z/2."""
         P = regular(cyclic(2))
         _, incl = augmentation_kernel(P)
-        with pytest.raises(InvalidParameterError, match="kernel fails coflasqueness at subgroup"):
+        with pytest.raises(CertificateError, match="kernel fails coflasqueness at subgroup"):
             cohom.ResolutionCertificate(ShortExactSequence(incl, augmentation_map(P)), "coflasque").validate()
 
     def test_flasque_resolution_needs_a_flasque_cokernel(self):
@@ -362,7 +362,7 @@ class TestCohomRefusals:
         sign = sign_lattice(P.group)
         seq = ShortExactSequence(EquivariantMap(trivial(P.group), P, IntMatrix.from_rows([[1], [1]])),
                                  EquivariantMap(P, sign, IntMatrix.from_rows([[1, -1]])))
-        with pytest.raises(InvalidParameterError, match="cokernel fails flasqueness at subgroup"):
+        with pytest.raises(CertificateError, match="cokernel fails flasqueness at subgroup"):
             cohom.ResolutionCertificate(seq, "flasque").validate()
 
     def test_rep_order_must_permute_the_representatives(self):

@@ -381,6 +381,75 @@ class TestHermite:
         assert a @ v == h
         assert abs(det(v)) == 1
 
+    @pytest.mark.parametrize("rows, verdict", [
+        ([[2, 0], [1, 3]], True),
+        ([[0, 0], [1, 0], [5, 0]], True),
+        ([[0, 0], [0, 0]], True),
+        ([[0, 0], [0, 1], [1, 0]], False),  # pivots in decreasing rows
+        ([[0, 0], [0, 1]], False),  # a zero column first
+        ([[-2, 0], [1, 3]], False),  # a negative pivot
+        ([[0], [-2]], False),
+        ([[2, 0], [-1, 3]], False),  # left of a pivot, below 0
+        ([[2, 0], [3, 3]], False),  # left of a pivot, not below it
+        ([[0, 0], [2, 3], [0, 0]], False),  # two pivots in row 1
+        ([[2**70, 0], [5, 2**66]], True),
+        ([[2**70, 0], [2**66, 2**66]], False),
+    ], ids=str)
+    def test_is_column_hermite_on_each_condition(self, rows, verdict):
+        A = IntMatrix.from_rows(rows)
+        H, V = col_hermite(A, transform=True)
+        assert intlinalg._is_column_hermite(A) is verdict is (H == A and V.is_identity())
+
+    @given(st.data())
+    @settings(max_examples=600, deadline=None)
+    def test_is_column_hermite_exactly_when_the_form_is_the_matrix(self, data):
+        """The array test holds exactly when ``col_hermite`` returns A with
+        the identity transform: on random matrices, and on forms built pivot
+        by pivot with at most one fault (an entry left of a pivot below 0 or
+        not below it, a pivot negated, a nonzero entry above a pivot, two
+        pivots in one row, or two columns swapped), with small entries or some past int64 (held as
+        Python ints), and on empty shapes."""
+        entries = data.draw(st.sampled_from([small_entries, wide_entries]))
+        r, c = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))
+        if not data.draw(st.integers(0, 2)):
+            rows = data.draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+        else:  # a form: pivots positive in increasing rows, [0, pivot) to their left
+            rows = [[0] * c for _ in range(r)]
+            pivot_rows = sorted(data.draw(st.sets(st.integers(0, r - 1), max_size=min(r, c))) if r else [])
+            for j, p in enumerate(pivot_rows):
+                rows[p][j] = data.draw(st.one_of(st.integers(1, 9), st.integers(1, 2**66)))
+                for i in range(j):
+                    rows[p][i] = data.draw(st.integers(0, rows[p][j] - 1))
+                for below in range(p + 1, r):
+                    rows[below][j] = data.draw(entries)
+            fault = data.draw(st.sampled_from(["left", "pivot", "above", "tie", "swap", "none"]))
+            at = {  # the pivots (by column) where the fault can be made
+                "left": range(1, len(pivot_rows)),
+                "pivot": range(len(pivot_rows)),
+                "above": [j for j, p in enumerate(pivot_rows) if p],
+                "tie": [j for j in range(1, len(pivot_rows)) if pivot_rows[j - 1]],  # row 0: the quick test
+            }.get(fault, [])
+            if at:
+                j = data.draw(st.sampled_from(at))
+                p, pivot = pivot_rows[j], rows[pivot_rows[j]][j]
+                if fault == "left":
+                    rows[p][data.draw(st.integers(0, j - 1))] = data.draw(
+                        st.sampled_from([-1, -(2**64), pivot, pivot + 2**64]))
+                elif fault == "pivot":
+                    rows[p][j] = -pivot
+                elif fault == "above":
+                    rows[data.draw(st.integers(0, p - 1))][j] = data.draw(st.sampled_from([1, -1, 2**64]))
+                else:  # column j's first nonzero in the pivot row before, above the pivot there
+                    before = pivot_rows[j - 1]
+                    rows[before][j] = rows[before][j - 1] + data.draw(st.sampled_from([1, 2**64]))
+            elif c and fault == "swap":
+                j, k = data.draw(st.integers(0, c - 1)), data.draw(st.integers(0, c - 1))
+                for row in rows:
+                    row[j], row[k] = row[k], row[j]
+        A = IntMatrix.from_rows(rows, cols=c)
+        H, V = col_hermite(A, transform=True)
+        assert intlinalg._is_column_hermite(A) is (H == A and V.is_identity())
+
 
 class TestSaturationAndSolver:
     def test_saturation_of_doubled_lattice(self):

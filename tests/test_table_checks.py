@@ -1,11 +1,16 @@
-"""The whole-table form of the group, G-set, G-graph and spanning-tree
-checks against the per-entry form, each run on inputs on both sides of the
-size rule: the same result on valid input, the same exception type and
-message on malformed input.  And the route each command takes, counted by
-forms patched to raise: no clock."""
+"""The one table form of the group, G-set, G-graph and spanning-tree checks
+against the per-entry forms of ``reference``: every table enters as one
+int64 array and is certified by whole-table scans, and on every input,
+valid or malformed, the library gives the reference's result, or its
+exception type and message, first failure first.  The inputs include the
+odd shapes and dtypes of the intake: no points, no edges, bools, uint64
+arrays and object arrays past int64.  And no per-entry table form is
+left in the library, nor a rule that chooses between forms."""
 
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from glattice.gflows import (
     flow_lattice,
     spanning_tree_basis,
     spanning_tree_basis_of_arrays,
+    subgraph,
 )
 from glattice.groups import (
     FiniteGroup,
@@ -38,8 +44,10 @@ from glattice.groups import (
 import reference
 from reference import spanning_tree_by_bfs
 
-# the regular action of C:3 has 9 entries and that of S:4 576, on either
-# side of the size rule; S:4's Cayley graph on three generators has 72 edges
+SRC = Path(__file__).resolve().parents[1] / "src" / "glattice"
+
+# the regular action of C:3 has 9 entries and that of S:4 576; S:4's
+# Cayley graph on three generators has 72 edges
 GSET_GROUPS = ["C:3", "S:3", "D:4", "S:4", "X(C:4,C:4)"]
 
 
@@ -50,22 +58,13 @@ def _outcome(make):
         return type(exc), str(exc)
 
 
-def _by_size_rule(entries, make):
-    """The outcome of make with the size rule at entries, so that every
-    table of at least that many entries takes the array form: 0 for all,
-    None for none."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(groups_mod, "_ARRAY_CHECK_ENTRIES", float("inf") if entries is None else entries)
-        return _outcome(make)
-
-
-def _both_forms(make):
-    """The outcomes of make by the array forms and by the per-entry forms."""
-    return _by_size_rule(0, make), _by_size_rule(None, make)
-
-
 def _group_data(G):
-    return G.table, G.table_array.tolist(), G.identity, G.inverses, G.generators, G.element_names, G.spec
+    return G.table, G.identity, G.inverses, G.generators
+
+
+def _same_group(table):
+    """The outcomes of the library and of the reference on one table."""
+    return _outcome(lambda: _group_data(FiniteGroup(table))), _outcome(lambda: reference.group_by_entries(table))
 
 
 class TestGroupForms:
@@ -74,16 +73,15 @@ class TestGroupForms:
         "X(C:2,C:4)", "X(C:2,C:8)", "X(C:4,C:4)", "X(C:2,C:60)", "X(S:3,C:4)",
     ])
     def test_constructors_agree(self, spec):
-        """Every constructor gives the same group whether its table is
-        certified by whole-table scans or entry by entry, with tables of
-        Python ints."""
-        by_table, by_entry = _both_forms(lambda: _group_data(parse_group_spec(spec)))
-        assert by_table == by_entry
-        assert {type(x) for row in by_table[0] for x in row} == {int}
+        """Every constructor's group is the one the per-entry checks find in
+        its table, with a table of Python ints equal to its array."""
+        G = parse_group_spec(spec)
+        assert _group_data(G) == reference.group_by_entries(G.table_array)
+        assert G.table_array.tolist() == G.table and not G.table_array.flags.writeable
+        assert {type(x) for row in G.table for x in row} == {int}
 
     def test_constructor_tables_match_the_entry_by_entry_builders(self):
-        """The broadcast tables against the list builders, at orders on both
-        sides of the size rule."""
+        """The broadcast tables against the list builders."""
         for n in range(1, 121):
             assert cyclic(n).table == reference.cyclic_table(n)
         for n, m in itertools.product(range(1, 16), range(1, 9)):
@@ -100,11 +98,9 @@ class TestGroupForms:
 
     @pytest.mark.parametrize("spec", ["X(C:4,C:8)", "S:4", "D:16"])
     def test_subgroups_as_groups_agree(self, spec):
-        def build():
-            return [_group_data(H.as_group()[0]) for H in all_subgroups(parse_group_spec(spec))]
-
-        by_table, by_entry = _both_forms(build)
-        assert by_table == by_entry
+        for H in all_subgroups(parse_group_spec(spec)):
+            K = H.as_group()[0]
+            assert _group_data(K) == reference.group_by_entries(K.table)
 
     @staticmethod
     def _c16():
@@ -134,18 +130,17 @@ class TestGroupForms:
     ], ids=str)
     def test_corrupted_tables(self, place, expected):
         rows = self._corrupted(place)
-        by_table, by_entry = _both_forms(lambda: FiniteGroup(rows))
-        assert by_table == by_entry == (InvalidParameterError, expected)
+        assert _same_group(rows) == ((InvalidParameterError, expected),) * 2
 
     def test_float_and_bool_entries(self):
-        """A float is refused through operator.index in both forms; a bool
-        where its int belongs is that int in both."""
+        """A float is refused through operator.index; a bool where its int
+        belongs is that int."""
         floats = self._corrupted({(2, 3): 5.0})
         refused = (TypeError, "'float' object cannot be interpreted as an integer")
-        assert _both_forms(lambda: FiniteGroup(floats)) == (refused, refused)
+        assert _same_group(floats) == (refused, refused)
         bools = self._corrupted({(0, 1): True, (1, 0): True, (0, 0): False})
-        by_table, by_entry = _both_forms(lambda: _group_data(FiniteGroup(bools)))
-        assert by_table == by_entry and by_table[0] == self._c16()
+        library, by_entry = _same_group(bools)
+        assert library == by_entry and library[0] == self._c16()
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -167,8 +162,8 @@ class TestGroupForms:
                 rows[a][b] = rows[a][c]
             else:
                 rows[a][b], rows[a][c] = rows[a][c], rows[a][b]
-        by_table, by_entry = _both_forms(lambda: _group_data(FiniteGroup(rows)))
-        assert by_table == by_entry
+        library, by_entry = _same_group(rows)
+        assert library == by_entry
 
 
 @st.composite
@@ -197,31 +192,31 @@ def gset_tables(draw):
     return G, [tuple(row) for row in rows]
 
 
+def _same_gset(G, rows):
+    return _outcome(lambda: GSet(G, rows).action), _outcome(lambda: reference.gset_by_entries(G, rows))
+
+
 class TestGSetForms:
     @given(gset_tables())
     @settings(max_examples=150, deadline=None)
     def test_same_outcome(self, case):
-        G, rows = case
-        by_table, by_entry = _both_forms(lambda: GSet(G, rows).action)
-        assert by_table == by_entry
+        library, by_entry = _same_gset(*case)
+        assert library == by_entry
 
     @given(gset_tables())
     @settings(max_examples=100, deadline=None)
     def test_cores_directly(self, case):
-        """The array core called on every table that fits int64, small or
-        large, against the per-entry form; the images agree with the rows."""
+        """The same tables handed as one array: int64 where every entry
+        fits, else an object array; a valid table is kept as it came."""
         G, rows = case
-        table = groups_mod._int64_table(rows)
-        by_entry = _outcome(lambda: groups_mod._action_by_rows(G, rows))
-        if table is None:  # 2**70: refused entry by entry, whatever the size
-            assert by_entry == (InvalidParameterError, "invalid-gset: action values are not permutations")
-            return
-        by_table = _outcome(lambda: groups_mod._check_action_table(G, table))
-        if by_table is None:
-            assert by_entry == [tuple(row) for row in table.tolist()]
-            assert (GSet(G, rows).action_array == table).all()
-        else:
-            assert by_table == by_entry
+        try:
+            table = np.array(rows, dtype=np.int64)
+        except OverflowError:  # 2**70
+            table = np.array(rows, dtype=object)
+        library, by_entry = _same_gset(G, table)
+        assert library == by_entry
+        if table.dtype == np.int64 and type(library) is list:
+            assert (GSet(G, table).action_array == table).all()
 
     @pytest.mark.parametrize("rows", [
         [[0, 1], [1]],  # rows of unequal lengths
@@ -231,9 +226,8 @@ class TestGSetForms:
         [[0, 1, 2]] * 3,
     ], ids=str)
     def test_other_malformed_tables(self, rows):
-        G = parse_group_spec("C:2")
-        by_table, by_entry = _both_forms(lambda: GSet(G, rows).action)
-        assert by_table == by_entry and by_table[0] in (InvalidParameterError, TypeError)
+        library, by_entry = _same_gset(parse_group_spec("C:2"), rows)
+        assert library == by_entry and library[0] in (InvalidParameterError, TypeError)
 
 
 @st.composite
@@ -251,27 +245,111 @@ def graph_cases(draw):
     return X, edges
 
 
+def _graph_data(X):
+    return X.edges, X.edge_gset.action
+
+
+def _same_graph(V, edges, edge_action):
+    library = _outcome(lambda: _graph_data(GGraph(V, edges, edge_action)))
+    return library, _outcome(lambda: reference.graph_by_entries(V, edges, edge_action))
+
+
 class TestGGraphForms:
     @given(graph_cases())
     @settings(max_examples=100, deadline=None)
     def test_same_outcome(self, case):
         X, edges = case
-        by_table, by_entry = _both_forms(lambda: GGraph(X.vertices, edges, X.edge_gset.action).edges)
-        assert by_table == by_entry
+        library, by_entry = _same_graph(X.vertices, edges, X.edge_gset.action)
+        assert library == by_entry
 
     @pytest.mark.parametrize("spec", ["C:3", "S:3", "D:4", "S:4"])
     def test_builders_agree(self, spec):
         """The complete graphs with and without loops and the Cayley graph
-        come out the same from lists and from one broadcast."""
+        come out of one broadcast as the list builders make them."""
         G = parse_group_spec(spec)
+        for V in (regular_gset(G), coset_gset(G, subgroup_conjugacy_reps(G)[1])):
+            for loops in (False, True):
+                edges, action = reference.complete_edges_by_lists(V, loops)
+                assert _graph_data(complete_edges(V, loops)) == reference.graph_by_entries(V, edges, action)
+        X = cayley_graph(G, G.generators)
+        edges, action = reference.cayley_graph_by_lists(G, G.generators)
+        assert _graph_data(X) == reference.graph_by_entries(X.vertices, edges, action)
 
-        def build():
-            graphs = [complete_edges(V, loops) for V in (regular_gset(G), coset_gset(G, subgroup_conjugacy_reps(G)[1]))
-                      for loops in (False, True)]
-            return [(X.edges, X.edge_gset.action) for X in graphs + [cayley_graph(G, G.generators)]]
 
-        by_table, by_entry = _both_forms(build)
-        assert by_table == by_entry
+class TestIntakeEdges:
+    """The shapes and dtypes that only the per-entry forms once caught:
+    numpy reads ``[(), ()]`` and ``[]`` as float64, a list of bools as a
+    bool array, and 2**70 as an object."""
+
+    @pytest.mark.parametrize("spec", ["C:1", "C:3", "S:3"])
+    def test_a_gset_with_no_points(self, spec):
+        G = parse_group_spec(spec)
+        for rows in ([()] * G.order, np.zeros((G.order, 0), dtype=np.int64)):
+            library, by_entry = _same_gset(G, rows)
+            assert library == by_entry == [()] * G.order
+        assert GSet(G, [()] * G.order).action_array.shape == (G.order, 0)
+
+    @pytest.mark.parametrize("spec", ["C:1", "C:3", "S:3"])
+    def test_edgeless_graphs(self, spec):
+        G = parse_group_spec(spec)
+        X = cayley_graph(G, G.generators or [0])
+        for Y in (subgraph(X, []), cayley_graph(G, [])):
+            assert (Y.edges, Y.edge_gset.action, Y.edge_array.shape) == ([], [()] * G.order, (0, 2))
+            assert _same_graph(X.vertices, [], [()] * G.order) == (([], [()] * G.order),) * 2
+        empty = np.zeros((0, 2), dtype=np.int64)
+        assert _same_graph(X.vertices, empty, np.zeros((G.order, 0), dtype=np.int64)) == (([], [()] * G.order),) * 2
+
+    def test_bool_tables(self):
+        """Python bools are their ints, alone or beside ints; the entries of
+        a numpy bool array are refused by operator.index, as before."""
+        G = cyclic(2)
+        bools = [[False, True], [True, False]]
+        assert _same_group(bools) == ((G.table, 0, [0, 1], (1,)),) * 2
+        assert _same_gset(G, bools) == ([(0, 1), (1, 0)],) * 2
+        V = regular_gset(G)
+        assert _same_graph(V, [(False, True), (True, False)], bools) == (([(0, 1), (1, 0)], [(0, 1), (1, 0)]),) * 2
+        refused = (TypeError, "'numpy.bool' object cannot be interpreted as an integer")
+        as_array = np.array(bools)
+        assert _same_group(as_array) == _same_gset(G, as_array) == (refused, refused)
+
+    def test_uint64_arrays(self):
+        """uint64 entries are their ints; one past int64 is out of range."""
+        G = parse_group_spec("S:3")
+        table = np.array(G.table, dtype=np.uint64)
+        assert _same_group(table) == (_group_data(G),) * 2
+        assert _same_gset(G, table) == (regular_gset(G).action,) * 2
+        table[2, 3] = 2**64 - 1
+        assert _same_group(table) == ((InvalidParameterError, "multiplication table is not closed"),) * 2
+        assert _same_gset(G, table) == ((InvalidParameterError, "invalid-gset: action values are not permutations"),) * 2
+        X = cayley_graph(G, G.generators)
+        ends = np.array(X.edges, dtype=np.uint64)
+        assert _same_graph(X.vertices, ends, X.edge_gset.action) == ((X.edges, X.edge_gset.action),) * 2
+        ends[4, 1] = 2**63
+        refused = (InvalidParameterError, "edge endpoint out of range")
+        assert _same_graph(X.vertices, ends, X.edge_gset.action) == (refused, refused)
+
+    @pytest.mark.parametrize("big", [2**70, -(2**70), 2**63], ids=str)
+    def test_object_arrays_past_int64(self, big):
+        G = parse_group_spec("D:4")
+        table = np.array(G.table, dtype=object)
+        assert _same_group(table) == (_group_data(G),) * 2
+        table[1, 6] = big
+        assert _same_group(table) == ((InvalidParameterError, "multiplication table is not closed"),) * 2
+        assert _same_gset(G, table) == ((InvalidParameterError, "invalid-gset: action values are not permutations"),) * 2
+        X = cayley_graph(G, G.generators)
+        ends = np.array(X.edges, dtype=object)
+        ends[3, 0] = big
+        refused = (InvalidParameterError, "edge endpoint out of range")
+        assert _same_graph(X.vertices, ends, X.edge_gset.action) == (refused, refused)
+
+    def test_an_edge_that_is_not_a_pair(self):
+        """Rows of three are refused as edges; a short row misses an
+        endpoint, which reads as out of range."""
+        V = regular_gset(cyclic(2))
+        with pytest.raises(InvalidParameterError, match=r"an edge is not a \(source, target\) pair"):
+            GGraph(V, [(0, 1, 0), (1, 0, 1)], [(0, 1), (1, 0)])
+        with pytest.raises(InvalidParameterError, match="edge endpoint out of range"):
+            GGraph(V, [(0, 1), (1,)], [(0, 1), (1, 0)])
 
 
 # Cayley graphs with their generators: C:3 and S:3 have a few entries of
@@ -340,33 +418,35 @@ class TestSpanningTreeForms:
     @given(tree_cases())
     @settings(max_examples=200, deadline=None)
     def test_same_outcome(self, case):
-        """The padded-array entry, on both sides of the size rule, against
-        the per-entry form of the same candidates as flows; object arrays
-        (a float, an entry beyond int64) are certified entry by entry."""
+        """The padded arrays, int64 or object (a float, an entry beyond
+        int64), against the per-entry forms of the same candidates as
+        arrays and as flows."""
         X, tree, cands = case
-        by_entry = _outcome(lambda: spanning_tree_basis(X, tree, cands).basis)
+        by_flows = _outcome(lambda: spanning_tree_basis(X, tree, cands).basis)
         arrays = _as_arrays(cands)
-        by_arrays = _both_forms(lambda: spanning_tree_basis_of_arrays(X, tree, *arrays).basis)
-        assert by_arrays == (by_entry, by_entry)
+        library = _outcome(lambda: spanning_tree_basis_of_arrays(X, tree, *arrays).basis)
+        by_entry = _outcome(lambda: reference.tree_basis_of_arrays_by_entries(X, tree, *arrays).basis)
+        assert library == by_entry == by_flows
 
     @pytest.mark.parametrize("edge", [1.0, 1, 0.0], ids=repr)
     def test_float_edge_is_refused_not_merged(self, edge):
         """The triangle 0 -> 1 -> 2 -> 0 with tree [0, 1]: its one cycle is
-        certified, and a float edge in the object-array route is refused,
-        also where an int entry of its row names the same edge."""
+        certified, and a float edge in an object array is refused, also
+        where an int entry of its row names the same edge."""
         X = cayley_graph(parse_group_spec("C:3"), [1])
         edges, coefs = np.array([[2, 1, 0, edge]], dtype=object), np.array([[1, 1, 1, 0]], dtype=object)
-        outcome = _both_forms(lambda: spanning_tree_basis_of_arrays(X, [0, 1], edges, coefs).rank)
+        outcome = _outcome(lambda: spanning_tree_basis_of_arrays(X, [0, 1], edges, coefs).rank)
+        by_entry = _outcome(lambda: reference.tree_basis_of_arrays_by_entries(X, [0, 1], edges, coefs).rank)
         if type(edge) is int:
-            assert outcome == (1, 1)
+            assert outcome == by_entry == 1
         else:
-            assert outcome == ((TypeError, "'float' object cannot be interpreted as an integer"),) * 2
+            assert outcome == by_entry == (TypeError, "'float' object cannot be interpreted as an integer")
 
     @given(tree_cases())
     @settings(max_examples=100, deadline=None)
     def test_cores_directly(self, case):
         """The column core on the int64 entries of every candidate set that
-        has them, small or large, against the per-entry form."""
+        has them, unpadded, against the per-entry form."""
         X, tree, cands = case
         assume(_fits_int64(cands))  # floats and wider integers: test_same_outcome
         non_tree = gflows_mod._non_tree_edges(X, tree, len(cands))
@@ -384,19 +464,31 @@ def _raising(name):
     return form
 
 
-ENTRY_FORMS = [(groups_mod, "_action_by_rows"), (GGraph, "_validate"), (gflows_mod, "_tree_basis_by_entries")]
-TABLE_FORMS = [(groups_mod, "_check_action_table"), (GGraph, "_validate_by_table"),
-               (gflows_mod, "_tree_basis_by_columns")]
-GROUP_TABLE_FORMS = ["_identity_and_inverses", "_check_associativity_by_table"]
+def _counting(owner, name, monkeypatch):
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+# the names the per-entry table forms and the size rule that chose them had
+PER_ENTRY_FORMS = [
+    "_by_table", "_ARRAY_CHECK_ENTRIES", "_python_rows", "_action_by_rows", "_check_action_table",
+    "_find_identity", "_find_inverses", "_check_associativity", "_check_associativity_by_table",
+    "_validate", "_validate_by_table",
+]
 
 
 class TestRoutes:
-    """The size rule sends the ladder's bar-cocycle to the array forms only
-    and a small request to the per-entry forms only."""
+    """Every table takes the one form; the ladder's bar-cocycle certifies
+    its flows by columns, never by the per-entry form kept for dict flows."""
 
     @pytest.mark.parametrize("argv, forbidden", [
-        (["check", "bar-cocycle", "--group", "C:16"], ENTRY_FORMS),
-        (["check", "cyclic-flows", "--n", "3", "--gens", "s"], TABLE_FORMS),
+        (["check", "bar-cocycle", "--group", "C:16"], [(gflows_mod, "_tree_basis_by_entries")]),
     ])
     def test_no_call_to_the_other_forms(self, argv, forbidden, monkeypatch, capsys):
         for owner, name in forbidden:
@@ -406,18 +498,28 @@ class TestRoutes:
 
     @pytest.mark.parametrize("spec", ["C:16", "D:8", "SD:8,2,5", "S:4", "C:120", "S:5"])
     def test_group_info_certifies_by_table(self, spec, monkeypatch, capsys):
-        monkeypatch.setattr(FiniteGroup, "_check_associativity", _raising("_check_associativity"))
+        """Each group made is certified by the identity scan and Light's
+        test over its table."""
+        scans = _counting(groups_mod, "_identity_and_inverses", monkeypatch)
+        light = _counting(groups_mod, "_first_incompatible", monkeypatch)
         assert main(["group", "info", "--group", spec, "--output", "json"]) == 0
         assert capsys.readouterr().out
+        assert scans and len(light) >= len(scans)
 
-    def test_small_group_info_certifies_by_entries(self, monkeypatch, capsys):
-        for name in GROUP_TABLE_FORMS:
-            monkeypatch.setattr(groups_mod, name, _raising(name))
-        assert main(["group", "info", "--group", "C:4", "--output", "json"]) == 0
-        assert capsys.readouterr().out
+    def test_no_per_entry_table_form_is_left(self):
+        """No per-entry table check, and no rule choosing between forms, is
+        left in the library: the one form is the only route."""
+        text = "".join(path.read_text() for path in sorted(SRC.glob("*.py")))
+        left = [name for name in PER_ENTRY_FORMS if re.search(rf"\b{name}\b", text)]
+        assert left == []
+        assert not any(hasattr(owner, name) for owner in (groups_mod, gflows_mod, FiniteGroup, GSet, GGraph)
+                       for name in PER_ENTRY_FORMS)
 
     def test_both_forms_build_the_same_flow_lattice(self):
+        """The flow lattice of the Cayley graph from one broadcast and from
+        the list builders' edges and edge action."""
         G = parse_group_spec("S:4")
-        by_table, by_entry = _both_forms(lambda: flow_lattice(cayley_graph(G, G.generators)))
-        assert by_table.basis == by_entry.basis and by_table.graph.edges == by_entry.graph.edges
-        assert by_table.graph.edge_gset.action == by_entry.graph.edge_gset.action
+        by_table = flow_lattice(cayley_graph(G, G.generators))
+        by_lists = flow_lattice(GGraph(regular_gset(G), *reference.cayley_graph_by_lists(G, G.generators)))
+        assert by_table.basis == by_lists.basis and by_table.graph.edges == by_lists.graph.edges
+        assert by_table.graph.edge_gset.action == by_lists.graph.edge_gset.action
